@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race slow soak topo-soak fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo bench bench-json bench-guard snapshot vet
+.PHONY: all build test race slow soak topo-soak fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo bench bench-e2e bench-compare bench-json bench-guard largetable-identity snapshot vet
 
 all: build test
 
@@ -96,6 +96,29 @@ fuzz-topo:
 
 bench:
 	$(GO) test -bench . -benchmem
+
+# The repository's one end-to-end benchmark (bench/README.md): six
+# workloads, medians over interleaved passes, correctness digests.
+bench-e2e:
+	$(GO) run ./bench
+
+# Verdict per (workload, metric) between two `go run ./bench -o` files.
+bench-compare:
+	$(GO) run ./bench -compare $(OLD) $(NEW)
+
+# The large-table sweep's text and JSON must not depend on the worker
+# count, and must match the files captured before the sweep began
+# sharing inputs and bulk-building the tiled TCAM.
+largetable-identity:
+	rm -rf /tmp/taco-largetable && mkdir -p /tmp/taco-largetable
+	for w in 1 8; do \
+		$(GO) run ./cmd/tacoexplore -sweep largetable -table-size 2000,10000 -workers $$w \
+			> /tmp/taco-largetable/w$$w.txt || exit 1; \
+		$(GO) run ./cmd/tacoexplore -sweep largetable -table-size 2000,10000 -workers $$w -json \
+			> /tmp/taco-largetable/w$$w.json || exit 1; \
+		cmp /tmp/taco-largetable/w$$w.txt testdata/largetable/sweep-2000-10000.txt || exit 1; \
+		cmp /tmp/taco-largetable/w$$w.json testdata/largetable/sweep-2000-10000.json || exit 1; \
+	done
 
 # Regenerate BENCH_0008.json: the Table 1 speedup and observation
 # overhead record — interpreted vs compiled vs compiled-with-counters

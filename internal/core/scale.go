@@ -17,7 +17,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
+	"taco/internal/bits"
 	"taco/internal/estimate"
 	"taco/internal/fu"
 	"taco/internal/program"
@@ -70,11 +72,96 @@ type ScaleModel struct {
 	Modelled  bool
 }
 
+// ScaleCache shares, between the scaled evaluations of one sweep, every
+// input that is a pure function of seed and size: the route set, its
+// churn stream and destination sample, and the cycle-accurate anchors.
+// Each key is computed once — a goroutine asking for a key still being
+// computed waits for it — and nothing is evicted: the owner drops the
+// cache with the sweep. Cached slices are read-only; no rtable backend
+// writes to the routes it is handed. The zero value is ready to use.
+type ScaleCache struct {
+	mu sync.Mutex
+	m  map[any]*cacheEntry
+}
+
+type cacheEntry struct {
+	once sync.Once
+	v    any
+}
+
+// cached returns the value for key, computing it on first request.
+func cached[V any](c *ScaleCache, key any, compute func() V) V {
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[any]*cacheEntry)
+	}
+	e := c.m[key]
+	if e == nil {
+		e = new(cacheEntry)
+		c.m[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v = compute() })
+	return e.v.(V)
+}
+
+// Cache keys; a route set is keyed by its workload.LargeTableSpec.
+type (
+	churnKey struct {
+		table workload.LargeTableSpec
+		ops   int
+	}
+	destsKey struct {
+		table     workload.LargeTableSpec
+		n         int
+		missRatio float64
+	}
+	anchorKey struct {
+		cfg  fu.Config
+		cons Constraints
+		sim  SimOptions
+	}
+)
+
+func (c *ScaleCache) routes(lt workload.LargeTableSpec) []rtable.Route {
+	return cached(c, lt, func() []rtable.Route { return workload.GenerateLargeRoutes(lt) })
+}
+
+// anchorPoint is one cycle-accurate calibration run, or why it failed.
+type anchorPoint struct {
+	cycles, probes float64
+	err            error
+}
+
+// anchor is keyed on what reaches the simulation — the donor
+// configuration minus its display name, the constraints at the anchor
+// size, the options — so kinds that share a donor share its anchors.
+func (c *ScaleCache) anchor(cfg fu.Config, cons Constraints, sim SimOptions) anchorPoint {
+	key := anchorKey{cfg, cons, sim}
+	key.cfg.Name = ""
+	return cached(c, key, func() anchorPoint {
+		am, err := Evaluate(cfg, cons, sim)
+		if err != nil {
+			return anchorPoint{err: fmt.Errorf("core: anchor %d entries: %w", cons.TableEntries, err)}
+		}
+		if am.RTULoads == 0 {
+			return anchorPoint{err: fmt.Errorf("core: anchor %d entries: no RTU load counter", cons.TableEntries)}
+		}
+		return anchorPoint{cycles: am.CyclesPerPacket, probes: float64(am.RTULoads) / float64(am.PacketsRun)}
+	})
+}
+
 // EvaluateScaled runs the scaling methodology for one (configuration,
 // kind, size) instance. cfg's table kind must match spec.Kind; the
 // returned Metrics carries the modelled cycles per packet, the required
 // clock, and a physical estimate that includes the table SRAM.
 func EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constraints, sim SimOptions) (Metrics, error) {
+	return new(ScaleCache).EvaluateScaled(cfg, spec, cons, sim)
+}
+
+// EvaluateScaled is the package-level EvaluateScaled drawing its shared
+// inputs from c; the result does not depend on what c already holds.
+func (c *ScaleCache) EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constraints, sim SimOptions) (Metrics, error) {
 	if cfg.Table != spec.Kind {
 		return Metrics{}, fmt.Errorf("core: config table %v does not match scale spec %v", cfg.Table, spec.Kind)
 	}
@@ -107,15 +194,11 @@ func EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constraints, sim SimOpti
 	for i, n := range spec.AnchorEntries {
 		aCons := cons
 		aCons.TableEntries = n
-		am, err := Evaluate(anchorCfg, aCons, sim)
-		if err != nil {
-			return Metrics{}, fmt.Errorf("core: anchor %d entries: %w", n, err)
+		a := c.anchor(anchorCfg, aCons, sim)
+		if a.err != nil {
+			return Metrics{}, a.err
 		}
-		if am.RTULoads == 0 {
-			return Metrics{}, fmt.Errorf("core: anchor %d entries: no RTU load counter", n)
-		}
-		model.AnchorCycles[i] = am.CyclesPerPacket
-		model.AnchorProbes[i] = float64(am.RTULoads) / float64(am.PacketsRun)
+		model.AnchorCycles[i], model.AnchorProbes[i] = a.cycles, a.probes
 	}
 	dp := model.AnchorProbes[1] - model.AnchorProbes[0]
 	if math.Abs(dp) > 1e-9 {
@@ -130,7 +213,7 @@ func EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constraints, sim SimOpti
 	// (probes = n and 1 by construction — their software scans would be
 	// O(n·samples) for an answer we already know); tree and trie kinds
 	// are measured on the built table under a sampled workload.
-	avgProbes, dims, entries, err := measureProbes(spec, sim)
+	avgProbes, dims, entries, err := c.measureProbes(spec, sim)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -166,23 +249,23 @@ func EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constraints, sim SimOpti
 
 // measureProbes returns the per-lookup probe count, storage dimensions
 // and live entry count of spec.Kind at the target size.
-func measureProbes(spec ScaleSpec, sim SimOptions) (float64, rtable.MemDims, int, error) {
-	routes := workload.GenerateLargeRoutes(workload.LargeTableSpec{
-		Entries: spec.Entries,
-		Ifaces:  sim.Ifaces,
-		Seed:    sim.Seed,
-	})
+func (c *ScaleCache) measureProbes(spec ScaleSpec, sim SimOptions) (float64, rtable.MemDims, int, error) {
+	lt := workload.LargeTableSpec{Entries: spec.Entries, Ifaces: sim.Ifaces, Seed: sim.Seed}
 	var churn []workload.ChurnOp
 	if spec.ChurnOps > 0 {
-		churn = workload.GenerateChurn(routes, workload.ChurnSpec{
-			Ops: spec.ChurnOps, Seed: sim.Seed, Ifaces: sim.Ifaces,
+		churn = cached(c, churnKey{lt, spec.ChurnOps}, func() []workload.ChurnOp {
+			return workload.GenerateChurn(c.routes(lt), workload.ChurnSpec{
+				Ops: spec.ChurnOps, Seed: sim.Seed, Ifaces: sim.Ifaces,
+			})
 		})
 	}
 
 	switch spec.Kind {
 	case rtable.Sequential, rtable.CAM:
-		// Analytic: net live entries after the churn stream.
-		entries := len(routes)
+		// Analytic: net live entries after the churn stream. The route
+		// set itself is never needed — GenerateLargeRoutes returns
+		// exactly Entries routes.
+		entries := spec.Entries
 		for _, op := range churn {
 			switch op.Op {
 			case workload.ChurnInsert:
@@ -198,6 +281,7 @@ func measureProbes(spec ScaleSpec, sim SimOptions) (float64, rtable.MemDims, int
 		return probes, rtable.MemDims{Entries: entries}, entries, nil
 	}
 
+	routes := c.routes(lt)
 	tbl := rtable.New(spec.Kind)
 	if err := rtable.InsertAll(tbl, routes); err != nil {
 		return 0, rtable.MemDims{}, 0, fmt.Errorf("core: build %v table: %w", spec.Kind, err)
@@ -208,7 +292,10 @@ func measureProbes(spec ScaleSpec, sim SimOptions) (float64, rtable.MemDims, int
 		}
 	}
 	tbl.ResetStats()
-	for _, dst := range workload.SampleDests(routes, spec.SampleLookups, sim.MissRatio, sim.Seed) {
+	dests := cached(c, destsKey{lt, spec.SampleLookups, sim.MissRatio}, func() []bits.Word128 {
+		return workload.SampleDests(routes, spec.SampleLookups, sim.MissRatio, sim.Seed)
+	})
+	for _, dst := range dests {
 		tbl.Lookup(dst)
 	}
 	st := tbl.Stats()

@@ -1,0 +1,161 @@
+// Tests for ScaleCache: each shared input is computed once however many
+// goroutines ask, analytic kinds generate nothing, and the shared slices
+// survive every backend untouched.
+package core
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"taco/internal/fu"
+	"taco/internal/rtable"
+	"taco/internal/workload"
+)
+
+// TestCachedComputesOnce: goroutines racing for one key see a single
+// compute, and the latecomers wait for its value.
+func TestCachedComputesOnce(t *testing.T) {
+	var c ScaleCache
+	var computes atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for key := 0; key < 4; key++ {
+				got := cached(&c, key, func() int {
+					computes.Add(1)
+					return key * 10
+				})
+				if got != key*10 {
+					t.Errorf("key %d: got %d", key, got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := computes.Load(); n != 4 {
+		t.Fatalf("%d computes for 4 keys", n)
+	}
+}
+
+// TestScaleCacheSharesPerSweep drives one cache the way dse's pool does
+// — every kind × size from concurrent goroutines — and counts what it
+// computed: one route set, churn stream and sample per size, one anchor
+// per (donor, anchor size). Every result equals a stand-alone call.
+func TestScaleCacheSharesPerSweep(t *testing.T) {
+	sizes := []int{500, 2000}
+	cons, sim := PaperConstraints(), DefaultSimOptions()
+	sim.Packets = 16
+	var c ScaleCache
+	var wg sync.WaitGroup
+	for _, kind := range rtable.Kinds {
+		for _, n := range sizes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				spec := ScaleSpec{Kind: kind, Entries: n, ChurnOps: 50}
+				got, err := c.EvaluateScaled(fu.Config1Bus1FU(kind), spec, cons, sim)
+				if err != nil {
+					t.Errorf("%v/%d: %v", kind, n, err)
+					return
+				}
+				want, err := EvaluateScaled(fu.Config1Bus1FU(kind), spec, cons, sim)
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("%v/%d: shared %+v, stand-alone %+v (%v)", kind, n, got, want, err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+
+	counts := map[string]int{}
+	for key := range c.m {
+		counts[reflect.TypeOf(key).Name()]++
+	}
+	want := map[string]int{
+		"LargeTableSpec": len(sizes),
+		"churnKey":       len(sizes),
+		"destsKey":       len(sizes),
+		"anchorKey":      3 * 2, // donors sequential, balanced-tree, cam × two anchor sizes
+	}
+	if !reflect.DeepEqual(counts, want) {
+		t.Fatalf("cache computed %v, want %v", counts, want)
+	}
+	lt := workload.LargeTableSpec{Entries: sizes[0], Ifaces: sim.Ifaces, Seed: sim.Seed}
+	if a, b := c.routes(lt), c.routes(lt); &a[0] != &b[0] {
+		t.Fatal("route set regenerated instead of shared")
+	}
+}
+
+// TestAnalyticKindsGenerateNothing: without churn the sequential and CAM
+// rows need only the entry count, so they must not generate the route
+// set — and the row must be what generating it would have given.
+func TestAnalyticKindsGenerateNothing(t *testing.T) {
+	const entries = 3000
+	cons, sim := PaperConstraints(), DefaultSimOptions()
+	routes := workload.GenerateLargeRoutes(workload.LargeTableSpec{Entries: entries, Ifaces: sim.Ifaces, Seed: sim.Seed})
+	for _, kind := range []rtable.Kind{rtable.Sequential, rtable.CAM} {
+		var c ScaleCache
+		m, err := c.EvaluateScaled(fu.Config1Bus1FU(kind), ScaleSpec{Kind: kind, Entries: entries}, cons, sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key := range c.m {
+			if _, anchor := key.(anchorKey); !anchor {
+				t.Errorf("%v: generated %T for an analytic row", kind, key)
+			}
+		}
+		wantProbes := 1.0
+		if kind == rtable.Sequential {
+			wantProbes = float64(len(routes))
+		}
+		if m.TableEntries != len(routes) || m.AvgProbesPerPacket != wantProbes {
+			t.Errorf("%v: entries %d probes %v, want %d and %v",
+				kind, m.TableEntries, m.AvgProbesPerPacket, len(routes), wantProbes)
+		}
+	}
+}
+
+func hashRoutes(rs []rtable.Route) uint64 {
+	h := fnv.New64a()
+	for _, r := range rs {
+		for _, v := range []uint64{r.Prefix.Addr.Hi, r.Prefix.Addr.Lo, uint64(r.Prefix.Len),
+			r.NextHop.Hi, r.NextHop.Lo, uint64(r.Iface), uint64(r.Metric), uint64(r.Tag)} {
+			binary.Write(h, binary.LittleEndian, v)
+		}
+	}
+	return h.Sum64()
+}
+
+// TestSharedInputsReadOnly pins the contract sharing rests on: no
+// backend's InsertAll, and no churn replay, writes to the slices it is
+// handed.
+func TestSharedInputsReadOnly(t *testing.T) {
+	routes := workload.GenerateLargeRoutes(workload.LargeTableSpec{Entries: 4000, Ifaces: 4, Seed: 2003})
+	churn := workload.GenerateChurn(routes, workload.ChurnSpec{Ops: 300, Seed: 2003, Ifaces: 4})
+	churnRoutes := func() []rtable.Route {
+		rs := make([]rtable.Route, len(churn))
+		for i, op := range churn {
+			rs[i] = op.Route
+		}
+		return rs
+	}
+	wantRoutes, wantChurn := hashRoutes(routes), hashRoutes(churnRoutes())
+	for _, kind := range rtable.Kinds {
+		tbl := rtable.New(kind)
+		if err := rtable.InsertAll(tbl, routes); err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if _, err := workload.ApplyChurn(tbl, churn); err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if hashRoutes(routes) != wantRoutes || hashRoutes(churnRoutes()) != wantChurn {
+			t.Fatalf("%v mutated its shared input", kind)
+		}
+	}
+}

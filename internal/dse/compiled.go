@@ -108,7 +108,7 @@ func diffMetrics(label string, interp, got core.Metrics) error {
 func verifyBestInterpreted(cons core.Constraints, sim core.SimOptions, best core.Metrics) error {
 	interp := sim
 	interp.Compiled = false
-	m, err := evalOne(Instance{Cfg: best.Config, Cons: cons, Sim: interp})
+	m, err := core.Evaluate(best.Config, cons, interp)
 	if err != nil {
 		return fmt.Errorf("dse: interpreter replay of best %v/%s: %w", best.Kind, best.Config.Name, err)
 	}

@@ -40,10 +40,12 @@ type Instance struct {
 	Scale *core.ScaleSpec
 }
 
-// evalOne dispatches an instance to its evaluator.
-func evalOne(inst Instance) (core.Metrics, error) {
+// evalOne dispatches an instance to its evaluator. Scaled instances
+// draw the inputs that depend only on seed and size from the pool's
+// shared cache.
+func evalOne(inst Instance, shared *core.ScaleCache) (core.Metrics, error) {
 	if inst.Scale != nil {
-		return core.EvaluateScaled(inst.Cfg, *inst.Scale, inst.Cons, inst.Sim)
+		return shared.EvaluateScaled(inst.Cfg, *inst.Scale, inst.Cons, inst.Sim)
 	}
 	return core.Evaluate(inst.Cfg, inst.Cons, inst.Sim)
 }
@@ -171,6 +173,10 @@ func evaluateInstances(ctx context.Context, insts []Instance, workers int) ([]co
 		start = time.Now()
 	}
 
+	// An input that is a pure function of seed and size is computed once
+	// per call and dropped with it; instances still share no mutable
+	// state.
+	var shared core.ScaleCache
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -179,11 +185,11 @@ func evaluateInstances(ctx context.Context, insts []Instance, workers int) ([]co
 			defer wg.Done()
 			for i := range jobs {
 				if report == nil && !timing {
-					results[i], errs[i] = evalOne(insts[i])
+					results[i], errs[i] = evalOne(insts[i], &shared)
 					continue
 				}
 				t0 := time.Now()
-				results[i], errs[i] = evalOne(insts[i])
+				results[i], errs[i] = evalOne(insts[i], &shared)
 				wall := time.Since(t0)
 				if timing {
 					walls[i] = wall

@@ -2,7 +2,6 @@ package rtable
 
 import (
 	"fmt"
-	"sort"
 
 	"taco/internal/bits"
 )
@@ -69,14 +68,7 @@ func (t *CAMTable) Insert(r Route) error {
 		return fmt.Errorf("rtable: CAM full (%d entries)", t.cfg.Capacity)
 	}
 	t.entries = append(t.entries, r)
-	// Priority order: longest prefix first; stable on value for
-	// determinism.
-	sort.SliceStable(t.entries, func(i, j int) bool {
-		if t.entries[i].Prefix.Len != t.entries[j].Prefix.Len {
-			return t.entries[i].Prefix.Len > t.entries[j].Prefix.Len
-		}
-		return t.entries[i].Prefix.Addr.Less(t.entries[j].Prefix.Addr)
-	})
+	sortPriority(t.entries)
 	return nil
 }
 
@@ -100,12 +92,7 @@ func (t *CAMTable) InsertAll(rs []Route) error {
 		idx[r.Prefix] = len(t.entries)
 		t.entries = append(t.entries, r)
 	}
-	sort.SliceStable(t.entries, func(i, j int) bool {
-		if t.entries[i].Prefix.Len != t.entries[j].Prefix.Len {
-			return t.entries[i].Prefix.Len > t.entries[j].Prefix.Len
-		}
-		return t.entries[i].Prefix.Addr.Less(t.entries[j].Prefix.Addr)
-	})
+	sortPriority(t.entries)
 	return nil
 }
 

@@ -168,7 +168,7 @@ func (t *CompressedTable) insertAt(n *cpNode, r Route) (added bool) {
 			}
 		}
 		n.routes = append(n.routes, r)
-		sortNodeRoutes(n.routes)
+		sortPriority(n.routes)
 		n.count++
 		return true
 	}

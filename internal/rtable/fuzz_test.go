@@ -87,6 +87,21 @@ func FuzzLPMBackends(f *testing.F) {
 	s5 = fuzzOp(s5, 3, 0, base.Or(bits.FromUint64(130)))
 	f.Add(s5)
 
+	// s6/s7 are the bulk-loader differential's adversarial sets: the
+	// full nested chain with low-bit siblings, and a set dominated by
+	// short covering prefixes (see tiledtcam_bulk_test.go).
+	var s6, s7 []byte
+	for _, r := range nestedChain() {
+		s6 = fuzzOp(s6, 0, r.Prefix.Len, r.Prefix.Addr)
+	}
+	f.Add(s6)
+	for i, r := range coveringSet() {
+		if r.Prefix.Len <= 24 || i%8 == 0 {
+			s7 = fuzzOp(s7, 0, r.Prefix.Len, r.Prefix.Addr)
+		}
+	}
+	f.Add(s7)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tables := make([]rtable.Table, 0, len(rtable.Kinds)+1)
 		for _, k := range rtable.Kinds {
@@ -165,6 +180,12 @@ func FuzzLPMBackends(f *testing.F) {
 				}
 			}
 		}
+
+		// The surviving route set, bulk-loaded into a fresh minimum-block
+		// tiled TCAM, must tile exactly as the insert loop tiles it.
+		checkBulkEqualsLoop(t, rtable.TiledTCAMConfig{
+			BlockSize: rtable.MinTiledBlockSize, MergeFill: 0.6,
+		}, nil, want, 0)
 	})
 }
 

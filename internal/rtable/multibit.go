@@ -149,7 +149,7 @@ func (t *MultibitTable) insertAt(n *mbNode, r Route) (added bool) {
 			}
 		}
 		n.routes = append(n.routes, r)
-		sortNodeRoutes(n.routes)
+		sortPriority(n.routes)
 		n.count++
 		return true
 	}

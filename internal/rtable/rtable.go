@@ -10,6 +10,7 @@ package rtable
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -234,24 +235,29 @@ type MemSizer interface {
 	MemDims() MemDims
 }
 
-// routesOf copies and sorts routes for deterministic listings.
+// sortRoutes orders a listing by address, then prefix length — the
+// deterministic order every backend's Routes returns.
 func sortRoutes(rs []Route) {
-	sort.Slice(rs, func(i, j int) bool {
-		if c := rs[i].Prefix.Addr.Cmp(rs[j].Prefix.Addr); c != 0 {
-			return c < 0
+	slices.SortFunc(rs, func(a, b Route) int {
+		if c := a.Prefix.Addr.Cmp(b.Prefix.Addr); c != 0 {
+			return c
 		}
-		return rs[i].Prefix.Len < rs[j].Prefix.Len
+		return a.Prefix.Len - b.Prefix.Len
 	})
 }
 
-// sortNodeRoutes orders a multibit node's span routes longest prefix
-// first (addr ascending within a length) so the in-node scan returns the
-// longest match immediately.
-func sortNodeRoutes(rs []Route) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Prefix.Len != rs[j].Prefix.Len {
-			return rs[i].Prefix.Len > rs[j].Prefix.Len
-		}
-		return rs[i].Prefix.Addr.Less(rs[j].Prefix.Addr)
-	})
+// cmpPriority is the priority-encoder order shared by the CAM, the
+// tiled-TCAM blocks and the multibit node scans: longest prefix first,
+// address ascending within a length, so the first match is the longest.
+// Prefixes are unique within a table, so the order is total.
+func cmpPriority(a, b bits.Prefix) int {
+	if a.Len != b.Len {
+		return b.Len - a.Len
+	}
+	return a.Addr.Cmp(b.Addr)
+}
+
+// sortPriority sorts routes into cmpPriority order.
+func sortPriority(rs []Route) {
+	slices.SortFunc(rs, func(a, b Route) int { return cmpPriority(a.Prefix, b.Prefix) })
 }

@@ -2,7 +2,7 @@ package rtable
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"taco/internal/bits"
 )
@@ -252,18 +252,23 @@ func (t *TiledTCAMTable) splitToBudget(n *ttNode) {
 	t.splitToBudget(c1)
 }
 
-// InsertAll implements BulkLoader: routes go in shortest prefix first,
-// so wide (covering) prefixes are installed while the tiling is still
-// coarse and propagate to new tiles through splits, instead of a late
-// wide insert walking every existing tile in its span. The stable sort
-// preserves last-wins replace semantics for duplicate prefixes.
+// InsertAll implements BulkLoader. An empty table is built top-down in
+// one pass (bulkLoad). A table that already holds routes takes them one
+// by one, shortest prefix first, so covering prefixes are installed
+// while the tiling is still coarse and propagate through splits instead
+// of walking every tile in their span; the stable sort keeps last-wins
+// for duplicate prefixes.
 func (t *TiledTCAMTable) InsertAll(rs []Route) error {
+	if t.count == 0 && t.root.leaf() {
+		t.bulkLoad(rs)
+		return nil
+	}
 	ordered := append([]Route(nil), rs...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].Prefix.Len != ordered[j].Prefix.Len {
-			return ordered[i].Prefix.Len < ordered[j].Prefix.Len
+	slices.SortStableFunc(ordered, func(a, b Route) int {
+		if a.Prefix.Len != b.Prefix.Len {
+			return a.Prefix.Len - b.Prefix.Len
 		}
-		return ordered[i].Prefix.Addr.Less(ordered[j].Prefix.Addr)
+		return a.Prefix.Addr.Cmp(b.Prefix.Addr)
 	})
 	for _, r := range ordered {
 		if err := t.Insert(r); err != nil {
@@ -271,6 +276,100 @@ func (t *TiledTCAMTable) InsertAll(rs []Route) error {
 		}
 	}
 	return nil
+}
+
+// bulkLoad replaces the empty root with the tiling the insert loop
+// would reach, which with inserts only is canonical: an index node at
+// depth d is internal iff more than BlockSize routes intersect its span
+// (and d < 128), and a leaf holds exactly those routes in priority
+// order. rs is only read.
+func (t *TiledTCAMTable) bulkLoad(rs []Route) {
+	// Canonical prefixes with their input position, in priority order;
+	// of two equal prefixes the later sorts first and survives Compact.
+	type key struct {
+		p bits.Prefix
+		i int32
+	}
+	keys := make([]key, len(rs))
+	for i := range rs {
+		keys[i] = key{bits.MakePrefix(rs[i].Prefix.Addr, rs[i].Prefix.Len), int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmpPriority(a.p, b.p); c != 0 {
+			return c
+		}
+		return int(b.i - a.i)
+	})
+	keys = slices.CompactFunc(keys, func(a, b key) bool { return a.p == b.p })
+	route := func(k int32) Route {
+		r := rs[keys[k].i]
+		r.Prefix = keys[k].p
+		return r
+	}
+
+	// build returns the index subtree for span. inside lists, in
+	// priority order, the keys nested in the span (length >= its own);
+	// cover stacks the shorter prefixes containing all of it — prefixes
+	// of the path, so at most one per length. Every cover entry is
+	// shorter than every inside entry: a leaf's priority order is
+	// inside, then cover from the top of the stack down.
+	var cover, scratch []int32
+	var build func(span bits.Prefix, inside []int32) *ttNode
+	build = func(span bits.Prefix, inside []int32) *ttNode {
+		d := span.Len
+		if len(inside)+len(cover) <= t.cfg.BlockSize || d >= 128 {
+			// A block is a fixed-size array: allocated whole, so updates
+			// into a tile with room never reallocate.
+			entries := make([]Route, 0, t.cfg.BlockSize)
+			for _, k := range inside {
+				entries = append(entries, route(k))
+			}
+			for i := len(cover) - 1; i >= 0; i-- {
+				entries = append(entries, route(cover[i]))
+			}
+			t.tiles++
+			t.occupied += len(entries)
+			return &ttNode{depth: d, tile: &ttTile{prefix: span, entries: entries}}
+		}
+		// The span's own prefix, if installed, sorts last in inside and
+		// covers both halves. (inside is not empty: cover alone holds
+		// at most d < BlockSize entries.)
+		covers := len(cover)
+		if last := inside[len(inside)-1]; keys[last].p.Len == d {
+			cover = append(cover, last)
+			inside = inside[:len(inside)-1]
+		}
+		// Stable in-place partition on address bit d: zeros compact to
+		// the front, ones wait in the scratch the children then reuse.
+		ones, zeros := scratch[:0], 0
+		for _, k := range inside {
+			if keys[k].p.Addr.Bit(d) == 0 {
+				inside[zeros] = k
+				zeros++
+			} else {
+				ones = append(ones, k)
+			}
+		}
+		copy(inside[zeros:], ones)
+		scratch = ones
+
+		oneBit := bits.Mask(d + 1).And(bits.Mask(d).Not())
+		n := &ttNode{depth: d}
+		n.child[0] = build(bits.MakePrefix(span.Addr, d+1), inside[:zeros])
+		n.child[1] = build(bits.MakePrefix(span.Addr.Or(oneBit), d+1), inside[zeros:])
+		cover = cover[:covers]
+		t.indexNodes++
+		t.splits++
+		return n
+	}
+
+	inside := make([]int32, len(keys))
+	for i := range inside {
+		inside[i] = int32(i)
+	}
+	t.count = len(keys)
+	t.tiles = 0 // the empty root tile is replaced
+	t.root = build(bits.MakePrefix(bits.Word128{}, 0), inside)
 }
 
 // Delete removes the route for p from its owner tile and every covering

@@ -349,3 +349,33 @@ func TestTiledTCAMMemDims(t *testing.T) {
 			dims.IndexNodes, st.IndexNodes, st.Tiles-1)
 	}
 }
+
+// TileDump is one index node in preorder — the white-box view the
+// external bulk-vs-loop differential (which needs workload, and so
+// cannot live in this package) compares tile by tile.
+type TileDump struct {
+	Depth   int
+	Leaf    bool
+	Prefix  bits.Prefix
+	Entries []Route
+}
+
+// DumpTiles walks the index in preorder, checking the structural
+// invariants on the way.
+func (t *TiledTCAMTable) DumpTiles(tb *testing.T) []TileDump {
+	tb.Helper()
+	checkTileInvariants(tb, t)
+	var out []TileDump
+	var walk func(n *ttNode)
+	walk = func(n *ttNode) {
+		if n.leaf() {
+			out = append(out, TileDump{n.depth, true, n.tile.prefix, append([]Route{}, n.tile.entries...)})
+			return
+		}
+		out = append(out, TileDump{Depth: n.depth})
+		walk(n.child[0])
+		walk(n.child[1])
+	}
+	walk(t.root)
+	return out
+}

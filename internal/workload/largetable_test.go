@@ -34,6 +34,19 @@ func TestGenerateLargeRoutesDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateLargeRoutesExactCount: the scaled evaluator's analytic
+// rows take Entries for the route count without generating the set.
+func TestGenerateLargeRoutesExactCount(t *testing.T) {
+	for _, spec := range []LargeTableSpec{
+		{Entries: 1, Seed: 1}, {Entries: 17, Seed: 2, Allocations: 1}, {Entries: 1000, Seed: 3, Ifaces: 2},
+		{Entries: 4096, Seed: 2003}, {Entries: 30000, Seed: 11},
+	} {
+		if got := len(GenerateLargeRoutes(spec)); got != spec.Entries {
+			t.Errorf("%+v: %d routes", spec, got)
+		}
+	}
+}
+
 func TestGenerateLargeRoutesShape(t *testing.T) {
 	routes := GenerateLargeRoutes(LargeTableSpec{Entries: 20000, Seed: 7})
 	seen := map[bits.Prefix]bool{}
