@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race slow soak topo-soak fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo bench bench-e2e bench-compare bench-json bench-guard largetable-identity snapshot vet
+.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo bench bench-e2e bench-compare bench-json bench-guard largetable-identity snapshot vet
 
 all: build test
 
@@ -12,8 +12,12 @@ build:
 
 # Tier-1: the default suite, including the workers=1 vs workers=8
 # determinism tests and the bench_snapshot.txt cycle-count guard.
-test: build vet
+test: build vet fmt-check
 	$(GO) test ./...
+
+# Every tracked .go file must already be gofmt-formatted.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # Race-detector pass over everything, exercising the dse worker pool
 # and the parallel sweep benchmarks' setup under -race.
@@ -60,6 +64,24 @@ topo-soak:
 		> /tmp/taco-topo-soak/inject.txt; test $$? -eq 1
 	for b in /tmp/taco-topo-soak/bundles/*.json; do \
 		$(GO) run ./cmd/tacoreplay -bundle $$b || exit 1; \
+	done
+
+# Campaign reports (text, CSV, JSON) through the CLI at -workers 1 and
+# 8 must match testdata/topo/ byte for byte; the files were captured on
+# the commit before the RIPng route store and wire codec were rebuilt.
+# TestCampaignReportsMatchGoldens checks the same files in-process.
+topo-identity:
+	rm -rf /tmp/taco-topo-identity && mkdir -p /tmp/taco-topo-identity
+	for g in fattree-6-seed3 scalefree-40-seed7 ring-12-seed3; do \
+		set -- $$(echo $$g | tr '-' ' '); \
+		for w in 1 8; do \
+			o=/tmp/taco-topo-identity/$$g-w$$w; \
+			$(GO) run ./cmd/tacotopo -campaign -topo $$1 -size $$2 -mix mixed \
+				-seed $${3#seed} -workers $$w -csv $$o.csv -json $$o.json > $$o.txt || exit 1; \
+			for ext in txt csv json; do \
+				cmp $$o.$$ext testdata/topo/$$g.$$ext || exit 1; \
+			done; \
+		done; \
 	done
 
 # Short differential fuzz bursts (one -fuzz pattern per go test

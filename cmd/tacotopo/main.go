@@ -27,11 +27,16 @@ import (
 	"strconv"
 	"strings"
 
+	"taco/internal/cliutil"
 	tnet "taco/internal/net"
 	"taco/internal/rtable"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main's body; it returns the exit status instead of calling
+// os.Exit so the deferred profile writer runs on every verdict.
+func run() int {
 	var (
 		topoKind = flag.String("topo", "fattree", "topology kind: "+strings.Join(tnet.TopologyKinds, "|"))
 		size     = flag.Int("size", 8, "topology size (node count; arity k for fattree)")
@@ -54,7 +59,14 @@ func main() {
 		csvPath  = flag.String("csv", "", "also write the report as CSV to this file")
 		jsonPath = flag.String("json", "", "also write the report as JSON to this file")
 	)
+	var prof cliutil.Profiling
+	prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	stopProf, err := prof.Start()
+	if err != nil {
+		fatal(err)
+	}
+	defer stopProf()
 
 	opt := tnet.Options{
 		Mix:          *mix,
@@ -89,15 +101,15 @@ func main() {
 		writeFile(*jsonPath, func(f *os.File) error { return tnet.WriteCurvesJSON(f, pts) })
 		for _, p := range pts {
 			if !p.Converged {
-				os.Exit(1)
+				return 1
 			}
 		}
-		return
+		return 0
 	}
 
 	if !*campaign {
 		fmt.Fprintln(os.Stderr, "nothing to do: pass -campaign or -sizes (see -h)")
-		os.Exit(2)
+		return 2
 	}
 	topo, err := tnet.Generate(*topoKind, *size, *seed)
 	if err != nil {
@@ -120,8 +132,9 @@ func main() {
 	writeFile(*csvPath, func(f *os.File) error { return rep.WriteCSV(f) })
 	writeFile(*jsonPath, func(f *os.File) error { return rep.WriteJSON(f) })
 	if rep.Verdict != "PASS" {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func writeFile(path string, write func(*os.File) error) {

@@ -38,8 +38,8 @@ type mutatorFunc struct {
 	fn   func(rng *workload.RNG, d []byte) []byte
 }
 
-func (m mutatorFunc) Name() string                                { return m.name }
-func (m mutatorFunc) Mutate(rng *workload.RNG, d []byte) []byte   { return m.fn(rng, d) }
+func (m mutatorFunc) Name() string                              { return m.name }
+func (m mutatorFunc) Mutate(rng *workload.RNG, d []byte) []byte { return m.fn(rng, d) }
 
 // The built-in mutators, one per adversarial traffic class the paper's
 // router must survive.

@@ -16,18 +16,26 @@ type UDPHeader struct {
 }
 
 // checksumFold computes the 16-bit one's-complement sum of b (padded to
-// even length) added to an initial partial sum.
+// even length) added to an initial partial sum. It adds 8 bytes per step
+// as two 32-bit halves into a 64-bit accumulator — 2^16 is 1 modulo
+// 0xffff, so wider words sum to the same residue — and folds the carries
+// back in at the end.
 func checksumFold(sum uint32, b []byte) uint32 {
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+	acc := uint64(sum)
+	for ; len(b) >= 8; b = b[8:] {
+		w := binary.BigEndian.Uint64(b)
+		acc += w>>32 + w&0xffffffff
 	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
+	for ; len(b) >= 2; b = b[2:] {
+		acc += uint64(binary.BigEndian.Uint16(b))
 	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
+	if len(b) == 1 {
+		acc += uint64(b[0]) << 8
 	}
-	return sum
+	for acc>>16 != 0 {
+		acc = acc&0xffff + acc>>16
+	}
+	return uint32(acc)
 }
 
 // pseudoHeaderSum returns the partial checksum over the RFC 2460 §8.1

@@ -73,8 +73,8 @@ type probe struct {
 	src       int
 	dstPrefix bits.Prefix
 	data      []byte
-	at        int   // current node
-	iface     int   // arrival interface at the current node
+	at        int // current node
+	iface     int // arrival interface at the current node
 	hops      int
 	born      int64
 	sweep     bool // verdict sweep: delivery is required
@@ -141,6 +141,7 @@ type node struct {
 
 	inbox  []ctrlMsg
 	probes []*probe
+	opsF   []ripng.OutPacket // process's per-interface filter scratch
 
 	ctrl   CtrlStats
 	budget int64
@@ -177,12 +178,12 @@ type Mesh struct {
 	violations  []Violation
 	bundlePaths []string
 
-	probeInjected, probeDelivered           int64
-	probeHopDelivered, probeLostDown        int64
-	probeLostRandom                         int64
-	probeDeaths                             map[string]int64
-	inFlight                                int64
-	stormInjected                           int64
+	probeInjected, probeDelivered    int64
+	probeHopDelivered, probeLostDown int64
+	probeLostRandom                  int64
+	probeDeaths                      map[string]int64
+	inFlight                         int64
+	stormInjected                    int64
 
 	cachedOracle *Oracle
 	oracleDirty  bool
@@ -276,7 +277,7 @@ func NewMesh(topo Topology, opt Options) (*Mesh, error) {
 	}
 	// peerIface back-references need every node's sorted nbr list.
 	for _, n := range m.nodes {
-		for i := range n.nbrs 	{
+		for i := range n.nbrs {
 			peer := m.nodes[n.nbrs[i].node]
 			for pf, pn := range peer.nbrs {
 				if pn.edge == n.nbrs[i].edge {
@@ -625,12 +626,13 @@ func (n *node) process(m *Mesh, now int64) {
 		ops = n.eng.Collect()
 	}
 	for f, nb := range n.nbrs {
-		var opsF []ripng.OutPacket
+		opsF := n.opsF[:0]
 		for _, op := range ops {
 			if op.Iface == f {
 				opsF = append(opsF, op)
 			}
 		}
+		n.opsF = opsF
 		// Filter releases due delayed packets even when opsF is empty,
 		// and even when the node is down (they left it before the crash).
 		for _, op := range nb.out.peer.Filter(ripng.Clock(now), opsF) {

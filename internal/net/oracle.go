@@ -174,20 +174,24 @@ func (m *Mesh) Divergence() string {
 // loop-freedom invariant, meaningful even mid-convergence.
 func (m *Mesh) NextHopSound() string {
 	o := m.oracle()
+	// visited[n] holds the last (prefix, start) walk that passed node n,
+	// so one slice serves every walk without clearing.
+	visited := make([]int32, len(m.nodes))
+	walk := int32(0)
 	for p := range o.prefixes {
 		addr := probeDst(o.prefixes[p])
 		for start := range m.nodes {
 			if !m.nodes[start].alive || !o.Reachable(p, start) {
 				continue
 			}
-			visited := make(map[int]bool, 8)
+			walk++
 			cur := start
 			for {
-				if visited[cur] {
+				if visited[cur] == walk {
 					return fmt.Sprintf("prefix %v: forwarding loop through node %d (from node %d)",
 						o.prefixes[p], cur, start)
 				}
-				visited[cur] = true
+				visited[cur] = walk
 				n := m.nodes[cur]
 				r, ok := n.table.Lookup(addr)
 				if !ok {

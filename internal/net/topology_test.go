@@ -6,11 +6,11 @@ import (
 
 func TestGeneratorsValidate(t *testing.T) {
 	for _, tc := range []struct {
-		kind       string
-		size       int
-		nodes      int
-		edges      int
-		stubs      int
+		kind  string
+		size  int
+		nodes int
+		edges int
+		stubs int
 	}{
 		{"line", 4, 4, 3, 4},
 		{"ring", 5, 5, 5, 5},

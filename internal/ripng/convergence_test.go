@@ -60,14 +60,14 @@ func runTwoPeer(t *testing.T, kind rtable.Kind) (routesA, routesB []rtable.Route
 	llB := ipv6.MustParseAddr("fe80::b")
 	a := &peer{
 		eng: ripng.NewEngine(rtable.New(kind), []ripng.Iface{
-			{LinkLocal: llA, Cost: 1}, // if0: link to B
+			{LinkLocal: llA, Cost: 1},                            // if0: link to B
 			{LinkLocal: ipv6.MustParseAddr("fe80::a1"), Cost: 1}, // if1: stub
 		}, 0),
 		link: 0, ll: llA,
 	}
 	b := &peer{
 		eng: ripng.NewEngine(rtable.New(kind), []ripng.Iface{
-			{LinkLocal: llB, Cost: 1}, // if0: link to A
+			{LinkLocal: llB, Cost: 1},                            // if0: link to A
 			{LinkLocal: ipv6.MustParseAddr("fe80::b1"), Cost: 1}, // if1: stub
 			{LinkLocal: ipv6.MustParseAddr("fe80::b2"), Cost: 1}, // if2: stub
 		}, 0),

@@ -2,7 +2,6 @@ package ripng
 
 import (
 	"fmt"
-	"sort"
 
 	"taco/internal/bits"
 	"taco/internal/ipv6"
@@ -57,7 +56,15 @@ type ripRoute struct {
 type Engine struct {
 	table  rtable.Table
 	ifaces []Iface
-	routes map[bits.Prefix]*ripRoute
+	// order is the route store: every RIPng route, kept sorted by
+	// (address, length) on insert. It is searched by bisection and walked
+	// as-is to advertise, so responses list routes in this order.
+	order []*ripRoute
+	// hint is the slot after the last search hit, tried first: a
+	// neighbour's response lists its routes in this same order.
+	hint int
+	// changed counts the routes flagged for the next triggered update.
+	changed int
 
 	now        Clock
 	nextUpdate Clock
@@ -79,7 +86,6 @@ func NewEngine(table rtable.Table, ifaces []Iface, start Clock) *Engine {
 	e := &Engine{
 		table:   table,
 		ifaces:  append([]Iface(nil), ifaces...),
-		routes:  make(map[bits.Prefix]*ripRoute),
 		now:     start,
 		update:  DefaultUpdateSeconds,
 		timeout: DefaultTimeoutSeconds,
@@ -117,8 +123,57 @@ func (e *Engine) AddDirect(prefix bits.Prefix, iface int) error {
 		return fmt.Errorf("ripng: interface %d out of range", iface)
 	}
 	r := &ripRoute{prefix: prefix, iface: iface, metric: 1, direct: true}
-	e.routes[prefix] = r
+	if i, ok := e.find(prefix); !ok {
+		e.insert(i, r)
+	} else {
+		if e.order[i].changed {
+			e.changed--
+		}
+		e.order[i] = r
+	}
 	return e.install(r)
+}
+
+// find returns prefix's slot in order and whether it is there; when it
+// is not, the slot is where it would be inserted.
+func (e *Engine) find(prefix bits.Prefix) (int, bool) {
+	if h := e.hint; h < len(e.order) && e.order[h].prefix == prefix {
+		e.hint = h + 1
+		return h, true
+	}
+	lo, hi := 0, len(e.order)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		q := e.order[mid].prefix
+		c := q.Addr.Cmp(prefix.Addr)
+		if c < 0 || c == 0 && q.Len < prefix.Len {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	found := lo < len(e.order) && e.order[lo].prefix == prefix
+	e.hint = lo
+	if found {
+		e.hint++
+	}
+	return lo, found
+}
+
+// insert places r at slot i, the position find reported for its prefix.
+func (e *Engine) insert(i int, r *ripRoute) {
+	e.order = append(e.order, nil)
+	copy(e.order[i+1:], e.order[i:])
+	e.order[i] = r
+	e.hint = i + 1
+}
+
+// mark flags r for the next triggered update.
+func (e *Engine) mark(r *ripRoute) {
+	if !r.changed {
+		r.changed = true
+		e.changed++
+	}
 }
 
 func (e *Engine) install(r *ripRoute) error {
@@ -155,19 +210,21 @@ func (e *Engine) Receive(iface int, src ipv6.Addr, p Packet) error {
 
 func (e *Engine) handleRequest(iface int, src ipv6.Addr, p Packet) error {
 	if IsWholeTableRequest(p) {
-		rtes := e.exportRTEs(iface)
-		e.queueResponses(iface, src, rtes)
+		e.queueResponses(iface, src, e.exportRTEs(iface, false))
 		return nil
+	}
+	if len(p.RTEs) == 0 {
+		return nil // RFC 2080 §2.4.1: "If there are no entries, no response is given."
 	}
 	// Specific-prefix request: answer with our metric for each entry
 	// (Infinity when unknown), no split horizon (RFC 2080 §2.4.1).
-	resp := Packet{Command: CommandResponse}
+	resp := Packet{Command: CommandResponse, RTEs: make([]RTE, 0, len(p.RTEs))}
 	for _, q := range p.RTEs {
 		m := uint8(Infinity)
 		var tag uint16
-		if r, ok := e.routes[q.Prefix]; ok {
-			m = uint8(r.metric)
-			tag = r.tag
+		if i, ok := e.find(q.Prefix); ok {
+			m = uint8(e.order[i].metric)
+			tag = e.order[i].tag
 		}
 		resp.RTEs = append(resp.RTEs, RTE{Prefix: q.Prefix, Metric: m, Tag: tag})
 	}
@@ -210,16 +267,20 @@ func (e *Engine) handleResponse(iface int, src ipv6.Addr, p Packet) error {
 
 // updateRoute applies the RFC 2080 §2.4.2 distance-vector rules.
 func (e *Engine) updateRoute(prefix bits.Prefix, nextHop ipv6.Addr, iface, metric int, tag uint16) {
-	r, exists := e.routes[prefix]
-	switch {
-	case !exists:
+	i, exists := e.find(prefix)
+	if !exists {
 		if metric >= Infinity {
 			return // don't add unreachable routes
 		}
-		r = &ripRoute{prefix: prefix, nextHop: nextHop, iface: iface,
-			metric: metric, tag: tag, changed: true, expires: e.now + e.timeout}
-		e.routes[prefix] = r
+		r := &ripRoute{prefix: prefix, nextHop: nextHop, iface: iface,
+			metric: metric, tag: tag, expires: e.now + e.timeout}
+		e.insert(i, r)
+		e.mark(r)
 		_ = e.install(r)
+		return
+	}
+	r := e.order[i]
+	switch {
 	case r.direct:
 		return // connected routes never learned over
 	case r.nextHop == nextHop && r.iface == iface:
@@ -242,7 +303,8 @@ func (e *Engine) updateRoute(prefix bits.Prefix, nextHop ipv6.Addr, iface, metri
 }
 
 func (e *Engine) setMetric(r *ripRoute, metric int, tag uint16) {
-	r.metric, r.tag, r.changed = metric, tag, true
+	r.metric, r.tag = metric, tag
+	e.mark(r)
 	if metric >= Infinity {
 		r.gcAt = e.now + e.gc
 	} else {
@@ -258,70 +320,49 @@ func (e *Engine) Tick(now Clock) {
 		return
 	}
 	e.now = now
-	for _, r := range e.routes {
-		if r.direct || r.metric >= Infinity {
+	// One pass in route order. A route's fate here depends on that route
+	// alone — results were identical under a randomised map order — so
+	// any fixed order is equivalent.
+	kept := e.order[:0]
+	for _, r := range e.order {
+		switch {
+		case !r.direct && r.metric < Infinity && r.expires != 0 && now >= r.expires:
+			e.setMetric(r, Infinity, r.tag) // route timed out: poison it
+		case r.metric >= Infinity && r.gcAt != 0 && now >= r.gcAt && !r.changed:
+			// A poisoned route may only be garbage-collected after its
+			// metric-16 advertisement has gone out (r.changed cleared by
+			// the next update); deleting it first would silently withdraw
+			// the route and leave neighbors counting on a dead path. This
+			// pins the expiry -> poison advertisement -> deletion ordering
+			// even when the GC interval is zero.
+			e.table.Delete(r.prefix)
 			continue
 		}
-		if r.expires != 0 && now >= r.expires {
-			e.setMetric(r, Infinity, r.tag) // route timed out: poison it
-		}
+		kept = append(kept, r)
 	}
-	for p, r := range e.routes {
-		// A poisoned route may only be garbage-collected after its
-		// metric-16 advertisement has gone out (r.changed cleared by the
-		// next update); deleting it first would silently withdraw the
-		// route and leave neighbors counting on a dead path. This pins
-		// the expiry -> poison advertisement -> deletion ordering even
-		// when the GC interval is zero.
-		if r.metric >= Infinity && r.gcAt != 0 && now >= r.gcAt && !r.changed {
-			delete(e.routes, p)
-			e.table.Delete(p)
-		}
+	for i := len(kept); i < len(e.order); i++ {
+		e.order[i] = nil // drop the collected routes' last references
 	}
+	e.order = kept
 	if now >= e.nextUpdate {
-		e.emitPeriodic()
+		e.emit(false)
 		e.nextUpdate = now + e.update
-	} else if e.anyChanged() {
-		e.emitTriggered()
+	} else if e.changed > 0 {
+		e.emit(true)
 	}
 }
 
-func (e *Engine) anyChanged() bool {
-	for _, r := range e.routes {
-		if r.changed {
-			return true
-		}
-	}
-	return false
-}
-
-func (e *Engine) emitPeriodic() {
+// emit queues one update on every interface — the whole table
+// (periodic) or only the flagged routes (triggered) — and clears the
+// flags.
+func (e *Engine) emit(changedOnly bool) {
 	for i := range e.ifaces {
-		rtes := e.exportRTEs(i)
-		e.queueResponses(i, ipv6.AllRIPRouters, rtes)
+		e.queueResponses(i, ipv6.AllRIPRouters, e.exportRTEs(i, changedOnly))
 	}
-	for _, r := range e.routes {
+	for _, r := range e.order {
 		r.changed = false
 	}
-	e.updatesOut++
-}
-
-func (e *Engine) emitTriggered() {
-	for i := range e.ifaces {
-		var rtes []RTE
-		for _, r := range e.sortedRoutes() {
-			if !r.changed {
-				continue
-			}
-			rtes = append(rtes, e.exportOne(r, i))
-		}
-		if len(rtes) > 0 {
-			e.queueResponses(i, ipv6.AllRIPRouters, rtes)
-		}
-	}
-	for _, r := range e.routes {
-		r.changed = false
-	}
+	e.changed = 0
 	e.updatesOut++
 }
 
@@ -335,30 +376,25 @@ func (e *Engine) exportOne(r *ripRoute, iface int) RTE {
 	return RTE{Prefix: r.prefix, Metric: m, Tag: r.tag}
 }
 
-func (e *Engine) exportRTEs(iface int) []RTE {
-	var rtes []RTE
-	for _, r := range e.sortedRoutes() {
-		rtes = append(rtes, e.exportOne(r, iface))
+// exportRTEs lists the routes — only the flagged ones when changedOnly —
+// as advertised on iface, in an exact-size slice.
+func (e *Engine) exportRTEs(iface int, changedOnly bool) []RTE {
+	n := len(e.order)
+	if changedOnly {
+		n = e.changed
+	}
+	rtes := make([]RTE, 0, n)
+	for _, r := range e.order {
+		if !changedOnly || r.changed {
+			rtes = append(rtes, e.exportOne(r, iface))
+		}
 	}
 	return rtes
 }
 
-// sortedRoutes returns routes in deterministic prefix order.
-func (e *Engine) sortedRoutes() []*ripRoute {
-	out := make([]*ripRoute, 0, len(e.routes))
-	for _, r := range e.routes {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].prefix.Addr.Cmp(out[j].prefix.Addr); c != 0 {
-			return c < 0
-		}
-		return out[i].prefix.Len < out[j].prefix.Len
-	})
-	return out
-}
-
-// queueResponses splits rtes across MTU-sized packets.
+// queueResponses splits rtes across MTU-sized packets. The packets share
+// rtes' backing array (capped, so an append cannot reach a neighbour's
+// entries); queued RTEs are read-only from here on.
 func (e *Engine) queueResponses(iface int, dst ipv6.Addr, rtes []RTE) {
 	for len(rtes) > 0 {
 		n := len(rtes)
@@ -367,7 +403,7 @@ func (e *Engine) queueResponses(iface int, dst ipv6.Addr, rtes []RTE) {
 		}
 		e.out = append(e.out, OutPacket{
 			Iface: iface, Dst: dst,
-			Pkt: Packet{Command: CommandResponse, RTEs: append([]RTE(nil), rtes[:n]...)},
+			Pkt: Packet{Command: CommandResponse, RTEs: rtes[:n:n]},
 		})
 		rtes = rtes[n:]
 	}
@@ -382,7 +418,7 @@ func (e *Engine) Collect() []OutPacket {
 
 // RouteCount returns the number of RIPng routes (including poisoned ones
 // awaiting garbage collection).
-func (e *Engine) RouteCount() int { return len(e.routes) }
+func (e *Engine) RouteCount() int { return len(e.order) }
 
 // LinkLocal returns iface's link-local address.
 func (e *Engine) LinkLocal(iface int) ipv6.Addr { return e.ifaces[iface].LinkLocal }

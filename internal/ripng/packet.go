@@ -8,6 +8,7 @@
 package ripng
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"taco/internal/bits"
@@ -52,11 +53,17 @@ type Packet struct {
 
 // Marshal encodes p into wire form.
 func (p Packet) Marshal() []byte {
-	out := make([]byte, 0, HeaderBytes+RTEBytes*len(p.RTEs))
+	return p.appendTo(make([]byte, 0, p.wireLen()))
+}
+
+func (p Packet) wireLen() int { return HeaderBytes + RTEBytes*len(p.RTEs) }
+
+// appendTo appends p's wire form to out.
+func (p Packet) appendTo(out []byte) []byte {
 	out = append(out, p.Command, VersionRIPng, 0, 0)
 	for _, r := range p.RTEs {
-		ab := r.Prefix.Addr.Bytes()
-		out = append(out, ab[:]...)
+		out = binary.BigEndian.AppendUint64(out, r.Prefix.Addr.Hi)
+		out = binary.BigEndian.AppendUint64(out, r.Prefix.Addr.Lo)
 		out = append(out, byte(r.Tag>>8), byte(r.Tag), byte(r.Prefix.Len), r.Metric)
 	}
 	return out
@@ -79,8 +86,14 @@ func Parse(b []byte) (Packet, error) {
 		return Packet{}, fmt.Errorf("ripng: body of %d bytes not a multiple of %d", len(body), RTEBytes)
 	}
 	p := Packet{Command: cmd}
+	if len(body) > 0 {
+		p.RTEs = make([]RTE, 0, len(body)/RTEBytes)
+	}
 	for off := 0; off < len(body); off += RTEBytes {
-		addr, _ := bits.FromBytes(body[off : off+16])
+		addr := bits.Word128{
+			Hi: binary.BigEndian.Uint64(body[off:]),
+			Lo: binary.BigEndian.Uint64(body[off+8:]),
+		}
 		ln := int(body[off+18])
 		metric := body[off+19]
 		if metric != NextHopMetric {
@@ -117,18 +130,30 @@ func IsWholeTableRequest(p Packet) bool {
 }
 
 // WrapUDP encapsulates a RIPng packet in UDP+IPv6 for transmission from
-// src (a link-local address) to dst.
+// src (a link-local address) to dst. The frame is built in one buffer:
+// IPv6 header, UDP header with a zero checksum, RIPng body, then the
+// checksum patched in over the finished body.
 func WrapUDP(src, dst ipv6.Addr, p Packet) ([]byte, error) {
-	seg, err := ipv6.MarshalUDP(src, dst, Port, Port, p.Marshal())
-	if err != nil {
-		return nil, err
+	const udpOff, bodyOff = ipv6.HeaderBytes, ipv6.HeaderBytes + ipv6.UDPHeaderBytes
+	udpLen := ipv6.UDPHeaderBytes + p.wireLen()
+	if udpLen > 0xffff {
+		return nil, fmt.Errorf("ripng: %d RTEs do not fit one UDP datagram", len(p.RTEs))
 	}
 	h := ipv6.Header{
-		HopLimit: 255, // RFC 2080 §2.5: multicast updates use hop limit 255
-		Src:      src,
-		Dst:      dst,
+		PayloadLen: uint16(udpLen),
+		NextHeader: ipv6.ProtoUDP,
+		HopLimit:   255, // RFC 2080 §2.5: multicast updates use hop limit 255
+		Src:        src,
+		Dst:        dst,
 	}
-	return ipv6.BuildDatagram(h, nil, ipv6.ProtoUDP, seg)
+	uh := ipv6.UDPHeader{SrcPort: Port, DstPort: Port, Length: uint16(udpLen)}
+	out := h.Marshal(make([]byte, 0, udpOff+udpLen))
+	out = binary.BigEndian.AppendUint16(out, uh.SrcPort)
+	out = binary.BigEndian.AppendUint16(out, uh.DstPort)
+	out = binary.BigEndian.AppendUint16(out, uh.Length)
+	out = p.appendTo(append(out, 0, 0))
+	binary.BigEndian.PutUint16(out[udpOff+6:], ipv6.UDPChecksum(src, dst, uh, out[bodyOff:]))
+	return out, nil
 }
 
 // UnwrapUDP extracts a RIPng packet from a full IPv6 datagram, verifying
