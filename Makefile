@@ -129,17 +129,22 @@ bench-compare:
 	$(GO) run ./bench -compare $(OLD) $(NEW)
 
 # The large-table sweep's text and JSON must not depend on the worker
-# count, and must match the files captured before the sweep began
-# sharing inputs and bulk-building the tiled TCAM.
+# count, and must match the files captured before the code under them
+# was rebuilt: the plain pair before the sweep began sharing inputs and
+# bulk-building the tiled TCAM, the -churn 300 pair (point updates on
+# every built table) before the tries and the tree moved to flat storage.
 largetable-identity:
 	rm -rf /tmp/taco-largetable && mkdir -p /tmp/taco-largetable
 	for w in 1 8; do \
-		$(GO) run ./cmd/tacoexplore -sweep largetable -table-size 2000,10000 -workers $$w \
-			> /tmp/taco-largetable/w$$w.txt || exit 1; \
-		$(GO) run ./cmd/tacoexplore -sweep largetable -table-size 2000,10000 -workers $$w -json \
-			> /tmp/taco-largetable/w$$w.json || exit 1; \
-		cmp /tmp/taco-largetable/w$$w.txt testdata/largetable/sweep-2000-10000.txt || exit 1; \
-		cmp /tmp/taco-largetable/w$$w.json testdata/largetable/sweep-2000-10000.json || exit 1; \
+		for g in "sweep-2000-10000:" "sweep-2000-10000-churn300:-churn 300"; do \
+			o=/tmp/taco-largetable/$${g%%:*}-w$$w; \
+			$(GO) run ./cmd/tacoexplore -sweep largetable -table-size 2000,10000 $${g#*:} -workers $$w \
+				> $$o.txt || exit 1; \
+			$(GO) run ./cmd/tacoexplore -sweep largetable -table-size 2000,10000 $${g#*:} -workers $$w -json \
+				> $$o.json || exit 1; \
+			cmp $$o.txt testdata/largetable/$${g%%:*}.txt || exit 1; \
+			cmp $$o.json testdata/largetable/$${g%%:*}.json || exit 1; \
+		done; \
 	done
 
 # Regenerate BENCH_0008.json: the Table 1 speedup and observation

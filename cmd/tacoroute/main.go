@@ -102,10 +102,8 @@ func main() {
 	}
 
 	tbl := rtable.New(kind)
-	for _, r := range routes {
-		if err := tbl.Insert(r); err != nil {
-			fatal(err)
-		}
+	if err := rtable.InsertAll(tbl, routes); err != nil {
+		fatal(err)
 	}
 	tr, err := router.NewTACO(cfg, tbl, *ifaces)
 	if err != nil {
@@ -308,10 +306,8 @@ func writeMetrics(path string, tr *router.TACO, ctrs *obs.Counters, kind rtable.
 func crossCheck(kind rtable.Kind, routes []rtable.Route, pkts []workload.Packet,
 	outs [][]linecard.Datagram, ifaces int) error {
 	tbl := rtable.New(kind)
-	for _, r := range routes {
-		if err := tbl.Insert(r); err != nil {
-			return err
-		}
+	if err := rtable.InsertAll(tbl, routes); err != nil {
+		return err
 	}
 	g := router.NewGolden(tbl, ifaces)
 	want := make([][]byte, ifaces)

@@ -13,6 +13,7 @@ import (
 	"taco"
 	"taco/internal/ipv6"
 	"taco/internal/router"
+	"taco/internal/rtable"
 )
 
 const ifaces = 4
@@ -32,10 +33,8 @@ func main() {
 	kind := taco.BalancedTree
 	cfg := taco.Config3Bus1FU(kind)
 	tbl := taco.NewTable(kind)
-	for _, r := range routes {
-		if err := tbl.Insert(r); err != nil {
-			log.Fatal(err)
-		}
+	if err := rtable.InsertAll(tbl, routes); err != nil {
+		log.Fatal(err)
 	}
 	tr, err := taco.NewRouter(cfg, tbl, ifaces)
 	if err != nil {
@@ -67,10 +66,8 @@ func main() {
 	// Golden cross-check, replaying in the preprocessing unit's
 	// consumption order (lowest card first).
 	gtbl := taco.NewTable(kind)
-	for _, r := range routes {
-		if err := gtbl.Insert(r); err != nil {
-			log.Fatal(err)
-		}
+	if err := rtable.InsertAll(gtbl, routes); err != nil {
+		log.Fatal(err)
 	}
 	g := taco.NewGoldenRouter(gtbl, ifaces)
 	g.AddLocal(ipv6.MustParseAddr("2001:db8:cafe::1"))

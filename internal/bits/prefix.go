@@ -2,7 +2,7 @@ package bits
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Prefix is a 128-bit address prefix: the top Len bits of Addr are
@@ -40,6 +40,15 @@ func (p Prefix) Overlaps(q Prefix) bool {
 	return p.Contains(q.Addr) || q.Contains(p.Addr)
 }
 
+// Cmp orders prefixes by address, then length: an enclosing prefix
+// sorts before the prefixes nested at its base address.
+func (p Prefix) Cmp(q Prefix) int {
+	if c := p.Addr.Cmp(q.Addr); c != 0 {
+		return c
+	}
+	return p.Len - q.Len
+}
+
 // String formats p as <hex>/<len>.
 func (p Prefix) String() string { return fmt.Sprintf("%s/%d", p.Addr, p.Len) }
 
@@ -72,24 +81,22 @@ type RangeOwner struct {
 // the prefixes becomes a point location over the ranges.
 //
 // Prefix address sets form a laminar family — any two prefixes are
-// either disjoint or nested — so a single O(n log n) sweep with a
-// nesting stack suffices.
+// either disjoint or nested — so one sort and a single sweep with a
+// nesting stack suffice.
 func DisjointRanges(prefixes []Prefix) []RangeOwner {
 	n := len(prefixes)
 	if n == 0 {
 		return nil
 	}
+	// Sweep order is Cmp's: address, then outer (shorter) before inner.
+	// The balanced tree's prefixes arrive in it and skip the sort.
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		pa, pb := prefixes[idx[a]], prefixes[idx[b]]
-		if c := pa.Addr.Cmp(pb.Addr); c != 0 {
-			return c < 0
-		}
-		return pa.Len < pb.Len // outer (shorter) before inner
-	})
+	if !slices.IsSortedFunc(prefixes, Prefix.Cmp) {
+		slices.SortFunc(idx, func(a, b int) int { return prefixes[a].Cmp(prefixes[b]) })
+	}
 
 	type active struct {
 		owner int
@@ -97,8 +104,8 @@ func DisjointRanges(prefixes []Prefix) []RangeOwner {
 	}
 	var (
 		stack     []active
-		out       []RangeOwner
-		pos       Word128 // next address not yet assigned to a range
+		out       = make([]RangeOwner, 0, 2*n) // at most 2n-1 ranges
+		pos       Word128                      // next address not yet assigned to a range
 		posSet    bool
 		saturated bool // pos has run past Max128
 	)

@@ -47,8 +47,8 @@ type ScaleSpec struct {
 	SampleLookups int
 	// ChurnOps applies an update stream (workload.GenerateChurn) to the
 	// target table before measurement, exercising the organisation's
-	// update path at scale. Note the balanced tree rebuilds per update —
-	// keep this small for large tree tables.
+	// update path at scale. Note the balanced tree re-derives its node
+	// array per update — one linear pass, but O(n) per op: keep it small.
 	ChurnOps int
 }
 
@@ -74,7 +74,8 @@ type ScaleModel struct {
 
 // ScaleCache shares, between the scaled evaluations of one sweep, every
 // input that is a pure function of seed and size: the route set, its
-// churn stream and destination sample, and the cycle-accurate anchors.
+// address-sorted copy (what the tables are built from), its churn
+// stream and destination sample, and the cycle-accurate anchors.
 // Each key is computed once — a goroutine asking for a key still being
 // computed waits for it — and nothing is evicted: the owner drops the
 // cache with the sweep. Cached slices are read-only; no rtable backend
@@ -121,6 +122,7 @@ type (
 		cons Constraints
 		sim  SimOptions
 	}
+	sortedKey struct{ table workload.LargeTableSpec }
 )
 
 func (c *ScaleCache) routes(lt workload.LargeTableSpec) []rtable.Route {
@@ -281,9 +283,11 @@ func (c *ScaleCache) measureProbes(spec ScaleSpec, sim SimOptions) (float64, rta
 		return probes, rtable.MemDims{Entries: entries}, entries, nil
 	}
 
+	// Every table of the sweep is built from one sorted copy of the set.
 	routes := c.routes(lt)
+	sorted := cached(c, sortedKey{lt}, func() []rtable.Route { return rtable.SortedRoutes(routes) })
 	tbl := rtable.New(spec.Kind)
-	if err := rtable.InsertAll(tbl, routes); err != nil {
+	if err := rtable.InsertAll(tbl, sorted); err != nil {
 		return 0, rtable.MemDims{}, 0, fmt.Errorf("core: build %v table: %w", spec.Kind, err)
 	}
 	if len(churn) > 0 {

@@ -45,8 +45,8 @@ func TestCachedComputesOnce(t *testing.T) {
 
 // TestScaleCacheSharesPerSweep drives one cache the way dse's pool does
 // — every kind × size from concurrent goroutines — and counts what it
-// computed: one route set, churn stream and sample per size, one anchor
-// per (donor, anchor size). Every result equals a stand-alone call.
+// computed: one route set, sorted copy, churn stream and sample per
+// size, one anchor per (donor, anchor size). Every result equals a stand-alone call.
 func TestScaleCacheSharesPerSweep(t *testing.T) {
 	sizes := []int{500, 2000}
 	cons, sim := PaperConstraints(), DefaultSimOptions()
@@ -79,6 +79,7 @@ func TestScaleCacheSharesPerSweep(t *testing.T) {
 	}
 	want := map[string]int{
 		"LargeTableSpec": len(sizes),
+		"sortedKey":      len(sizes),
 		"churnKey":       len(sizes),
 		"destsKey":       len(sizes),
 		"anchorKey":      3 * 2, // donors sequential, balanced-tree, cam × two anchor sizes
@@ -134,9 +135,12 @@ func hashRoutes(rs []rtable.Route) uint64 {
 
 // TestSharedInputsReadOnly pins the contract sharing rests on: no
 // backend's InsertAll, and no churn replay, writes to the slices it is
-// handed.
+// handed — neither the generator-order set nor the sorted copy the
+// tables are built from (the balanced tree clones it before owning it,
+// so its point updates splice its own array).
 func TestSharedInputsReadOnly(t *testing.T) {
 	routes := workload.GenerateLargeRoutes(workload.LargeTableSpec{Entries: 4000, Ifaces: 4, Seed: 2003})
+	sorted := rtable.SortedRoutes(routes)
 	churn := workload.GenerateChurn(routes, workload.ChurnSpec{Ops: 300, Seed: 2003, Ifaces: 4})
 	churnRoutes := func() []rtable.Route {
 		rs := make([]rtable.Route, len(churn))
@@ -145,17 +149,20 @@ func TestSharedInputsReadOnly(t *testing.T) {
 		}
 		return rs
 	}
-	wantRoutes, wantChurn := hashRoutes(routes), hashRoutes(churnRoutes())
+	wantRoutes, wantSorted, wantChurn := hashRoutes(routes), hashRoutes(sorted), hashRoutes(churnRoutes())
 	for _, kind := range rtable.Kinds {
-		tbl := rtable.New(kind)
-		if err := rtable.InsertAll(tbl, routes); err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if _, err := workload.ApplyChurn(tbl, churn); err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if hashRoutes(routes) != wantRoutes || hashRoutes(churnRoutes()) != wantChurn {
-			t.Fatalf("%v mutated its shared input", kind)
+		for _, input := range [][]rtable.Route{routes, sorted} {
+			tbl := rtable.New(kind)
+			if err := rtable.InsertAll(tbl, input); err != nil {
+				t.Fatalf("%v: %v", kind, err)
+			}
+			if _, err := workload.ApplyChurn(tbl, churn); err != nil {
+				t.Fatalf("%v: %v", kind, err)
+			}
+			if hashRoutes(routes) != wantRoutes || hashRoutes(sorted) != wantSorted ||
+				hashRoutes(churnRoutes()) != wantChurn {
+				t.Fatalf("%v mutated its shared input", kind)
+			}
 		}
 	}
 }

@@ -1,0 +1,321 @@
+// Bulk ≡ insert-loop differential for the flat-storage backends: the
+// stride tries (multibit, compressed) fill their slabs top-down from
+// the sorted batch and the balanced tree adopts the sorted batch as its
+// state, and both must be indistinguishable — structure, accounting,
+// lookup answers and probe counts, and behaviour under later churn —
+// from the table the per-route Insert loop grows, whatever order the
+// batch arrives in.
+package rtable_test
+
+import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"taco/internal/bits"
+	"taco/internal/rtable"
+	"taco/internal/workload"
+)
+
+// flatTable is what the comparisons need of a backend.
+type flatTable interface {
+	rtable.Table
+	rtable.BulkLoader
+	rtable.MemSizer
+	Depth() int
+}
+
+// strideTable is a multibit or compressed table.
+type strideTable interface {
+	flatTable
+	LevelProbes() []int64
+	DumpStride(testing.TB) []rtable.StrideNodeDump
+	SlabLens() [4]int
+}
+
+var flatKinds = []rtable.Kind{rtable.Multibit, rtable.Compressed, rtable.BalancedTree}
+
+// structure is the comparable shape of a table: the stride dump, or
+// the tree's node array and root.
+func structure(t *testing.T, tbl flatTable) any {
+	t.Helper()
+	switch tbl := tbl.(type) {
+	case strideTable:
+		return tbl.DumpStride(t)
+	case *rtable.BalancedTreeTable:
+		nodes, root := tbl.Nodes()
+		return struct {
+			Nodes []rtable.TreeNode
+			Root  int
+		}{append([]rtable.TreeNode{}, nodes...), root}
+	}
+	t.Fatalf("no structural dump for %T", tbl)
+	return nil
+}
+
+// requireSameTable fails unless got and want are structurally identical
+// and answer dests identically, probe for probe.
+func requireSameTable(t *testing.T, stage string, got, want flatTable, dests []bits.Word128) {
+	t.Helper()
+	if g, w := structure(t, got), structure(t, want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: structure differs:\n got  %+v\n want %+v", stage, g, w)
+	}
+	if g, w := got.MemDims(), want.MemDims(); g != w {
+		t.Fatalf("%s: MemDims %+v, want %+v", stage, g, w)
+	}
+	if g, w := got.Depth(), want.Depth(); g != w {
+		t.Fatalf("%s: Depth %d, want %d", stage, g, w)
+	}
+	if got.Len() != want.Len() || !sameRoutes(got.Routes(), want.Routes()) {
+		t.Fatalf("%s: Routes() differ", stage)
+	}
+	got.ResetStats()
+	want.ResetStats()
+	for _, d := range dests {
+		gr, gok := got.Lookup(d)
+		wr, wok := want.Lookup(d)
+		if gr != wr || gok != wok || got.Stats() != want.Stats() {
+			t.Fatalf("%s: Lookup(%v) = (%v,%v) at %+v, want (%v,%v) at %+v",
+				stage, d, gr, gok, got.Stats(), wr, wok, want.Stats())
+		}
+	}
+	if g, ok := got.(strideTable); ok {
+		if gl, wl := g.LevelProbes(), want.(strideTable).LevelProbes(); !slices.Equal(gl, wl) {
+			t.Fatalf("%s: LevelProbes %v, want %v", stage, gl, wl)
+		}
+	}
+}
+
+func newFlat(k rtable.Kind) flatTable { return rtable.New(k).(flatTable) }
+
+func insertLoop(t *testing.T, tbl rtable.Table, rs []rtable.Route) {
+	t.Helper()
+	for _, r := range rs {
+		if err := tbl.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkFlatBulkEqualsLoop loads preload by point inserts into both
+// tables, then rs by InsertAll into one and by the insert loop into the
+// other, and requires the same table after the build and again after a
+// churn stream replayed on both.
+func checkFlatBulkEqualsLoop(t *testing.T, kind rtable.Kind, preload, rs []rtable.Route, churnOps int) {
+	t.Helper()
+	bulk, loop := newFlat(kind), newFlat(kind)
+	insertLoop(t, bulk, preload)
+	insertLoop(t, loop, preload)
+	input := slices.Clone(rs)
+	if err := bulk.InsertAll(rs); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rs, input) {
+		t.Fatal("InsertAll mutated its argument")
+	}
+	insertLoop(t, loop, rs)
+	live := loop.Routes()
+	dests := workload.SampleDests(live, 4096, 0.05, 11)
+	requireSameTable(t, "after build", bulk, loop, dests)
+
+	churn := workload.GenerateChurn(live, workload.ChurnSpec{Ops: churnOps, Seed: 11})
+	for _, tbl := range []rtable.Table{bulk, loop} {
+		if _, err := workload.ApplyChurn(tbl, churn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireSameTable(t, "after churn", bulk, loop, dests)
+}
+
+func largeRoutes(n int) []rtable.Route {
+	return workload.GenerateLargeRoutes(workload.LargeTableSpec{Entries: n, Seed: 2003})
+}
+
+// fourLevelChain nests one address through the root and three more
+// levels of the default 16-8-8-… schedule — two prefixes ending in each
+// span — with a sibling leaf hanging off every node on the way.
+func fourLevelChain() []rtable.Route {
+	addr := bits.Word128{Hi: 0x20010db8dead0000, Lo: 0xbeef}
+	var rs []rtable.Route
+	for _, ln := range []int{128, 40, 37, 32, 29, 24, 20, 16, 9, 0} { // longest first: not insert-friendly
+		rs = append(rs, rtable.Route{Prefix: bits.Prefix{Addr: addr, Len: ln}, Iface: ln % 4, Metric: 1})
+	}
+	for _, bit := range []uint{16, 24, 32, 40} { // flip the first bit each level indexes with
+		rs = append(rs, rtable.Route{Prefix: bits.MakePrefix(addr.Xor(bits.Word128{Hi: 1 << (63 - bit)}), 64), Iface: 1, Metric: 2})
+	}
+	return rs
+}
+
+// wideSpan puts 300 routes into the root's span (every /16 of 2000::/8
+// plus shorter covers) over a few deeper routes.
+func wideSpan() []rtable.Route {
+	var rs []rtable.Route
+	for i := uint64(0); i < 256; i++ {
+		rs = append(rs, rtable.Route{Prefix: bits.MakePrefix(bits.Word128{Hi: (0x2000 | i) << 48}, 16), Iface: int(i % 4), Metric: 1})
+	}
+	for i := uint64(0); i < 44; i++ {
+		rs = append(rs, rtable.Route{Prefix: bits.MakePrefix(bits.Word128{Hi: (0x2000 | i<<2) << 48}, 14-int(i%3)), Iface: 2, Metric: 3})
+	}
+	for i := uint64(0); i < 8; i++ {
+		rs = append(rs, rtable.Route{Prefix: bits.MakePrefix(bits.Word128{Hi: 0x2001<<48 | i<<20}, 48), Iface: 3, Metric: 5})
+	}
+	return rs
+}
+
+// dirtyDuplicates re-announces half of a generated set with host bits
+// set and different attributes: the last of each prefix must win.
+func dirtyDuplicates() []rtable.Route {
+	rs := largeRoutes(600)
+	for i := 0; i < 300; i++ {
+		r := rs[(i*7)%600]
+		r.Prefix.Addr = r.Prefix.Addr.Or(bits.FromUint64(uint64(i) | 1))
+		r.Iface, r.Metric, r.Tag = (r.Iface+1)%4, 15, uint16(i)
+		rs = append(rs, r)
+	}
+	return rs
+}
+
+func flatCases() []struct {
+	name        string
+	preload, rs []rtable.Route
+} {
+	lone := []rtable.Route{{Prefix: bits.MakePrefix(bits.Word128{Hi: 0x20010db800000000, Lo: 1}, 128), Metric: 1}}
+	return []struct {
+		name        string
+		preload, rs []rtable.Route
+	}{
+		{"large-1e3", nil, largeRoutes(1000)},
+		{"large-3e3", nil, largeRoutes(3000)},
+		{"large-1e4", nil, largeRoutes(10000)},
+		{"four-level-chain", nil, fourLevelChain()},
+		{"wide-span", nil, wideSpan()},
+		{"lone-host", nil, lone},
+		{"duplicates", nil, dirtyDuplicates()},
+		{"empty", nil, nil},
+		// A receiver that already holds routes: the stride tries keep the
+		// insert loop, the tree merges the batch into its array.
+		{"non-empty", dirtyDuplicates()[:400], largeRoutes(2000)},
+	}
+}
+
+func TestStrideBulkEqualsInsertLoop(t *testing.T) {
+	for _, kind := range []rtable.Kind{rtable.Multibit, rtable.Compressed} {
+		for _, c := range flatCases() {
+			t.Run(kind.String()+"/"+c.name, func(t *testing.T) {
+				checkFlatBulkEqualsLoop(t, kind, c.preload, c.rs, 500)
+			})
+		}
+	}
+}
+
+// treeLoopLimit keeps the default suite quick: the reference insert
+// loop re-derives the whole tree per route, ~1 ms each at 10^4 routes.
+// The slow suite (bulk_slow_test.go) runs the cases above it.
+const treeLoopLimit = 5000
+
+func TestTreeBulkEqualsInsertLoop(t *testing.T) {
+	for _, c := range flatCases() {
+		if len(c.rs) > treeLoopLimit {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			checkFlatBulkEqualsLoop(t, rtable.BalancedTree, c.preload, c.rs, 500)
+		})
+	}
+}
+
+// TestFlatBuildOrderIndependent: generator order, sorted, reverse-sorted
+// and a seeded shuffle of one route set build the identical table.
+func TestFlatBuildOrderIndependent(t *testing.T) {
+	rs := append(largeRoutes(3000), fourLevelChain()...)
+	sorted := rtable.SortedRoutes(rs)
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+	shuffled := slices.Clone(rs)
+	rand.New(rand.NewSource(9)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	dests := workload.SampleDests(sorted, 512, 0.05, 11)
+	for _, kind := range flatKinds {
+		want := newFlat(kind)
+		if err := want.InsertAll(rs); err != nil {
+			t.Fatal(err)
+		}
+		for name, order := range map[string][]rtable.Route{"sorted": sorted, "reversed": reversed, "shuffled": shuffled} {
+			got := newFlat(kind)
+			if err := got.InsertAll(order); err != nil {
+				t.Fatal(err)
+			}
+			requireSameTable(t, kind.String()+"/"+name, got, want, dests)
+		}
+	}
+}
+
+// TestStrideSlabReuse: deleting and re-inserting the same routes round
+// after round must be served from the free lists — after the first
+// round has turned the bulk build's exact-fit runs into recyclable
+// ones, no slab grows and the accounting returns to where it was.
+func TestStrideSlabReuse(t *testing.T) {
+	rs := largeRoutes(10000)
+	victims := slices.Clone(rs)
+	rand.New(rand.NewSource(5)).Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
+	victims = victims[:2000]
+	for _, kind := range []rtable.Kind{rtable.Multibit, rtable.Compressed} {
+		tbl := newFlat(kind).(strideTable)
+		if err := tbl.InsertAll(rs); err != nil {
+			t.Fatal(err)
+		}
+		built := tbl.DumpStride(t)
+		var slabs [4]int
+		var dims rtable.MemDims
+		for round := 1; round <= 20; round++ {
+			for _, r := range victims {
+				if !tbl.Delete(r.Prefix) {
+					t.Fatalf("%v round %d: Delete(%v) missed", kind, round, r.Prefix)
+				}
+			}
+			insertLoop(t, tbl, victims)
+			if round == 1 {
+				slabs, dims = tbl.SlabLens(), tbl.MemDims()
+				if !reflect.DeepEqual(tbl.DumpStride(t), built) {
+					t.Fatalf("%v: trie changed shape over a delete/re-insert round", kind)
+				}
+				continue
+			}
+			if got := tbl.SlabLens(); got != slabs {
+				t.Fatalf("%v round %d: slabs grew to %v from %v", kind, round, got, slabs)
+			}
+			if got := tbl.MemDims(); got != dims {
+				t.Fatalf("%v round %d: MemDims %+v, round 1 left %+v", kind, round, got, dims)
+			}
+		}
+		if !reflect.DeepEqual(tbl.DumpStride(t), built) {
+			t.Fatalf("%v: trie changed shape after 20 rounds", kind)
+		}
+	}
+}
+
+// TestFlatBuildAllocs: a 10^4-route bulk build is a handful of slab
+// allocations, not one per node or route, and a lookup allocates nothing.
+func TestFlatBuildAllocs(t *testing.T) {
+	rs := largeRoutes(10000)
+	dests := workload.SampleDests(rs, 64, 0.05, 11)
+	for _, kind := range flatKinds {
+		var tbl rtable.Table
+		build := testing.AllocsPerRun(3, func() {
+			tbl = rtable.New(kind)
+			if err := rtable.InsertAll(tbl, rs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if build > 64 {
+			t.Errorf("%v: InsertAll of %d routes made %.0f allocations, want <= 64", kind, len(rs), build)
+		}
+		if lookup := testing.AllocsPerRun(10, func() {
+			for _, d := range dests {
+				tbl.Lookup(d)
+			}
+		}); lookup != 0 {
+			t.Errorf("%v: %d lookups made %.0f allocations", kind, len(dests), lookup)
+		}
+	}
+}

@@ -159,39 +159,69 @@ func TestCompressedChurnEqualsMultibit(t *testing.T) {
 }
 
 // TestCompressedRankOps unit-tests the bitmap/rank machinery the
-// compact child array stands on.
+// compact child run stands on: under random set and clear, slot
+// occupancy and rank equal a naive count over a shadow set — for plain
+// bitmaps (strides 4, 6), for ranked ones (9, 10, 16: a per-word
+// cumulative count kept after the bitmap), and across word boundaries.
 func TestCompressedRankOps(t *testing.T) {
-	tbl := NewCompressed(DefaultCompressedConfig())
-	n := tbl.newNode(0) // stride 16: 1024-word bitmap
-	keys := []uint32{0, 1, 63, 64, 65, 1000, 65535}
-	for i, k := range keys {
-		n.setChild(k, cpChild{leaf: &Route{Iface: i}})
-	}
-	for i, k := range keys {
-		if !n.hasChild(k) {
-			t.Fatalf("hasChild(%d) = false after set", k)
+	for _, stride := range []int{4, 6, 9, 10, 16} {
+		strides := []int{stride}
+		for rest := 128 - stride; rest > 0; rest -= min(rest, 16) {
+			strides = append(strides, min(rest, 16))
 		}
-		if got := n.rank(k); got != i {
-			t.Fatalf("rank(%d) = %d, want %d", k, got, i)
+		tbl := NewCompressed(CompressedConfig{Strides: strides})
+		if got, want := tbl.bitmapWords(0) > tbl.words[0], stride >= 9; got != want {
+			t.Fatalf("stride %d: rank directory %v, want %v", stride, got, want)
 		}
-		if n.kids[n.rank(k)].leaf.Iface != i {
-			t.Fatalf("kid at rank(%d) holds iface %d, want %d", k, n.kids[n.rank(k)].leaf.Iface, i)
+		slots := uint32(1) << stride
+		var keys []uint32
+		for _, k := range []uint32{0, 1, 63, 64, 65, 4095, 65535} {
+			if k < slots {
+				keys = append(keys, k)
+			}
 		}
-	}
-	if n.hasChild(2) || n.hasChild(999) {
-		t.Fatal("hasChild true for unset slots")
-	}
-	// Replace in place must not grow the compact array.
-	n.setChild(64, cpChild{leaf: &Route{Iface: 99}})
-	if len(n.kids) != len(keys) {
-		t.Fatalf("replace grew kids to %d", len(n.kids))
-	}
-	n.clearChild(64)
-	if n.hasChild(64) || len(n.kids) != len(keys)-1 {
-		t.Fatal("clearChild left the slot set")
-	}
-	if got := n.rank(65); got != 3 {
-		t.Fatalf("rank(65) after clear = %d, want 3", got)
+		rng := rand.New(rand.NewSource(int64(stride)))
+		for i := 0; i < 24; i++ {
+			keys = append(keys, uint32(rng.Intn(int(slots))))
+		}
+		set := map[uint32]int32{} // slot -> ref installed there
+		check := func(when string) {
+			t.Helper()
+			for _, k := range keys {
+				naive := int32(0)
+				for s := range set {
+					if s < k {
+						naive++
+					}
+				}
+				_, occupied := set[k]
+				if has, rank := tbl.slot(0, k); has != occupied || rank != naive {
+					t.Fatalf("stride %d %s: slot %d occupied %v rank %d, want %v and %d",
+						stride, when, k, has, rank, occupied, naive)
+				}
+				if root := tbl.nodes[0]; occupied && tbl.kids.data[root.kids+naive] != set[k] {
+					t.Fatalf("stride %d %s: ref at rank(%d) = %d, want %d",
+						stride, when, k, tbl.kids.data[root.kids+naive], set[k])
+				}
+			}
+			if n := tbl.nodes[0].nKids; int(n) != len(set) || tbl.kidSlots != len(set) {
+				t.Fatalf("stride %d %s: %d kids, %d counted, want %d", stride, when, n, tbl.kidSlots, len(set))
+			}
+		}
+		for step := 0; step < 400; step++ {
+			k := keys[rng.Intn(len(keys))]
+			if _, occupied := set[k]; occupied && rng.Intn(3) == 0 {
+				tbl.clearChild(0, k)
+				delete(set, k)
+				check("after clear")
+				continue
+			}
+			// Set, or replace in place: a replace must not grow the run.
+			ref := int32(1000 + step)
+			tbl.setChild(0, k, ref)
+			set[k] = ref
+			check("after set")
+		}
 	}
 }
 

@@ -238,12 +238,48 @@ type MemSizer interface {
 // sortRoutes orders a listing by address, then prefix length — the
 // deterministic order every backend's Routes returns.
 func sortRoutes(rs []Route) {
-	slices.SortFunc(rs, func(a, b Route) int {
-		if c := a.Prefix.Addr.Cmp(b.Prefix.Addr); c != 0 {
+	slices.SortFunc(rs, func(a, b Route) int { return a.Prefix.Cmp(b.Prefix) })
+}
+
+// routesSorted reports whether rs is what SortedRoutes would return:
+// canonical prefixes, strictly ascending in (address, length) order.
+func routesSorted(rs []Route) bool {
+	for i := range rs {
+		p := rs[i].Prefix
+		if p != bits.MakePrefix(p.Addr, p.Len) || i > 0 && rs[i-1].Prefix.Cmp(p) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// SortedRoutes returns a copy of rs with canonical prefixes in
+// (address, length) order, keeping the last of the routes that share a
+// prefix: the batch form the balanced tree and the stride tries build
+// from directly, so a caller that loads one route set into several
+// tables sorts it once.
+func SortedRoutes(rs []Route) []Route {
+	type key struct { // canonical prefix and input position
+		p bits.Prefix
+		i int32
+	}
+	keys := make([]key, len(rs))
+	for i := range rs {
+		keys[i] = key{bits.MakePrefix(rs[i].Prefix.Addr, rs[i].Prefix.Len), int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := a.p.Cmp(b.p); c != 0 {
 			return c
 		}
-		return a.Prefix.Len - b.Prefix.Len
+		return int(b.i - a.i) // the later duplicate first: it survives Compact
 	})
+	keys = slices.CompactFunc(keys, func(a, b key) bool { return a.p == b.p })
+	out := make([]Route, len(keys))
+	for i, k := range keys {
+		out[i] = rs[k.i]
+		out[i].Prefix = k.p
+	}
+	return out
 }
 
 // cmpPriority is the priority-encoder order shared by the CAM, the

@@ -1,6 +1,8 @@
 package rtable
 
 import (
+	"slices"
+
 	"taco/internal/bits"
 )
 
@@ -27,8 +29,13 @@ type TreeNode struct {
 // the affected ranges, which is why routing-table updates are expensive
 // in this organisation (the paper notes updates are rare: once the
 // topology stabilises RIPng updates arrive on the order of minutes).
+//
+// The primary state is the route set as one canonical
+// (address, length)-sorted array; rebuild derives the node array from
+// it in one linear pass. A point update is a binary search, a splice
+// and a rebuild: linear, with nothing sorted or hashed.
 type BalancedTreeTable struct {
-	routes map[bits.Prefix]Route
+	routes []Route
 	nodes  []TreeNode
 	root   int
 	stats  Stats
@@ -38,18 +45,25 @@ type BalancedTreeTable struct {
 }
 
 // NewBalancedTree returns an empty balanced-tree table.
-func NewBalancedTree() *BalancedTreeTable {
-	return &BalancedTreeTable{routes: make(map[bits.Prefix]Route), root: -1}
-}
+func NewBalancedTree() *BalancedTreeTable { return &BalancedTreeTable{root: -1} }
 
 // Kind implements Table.
 func (t *BalancedTreeTable) Kind() Kind { return BalancedTree }
+
+// find locates canonical prefix p in the sorted route array.
+func (t *BalancedTreeTable) find(p bits.Prefix) (int, bool) {
+	return slices.BinarySearchFunc(t.routes, p, func(r Route, p bits.Prefix) int { return r.Prefix.Cmp(p) })
+}
 
 // Insert adds or replaces the route for r.Prefix and rebuilds the range
 // tree (the complex update of the paper's discussion).
 func (t *BalancedTreeTable) Insert(r Route) error {
 	r.Prefix = bits.MakePrefix(r.Prefix.Addr, r.Prefix.Len)
-	t.routes[r.Prefix] = r
+	if i, found := t.find(r.Prefix); found {
+		t.routes[i] = r
+	} else {
+		t.routes = slices.Insert(t.routes, i, r)
+	}
 	t.rebuild()
 	return nil
 }
@@ -57,11 +71,16 @@ func (t *BalancedTreeTable) Insert(r Route) error {
 // InsertAll adds or replaces a batch of routes with a single rebuild —
 // the bulk-load path for large tables (the per-insert rebuild is the
 // "complex update" the paper discusses; amortising it is how a real
-// control plane would apply a full RIPng table transfer).
+// control plane would apply a full RIPng table transfer). rs is only
+// read: a batch already in SortedRoutes order is cloned before owned.
 func (t *BalancedTreeTable) InsertAll(rs []Route) error {
-	for _, r := range rs {
-		r.Prefix = bits.MakePrefix(r.Prefix.Addr, r.Prefix.Len)
-		t.routes[r.Prefix] = r
+	switch {
+	case len(t.routes) > 0: // the batch, coming later, replaces
+		t.routes = SortedRoutes(append(slices.Clone(t.routes), rs...))
+	case routesSorted(rs):
+		t.routes = slices.Clone(rs)
+	default:
+		t.routes = SortedRoutes(rs)
 	}
 	t.rebuild()
 	return nil
@@ -69,25 +88,25 @@ func (t *BalancedTreeTable) InsertAll(rs []Route) error {
 
 // Delete removes the route for p and rebuilds the range tree.
 func (t *BalancedTreeTable) Delete(p bits.Prefix) bool {
-	p = bits.MakePrefix(p.Addr, p.Len)
-	if _, ok := t.routes[p]; !ok {
+	i, found := t.find(bits.MakePrefix(p.Addr, p.Len))
+	if !found {
 		return false
 	}
-	delete(t.routes, p)
+	t.routes = slices.Delete(t.routes, i, i+1)
 	t.rebuild()
 	return true
 }
 
+// rebuild derives the node array; range owners index the route array.
 func (t *BalancedTreeTable) rebuild() {
 	t.gen++
-	rs := t.Routes() // deterministic order so Owner indices are stable
-	prefixes := make([]bits.Prefix, len(rs))
-	for i, r := range rs {
+	prefixes := make([]bits.Prefix, len(t.routes))
+	for i, r := range t.routes {
 		prefixes[i] = r.Prefix
 	}
 	ranges := bits.DisjointRanges(prefixes)
 	t.nodes = make([]TreeNode, 0, len(ranges))
-	t.root = t.build(ranges, rs)
+	t.root = t.build(ranges, t.routes)
 }
 
 // build constructs a perfectly balanced BST over the sorted disjoint
@@ -136,14 +155,7 @@ func (t *BalancedTreeTable) Lookup(addr bits.Word128) (Route, bool) {
 func (t *BalancedTreeTable) Len() int { return len(t.routes) }
 
 // Routes returns the installed routes in deterministic order.
-func (t *BalancedTreeTable) Routes() []Route {
-	out := make([]Route, 0, len(t.routes))
-	for _, r := range t.routes {
-		out = append(out, r)
-	}
-	sortRoutes(out)
-	return out
-}
+func (t *BalancedTreeTable) Routes() []Route { return slices.Clone(t.routes) }
 
 // Nodes exposes the flattened node array (the hardware view used by the
 // TACO routing-table unit) and the root index.
