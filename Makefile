@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo bench bench-e2e bench-compare bench-json bench-guard largetable-identity snapshot vet
+.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo bench bench-e2e bench-compare overhead-guard trace-smoke largetable-identity snapshot vet
 
 all: build test
 
@@ -147,18 +147,37 @@ largetable-identity:
 		done; \
 	done
 
-# Regenerate BENCH_0008.json: the Table 1 speedup and observation
-# overhead record — interpreted vs compiled vs compiled-with-counters
-# vs compiled-with-recorder, with cycle- and latency-identity asserted
-# per cell and the per-cell latency percentiles included.
-bench-json:
-	$(GO) run ./cmd/tacobench -runs 5 -o BENCH_0008.json
+# The CI overhead guard (overhead_guard_test.go, behind its build tag
+# because it asserts on wall-clock time): compiled-with-counters must
+# stay within 1.3x and compiled-with-recorder within 1.6x of
+# compiled-bare across the Table 1 sweep.
+overhead-guard:
+	$(GO) test -tags overhead -run TestObservationOverhead -v .
 
-# The CI overhead guard: compiled-with-counters must stay within 1.3x
-# and compiled-with-recorder within 1.6x of compiled-bare across the
-# Table 1 sweep.
-bench-guard:
-	$(GO) run ./cmd/tacobench -runs 3 -guard-overhead 1.3 -guard-recorder 1.6 -o -
+# Everything that reads the flight recorder cycle by cycle must print
+# the same bytes whichever step path ran: tacoreplay -step -trace-out
+# over a bare-machine and a router bundle of the committed corpus, and
+# tacosim -trace -trace-out over a loop whose guard fails, jumps and
+# halts. stdout and the trace file are cmp'd, interpreter vs compiled.
+TRACE_SMOKE_BUNDLES = testdata/forensics/machine-stall-3bus1fu-5cb2e1fee18ed192.json \
+	testdata/forensics/stall-campaign-0-7574f14b6e90ff8c.json
+trace-smoke:
+	rm -rf /tmp/taco-trace-smoke && mkdir -p /tmp/taco-trace-smoke
+	for b in $(TRACE_SMOKE_BUNDLES); do \
+		o=/tmp/taco-trace-smoke/$$(basename $$b .json); \
+		for p in interpreted compiled; do \
+			$(GO) run ./cmd/tacoreplay -bundle $$b -step -path $$p -trace-out $$o-$$p.trace \
+				> $$o-$$p.txt || exit 1; \
+		done; \
+		cmp $$o-interpreted.txt $$o-compiled.txt || exit 1; \
+		cmp $$o-interpreted.trace $$o-compiled.trace || exit 1; \
+	done
+	o=/tmp/taco-trace-smoke/loop; \
+	$(GO) run ./cmd/tacosim -f testdata/trace/loop.tasm -trace -trace-out $$o-interpreted.trace \
+		> $$o-interpreted.txt && \
+	$(GO) run ./cmd/tacosim -f testdata/trace/loop.tasm -trace -trace-out $$o-compiled.trace -compiled \
+		> $$o-compiled.txt && \
+	cmp $$o-interpreted.txt $$o-compiled.txt && cmp $$o-interpreted.trace $$o-compiled.trace
 
 # Regenerate the reference snapshot the regression guard checks against.
 # Only commit the result when cycle counts are intentionally unchanged —

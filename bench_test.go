@@ -45,16 +45,21 @@ func benchWorkload(b testing.TB, kind rtable.Kind, entries, packets int) (rtable
 // instance — Reset between batches, never rebuilt — and reports the
 // Table 1 metrics.
 func runForwarding(b *testing.B, kind rtable.Kind, cfg fu.Config, entries int) {
-	runForwardingMode(b, kind, cfg, entries, false)
+	runForwardingMode(b, kind, cfg, entries, false, nil)
 }
 
-func runForwardingMode(b *testing.B, kind rtable.Kind, cfg fu.Config, entries int, compiled bool) {
+// runForwardingMode is runForwarding on either step path, with arm (when
+// non-nil) attaching observers to the router before the timed loop.
+func runForwardingMode(b *testing.B, kind rtable.Kind, cfg fu.Config, entries int, compiled bool, arm func(*router.TACO)) {
 	b.Helper()
 	const packets = 32
 	tbl, pkts := benchWorkload(b, kind, entries, packets)
 	tr, err := router.NewTACO(cfg, tbl, 4)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if arm != nil {
+		arm(tr)
 	}
 	if compiled {
 		if err := tr.UseCompiled(); err != nil {
@@ -101,7 +106,7 @@ func BenchmarkTable1Compiled(b *testing.B) {
 		for _, cfg := range fu.PaperConfigs(kind) {
 			cfg := cfg
 			b.Run(fmt.Sprintf("%s/%s", kind, cfg.Name), func(b *testing.B) {
-				runForwardingMode(b, kind, cfg, 100, true)
+				runForwardingMode(b, kind, cfg, 100, true, nil)
 			})
 		}
 	}

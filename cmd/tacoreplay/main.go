@@ -66,22 +66,22 @@ func main() {
 		return
 	}
 
-	opts := forensics.ReplayOptions{}
+	var stepPath *bool
 	switch *path {
 	case "":
 	case "interpreted", "compiled":
 		c := *path == "compiled"
-		opts.Path = &c
+		stepPath = &c
 	default:
 		fatal(fmt.Errorf("unknown -path %q (want interpreted or compiled)", *path))
 	}
+	var tw *obs.TraceWriter
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fatal(err)
 		}
-		tw := obs.NewTraceWriter(f)
-		opts.Trace = tw
+		tw = obs.NewTraceWriter(f)
 		defer func() {
 			if err := tw.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "tacoreplay: trace-out:", err)
@@ -89,6 +89,7 @@ func main() {
 			f.Close()
 		}()
 	}
+	opts := forensics.ReplayOptions{Path: stepPath, Trace: tw}
 
 	if *diff {
 		if err := runDiff(b, opts); err != nil {
@@ -165,15 +166,8 @@ func runDiff(b *forensics.Bundle, opts forensics.ReplayOptions) error {
 func runStep(b *forensics.Bundle, opts forensics.ReplayOptions, until int64, print bool) {
 	names := b.SocketNames
 	res, err := forensics.ReplayStep(b, opts, until, func(cycle int64, evs []obs.RecEvent) {
-		if !print {
-			return
-		}
-		if len(evs) == 0 {
-			fmt.Printf("cycle %d: (no recorded events)\n", cycle)
-			return
-		}
-		for _, e := range evs {
-			fmt.Printf("  %s\n", e.Format(names))
+		if print {
+			obs.WriteCycle(os.Stdout, cycle, evs, names)
 		}
 	})
 	if err != nil {

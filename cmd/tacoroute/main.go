@@ -34,6 +34,7 @@ import (
 	"taco/internal/profile"
 	"taco/internal/router"
 	"taco/internal/rtable"
+	"taco/internal/tta"
 	"taco/internal/workload"
 )
 
@@ -118,13 +119,16 @@ func main() {
 		// costs almost nothing.
 		ctrs = tr.Machine.AttachCounters()
 	}
-	if *forensicsOut != "" {
-		tr.ArmRecorder(0)
-	}
+	// The profile reads the recorder between cycles of a stepped run;
+	// without it the run is the batch one (a nil observer).
 	var prf *profile.Profile
+	var onCycle tta.CycleFunc
 	if *prof {
 		prf = profile.New(tr.Sched.Program)
-		tr.Machine.Trace = prf.Hook()
+		onCycle = prf.Hook()
+	}
+	if *forensicsOut != "" || *prof {
+		tr.ArmRecorder(0)
 	}
 	delivered := int64(0)
 	for i, p := range pkts {
@@ -137,7 +141,7 @@ func main() {
 		}
 	}
 	budget := int64(*packets) * int64(*entries+64) * 64
-	if err := tr.Run(delivered, budget); err != nil {
+	if _, err := tr.RunStepped(delivered, budget, onCycle); err != nil {
 		var stall *router.StallError
 		if errors.As(err, &stall) {
 			fmt.Fprintln(os.Stderr, "tacoroute: forwarding stalled; machine state:")

@@ -7,6 +7,7 @@
 //	tacosim -describe [-config 3bus3fu]
 //	tacosim -f prog.s [-config 1bus] [-trace] [-max 100000] [-read gpr.r0,gpr.r1]
 //	tacosim -f prog.s -trace-out trace.json   # open in ui.perfetto.dev
+//	                                          # (-trace, -trace-out: also under -compiled)
 //	tacosim -f prog.s -json                   # machine-readable run metrics
 //	tacosim -f prog.s -compiled               # compiled fast path (counters included)
 //	tacosim -f prog.s -metrics-out metrics.prom   # Prometheus text exposition
@@ -33,7 +34,7 @@ func main() {
 		describe = flag.Bool("describe", false, "print the architecture (Figure 2) and exit")
 		file     = flag.String("f", "", "assembly file to run")
 		config   = flag.String("config", "3bus1fu", "architecture: 1bus | 3bus1fu | 3bus3fu")
-		trace    = flag.Bool("trace", false, "print a per-cycle move trace")
+		trace    = flag.Bool("trace", false, "print every cycle's recorded events (the lines tacoreplay -step prints)")
 		traceOut = flag.String("trace-out", "", "write a Chrome trace-event JSON file (Perfetto)")
 		jsonOut  = flag.Bool("json", false, "emit run metrics as JSON instead of text")
 		compiled = flag.Bool("compiled", false,
@@ -85,18 +86,38 @@ func main() {
 
 	// Counters are recorded natively by both step paths — the compiled
 	// fast path no longer delegates for them — so they are always on.
+	// The recorder is armed for whoever reads it: a failure bundle, the
+	// stdout trace, the Chrome trace-event stream.
 	ctrs := m.AttachCounters()
-	if *forensicsOut != "" {
+	if *forensicsOut != "" || *trace || *traceOut != "" {
 		m.AttachRecorder(0)
 	}
 
-	// Compose the requested trace sinks: the human-readable stdout trace
-	// and/or the Chrome trace-event stream.
-	var hooks []func(tta.TraceRecord)
-	if *trace {
-		hooks = append(hooks, printTrace)
+	// step advances the machine by up to n cycles through the selected
+	// path; the budget/stat loop around it is shared.
+	stepped := m.RunStepped
+	step := func(n int64) (int64, error) {
+		var i int64
+		for ; i < n && !m.Halted(); i++ {
+			if err := m.Step(); err != nil {
+				return i, err
+			}
+		}
+		return i, nil
 	}
+	if *compiled {
+		cm, cerr := tta.Compile(m)
+		if cerr != nil {
+			fatal(cerr)
+		}
+		stepped = cm.RunStepped
+		step = func(n int64) (int64, error) { return cm.RunToPC(-1, n) }
+	}
+
+	// Either trace sink turns the run into a stepped one that reads the
+	// recorder after every cycle; a slice of n cycles ends by pausing.
 	var tw *obs.TraceWriter
+	export := func([]obs.RecEvent) {}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -104,38 +125,20 @@ func main() {
 		}
 		defer f.Close()
 		tw = obs.NewTraceWriter(f)
-		hooks = append(hooks, m.TraceHook(tw))
+		export = m.TraceHook(tw)
 	}
-	switch len(hooks) {
-	case 0:
-	case 1:
-		m.Trace = hooks[0]
-	default:
-		m.Trace = func(r tta.TraceRecord) {
-			for _, h := range hooks {
-				h(r)
-			}
-		}
-	}
-
-	// step advances the machine by up to n cycles through the selected
-	// path; the budget/stat loop around it is shared.
-	var step func(n int64) (int64, error)
-	if *compiled {
-		cm, cerr := tta.Compile(m)
-		if cerr != nil {
-			fatal(cerr)
-		}
-		step = func(n int64) (int64, error) { return cm.RunToPC(-1, n) }
-	} else {
+	if *trace || tw != nil {
+		names := m.SocketNames()
 		step = func(n int64) (int64, error) {
-			var i int64
-			for ; i < n && !m.Halted(); i++ {
-				if err := m.Step(); err != nil {
-					return i, err
+			done, _, err := stepped(-1, func(cycle int64, _ int, events []obs.RecEvent) bool {
+				if *trace {
+					obs.WriteCycle(os.Stdout, cycle, events, names)
 				}
-			}
-			return i, nil
+				export(events)
+				n--
+				return n > 0
+			})
+			return done, err
 		}
 	}
 	var ev *obs.EventWriter
@@ -280,8 +283,8 @@ func writeMetrics(path string, m *tta.Machine, ctrs *obs.Counters) error {
 // dumpStall prints the machine state at the moment a run died — the
 // program counter, how far it got, and every visible socket — so a
 // stalled program can be diagnosed without re-running under -trace.
-// With a flight recorder armed (-forensics-out) it appends the
-// recorder's retained event tail.
+// With a flight recorder armed (-forensics-out, -trace, -trace-out) it
+// appends the recorder's retained event tail.
 func dumpStall(m *tta.Machine, cycles int64) {
 	fmt.Fprintf(os.Stderr, "tacosim: machine state after %d cycles (pc %d):\n", cycles, m.PC())
 	for _, s := range m.SnapshotSockets() {
@@ -298,19 +301,6 @@ func dumpStall(m *tta.Machine, cycles int64) {
 			fmt.Fprintf(os.Stderr, "  %s\n", e.Format(names))
 		}
 	}
-}
-
-// printTrace is the classic human-readable per-cycle trace line.
-func printTrace(r tta.TraceRecord) {
-	fmt.Printf("cycle %5d  pc %4d:", r.Cycle, r.PC)
-	for _, mv := range r.Moves {
-		mark := " "
-		if !mv.Executed {
-			mark = "✗"
-		}
-		fmt.Printf("  [%s %s -> %s = %d]", mark, mv.Src, mv.Dst, mv.Value)
-	}
-	fmt.Println()
 }
 
 // simJSON is tacosim's machine-readable run report.

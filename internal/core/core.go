@@ -171,8 +171,8 @@ type SimOptions struct {
 	// (tta.Compile): the forwarding program is pre-lowered into a
 	// specialized step function that is bit-identical to the interpreter
 	// but several times faster. Counters (Observe) are recorded natively
-	// by the fast path, so Compiled+Observe keeps the compiled speedup;
-	// only a trace sink forces interpreter speed. Off by default.
+	// by the fast path, so Compiled+Observe keeps the compiled speedup.
+	// Off by default.
 	Compiled bool `json:",omitempty"`
 
 	// MaxCyclesPerPacket overrides the watchdog's cycle budget (budget =

@@ -144,12 +144,27 @@ func TestBundleSaveDeterministic(t *testing.T) {
 
 // TestReplayStepEvents: stepping a bundle cycle by cycle must visit
 // monotonically increasing cycles whose recorded events match the
-// stamped cycle numbers, and -until-cycle must pause early.
+// stamped cycle numbers and end in the bundle's own failure — the
+// stepped run reproduces the stall as faithfully as the batch one, on
+// either step path — and -until-cycle must pause early.
 func TestReplayStepEvents(t *testing.T) {
 	dir := t.TempDir()
 	b, err := Load(stallScenario(t, dir, false))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, compiled := range []bool{false, true} {
+		compiled := compiled
+		res, err := ReplayStep(b, ReplayOptions{Path: &compiled}, -1, func(int64, []obs.RecEvent) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stall == nil {
+			t.Fatalf("stepped replay (compiled=%t) did not stall: %q", compiled, res.Err)
+		}
+		if err := CheckReproduction(b, res); err != nil {
+			t.Errorf("stepped replay (compiled=%t): %v", compiled, err)
+		}
 	}
 	var last int64 = -1
 	var total int

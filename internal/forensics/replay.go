@@ -26,10 +26,30 @@ type ReplayOptions struct {
 	// capacity; -diff uses a large ring to compare whole runs.
 	RecorderCap int
 	// Trace, when non-nil, streams every replayed cycle into a Chrome
-	// trace-event writer (Perfetto / chrome://tracing). A trace sink
-	// makes compiled replays delegate each cycle to the interpreter;
-	// observable behavior is unchanged.
+	// trace-event writer (Perfetto / chrome://tracing). It makes the
+	// replay a stepped one; observable behavior is unchanged.
 	Trace *obs.TraceWriter
+}
+
+// observer folds what a replay wants to see of each cycle — the
+// caller's onCycle, the Perfetto export, the until-cycle pause — into
+// the one CycleFunc the stepped drivers take. It is nil when nothing is
+// wanted, which selects the batch run.
+func (o ReplayOptions) observer(m *tta.Machine, until int64, onCycle func(int64, []obs.RecEvent)) tta.CycleFunc {
+	if onCycle == nil && until < 0 && o.Trace == nil {
+		return nil
+	}
+	export := func([]obs.RecEvent) {}
+	if o.Trace != nil {
+		export = m.TraceHook(o.Trace)
+	}
+	return func(cycle int64, _ int, events []obs.RecEvent) bool {
+		if onCycle != nil {
+			onCycle(cycle, events)
+		}
+		export(events)
+		return until < 0 || cycle < until
+	}
 }
 
 func (o ReplayOptions) compiled(b *Bundle) bool {
@@ -121,9 +141,6 @@ func replayRouter(b *Bundle, opts ReplayOptions, until int64, onCycle func(int64
 	if err != nil {
 		return nil, err
 	}
-	if opts.Trace != nil {
-		tr.Machine.Trace = tr.Machine.TraceHook(opts.Trace)
-	}
 	var delivered int64
 	for _, d := range b.Datagrams {
 		if tr.Deliver(d.Iface, linecard.Datagram{Data: d.Data, Seq: d.Seq}) {
@@ -133,45 +150,11 @@ func replayRouter(b *Bundle, opts ReplayOptions, until int64, onCycle func(int64
 	res := &ReplayResult{SocketNames: tr.Machine.SocketNames()}
 	rec := tr.Recorder()
 
-	var runErr error
-	if onCycle == nil && until < 0 {
-		runErr = tr.Run(delivered, b.Budget)
-	} else {
-		// Cycle-stepped variant of TACO.Run's loop for -step/-until-cycle:
-		// same stop condition, same budget check, but the caller sees every
-		// cycle's events as they happen. The budget overshoot is reported
-		// as plain text — the faithful StallError reproduction is Replay's
-		// (and the watchdog's) job.
-		for {
-			cycles := tr.Machine.Stats().Cycles
-			if cycles > b.Budget {
-				runErr = fmt.Errorf("replay: cycle budget %d exhausted (pc %d)", b.Budget, tr.Machine.PC())
-				break
-			}
-			if tr.Done(delivered) {
-				break
-			}
-			if until >= 0 && cycles > until {
-				res.Err = fmt.Sprintf("replay: paused after cycle %d (pc %d)", until, tr.Machine.PC())
-				finishSnapshot(res, tr, rec)
-				return res, nil
-			}
-			before := rec.Total()
-			if runErr = tr.StepCycle(); runErr != nil {
-				break
-			}
-			if onCycle != nil {
-				onCycle(cycles, lastEvents(rec, before))
-			}
-			if tr.Machine.Halted() {
-				runErr = fmt.Errorf("router: machine halted unexpectedly at pc %d", tr.Machine.PC())
-				break
-			}
-		}
-	}
-
+	paused, runErr := tr.RunStepped(delivered, b.Budget, opts.observer(tr.Machine, until, onCycle))
 	var se *router.StallError
 	switch {
+	case paused:
+		res.Err = fmt.Sprintf("replay: paused after cycle %d (pc %d)", until, tr.Machine.PC())
 	case errors.As(runErr, &se):
 		res.Stall = se
 		res.Err = se.Error()
@@ -185,13 +168,11 @@ func replayRouter(b *Bundle, opts ReplayOptions, until int64, onCycle func(int64
 		return res, nil
 	case runErr != nil:
 		res.Err = runErr.Error()
-		finishSnapshot(res, tr, rec)
-		return res, nil
+	default:
+		tr.FinalizeDropAudit()
+		res.Unexplained = tr.UnexplainedDrops()
+		res.Fates, res.Drops = collectFates(tr, b.Datagrams)
 	}
-
-	tr.FinalizeDropAudit()
-	res.Unexplained = tr.UnexplainedDrops()
-	res.Fates, res.Drops = collectFates(tr, b.Datagrams)
 	finishSnapshot(res, tr, rec)
 	return res, nil
 }
@@ -204,17 +185,6 @@ func finishSnapshot(res *ReplayResult, tr *router.TACO, rec *obs.FlightRecorder)
 		res.Tail = rec.Tail()
 		res.TailDropped = rec.Dropped()
 	}
-}
-
-// lastEvents returns the events recorded since the given Total() mark
-// (clamped to what the ring still retains).
-func lastEvents(rec *obs.FlightRecorder, before uint64) []obs.RecEvent {
-	n := int(rec.Total() - before)
-	tail := rec.Tail()
-	if n > len(tail) {
-		n = len(tail)
-	}
-	return tail[len(tail)-n:]
 }
 
 // collectFates mirrors the soak's outcome accounting: every bundle
@@ -331,50 +301,19 @@ func replayMachine(b *Bundle, opts ReplayOptions, until int64, onCycle func(int6
 	if err != nil {
 		return nil, err
 	}
-	if opts.Trace != nil {
-		m.Trace = m.TraceHook(opts.Trace)
-	}
-	var cm *tta.CompiledMachine
+	run := m.RunStepped
 	if opts.compiled(b) {
-		if cm, err = tta.Compile(m); err != nil {
+		cm, err := tta.Compile(m)
+		if err != nil {
 			return nil, err
 		}
+		run = cm.RunStepped
 	}
 	rec := m.Recorder
 	res := &ReplayResult{SocketNames: m.SocketNames()}
-	var runErr error
-	if onCycle == nil && until < 0 {
-		if cm != nil {
-			_, runErr = cm.Run(b.Budget)
-		} else {
-			_, runErr = m.Run(b.Budget)
-		}
-	} else {
-		// Cycle-stepped mirror of Machine.Run's loop (same budget check
-		// and error text).
-		for !m.Halted() {
-			cycles := m.Stats().Cycles
-			if b.Budget >= 0 && cycles >= b.Budget {
-				runErr = fmt.Errorf("tta: exceeded %d cycles (pc=%d)", b.Budget, m.PC())
-				break
-			}
-			if until >= 0 && cycles > until {
-				res.Err = fmt.Sprintf("replay: paused after cycle %d (pc %d)", until, m.PC())
-				break
-			}
-			before := rec.Total()
-			if cm != nil {
-				_, runErr = cm.RunToPC(-1, 1)
-			} else {
-				runErr = m.Step()
-			}
-			if runErr != nil {
-				break
-			}
-			if onCycle != nil {
-				onCycle(cycles, lastEvents(rec, before))
-			}
-		}
+	_, paused, runErr := run(b.Budget, opts.observer(m, until, onCycle))
+	if paused {
+		res.Err = fmt.Sprintf("replay: paused after cycle %d (pc %d)", until, m.PC())
 	}
 	if runErr != nil {
 		res.Err = runErr.Error()

@@ -30,8 +30,6 @@ type MMU struct {
 	// so Reset only has to clear mem[:hw] — the datagram slots actually
 	// used — instead of the whole memory.
 	hw int
-
-	reads, writes int64
 }
 
 // NewMMU returns a memory of the given word count.
@@ -79,7 +77,6 @@ func (m *MMU) Clock() error {
 			return fmt.Errorf("fu: mmu read past memory: address %d of %d", rAddr, len(m.mem))
 		}
 		m.r = m.mem[rAddr]
-		m.reads++
 	}
 	if wOK {
 		if int(wAddr) >= len(m.mem) {
@@ -89,7 +86,6 @@ func (m *MMU) Clock() error {
 		if int(wAddr) >= m.hw {
 			m.hw = int(wAddr) + 1
 		}
-		m.writes++
 	}
 	return nil
 }
@@ -101,7 +97,6 @@ func (m *MMU) Reset() {
 	m.tr.reset()
 	m.tw.reset()
 	m.r = 0
-	m.reads, m.writes = 0, 0
 }
 
 // HazardClass marks the MMU as a data-memory port: the scheduler keeps
@@ -142,17 +137,6 @@ func (m *MMU) Words() int { return len(m.mem) }
 
 // Peek reads a word directly (backdoor for DMA units and tests).
 func (m *MMU) Peek(addr int) uint32 { return m.mem[addr] }
-
-// Poke writes a word directly (backdoor for DMA units and tests).
-func (m *MMU) Poke(addr int, v uint32) {
-	m.mem[addr] = v
-	if addr >= m.hw {
-		m.hw = addr + 1
-	}
-}
-
-// Accesses reports the socket-level read and write counts.
-func (m *MMU) Accesses() (reads, writes int64) { return m.reads, m.writes }
 
 // StoreBytes packs big-endian bytes into memory starting at word addr,
 // zero-padding the final word, and returns the number of words used.

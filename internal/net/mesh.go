@@ -329,9 +329,6 @@ func (m *Mesh) Now() int64 { return m.now }
 // Topo returns the mesh's topology.
 func (m *Mesh) Topo() Topology { return m.topo }
 
-// NodeKindOf returns a node's data-plane kind.
-func (m *Mesh) NodeKindOf(id int) NodeKind { return m.nodes[id].kind }
-
 // Alive reports whether a node is currently running.
 func (m *Mesh) Alive(id int) bool { return m.nodes[id].alive }
 
@@ -1159,17 +1156,4 @@ func (m *Mesh) MaxUpwardRevisions() int {
 		return 0
 	}
 	return int(m.watch.max)
-}
-
-// UpwardRevisions returns the upward-revision count for one
-// (node, stub-owner) pair; owner is the stub-owning node id.
-func (m *Mesh) UpwardRevisions(nodeID, owner int) int {
-	if m.watch == nil {
-		return 0
-	}
-	pi, ok := m.prefixIdx[StubPrefix(owner)]
-	if !ok {
-		return 0
-	}
-	return int(m.watch.upward[nodeID][pi])
 }

@@ -10,6 +10,7 @@ import (
 	"taco/internal/obs"
 	"taco/internal/router"
 	"taco/internal/rtable"
+	"taco/internal/tta"
 	"taco/internal/workload"
 )
 
@@ -36,10 +37,17 @@ func goldenRouter(t *testing.T) (*router.TACO, []workload.Packet) {
 
 func runRouter(t *testing.T, tr *router.TACO, pkts []workload.Packet) {
 	t.Helper()
+	runRouterStepped(t, tr, pkts, nil)
+}
+
+// runRouterStepped is runRouter with every cycle reported to onCycle
+// (nil: the batch run).
+func runRouterStepped(t *testing.T, tr *router.TACO, pkts []workload.Packet, onCycle tta.CycleFunc) {
+	t.Helper()
 	for i, pk := range pkts {
 		tr.Deliver(i%4, linecard.Datagram{Data: pk.Data, Seq: pk.Seq})
 	}
-	if err := tr.Run(int64(len(pkts)), 10_000_000); err != nil {
+	if _, err := tr.RunStepped(int64(len(pkts)), 10_000_000, onCycle); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -142,15 +150,35 @@ type chromeTrace struct {
 	} `json:"traceEvents"`
 }
 
-// TestTraceExportValidChromeJSON runs a traced golden run and checks
-// the exported file is valid Chrome trace-event JSON with
-// monotonically non-decreasing timestamps and named tracks.
+// TestTraceExportValidChromeJSON runs a traced golden run — the
+// recorder read between the cycles of a stepped run — on both step
+// paths and checks the exported file is valid Chrome trace-event JSON
+// with monotonically non-decreasing timestamps and named tracks, one
+// bus slice per encoded move and one unit slice per trigger, and the
+// same bytes whichever path stepped.
 func TestTraceExportValidChromeJSON(t *testing.T) {
+	interp := exportTrace(t, false)
+	if compiled := exportTrace(t, true); !bytes.Equal(interp, compiled) {
+		t.Error("the compiled path exports a different trace than the interpreter")
+	}
+}
+
+func exportTrace(t *testing.T, compiled bool) []byte {
 	tr, pkts := goldenRouter(t)
+	c := tr.Machine.AttachCounters()
+	tr.ArmRecorder(0)
+	if compiled {
+		if err := tr.UseCompiled(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
-	tr.Machine.Trace = tr.Machine.TraceHook(tw)
-	runRouter(t, tr, pkts)
+	export := tr.Machine.TraceHook(tw)
+	runRouterStepped(t, tr, pkts, func(_ int64, _ int, events []obs.RecEvent) bool {
+		export(events)
+		return true
+	})
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +194,7 @@ func TestTraceExportValidChromeJSON(t *testing.T) {
 		t.Error("expected slice events after metadata")
 	}
 	var slices, meta int
+	var busSlices, unitSlices int64
 	lastTS := int64(-1)
 	threadNames := map[[2]int]string{}
 	for _, e := range doc.TraceEvents {
@@ -177,6 +206,11 @@ func TestTraceExportValidChromeJSON(t *testing.T) {
 			}
 		case "X":
 			slices++
+			if e.PID == 1 {
+				busSlices++
+			} else {
+				unitSlices++
+			}
 			if e.TS < lastTS {
 				t.Fatalf("timestamps regressed: %d after %d", e.TS, lastTS)
 			}
@@ -199,6 +233,11 @@ func TestTraceExportValidChromeJSON(t *testing.T) {
 	if len(threadNames) != wantTracks {
 		t.Errorf("%d named tracks, want %d (buses + units)", len(threadNames), wantTracks)
 	}
+	if busSlices != c.EncodedTotal() || unitSlices != c.TriggerTotal() {
+		t.Errorf("%d bus and %d unit slices for %d encoded moves and %d triggers",
+			busSlices, unitSlices, c.EncodedTotal(), c.TriggerTotal())
+	}
+	return buf.Bytes()
 }
 
 // TestTraceWriterError surfaces downstream write failures through Err

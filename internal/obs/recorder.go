@@ -1,6 +1,9 @@
 package obs
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+)
 
 // FlightRecorder is the machine's black box: a bounded ring of
 // cycle-level events — moves with source/destination socket and value,
@@ -163,6 +166,27 @@ func (r *FlightRecorder) Tail() []RecEvent {
 	return out
 }
 
+// Since visits, oldest first, the events recorded after a Total() mark
+// — or the retained ones when the ring has already overwritten part of
+// that span — without copying the ring. It is what a cycle-stepped
+// driver calls between two cycles, so it must stay allocation-free.
+func (r *FlightRecorder) Since(mark uint64, visit func(RecEvent)) {
+	n := r.total - mark
+	if c := uint64(len(r.buf)); n > c {
+		n = c
+	}
+	i := r.head - int(n)
+	if i < 0 {
+		i += len(r.buf)
+	}
+	for ; n > 0; n-- {
+		visit(r.buf[i])
+		if i++; i == len(r.buf) {
+			i = 0
+		}
+	}
+}
+
 // Reset clears the ring and the cycle stamp (capacity is retained).
 func (r *FlightRecorder) Reset() {
 	r.now = 0
@@ -207,5 +231,18 @@ func (e RecEvent) Format(names []string) string {
 		return fmt.Sprintf("cycle %d pc %d: stall (%s)", e.Cycle, e.PC, StallCause(e.Value))
 	default:
 		return fmt.Sprintf("cycle %d pc %d: unknown event kind %d", e.Cycle, e.PC, e.Kind)
+	}
+}
+
+// WriteCycle prints one executed cycle's events, one Format line each —
+// the per-cycle listing shared by tacoreplay -step and tacosim -trace.
+// A cycle that recorded nothing (no move encoded) still gets a line.
+func WriteCycle(w io.Writer, cycle int64, events []RecEvent, names []string) {
+	if len(events) == 0 {
+		fmt.Fprintf(w, "cycle %d: (no recorded events)\n", cycle)
+		return
+	}
+	for _, e := range events {
+		fmt.Fprintf(w, "  %s\n", e.Format(names))
 	}
 }

@@ -2,7 +2,8 @@
 // regions, so the evaluation can report *where* a configuration spends
 // its time — the "key bottlenecks" analysis the paper's methodology is
 // for. A region is the half-open address range between two program
-// labels; cycle attribution uses the machine's trace hook.
+// labels; cycle attribution reads the flight recorder between the
+// cycles of a stepped run.
 package profile
 
 import (
@@ -11,6 +12,7 @@ import (
 	"strings"
 
 	"taco/internal/isa"
+	"taco/internal/obs"
 	"taco/internal/tta"
 )
 
@@ -75,20 +77,25 @@ func New(prog *isa.Program) *Profile {
 	return p
 }
 
-// Hook returns a trace function to install as Machine.Trace.
-func (p *Profile) Hook() func(tta.TraceRecord) {
-	return func(r tta.TraceRecord) {
+// Hook returns the observer to hand to a stepped run (RunStepped on
+// the router or the bare machine). Every cycle is charged to the region
+// of the PC it executed — whether or not it encoded a move — and every
+// recorded move whose guard held to that region's MovesIssued.
+func (p *Profile) Hook() tta.CycleFunc {
+	return func(_ int64, pc int, events []obs.RecEvent) bool {
 		p.total++
-		if r.PC < 0 || r.PC >= len(p.byAddr) {
-			return
+		if pc < 0 || pc >= len(p.byAddr) {
+			return true
 		}
-		reg := &p.regions[p.byAddr[r.PC]]
+		reg := &p.regions[p.byAddr[pc]]
 		reg.Cycles++
-		for _, m := range r.Moves {
-			if m.Executed {
+		for _, e := range events {
+			switch e.Kind {
+			case obs.EvMove, obs.EvTrigger, obs.EvJump, obs.EvHalt:
 				reg.MovesIssued++
 			}
 		}
+		return true
 	}
 }
 

@@ -1,14 +1,17 @@
 package profile
 
 import (
+	"os"
 	"strings"
 	"testing"
 
+	"taco/internal/asm"
 	"taco/internal/fu"
 	"taco/internal/isa"
 	"taco/internal/linecard"
 	"taco/internal/router"
 	"taco/internal/rtable"
+	"taco/internal/tta"
 	"taco/internal/workload"
 )
 
@@ -17,9 +20,14 @@ type progT = isa.Program
 func newProg() *progT           { return isa.NewProgram() }
 func emptyIns() isa.Instruction { return isa.Instruction{} }
 
-// buildRouter returns a running-ready TACO router with a profile
-// attached to its machine.
+// profiledRouter forwards 16 datagrams through a stepped run on the
+// interpreter with a profile reading the recorder between cycles.
 func profiledRouter(t *testing.T, kind rtable.Kind, cfg fu.Config, entries int) (*router.TACO, *Profile) {
+	t.Helper()
+	return profiledRouterOn(t, kind, cfg, entries, false)
+}
+
+func profiledRouterOn(t *testing.T, kind rtable.Kind, cfg fu.Config, entries int, compiled bool) (*router.TACO, *Profile) {
 	t.Helper()
 	routes := workload.GenerateRoutes(workload.TableSpec{Entries: entries, Ifaces: 4, Seed: 1})
 	tbl := rtable.New(kind)
@@ -30,8 +38,13 @@ func profiledRouter(t *testing.T, kind rtable.Kind, cfg fu.Config, entries int) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr.ArmRecorder(0)
+	if compiled {
+		if err := tr.UseCompiled(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	p := New(tr.Sched.Program)
-	tr.Machine.Trace = p.Hook()
 	pkts, err := workload.GenerateTraffic(routes, workload.PaperTrafficSpec(16))
 	if err != nil {
 		t.Fatal(err)
@@ -39,23 +52,78 @@ func profiledRouter(t *testing.T, kind rtable.Kind, cfg fu.Config, entries int) 
 	for i, pk := range pkts {
 		tr.Deliver(i%4, linecard.Datagram{Data: pk.Data, Seq: pk.Seq})
 	}
-	if err := tr.Run(int64(len(pkts)), 10_000_000); err != nil {
+	if _, err := tr.RunStepped(int64(len(pkts)), 10_000_000, p.Hook()); err != nil {
 		t.Fatal(err)
 	}
 	return tr, p
 }
 
+// TestProfileAccountsEveryCycle: on both step paths every executed
+// cycle lands in exactly one region, every executed move is counted,
+// and the two paths yield the same table — for a forwarding run, and
+// for testdata/trace/loop.tasm, whose "done" region starts with a cycle
+// that encodes no move (and so records no event).
 func TestProfileAccountsEveryCycle(t *testing.T) {
-	tr, p := profiledRouter(t, rtable.BalancedTree, fu.Config3Bus1FU(rtable.BalancedTree), 100)
-	if p.Total() != tr.Machine.Stats().Cycles {
-		t.Fatalf("profiled %d cycles, machine ran %d", p.Total(), tr.Machine.Stats().Cycles)
+	check := func(t *testing.T, p *Profile, st tta.Stats) string {
+		t.Helper()
+		if p.Total() != st.Cycles {
+			t.Fatalf("profiled %d cycles, machine ran %d", p.Total(), st.Cycles)
+		}
+		var cycles, moves int64
+		for _, r := range p.Regions() {
+			cycles += r.Cycles
+			moves += r.MovesIssued
+		}
+		if cycles != p.Total() {
+			t.Fatalf("regions sum to %d of %d cycles", cycles, p.Total())
+		}
+		if moves != st.MovesExecuted {
+			t.Fatalf("regions count %d moves, machine executed %d", moves, st.MovesExecuted)
+		}
+		return p.String()
 	}
-	var sum int64
-	for _, r := range p.Regions() {
-		sum += r.Cycles
+	src, err := os.ReadFile("../../testdata/trace/loop.tasm")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sum != p.Total() {
-		t.Fatalf("regions sum to %d of %d cycles", sum, p.Total())
+	var router, loop [2]string
+	for i, compiled := range []bool{false, true} {
+		tr, p := profiledRouterOn(t, rtable.BalancedTree, fu.Config3Bus1FU(rtable.BalancedTree), 100, compiled)
+		router[i] = check(t, p, tr.Machine.Stats())
+
+		m, err := fu.NewComputeMachine(fu.Config3Bus1FU(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := asm.Assemble(string(src), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Load(prog); err != nil {
+			t.Fatal(err)
+		}
+		m.AttachRecorder(0)
+		run := m.RunStepped
+		if compiled {
+			cm, err := tta.Compile(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run = cm.RunStepped
+		}
+		p = New(prog)
+		if _, _, err := run(1000, p.Hook()); err != nil {
+			t.Fatal(err)
+		}
+		loop[i] = check(t, p, m.Stats())
+		// done = nop + move + halt: three cycles, two executed moves.
+		if r, err := p.FindRegion("done"); err != nil || r.Cycles != 3 || r.MovesIssued != 2 {
+			t.Errorf("compiled=%t: done region = %+v (%v), want 3 cycles and 2 moves", compiled, r, err)
+		}
+	}
+	if router[0] != router[1] || loop[0] != loop[1] {
+		t.Errorf("step paths profile differently:\ninterpreted:\n%s%s\ncompiled:\n%s%s",
+			router[0], loop[0], router[1], loop[1])
 	}
 }
 

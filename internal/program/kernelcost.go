@@ -1,52 +1,6 @@
 package program
 
-import (
-	"fmt"
-
-	"taco/internal/isa"
-	"taco/internal/rtable"
-)
-
-// LookupKernel bounds the lookup inner loop of a scheduled forwarding
-// program: the instruction span executed once per table probe. Its
-// static size is the per-probe cycle cost the large-database scaling
-// model multiplies by measured probe counts (cycles(n) = overhead +
-// perProbe·probes(n)); the cycle-accurate anchor runs then calibrate
-// away the slack between this static bound and the dynamic schedule.
-type LookupKernel struct {
-	Kind       rtable.Kind
-	Start, End int // scheduled instruction addresses, [Start, End)
-	Cycles     int // static per-probe bound: End - Start
-}
-
-// kernelSpans names the label pair delimiting each kind's per-probe
-// region in the generated programs (see emitSeqLookup/emitTreeLookup/
-// emitCAMLookup).
-var kernelSpans = map[rtable.Kind][2]string{
-	rtable.Sequential:   {"seqloop", "seqmatched"},
-	rtable.BalancedTree: {"treeloop", "hit"},
-	rtable.CAM:          {"camwait", "camdone"},
-}
-
-// KernelFor locates the lookup kernel of kind in a scheduled program.
-func KernelFor(p *isa.Program, kind rtable.Kind) (LookupKernel, error) {
-	span, ok := kernelSpans[kind]
-	if !ok {
-		return LookupKernel{}, fmt.Errorf("program: no generated lookup kernel for %v", kind)
-	}
-	start, ok := p.Labels[span[0]]
-	if !ok {
-		return LookupKernel{}, fmt.Errorf("program: label %q not in program", span[0])
-	}
-	end, ok := p.Labels[span[1]]
-	if !ok {
-		return LookupKernel{}, fmt.Errorf("program: label %q not in program", span[1])
-	}
-	if end <= start {
-		return LookupKernel{}, fmt.Errorf("program: kernel span %q..%q is empty", span[0], span[1])
-	}
-	return LookupKernel{Kind: kind, Start: start, End: end, Cycles: end - start}, nil
-}
+import "taco/internal/rtable"
 
 // Per-probe cost factors for table kinds that have no generated TACO
 // program yet, expressed relative to the balanced tree's per-node cost.

@@ -75,10 +75,9 @@ func NewTACO(cfg fu.Config, tbl rtable.Table, ifaces int) (*TACO, error) {
 // forwarding program is pre-lowered once (tta.Compile) and every
 // subsequent cycle executes through the specialized step function.
 // Observable behavior — cycles, stalls, socket and queue state, and
-// attached obs counters — is bit-identical to the interpreter; counters
-// are recorded natively by the fast path, so observation no longer
-// costs the compiled speedup. Only a trace sink makes the compiled
-// step delegate to the interpreter.
+// attached obs counters, recorded events — is bit-identical to the
+// interpreter; counters and the flight recorder are fed natively by the
+// fast path, so no observer costs the compiled speedup.
 func (t *TACO) UseCompiled() error {
 	cm, err := tta.Compile(t.Machine)
 	if err != nil {
@@ -105,17 +104,6 @@ func (t *TACO) ArmRecorder(capacity int) *obs.FlightRecorder {
 
 // Recorder returns the armed flight recorder, or nil.
 func (t *TACO) Recorder() *obs.FlightRecorder { return t.Machine.Recorder }
-
-// DelegatedCycles reports how many cycles the compiled fast path handed
-// back to the interpreter (0 when not compiled). Only a trace sink
-// forces delegation; counters are recorded natively, so a
-// counters-only run must report 0.
-func (t *TACO) DelegatedCycles() int64 {
-	if t.compiled == nil {
-		return 0
-	}
-	return t.compiled.DelegatedCycles()
-}
 
 // Reset returns the router to its power-on state — units, statistics,
 // line-card queues — with the forwarding program still loaded, so the
@@ -164,8 +152,24 @@ func (t *TACO) Deliver(iface int, d linecard.Datagram) bool {
 // ErrStall) carrying a machine-state dump: the watchdog's structured
 // answer to "why did this instance never finish".
 func (t *TACO) Run(expected int64, maxCycles int64) error {
-	mainAddr := t.mainAddr()
+	_, err := t.RunStepped(expected, maxCycles, nil)
+	return err
+}
+
+// RunStepped is the one forwarding run loop. With a nil onCycle it is
+// Run, taking the fastest way to the next point where the loop's
+// conditions can change. With an onCycle it single-steps whichever step
+// path the router is configured for — same stop condition, same budget
+// check, same *StallError — and reports every completed cycle (see
+// tta.CycleFunc), which needs an armed recorder (ArmRecorder). paused
+// reports that onCycle stopped the run before it was done.
+func (t *TACO) RunStepped(expected, maxCycles int64, onCycle tta.CycleFunc) (paused bool, err error) {
+	mainAddr := t.Sched.Program.Labels["main"]
 	start := t.Machine.Stats().Cycles
+	step, more := t.Machine.Step, true
+	if t.compiled != nil {
+		step = t.compiled.Step
+	}
 	for {
 		if cycles := t.Machine.Stats().Cycles - start; cycles > maxCycles {
 			se := &StallError{
@@ -187,7 +191,7 @@ func (t *TACO) Run(expected int64, maxCycles int64) error {
 				se.TailDropped = rec.Dropped()
 				se.SocketNames = t.Machine.SocketNames()
 			}
-			return se
+			return false, se
 		}
 		// Cheapest-first, most-selective-first: the machine is only back
 		// at its poll loop (pc == mainAddr) for a few cycles per packet,
@@ -197,51 +201,34 @@ func (t *TACO) Run(expected int64, maxCycles int64) error {
 			t.Units.IPPU.Popped() >= expected &&
 			t.Units.IPPU.QueueLen() == 0 &&
 			t.Bank.AnyPending() < 0 {
-			return nil
+			return false, nil
 		}
-		if t.compiled != nil {
+		switch {
+		case onCycle != nil:
+			if !more {
+				return true, nil
+			}
+			if more, err = t.Machine.StepObserved(step, onCycle); err != nil {
+				return false, err
+			}
+		case t.compiled != nil:
 			// Batch: run until the next poll-loop visit (the only PC at
 			// which the stop condition above can hold) or until one cycle
 			// past the budget — exactly where the interpreted loop lands,
 			// so the StallError dump is identical.
 			cycles := t.Machine.Stats().Cycles - start
 			if _, err := t.compiled.RunToPC(mainAddr, maxCycles-cycles+1); err != nil {
-				return err
+				return false, err
 			}
-		} else if err := t.Machine.Step(); err != nil {
-			return err
+		default:
+			if err := t.Machine.Step(); err != nil {
+				return false, err
+			}
 		}
 		if t.Machine.Halted() {
-			return fmt.Errorf("router: machine halted unexpectedly at pc %d", t.Machine.PC())
+			return false, fmt.Errorf("router: machine halted unexpectedly at pc %d", t.Machine.PC())
 		}
 	}
-}
-
-func (t *TACO) mainAddr() int {
-	prog := t.Sched.Program
-	return prog.Labels["main"]
-}
-
-// Done reports Run's stop condition: the machine is back at its poll
-// loop with all expected datagrams popped and fully processed. Exposed
-// for cycle-stepping replay drivers (tacoreplay) that reproduce Run's
-// loop one cycle at a time.
-func (t *TACO) Done(expected int64) bool {
-	return t.Machine.PC() == t.mainAddr() &&
-		t.Units.IPPU.Popped() >= expected &&
-		t.Units.IPPU.QueueLen() == 0 &&
-		t.Bank.AnyPending() < 0
-}
-
-// StepCycle executes exactly one machine cycle on whichever path the
-// router is configured for (interpreter or compiled fast path) — the
-// replay debugger's single-step primitive.
-func (t *TACO) StepCycle() error {
-	if t.compiled != nil {
-		_, err := t.compiled.RunToPC(-1, 1)
-		return err
-	}
-	return t.Machine.Step()
 }
 
 // Outputs drains the transmitted datagrams of a network interface.
@@ -288,27 +275,10 @@ func (t *TACO) Latency() LatencySummary {
 
 // LatencyHist builds the per-packet latency histogram (store-to-
 // transmit, in machine cycles) from the postprocessing unit's records.
-// It equals the element-wise merge of IfaceLatencyHists.
 func (t *TACO) LatencyHist() *obs.LatencyHist {
 	h := &obs.LatencyHist{}
 	t.Units.OPPU.LatencyRecords(func(_ int, cycles int64) { h.Record(cycles) })
 	return h
-}
-
-// IfaceLatencyHists builds one latency histogram per line card, in
-// interface order (index Ifaces() is the host card) — the per-card view
-// that merges exactly into LatencyHist.
-func (t *TACO) IfaceLatencyHists() []*obs.LatencyHist {
-	hs := make([]*obs.LatencyHist, t.Bank.Len())
-	for i := range hs {
-		hs[i] = &obs.LatencyHist{}
-	}
-	t.Units.OPPU.LatencyRecords(func(iface int, cycles int64) {
-		if iface >= 0 && iface < len(hs) {
-			hs[iface].Record(cycles)
-		}
-	})
-	return hs
 }
 
 // WatchdogStalls returns the accumulated per-cause watchdog charges:

@@ -1,7 +1,7 @@
 // Package rtable provides the routing-table implementations evaluated in
 // the paper's §4: sequential (linear-scan) organisation, a balanced tree
 // with logarithmic search time, and a content-addressable memory (CAM)
-// model, plus a patricia-trie baseline used by the extension benchmarks.
+// model, plus a binary-trie baseline used by the extension benchmarks.
 //
 // All implementations answer IPv6 longest-prefix-match queries and expose
 // access statistics so the evaluation layer can validate the cycle costs
@@ -46,8 +46,9 @@ const (
 	// CAM models a 136-bit-wide content-addressable memory with an
 	// associated SRAM: single fixed-latency search.
 	CAM
-	// Trie is a patricia-trie baseline (not in the paper's Table 1; used
-	// by the extension ablations).
+	// Trie is a binary-trie baseline, one bit per level with no path
+	// compression (not in the paper's Table 1; used by the extension
+	// ablations).
 	Trie
 	// Multibit is a multibit-stride (LC-trie-style) table with path
 	// compression: the large-database scaling backend.
@@ -214,7 +215,7 @@ func New(k Kind) Table {
 type MemDims struct {
 	Entries     int // installed prefixes (all kinds)
 	TreeNodes   int // balanced-tree range nodes
-	BinaryNodes int // patricia/binary trie nodes
+	BinaryNodes int // binary trie nodes
 	TrieNodes   int // multibit internal nodes
 	TrieSlots   int // multibit expanded child slots (Σ 2^stride per node)
 	TrieLeaves  int // multibit path-compressed leaf records

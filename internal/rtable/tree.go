@@ -161,15 +161,6 @@ func (t *BalancedTreeTable) Routes() []Route { return slices.Clone(t.routes) }
 // TACO routing-table unit) and the root index.
 func (t *BalancedTreeTable) Nodes() ([]TreeNode, int) { return t.nodes, t.root }
 
-// NodeAt returns node i, or false when i is out of range — the
-// routing-table unit's node-register load.
-func (t *BalancedTreeTable) NodeAt(i int) (TreeNode, bool) {
-	if i < 0 || i >= len(t.nodes) {
-		return TreeNode{}, false
-	}
-	return t.nodes[i], true
-}
-
 // Root returns the root node index (-1 when empty).
 func (t *BalancedTreeTable) Root() int { return t.root }
 

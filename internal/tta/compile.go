@@ -242,10 +242,9 @@ const (
 // records per-bus occupancy, per-FU trigger/result counts and the
 // socket heatmap itself, at the same points and in the same order as
 // the interpreter, so compiled-with-counters is bit-identical to
-// interpreted-with-counters — and still compiled. Only a trace sink
-// forces delegation to the interpreter (trace records carry formatted
-// names the fast path never materializes); DelegatedCycles exposes how
-// many cycles took that path.
+// interpreted-with-counters — and still compiled. The flight recorder
+// is native the same way, so no observer ever makes a compiled machine
+// execute a cycle through the interpreter.
 type CompiledMachine struct {
 	m    *Machine
 	prog *isa.Program
@@ -288,11 +287,6 @@ type CompiledMachine struct {
 	lastCycles int64
 	resetGen   uint64
 	dirty      bool
-
-	// delegated counts cycles executed through the interpreter on our
-	// behalf (trace sink attached) — the no-fallback contract for
-	// counters asserts this stays zero.
-	delegated int64
 }
 
 // Compile lowers the machine's loaded program into a CompiledMachine.
@@ -500,39 +494,10 @@ func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction) cins {
 func (c *CompiledMachine) Machine() *Machine { return c.m }
 
 // Step executes one cycle through the pre-lowered schedule, mirroring
-// Machine.Step bit for bit — counters included. Only with a trace sink
-// attached does it delegate to the interpreter (the formatting hook
-// lives there); the next fast cycle then rebuilds its idle-unit
-// knowledge from scratch.
+// Machine.Step bit for bit — counters and recorder events included.
 func (c *CompiledMachine) Step() error {
 	_, err := c.RunToPC(-1, 1)
 	return err
-}
-
-// DelegatedCycles returns the number of cycles this compiled machine
-// executed through the interpreter instead of the fast path. Only a
-// trace sink forces delegation; with counters (or nothing) attached the
-// count stays zero — the differential tests pin that contract.
-func (c *CompiledMachine) DelegatedCycles() int64 { return c.delegated }
-
-// runInterpreted steps the interpreter on the compiled machine's
-// behalf — taken only when a trace sink is attached.
-func (c *CompiledMachine) runInterpreted(stopPC int, maxSteps int64) (int64, error) {
-	m := c.m
-	c.dirty = true
-	var executed int64
-	var err error
-	for executed < maxSteps && !m.halted {
-		if err = m.Step(); err != nil {
-			break
-		}
-		executed++
-		if stopPC >= 0 && m.pc == stopPC {
-			break
-		}
-	}
-	c.delegated += executed
-	return executed, err
 }
 
 // RunToPC executes up to maxSteps cycles, additionally stopping once
@@ -549,12 +514,6 @@ func (c *CompiledMachine) RunToPC(stopPC int, maxSteps int64) (int64, error) {
 	m := c.m
 	if m.prog != c.prog {
 		return 0, errors.New("tta: compiled machine is stale: program reloaded since Compile")
-	}
-	if m.Trace != nil {
-		// Tracing attached: the interpreter carries the formatting hook.
-		// Counters do NOT take this path — they are recorded natively by
-		// the loop below, at the interpreter's exact counting points.
-		return c.runInterpreted(stopPC, maxSteps)
 	}
 	if c.dirty || m.stats.Cycles != c.lastCycles || m.resetGen != c.resetGen {
 		// The machine was reset or stepped outside the fast path since
@@ -967,4 +926,15 @@ func (c *CompiledMachine) Run(maxCycles int64) (int64, error) {
 		}
 	}
 	return m.stats.Cycles - start, nil
+}
+
+// RunStepped is Machine.RunStepped through the compiled step: Run one
+// observed cycle at a time, identical in every observable to the
+// interpreter's stepped run. A nil onCycle is Run.
+func (c *CompiledMachine) RunStepped(maxCycles int64, onCycle CycleFunc) (n int64, paused bool, err error) {
+	if onCycle == nil {
+		n, err = c.Run(maxCycles)
+		return n, false, err
+	}
+	return c.m.runStepped(c.Step, maxCycles, onCycle)
 }

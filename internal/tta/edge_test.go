@@ -31,10 +31,6 @@ func stepBoth(t *testing.T, mi, mc *Machine, cm *CompiledMachine, cyc int) (erro
 			t.Fatalf("cycle %d: counters differ:\ncompiled:    %+v\ninterpreted: %+v",
 				cyc, mc.Counters, mi.Counters)
 		}
-		if cm.DelegatedCycles() != 0 {
-			t.Fatalf("cycle %d: compiled machine delegated %d cycles to the interpreter with only counters attached",
-				cyc, cm.DelegatedCycles())
-		}
 	}
 	return errI, mi.Halted()
 }

@@ -10,6 +10,7 @@
 package tta
 
 import (
+	"errors"
 	"fmt"
 
 	"taco/internal/isa"
@@ -132,9 +133,6 @@ type Machine struct {
 
 	stats Stats
 
-	// Trace, when non-nil, receives one record per executed cycle.
-	Trace func(TraceRecord)
-
 	// Counters, when non-nil, receives per-bus, per-unit and per-socket
 	// activity counts every cycle. A nil sink costs one pointer check
 	// per cycle; see AttachCounters.
@@ -145,8 +143,14 @@ type Machine struct {
 	// Both step paths record natively at the same points, so the event
 	// stream is bit-identical between the interpreter and the compiled
 	// fast path. A nil recorder costs one pointer check per move; see
-	// AttachRecorder.
+	// AttachRecorder. It is the only per-move sink: everything that wants
+	// to see moves (stall bundles, replay, traces, the profiler) reads it,
+	// between cycles when it needs them one cycle at a time (RunStepped).
 	Recorder *obs.FlightRecorder
+
+	// cycleEvents is StepObserved's scratch: the events of the cycle just
+	// executed, handed to the CycleFunc and reused by the next cycle.
+	cycleEvents []obs.RecEvent
 
 	// Scratch reused across cycles so that the steady-state Step loop
 	// performs no heap allocation: pending writes, plus stamp arrays
@@ -184,21 +188,6 @@ func (s Stats) BusUtilization() float64 {
 		return 0
 	}
 	return float64(s.SlotsEncoded) / float64(s.SlotsTotal)
-}
-
-// TraceRecord describes one executed cycle for debugging.
-type TraceRecord struct {
-	Cycle int64
-	PC    int
-	Moves []TraceMove
-}
-
-// TraceMove describes one move in a trace record.
-type TraceMove struct {
-	Bus      int
-	Executed bool // guard held
-	Src, Dst string
-	Value    uint32
 }
 
 // New assembles a machine from its units. Unit instance names must be
@@ -524,11 +513,6 @@ func (m *Machine) Step() error {
 	m.nextPC = m.pc + 1
 	haltReq := false
 
-	var trace *TraceRecord
-	if m.Trace != nil {
-		trace = &TraceRecord{Cycle: m.stats.Cycles, PC: m.pc}
-	}
-
 	// Advance the cycle stamp; on wraparound every stale stamp is cleared
 	// so old cycles can never alias the current one.
 	m.stamp++
@@ -566,12 +550,6 @@ func (m *Machine) Step() error {
 					}
 				}
 			}
-		}
-		if trace != nil {
-			trace.Moves = append(trace.Moves, TraceMove{
-				Bus: bus, Executed: executed,
-				Src: m.sourceName(mv.Src), Dst: m.SocketName(mv.Dst), Value: val,
-			})
 		}
 		if !executed {
 			if rec != nil {
@@ -651,10 +629,6 @@ func (m *Machine) Step() error {
 		c.Cycles++
 	}
 
-	if trace != nil {
-		m.Trace(*trace)
-	}
-
 	if haltReq {
 		m.halted = true
 	}
@@ -692,26 +666,69 @@ func (m *Machine) readSource(src isa.Source) (uint32, error) {
 	return m.units[ref.unit].Read(ref.local), nil
 }
 
-// sourceName formats a move source for trace records. It allocates, so
-// it is only called when tracing is enabled.
-func (m *Machine) sourceName(src isa.Source) string {
-	if src.Imm {
-		return fmt.Sprintf("#%d", src.Value)
-	}
-	return m.SocketName(src.Socket)
-}
-
 // Run executes until the machine halts or maxCycles elapse. It returns
 // the number of cycles executed by this call.
 func (m *Machine) Run(maxCycles int64) (int64, error) {
+	n, _, err := m.RunStepped(maxCycles, nil)
+	return n, err
+}
+
+// CycleFunc observes one executed cycle of a stepped run: the cycle's
+// number (Stats().Cycles before it ran), the PC it executed, and the
+// events the flight recorder gained during it — none for a cycle that
+// encodes no move. The slice is reused by the next cycle. Returning
+// false pauses the run before the next cycle.
+type CycleFunc func(cycle int64, pc int, events []obs.RecEvent) bool
+
+// RunStepped is Run one observed cycle at a time: same budget check,
+// same error text, same final state, with onCycle called after every
+// completed cycle. It needs an attached Recorder; a nil onCycle is Run.
+// paused reports that onCycle stopped the run while the machine could
+// still execute.
+func (m *Machine) RunStepped(maxCycles int64, onCycle CycleFunc) (n int64, paused bool, err error) {
+	return m.runStepped(m.Step, maxCycles, onCycle)
+}
+
+// runStepped is the one single-step run loop of the bare machine; step
+// is m.Step or the Step of a CompiledMachine over m.
+func (m *Machine) runStepped(step func() error, maxCycles int64, onCycle CycleFunc) (int64, bool, error) {
 	start := m.stats.Cycles
+	more := true
 	for !m.halted {
 		if maxCycles >= 0 && m.stats.Cycles-start >= maxCycles {
-			return m.stats.Cycles - start, fmt.Errorf("tta: exceeded %d cycles (pc=%d)", maxCycles, m.pc)
+			return m.stats.Cycles - start, false, fmt.Errorf("tta: exceeded %d cycles (pc=%d)", maxCycles, m.pc)
 		}
-		if err := m.Step(); err != nil {
-			return m.stats.Cycles - start, err
+		if !more {
+			return m.stats.Cycles - start, true, nil
+		}
+		var err error
+		if onCycle == nil {
+			err = step()
+		} else {
+			more, err = m.StepObserved(step, onCycle)
+		}
+		if err != nil {
+			return m.stats.Cycles - start, false, err
 		}
 	}
-	return m.stats.Cycles - start, nil
+	return m.stats.Cycles - start, false, nil
+}
+
+// StepObserved executes one cycle through step — m.Step, or the
+// single-cycle step of a compiled machine over m — and reports it to
+// onCycle, whose verdict it returns. A cycle that ends in an error is
+// not reported; neither is any cycle of a machine with no Recorder,
+// which is an error.
+func (m *Machine) StepObserved(step func() error, onCycle CycleFunc) (bool, error) {
+	rec := m.Recorder
+	if rec == nil {
+		return false, errors.New("tta: a stepped run reads the flight recorder: attach one first")
+	}
+	cycle, pc, mark := m.stats.Cycles, m.pc, rec.Total()
+	if err := step(); err != nil {
+		return false, err
+	}
+	m.cycleEvents = m.cycleEvents[:0]
+	rec.Since(mark, func(e obs.RecEvent) { m.cycleEvents = append(m.cycleEvents, e) })
+	return onCycle(cycle, pc, m.cycleEvents), nil
 }

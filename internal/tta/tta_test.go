@@ -1,10 +1,12 @@
 package tta
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"taco/internal/isa"
+	"taco/internal/obs"
 )
 
 // adder is a minimal test FU: trigger "t" computes r = o + t, trigger
@@ -334,25 +336,118 @@ func TestRegisterWriteVisibleNextCycle(t *testing.T) {
 	}
 }
 
+// TestTrace: a stepped run reports every cycle — number, PC and the
+// events the recorder gained — identically on both step paths, and is
+// Run in every other respect (cycle count, budget error, final state).
+// The program has a cycle with no moves, a guard that fails, a jump and
+// a halt, so every event kind a bare machine records is on the path.
 func TestTrace(t *testing.T) {
+	build := func(m *Machine) *isa.Program {
+		p := isa.NewProgram()
+		p.Ins = []isa.Instruction{
+			{Moves: []isa.Move{imm(m, 2, "add0.o"), imm(m, 3, "add0.t")}},
+			{}, // encodes no move: still a reported cycle
+			{Moves: []isa.Move{guarded(m, mv(m, "add0.r", "gpr.r0"), false),
+				guarded(m, imm(m, 9, "gpr.r1"), true)}}, // r != 0: second guard fails
+			{Moves: []isa.Move{imm(m, 5, "nc.jmp")}},
+			{Moves: []isa.Move{imm(m, 1, "gpr.r2")}}, // skipped by the jump
+			{Moves: []isa.Move{imm(m, 0, "nc.halt")}},
+		}
+		return p
+	}
+	type cycleRec struct {
+		cycle  int64
+		pc     int
+		events []obs.RecEvent
+	}
+	stepped := func(t *testing.T, compiled bool, budget int64, pauseAfter int64) ([]cycleRec, int64, bool, error, *Machine) {
+		t.Helper()
+		m := newTestMachine(t, 2)
+		if err := m.Load(build(m)); err != nil {
+			t.Fatal(err)
+		}
+		m.AttachRecorder(4) // smaller than the run: per-cycle reads must not need the whole ring
+		run := m.RunStepped
+		if compiled {
+			cm, err := Compile(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run = cm.RunStepped
+		}
+		var recs []cycleRec
+		n, paused, err := run(budget, func(cycle int64, pc int, events []obs.RecEvent) bool {
+			recs = append(recs, cycleRec{cycle, pc, append([]obs.RecEvent(nil), events...)})
+			return pauseAfter < 0 || cycle < pauseAfter
+		})
+		return recs, n, paused, err, m
+	}
+
+	var want []cycleRec
+	for _, compiled := range []bool{false, true} {
+		name := map[bool]string{false: "interpreted", true: "compiled"}[compiled]
+		t.Run(name, func(t *testing.T) {
+			recs, n, paused, err, m := stepped(t, compiled, -1, -1)
+			if err != nil || paused || n != 5 || !m.Halted() {
+				t.Fatalf("stepped run: n=%d paused=%t halted=%t err=%v", n, paused, m.Halted(), err)
+			}
+			var pcs []int
+			var kinds []uint8
+			for i, r := range recs {
+				if r.cycle != int64(i) {
+					t.Errorf("record %d reports cycle %d", i, r.cycle)
+				}
+				pcs = append(pcs, r.pc)
+				for _, e := range r.events {
+					if e.Cycle != r.cycle || int(e.PC) != r.pc {
+						t.Errorf("cycle %d pc %d carries event %+v", r.cycle, r.pc, e)
+					}
+					kinds = append(kinds, e.Kind)
+				}
+			}
+			if !reflect.DeepEqual(pcs, []int{0, 1, 2, 3, 5}) {
+				t.Errorf("executed PCs %v", pcs)
+			}
+			wantKinds := []uint8{obs.EvMove, obs.EvTrigger, obs.EvMove, obs.EvGuardFalse, obs.EvJump, obs.EvHalt}
+			if !reflect.DeepEqual(kinds, wantKinds) {
+				t.Errorf("event kinds %v, want %v", kinds, wantKinds)
+			}
+			if len(recs[1].events) != 0 {
+				t.Errorf("the empty cycle reported events %+v", recs[1].events)
+			}
+			if e := recs[0].events[1]; m.SocketName(isa.SocketID(e.Dst)) != "add0.t" || e.Src != -1 || e.Value != 3 {
+				t.Errorf("trigger event = %+v", e)
+			}
+			if v, _ := m.ReadSocket("gpr.r0"); v != 5 {
+				t.Errorf("r0 = %d, want 5", v)
+			}
+			if want == nil {
+				want = recs
+			} else if !reflect.DeepEqual(recs, want) {
+				t.Errorf("step paths report different cycles:\ncompiled:    %+v\ninterpreted: %+v", recs, want)
+			}
+
+			// The budget is Run's: same count, same error text.
+			_, n, paused, err, m = stepped(t, compiled, 3, -1)
+			if paused || n != 3 || err == nil || err.Error() != "tta: exceeded 3 cycles (pc=3)" {
+				t.Errorf("budget 3: n=%d paused=%t err=%v", n, paused, err)
+			}
+			// Pausing leaves the machine runnable where it stopped.
+			recs, n, paused, err, m = stepped(t, compiled, -1, 1)
+			if !paused || err != nil || n != 2 || len(recs) != 2 || m.PC() != 2 || m.Halted() {
+				t.Errorf("pause after cycle 1: n=%d paused=%t pc=%d err=%v", n, paused, m.PC(), err)
+			}
+		})
+	}
+
+	// Nothing to read, nothing to report: a stepped run without a
+	// recorder is an error, not a silent run.
 	m := newTestMachine(t, 2)
-	var recs []TraceRecord
-	m.Trace = func(r TraceRecord) { recs = append(recs, r) }
-	p := isa.NewProgram()
-	p.Ins = []isa.Instruction{
-		{Moves: []isa.Move{imm(m, 2, "add0.o"), imm(m, 3, "add0.t")}},
-	}
-	if err := m.Load(p); err != nil {
+	if err := m.Load(build(m)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(-1); err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || len(recs[0].Moves) != 2 {
-		t.Fatalf("trace records = %+v", recs)
-	}
-	if recs[0].Moves[1].Dst != "add0.t" || !recs[0].Moves[1].Executed {
-		t.Errorf("trace move = %+v", recs[0].Moves[1])
+	if _, _, err := m.RunStepped(-1, func(int64, int, []obs.RecEvent) bool { return true }); err == nil {
+		t.Error("stepped run without a recorder succeeded")
 	}
 }
 

@@ -23,8 +23,7 @@ import (
 // TestCompiledCountersDifferential attaches obs counters to both step
 // paths on every Table 1 instance over the golden corpus (clean plus
 // fault-mutated traffic) and requires bit-identical counter state,
-// latency histograms and stall attribution — with the compiled side
-// never delegating a cycle to the interpreter.
+// latency histograms and stall attribution.
 func TestCompiledCountersDifferential(t *testing.T) {
 	routes := workload.GenerateRoutes(workload.TableSpec{Entries: 100, Ifaces: 4, Seed: 2003})
 	pkts := goldenCorpus(t, routes, 24)
@@ -63,9 +62,6 @@ func TestCompiledCountersDifferential(t *testing.T) {
 					}
 					if got, want := trC.WatchdogStalls(), trI.WatchdogStalls(); got != want {
 						t.Fatalf("batch %d: watchdog stalls differ: compiled %v, interpreted %v", batch, got, want)
-					}
-					if got := trC.DelegatedCycles(); got != 0 {
-						t.Fatalf("batch %d: compiled path delegated %d cycles with only counters attached", batch, got)
 					}
 					if cC.Cycles == 0 || trC.LatencyHist().Count() == 0 {
 						t.Fatalf("batch %d: no activity recorded (cycles=%d, latencies=%d)",
@@ -148,51 +144,75 @@ func TestResetClearsObservability(t *testing.T) {
 	}
 }
 
-// TestStalledRunTraceLoadable: a run that dies in a watchdog stall must
-// still leave a loadable Chrome trace once the writer is closed — the
-// flush-on-failure contract the CLI error paths rely on.
+// TestStalledRunTraceLoadable: a traced run — stepped, the exporter
+// fed from the recorder after every cycle — that dies in a watchdog
+// stall must still leave a loadable Chrome trace once the writer is
+// closed, on either step path: the flush-on-failure contract the CLI
+// error paths rely on.
 func TestStalledRunTraceLoadable(t *testing.T) {
 	routes := workload.GenerateRoutes(workload.TableSpec{Entries: 100, Ifaces: 4, Seed: 2003})
 	pkts := goldenCorpus(t, routes, 24)
-	tr := buildRouter(t, rtable.Sequential, fu.Config1Bus1FU(rtable.Sequential), routes)
-
-	var buf bytes.Buffer
-	tw := obs.NewTraceWriter(&buf)
-	tr.Machine.Trace = tr.Machine.TraceHook(tw)
-
-	err := obsRun(tr, pkts, 900)
-	var se *router.StallError
-	if !errors.As(err, &se) {
-		t.Fatalf("got %v, want a *StallError", err)
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-			TS   int64  `json:"ts"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace of a stalled run is not valid JSON: %v", err)
-	}
-	var slices int
-	var lastTS int64
-	for _, e := range doc.TraceEvents {
-		if e.Ph == "X" {
-			slices++
-			lastTS = e.TS
+	var traces [2][]byte
+	for i, compiled := range []bool{false, true} {
+		tr := buildRouter(t, rtable.Sequential, fu.Config1Bus1FU(rtable.Sequential), routes)
+		tr.ArmRecorder(0)
+		if compiled {
+			if err := tr.UseCompiled(); err != nil {
+				t.Fatal(err)
+			}
 		}
+		var buf bytes.Buffer
+		tw := obs.NewTraceWriter(&buf)
+		export := tr.Machine.TraceHook(tw)
+
+		delivered := int64(0)
+		for j, p := range pkts {
+			if tr.Deliver(j%4, linecard.Datagram{Data: p.Data, Seq: p.Seq}) {
+				delivered++
+			}
+		}
+		_, err := tr.RunStepped(delivered, 900, func(_ int64, _ int, events []obs.RecEvent) bool {
+			export(events)
+			return true
+		})
+		var se *router.StallError
+		if !errors.As(err, &se) {
+			t.Fatalf("compiled=%t: got %v, want a *StallError", compiled, err)
+		}
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+				Ph   string `json:"ph"`
+				TS   int64  `json:"ts"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatalf("compiled=%t: trace of a stalled run is not valid JSON: %v", compiled, err)
+		}
+		var slices int
+		var lastTS int64
+		for _, e := range doc.TraceEvents {
+			if e.Ph == "X" {
+				slices++
+				lastTS = e.TS
+			}
+		}
+		if slices == 0 {
+			t.Fatalf("compiled=%t: stalled-run trace has no slices", compiled)
+		}
+		// The trace must cover the run right up to the watchdog: the 1-bus
+		// program encodes a move every cycle, so its last slice is the
+		// stall's last executed cycle.
+		if lastTS != se.Cycles-1 {
+			t.Errorf("compiled=%t: trace ends at cycle %d, stall fired after %d", compiled, lastTS, se.Cycles)
+		}
+		traces[i] = buf.Bytes()
 	}
-	if slices == 0 {
-		t.Fatalf("stalled-run trace has no slices")
-	}
-	// The trace must cover the run right up to the watchdog: its last
-	// slice sits within a pipeline depth of the stall cycle.
-	if lastTS < se.Cycles-64 {
-		t.Errorf("trace ends at cycle %d, stall fired at %d", lastTS, se.Cycles)
+	if !bytes.Equal(traces[0], traces[1]) {
+		t.Error("the compiled path's stalled-run trace differs from the interpreter's")
 	}
 }
 

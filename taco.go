@@ -206,16 +206,18 @@ type (
 	// Counters is the fine-grained per-bus/per-FU/per-socket counter
 	// sink; attach with Machine.AttachCounters.
 	Counters = obs.Counters
-	// TraceWriter streams Chrome trace-event JSON; feed it from
-	// Machine.TraceHook and open the file in Perfetto.
+	// TraceWriter streams Chrome trace-event JSON. Machine.TraceHook
+	// turns flight-recorder events into its slices: arm a recorder
+	// (Router.ArmRecorder), drive Router.RunStepped and pass every cycle's
+	// events to the hook, then open the file in Perfetto.
 	TraceWriter = obs.TraceWriter
 )
 
 // NewTraceWriter starts a trace-event document on w.
 var NewTraceWriter = obs.NewTraceWriter
 
-// NewProfile builds a cycle profile over a program's labels; install
-// its Hook as the machine's Trace to collect.
+// NewProfile builds a cycle profile over a program's labels; pass its
+// Hook to RunStepped (recorder armed) to collect.
 var NewProfile = profile.New
 
 // Physical estimation.
