@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo bench bench-e2e bench-compare overhead-guard trace-smoke largetable-identity snapshot vet
+.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo bench bench-e2e bench-compare overhead-guard trace-smoke largetable-identity snapshot vet loc
 
 all: build test
 
@@ -187,3 +187,11 @@ snapshot:
 
 vet:
 	$(GO) vet ./...
+
+# The two figures a simplicity PR quotes before and after: lines of
+# non-test Go outside bench/, in total and per internal package.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | tail -1
+	@for d in internal/*; do \
+		printf '%8d %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
+	done

@@ -330,7 +330,7 @@ func runSweep(ctx context.Context, which string, cons core.Constraints, sim core
 	case "tablesize":
 		sizes := []int{10, 25, 50, 100, 250, 500, 1000}
 		rows := map[rtable.Kind][]dse.Point{}
-		for _, kind := range []rtable.Kind{rtable.Sequential, rtable.BalancedTree, rtable.CAM} {
+		for _, kind := range rtable.PaperKinds {
 			pts, err := dse.Sweep(ctx, dse.TableSizeInstances(fu.Config1Bus1FU(kind), sizes, cons, sim), workers)
 			if err != nil {
 				return err
@@ -352,7 +352,7 @@ func runSweep(ctx context.Context, which string, cons core.Constraints, sim core
 				cyclesCell(rows[rtable.CAM][i]), "-")
 		}
 	case "buses":
-		for _, kind := range []rtable.Kind{rtable.Sequential, rtable.BalancedTree, rtable.CAM} {
+		for _, kind := range rtable.PaperKinds {
 			pts, err := dse.Sweep(ctx, dse.BusInstances(kind, 4, cons, sim), workers)
 			if err != nil {
 				return err
@@ -393,7 +393,7 @@ func runSweep(ctx context.Context, which string, cons core.Constraints, sim core
 				estimate.FormatHz(p.Metrics.RequiredClockHz))
 		}
 	case "replication":
-		for _, kind := range []rtable.Kind{rtable.Sequential, rtable.BalancedTree, rtable.CAM} {
+		for _, kind := range rtable.PaperKinds {
 			pts, err := dse.Sweep(ctx, dse.ReplicationInstances(kind, 3, cons, sim), workers)
 			if err != nil {
 				return err

@@ -140,7 +140,7 @@ func main() {
 			fatal(fmt.Errorf("line card overflow at packet %d", i))
 		}
 	}
-	budget := int64(*packets) * int64(*entries+64) * 64
+	budget := router.WatchdogBudget(*packets, *entries)
 	if _, err := tr.RunStepped(delivered, budget, onCycle); err != nil {
 		var stall *router.StallError
 		if errors.As(err, &stall) {

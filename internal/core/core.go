@@ -218,8 +218,7 @@ func simInputs(cons Constraints, sim SimOptions) ([]rtable.Route, []workload.Pac
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	// Generous budget: the sequential scan costs O(entries) per packet.
-	budget := int64(sim.Packets) * int64(cons.TableEntries+64) * 64
+	budget := router.WatchdogBudget(sim.Packets, cons.TableEntries)
 	if sim.MaxCyclesPerPacket > 0 {
 		budget = int64(sim.Packets) * int64(sim.MaxCyclesPerPacket)
 	}
@@ -336,7 +335,7 @@ func Evaluate(cfg fu.Config, cons Constraints, sim SimOptions) (Metrics, error) 
 // configuration) pair of the paper's Table 1, in the paper's row order.
 func EvaluateAll(cons Constraints, sim SimOptions) ([]Metrics, error) {
 	var out []Metrics
-	for _, kind := range []rtable.Kind{rtable.Sequential, rtable.BalancedTree, rtable.CAM} {
+	for _, kind := range rtable.PaperKinds {
 		for _, cfg := range fu.PaperConfigs(kind) {
 			m, err := Evaluate(cfg, cons, sim)
 			if err != nil {

@@ -271,7 +271,7 @@ func Sweep(ctx context.Context, insts []Instance, workers int) ([]Point, error) 
 // Table1Instances lists the paper's nine Table 1 cells in row order.
 func Table1Instances(cons core.Constraints, sim core.SimOptions) []Instance {
 	var insts []Instance
-	for _, kind := range []rtable.Kind{rtable.Sequential, rtable.BalancedTree, rtable.CAM} {
+	for _, kind := range rtable.PaperKinds {
 		for _, cfg := range fu.PaperConfigs(kind) {
 			insts = append(insts, Instance{
 				Label: fmt.Sprintf("%v/%s", kind, cfg.Name),
@@ -409,7 +409,7 @@ func ReplicationInstances(kind rtable.Kind, maxRepl int, cons core.Constraints, 
 // for wall-clock time.
 func ExploreCtx(ctx context.Context, cons core.Constraints, sim core.SimOptions, maxBuses, maxRepl, workers int) (*ExploreResult, error) {
 	var insts []Instance
-	for _, kind := range []rtable.Kind{rtable.Sequential, rtable.BalancedTree, rtable.CAM} {
+	for _, kind := range rtable.PaperKinds {
 		for _, repl := range replRange(maxRepl) {
 			for b := 1; b <= maxBuses; b++ {
 				cfg := fu.Config1Bus1FU(kind)
@@ -433,7 +433,7 @@ func ExploreCtx(ctx context.Context, cons core.Constraints, sim core.SimOptions,
 	// have run them.
 	res := &ExploreResult{}
 	i := 0
-	for range []rtable.Kind{rtable.Sequential, rtable.BalancedTree, rtable.CAM} {
+	for range rtable.PaperKinds {
 		kindSatisfied := false
 		for range replRange(maxRepl) {
 			for b := 1; b <= maxBuses; b++ {

@@ -219,7 +219,7 @@ func RunSoak(o SoakOptions) (SoakReport, error) {
 
 		budget := o.MaxCycles
 		if budget <= 0 {
-			budget = int64(o.Packets) * int64(o.Entries+64) * 64
+			budget = router.WatchdogBudget(o.Packets, o.Entries)
 		}
 
 		want := make(map[int64]fate, len(pkts))

@@ -1,24 +1,21 @@
 package fu
 
-import (
-	"taco/internal/tta"
-)
-
 // GPR is the general-purpose register file shown as "Registers" in
 // Figure 2. Every register is a Register-kind socket: readable and
 // writable, with writes visible the next cycle.
 type GPR struct {
-	name  string
-	specs []tta.SocketSpec
-	regs  []latch
+	ports
+	regs []latch
 }
 
 // NewGPR returns a register file with n registers named r0..r{n-1}.
 func NewGPR(name string, n int) *GPR {
-	g := &GPR{name: name, regs: make([]latch, n)}
-	for i := 0; i < n; i++ {
-		g.specs = append(g.specs, tta.SocketSpec{Name: regName(i), Kind: tta.Register})
+	g := &GPR{regs: make([]latch, n)}
+	socks := make([]port, n)
+	for i := range socks {
+		socks[i] = register(regName(i), &g.regs[i])
 	}
+	g.declare(name, socks)
 	return g
 }
 
@@ -30,12 +27,6 @@ func regName(i int) string {
 	return "r" + digits[i/10:i/10+1] + digits[i%10:i%10+1]
 }
 
-func (g *GPR) Name() string              { return g.name }
-func (g *GPR) Sockets() []tta.SocketSpec { return g.specs }
-func (g *GPR) Signals() []string         { return nil }
-func (g *GPR) Read(local int) uint32     { return g.regs[local].cur }
-func (g *GPR) Write(local int, v uint32) { g.regs[local].write(v) }
-func (g *GPR) Signal(local int) bool     { return false }
 func (g *GPR) Clock() error {
 	for i := range g.regs {
 		g.regs[i].clock()
@@ -54,12 +45,6 @@ func (g *GPR) Settled() bool { return true }
 
 // SettledAlways marks the constant answer (tta.ConstSettler).
 func (g *GPR) SettledAlways() {}
-
-// ReadSlot exposes a register's current value (tta.SlotReader).
-func (g *GPR) ReadSlot(local int) *uint32 { return &g.regs[local].cur }
-
-// WriteSlot exposes a register's input latch (tta.SlotWriter).
-func (g *GPR) WriteSlot(local int) (*uint32, *bool) { return g.regs[local].slot() }
 
 // Counter performs arithmetic (increment, decrement, addition,
 // subtraction) and counting from a start value toward a stop value,
@@ -81,7 +66,7 @@ func (g *GPR) WriteSlot(local int) (*uint32, *bool) { return g.regs[local].slot(
 //
 // Signals: "done" (r == stop), "zero" (r == 0).
 type Counter struct {
-	name string
+	ports
 	o    latch
 	stop latch
 	r    uint32
@@ -94,63 +79,17 @@ type Counter struct {
 }
 
 // NewCounter returns a counter unit.
-func NewCounter(name string) *Counter { return &Counter{name: name, zero: true, done: true} }
+func NewCounter(name string) *Counter {
+	c := &Counter{zero: true, done: true}
+	c.declare(name, []port{
+		operand("o", &c.o), operand("stop", &c.stop),
+		trig("tadd", &c.tadd), trig("tsub", &c.tsub), trig("tinc", &c.tinc),
+		trig("tdec", &c.tdec), trig("tld", &c.tld), trig("tcnt", &c.tcnt),
+		result("r", &c.r),
+	}, flag("done", &c.done), flag("zero", &c.zero))
+	return c
+}
 
-const (
-	cntO = iota
-	cntStop
-	cntTAdd
-	cntTSub
-	cntTInc
-	cntTDec
-	cntTLd
-	cntTCnt
-	cntR
-)
-
-func (c *Counter) Name() string { return c.name }
-func (c *Counter) Sockets() []tta.SocketSpec {
-	return []tta.SocketSpec{
-		{Name: "o", Kind: tta.Operand},
-		{Name: "stop", Kind: tta.Operand},
-		{Name: "tadd", Kind: tta.Trigger},
-		{Name: "tsub", Kind: tta.Trigger},
-		{Name: "tinc", Kind: tta.Trigger},
-		{Name: "tdec", Kind: tta.Trigger},
-		{Name: "tld", Kind: tta.Trigger},
-		{Name: "tcnt", Kind: tta.Trigger},
-		{Name: "r", Kind: tta.Result},
-	}
-}
-func (c *Counter) Signals() []string { return []string{"done", "zero"} }
-func (c *Counter) Read(local int) uint32 {
-	if local != cntR {
-		panic("fu: counter read of non-result socket")
-	}
-	return c.r
-}
-func (c *Counter) Write(local int, v uint32) {
-	switch local {
-	case cntO:
-		c.o.write(v)
-	case cntStop:
-		c.stop.write(v)
-	case cntTAdd:
-		c.tadd.write(v)
-	case cntTSub:
-		c.tsub.write(v)
-	case cntTInc:
-		c.tinc.write(v)
-	case cntTDec:
-		c.tdec.write(v)
-	case cntTLd:
-		c.tld.write(v)
-	case cntTCnt:
-		c.tcnt.write(v)
-	default:
-		panic("fu: counter write to result socket")
-	}
-}
 func (c *Counter) Clock() error {
 	c.o.clock()
 	c.stop.clock()
@@ -189,57 +128,12 @@ func (c *Counter) Clock() error {
 	c.zero = c.r == 0
 	return nil
 }
-func (c *Counter) Signal(local int) bool {
-	if local == 0 {
-		return c.done
-	}
-	return c.zero
-}
-func (c *Counter) Reset() { *c = *NewCounter(c.name) }
+func (c *Counter) Reset() { *c = Counter{ports: c.ports, zero: true, done: true} }
 
 // Settled is false while the unit counts autonomously toward its stop
 // value (tcnt); otherwise its Clock only services socket writes
 // (tta.Settler).
 func (c *Counter) Settled() bool { return !c.counting }
-
-// ReadSlot exposes the result register (tta.SlotReader).
-func (c *Counter) ReadSlot(local int) *uint32 {
-	if local == cntR {
-		return &c.r
-	}
-	return nil
-}
-
-// WriteSlot exposes the input latches and triggers (tta.SlotWriter).
-func (c *Counter) WriteSlot(local int) (*uint32, *bool) {
-	switch local {
-	case cntO:
-		return c.o.slot()
-	case cntStop:
-		return c.stop.slot()
-	case cntTAdd:
-		return c.tadd.slot()
-	case cntTSub:
-		return c.tsub.slot()
-	case cntTInc:
-		return c.tinc.slot()
-	case cntTDec:
-		return c.tdec.slot()
-	case cntTLd:
-		return c.tld.slot()
-	case cntTCnt:
-		return c.tcnt.slot()
-	}
-	return nil, nil
-}
-
-// SignalSlot exposes the done/zero flags (tta.SlotSignal).
-func (c *Counter) SignalSlot(local int) *bool {
-	if local == 0 {
-		return &c.done
-	}
-	return &c.zero
-}
 
 // Comparator compares a triggered operand against a reference value and
 // signals the outcome to the network controller (paper §3).
@@ -248,7 +142,7 @@ func (c *Counter) SignalSlot(local int) *bool {
 // data == reference). Signals: "eq", "lt" (data < ref), "gt" (data > ref);
 // comparisons are unsigned.
 type Comparator struct {
-	name       string
+	ports
 	o          latch
 	t          trigger
 	r          uint32
@@ -256,33 +150,13 @@ type Comparator struct {
 }
 
 // NewComparator returns a comparator unit.
-func NewComparator(name string) *Comparator { return &Comparator{name: name} }
+func NewComparator(name string) *Comparator {
+	c := &Comparator{}
+	c.declare(name, []port{operand("o", &c.o), trig("t", &c.t), result("r", &c.r)},
+		flag("eq", &c.eq), flag("lt", &c.lt), flag("gt", &c.gt))
+	return c
+}
 
-func (c *Comparator) Name() string { return c.name }
-func (c *Comparator) Sockets() []tta.SocketSpec {
-	return []tta.SocketSpec{
-		{Name: "o", Kind: tta.Operand},
-		{Name: "t", Kind: tta.Trigger},
-		{Name: "r", Kind: tta.Result},
-	}
-}
-func (c *Comparator) Signals() []string { return []string{"eq", "lt", "gt"} }
-func (c *Comparator) Read(local int) uint32 {
-	if local != 2 {
-		panic("fu: comparator read of non-result socket")
-	}
-	return c.r
-}
-func (c *Comparator) Write(local int, v uint32) {
-	switch local {
-	case 0:
-		c.o.write(v)
-	case 1:
-		c.t.write(v)
-	default:
-		panic("fu: comparator write to result socket")
-	}
-}
 func (c *Comparator) Clock() error {
 	c.o.clock()
 	if v, ok := c.t.take(); ok {
@@ -296,16 +170,7 @@ func (c *Comparator) Clock() error {
 	}
 	return nil
 }
-func (c *Comparator) Signal(local int) bool {
-	switch local {
-	case 0:
-		return c.eq
-	case 1:
-		return c.lt
-	}
-	return c.gt
-}
-func (c *Comparator) Reset() { *c = Comparator{name: c.name} }
+func (c *Comparator) Reset() { *c = Comparator{ports: c.ports} }
 
 // Settled reports that the comparator is purely write-driven
 // (tta.Settler).
@@ -313,36 +178,6 @@ func (c *Comparator) Settled() bool { return true }
 
 // SettledAlways marks the constant answer (tta.ConstSettler).
 func (c *Comparator) SettledAlways() {}
-
-// ReadSlot exposes the result register (tta.SlotReader).
-func (c *Comparator) ReadSlot(local int) *uint32 {
-	if local == 2 {
-		return &c.r
-	}
-	return nil
-}
-
-// WriteSlot exposes the input latch and trigger (tta.SlotWriter).
-func (c *Comparator) WriteSlot(local int) (*uint32, *bool) {
-	switch local {
-	case 0:
-		return c.o.slot()
-	case 1:
-		return c.t.slot()
-	}
-	return nil, nil
-}
-
-// SignalSlot exposes the eq/lt/gt flags (tta.SlotSignal).
-func (c *Comparator) SignalSlot(local int) *bool {
-	switch local {
-	case 0:
-		return &c.eq
-	case 1:
-		return &c.lt
-	}
-	return &c.gt
-}
 
 // Matcher processes only the parts of its input selected by a mask and
 // reports the match over a result line wired directly to the network
@@ -356,7 +191,7 @@ func (c *Comparator) SignalSlot(local int) *bool {
 // match), tand (trigger, data, cumulative match), r (result: 1/0).
 // Signal: "match".
 type Matcher struct {
-	name  string
+	ports
 	mask  latch
 	ref   latch
 	t     trigger
@@ -366,39 +201,16 @@ type Matcher struct {
 }
 
 // NewMatcher returns a matcher unit.
-func NewMatcher(name string) *Matcher { return &Matcher{name: name} }
+func NewMatcher(name string) *Matcher {
+	m := &Matcher{}
+	m.declare(name, []port{
+		operand("mask", &m.mask), operand("ref", &m.ref),
+		trig("t", &m.t), trig("tand", &m.tand),
+		result("r", &m.r),
+	}, flag("match", &m.match))
+	return m
+}
 
-func (m *Matcher) Name() string { return m.name }
-func (m *Matcher) Sockets() []tta.SocketSpec {
-	return []tta.SocketSpec{
-		{Name: "mask", Kind: tta.Operand},
-		{Name: "ref", Kind: tta.Operand},
-		{Name: "t", Kind: tta.Trigger},
-		{Name: "tand", Kind: tta.Trigger},
-		{Name: "r", Kind: tta.Result},
-	}
-}
-func (m *Matcher) Signals() []string { return []string{"match"} }
-func (m *Matcher) Read(local int) uint32 {
-	if local != 4 {
-		panic("fu: matcher read of non-result socket")
-	}
-	return m.r
-}
-func (m *Matcher) Write(local int, v uint32) {
-	switch local {
-	case 0:
-		m.mask.write(v)
-	case 1:
-		m.ref.write(v)
-	case 2:
-		m.t.write(v)
-	case 3:
-		m.tand.write(v)
-	default:
-		panic("fu: matcher write to result socket")
-	}
-}
 func (m *Matcher) Clock() error {
 	m.mask.clock()
 	m.ref.clock()
@@ -415,8 +227,7 @@ func (m *Matcher) Clock() error {
 	}
 	return nil
 }
-func (m *Matcher) Signal(local int) bool { return m.match }
-func (m *Matcher) Reset()                { *m = Matcher{name: m.name} }
+func (m *Matcher) Reset() { *m = Matcher{ports: m.ports} }
 
 // Settled reports that the matcher is purely write-driven (its r
 // register is recomputed from the unchanged match flag) (tta.Settler).
@@ -425,38 +236,12 @@ func (m *Matcher) Settled() bool { return true }
 // SettledAlways marks the constant answer (tta.ConstSettler).
 func (m *Matcher) SettledAlways() {}
 
-// ReadSlot exposes the result register (tta.SlotReader).
-func (m *Matcher) ReadSlot(local int) *uint32 {
-	if local == 4 {
-		return &m.r
-	}
-	return nil
-}
-
-// WriteSlot exposes the input latches and triggers (tta.SlotWriter).
-func (m *Matcher) WriteSlot(local int) (*uint32, *bool) {
-	switch local {
-	case 0:
-		return m.mask.slot()
-	case 1:
-		return m.ref.slot()
-	case 2:
-		return m.t.slot()
-	case 3:
-		return m.tand.slot()
-	}
-	return nil, nil
-}
-
-// SignalSlot exposes the match flag (tta.SlotSignal).
-func (m *Matcher) SignalSlot(local int) *bool { return &m.match }
-
 // Masker sets the bits of a register according to a given mask and a
 // given value (paper §3): r = (data &^ mask) | (value & mask).
 //
 // Sockets: mask (operand), val (operand), t (trigger, data), r (result).
 type Masker struct {
-	name string
+	ports
 	mask latch
 	val  latch
 	t    trigger
@@ -464,36 +249,14 @@ type Masker struct {
 }
 
 // NewMasker returns a masker unit.
-func NewMasker(name string) *Masker { return &Masker{name: name} }
+func NewMasker(name string) *Masker {
+	m := &Masker{}
+	m.declare(name, []port{
+		operand("mask", &m.mask), operand("val", &m.val), trig("t", &m.t), result("r", &m.r),
+	})
+	return m
+}
 
-func (m *Masker) Name() string { return m.name }
-func (m *Masker) Sockets() []tta.SocketSpec {
-	return []tta.SocketSpec{
-		{Name: "mask", Kind: tta.Operand},
-		{Name: "val", Kind: tta.Operand},
-		{Name: "t", Kind: tta.Trigger},
-		{Name: "r", Kind: tta.Result},
-	}
-}
-func (m *Masker) Signals() []string { return nil }
-func (m *Masker) Read(local int) uint32 {
-	if local != 3 {
-		panic("fu: masker read of non-result socket")
-	}
-	return m.r
-}
-func (m *Masker) Write(local int, v uint32) {
-	switch local {
-	case 0:
-		m.mask.write(v)
-	case 1:
-		m.val.write(v)
-	case 2:
-		m.t.write(v)
-	default:
-		panic("fu: masker write to result socket")
-	}
-}
 func (m *Masker) Clock() error {
 	m.mask.clock()
 	m.val.clock()
@@ -502,35 +265,13 @@ func (m *Masker) Clock() error {
 	}
 	return nil
 }
-func (m *Masker) Signal(local int) bool { return false }
-func (m *Masker) Reset()                { *m = Masker{name: m.name} }
+func (m *Masker) Reset() { *m = Masker{ports: m.ports} }
 
 // Settled reports that the masker is purely write-driven (tta.Settler).
 func (m *Masker) Settled() bool { return true }
 
 // SettledAlways marks the constant answer (tta.ConstSettler).
 func (m *Masker) SettledAlways() {}
-
-// ReadSlot exposes the result register (tta.SlotReader).
-func (m *Masker) ReadSlot(local int) *uint32 {
-	if local == 3 {
-		return &m.r
-	}
-	return nil
-}
-
-// WriteSlot exposes the input latches and trigger (tta.SlotWriter).
-func (m *Masker) WriteSlot(local int) (*uint32, *bool) {
-	switch local {
-	case 0:
-		return m.mask.slot()
-	case 1:
-		return m.val.slot()
-	case 2:
-		return m.t.slot()
-	}
-	return nil, nil
-}
 
 // Shifter performs logical shifts; per the paper it also serves as an
 // arithmetical multiplier by two.
@@ -539,7 +280,7 @@ func (m *Masker) WriteSlot(local int) (*uint32, *bool) {
 // tr (trigger: r = data >> amt), tmul2 (trigger: r = data << 1),
 // r (result). Signal: "zero" (r == 0).
 type Shifter struct {
-	name          string
+	ports
 	amt           latch
 	tl, tr, tmul2 trigger
 	r             uint32
@@ -547,39 +288,16 @@ type Shifter struct {
 }
 
 // NewShifter returns a shifter unit.
-func NewShifter(name string) *Shifter { return &Shifter{name: name, zero: true} }
+func NewShifter(name string) *Shifter {
+	s := &Shifter{zero: true}
+	s.declare(name, []port{
+		operand("amt", &s.amt),
+		trig("tl", &s.tl), trig("tr", &s.tr), trig("tmul2", &s.tmul2),
+		result("r", &s.r),
+	}, flag("zero", &s.zero))
+	return s
+}
 
-func (s *Shifter) Name() string { return s.name }
-func (s *Shifter) Sockets() []tta.SocketSpec {
-	return []tta.SocketSpec{
-		{Name: "amt", Kind: tta.Operand},
-		{Name: "tl", Kind: tta.Trigger},
-		{Name: "tr", Kind: tta.Trigger},
-		{Name: "tmul2", Kind: tta.Trigger},
-		{Name: "r", Kind: tta.Result},
-	}
-}
-func (s *Shifter) Signals() []string { return []string{"zero"} }
-func (s *Shifter) Read(local int) uint32 {
-	if local != 4 {
-		panic("fu: shifter read of non-result socket")
-	}
-	return s.r
-}
-func (s *Shifter) Write(local int, v uint32) {
-	switch local {
-	case 0:
-		s.amt.write(v)
-	case 1:
-		s.tl.write(v)
-	case 2:
-		s.tr.write(v)
-	case 3:
-		s.tmul2.write(v)
-	default:
-		panic("fu: shifter write to result socket")
-	}
-}
 func (s *Shifter) Clock() error {
 	s.amt.clock()
 	n := s.amt.cur & 31
@@ -598,40 +316,13 @@ func (s *Shifter) Clock() error {
 	}
 	return nil
 }
-func (s *Shifter) Signal(local int) bool { return s.zero }
-func (s *Shifter) Reset()                { *s = *NewShifter(s.name) }
+func (s *Shifter) Reset() { *s = Shifter{ports: s.ports, zero: true} }
 
 // Settled reports that the shifter is purely write-driven (tta.Settler).
 func (s *Shifter) Settled() bool { return true }
 
 // SettledAlways marks the constant answer (tta.ConstSettler).
 func (s *Shifter) SettledAlways() {}
-
-// ReadSlot exposes the result register (tta.SlotReader).
-func (s *Shifter) ReadSlot(local int) *uint32 {
-	if local == 4 {
-		return &s.r
-	}
-	return nil
-}
-
-// WriteSlot exposes the input latch and triggers (tta.SlotWriter).
-func (s *Shifter) WriteSlot(local int) (*uint32, *bool) {
-	switch local {
-	case 0:
-		return s.amt.slot()
-	case 1:
-		return s.tl.slot()
-	case 2:
-		return s.tr.slot()
-	case 3:
-		return s.tmul2.slot()
-	}
-	return nil, nil
-}
-
-// SignalSlot exposes the zero flag (tta.SlotSignal).
-func (s *Shifter) SignalSlot(local int) *bool { return &s.zero }
 
 // Checksum accumulates the Internet one's-complement sum used by the
 // UDP/ICMPv6 checksums that RIPng traffic requires.
@@ -641,45 +332,26 @@ func (s *Shifter) SignalSlot(local int) *bool { return &s.zero }
 // folded 16-bit one's-complement sum). Signal: "valid" (r == 0xffff —
 // a verifying sum over data including its checksum field).
 type Checksum struct {
-	name       string
+	ports
 	tclr, tadd trigger
 	acc        uint32
 }
 
-// NewChecksum returns a checksum unit.
-func NewChecksum(name string) *Checksum { return &Checksum{name: name} }
+// NewChecksum returns a checksum unit. The result socket and the valid
+// signal fold the accumulator on demand, so neither has a slot.
+func NewChecksum(name string) *Checksum {
+	c := &Checksum{}
+	c.declare(name, []port{trig("tclr", &c.tclr), trig("tadd", &c.tadd), computed("r", c.folded)},
+		computedFlag("valid", func() bool { return c.folded() == 0xffff }))
+	return c
+}
 
-func (c *Checksum) Name() string { return c.name }
-func (c *Checksum) Sockets() []tta.SocketSpec {
-	return []tta.SocketSpec{
-		{Name: "tclr", Kind: tta.Trigger},
-		{Name: "tadd", Kind: tta.Trigger},
-		{Name: "r", Kind: tta.Result},
-	}
-}
-func (c *Checksum) Signals() []string { return []string{"valid"} }
-func (c *Checksum) Read(local int) uint32 {
-	if local != 2 {
-		panic("fu: checksum read of non-result socket")
-	}
-	return c.folded()
-}
 func (c *Checksum) folded() uint32 {
 	s := c.acc
 	for s>>16 != 0 {
 		s = s&0xffff + s>>16
 	}
 	return s
-}
-func (c *Checksum) Write(local int, v uint32) {
-	switch local {
-	case 0:
-		c.tclr.write(v)
-	case 1:
-		c.tadd.write(v)
-	default:
-		panic("fu: checksum write to result socket")
-	}
 }
 func (c *Checksum) Clock() error {
 	if _, ok := c.tclr.take(); ok {
@@ -690,8 +362,7 @@ func (c *Checksum) Clock() error {
 	}
 	return nil
 }
-func (c *Checksum) Signal(local int) bool { return c.folded() == 0xffff }
-func (c *Checksum) Reset()                { *c = Checksum{name: c.name} }
+func (c *Checksum) Reset() { *c = Checksum{ports: c.ports} }
 
 // Settled reports that the checksum unit is purely write-driven
 // (tta.Settler).
@@ -699,16 +370,3 @@ func (c *Checksum) Settled() bool { return true }
 
 // SettledAlways marks the constant answer (tta.ConstSettler).
 func (c *Checksum) SettledAlways() {}
-
-// WriteSlot exposes the triggers (tta.SlotWriter). The result socket and
-// the valid signal are computed by folding the accumulator on demand, so
-// the unit deliberately exposes no read or signal slots.
-func (c *Checksum) WriteSlot(local int) (*uint32, *bool) {
-	switch local {
-	case 0:
-		return c.tclr.slot()
-	case 1:
-		return c.tadd.slot()
-	}
-	return nil, nil
-}

@@ -15,15 +15,14 @@ import (
 	"taco/internal/tta"
 )
 
-// latch is a socket register with next-cycle visibility: writes made
-// during a cycle become readable after clock().
+// latch is a socket register with next-cycle visibility: a write stores
+// the (pend, dirty) pair — through the unit's port table — and becomes
+// readable after clock().
 type latch struct {
 	cur   uint32
 	pend  uint32
 	dirty bool
 }
-
-func (l *latch) write(v uint32) { l.pend, l.dirty = v, true }
 
 func (l *latch) clock() {
 	if l.dirty {
@@ -33,17 +32,12 @@ func (l *latch) clock() {
 
 func (l *latch) reset() { *l = latch{} }
 
-// slot exposes the latch's (value, armed) pair for the compiled fast
-// path (tta.SlotWriter): a store to both is exactly write().
-func (l *latch) slot() (*uint32, *bool) { return &l.pend, &l.dirty }
-
-// trigger records a trigger-socket write for consumption by Clock.
+// trigger records a trigger-socket write — a store to the (val, fired)
+// pair — for consumption by Clock.
 type trigger struct {
 	val   uint32
 	fired bool
 }
-
-func (t *trigger) write(v uint32) { t.val, t.fired = v, true }
 
 // take consumes the trigger, returning whether it fired this cycle.
 func (t *trigger) take() (uint32, bool) {
@@ -53,10 +47,6 @@ func (t *trigger) take() (uint32, bool) {
 }
 
 func (t *trigger) reset() { *t = trigger{} }
-
-// slot exposes the trigger's (value, armed) pair for the compiled fast
-// path (tta.SlotWriter): a store to both is exactly write().
-func (t *trigger) slot() (*uint32, *bool) { return &t.val, &t.fired }
 
 // Config describes one TACO architecture instance: the interconnection
 // network width and the number of functional units of each type. This is

@@ -5,7 +5,6 @@ import (
 
 	"taco/internal/bits"
 	"taco/internal/linecard"
-	"taco/internal/tta"
 )
 
 // LIU is the local info unit of Figure 2: it knows the router's own
@@ -17,7 +16,7 @@ import (
 // word), mine (result: 1/0), nifc (result: interface count).
 // Signal: "mine".
 type LIU struct {
-	name  string
+	ports
 	local []bits.Word128
 	nifc  uint32
 
@@ -27,8 +26,18 @@ type LIU struct {
 }
 
 // NewLIU returns an empty local-info unit; configure it with SetLocal
-// and SetIfaceCount.
-func NewLIU(name string) *LIU { return &LIU{name: name} }
+// and SetIfaceCount. The mine result is the mine flag read as a word, on
+// demand.
+func NewLIU(name string) *LIU {
+	u := &LIU{}
+	u.declare(name, []port{
+		operand("a0", &u.a[0]), operand("a1", &u.a[1]), operand("a2", &u.a[2]),
+		trig("tchk", &u.tchk),
+		computed("mine", func() uint32 { return boolWord(u.mine) }),
+		result("nifc", &u.nifc),
+	}, flag("mine", &u.mine))
+	return u
+}
 
 // SetLocal installs the addresses considered "local" (unicast addresses
 // and joined multicast groups).
@@ -39,49 +48,6 @@ func (u *LIU) SetLocal(addrs []bits.Word128) {
 // SetIfaceCount installs the router's interface count.
 func (u *LIU) SetIfaceCount(n int) { u.nifc = uint32(n) }
 
-const (
-	liuA0 = iota
-	liuA1
-	liuA2
-	liuTChk
-	liuMine
-	liuNIfc
-)
-
-func (u *LIU) Name() string { return u.name }
-func (u *LIU) Sockets() []tta.SocketSpec {
-	return []tta.SocketSpec{
-		{Name: "a0", Kind: tta.Operand},
-		{Name: "a1", Kind: tta.Operand},
-		{Name: "a2", Kind: tta.Operand},
-		{Name: "tchk", Kind: tta.Trigger},
-		{Name: "mine", Kind: tta.Result},
-		{Name: "nifc", Kind: tta.Result},
-	}
-}
-func (u *LIU) Signals() []string { return []string{"mine"} }
-func (u *LIU) Read(local int) uint32 {
-	switch local {
-	case liuMine:
-		if u.mine {
-			return 1
-		}
-		return 0
-	case liuNIfc:
-		return u.nifc
-	}
-	panic("fu: liu read of non-result socket")
-}
-func (u *LIU) Write(local int, v uint32) {
-	switch local {
-	case liuA0, liuA1, liuA2:
-		u.a[local].write(v)
-	case liuTChk:
-		u.tchk.write(v)
-	default:
-		panic("fu: liu write to result socket")
-	}
-}
 func (u *LIU) Clock() error {
 	for i := range u.a {
 		u.a[i].clock()
@@ -98,7 +64,6 @@ func (u *LIU) Clock() error {
 	}
 	return nil
 }
-func (u *LIU) Signal(local int) bool { return u.mine }
 
 // Settled reports that the local-info unit is purely write-driven
 // (tta.Settler). The IPPU and OPPU deliberately do NOT implement
@@ -110,29 +75,6 @@ func (u *LIU) Settled() bool { return true }
 
 // SettledAlways marks the constant answer (tta.ConstSettler).
 func (u *LIU) SettledAlways() {}
-
-// ReadSlot exposes the interface-count register; the mine result is
-// computed from the flag on demand (tta.SlotReader).
-func (u *LIU) ReadSlot(local int) *uint32 {
-	if local == liuNIfc {
-		return &u.nifc
-	}
-	return nil
-}
-
-// WriteSlot exposes the address latches and trigger (tta.SlotWriter).
-func (u *LIU) WriteSlot(local int) (*uint32, *bool) {
-	switch local {
-	case liuA0, liuA1, liuA2:
-		return u.a[local].slot()
-	case liuTChk:
-		return u.tchk.slot()
-	}
-	return nil, nil
-}
-
-// SignalSlot exposes the mine flag (tta.SlotSignal).
-func (u *LIU) SignalSlot(local int) *bool { return &u.mine }
 
 func (u *LIU) Reset() {
 	for i := range u.a {
@@ -167,7 +109,7 @@ type ippuEntry struct {
 // Sockets: tpop (trigger: pop the head entry), ptr/ifc/len (results for
 // the popped entry). Signal: "pending".
 type IPPU struct {
-	name string
+	ports
 	bank *linecard.Bank
 	mmu  *MMU
 
@@ -203,49 +145,20 @@ type IPPU struct {
 // the words below it are scratch space for the forwarding program.
 const DatagramBase = 256
 
-// NewIPPU returns a preprocessing unit DMAing from bank into mmu.
+// NewIPPU returns a preprocessing unit DMAing from bank into mmu. The
+// pending signal is the queue depth tested on demand, so it has no slot.
 func NewIPPU(name string, bank *linecard.Bank, mmu *MMU) *IPPU {
-	return &IPPU{
-		name: name, bank: bank, mmu: mmu,
+	u := &IPPU{
+		bank: bank, mmu: mmu,
 		base: DatagramBase, alloc: DatagramBase,
 		seqs:     make(map[uint32]int64),
 		storedAt: make(map[uint32]int64),
 	}
-}
-
-const (
-	ippuTPop = iota
-	ippuPtr
-	ippuIfc
-	ippuLen
-)
-
-func (u *IPPU) Name() string { return u.name }
-func (u *IPPU) Sockets() []tta.SocketSpec {
-	return []tta.SocketSpec{
-		{Name: "tpop", Kind: tta.Trigger},
-		{Name: "ptr", Kind: tta.Result},
-		{Name: "ifc", Kind: tta.Result},
-		{Name: "len", Kind: tta.Result},
-	}
-}
-func (u *IPPU) Signals() []string { return []string{"pending"} }
-func (u *IPPU) Read(local int) uint32 {
-	switch local {
-	case ippuPtr:
-		return u.rptr
-	case ippuIfc:
-		return u.rifc
-	case ippuLen:
-		return u.rln
-	}
-	panic("fu: ippu read of non-result socket")
-}
-func (u *IPPU) Write(local int, v uint32) {
-	if local != ippuTPop {
-		panic("fu: ippu write to non-trigger socket")
-	}
-	u.tpop.write(v)
+	u.declare(name, []port{
+		trig("tpop", &u.tpop),
+		result("ptr", &u.rptr), result("ifc", &u.rifc), result("len", &u.rln),
+	}, computedFlag("pending", func() bool { return u.QueueLen() > 0 }))
+	return u
 }
 
 // MaxInflight bounds the descriptor queue so DMA cannot indefinitely
@@ -356,8 +269,6 @@ func (u *IPPU) reserve(words int) (int, bool) {
 	return 0, false
 }
 
-func (u *IPPU) Signal(local int) bool { return u.QueueLen() > 0 }
-
 // Reset returns the unit to its power-on state. Scratch capacity — the
 // descriptor queue's backing array and the bookkeeping maps' buckets —
 // is retained, so a reset-per-batch simulation loop does not reallocate.
@@ -375,29 +286,6 @@ func (u *IPPU) Reset() {
 
 // HazardClass marks the preprocessing unit as a data-memory client.
 func (u *IPPU) HazardClass() string { return "dmem" }
-
-// ReadSlot exposes the popped-entry registers (tta.SlotReader). The
-// pending signal is computed from the queue depth, so the unit exposes
-// no signal slot.
-func (u *IPPU) ReadSlot(local int) *uint32 {
-	switch local {
-	case ippuPtr:
-		return &u.rptr
-	case ippuIfc:
-		return &u.rifc
-	case ippuLen:
-		return &u.rln
-	}
-	return nil
-}
-
-// WriteSlot exposes the pop trigger (tta.SlotWriter).
-func (u *IPPU) WriteSlot(local int) (*uint32, *bool) {
-	if local == ippuTPop {
-		return u.tpop.slot()
-	}
-	return nil, nil
-}
 
 // ClockIdle reports that a Clock would only advance the cycle counter:
 // no pop is pending and DMA has nothing to do — either the descriptor
@@ -453,7 +341,7 @@ func (u *IPPU) QueueLen() int { return len(u.queue) - u.qhead }
 // interface). Signal: "err" — the last send failed (bad interface or
 // full output buffer).
 type OPPU struct {
-	name string
+	ports
 	bank *linecard.Bank
 	mmu  *MMU
 
@@ -479,37 +367,13 @@ type OPPU struct {
 
 // NewOPPU returns a postprocessing unit writing from mmu into bank.
 func NewOPPU(name string, bank *linecard.Bank, mmu *MMU) *OPPU {
-	return &OPPU{name: name, bank: bank, mmu: mmu}
+	u := &OPPU{bank: bank, mmu: mmu}
+	u.declare(name, []port{
+		operand("ptr", &u.optr), operand("len", &u.olen), trig("tsend", &u.tsend),
+	}, flag("err", &u.errFlag))
+	return u
 }
 
-const (
-	oppuPtr = iota
-	oppuLen
-	oppuTSend
-)
-
-func (u *OPPU) Name() string { return u.name }
-func (u *OPPU) Sockets() []tta.SocketSpec {
-	return []tta.SocketSpec{
-		{Name: "ptr", Kind: tta.Operand},
-		{Name: "len", Kind: tta.Operand},
-		{Name: "tsend", Kind: tta.Trigger},
-	}
-}
-func (u *OPPU) Signals() []string     { return []string{"err"} }
-func (u *OPPU) Read(local int) uint32 { panic("fu: oppu has no readable sockets") }
-func (u *OPPU) Write(local int, v uint32) {
-	switch local {
-	case oppuPtr:
-		u.optr.write(v)
-	case oppuLen:
-		u.olen.write(v)
-	case oppuTSend:
-		u.tsend.write(v)
-	default:
-		panic("fu: oppu write out of range")
-	}
-}
 func (u *OPPU) Clock() error {
 	u.now++
 	u.optr.clock()
@@ -547,7 +411,6 @@ func (u *OPPU) Clock() error {
 	}
 	return nil
 }
-func (u *OPPU) Signal(local int) bool { return u.errFlag }
 func (u *OPPU) Reset() {
 	u.optr.reset()
 	u.olen.reset()
@@ -563,22 +426,6 @@ func (u *OPPU) Reset() {
 // send trigger must stay in program order with MMU writes so that the
 // datagram it copies out reflects the header rewrite.
 func (u *OPPU) HazardClass() string { return "dmem" }
-
-// WriteSlot exposes the input latches and trigger (tta.SlotWriter).
-func (u *OPPU) WriteSlot(local int) (*uint32, *bool) {
-	switch local {
-	case oppuPtr:
-		return u.optr.slot()
-	case oppuLen:
-		return u.olen.slot()
-	case oppuTSend:
-		return u.tsend.slot()
-	}
-	return nil, nil
-}
-
-// SignalSlot exposes the send-error flag (tta.SlotSignal).
-func (u *OPPU) SignalSlot(local int) *bool { return &u.errFlag }
 
 // ClockIdle reports that a Clock would only advance the cycle counter:
 // no send is triggered and no operand latch update is pending. All

@@ -3,8 +3,6 @@ package fu
 import (
 	"encoding/binary"
 	"fmt"
-
-	"taco/internal/tta"
 )
 
 // MMU is the memory management unit of Figure 2: the interface between
@@ -19,7 +17,7 @@ import (
 //	tw (trigger)  write: value = word address; mem[addr] = ow
 //	r  (result)   the last read word
 type MMU struct {
-	name   string
+	ports
 	mem    []uint32
 	ow     latch
 	tr, tw trigger
@@ -34,37 +32,13 @@ type MMU struct {
 
 // NewMMU returns a memory of the given word count.
 func NewMMU(name string, words int) *MMU {
-	return &MMU{name: name, mem: make([]uint32, words)}
+	m := &MMU{mem: make([]uint32, words)}
+	m.declare(name, []port{
+		operand("ow", &m.ow), trig("tr", &m.tr), trig("tw", &m.tw), result("r", &m.r),
+	})
+	return m
 }
 
-func (m *MMU) Name() string { return m.name }
-func (m *MMU) Sockets() []tta.SocketSpec {
-	return []tta.SocketSpec{
-		{Name: "ow", Kind: tta.Operand},
-		{Name: "tr", Kind: tta.Trigger},
-		{Name: "tw", Kind: tta.Trigger},
-		{Name: "r", Kind: tta.Result},
-	}
-}
-func (m *MMU) Signals() []string { return nil }
-func (m *MMU) Read(local int) uint32 {
-	if local != 3 {
-		panic("fu: mmu read of non-result socket")
-	}
-	return m.r
-}
-func (m *MMU) Write(local int, v uint32) {
-	switch local {
-	case 0:
-		m.ow.write(v)
-	case 1:
-		m.tr.write(v)
-	case 2:
-		m.tw.write(v)
-	default:
-		panic("fu: mmu write to result socket")
-	}
-}
 func (m *MMU) Clock() error {
 	m.ow.clock()
 	rAddr, rOK := m.tr.take()
@@ -89,7 +63,6 @@ func (m *MMU) Clock() error {
 	}
 	return nil
 }
-func (m *MMU) Signal(local int) bool { return false }
 func (m *MMU) Reset() {
 	clear(m.mem[:m.hw])
 	m.hw = 0
@@ -110,27 +83,6 @@ func (m *MMU) Settled() bool { return true }
 
 // SettledAlways marks the constant answer (tta.ConstSettler).
 func (m *MMU) SettledAlways() {}
-
-// ReadSlot exposes the read-result register (tta.SlotReader).
-func (m *MMU) ReadSlot(local int) *uint32 {
-	if local == 3 {
-		return &m.r
-	}
-	return nil
-}
-
-// WriteSlot exposes the input latch and triggers (tta.SlotWriter).
-func (m *MMU) WriteSlot(local int) (*uint32, *bool) {
-	switch local {
-	case 0:
-		return m.ow.slot()
-	case 1:
-		return m.tr.slot()
-	case 2:
-		return m.tw.slot()
-	}
-	return nil, nil
-}
 
 // Words returns the memory size.
 func (m *MMU) Words() int { return len(m.mem) }

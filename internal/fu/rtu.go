@@ -5,7 +5,6 @@ import (
 
 	"taco/internal/bits"
 	"taco/internal/rtable"
-	"taco/internal/tta"
 )
 
 // NilNode is the sentinel node/entry index meaning "no node".
@@ -29,7 +28,7 @@ const NilNode = 0xffffffff
 //
 // Signal: "valid" — the loaded index was in range.
 type RTUSeq struct {
-	name  string
+	ports
 	table *rtable.SequentialTable
 
 	tidx  trigger
@@ -55,61 +54,21 @@ type seqRec struct {
 	lenp1 uint32
 }
 
-// NewRTUSeq returns a sequential-backend routing-table unit.
+// NewRTUSeq returns a sequential-backend routing-table unit. count is
+// read live from the table, so it has no slot.
 func NewRTUSeq(name string, t *rtable.SequentialTable) *RTUSeq {
-	return &RTUSeq{name: name, table: t}
+	u := &RTUSeq{table: t}
+	u.declare(name, []port{
+		trig("tidx", &u.tidx),
+		result("p0", &u.p[0]), result("p1", &u.p[1]), result("p2", &u.p[2]), result("p3", &u.p[3]),
+		result("m0", &u.m[0]), result("m1", &u.m[1]), result("m2", &u.m[2]), result("m3", &u.m[3]),
+		result("ifc", &u.ifc),
+		result("lenp1", &u.lenp1),
+		computed("count", func() uint32 { return uint32(u.table.Len()) }),
+	}, flag("valid", &u.valid))
+	return u
 }
 
-const (
-	seqTIdx = iota
-	seqP0
-	seqP1
-	seqP2
-	seqP3
-	seqM0
-	seqM1
-	seqM2
-	seqM3
-	seqIfc
-	seqLenP1
-	seqCount
-)
-
-func (u *RTUSeq) Name() string { return u.name }
-func (u *RTUSeq) Sockets() []tta.SocketSpec {
-	return []tta.SocketSpec{
-		{Name: "tidx", Kind: tta.Trigger},
-		{Name: "p0", Kind: tta.Result}, {Name: "p1", Kind: tta.Result},
-		{Name: "p2", Kind: tta.Result}, {Name: "p3", Kind: tta.Result},
-		{Name: "m0", Kind: tta.Result}, {Name: "m1", Kind: tta.Result},
-		{Name: "m2", Kind: tta.Result}, {Name: "m3", Kind: tta.Result},
-		{Name: "ifc", Kind: tta.Result},
-		{Name: "lenp1", Kind: tta.Result},
-		{Name: "count", Kind: tta.Result},
-	}
-}
-func (u *RTUSeq) Signals() []string { return []string{"valid"} }
-func (u *RTUSeq) Read(local int) uint32 {
-	switch local {
-	case seqP0, seqP1, seqP2, seqP3:
-		return u.p[local-seqP0]
-	case seqM0, seqM1, seqM2, seqM3:
-		return u.m[local-seqM0]
-	case seqIfc:
-		return u.ifc
-	case seqLenP1:
-		return u.lenp1
-	case seqCount:
-		return uint32(u.table.Len())
-	}
-	panic("fu: rtu-seq read of non-result socket")
-}
-func (u *RTUSeq) Write(local int, v uint32) {
-	if local != seqTIdx {
-		panic("fu: rtu-seq write to non-trigger socket")
-	}
-	u.tidx.write(v)
-}
 func (u *RTUSeq) Clock() error {
 	if idx, ok := u.tidx.take(); ok {
 		u.loads++
@@ -142,7 +101,6 @@ func (u *RTUSeq) rebuildCache() {
 	u.cacheGen = u.table.Gen()
 	u.cacheOK = true
 }
-func (u *RTUSeq) Signal(local int) bool { return u.valid }
 func (u *RTUSeq) Reset() {
 	u.tidx.reset()
 	u.p, u.m = [4]uint32{}, [4]uint32{}
@@ -158,33 +116,6 @@ func (u *RTUSeq) Settled() bool { return true }
 
 // SettledAlways marks the constant answer (tta.ConstSettler).
 func (u *RTUSeq) SettledAlways() {}
-
-// ReadSlot exposes the entry registers; count is computed live from the
-// table (tta.SlotReader).
-func (u *RTUSeq) ReadSlot(local int) *uint32 {
-	switch local {
-	case seqP0, seqP1, seqP2, seqP3:
-		return &u.p[local-seqP0]
-	case seqM0, seqM1, seqM2, seqM3:
-		return &u.m[local-seqM0]
-	case seqIfc:
-		return &u.ifc
-	case seqLenP1:
-		return &u.lenp1
-	}
-	return nil
-}
-
-// WriteSlot exposes the index trigger (tta.SlotWriter).
-func (u *RTUSeq) WriteSlot(local int) (*uint32, *bool) {
-	if local == seqTIdx {
-		return u.tidx.slot()
-	}
-	return nil, nil
-}
-
-// SignalSlot exposes the valid flag (tta.SlotSignal).
-func (u *RTUSeq) SignalSlot(local int) *bool { return &u.valid }
 
 // RTUTree is the routing-table unit over the balanced range tree: the
 // table is an array of nodes, each holding a disjoint address range, the
@@ -203,7 +134,7 @@ func (u *RTUSeq) SignalSlot(local int) *bool { return &u.valid }
 //
 // Signal: "valid" — the loaded index referenced a real node.
 type RTUTree struct {
-	name  string
+	ports
 	table *rtable.BalancedTreeTable
 
 	tnode       trigger
@@ -227,67 +158,21 @@ type treeRec struct {
 	left, right, ifc uint32
 }
 
-// NewRTUTree returns a balanced-tree-backend routing-table unit.
+// NewRTUTree returns a balanced-tree-backend routing-table unit. root is
+// read live from the table, so it has no slot.
 func NewRTUTree(name string, t *rtable.BalancedTreeTable) *RTUTree {
-	return &RTUTree{name: name, table: t}
+	u := &RTUTree{table: t}
+	u.declare(name, []port{
+		trig("tnode", &u.tnode),
+		result("f0", &u.f[0]), result("f1", &u.f[1]), result("f2", &u.f[2]), result("f3", &u.f[3]),
+		result("l0", &u.l[0]), result("l1", &u.l[1]), result("l2", &u.l[2]), result("l3", &u.l[3]),
+		result("left", &u.left), result("right", &u.right),
+		result("ifc", &u.ifc),
+		computed("root", func() uint32 { return childIndex(u.table.Root()) }),
+	}, flag("valid", &u.valid))
+	return u
 }
 
-const (
-	treeTNode = iota
-	treeF0
-	treeF1
-	treeF2
-	treeF3
-	treeL0
-	treeL1
-	treeL2
-	treeL3
-	treeLeft
-	treeRight
-	treeIfc
-	treeRoot
-)
-
-func (u *RTUTree) Name() string { return u.name }
-func (u *RTUTree) Sockets() []tta.SocketSpec {
-	return []tta.SocketSpec{
-		{Name: "tnode", Kind: tta.Trigger},
-		{Name: "f0", Kind: tta.Result}, {Name: "f1", Kind: tta.Result},
-		{Name: "f2", Kind: tta.Result}, {Name: "f3", Kind: tta.Result},
-		{Name: "l0", Kind: tta.Result}, {Name: "l1", Kind: tta.Result},
-		{Name: "l2", Kind: tta.Result}, {Name: "l3", Kind: tta.Result},
-		{Name: "left", Kind: tta.Result}, {Name: "right", Kind: tta.Result},
-		{Name: "ifc", Kind: tta.Result},
-		{Name: "root", Kind: tta.Result},
-	}
-}
-func (u *RTUTree) Signals() []string { return []string{"valid"} }
-func (u *RTUTree) Read(local int) uint32 {
-	switch local {
-	case treeF0, treeF1, treeF2, treeF3:
-		return u.f[local-treeF0]
-	case treeL0, treeL1, treeL2, treeL3:
-		return u.l[local-treeL0]
-	case treeLeft:
-		return u.left
-	case treeRight:
-		return u.right
-	case treeIfc:
-		return u.ifc
-	case treeRoot:
-		if r := u.table.Root(); r >= 0 {
-			return uint32(r)
-		}
-		return NilNode
-	}
-	panic("fu: rtu-tree read of non-result socket")
-}
-func (u *RTUTree) Write(local int, v uint32) {
-	if local != treeTNode {
-		panic("fu: rtu-tree write to non-trigger socket")
-	}
-	u.tnode.write(v)
-}
 func (u *RTUTree) Clock() error {
 	if idx, ok := u.tnode.take(); ok {
 		u.loads++
@@ -333,7 +218,6 @@ func childIndex(i int) uint32 {
 	return uint32(i)
 }
 
-func (u *RTUTree) Signal(local int) bool { return u.valid }
 func (u *RTUTree) Reset() {
 	u.tnode.reset()
 	u.f, u.l = [4]uint32{}, [4]uint32{}
@@ -351,35 +235,6 @@ func (u *RTUTree) Settled() bool { return true }
 // SettledAlways marks the constant answer (tta.ConstSettler).
 func (u *RTUTree) SettledAlways() {}
 
-// ReadSlot exposes the node registers; root is computed live from the
-// table (tta.SlotReader).
-func (u *RTUTree) ReadSlot(local int) *uint32 {
-	switch local {
-	case treeF0, treeF1, treeF2, treeF3:
-		return &u.f[local-treeF0]
-	case treeL0, treeL1, treeL2, treeL3:
-		return &u.l[local-treeL0]
-	case treeLeft:
-		return &u.left
-	case treeRight:
-		return &u.right
-	case treeIfc:
-		return &u.ifc
-	}
-	return nil
-}
-
-// WriteSlot exposes the node trigger (tta.SlotWriter).
-func (u *RTUTree) WriteSlot(local int) (*uint32, *bool) {
-	if local == treeTNode {
-		return u.tnode.slot()
-	}
-	return nil, nil
-}
-
-// SignalSlot exposes the valid flag (tta.SlotSignal).
-func (u *RTUTree) SignalSlot(local int) *bool { return &u.valid }
-
 // RTUCAM is the routing-table unit over the CAM+SRAM solution: the
 // processor hands the unit a destination address and receives, after a
 // fixed search latency, the output interface — the single-probe lookup
@@ -395,7 +250,7 @@ func (u *RTUTree) SignalSlot(local int) *bool { return &u.valid }
 //
 // Signals: "ready" (no search in flight), "hit" (last search matched).
 type RTUCAM struct {
-	name  string
+	ports
 	table *rtable.CAMTable
 	wait  int
 
@@ -412,57 +267,22 @@ type RTUCAM struct {
 }
 
 // NewRTUCAM returns a CAM-backend routing-table unit with the given
-// search latency in cycles.
+// search latency in cycles. The hit result is the hit flag read as a
+// word, on demand.
 func NewRTUCAM(name string, t *rtable.CAMTable, waitCycles int) *RTUCAM {
 	if waitCycles < 1 {
 		waitCycles = 1
 	}
-	return &RTUCAM{name: name, table: t, wait: waitCycles, ready: true}
+	u := &RTUCAM{table: t, wait: waitCycles, ready: true}
+	u.declare(name, []port{
+		operand("a0", &u.a[0]), operand("a1", &u.a[1]), operand("a2", &u.a[2]),
+		trig("tlook", &u.tlook),
+		result("ifc", &u.ifc),
+		computed("hit", func() uint32 { return boolWord(u.hit) }),
+	}, flag("ready", &u.ready), flag("hit", &u.hit))
+	return u
 }
 
-const (
-	camA0 = iota
-	camA1
-	camA2
-	camTLook
-	camIfc
-	camHit
-)
-
-func (u *RTUCAM) Name() string { return u.name }
-func (u *RTUCAM) Sockets() []tta.SocketSpec {
-	return []tta.SocketSpec{
-		{Name: "a0", Kind: tta.Operand},
-		{Name: "a1", Kind: tta.Operand},
-		{Name: "a2", Kind: tta.Operand},
-		{Name: "tlook", Kind: tta.Trigger},
-		{Name: "ifc", Kind: tta.Result},
-		{Name: "hit", Kind: tta.Result},
-	}
-}
-func (u *RTUCAM) Signals() []string { return []string{"ready", "hit"} }
-func (u *RTUCAM) Read(local int) uint32 {
-	switch local {
-	case camIfc:
-		return u.ifc
-	case camHit:
-		if u.hit {
-			return 1
-		}
-		return 0
-	}
-	panic("fu: rtu-cam read of non-result socket")
-}
-func (u *RTUCAM) Write(local int, v uint32) {
-	switch local {
-	case camA0, camA1, camA2:
-		u.a[local].write(v)
-	case camTLook:
-		u.tlook.write(v)
-	default:
-		panic("fu: rtu-cam write to result socket")
-	}
-}
 func (u *RTUCAM) Clock() error {
 	for i := range u.a {
 		u.a[i].clock()
@@ -489,12 +309,6 @@ func (u *RTUCAM) Clock() error {
 	}
 	return nil
 }
-func (u *RTUCAM) Signal(local int) bool {
-	if local == 0 {
-		return u.ready
-	}
-	return u.hit
-}
 func (u *RTUCAM) Reset() {
 	for i := range u.a {
 		u.a[i].reset()
@@ -511,34 +325,6 @@ func (u *RTUCAM) Searches() int64 { return u.searches }
 // advances every cycle); otherwise the CAM only reacts to socket
 // writes (tta.Settler).
 func (u *RTUCAM) Settled() bool { return u.busy == 0 }
-
-// ReadSlot exposes the interface register; hit is computed from the
-// flag on demand (tta.SlotReader).
-func (u *RTUCAM) ReadSlot(local int) *uint32 {
-	if local == camIfc {
-		return &u.ifc
-	}
-	return nil
-}
-
-// WriteSlot exposes the address latches and trigger (tta.SlotWriter).
-func (u *RTUCAM) WriteSlot(local int) (*uint32, *bool) {
-	switch local {
-	case camA0, camA1, camA2:
-		return u.a[local].slot()
-	case camTLook:
-		return u.tlook.slot()
-	}
-	return nil, nil
-}
-
-// SignalSlot exposes the ready/hit flags (tta.SlotSignal).
-func (u *RTUCAM) SignalSlot(local int) *bool {
-	if local == 0 {
-		return &u.ready
-	}
-	return &u.hit
-}
 
 // WaitCycles returns the configured search latency.
 func (u *RTUCAM) WaitCycles() int { return u.wait }

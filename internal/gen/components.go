@@ -19,9 +19,21 @@ import (
 // additionally execute the unit's operation, updating result registers
 // and the signal lines into the network controller.
 func ComponentLibrary() map[string]string {
-	lib := map[string]string{}
+	lib := map[string]string{"taco_network_controller": networkControllerVHDL}
+	for name, s := range unitSpecs() {
+		lib[name] = unitVHDL(name, s)
+	}
+	return lib
+}
 
-	lib["taco_counter"] = unitVHDL("taco_counter", unitSpec{
+// unitSpecs names the sockets and signals of every functional-unit
+// component, keyed by component name. For a component that models one
+// simulator unit, operands ++ triggers ++ results is that unit's socket
+// order (TestComponentLibraryMatchesUnits).
+func unitSpecs() map[string]unitSpec {
+	specs := map[string]unitSpec{}
+
+	specs["taco_counter"] = unitSpec{
 		operands: []string{"o", "stop"},
 		triggers: []string{"tadd", "tsub", "tinc", "tdec", "tld", "tcnt"},
 		results:  []string{"r"},
@@ -39,9 +51,9 @@ func ComponentLibrary() map[string]string {
         end if;
         sig_done <= '1' when r_reg = stop_reg else '0';
         sig_zero <= '1' when unsigned(r_reg) = 0 else '0';`,
-	})
+	}
 
-	lib["taco_comparator"] = unitVHDL("taco_comparator", unitSpec{
+	specs["taco_comparator"] = unitSpec{
 		operands: []string{"o"},
 		triggers: []string{"t"},
 		results:  []string{"r"},
@@ -53,9 +65,9 @@ func ComponentLibrary() map[string]string {
           sig_gt <= '1' when unsigned(bus_data) > unsigned(o_reg) else '0';
           r_reg  <= (0 => sig_eq, others => '0');
         end if;`,
-	})
+	}
 
-	lib["taco_matcher"] = unitVHDL("taco_matcher", unitSpec{
+	specs["taco_matcher"] = unitSpec{
 		operands: []string{"mask", "ref"},
 		triggers: []string{"t", "tand"},
 		results:  []string{"r"},
@@ -68,9 +80,9 @@ func ComponentLibrary() map[string]string {
             ('1' when ((bus_data xor ref_reg) and mask_reg) = x"00000000" else '0');
         end if;
         r_reg <= (0 => sig_match, others => '0');`,
-	})
+	}
 
-	lib["taco_masker"] = unitVHDL("taco_masker", unitSpec{
+	specs["taco_masker"] = unitSpec{
 		operands: []string{"mask", "val"},
 		triggers: []string{"t"},
 		results:  []string{"r"},
@@ -78,9 +90,9 @@ func ComponentLibrary() map[string]string {
         if w_t = '1' then
           r_reg <= (bus_data and not mask_reg) or (val_reg and mask_reg);
         end if;`,
-	})
+	}
 
-	lib["taco_shifter"] = unitVHDL("taco_shifter", unitSpec{
+	specs["taco_shifter"] = unitSpec{
 		operands: []string{"amt"},
 		triggers: []string{"tl", "tr", "tmul2"},
 		results:  []string{"r"},
@@ -91,9 +103,9 @@ func ComponentLibrary() map[string]string {
         elsif w_tmul2 = '1' then r_reg <= bus_data(30 downto 0) & '0';
         end if;
         sig_zero <= '1' when unsigned(r_reg) = 0 else '0';`,
-	})
+	}
 
-	lib["taco_checksum"] = unitVHDL("taco_checksum", unitSpec{
+	specs["taco_checksum"] = unitSpec{
 		operands: []string{},
 		triggers: []string{"tclr", "tadd"},
 		results:  []string{"r"},
@@ -106,9 +118,9 @@ func ComponentLibrary() map[string]string {
         -- one's-complement folding on the read port
         r_reg <= std_logic_vector(acc(15 downto 0) + acc(31 downto 16));
         sig_valid <= '1' when r_reg = x"0000ffff" else '0';`,
-	})
+	}
 
-	lib["taco_registers"] = unitVHDL("taco_registers", unitSpec{
+	specs["taco_registers"] = unitSpec{
 		operands: []string{},
 		triggers: []string{},
 		results:  []string{},
@@ -118,9 +130,9 @@ func ComponentLibrary() map[string]string {
         if bus_we = '1' and in_range(bus_dst) then
           regs(to_integer(unsigned(bus_dst)) - SOCKET_BASE) <= bus_data;
         end if;`,
-	})
+	}
 
-	lib["taco_mmu"] = unitVHDL("taco_mmu", unitSpec{
+	specs["taco_mmu"] = unitSpec{
 		operands: []string{"ow"},
 		triggers: []string{"tr", "tw"},
 		results:  []string{"r"},
@@ -128,9 +140,9 @@ func ComponentLibrary() map[string]string {
         if w_tr = '1' then r_reg <= dmem(to_integer(unsigned(bus_data)));
         elsif w_tw = '1' then dmem(to_integer(unsigned(bus_data))) <= ow_reg;
         end if;`,
-	})
+	}
 
-	lib["taco_rtu"] = unitVHDL("taco_rtu", unitSpec{
+	specs["taco_rtu"] = unitSpec{
 		operands: []string{"a0", "a1", "a2"},
 		triggers: []string{"tidx", "tnode", "tlook"},
 		results:  []string{"p0", "p1", "p2", "p3", "m0", "m1", "m2", "m3", "ifc", "lenp1", "count", "hit"},
@@ -140,9 +152,9 @@ func ComponentLibrary() map[string]string {
         -- CAM search pipeline; see internal/fu/rtu.go for the behaviour
         if w_tidx = '1' then entry_latch <= table_mem(to_integer(unsigned(bus_data)));
         end if;`,
-	})
+	}
 
-	lib["taco_liu"] = unitVHDL("taco_liu", unitSpec{
+	specs["taco_liu"] = unitSpec{
 		operands: []string{"a0", "a1", "a2"},
 		triggers: []string{"tchk"},
 		results:  []string{"mine", "nifc"},
@@ -151,9 +163,9 @@ func ComponentLibrary() map[string]string {
         if w_tchk = '1' then
           sig_mine <= '1' when {a0_reg, a1_reg, a2_reg, bus_data} = local_addr else '0';
         end if;`,
-	})
+	}
 
-	lib["taco_ippu"] = unitVHDL("taco_ippu", unitSpec{
+	specs["taco_ippu"] = unitSpec{
 		operands: []string{},
 		triggers: []string{"tpop"},
 		results:  []string{"ptr", "ifc", "len"},
@@ -165,9 +177,9 @@ func ComponentLibrary() map[string]string {
           ptr_reg <= q_head_ptr; ifc_reg <= q_head_ifc; len_reg <= q_head_len;
         end if;
         sig_pending <= queue_nonempty;`,
-	})
+	}
 
-	lib["taco_oppu"] = unitVHDL("taco_oppu", unitSpec{
+	specs["taco_oppu"] = unitSpec{
 		operands: []string{"ptr", "len"},
 		triggers: []string{"tsend"},
 		results:  []string{},
@@ -177,9 +189,12 @@ func ComponentLibrary() map[string]string {
         -- data memory into the output buffer of card bus_data
         if w_tsend = '1' then start_tx <= '1'; tx_card <= bus_data(3 downto 0);
         end if;`,
-	})
+	}
 
-	lib["taco_network_controller"] = `-- TACO interconnection network controller
+	return specs
+}
+
+const networkControllerVHDL = `-- TACO interconnection network controller
 -- Fetches one instruction word per cycle from program memory, evaluates
 -- move guards against the functional units' signal lines, and drives
 -- one (src, dst) address pair per bus. Jump/halt sockets live here.
@@ -208,8 +223,6 @@ begin
   end process;
 end architecture behavioural;
 `
-	return lib
-}
 
 type unitSpec struct {
 	operands []string
@@ -250,12 +263,10 @@ func unitVHDL(name string, s unitSpec) string {
 	}
 	b.WriteString("begin\n")
 	// Socket decode: each named socket is SOCKET_BASE + its index.
-	all := append(append([]string{}, s.operands...), s.triggers...)
 	for i, t := range s.triggers {
 		fmt.Fprintf(&b, "  w_%s <= bus_we when unsigned(bus_dst) = SOCKET_BASE + %d else '0';\n",
 			t, len(s.operands)+i)
 	}
-	_ = all
 	b.WriteString("  process (clk)\n  begin\n    if rising_edge(clk) then\n")
 	for i, o := range s.operands {
 		fmt.Fprintf(&b, "      if bus_we = '1' and unsigned(bus_dst) = SOCKET_BASE + %d then %s_reg <= bus_data; end if;\n", i, o)

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -173,5 +174,39 @@ func TestWriteLibraryDeterministic(t *testing.T) {
 	}
 	if len(a) < 2000 {
 		t.Errorf("library suspiciously small: %d bytes", len(a))
+	}
+}
+
+// components.go names each unit's operands, triggers, results and signals
+// a second time, for the RTL; the simulator's units are the reference.
+// taco_rtu (one component for three backends) and taco_registers (a
+// generic register range) have no one-to-one unit and are not compared.
+func TestComponentLibraryMatchesUnits(t *testing.T) {
+	specs := unitSpecs()
+	seen := map[string]bool{}
+	for _, kind := range rtable.PaperKinds {
+		for _, u := range testMachine(t, fu.Config3Bus3FU(kind)).Units() {
+			comp := componentName(u)
+			if comp == "taco_rtu" || comp == "taco_registers" || seen[comp] {
+				continue
+			}
+			seen[comp] = true
+			s := specs[comp]
+			var rtl []tta.SocketSpec
+			for k, names := range [][]string{tta.Operand: s.operands, tta.Trigger: s.triggers, tta.Result: s.results} {
+				for _, n := range names {
+					rtl = append(rtl, tta.SocketSpec{Name: n, Kind: tta.SocketKind(k)})
+				}
+			}
+			if !reflect.DeepEqual(rtl, u.Sockets()) {
+				t.Errorf("%s sockets: RTL has %v, unit %s has %v", comp, rtl, u.Name(), u.Sockets())
+			}
+			if strings.Join(s.signals, " ") != strings.Join(u.Signals(), " ") {
+				t.Errorf("%s signals: RTL has %v, unit %s has %v", comp, s.signals, u.Name(), u.Signals())
+			}
+		}
+	}
+	if len(seen) != 10 {
+		t.Errorf("compared %d components, want the ten one-to-one ones: %v", len(seen), seen)
 	}
 }

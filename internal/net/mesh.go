@@ -774,7 +774,7 @@ func (n *node) differentialHop(m *Mesh, now int64, p *probe, dec router.Decision
 	t.Reset()
 	budget := m.opt.MaxCyclesPerProbe
 	if budget <= 0 {
-		budget = int64(n.table.Len()+64) * 64
+		budget = router.WatchdogBudget(1, n.table.Len())
 	}
 	n.budget = budget
 	accepted := int64(0)
@@ -864,7 +864,7 @@ func goldenFate(seq int64, dec router.Decision) forensics.Fate {
 func (n *node) newProbeBundle(m *Mesh, kind string, p *probe, accepted int64) *forensics.Bundle {
 	budget := n.budget
 	if budget <= 0 {
-		budget = int64(n.table.Len()+64) * 64
+		budget = router.WatchdogBudget(1, n.table.Len())
 	}
 	b := forensics.NewRouterBundle(kind,
 		fmt.Sprintf("node-%d-probe-%d", n.id, p.id),

@@ -144,6 +144,15 @@ func (t *TACO) Deliver(iface int, d linecard.Datagram) bool {
 	return ok
 }
 
+// WatchdogBudget is the default cycle budget Run is given for a batch of
+// packets over a table of entries: generous, and linear in the table
+// because the sequential scan costs O(entries) per packet. The budget is
+// part of a forensic bundle's content hash, so every caller that does
+// not take an explicit budget from its user derives it here.
+func WatchdogBudget(packets, entries int) int64 {
+	return int64(packets) * int64(entries+64) * 64
+}
+
 // Run executes the forwarding program until expected datagrams have been
 // popped and fully processed (the machine is back at its poll loop with
 // an empty descriptor queue), or maxCycles elapse.

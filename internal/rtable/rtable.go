@@ -68,6 +68,11 @@ const (
 // extension baselines.
 var Kinds = []Kind{Sequential, BalancedTree, CAM, Trie, Multibit, TiledTCAM, Compressed}
 
+// PaperKinds lists the three implementations the paper evaluates — the
+// columns of its Table 1 and the only kinds with an RTU and a forwarding
+// program — in the paper's order.
+var PaperKinds = Kinds[:3:3]
+
 func (k Kind) String() string {
 	switch k {
 	case Sequential:

@@ -7,22 +7,30 @@
 //
 // This package is a façade over the implementation packages:
 //
-//	internal/tta      transport-triggered machine model
-//	internal/fu       TACO functional units and architecture configs
-//	internal/isa      move instruction set and binary encoding
-//	internal/asm      assembler / disassembler / program builder
-//	internal/sched    TTA code optimization and bus scheduling
-//	internal/ipv6     IPv6 headers, extension chains, UDP/ICMPv6
-//	internal/ripng    RIPng (RFC 2080) protocol engine
-//	internal/rtable   sequential / tree / CAM / trie / multibit tables
-//	internal/linecard line-card model
-//	internal/program  generated forwarding programs, Figure 3 example
-//	internal/router   golden and TACO routers, RIPng host bridge
-//	internal/fault    fault injection: mutators, link/peer faults, soak
-//	internal/estimate 0.18 µm area/power/frequency model
-//	internal/core     the fast-evaluation methodology (Table 1)
-//	internal/dse      design-space sweeps and automated exploration
-//	internal/workload deterministic tables and traffic
+//	internal/tta       transport-triggered machine model, interpreter and compiled step paths
+//	internal/fu        TACO functional units (one port table each) and architecture configs
+//	internal/isa       move instruction set and binary encoding
+//	internal/asm       assembler / disassembler / program builder
+//	internal/sched     TTA code optimization and bus scheduling
+//	internal/bits      128-bit address and prefix arithmetic, 32-bit bus-word slicing
+//	internal/ipv6      IPv6 headers, extension chains, UDP/ICMPv6
+//	internal/ripng     RIPng (RFC 2080) protocol engine
+//	internal/rtable    seven routing tables: sequential / balanced tree / CAM (the paper's),
+//	                   binary trie / multibit / tiled TCAM / compressed trie (baselines)
+//	internal/linecard  line-card model
+//	internal/program   generated forwarding programs, Figure 3 example
+//	internal/router    golden and TACO routers, RIPng host bridge
+//	internal/net       multi-router meshes over generated topologies, chaos campaigns
+//	internal/fault     fault injection: mutators, link/peer faults, soak
+//	internal/obs       counters, latency histograms, stall causes, flight recorder, exporters
+//	internal/forensics failure bundles: capture, deterministic replay, diff
+//	internal/profile   cycles attributed to program regions
+//	internal/estimate  0.18 µm area/power/frequency model
+//	internal/gen       VHDL / simulator-JSON / Matlab model generator
+//	internal/core      the fast-evaluation methodology (Table 1)
+//	internal/dse       design-space sweeps and automated exploration
+//	internal/workload  deterministic tables and traffic
+//	internal/cliutil   flag helpers shared by the cmd/ tools
 //
 // A typical evaluation reproduces the paper's headline table:
 //
