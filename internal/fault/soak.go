@@ -40,15 +40,17 @@ type SoakOptions struct {
 	// default scaled to the workload (a stall is then a real bug, not a
 	// tight budget).
 	MaxCycles int64
-	// Compiled runs each campaign's TACO router through the compiled
-	// fast path (bit-identical to the interpreter by contract — the
-	// soak is one of the contract's enforcers).
+	// Compiled runs the soak's TACO router through the compiled fast
+	// path (bit-identical to the interpreter by contract — the soak is
+	// one of the contract's enforcers). The program is compiled once per
+	// RunSoak and serves every campaign.
 	Compiled bool
-	// ForensicsDir, when non-empty, arms each campaign's flight
-	// recorder and serializes a forensic bundle for every failure the
-	// soak observes — a stall, a golden-vs-TACO fate divergence, or a
-	// drop-audit mismatch. Bundle paths are collected in
-	// SoakReport.Bundles, and each bundle replays with cmd/tacoreplay.
+	// ForensicsDir, when non-empty, arms the router's flight recorder
+	// (cleared at the start of every campaign) and serializes a
+	// forensic bundle for every failure the soak observes — a stall, a
+	// golden-vs-TACO fate divergence, or a drop-audit mismatch. Bundle
+	// paths are collected in SoakReport.Bundles, and each bundle
+	// replays with cmd/tacoreplay.
 	ForensicsDir string
 }
 
@@ -161,9 +163,33 @@ type fate struct {
 // forwarded-packet sets, local deliveries, and per-card per-reason drop
 // counts. Divergence is counted, not fatal: a soak run completes and
 // reports, it does not stop at the first bad campaign.
+//
+// The TACO router is built once per call — machine, forwarding program,
+// schedule and, with o.Compiled, the compiled step path — because every
+// campaign shares o.Config and the program depends on nothing else. Each
+// campaign rebinds it to its own freshly built table, which also resets
+// it to power-on state, so a campaign after a stall starts as clean as
+// the first.
 func RunSoak(o SoakOptions) (SoakReport, error) {
 	o.defaults()
 	rep := SoakReport{Campaigns: o.Campaigns, Mutations: map[string]int64{}}
+	tr, err := router.NewTACO(o.Config, rtable.New(o.Config.Table), o.Ifaces)
+	if err != nil {
+		return rep, fmt.Errorf("fault: %w", err)
+	}
+	tr.EnableDropAudit()
+	if o.ForensicsDir != "" {
+		tr.ArmRecorder(0)
+	}
+	if o.Compiled {
+		if err := tr.UseCompiled(); err != nil {
+			return rep, fmt.Errorf("fault: %w", err)
+		}
+	}
+	budget := o.MaxCycles
+	if budget <= 0 {
+		budget = router.WatchdogBudget(o.Packets, o.Entries)
+	}
 	for c := 0; c < o.Campaigns; c++ {
 		seed := campaignSeed(o.Seed, c)
 		routes := workload.GenerateRoutes(workload.TableSpec{
@@ -203,23 +229,8 @@ func RunSoak(o SoakOptions) (SoakReport, error) {
 		}
 
 		g := router.NewGolden(gtbl, o.Ifaces)
-		tr, err := router.NewTACO(o.Config, ttbl, o.Ifaces)
-		if err != nil {
+		if err := tr.Rebind(ttbl); err != nil {
 			return rep, fmt.Errorf("fault: campaign %d: %w", c, err)
-		}
-		tr.EnableDropAudit()
-		if o.ForensicsDir != "" {
-			tr.ArmRecorder(0)
-		}
-		if o.Compiled {
-			if err := tr.UseCompiled(); err != nil {
-				return rep, fmt.Errorf("fault: campaign %d: %w", c, err)
-			}
-		}
-
-		budget := o.MaxCycles
-		if budget <= 0 {
-			budget = router.WatchdogBudget(o.Packets, o.Entries)
 		}
 
 		want := make(map[int64]fate, len(pkts))

@@ -1,11 +1,14 @@
 package fault
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"taco/internal/forensics"
+	"taco/internal/fu"
+	"taco/internal/rtable"
 )
 
 // soakStallOptions is a soak configuration known (by seed) to stall at
@@ -18,6 +21,46 @@ func soakStallOptions(dir string) SoakOptions {
 		Seed:         42,
 		MaxCycles:    600,
 		ForensicsDir: dir,
+	}
+}
+
+// TestSoakStallBundlesMatchCorpus pins the soak's router reuse to the
+// committed repro corpus: the CI forensics job's seeded failing soak
+// (tacoroute -soak -soak-campaigns 2 -packets 48 -seed 42
+// -soak-max-cycles 600, i.e. tacoroute's 100-entry 3BUS/1FU tree
+// default) stalls both campaigns, and campaign 1 runs on the router
+// rebound right after campaign 0 stalled. Both bundles must come out
+// byte-identical to the ones captured when every campaign built its own
+// router.
+func TestSoakStallBundlesMatchCorpus(t *testing.T) {
+	dir := t.TempDir()
+	rep, err := RunSoak(SoakOptions{
+		Campaigns: 2, Packets: 48, Entries: 100, Seed: 42,
+		Config: fu.Config3Bus1FU(rtable.BalancedTree), MaxCycles: 600, ForensicsDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"stall-campaign-0-7574f14b6e90ff8c.json", "stall-campaign-1-3240880bf8820553.json"}
+	if rep.Stalls != 2 || len(rep.Bundles) != len(want) {
+		t.Fatalf("stalls %d, bundles %v; want 2 stalls and %v", rep.Stalls, rep.Bundles, want)
+	}
+	for i, path := range rep.Bundles {
+		if filepath.Base(path) != want[i] {
+			t.Errorf("bundle %d is %s, want %s", i, filepath.Base(path), want[i])
+			continue
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus, err := os.ReadFile(filepath.Join("..", "..", "testdata", "forensics", want[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, corpus) {
+			t.Errorf("%s differs from the committed corpus", want[i])
+		}
 	}
 }
 

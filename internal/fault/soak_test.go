@@ -1,7 +1,11 @@
 package fault
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"taco/internal/fu"
@@ -66,6 +70,51 @@ func TestSoakDeterministic(t *testing.T) {
 	jb, _ := json.Marshal(b)
 	if string(ja) != string(jb) {
 		t.Errorf("same-seed soaks diverged:\n%s\n%s", ja, jb)
+	}
+}
+
+// The reports under testdata/soak were written on the commit before
+// RunSoak began building one router per call and rebinding it to each
+// campaign's table. Every byte of the JSON encoding and of String() must
+// still come out the same, on both step paths: one stale lowered table
+// in the reused router would show as a fate or drop-count mismatch.
+func TestSoakReportsMatchGoldens(t *testing.T) {
+	for _, g := range []struct {
+		name string
+		cfg  fu.Config
+	}{
+		{"1bus1fu-sequential", fu.Config1Bus1FU(rtable.Sequential)},
+		{"3bus1fu-balanced-tree", fu.Config3Bus1FU(rtable.BalancedTree)},
+		{"3bus3fu-cam", fu.Config3Bus3FU(rtable.CAM)},
+	} {
+		for _, seed := range []uint64{2003, 7} {
+			base := filepath.Join("..", "..", "testdata", "soak", fmt.Sprintf("%s-seed%d", g.name, seed))
+			for _, compiled := range []bool{false, true} {
+				rep, err := RunSoak(SoakOptions{
+					Campaigns: 16, Packets: 96, Entries: 96, Spec: "all:0.2",
+					Seed: seed, Config: g.cfg, Compiled: compiled,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				js, err := json.MarshalIndent(rep, "", "  ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ext, got := range map[string][]byte{
+					".json": append(js, '\n'), ".txt": []byte(rep.String() + "\n"),
+				} {
+					want, err := os.ReadFile(base + ext)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("%s (compiled=%v) differs from the golden:\n--- got\n%s--- want\n%s",
+							filepath.Base(base)+ext, compiled, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

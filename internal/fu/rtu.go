@@ -88,6 +88,20 @@ func (u *RTUSeq) Clock() error {
 	return nil
 }
 
+// Bind re-points the unit at t, which must be a sequential table; any
+// other table is rejected and leaves the unit untouched. The lowered
+// cache is dropped: Gen counts one table's mutations, so two freshly
+// built tables usually share a generation and the check in Clock alone
+// would keep serving the old table's entries.
+func (u *RTUSeq) Bind(t rtable.Table) error {
+	st, ok := t.(*rtable.SequentialTable)
+	if !ok {
+		return fmt.Errorf("fu: %s: a sequential RTU cannot bind %T", u.Name(), t)
+	}
+	u.table, u.cacheOK = st, false
+	return nil
+}
+
 func (u *RTUSeq) rebuildCache() {
 	u.cache = u.cache[:0]
 	for i, n := 0, u.table.Len(); i < n; i++ {
@@ -193,6 +207,17 @@ func (u *RTUTree) Clock() error {
 			u.valid = false
 		}
 	}
+	return nil
+}
+
+// Bind re-points the unit at t, which must be a balanced-tree table, and
+// drops the lowered cache (see RTUSeq.Bind).
+func (u *RTUTree) Bind(t rtable.Table) error {
+	bt, ok := t.(*rtable.BalancedTreeTable)
+	if !ok {
+		return fmt.Errorf("fu: %s: a balanced-tree RTU cannot bind %T", u.Name(), t)
+	}
+	u.table, u.cacheOK = bt, false
 	return nil
 }
 
@@ -309,6 +334,18 @@ func (u *RTUCAM) Clock() error {
 	}
 	return nil
 }
+
+// Bind re-points the unit at t, which must be a CAM table; the CAM keeps
+// no lowered copy, so searches read t from the next Clock on.
+func (u *RTUCAM) Bind(t rtable.Table) error {
+	ct, ok := t.(*rtable.CAMTable)
+	if !ok {
+		return fmt.Errorf("fu: %s: a CAM RTU cannot bind %T", u.Name(), t)
+	}
+	u.table = ct
+	return nil
+}
+
 func (u *RTUCAM) Reset() {
 	for i := range u.a {
 		u.a[i].reset()

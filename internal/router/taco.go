@@ -121,6 +121,22 @@ func (t *TACO) Reset() {
 	}
 }
 
+// Rebind points the router at tbl and resets it to power-on state, so
+// one built, scheduled and compiled instance serves table after table:
+// the forwarding program depends on the configuration alone (the paper
+// tunes code per instance, not per table). tbl must be of the kind the
+// instance was built for; any other table is rejected and leaves the
+// router untouched.
+func (t *TACO) Rebind(tbl rtable.Table) error {
+	rtu := t.Units.RTU.(interface{ Bind(rtable.Table) error }) // every fu RTU binds
+	if err := rtu.Bind(tbl); err != nil {
+		return fmt.Errorf("router: rebind: %w", err)
+	}
+	t.tbl = tbl
+	t.Reset()
+	return nil
+}
+
 // Config returns the architecture configuration.
 func (t *TACO) Config() fu.Config { return t.cfg }
 
