@@ -173,9 +173,9 @@ trace-smoke:
 		cmp $$o-interpreted.trace $$o-compiled.trace || exit 1; \
 	done
 	o=/tmp/taco-trace-smoke/loop; \
-	$(GO) run ./cmd/tacosim -f testdata/trace/loop.tasm -trace -trace-out $$o-interpreted.trace \
+	$(GO) run ./cmd/tacosim -f testdata/trace/loop.tasm -trace -trace-out $$o-interpreted.trace -interp \
 		> $$o-interpreted.txt && \
-	$(GO) run ./cmd/tacosim -f testdata/trace/loop.tasm -trace -trace-out $$o-compiled.trace -compiled \
+	$(GO) run ./cmd/tacosim -f testdata/trace/loop.tasm -trace -trace-out $$o-compiled.trace \
 		> $$o-compiled.txt && \
 	cmp $$o-interpreted.txt $$o-compiled.txt && cmp $$o-interpreted.trace $$o-compiled.trace
 

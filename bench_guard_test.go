@@ -150,13 +150,16 @@ func TestBenchSnapshotCycles(t *testing.T) {
 }
 
 // TestScaledAnchorsMatchTable1 extends the guard to the scaling
-// methodology: EvaluateScaled's cycle-accurate anchor runs must be
-// bit-identical to a direct Evaluate of the same instance, proving the
-// model-based path reuses the untouched paper-scale flow (and therefore
-// cannot drift Table 1). Exact float equality is intentional.
+// methodology: EvaluateScaled's cycle-accurate anchor runs (compiled,
+// the default) must be bit-identical to a direct Evaluate of the same
+// instance on the reference interpreter, proving the model-based path
+// reuses the untouched paper-scale flow (and therefore cannot drift
+// Table 1). Exact float equality is intentional.
 func TestScaledAnchorsMatchTable1(t *testing.T) {
 	cons := core.PaperConstraints()
 	sim := core.DefaultSimOptions()
+	ref := sim
+	ref.Compiled = false
 	for _, kind := range []rtable.Kind{rtable.Sequential, rtable.BalancedTree, rtable.CAM} {
 		cfg := fu.Config1Bus1FU(kind)
 		spec := core.ScaleSpec{Kind: kind, Entries: cons.TableEntries}
@@ -170,7 +173,7 @@ func TestScaledAnchorsMatchTable1(t *testing.T) {
 		for i, n := range sm.ScaleModel.AnchorEntries {
 			aCons := cons
 			aCons.TableEntries = n
-			dm, err := core.Evaluate(cfg, aCons, sim)
+			dm, err := core.Evaluate(cfg, aCons, ref)
 			if err != nil {
 				t.Fatalf("%v: Evaluate at %d entries: %v", kind, n, err)
 			}
@@ -191,11 +194,14 @@ func TestScaledAnchorsMatchTable1(t *testing.T) {
 // without a hardware RTU — tiled-TCAM and compressed (and the earlier
 // multibit/trie) borrow the balanced tree's cycle-accurate anchors and
 // rescale the slope by the documented kernel factor. The anchors must
-// still be bit-identical to a direct Evaluate of the donor instance,
-// and the rescaled slope must be exactly factor × the tree slope.
+// still be bit-identical to a direct interpreted Evaluate of the donor
+// instance, and the rescaled slope must be exactly factor × the tree
+// slope.
 func TestScaledAnchorsModelledKinds(t *testing.T) {
 	cons := core.PaperConstraints()
 	sim := core.DefaultSimOptions()
+	ref := sim
+	ref.Compiled = false
 	for _, kind := range []rtable.Kind{rtable.TiledTCAM, rtable.Compressed, rtable.Multibit, rtable.Trie} {
 		cfg := fu.Config1Bus1FU(kind)
 		spec := core.ScaleSpec{Kind: kind, Entries: 2000}
@@ -216,7 +222,7 @@ func TestScaledAnchorsModelledKinds(t *testing.T) {
 		for i, n := range model.AnchorEntries {
 			aCons := cons
 			aCons.TableEntries = n
-			dm, err := core.Evaluate(donorCfg, aCons, sim)
+			dm, err := core.Evaluate(donorCfg, aCons, ref)
 			if err != nil {
 				t.Fatalf("%v: donor Evaluate at %d entries: %v", kind, n, err)
 			}

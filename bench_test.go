@@ -120,6 +120,8 @@ func BenchmarkSweepParallel(b *testing.B) {
 	cons := core.PaperConstraints()
 	sim := core.DefaultSimOptions()
 	sim.Packets = 32
+	// The interpreter, as when bench_snapshot.txt recorded this line.
+	sim.Compiled = false
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		workers := workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -7,9 +7,10 @@
 //	tacosim -describe [-config 3bus3fu]
 //	tacosim -f prog.s [-config 1bus] [-trace] [-max 100000] [-read gpr.r0,gpr.r1]
 //	tacosim -f prog.s -trace-out trace.json   # open in ui.perfetto.dev
-//	                                          # (-trace, -trace-out: also under -compiled)
+//	                                          # (-trace, -trace-out: also under -interp)
 //	tacosim -f prog.s -json                   # machine-readable run metrics
-//	tacosim -f prog.s -compiled               # compiled fast path (counters included)
+//	tacosim -f prog.s -interp                 # reference interpreter instead of the
+//	                                          # compiled fast path (counters included)
 //	tacosim -f prog.s -metrics-out metrics.prom   # Prometheus text exposition
 //	tacosim -f prog.s -stat-every 10000       # periodic NDJSON stats on stderr
 package main
@@ -37,8 +38,8 @@ func main() {
 		trace    = flag.Bool("trace", false, "print every cycle's recorded events (the lines tacoreplay -step prints)")
 		traceOut = flag.String("trace-out", "", "write a Chrome trace-event JSON file (Perfetto)")
 		jsonOut  = flag.Bool("json", false, "emit run metrics as JSON instead of text")
-		compiled = flag.Bool("compiled", false,
-			"run through the compiled fast path (bit-identical, counters recorded natively)")
+		interp   = flag.Bool("interp", false,
+			"run through the reference interpreter instead of the compiled fast path (bit-identical, counters recorded on both)")
 		maxCy        = flag.Int64("max", 1_000_000, "cycle budget")
 		read         = flag.String("read", "", "comma-separated result/register sockets to print after the run")
 		metricsOut   = flag.String("metrics-out", "", "write Prometheus text exposition to this file (also on stall)")
@@ -105,7 +106,7 @@ func main() {
 		}
 		return i, nil
 	}
-	if *compiled {
+	if !*interp {
 		cm, cerr := tta.Compile(m)
 		if cerr != nil {
 			fatal(cerr)
@@ -163,7 +164,7 @@ func main() {
 	if err != nil {
 		dumpStall(m, cycles)
 		if *forensicsOut != "" {
-			b := forensics.NewMachineBundle(*config, cfg, string(src), *maxCy, *compiled)
+			b := forensics.NewMachineBundle(*config, cfg, string(src), *maxCy, !*interp)
 			b.AttachMachineState(m, err)
 			if path, berr := b.Save(*forensicsOut); berr != nil {
 				fmt.Fprintln(os.Stderr, "tacosim: forensics capture failed:", berr)
@@ -345,7 +346,7 @@ func emitJSON(m *tta.Machine, ctrs *obs.Counters, read string) error {
 		BusUtilization: st.BusUtilization(),
 	}
 	// Counters are attached on both step paths, so these sections are
-	// present under -compiled too.
+	// present under -interp too.
 	if ctrs != nil {
 		for b := 0; b < m.Buses(); b++ {
 			out.BusOccupancy = append(out.BusOccupancy, ctrs.BusOccupancy(b))

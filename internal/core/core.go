@@ -172,7 +172,8 @@ type SimOptions struct {
 	// specialized step function that is bit-identical to the interpreter
 	// but several times faster. Counters (Observe) are recorded natively
 	// by the fast path, so Compiled+Observe keeps the compiled speedup.
-	// Off by default.
+	// On in DefaultSimOptions; false selects the interpreter, which is
+	// the reference semantics the compiled path is checked against.
 	Compiled bool `json:",omitempty"`
 
 	// MaxCyclesPerPacket overrides the watchdog's cycle budget (budget =
@@ -193,9 +194,9 @@ type SimOptions struct {
 }
 
 // DefaultSimOptions returns the evaluation workload used throughout the
-// repository's experiments.
+// repository's experiments, simulated on the compiled step path.
 func DefaultSimOptions() SimOptions {
-	return SimOptions{Packets: 64, Seed: 2003, MissRatio: 0.05, Ifaces: 4}
+	return SimOptions{Packets: 64, Seed: 2003, MissRatio: 0.05, Ifaces: 4, Compiled: true}
 }
 
 // simInputs derives an instance's complete simulation workload — the

@@ -96,3 +96,32 @@ func TestExploreCompiledOracle(t *testing.T) {
 			comp.Best.Metrics.Kind, comp.Best.Metrics.Config.Name, comp.OK)
 	}
 }
+
+// TestFastObsTable1MatchesInterpreter is the interpreter reference for
+// the benchmark's table1-fast-obs workload: the nine Table 1 cells at
+// 512 packets on the compiled path with counters and the flight
+// recorder armed must equal, row for row and field for field, the same
+// instances replayed on the interpreter.
+func TestFastObsTable1MatchesInterpreter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates nine cells at 512 packets on both step paths")
+	}
+	cons := core.PaperConstraints()
+	sim := core.DefaultSimOptions()
+	sim.Packets = 512
+	sim.Observe = true
+	sim.ForensicsDir = t.TempDir()
+	if !sim.Compiled {
+		t.Fatal("DefaultSimOptions is not on the compiled path")
+	}
+	ctx := context.Background()
+	ms, err := Table1(ctx, cons, sim, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := sim
+	ref.Compiled = false
+	if err := ReplayInterpreted(ctx, Table1Instances(cons, ref), ms, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -18,25 +18,60 @@ import (
 //	r  (result)   the last read word
 type MMU struct {
 	ports
-	mem    []uint32
+	// pages backs the memory in pageWords-word pages, each allocated on
+	// its first write; a nil page reads as power-on zero. A machine
+	// touches only its datagram slots, so most of the 2¹⁶-word default
+	// memory is never allocated.
+	pages []*[pageWords]uint32
+	// span has one zero-size element per configured word: Words() is its
+	// length, and indexing it bounds-checks an address (Peek) with
+	// exactly the panic a flat []uint32 of that size would raise.
+	span   []struct{}
 	ow     latch
 	tr, tw trigger
 	r      uint32
 
 	// hw is the high-water mark: one past the highest word ever written
 	// since the last Reset. Words at or above hw are still power-on zero,
-	// so Reset only has to clear mem[:hw] — the datagram slots actually
-	// used — instead of the whole memory.
+	// so Reset only has to clear the pages below hw — the datagram slots
+	// actually used — and keeps them allocated for the next batch.
 	hw int
 }
 
+const (
+	pageShift = 8
+	pageWords = 1 << pageShift
+)
+
 // NewMMU returns a memory of the given word count.
 func NewMMU(name string, words int) *MMU {
-	m := &MMU{mem: make([]uint32, words)}
+	m := &MMU{
+		pages: make([]*[pageWords]uint32, (words+pageWords-1)/pageWords),
+		span:  make([]struct{}, words),
+	}
 	m.declare(name, []port{
 		operand("ow", &m.ow), trig("tr", &m.tr), trig("tw", &m.tw), result("r", &m.r),
 	})
 	return m
+}
+
+// word reads an in-range address.
+func (m *MMU) word(addr int) uint32 {
+	if p := m.pages[addr>>pageShift]; p != nil {
+		return p[addr&(pageWords-1)]
+	}
+	return 0
+}
+
+// set writes an in-range address, allocating its page on the first
+// write. It does not move hw; callers do.
+func (m *MMU) set(addr int, v uint32) {
+	p := m.pages[addr>>pageShift]
+	if p == nil {
+		p = new([pageWords]uint32)
+		m.pages[addr>>pageShift] = p
+	}
+	p[addr&(pageWords-1)] = v
 }
 
 func (m *MMU) Clock() error {
@@ -47,16 +82,16 @@ func (m *MMU) Clock() error {
 		return fmt.Errorf("fu: mmu read and write triggered in the same cycle (single-ported)")
 	}
 	if rOK {
-		if int(rAddr) >= len(m.mem) {
-			return fmt.Errorf("fu: mmu read past memory: address %d of %d", rAddr, len(m.mem))
+		if int(rAddr) >= m.Words() {
+			return fmt.Errorf("fu: mmu read past memory: address %d of %d", rAddr, m.Words())
 		}
-		m.r = m.mem[rAddr]
+		m.r = m.word(int(rAddr))
 	}
 	if wOK {
-		if int(wAddr) >= len(m.mem) {
-			return fmt.Errorf("fu: mmu write past memory: address %d of %d", wAddr, len(m.mem))
+		if int(wAddr) >= m.Words() {
+			return fmt.Errorf("fu: mmu write past memory: address %d of %d", wAddr, m.Words())
 		}
-		m.mem[wAddr] = m.ow.cur
+		m.set(int(wAddr), m.ow.cur)
 		if int(wAddr) >= m.hw {
 			m.hw = int(wAddr) + 1
 		}
@@ -64,7 +99,11 @@ func (m *MMU) Clock() error {
 	return nil
 }
 func (m *MMU) Reset() {
-	clear(m.mem[:m.hw])
+	for _, p := range m.pages[:(m.hw+pageWords-1)/pageWords] {
+		if p != nil {
+			clear(p[:])
+		}
+	}
 	m.hw = 0
 	m.ow.reset()
 	m.tr.reset()
@@ -85,31 +124,34 @@ func (m *MMU) Settled() bool { return true }
 func (m *MMU) SettledAlways() {}
 
 // Words returns the memory size.
-func (m *MMU) Words() int { return len(m.mem) }
+func (m *MMU) Words() int { return len(m.span) }
 
-// Peek reads a word directly (backdoor for DMA units and tests).
-func (m *MMU) Peek(addr int) uint32 { return m.mem[addr] }
+// Peek reads a word directly (backdoor for DMA units and tests). An
+// out-of-range address panics.
+func (m *MMU) Peek(addr int) uint32 {
+	_ = m.span[addr]
+	return m.word(addr)
+}
 
 // StoreBytes packs big-endian bytes into memory starting at word addr,
 // zero-padding the final word, and returns the number of words used.
 // It is the DMA path used by the preprocessing unit.
 func (m *MMU) StoreBytes(addr int, data []byte) (int, error) {
 	words := (len(data) + 3) / 4
-	if addr < 0 || addr+words > len(m.mem) {
+	if addr < 0 || addr+words > m.Words() {
 		return 0, fmt.Errorf("fu: mmu store of %d words at %d overflows %d-word memory",
-			words, addr, len(m.mem))
+			words, addr, m.Words())
 	}
 	full := len(data) / 4
-	dst := m.mem[addr:]
 	for w := 0; w < full; w++ {
-		dst[w] = binary.BigEndian.Uint32(data[w*4:])
+		m.set(addr+w, binary.BigEndian.Uint32(data[w*4:]))
 	}
 	if rem := len(data) & 3; rem != 0 {
 		var v uint32
 		for b := 0; b < rem; b++ {
 			v |= uint32(data[full*4+b]) << (24 - 8*b)
 		}
-		dst[full] = v
+		m.set(addr+full, v)
 	}
 	if addr+words > m.hw {
 		m.hw = addr + words
@@ -121,14 +163,13 @@ func (m *MMU) StoreBytes(addr int, data []byte) (int, error) {
 // path used by the postprocessing unit.
 func (m *MMU) LoadBytes(addr, n int) ([]byte, error) {
 	words := (n + 3) / 4
-	if addr < 0 || addr+words > len(m.mem) {
+	if addr < 0 || addr+words > m.Words() {
 		return nil, fmt.Errorf("fu: mmu load of %d words at %d overflows %d-word memory",
-			words, addr, len(m.mem))
+			words, addr, m.Words())
 	}
 	out := make([]byte, words*4)
-	src := m.mem[addr:]
 	for w := 0; w < words; w++ {
-		binary.BigEndian.PutUint32(out[w*4:], src[w])
+		binary.BigEndian.PutUint32(out[w*4:], m.word(addr+w))
 	}
 	return out[:n], nil
 }

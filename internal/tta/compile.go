@@ -333,35 +333,61 @@ func Compile(m *Machine) (*CompiledMachine, error) {
 			c.lagIdx = append(c.lagIdx, i)
 		}
 	}
+	// One flat move array for the whole program, sized up front: each
+	// instruction lowers straight into its window.
+	c.moves = make([]cmove, m.prog.MoveCount())
+	start := 0
 	for pc, in := range m.prog.Ins {
-		c.ins[pc] = c.lowerInstruction(pc, in)
+		c.ins[pc] = c.lowerInstruction(pc, in, start)
+		start += len(in.Moves)
 	}
 	return c, nil
 }
 
-func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction) cins {
-	m := c.m
-	// Static hazard analysis: a runtime conflicting-write (or double
-	// trigger) check is only needed when two moves of this instruction
-	// can hit the same destination socket (or trigger unit). Guards are
-	// ignored — whether both actually execute is decided at runtime,
-	// exactly as the interpreter does with its stamp arrays.
-	wrCount := map[isa.SocketID]int{}
-	trigCount := map[int]int{}
-	for _, mv := range in.Moves {
-		if mv.Dst == isa.InvalidSocket || int(mv.Dst) > len(m.sockets) {
+// failure returns the move's error texts, allocating them on the first
+// failure: moves that cannot fail keep errs nil (see cmoveErrs).
+func (cm *cmove) failure() *cmoveErrs {
+	if cm.errs == nil {
+		cm.errs = &cmoveErrs{}
+	}
+	return cm.errs
+}
+
+// destRef resolves a move destination, ok false when it is out of range.
+func (m *Machine) destRef(dst isa.SocketID) (socketRef, bool) {
+	if dst == isa.InvalidSocket || int(dst) > len(m.sockets) {
+		return socketRef{}, false
+	}
+	return m.sockets[dst-1], true
+}
+
+// hazards reports whether another move of in writes the same socket as
+// move i (wr) or triggers the same unit (tr). Guards are ignored —
+// whether both actually execute is decided at runtime, exactly as the
+// interpreter does with its stamp arrays — so only these moves need a
+// runtime conflicting-write (or double-trigger) check. An instruction
+// holds at most one move per bus, so the scan is a few compares.
+func (m *Machine) hazards(in isa.Instruction, i int) (wr, tr bool) {
+	ref, _ := m.destRef(in.Moves[i].Dst)
+	trig := ref.unit >= 0 && ref.kind == Trigger
+	for k, mv := range in.Moves {
+		other, ok := m.destRef(mv.Dst)
+		if k == i || !ok {
 			continue
 		}
-		wrCount[mv.Dst]++
-		if ref := m.sockets[mv.Dst-1]; ref.unit >= 0 && ref.kind == Trigger {
-			trigCount[ref.unit]++
-		}
+		wr = wr || mv.Dst == in.Moves[i].Dst
+		tr = tr || trig && other.unit == ref.unit && other.kind == Trigger
 	}
-	moves := make([]cmove, 0, len(in.Moves))
+	return wr, tr
+}
+
+// lowerInstruction lowers in into c.moves[start:start+len(in.Moves)].
+func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction, start int) cins {
+	m := c.m
+	moves := c.moves[start : start+len(in.Moves)]
 	for bus, mv := range in.Moves {
-		cm := cmove{srcResUnit: -1, recSrc: recSrcCode(mv.Src), recDst: int32(mv.Dst)}
-		errs := &cmoveErrs{}
-		fail := false
+		cm := &moves[bus]
+		*cm = cmove{srcResUnit: -1, recSrc: recSrcCode(mv.Src), recDst: int32(mv.Dst)}
 		if len(mv.Guard.Terms) > 0 {
 			cm.flags |= fGuarded
 		}
@@ -370,9 +396,8 @@ func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction) cins {
 				// The interpreter evaluates terms in order and faults on
 				// reaching an unknown signal; terms after it are never
 				// evaluated, so lowering stops here too.
-				errs.guardErr = fmt.Sprintf(
+				cm.failure().guardErr = fmt.Sprintf(
 					"tta: pc %d bus %d: tta: guard references unknown signal %d", pc, bus, t.Signal)
-				fail = true
 				cm.guard = append(cm.guard, cterm{bad: true})
 				break
 			}
@@ -383,12 +408,13 @@ func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction) cins {
 			if ss, ok := term.unit.(SlotSignal); ok {
 				term.flag = ss.SignalSlot(ref.local)
 			}
+			if len(mv.Guard.Terms) == 1 && term.flag != nil {
+				// Single resolved term: the hot loop tests the flag inline
+				// and never needs a guard slice.
+				cm.flag0, cm.neg0 = term.flag, term.negate
+				break
+			}
 			cm.guard = append(cm.guard, term)
-		}
-		if len(cm.guard) == 1 && cm.guard[0].flag != nil && !cm.guard[0].bad {
-			// Single resolved term: the hot loop tests the flag inline and
-			// never touches the guard slice.
-			cm.flag0, cm.neg0 = cm.guard[0].flag, cm.guard[0].negate
 		}
 		switch {
 		case mv.Src.Imm:
@@ -396,20 +422,17 @@ func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction) cins {
 			cm.immVal = mv.Src.Value
 		case mv.Src.Socket == isa.InvalidSocket || int(mv.Src.Socket) > len(m.sockets):
 			cm.flags |= fSrcBad
-			fail = true
-			errs.srcErr = fmt.Sprintf("tta: pc %d bus %d: bad source socket %d", pc, bus, mv.Src.Socket)
+			cm.failure().srcErr = fmt.Sprintf("tta: pc %d bus %d: bad source socket %d", pc, bus, mv.Src.Socket)
 		default:
 			ref := m.sockets[mv.Src.Socket-1]
 			switch {
 			case ref.unit < 0:
 				cm.flags |= fSrcBad
-				fail = true
-				errs.srcErr = fmt.Sprintf("tta: pc %d bus %d: controller socket %s is not readable",
+				cm.failure().srcErr = fmt.Sprintf("tta: pc %d bus %d: controller socket %s is not readable",
 					pc, bus, ref.name)
 			case ref.kind != Result && ref.kind != Register:
 				cm.flags |= fSrcBad
-				fail = true
-				errs.srcErr = fmt.Sprintf("tta: pc %d bus %d: socket %s (%v) is not readable",
+				cm.failure().srcErr = fmt.Sprintf("tta: pc %d bus %d: socket %s (%v) is not readable",
 					pc, bus, ref.name, ref.kind)
 			default:
 				cm.srcUnit, cm.srcLocal = m.units[ref.unit], int32(ref.local)
@@ -422,21 +445,18 @@ func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction) cins {
 				}
 			}
 		}
-		if mv.Dst == isa.InvalidSocket || int(mv.Dst) > len(m.sockets) {
+		ref, ok := m.destRef(mv.Dst)
+		if !ok {
 			cm.op = opDstErr
 			cm.flags |= fCtl
-			fail = true
-			errs.dstErr = fmt.Sprintf("tta: pc %d bus %d: bad destination socket %d", pc, bus, mv.Dst)
-			cm.errs = errs
-			moves = append(moves, cm)
+			cm.failure().dstErr = fmt.Sprintf("tta: pc %d bus %d: bad destination socket %d", pc, bus, mv.Dst)
 			continue
 		}
-		ref := m.sockets[mv.Dst-1]
 		cm.sockIdx = int32(mv.Dst - 1)
-		if wrCount[mv.Dst] > 1 {
+		checkWr, checkTr := m.hazards(in, bus)
+		if checkWr {
 			cm.flags |= fCheckWr
-			fail = true
-			errs.conflict = fmt.Sprintf("tta: pc %d: conflicting writes to %s", pc, ref.name)
+			cm.failure().conflict = fmt.Sprintf("tta: pc %d: conflicting writes to %s", pc, ref.name)
 		}
 		switch {
 		case ref.unit < 0:
@@ -449,15 +469,13 @@ func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction) cins {
 		case ref.kind == Result:
 			cm.op = opResultErr
 			cm.flags |= fCtl
-			fail = true
-			errs.dstErr = fmt.Sprintf("tta: pc %d: write to result socket %s", pc, ref.name)
+			cm.failure().dstErr = fmt.Sprintf("tta: pc %d: write to result socket %s", pc, ref.name)
 		case ref.kind == Trigger:
 			cm.op = opTrigger
 			cm.dstUnit, cm.dstLocal, cm.unitIdx = m.units[ref.unit], int32(ref.local), int32(ref.unit)
-			if trigCount[ref.unit] > 1 {
+			if checkTr {
 				cm.flags |= fCheckTr
-				fail = true
-				errs.retrig = fmt.Sprintf("tta: pc %d: unit %s triggered twice in one cycle",
+				cm.failure().retrig = fmt.Sprintf("tta: pc %d: unit %s triggered twice in one cycle",
 					pc, m.units[ref.unit].Name())
 			}
 		default: // Operand or Register
@@ -469,10 +487,6 @@ func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction) cins {
 				cm.dstVal, cm.dstArmed = sw.WriteSlot(int(cm.dstLocal))
 			}
 		}
-		if fail {
-			cm.errs = errs
-		}
-		moves = append(moves, cm)
 	}
 	// An instruction whose moves can raise no move-level error may apply
 	// unit writes immediately (see cins.direct). Conflict checks, bad
@@ -485,9 +499,7 @@ func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction) cins {
 			break
 		}
 	}
-	start := int32(len(c.moves))
-	c.moves = append(c.moves, moves...)
-	return cins{start: start, end: int32(len(c.moves)), n: int64(len(in.Moves)), direct: direct}
+	return cins{start: int32(start), end: int32(start + len(moves)), n: int64(len(in.Moves)), direct: direct}
 }
 
 // Machine returns the underlying machine (shared state, not a copy).
