@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo bench bench-e2e bench-compare overhead-guard trace-smoke largetable-identity snapshot vet loc
+.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo fuzz-forensics bench bench-e2e bench-compare overhead-guard trace-smoke largetable-identity snapshot vet loc
 
 all: build test
 
@@ -87,7 +87,7 @@ topo-identity:
 # Short differential fuzz bursts (one -fuzz pattern per go test
 # invocation); extend FUZZTIME for longer campaigns.
 FUZZTIME ?= 30s
-fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-compiled
+fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-forensics
 
 # Golden router vs TACO processor on generated datagrams.
 fuzz-router:
@@ -115,6 +115,13 @@ fuzz-compiled:
 # clean sweep and conserved accounting.
 fuzz-topo:
 	$(GO) test ./internal/net -run xxx -fuzz FuzzTopologyEvents -fuzztime $(FUZZTIME)
+
+# Forensic bundle files: Load must never panic, and every router bundle
+# it accepts must replay without panicking. The seeds are the committed
+# corpus (up to 170 KB of JSON each), so minimizing a new input is
+# capped at 1s instead of the default 60s.
+fuzz-forensics:
+	$(GO) test ./internal/forensics -run xxx -fuzz FuzzLoadBundle -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 bench:
 	$(GO) test -bench . -benchmem

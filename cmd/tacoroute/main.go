@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -130,15 +129,12 @@ func main() {
 	if *forensicsOut != "" || *prof {
 		tr.ArmRecorder(0)
 	}
-	delivered := int64(0)
-	for i, p := range pkts {
-		if tr.Deliver(i%*ifaces, linecard.Datagram{Data: p.Data, Seq: p.Seq}) {
-			delivered++
-		} else if inj == nil {
-			// Without injected faults every generated frame is valid, so a
-			// rejection can only be queue overflow — a real failure.
-			fatal(fmt.Errorf("line card overflow at packet %d", i))
-		}
+	arrivals := router.RoundRobin(pkts, *ifaces)
+	delivered := tr.DeliverAll(arrivals)
+	if inj == nil && delivered != int64(len(pkts)) {
+		// Without injected faults every generated frame is valid, so a
+		// rejection can only be queue overflow — a real failure.
+		fatal(fmt.Errorf("line card overflow: %d of %d datagrams accepted", delivered, len(pkts)))
 	}
 	budget := router.WatchdogBudget(*packets, *entries)
 	if _, err := tr.RunStepped(delivered, budget, onCycle); err != nil {
@@ -149,7 +145,7 @@ func main() {
 			if *forensicsOut != "" {
 				b := forensics.NewRouterBundle(forensics.KindStall,
 					fmt.Sprintf("%s/%s", kind, cfg.Name), cfg, *ifaces, routes,
-					bundleDatagrams(pkts, *ifaces), delivered, budget, false)
+					arrivals, delivered, budget, false)
 				b.Seed = *seed
 				b.FaultSpec = faultFlags.Spec
 				b.RecorderCap = obs.DefaultRecorderCap
@@ -171,9 +167,7 @@ func main() {
 		}
 		fatal(err)
 	}
-	if inj != nil {
-		tr.FinalizeDropAudit()
-	}
+	got := tr.Collect(arrivals) // also finalizes the drop audit
 
 	st := tr.Machine.Stats()
 	fmt.Printf("TACO router: %s table, %s architecture\n", kind, cfg.Name)
@@ -184,16 +178,21 @@ func main() {
 	fmt.Printf("  required clock for 10 Gbps: %s\n",
 		estimate.FormatHz(tr.CyclesPerPacket()*rate))
 
-	outs := make([][]linecard.Datagram, *ifaces)
-	total := 0
-	for i := 0; i < *ifaces; i++ {
-		outs[i] = tr.Outputs(i)
-		total += len(outs[i])
-		fmt.Printf("  interface %d: %d datagrams out\n", i, len(outs[i]))
+	count := make([]int, *ifaces+2) // forwarded per interface, local, dropped
+	for _, o := range got.Datagrams {
+		switch o.Action {
+		case router.Forward:
+			count[o.Iface]++
+		case router.Local:
+			count[*ifaces]++
+		default:
+			count[*ifaces+1]++
+		}
 	}
-	local := tr.LocalQueue()
-	fmt.Printf("  local deliveries: %d, dropped: %d\n",
-		len(local), len(pkts)-total-len(local))
+	for i, n := range count[:*ifaces] {
+		fmt.Printf("  interface %d: %d datagrams out\n", i, n)
+	}
+	fmt.Printf("  local deliveries: %d, dropped: %d\n", count[*ifaces], count[*ifaces+1])
 	maxIn, dropped := 0, int64(0)
 	for _, qs := range tr.QueueStats() {
 		if qs.MaxInDepth > maxIn {
@@ -249,8 +248,10 @@ func main() {
 	}
 
 	if *verify {
-		if err := crossCheck(kind, routes, pkts, outs, *ifaces); err != nil {
-			fatal(err)
+		d := router.Compare(router.NewGolden(tbl, *ifaces).Expected(arrivals), got)
+		if !d.Agree() {
+			fatal(fmt.Errorf("golden-router cross-check: TACO diverges on %d datagrams (first seqs %v) and the drop counters of cards %v",
+				len(d.Seqs), d.Seqs[:min(len(d.Seqs), 8)], d.Cards))
 		}
 		fmt.Println("  golden-router cross-check: OK")
 	}
@@ -307,37 +308,6 @@ func writeMetrics(path string, tr *router.TACO, ctrs *obs.Counters, kind rtable.
 	return f.Close()
 }
 
-func crossCheck(kind rtable.Kind, routes []rtable.Route, pkts []workload.Packet,
-	outs [][]linecard.Datagram, ifaces int) error {
-	tbl := rtable.New(kind)
-	if err := rtable.InsertAll(tbl, routes); err != nil {
-		return err
-	}
-	g := router.NewGolden(tbl, ifaces)
-	want := make([][]byte, ifaces)
-	// Replay in the preprocessing unit's consumption order: lowest card
-	// first (packets were delivered round-robin).
-	for c := 0; c < ifaces; c++ {
-		for i := c; i < len(pkts); i += ifaces {
-			dec, out := g.Process(pkts[i].Data)
-			if dec.Action == router.Forward {
-				want[dec.OutIface] = append(want[dec.OutIface], out...)
-			}
-		}
-	}
-	for i := 0; i < ifaces; i++ {
-		var got []byte
-		for _, d := range outs[i] {
-			got = append(got, d.Data...)
-		}
-		if !bytes.Equal(got, want[i]) {
-			return fmt.Errorf("interface %d: TACO and golden outputs differ (%d vs %d bytes)",
-				i, len(got), len(want[i]))
-		}
-	}
-	return nil
-}
-
 // runSoak executes the differential fault campaigns and exits non-zero
 // on any divergence, so `make soak` and the CI smoke job gate on it.
 // With forensicsDir set, every failing campaign leaves a tacoreplay
@@ -360,16 +330,6 @@ func runSoak(cfg fu.Config, campaigns, packets, entries, ifaces int, seed uint64
 		fatal(fmt.Errorf("soak diverged: %d stalls, %d mismatches, %d unexplained drops",
 			rep.Stalls, rep.Mismatches, rep.Unexplained))
 	}
-}
-
-// bundleDatagrams converts the (possibly fault-mutated) workload into
-// the bundle's delivery-order datagram list.
-func bundleDatagrams(pkts []workload.Packet, ifaces int) []forensics.Datagram {
-	dgs := make([]forensics.Datagram, len(pkts))
-	for i, p := range pkts {
-		dgs[i] = forensics.Datagram{Iface: i % ifaces, Seq: p.Seq, Data: p.Data}
-	}
-	return dgs
 }
 
 func fatal(err error) {

@@ -6,6 +6,7 @@ import (
 	"taco/internal/forensics"
 	"taco/internal/fu"
 	"taco/internal/obs"
+	"taco/internal/router"
 	"taco/internal/rtable"
 	"taco/internal/workload"
 )
@@ -19,13 +20,9 @@ func captureBundle(dir string, cfg fu.Config, sim SimOptions,
 	if !ok {
 		return runErr
 	}
-	dgs := make([]forensics.Datagram, len(pkts))
-	for i, p := range pkts {
-		dgs[i] = forensics.Datagram{Iface: i % sim.Ifaces, Seq: p.Seq, Data: p.Data}
-	}
 	label := fmt.Sprintf("%s/%s", cfg.Table, cfg.Name)
 	b := forensics.NewRouterBundle(forensics.KindStall, label, cfg, sim.Ifaces,
-		routes, dgs, expected, budget, sim.Compiled)
+		routes, router.RoundRobin(pkts, sim.Ifaces), expected, budget, sim.Compiled)
 	b.Seed = sim.Seed
 	b.RecorderCap = obs.DefaultRecorderCap
 	b.AttachStall(se)
@@ -50,13 +47,9 @@ func DivergenceBundle(cfg fu.Config, cons Constraints, sim SimOptions, note stri
 	if err != nil {
 		return nil, err
 	}
-	dgs := make([]forensics.Datagram, len(pkts))
-	for i, p := range pkts {
-		dgs[i] = forensics.Datagram{Iface: i % sim.Ifaces, Seq: p.Seq, Data: p.Data}
-	}
 	label := fmt.Sprintf("%s/%s", cfg.Table, cfg.Name)
 	b := forensics.NewRouterBundle(forensics.KindCompiledDivergence, label, cfg, sim.Ifaces,
-		routes, dgs, int64(len(pkts)), budget, true)
+		routes, router.RoundRobin(pkts, sim.Ifaces), int64(len(pkts)), budget, true)
 	b.Seed = sim.Seed
 	b.RecorderCap = obs.DefaultRecorderCap
 	b.Note = note

@@ -8,7 +8,6 @@ import (
 
 	"taco/internal/forensics"
 	"taco/internal/fu"
-	"taco/internal/linecard"
 	"taco/internal/obs"
 	"taco/internal/router"
 	"taco/internal/rtable"
@@ -77,9 +76,9 @@ func (o *SoakOptions) defaults() {
 
 // SoakReport aggregates a soak run. A clean run has Stalls,
 // Mismatches and Unexplained all zero: every campaign finished within
-// budget, golden and TACO agreed on every datagram's fate (including
-// its DropReason, per card), and every machine-level drop was
-// attributed to the taxonomy.
+// budget, golden and TACO agreed on every datagram's fate and output
+// bytes and on every card's per-reason drop counts, and every
+// machine-level drop was attributed to the taxonomy.
 type SoakReport struct {
 	Campaigns int
 	Packets   int64 // datagrams generated across all campaigns
@@ -94,8 +93,9 @@ type SoakReport struct {
 	Mutations map[string]int64
 	// Stalls counts campaigns killed by the watchdog.
 	Stalls int
-	// Mismatches counts golden-vs-TACO disagreements (per datagram fate
-	// and per drop-counter cell).
+	// Mismatches counts golden-vs-TACO disagreements (router.Compare:
+	// one per datagram whose fate or output bytes differ, one per card
+	// whose drop counters differ).
 	Mismatches int
 	// Unexplained counts machine drops the audit could not attribute.
 	Unexplained int64
@@ -150,19 +150,14 @@ func campaignSeed(base uint64, c int) uint64 {
 	return base + uint64(c)*0x9e3779b97f4a7c15
 }
 
-// fate is one datagram's outcome, comparable across the two routers.
-type fate struct {
-	action router.Action
-	iface  int
-}
-
 // RunSoak drives o.Campaigns independent campaigns. Each campaign
 // generates a routing table and traffic from its seed, mutates the
 // traffic through the fault spec, runs the golden router and the TACO
-// router (drop audit enabled) over identical bytes, and compares the
-// forwarded-packet sets, local deliveries, and per-card per-reason drop
-// counts. Divergence is counted, not fatal: a soak run completes and
-// reports, it does not stop at the first bad campaign.
+// router (drop audit enabled) over identical bytes and one table, and
+// compares them with router.Compare: every datagram's action, output
+// interface and output bytes, and every card's per-reason drop counts.
+// Divergence is counted, not fatal: a soak run completes and reports, it
+// does not stop at the first bad campaign.
 //
 // The TACO router is built once per call — machine, forwarding program,
 // schedule and, with o.Compiled, the compiled step path — because every
@@ -195,19 +190,8 @@ func RunSoak(o SoakOptions) (SoakReport, error) {
 		routes := workload.GenerateRoutes(workload.TableSpec{
 			Entries: o.Entries, Ifaces: o.Ifaces, Seed: seed,
 		})
-		mkTable := func() (rtable.Table, error) {
-			tbl := rtable.New(o.Config.Table)
-			if err := rtable.InsertAll(tbl, routes); err != nil {
-				return nil, err
-			}
-			return tbl, nil
-		}
-		gtbl, err := mkTable()
-		if err != nil {
-			return rep, fmt.Errorf("fault: campaign %d: %w", c, err)
-		}
-		ttbl, err := mkTable()
-		if err != nil {
+		tbl := rtable.New(o.Config.Table)
+		if err := rtable.InsertAll(tbl, routes); err != nil {
 			return rep, fmt.Errorf("fault: campaign %d: %w", c, err)
 		}
 		pkts, err := workload.GenerateTraffic(routes, workload.TrafficSpec{
@@ -228,40 +212,20 @@ func RunSoak(o SoakOptions) (SoakReport, error) {
 			pkts[i].Data = inj.Apply(pkts[i].Data)
 		}
 
-		g := router.NewGolden(gtbl, o.Ifaces)
-		if err := tr.Rebind(ttbl); err != nil {
+		arrivals := router.RoundRobin(pkts, o.Ifaces)
+		want := router.NewGolden(tbl, o.Ifaces).Expected(arrivals)
+		if err := tr.Rebind(tbl); err != nil {
 			return rep, fmt.Errorf("fault: campaign %d: %w", c, err)
 		}
-
-		want := make(map[int64]fate, len(pkts))
-		wantDrops := make([]obs.DropCounters, o.Ifaces)
-		delivered := int64(0)
-		for i, p := range pkts {
-			card := i % o.Ifaces
-			if tr.Deliver(card, linecard.Datagram{Data: p.Data, Seq: p.Seq}) {
-				delivered++
-			}
-			dec, _ := g.Process(p.Data)
-			f := fate{action: dec.Action, iface: -1}
-			if dec.Action == router.Forward {
-				f.iface = dec.OutIface
-			} else if dec.Action == router.Drop {
-				wantDrops[card].Add(dec.Reason)
-			}
-			want[p.Seq] = f
-		}
+		delivered := tr.DeliverAll(arrivals)
 		rep.Packets += int64(len(pkts))
 		rep.Delivered += delivered
 
 		// newBundle builds the replay-input half of a forensic bundle for
 		// this campaign; save appends the written path to the report.
 		newBundle := func(kind string) *forensics.Bundle {
-			dgs := make([]forensics.Datagram, len(pkts))
-			for i, p := range pkts {
-				dgs[i] = forensics.Datagram{Iface: i % o.Ifaces, Seq: p.Seq, Data: p.Data}
-			}
 			b := forensics.NewRouterBundle(kind, fmt.Sprintf("campaign-%d", c),
-				o.Config, o.Ifaces, routes, dgs, delivered, budget, o.Compiled)
+				o.Config, o.Ifaces, routes, arrivals, delivered, budget, o.Compiled)
 			b.Seed = seed
 			b.FaultSpec = o.Spec
 			b.RecorderCap = obs.DefaultRecorderCap
@@ -290,43 +254,25 @@ func RunSoak(o SoakOptions) (SoakReport, error) {
 			}
 			return rep, fmt.Errorf("fault: campaign %d: %w", c, err)
 		}
-		tr.FinalizeDropAudit()
+		got := tr.Collect(arrivals)
 		unexplained := tr.UnexplainedDrops()
 		rep.Unexplained += unexplained
-
-		got := make(map[int64]fate, len(pkts))
-		for i := 0; i < o.Ifaces; i++ {
-			for _, d := range tr.Outputs(i) {
-				got[d.Seq] = fate{action: router.Forward, iface: i}
+		for _, d := range got.Datagrams {
+			switch d.Action {
+			case router.Forward:
 				rep.Forwarded++
-			}
-		}
-		for _, d := range tr.LocalQueue() {
-			got[d.Seq] = fate{action: router.Local, iface: -1}
-			rep.Local++
-		}
-		fateMismatches := 0
-		for _, p := range pkts {
-			w := want[p.Seq]
-			gf, ok := got[p.Seq]
-			if !ok {
-				gf = fate{action: router.Drop, iface: -1}
+			case router.Local:
+				rep.Local++
+			default:
 				rep.Dropped++
 			}
-			if w != gf {
-				fateMismatches++
-			}
 		}
-		dropMismatches := 0
-		stats := tr.QueueStats()
-		for i, st := range stats {
+		for _, st := range tr.QueueStats() {
 			rep.Drops.Merge(st.Drops)
-			if i < o.Ifaces && st.Drops != wantDrops[i] {
-				dropMismatches++
-			}
 		}
-		rep.Mismatches += fateMismatches + dropMismatches
-		if o.ForensicsDir != "" && (fateMismatches > 0 || dropMismatches > 0 || unexplained > 0) {
+		diff := router.Compare(want, got)
+		rep.Mismatches += len(diff.Seqs) + len(diff.Cards)
+		if o.ForensicsDir != "" && (!diff.Agree() || unexplained > 0) {
 			attachTail := func(b *forensics.Bundle) {
 				if rec := tr.Recorder(); rec != nil {
 					b.Tail = rec.Tail()
@@ -334,23 +280,18 @@ func RunSoak(o SoakOptions) (SoakReport, error) {
 					b.SocketNames = tr.Machine.SocketNames()
 				}
 			}
-			if fateMismatches > 0 {
+			if len(diff.Seqs) > 0 {
 				b := newBundle(forensics.KindFateDivergence)
-				b.WantFates, b.GotFates = fateSlices(pkts, o.Ifaces, want, got)
+				b.WantFates, b.GotFates = forensics.Fates(want), forensics.Fates(got)
 				attachTail(b)
 				if err := save(b); err != nil {
 					return rep, err
 				}
 			}
-			if dropMismatches > 0 || unexplained > 0 {
+			if len(diff.Cards) > 0 || unexplained > 0 {
 				b := newBundle(forensics.KindDropAudit)
 				b.Unexplained = unexplained
-				b.WantDrops = make([]map[string]int64, o.Ifaces)
-				b.GotDrops = make([]map[string]int64, o.Ifaces)
-				for i := 0; i < o.Ifaces; i++ {
-					b.WantDrops[i] = wantDrops[i].Map()
-					b.GotDrops[i] = stats[i].Drops.Map()
-				}
+				b.WantDrops, b.GotDrops = forensics.DropMaps(want), forensics.DropMaps(got)
 				attachTail(b)
 				if err := save(b); err != nil {
 					return rep, err
@@ -362,21 +303,4 @@ func RunSoak(o SoakOptions) (SoakReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// fateSlices converts the soak's fate maps into the bundle's serialized
-// form, in delivery order (missing got entries are drops).
-func fateSlices(pkts []workload.Packet, ifaces int, want, got map[int64]fate) (w, g []forensics.Fate) {
-	conv := func(f fate, seq int64) forensics.Fate {
-		return forensics.Fate{Seq: seq, Action: f.action.String(), Iface: f.iface}
-	}
-	for _, p := range pkts {
-		w = append(w, conv(want[p.Seq], p.Seq))
-		gf, ok := got[p.Seq]
-		if !ok {
-			gf = fate{action: router.Drop, iface: -1}
-		}
-		g = append(g, conv(gf, p.Seq))
-	}
-	return w, g
 }

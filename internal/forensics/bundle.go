@@ -61,18 +61,33 @@ const (
 // Datagram is one delivered datagram in delivery order. Data is the
 // exact bytes handed to the line card — after any fault mutation — so
 // a replay needs no workload generator and no fault injector.
-type Datagram struct {
-	Iface int    `json:"iface"`
-	Seq   int64  `json:"seq"`
-	Data  []byte `json:"data"`
-}
+type Datagram = router.Arrival
 
-// Fate is one datagram's outcome, the comparable unit of the
-// differential soaks: forward (with output interface), local, or drop.
+// Fate is a bundle's view of a router.Outcome: forward (with output
+// interface), local, or drop. The output bytes are not recorded; a
+// replay recomputes them on both sides.
 type Fate struct {
 	Seq    int64  `json:"seq"`
 	Action string `json:"action"`
 	Iface  int    `json:"iface"` // output interface; -1 unless forwarded
+}
+
+// Fates is the bundle view of o's datagrams.
+func Fates(o router.Outcomes) []Fate {
+	fs := make([]Fate, len(o.Datagrams))
+	for i, d := range o.Datagrams {
+		fs[i] = Fate{Seq: d.Seq, Action: d.Action.String(), Iface: d.Iface}
+	}
+	return fs
+}
+
+// DropMaps is the bundle view of o's per-card drop counters.
+func DropMaps(o router.Outcomes) []map[string]int64 {
+	ms := make([]map[string]int64, len(o.Drops))
+	for i, d := range o.Drops {
+		ms[i] = d.Map()
+	}
+	return ms
 }
 
 // Bundle is the versioned forensic record. Replay-input fields fully
@@ -182,7 +197,9 @@ func (b *Bundle) Save(dir string) (string, error) {
 	return path, nil
 }
 
-// Load reads and validates a bundle file.
+// Load reads and validates a bundle file. A router bundle must name at
+// least one interface and deliver every datagram on one of them, in
+// increasing Seq order.
 func Load(path string) (*Bundle, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -198,6 +215,19 @@ func Load(path string) (*Bundle, error) {
 	}
 	if b.Kind == "" {
 		return nil, fmt.Errorf("forensics: %s: bundle has no kind", path)
+	}
+	if b.Kind != KindMachineStall {
+		if b.Ifaces < 1 {
+			return nil, fmt.Errorf("forensics: %s: ifaces %d: a router bundle needs at least one interface", path, b.Ifaces)
+		}
+		for i, d := range b.Datagrams {
+			if d.Iface < 0 || d.Iface >= b.Ifaces {
+				return nil, fmt.Errorf("forensics: %s: datagrams[%d].iface %d outside [0, %d)", path, i, d.Iface, b.Ifaces)
+			}
+			if i > 0 && d.Seq <= b.Datagrams[i-1].Seq {
+				return nil, fmt.Errorf("forensics: %s: datagrams[%d].seq %d does not increase", path, i, d.Seq)
+			}
+		}
 	}
 	return &b, nil
 }

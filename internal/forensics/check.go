@@ -3,6 +3,7 @@ package forensics
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"taco/internal/obs"
 	"taco/internal/router"
@@ -63,9 +64,11 @@ func (d *EventDiff) Describe(aName, bName string, names []string) string {
 
 // CheckReproduction asserts that a replay reproduced the bundle's
 // recorded failure: same stall cause and cycle for stall kinds, the
-// same recomputed fates/drop counters for differential kinds, the same
-// terminal error for machine kinds. A nil return means the bundle is a
-// faithful repro; an error explains the mismatch.
+// same fates/drop counters for differential kinds — and, for a fate
+// divergence, a replay that still disagrees with the golden router by
+// router.Compare, output bytes included — the same terminal error for
+// machine kinds. A nil return means the bundle is a faithful repro; an
+// error explains the mismatch.
 func CheckReproduction(b *Bundle, res *ReplayResult) error {
 	switch b.Kind {
 	case KindStall:
@@ -100,17 +103,17 @@ func CheckReproduction(b *Bundle, res *ReplayResult) error {
 		if res.Err != "" {
 			return fmt.Errorf("bundle records a fate divergence but the replay errored: %s", res.Err)
 		}
-		if err := diffFates("got", res.Fates, b.GotFates); err != nil {
+		if err := diffFates("got", Fates(res.Outcomes), b.GotFates); err != nil {
 			return err
 		}
-		want, _, err := GoldenFates(b)
+		want, err := GoldenOutcomes(b)
 		if err != nil {
 			return err
 		}
-		if err := diffFates("want", want, b.WantFates); err != nil {
+		if err := diffFates("want", Fates(want), b.WantFates); err != nil {
 			return err
 		}
-		if fatesEqual(res.Fates, want) {
+		if len(router.Compare(want, res.Outcomes).Seqs) == 0 {
 			return errors.New("bundle records a divergence but replayed fates match the golden reference")
 		}
 		return nil
@@ -125,10 +128,10 @@ func CheckReproduction(b *Bundle, res *ReplayResult) error {
 		if res.Err != "" {
 			return fmt.Errorf("bundle records a net-invariant violation but the replay errored: %s", res.Err)
 		}
-		if err := diffFates("got", res.Fates, b.GotFates); err != nil {
+		if err := diffFates("got", Fates(res.Outcomes), b.GotFates); err != nil {
 			return err
 		}
-		if fatesEqual(b.GotFates, b.WantFates) {
+		if slices.Equal(b.GotFates, b.WantFates) {
 			return errors.New("bundle records a net-invariant violation but its fates match the oracle")
 		}
 		return nil
@@ -142,10 +145,7 @@ func CheckReproduction(b *Bundle, res *ReplayResult) error {
 		if b.Unexplained != res.Unexplained {
 			return fmt.Errorf("unexplained drops mismatch: replay %d, bundle %d", res.Unexplained, b.Unexplained)
 		}
-		if err := diffDrops("got", res.Drops, b.GotDrops); err != nil {
-			return err
-		}
-		return nil
+		return diffDrops("got", DropMaps(res.Outcomes), b.GotDrops)
 	case KindMachineStall:
 		if res.Err != b.Err {
 			return fmt.Errorf("machine error mismatch: replay %q, bundle %q", res.Err, b.Err)
@@ -180,18 +180,6 @@ func diffTailSuffix(b *Bundle, replayTail []obs.RecEvent) error {
 		return fmt.Errorf("recorder tail mismatch: %s", d.Describe("replay", "bundle", b.SocketNames))
 	}
 	return nil
-}
-
-func fatesEqual(a, b []Fate) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func diffFates(side string, replayed, recorded []Fate) error {

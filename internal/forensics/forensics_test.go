@@ -3,6 +3,7 @@ package forensics
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"taco/internal/fu"
@@ -220,6 +221,38 @@ func TestLoadRejectsBadVersion(t *testing.T) {
 	}
 	if _, err := Load(bad); err == nil {
 		t.Fatal("expected kindless rejection")
+	}
+}
+
+// TestLoadRejectsBadInterfaces: a router bundle with no interfaces, with
+// a datagram delivered on a card it does not have, or with datagrams out
+// of Seq order, is rejected by Load with an error naming the field — not
+// handed to the replay to index a line card out of range.
+func TestLoadRejectsBadInterfaces(t *testing.T) {
+	corpus := filepath.Join("..", "..", "testdata", "forensics", "stall-campaign-0-7574f14b6e90ff8c.json")
+	for _, tc := range []struct {
+		name, field string
+		edit        func(b *Bundle)
+	}{
+		{"datagram iface 9", "datagrams[3].iface 9", func(b *Bundle) { b.Datagrams[3].Iface = 9 }},
+		{"datagram iface -1", "datagrams[0].iface -1", func(b *Bundle) { b.Datagrams[0].Iface = -1 }},
+		{"ifaces 0", "ifaces 0", func(b *Bundle) { b.Ifaces = 0 }},
+		{"seq out of order", "datagrams[5].seq 2", func(b *Bundle) { b.Datagrams[5].Seq = 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := Load(corpus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(b)
+			path, err := b.Save(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(path); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("Load = %v, want an error naming %q", err, tc.field)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"taco/internal/asm"
 	"taco/internal/fu"
-	"taco/internal/linecard"
 	"taco/internal/obs"
 	"taco/internal/router"
 	"taco/internal/rtable"
@@ -77,11 +76,9 @@ type ReplayResult struct {
 	Err string
 	// PC is the final program counter.
 	PC int
-	// Fates and Drops are the router outcome (clean completions only):
-	// per-datagram fates in delivery order and per-network-card drop
-	// counters keyed by reason.
-	Fates       []Fate
-	Drops       []map[string]int64
+	// Outcomes is what the router did with the bundle's datagrams
+	// (clean completions only), read by router.TACO.Collect.
+	Outcomes    router.Outcomes
 	Unexplained int64
 	// Tail is the flight recorder's retained history at run end,
 	// TailDropped the overwritten-event count.
@@ -141,12 +138,7 @@ func replayRouter(b *Bundle, opts ReplayOptions, until int64, onCycle func(int64
 	if err != nil {
 		return nil, err
 	}
-	var delivered int64
-	for _, d := range b.Datagrams {
-		if tr.Deliver(d.Iface, linecard.Datagram{Data: d.Data, Seq: d.Seq}) {
-			delivered++
-		}
-	}
+	delivered := tr.DeliverAll(b.Datagrams)
 	res := &ReplayResult{SocketNames: tr.Machine.SocketNames()}
 	rec := tr.Recorder()
 
@@ -169,9 +161,8 @@ func replayRouter(b *Bundle, opts ReplayOptions, until int64, onCycle func(int64
 	case runErr != nil:
 		res.Err = runErr.Error()
 	default:
-		tr.FinalizeDropAudit()
+		res.Outcomes = tr.Collect(b.Datagrams)
 		res.Unexplained = tr.UnexplainedDrops()
-		res.Fates, res.Drops = collectFates(tr, b.Datagrams)
 	}
 	finishSnapshot(res, tr, rec)
 	return res, nil
@@ -187,66 +178,18 @@ func finishSnapshot(res *ReplayResult, tr *router.TACO, rec *obs.FlightRecorder)
 	}
 }
 
-// collectFates mirrors the soak's outcome accounting: every bundle
-// datagram gets a fate (forward with its output interface, local, or
-// drop when it never reappeared), plus the per-network-card drop
-// counters.
-func collectFates(tr *router.TACO, dgs []Datagram) ([]Fate, []map[string]int64) {
-	got := make(map[int64]Fate, len(dgs))
-	for i := 0; i < tr.Ifaces(); i++ {
-		for _, d := range tr.Outputs(i) {
-			got[d.Seq] = Fate{Seq: d.Seq, Action: router.Forward.String(), Iface: i}
-		}
-	}
-	for _, d := range tr.LocalQueue() {
-		got[d.Seq] = Fate{Seq: d.Seq, Action: router.Local.String(), Iface: -1}
-	}
-	fates := make([]Fate, 0, len(dgs))
-	for _, d := range dgs {
-		f, ok := got[d.Seq]
-		if !ok {
-			f = Fate{Seq: d.Seq, Action: router.Drop.String(), Iface: -1}
-		}
-		fates = append(fates, f)
-	}
-	stats := tr.QueueStats()
-	drops := make([]map[string]int64, tr.Ifaces())
-	for i := range drops {
-		drops[i] = stats[i].Drops.Map()
-	}
-	return fates, drops
-}
-
-// GoldenFates runs the golden reference router over the bundle's
-// datagrams and returns the expected fates (delivery order) and the
-// expected per-network-card drop counters — the "want" side of the
-// differential comparison, recomputed from first principles.
-func GoldenFates(b *Bundle) ([]Fate, []map[string]int64, error) {
+// GoldenOutcomes runs the golden reference router over the bundle's
+// datagrams: the "want" side of the differential comparison, recomputed
+// from first principles.
+func GoldenOutcomes(b *Bundle) (router.Outcomes, error) {
 	if b.Config == nil {
-		return nil, nil, errors.New("forensics: bundle carries no architecture config")
+		return router.Outcomes{}, errors.New("forensics: bundle carries no architecture config")
 	}
 	tbl := rtable.New(b.Config.Table)
 	if err := rtable.InsertAll(tbl, b.Routes); err != nil {
-		return nil, nil, fmt.Errorf("forensics: rebuild table: %w", err)
+		return router.Outcomes{}, fmt.Errorf("forensics: rebuild table: %w", err)
 	}
-	g := router.NewGolden(tbl, b.Ifaces)
-	fates := make([]Fate, 0, len(b.Datagrams))
-	wantDrops := make([]obs.DropCounters, b.Ifaces)
-	for _, d := range b.Datagrams {
-		dec, _ := g.Process(d.Data)
-		f := Fate{Seq: d.Seq, Action: dec.Action.String(), Iface: -1}
-		if dec.Action == router.Forward {
-			f.Iface = dec.OutIface
-		} else if dec.Action == router.Drop && d.Iface >= 0 && d.Iface < b.Ifaces {
-			wantDrops[d.Iface].Add(dec.Reason)
-		}
-		fates = append(fates, f)
-	}
-	drops := make([]map[string]int64, b.Ifaces)
-	for i := range drops {
-		drops[i] = wantDrops[i].Map()
-	}
-	return fates, drops, nil
+	return router.NewGolden(tbl, b.Ifaces).Expected(b.Datagrams), nil
 }
 
 // NewMachineBundle assembles a KindMachineStall bundle: a compute

@@ -10,7 +10,6 @@ import (
 	"taco/internal/fault"
 	"taco/internal/forensics"
 	"taco/internal/ipv6"
-	"taco/internal/linecard"
 	"taco/internal/obs"
 	"taco/internal/ripng"
 	"taco/internal/router"
@@ -681,18 +680,18 @@ func (n *node) stepProbe(m *Mesh, now int64, p *probe) {
 		return
 	}
 
-	dec := router.Classify(n.table, nil, p.data)
+	want := router.Expect(p.id, router.Classify(n.table, nil, p.data), p.data)
 	if n.taco != nil && !n.quarantined {
-		n.differentialHop(m, now, p, dec)
+		n.differentialHop(m, now, p, want)
 	}
 
-	switch dec.Action {
+	switch want.Action {
 	case router.Drop:
-		reason := dec.Reason.String()
+		reason := want.Reason.String()
 		die(reason)
 		if p.converged && !p.corrupted {
 			inv := "probe-delivery"
-			if dec.Reason == ipv6.DropHopLimit {
+			if want.Reason == ipv6.DropHopLimit {
 				inv = "forwarding-loop"
 			}
 			v := Violation{
@@ -700,7 +699,7 @@ func (n *node) stepProbe(m *Mesh, now int64, p *probe) {
 				Detail: fmt.Sprintf("probe %d (%d -> %s) died of %s at node %d after %d hops",
 					p.id, p.src, p.dstPrefix, reason, n.id, p.hops),
 			}
-			v.Bundle = n.captureProbeBundle(m, p, dec, v.Detail)
+			v.Bundle = n.captureProbeBundle(m, p, want, v.Detail)
 			n.out.violations = append(n.out.violations, v)
 		}
 		return
@@ -714,19 +713,18 @@ func (n *node) stepProbe(m *Mesh, now int64, p *probe) {
 				Tick: now, Node: n.id, Invariant: "probe-audit",
 				Detail: fmt.Sprintf("probe %d locally delivered at node %d", p.id, n.id),
 			}
-			v.Bundle = n.captureProbeBundle(m, p, dec, v.Detail)
+			v.Bundle = n.captureProbeBundle(m, p, want, v.Detail)
 			n.out.violations = append(n.out.violations, v)
 		}
 		return
 	}
 
 	// Forward.
-	out := append([]byte(nil), p.data...)
-	ipv6.DecrementHopLimit(out)
-	if dec.OutIface >= len(n.nbrs) {
+	out := want.Data
+	if want.Iface >= len(n.nbrs) {
 		// Out a stub interface: delivery — to the right stub, or a
 		// misdelivery the invariant checker must flag.
-		si := dec.OutIface - len(n.nbrs)
+		si := want.Iface - len(n.nbrs)
 		h, _ := ipv6.ParseHeader(p.data)
 		if si < len(n.stubs) && n.stubs[si].Contains(h.Dst) {
 			die("delivered")
@@ -737,14 +735,14 @@ func (n *node) stepProbe(m *Mesh, now int64, p *probe) {
 			v := Violation{
 				Tick: now, Node: n.id, Invariant: "misdelivery",
 				Detail: fmt.Sprintf("probe %d for %s delivered out stub interface %d of node %d",
-					p.id, p.dstPrefix, dec.OutIface, n.id),
+					p.id, p.dstPrefix, want.Iface, n.id),
 			}
-			v.Bundle = n.captureProbeBundle(m, p, dec, v.Detail)
+			v.Bundle = n.captureProbeBundle(m, p, want, v.Detail)
 			n.out.violations = append(n.out.violations, v)
 		}
 		return
 	}
-	nb := n.nbrs[dec.OutIface]
+	nb := n.nbrs[want.Iface]
 	sent, ok := nb.out.link.Transmit(now, out)
 	if !ok {
 		if !nb.out.link.Up(now) {
@@ -764,11 +762,12 @@ func (n *node) stepProbe(m *Mesh, now int64, p *probe) {
 }
 
 // differentialHop replays the probe hop on the node's cycle-accurate
-// TACO pipeline and checks the machine agreed with the golden decision
-// byte for byte. A watchdog stall quarantines the node (the campaign
-// degrades gracefully to the golden path) and captures a forensic
-// bundle; a divergence captures a fate-divergence bundle.
-func (n *node) differentialHop(m *Mesh, now int64, p *probe, dec router.Decision) {
+// TACO pipeline and checks with router.Compare that the machine did what
+// the golden decision requires (want), output bytes included. A
+// watchdog stall quarantines the node (the campaign degrades gracefully
+// to the golden path) and captures a forensic bundle; a divergence
+// captures a fate-divergence bundle.
+func (n *node) differentialHop(m *Mesh, now int64, p *probe, want router.Outcome) {
 	n.tacoHops++
 	t := n.taco
 	t.Reset()
@@ -777,10 +776,8 @@ func (n *node) differentialHop(m *Mesh, now int64, p *probe, dec router.Decision
 		budget = router.WatchdogBudget(1, n.table.Len())
 	}
 	n.budget = budget
-	accepted := int64(0)
-	if t.Deliver(p.iface, linecard.Datagram{Data: p.data, Seq: p.id}) {
-		accepted = 1
-	}
+	arrival := []router.Arrival{{Iface: p.iface, Seq: p.id, Data: p.data}}
+	accepted := t.DeliverAll(arrival)
 	if err := t.Run(accepted, budget); err != nil {
 		se, ok := forensics.AsStall(err)
 		n.quarantined = true
@@ -800,62 +797,26 @@ func (n *node) differentialHop(m *Mesh, now int64, p *probe, dec router.Decision
 		n.out.violations = append(n.out.violations, v)
 		return
 	}
-	// Collect the machine's fate and compare against the golden one.
-	var gotIface = -1
-	var gotData []byte
-	var outputs int
-	for i := 0; i < t.Ifaces(); i++ {
-		for _, d := range t.Outputs(i) {
-			outputs++
-			gotIface, gotData = i, d.Data
-		}
-	}
-	local := len(t.LocalQueue())
-	agree := false
-	switch dec.Action {
-	case router.Forward:
-		want := append([]byte(nil), p.data...)
-		ipv6.DecrementHopLimit(want)
-		agree = outputs == 1 && local == 0 && gotIface == dec.OutIface && bytes.Equal(gotData, want)
-	case router.Local:
-		agree = outputs == 0 && local == 1
-	case router.Drop:
-		agree = outputs == 0 && local == 0
-	}
-	if agree {
+	golden := router.Outcomes{Datagrams: []router.Outcome{want}}
+	got := t.Collect(arrival)
+	if router.Compare(golden, got).Agree() {
 		return
 	}
 	n.tacoDivergences++
 	v := Violation{
 		Tick: now, Node: n.id, Invariant: "differential",
-		Detail: fmt.Sprintf("node %d (%s): TACO fate (outputs=%d iface=%d local=%d) diverges from golden %v for probe %d",
-			n.id, n.kind, outputs, gotIface, local, dec, p.id),
+		Detail: fmt.Sprintf("node %d (%s): TACO %v diverges from golden %v for probe %d",
+			n.id, n.kind, got.Datagrams[0], want, p.id),
 	}
 	if m.opt.ForensicsDir != "" {
 		b := n.newProbeBundle(m, forensics.KindFateDivergence, p, accepted)
 		b.Note = v.Detail
-		b.WantFates = []forensics.Fate{goldenFate(p.id, dec)}
-		got := forensics.Fate{Seq: p.id, Action: router.Drop.String(), Iface: -1}
-		switch {
-		case outputs == 1:
-			got = forensics.Fate{Seq: p.id, Action: router.Forward.String(), Iface: gotIface}
-		case local > 0:
-			got = forensics.Fate{Seq: p.id, Action: router.Local.String(), Iface: -1}
-		}
-		b.GotFates = []forensics.Fate{got}
+		b.WantFates, b.GotFates = forensics.Fates(golden), forensics.Fates(got)
 		if path, err := b.Save(m.opt.ForensicsDir); err == nil {
 			v.Bundle = path
 		}
 	}
 	n.out.violations = append(n.out.violations, v)
-}
-
-func goldenFate(seq int64, dec router.Decision) forensics.Fate {
-	f := forensics.Fate{Seq: seq, Action: dec.Action.String(), Iface: -1}
-	if dec.Action == router.Forward {
-		f.Iface = dec.OutIface
-	}
-	return f
 }
 
 // newProbeBundle assembles the replay-input half of a forensic bundle
@@ -882,17 +843,17 @@ func (n *node) newProbeBundle(m *Mesh, kind string, p *probe, accepted int64) *f
 // probe-witnessed violation: the node's exact forwarding state plus the
 // dying datagram, replayable by tacoreplay. Returns the bundle path, or
 // "" when forensics are disabled.
-func (n *node) captureProbeBundle(m *Mesh, p *probe, dec router.Decision, detail string) string {
+func (n *node) captureProbeBundle(m *Mesh, p *probe, did router.Outcome, detail string) string {
 	if m.opt.ForensicsDir == "" {
 		return ""
 	}
 	accepted := int64(1)
-	if dec.Action == router.Drop && (dec.Reason == ipv6.DropOversize || dec.Reason == ipv6.DropLengthMismatch) {
+	if did.Reason == ipv6.DropOversize || did.Reason == ipv6.DropLengthMismatch {
 		accepted = 0 // the line card itself rejects these frames
 	}
 	b := n.newProbeBundle(m, forensics.KindNetInvariant, p, accepted)
 	b.Note = detail
-	b.GotFates = []forensics.Fate{goldenFate(p.id, dec)}
+	b.GotFates = forensics.Fates(router.Outcomes{Datagrams: []router.Outcome{did}})
 	b.WantFates = []forensics.Fate{m.oracleFate(p)}
 	path, err := b.Save(m.opt.ForensicsDir)
 	if err != nil {

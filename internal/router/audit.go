@@ -1,19 +1,6 @@
 package router
 
-import (
-	"taco/internal/ipv6"
-	"taco/internal/linecard"
-)
-
-// auditEntry records one datagram delivered into the machine while the
-// drop audit is enabled: where it arrived, its workload sequence
-// number, and the frame bytes (the machine copies the frame into its
-// data memory, so the recorded slice is never rewritten).
-type auditEntry struct {
-	iface int
-	seq   int64
-	data  []byte
-}
+import "taco/internal/ipv6"
 
 // EnableDropAudit makes the router account for machine-level drops by
 // reason. While enabled, every datagram accepted into an input queue is
@@ -24,9 +11,9 @@ type auditEntry struct {
 // counted as unexplained instead of being papered over, which is what
 // keeps the golden-vs-TACO drop comparison falsifiable.
 //
-// The audit requires workload traffic with unique non-negative Seq
-// numbers; datagrams with negative Seq (control-plane traffic) are not
-// audited. Disabled (the default) the audit costs one nil check per
+// The audit requires workload traffic delivered in increasing,
+// non-negative Seq order; datagrams with negative Seq (control-plane
+// traffic) are not audited. Disabled (the default) the audit costs one nil check per
 // Deliver, like the obs counters.
 func (t *TACO) EnableDropAudit() {
 	if t.audit == nil {
@@ -34,8 +21,11 @@ func (t *TACO) EnableDropAudit() {
 	}
 }
 
+// dropAudit holds the datagrams accepted into an input queue since the
+// last finalization (the machine copies each frame into its data
+// memory, so the recorded bytes are never rewritten).
 type dropAudit struct {
-	entries     []auditEntry
+	arrivals    []Arrival
 	unexplained int64
 }
 
@@ -48,21 +38,13 @@ func (t *TACO) FinalizeDropAudit() {
 	if t.audit == nil {
 		return
 	}
-	sent := make(map[int64]bool, len(t.audit.entries))
-	for i := 0; i <= t.ifaces; i++ {
-		t.Bank.Card(i).ForEachOutput(func(d linecard.Datagram) {
-			if d.Seq >= 0 {
-				sent[d.Seq] = true
-			}
-		})
-	}
-	for _, e := range t.audit.entries {
-		if sent[e.seq] {
+	for i, o := range t.match(t.audit.arrivals).Datagrams {
+		if o.Action != Drop {
 			continue
 		}
-		dec := Classify(t.tbl, t.isLocal, e.data)
-		if dec.Action == Drop {
-			t.Bank.Card(e.iface).CountDrop(dec.Reason)
+		a := t.audit.arrivals[i]
+		if dec := Classify(t.tbl, t.isLocal, a.Data); dec.Action == Drop {
+			t.Bank.Card(a.Iface).CountDrop(dec.Reason)
 		} else {
 			// The machine dropped something the classifier says it should
 			// have forwarded or delivered — a real divergence, surfaced
@@ -70,7 +52,7 @@ func (t *TACO) FinalizeDropAudit() {
 			t.audit.unexplained++
 		}
 	}
-	t.audit.entries = t.audit.entries[:0]
+	t.audit.arrivals = t.audit.arrivals[:0]
 }
 
 // UnexplainedDrops returns the number of audited machine drops the

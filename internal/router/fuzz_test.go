@@ -2,7 +2,6 @@ package router
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"taco/internal/fu"
@@ -17,84 +16,6 @@ import (
 // exercised — both routers must classify them as oversize drops — while
 // pathological multi-megabyte inputs stay cheap.
 const maxFuzzDatagram = 4 * linecard.MaxFrameBytes
-
-// decision is a reconstructed per-datagram outcome, comparable across
-// the two router implementations.
-type decision struct {
-	action Action
-	iface  int
-	data   string
-}
-
-// goldenDecisions processes pkts through the golden router and keys
-// each Decision by workload sequence number.
-func goldenDecisions(t *testing.T, kind rtable.Kind, routes []rtable.Route, pkts []workload.Packet) map[int64]decision {
-	t.Helper()
-	g := NewGolden(fillTable(t, kind, routes), nIfaces)
-	g.AddLocal(routerAddr)
-	out := map[int64]decision{}
-	for _, p := range pkts {
-		dec, data := g.Process(p.Data)
-		d := decision{action: dec.Action}
-		switch dec.Action {
-		case Forward:
-			d.iface = dec.OutIface
-			d.data = string(data)
-		case Local:
-			d.iface = -1
-			d.data = string(data)
-		case Drop:
-			d.iface = -1
-		}
-		out[p.Seq] = d
-	}
-	return out
-}
-
-// tacoDecisions runs pkts through tr and reconstructs the per-sequence
-// Decision stream from the output queues: a datagram surfacing on
-// interface i was forwarded there, one in the host queue was delivered
-// locally, and anything else — including frames the line card's own
-// checks rejected at Deliver — was dropped. Sequence numbers make the
-// comparison independent of queue interleaving.
-func tacoDecisions(t *testing.T, tr *TACO, pkts []workload.Packet) map[int64]decision {
-	t.Helper()
-	delivered := int64(0)
-	for i, p := range pkts {
-		if tr.Deliver(i%nIfaces, linecard.Datagram{Data: p.Data, Seq: p.Seq}) {
-			delivered++
-		}
-	}
-	if err := tr.Run(delivered, 20_000_000); err != nil {
-		t.Fatal(err)
-	}
-	out := map[int64]decision{}
-	for i := 0; i < nIfaces; i++ {
-		for _, d := range tr.Outputs(i) {
-			out[d.Seq] = decision{action: Forward, iface: i, data: string(d.Data)}
-		}
-	}
-	for _, d := range tr.LocalQueue() {
-		out[d.Seq] = decision{action: Local, iface: -1, data: string(d.Data)}
-	}
-	for _, p := range pkts {
-		if _, ok := out[p.Seq]; !ok {
-			out[p.Seq] = decision{action: Drop, iface: -1}
-		}
-	}
-	return out
-}
-
-func diffDecisions(t *testing.T, label string, pkts []workload.Packet, want, got map[int64]decision) {
-	t.Helper()
-	for _, p := range pkts {
-		w, g := want[p.Seq], got[p.Seq]
-		if w.action != g.action || w.iface != g.iface || w.data != g.data {
-			t.Errorf("%s: seq %d: golden %v/iface %d (%d bytes), taco %v/iface %d (%d bytes)",
-				label, p.Seq, w.action, w.iface, len(w.data), g.action, g.iface, len(g.data))
-		}
-	}
-}
 
 // fuzzWorkload assembles the differential packet list for one fuzz
 // input: generated table hits and misses, the corner cases the paper's
@@ -162,8 +83,9 @@ func fuzzWorkload(t *testing.T, routes []rtable.Route, seed uint64, hop uint8, r
 
 // FuzzGoldenVsTACO is the differential fuzz target: whatever frame
 // bytes, hop limits and workload seeds the fuzzer invents, the golden
-// software router and the cycle-accurate TACO router must emit the same
-// Decision per sequence number — and must do so again after TACO.Reset,
+// software router and the cycle-accurate TACO router must agree by
+// Compare — every datagram's fate and output bytes, every card's drop
+// counts — and must do so again after TACO.Reset,
 // proving the reset-based (allocation-free) simulator state carries
 // nothing across batches.
 func FuzzGoldenVsTACO(f *testing.F) {
@@ -189,21 +111,32 @@ func FuzzGoldenVsTACO(f *testing.F) {
 		routes := workload.GenerateRoutes(workload.TableSpec{
 			Entries: 10 + int(seed%4)*10, Ifaces: nIfaces, Seed: seed,
 		})
-		pkts := fuzzWorkload(t, routes, seed, hop, raw)
+		arrivals := RoundRobin(fuzzWorkload(t, routes, seed, hop, raw), nIfaces)
 
-		want := goldenDecisions(t, kind, routes, pkts)
+		g := NewGolden(fillTable(t, kind, routes), nIfaces)
+		g.AddLocal(routerAddr)
+		want := g.Expected(arrivals)
 		tr, err := NewTACO(cfg, fillTable(t, kind, routes), nIfaces)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr.AddLocal(routerAddr)
-		got := tacoDecisions(t, tr, pkts)
-		diffDecisions(t, fmt.Sprintf("%v/%s", kind, cfg.Name), pkts, want, got)
+		tr.EnableDropAudit()
+		check := func(label string) {
+			t.Helper()
+			if err := tr.Run(tr.DeliverAll(arrivals), 20_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if d := Compare(want, tr.Collect(arrivals)); !d.Agree() {
+				t.Errorf("%v/%s%s: golden and TACO disagree on seqs %v, drop counters of cards %v",
+					kind, cfg.Name, label, d.Seqs, d.Cards)
+			}
+		}
+		check("")
 
 		// Same instance, after Reset: batch two must decide identically,
 		// or the reused scratch state leaked something across batches.
 		tr.Reset()
-		again := tacoDecisions(t, tr, pkts)
-		diffDecisions(t, fmt.Sprintf("%v/%s after Reset", kind, cfg.Name), pkts, want, again)
+		check(" after Reset")
 	})
 }

@@ -92,21 +92,24 @@ func (g *Golden) Ifaces() int { return g.ifaces }
 // datagram to transmit. The returned slice aliases d when no rewrite was
 // needed, and is a fresh copy when the header was rewritten.
 func (g *Golden) Process(d []byte) (Decision, []byte) {
+	dec := g.decide(d)
+	return dec, Expect(0, dec, d).Data
+}
+
+// decide classifies d and counts the decision.
+func (g *Golden) decide(d []byte) Decision {
 	g.stats.Received++
 	dec := Classify(g.table, g.isLocal, d)
 	switch dec.Action {
 	case Drop:
 		g.stats.Dropped++
 		g.stats.Drops.Add(dec.Reason)
-		return dec, nil
 	case Local:
 		g.stats.LocalDelivered++
-		return dec, d
+	case Forward:
+		g.stats.Forwarded++
 	}
-	out := append([]byte(nil), d...)
-	ipv6.DecrementHopLimit(out)
-	g.stats.Forwarded++
-	return dec, out
+	return dec
 }
 
 // Stats returns the outcome counters.

@@ -116,7 +116,7 @@ func (t *TACO) Reset() {
 	t.Bank.Reset()    // also zeroes card stats incl. high-water marks
 	t.stalls = obs.StallCounters{}
 	if t.audit != nil {
-		t.audit.entries = t.audit.entries[:0]
+		t.audit.arrivals = t.audit.arrivals[:0]
 		t.audit.unexplained = 0
 	}
 }
@@ -155,7 +155,7 @@ func (t *TACO) AddLocal(addr ipv6.Addr) {
 func (t *TACO) Deliver(iface int, d linecard.Datagram) bool {
 	ok := t.Bank.Card(iface).Deliver(d)
 	if ok && t.audit != nil && d.Seq >= 0 {
-		t.audit.entries = append(t.audit.entries, auditEntry{iface: iface, seq: d.Seq, data: d.Data})
+		t.audit.arrivals = append(t.audit.arrivals, Arrival{Iface: iface, Seq: d.Seq, Data: d.Data})
 	}
 	return ok
 }
