@@ -13,10 +13,10 @@
 //	tacoexplore -sweep largetable       kind × size up to 10⁶ routes
 //	                                    (model-based; see EXPERIMENTS.md)
 //
-// The large-table sweep takes -table-kind (comma-separated:
-// seq,tree,cam,multibit,tiled-tcam,compressed,trie) and -table-size
-// (comma-separated entry counts), plus -churn to play an update stream
-// into each table first.
+// The large-table sweep takes -table-kind (comma-separated kind names or
+// aliases, default every large-sweep backend; trie is the one left out)
+// and -table-size (comma-separated entry counts), plus -churn to play an
+// update stream into each table first.
 //
 // Common flags: -packets, -entries, -seed, -workers, -json (structured
 // metrics with per-FU counters on stdout), -interp (simulate through
@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 
 	"taco/internal/cliutil"
@@ -64,7 +63,7 @@ func main() {
 		hist       = flag.Bool("hist", false, "print the merged per-packet latency histogram summary on stderr")
 		metricsOut = flag.String("metrics-out", "",
 			"write the run's aggregated Prometheus text exposition to this file")
-		tableKind = flag.String("table-kind", "seq,tree,cam,multibit,tiled-tcam,compressed",
+		tableKind = flag.String("table-kind", strings.Join(rtable.Names(dse.LargeTableKinds), ","),
 			"largetable sweep: comma-separated table kinds")
 		tableSize = flag.String("table-size", "10000,100000,1000000",
 			"largetable sweep: comma-separated entry counts")
@@ -200,26 +199,6 @@ func cyclesCell(p dse.Point) string {
 		return "FAILED"
 	}
 	return fmt.Sprintf("%.0f", p.Metrics.CyclesPerPacket)
-}
-
-// parseSizes parses a comma-separated entry-count list.
-func parseSizes(list string) ([]int, error) {
-	var sizes []int
-	for _, s := range strings.Split(list, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad table size %q", s)
-		}
-		sizes = append(sizes, n)
-	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("no table sizes given")
-	}
-	return sizes, nil
 }
 
 func fatal(err error) {
@@ -420,7 +399,7 @@ func runSweep(ctx context.Context, which string, cons core.Constraints, sim core
 		if err != nil {
 			return err
 		}
-		sizes, err := parseSizes(lt.sizes)
+		sizes, err := cliutil.ParseSizes(lt.sizes)
 		if err != nil {
 			return err
 		}

@@ -26,7 +26,7 @@ import (
 func main() {
 	var (
 		config = flag.String("config", "3bus1fu", "architecture: 1bus | 3bus1fu | 3bus3fu")
-		table  = flag.String("table", "tree", "routing table: sequential | tree | cam")
+		table  = flag.String("table", "tree", "routing table: "+strings.Join(rtable.Names(rtable.PaperKinds), " | ")+" (or an alias)")
 		model  = flag.String("model", "all", "model: vhdl | library | json | matlab | all")
 		dir    = flag.String("dir", "", "write files into this directory instead of stdout")
 	)
@@ -39,7 +39,7 @@ func main() {
 	}
 	defer stopProf()
 
-	kind, err := cliutil.KindByName(*table)
+	kind, err := rtable.ParseKind(*table)
 	if err != nil {
 		fatal(err)
 	}

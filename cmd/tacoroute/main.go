@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"taco/internal/cliutil"
 	"taco/internal/core"
@@ -39,7 +40,7 @@ import (
 
 func main() {
 	var (
-		table      = flag.String("table", "tree", "routing table: sequential | tree | cam")
+		table      = flag.String("table", "tree", "routing table: "+strings.Join(rtable.Names(rtable.PaperKinds), " | ")+" (or an alias)")
 		config     = flag.String("config", "3bus1fu", "architecture: 1bus | 3bus1fu | 3bus3fu")
 		packets    = flag.Int("packets", 200, "datagrams to forward")
 		entries    = flag.Int("entries", 100, "routing-table entries")
@@ -68,7 +69,7 @@ func main() {
 	}
 	defer stopProf()
 
-	kind, err := cliutil.KindByName(*table)
+	kind, err := rtable.ParseKind(*table)
 	if err != nil {
 		fatal(err)
 	}

@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"taco/internal/cliutil"
@@ -42,7 +41,7 @@ func run() int {
 		size     = flag.Int("size", 8, "topology size (node count; arity k for fattree)")
 		sizes    = flag.String("sizes", "", "comma-separated sizes: emit convergence curves instead of a campaign")
 		mix      = flag.String("mix", "golden", "node mix: "+strings.Join(tnet.MixKinds, "|"))
-		table    = flag.String("table", "sequential", "forwarding table backend: "+strings.Join(rtable.KindNames(), "|"))
+		table    = flag.String("table", "sequential", "forwarding table backend: "+strings.Join(rtable.KindNames(), " | ")+" (or an alias)")
 		seed     = flag.Uint64("seed", 1, "campaign seed (drives every per-entity RNG)")
 		workers  = flag.Int("workers", 1, "per-tick node parallelism (any value gives identical output)")
 
@@ -75,20 +74,16 @@ func run() int {
 		ForensicsDir: *forensics,
 		WatchMetrics: *watch,
 	}
-	kind, err := rtable.KindByName(*table)
+	kind, err := rtable.ParseKind(*table)
 	if err != nil {
 		fatal(err)
 	}
 	opt.Table = kind
 
 	if *sizes != "" {
-		var sz []int
-		for _, s := range strings.Split(*sizes, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fatal(fmt.Errorf("bad -sizes entry %q: %w", s, err))
-			}
-			sz = append(sz, v)
+		sz, err := cliutil.ParseSizes(*sizes)
+		if err != nil {
+			fatal(fmt.Errorf("-sizes: %w", err))
 		}
 		pts, err := tnet.ConvergenceCurve(*topoKind, sz, opt)
 		if err != nil {

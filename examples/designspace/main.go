@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,7 @@ func main() {
 	}
 
 	// Automated exploration over a wider space (paper §5 future work).
-	res, err := taco.Explore(cons, sim, 4, 3)
+	res, err := taco.ExploreCtx(context.Background(), cons, sim, 4, 3, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func main() {
 	// size, table SRAM added to the physical estimate).
 	sizes := []int{100, 10000, 1000000}
 	kinds := []taco.TableKind{taco.Sequential, taco.BalancedTree, taco.CAM, taco.Multibit}
-	pts, err := taco.SweepLargeTable(kinds, sizes, cons, sim)
+	pts, err := taco.Sweep(context.Background(), taco.LargeTableInstances(kinds, sizes, 0, cons, sim), 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,8 +56,10 @@ func main() {
 	dims := tbl.MemDims()
 	fmt.Printf("\nmultibit trie at %d routes (strides %v):\n",
 		tbl.Len(), rtable.DefaultMultibitStrides)
-	fmt.Printf("  %d internal nodes, %d expanded slots, %d path-compressed leaves, depth %d\n",
-		dims.TrieNodes, dims.TrieSlots, dims.TrieLeaves, tbl.Depth())
+	fmt.Printf("  depth %d; storage by region:\n", tbl.Depth())
+	for _, r := range dims.Regions {
+		fmt.Printf("    %-8s %9d × %3d bit\n", r.Name, r.Records, r.Bits)
+	}
 	fmt.Println("  probe histogram by trie level (4096 sampled lookups):")
 	for lvl, n := range tbl.LevelProbes() {
 		if n == 0 {

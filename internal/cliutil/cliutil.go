@@ -1,37 +1,19 @@
 // Package cliutil holds the flag-parsing helpers shared by the cmd/
-// tools: the names users type for routing-table implementations and
-// architecture instances.
+// tools: lists of routing-table kinds and sizes, and architecture
+// instance names.
 package cliutil
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"taco/internal/fu"
 	"taco/internal/rtable"
 )
 
-// KindByName parses a routing-table implementation name: the canonical
-// rtable names plus the CLI conveniences below. Unknown names get the
-// same sorted valid-name list rtable's strict parsers quote.
-func KindByName(name string) (rtable.Kind, error) {
-	switch strings.ToLower(name) {
-	case "seq":
-		return rtable.Sequential, nil
-	case "tree", "balancedtree":
-		return rtable.BalancedTree, nil
-	case "lctrie", "lc-trie":
-		return rtable.Multibit, nil
-	case "tiledtcam", "tcam":
-		return rtable.TiledTCAM, nil
-	case "cram":
-		return rtable.Compressed, nil
-	}
-	return rtable.KindByName(strings.ToLower(name))
-}
-
 // KindsByNames parses a comma-separated list of table implementation
-// names ("seq,tree,cam,multibit").
+// names, each as rtable.ParseKind reads it.
 func KindsByNames(list string) ([]rtable.Kind, error) {
 	var kinds []rtable.Kind
 	for _, name := range strings.Split(list, ",") {
@@ -39,13 +21,34 @@ func KindsByNames(list string) ([]rtable.Kind, error) {
 		if name == "" {
 			continue
 		}
-		k, err := KindByName(name)
+		k, err := rtable.ParseKind(name)
 		if err != nil {
 			return nil, err
 		}
 		kinds = append(kinds, k)
 	}
 	return kinds, nil
+}
+
+// ParseSizes parses a comma-separated list of positive integers
+// ("2000,10000"), skipping empty entries.
+func ParseSizes(list string) ([]int, error) {
+	var sizes []int
+	for _, s := range strings.Split(list, ",") {
+		s = strings.TrimSpace(s)
+		if s == "" {
+			continue
+		}
+		n, err := strconv.Atoi(s)
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("bad size %q: want a positive integer", s)
+		}
+		sizes = append(sizes, n)
+	}
+	if len(sizes) == 0 {
+		return nil, fmt.Errorf("no sizes given in %q", list)
+	}
+	return sizes, nil
 }
 
 // ConfigByName parses an architecture instance name for a table kind.

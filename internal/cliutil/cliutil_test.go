@@ -1,51 +1,47 @@
 package cliutil
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"taco/internal/rtable"
 )
 
-func TestKindByName(t *testing.T) {
-	cases := map[string]rtable.Kind{
-		"sequential": rtable.Sequential,
-		"seq":        rtable.Sequential,
-		"tree":       rtable.BalancedTree,
-		"TREE":       rtable.BalancedTree,
-		"cam":        rtable.CAM,
-		"trie":       rtable.Trie,
-		"multibit":   rtable.Multibit,
-		"lc-trie":    rtable.Multibit,
-		"tiled-tcam": rtable.TiledTCAM,
-		"tiledtcam":  rtable.TiledTCAM,
-		"tcam":       rtable.TiledTCAM,
-		"compressed": rtable.Compressed,
-		"cram":       rtable.Compressed,
+func TestKindsByNames(t *testing.T) {
+	got, err := KindsByNames(" seq,,TREE, cam ,tcam,")
+	want := []rtable.Kind{rtable.Sequential, rtable.BalancedTree, rtable.CAM, rtable.TiledTCAM}
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("KindsByNames = %v, %v; want %v", got, err, want)
 	}
-	for in, want := range cases {
-		got, err := KindByName(in)
-		if err != nil || got != want {
-			t.Errorf("KindByName(%q) = %v, %v", in, got, err)
-		}
+	if _, err := KindsByNames("tree,hash"); err == nil || !strings.Contains(err.Error(), `"hash"`) {
+		t.Fatalf("unknown kind in a list: err = %v", err)
 	}
-	// Every canonical kind name parses, so the CLI vocabulary can never
-	// fall behind rtable.Kinds.
-	for _, k := range rtable.Kinds {
-		got, err := KindByName(k.String())
-		if err != nil || got != k {
-			t.Errorf("KindByName(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-	err := func() error { _, err := KindByName("hash"); return err }()
-	if err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-	// The rejection message carries the sorted valid-name list (shared
-	// with rtable's strict JSON parser).
-	for _, name := range rtable.KindNames() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q missing valid kind %q", err, name)
+}
+
+func TestParseSizes(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want []int
+		bad  string // token the error must name; "" when parsing succeeds
+	}{
+		{"2000,10000", []int{2000, 10000}, ""},
+		{"2000,,10000", []int{2000, 10000}, ""},
+		{" 4 , 6 ,", []int{4, 6}, ""},
+		{"4,,6", []int{4, 6}, ""},
+		{"0", nil, `"0"`},
+		{"4,-2", nil, `"-2"`},
+		{"4,x", nil, `"x"`},
+		{"1e3", nil, `"1e3"`},
+		{",,", nil, "no sizes"},
+	} {
+		got, err := ParseSizes(c.in)
+		if c.bad == "" {
+			if err != nil || !slices.Equal(got, c.want) {
+				t.Errorf("ParseSizes(%q) = %v, %v; want %v", c.in, got, err, c.want)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), c.bad) {
+			t.Errorf("ParseSizes(%q) = %v, %v; want an error naming %s", c.in, got, err, c.bad)
 		}
 	}
 }

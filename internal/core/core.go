@@ -79,8 +79,9 @@ type Metrics struct {
 	ClockFeasible bool
 	// MeetsPower / MeetsArea apply the designer's thresholds.
 	MeetsPower, MeetsArea bool
-	// CAMChipPowerW is the external CAM chip's power for CAM rows
-	// (excluded from Est.PowerW, as in the paper's footnote).
+	// CAMChipPowerW is the external CAM chips' power for CAM rows, one
+	// chip per DefaultCAMConfig().Capacity entries (excluded from
+	// Est.PowerW, as in the paper's footnote).
 	CAMChipPowerW float64
 
 	// Static program properties.
@@ -318,17 +319,8 @@ func Evaluate(cfg fu.Config, cons Constraints, sim SimOptions) (Metrics, error) 
 			m.BusOccupancy[b] = ctrs.BusOccupancy(b)
 		}
 	}
-	if cam, ok := tbl.(*rtable.CAMTable); ok {
-		m.CAMChipPowerW = cam.Config().ChipPowerW
-	}
-	switch u := tr.Units.RTU.(type) {
-	case *fu.RTUSeq:
-		m.RTULoads = u.Loads()
-	case *fu.RTUTree:
-		m.RTULoads = u.Loads()
-	case *fu.RTUCAM:
-		m.RTULoads = u.Searches()
-	}
+	m.CAMChipPowerW = estimate.TableSRAM(cfg.Table, tbl.MemDims(), required, cons.Tech).CAMPowerW
+	m.RTULoads = tr.Units.RTU.Loads()
 	return m, nil
 }
 

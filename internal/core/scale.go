@@ -64,10 +64,10 @@ type ScaleModel struct {
 	PerProbeCycles float64
 	OverheadCycles float64
 	// DonorKind is the backend the anchors ran on. It differs from the
-	// row's kind for table organisations without a hardware RTU
-	// (multibit, binary trie): those borrow the balanced tree's anchors
-	// and scale the per-probe cost by program.ModelPerProbe's documented
-	// kernel factors, flagged by Modelled.
+	// row's kind for table organisations without a forwarding kernel
+	// (those with a registered rtable.Backend.StepFactor): they borrow
+	// the balanced tree's anchors and scale the per-probe cost by that
+	// factor (program.ModelPerProbe), flagged by Modelled.
 	DonorKind rtable.Kind
 	Modelled  bool
 }
@@ -180,15 +180,13 @@ func (c *ScaleCache) EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constrai
 		sim = DefaultSimOptions()
 	}
 
-	// 1. Cycle-accurate anchors. Kinds without a hardware RTU borrow the
-	// balanced tree's (same prolog/epilog, so the fixed overhead
+	// 1. Cycle-accurate anchors. Kinds without a forwarding kernel borrow
+	// the balanced tree's (same prolog/epilog, so the fixed overhead
 	// transfers; the per-probe slope is rescaled below).
 	donor := spec.Kind
-	modelled := false
-	switch spec.Kind {
-	case rtable.Multibit, rtable.Trie, rtable.TiledTCAM, rtable.Compressed:
+	modelled := rtable.Backends[spec.Kind].StepFactor != 0
+	if modelled {
 		donor = rtable.BalancedTree
-		modelled = true
 	}
 	anchorCfg := cfg
 	anchorCfg.Table = donor
@@ -211,10 +209,10 @@ func (c *ScaleCache) EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constrai
 		model.PerProbeCycles, _ = program.ModelPerProbe(spec.Kind, model.PerProbeCycles)
 	}
 
-	// 2. Probes at the target size. Sequential and CAM are analytic
-	// (probes = n and 1 by construction — their software scans would be
-	// O(n·samples) for an answer we already know); tree and trie kinds
-	// are measured on the built table under a sampled workload.
+	// 2. Probes at the target size. Analytic kinds (sequential and CAM:
+	// probes = n and 1 by construction — their software scans would be
+	// O(n·samples) for an answer we already know) are computed; tree and
+	// trie kinds are measured on the built table under a sampled workload.
 	avgProbes, dims, entries, err := c.measureProbes(spec, sim)
 	if err != nil {
 		return Metrics{}, err
@@ -262,11 +260,10 @@ func (c *ScaleCache) measureProbes(spec ScaleSpec, sim SimOptions) (float64, rta
 		})
 	}
 
-	switch spec.Kind {
-	case rtable.Sequential, rtable.CAM:
-		// Analytic: net live entries after the churn stream. The route
-		// set itself is never needed — GenerateLargeRoutes returns
-		// exactly Entries routes.
+	if probes := rtable.Backends[spec.Kind].AnalyticProbes; probes != nil {
+		// Net live entries after the churn stream. The route set itself
+		// is never needed — GenerateLargeRoutes returns exactly Entries
+		// routes — and TableSRAM derives the storage from the count.
 		entries := spec.Entries
 		for _, op := range churn {
 			switch op.Op {
@@ -276,11 +273,7 @@ func (c *ScaleCache) measureProbes(spec ScaleSpec, sim SimOptions) (float64, rta
 				entries--
 			}
 		}
-		probes := 1.0 // CAM: one associative search per lookup
-		if spec.Kind == rtable.Sequential {
-			probes = float64(entries) // full scan per lookup
-		}
-		return probes, rtable.MemDims{Entries: entries}, entries, nil
+		return probes(entries), rtable.MemDims{Entries: entries}, entries, nil
 	}
 
 	// Every table of the sweep is built from one sorted copy of the set.
@@ -304,9 +297,5 @@ func (c *ScaleCache) measureProbes(spec ScaleSpec, sim SimOptions) (float64, rta
 	}
 	st := tbl.Stats()
 	avg := float64(st.Probes) / float64(st.Lookups)
-	dims := rtable.MemDims{Entries: tbl.Len()}
-	if ms, ok := tbl.(rtable.MemSizer); ok {
-		dims = ms.MemDims()
-	}
-	return avg, dims, tbl.Len(), nil
+	return avg, tbl.MemDims(), tbl.Len(), nil
 }

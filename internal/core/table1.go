@@ -58,7 +58,7 @@ func FormatTable1(ms []Metrics) string {
 	for _, m := range ms {
 		kindLabel := ""
 		if m.Kind != lastKind {
-			kindLabel = kindName(m.Kind)
+			kindLabel = rtable.Backends[m.Kind].Label
 			lastKind = m.Kind
 		}
 		paperHz := "-"
@@ -79,16 +79,4 @@ func FormatTable1(ms []Metrics) string {
 	b.WriteString("NA: required clock exceeds the 0.18um ceiling (~1 GHz), as in the paper.\n")
 	b.WriteString("CAM rows exclude the external CAM chip (Micron Harmony class, 1.5-2 W).\n")
 	return b.String()
-}
-
-func kindName(k rtable.Kind) string {
-	switch k {
-	case rtable.Sequential:
-		return "Sequential"
-	case rtable.BalancedTree:
-		return "Balanced tree"
-	case rtable.CAM:
-		return "CAM"
-	}
-	return k.String()
 }

@@ -7,12 +7,9 @@
 package dse
 
 import (
-	"context"
 	"sort"
 
 	"taco/internal/core"
-	"taco/internal/fu"
-	"taco/internal/rtable"
 )
 
 // Point is one sweep sample.
@@ -35,34 +32,6 @@ type Point struct {
 	WallNS int64 `json:",omitempty"`
 }
 
-// SweepTableSize evaluates cfg over growing routing tables — the
-// scaling behaviour behind the paper's observation that sequential
-// search time is linear while the balanced tree is logarithmic.
-// Instances run in parallel (see Sweep); results are deterministic.
-func SweepTableSize(cfg fu.Config, sizes []int, cons core.Constraints, sim core.SimOptions) ([]Point, error) {
-	return Sweep(context.Background(), TableSizeInstances(cfg, sizes, cons, sim), 0)
-}
-
-// SweepBuses evaluates a kind across interconnection widths 1..maxBuses
-// with one FU of each type.
-func SweepBuses(kind rtable.Kind, maxBuses int, cons core.Constraints, sim core.SimOptions) ([]Point, error) {
-	return Sweep(context.Background(), BusInstances(kind, maxBuses, cons, sim), 0)
-}
-
-// SweepPacketSize evaluates cfg across datagram sizes: the required
-// clock scales with the packet rate, so small-packet line rate is the
-// hard case.
-func SweepPacketSize(cfg fu.Config, sizes []int, cons core.Constraints, sim core.SimOptions) ([]Point, error) {
-	return Sweep(context.Background(), PacketSizeInstances(cfg, sizes, cons, sim), 0)
-}
-
-// SweepReplication evaluates a kind at 3 buses with 1..maxRepl
-// replicated counters/comparators/matchers — the paper's second
-// exploration axis.
-func SweepReplication(kind rtable.Kind, maxRepl int, cons core.Constraints, sim core.SimOptions) ([]Point, error) {
-	return Sweep(context.Background(), ReplicationInstances(kind, maxRepl, cons, sim), 0)
-}
-
 // Candidate is an explored instance with its evaluation.
 type Candidate struct {
 	Metrics core.Metrics
@@ -83,17 +52,6 @@ type ExploreResult struct {
 	// Evaluated counts full simulations performed; Pruned counts
 	// instances skipped by the heuristic.
 	Evaluated, Pruned int
-}
-
-// Explore performs the automated design-space exploration: it walks
-// the (implementation, buses, replication) space from cheap to
-// expensive hardware, evaluating instances and pruning dominated ones —
-// once an implementation meets the throughput constraint with headroom,
-// wider/more-replicated variants of the same implementation can only
-// add area and power, so they are skipped. Candidates are evaluated on
-// GOMAXPROCS goroutines; see ExploreCtx for the determinism argument.
-func Explore(cons core.Constraints, sim core.SimOptions, maxBuses, maxRepl int) (*ExploreResult, error) {
-	return ExploreCtx(context.Background(), cons, sim, maxBuses, maxRepl, 0)
 }
 
 // sortRanked orders candidates best-first, stably so equal scores keep

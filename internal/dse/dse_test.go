@@ -2,6 +2,7 @@ package dse
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"strconv"
 	"testing"
@@ -19,15 +20,15 @@ func TestSweepTableSizeScaling(t *testing.T) {
 	cons := core.PaperConstraints()
 	sizes := []int{10, 50, 200}
 
-	seq, err := SweepTableSize(fu.Config1Bus1FU(rtable.Sequential), sizes, cons, testSim())
+	seq, err := Sweep(context.Background(), TableSizeInstances(fu.Config1Bus1FU(rtable.Sequential), sizes, cons, testSim()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := SweepTableSize(fu.Config1Bus1FU(rtable.BalancedTree), sizes, cons, testSim())
+	tree, err := Sweep(context.Background(), TableSizeInstances(fu.Config1Bus1FU(rtable.BalancedTree), sizes, cons, testSim()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cam, err := SweepTableSize(fu.Config1Bus1FU(rtable.CAM), sizes, cons, testSim())
+	cam, err := Sweep(context.Background(), TableSizeInstances(fu.Config1Bus1FU(rtable.CAM), sizes, cons, testSim()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestSweepTableSizeScaling(t *testing.T) {
 }
 
 func TestSweepBusesMonotone(t *testing.T) {
-	pts, err := SweepBuses(rtable.BalancedTree, 4, core.PaperConstraints(), testSim())
+	pts, err := Sweep(context.Background(), BusInstances(rtable.BalancedTree, 4, core.PaperConstraints(), testSim()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestSweepBusesMonotone(t *testing.T) {
 
 func TestSweepPacketSize(t *testing.T) {
 	cfg := fu.Config3Bus1FU(rtable.CAM)
-	pts, err := SweepPacketSize(cfg, []int{64, 512, 1500}, core.PaperConstraints(), testSim())
+	pts, err := Sweep(context.Background(), PacketSizeInstances(cfg, []int{64, 512, 1500}, core.PaperConstraints(), testSim()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestSweepPacketSize(t *testing.T) {
 }
 
 func TestSweepReplication(t *testing.T) {
-	pts, err := SweepReplication(rtable.Sequential, 3, core.PaperConstraints(), testSim())
+	pts, err := Sweep(context.Background(), ReplicationInstances(rtable.Sequential, 3, core.PaperConstraints(), testSim()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestSweepReplication(t *testing.T) {
 }
 
 func TestExploreFindsAcceptable(t *testing.T) {
-	res, err := Explore(core.PaperConstraints(), testSim(), 3, 3)
+	res, err := ExploreCtx(context.Background(), core.PaperConstraints(), testSim(), 3, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestPareto(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	pts, err := SweepBuses(rtable.CAM, 2, core.PaperConstraints(), testSim())
+	pts, err := Sweep(context.Background(), BusInstances(rtable.CAM, 2, core.PaperConstraints(), testSim()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func ProgressPrinter(w io.Writer) func(ProgressReport) {
 //
 // Cancelling ctx stops the job feed; the returned error is then the
 // context's. Per-instance simulation errors do not abort the pool (the
-// caller decides which of them matter — Explore ignores errors on
+// caller decides which of them matter — ExploreCtx ignores errors on
 // instances its heuristic would have pruned).
 func evaluateInstances(ctx context.Context, insts []Instance, workers int) ([]core.Metrics, []error, []time.Duration, error) {
 	if workers <= 0 {
@@ -296,7 +296,8 @@ func Table1(ctx context.Context, cons core.Constraints, sim core.SimOptions, wor
 	return results, nil
 }
 
-// TableSizeInstances builds the SweepTableSize instance list.
+// TableSizeInstances lists cfg over growing routing tables: sequential
+// search time is linear, the balanced tree's logarithmic.
 func TableSizeInstances(cfg fu.Config, sizes []int, cons core.Constraints, sim core.SimOptions) []Instance {
 	var insts []Instance
 	for _, n := range sizes {
@@ -310,7 +311,8 @@ func TableSizeInstances(cfg fu.Config, sizes []int, cons core.Constraints, sim c
 	return insts
 }
 
-// BusInstances builds the SweepBuses instance list.
+// BusInstances lists a kind across interconnection widths 1..maxBuses
+// with one FU of each type.
 func BusInstances(kind rtable.Kind, maxBuses int, cons core.Constraints, sim core.SimOptions) []Instance {
 	var insts []Instance
 	for b := 1; b <= maxBuses; b++ {
@@ -325,7 +327,8 @@ func BusInstances(kind rtable.Kind, maxBuses int, cons core.Constraints, sim cor
 	return insts
 }
 
-// PacketSizeInstances builds the SweepPacketSize instance list.
+// PacketSizeInstances lists cfg across datagram sizes; small-packet line
+// rate is the hard case.
 func PacketSizeInstances(cfg fu.Config, sizes []int, cons core.Constraints, sim core.SimOptions) []Instance {
 	var insts []Instance
 	for _, s := range sizes {
@@ -339,14 +342,12 @@ func PacketSizeInstances(cfg fu.Config, sizes []int, cons core.Constraints, sim 
 	return insts
 }
 
-// LargeTableKinds is the default kind set for the large-database axis.
-// The binary trie is excluded: at 10⁶ routes its per-bit nodes cost
-// gigabytes of host memory for a structure the sweep already brackets
-// from both sides (it is available explicitly via -table-kind trie).
-var LargeTableKinds = []rtable.Kind{
-	rtable.Sequential, rtable.BalancedTree, rtable.CAM, rtable.Multibit,
-	rtable.TiledTCAM, rtable.Compressed,
-}
+// LargeTableKinds is the default kind set for the large-database axis:
+// the backends registered with LargeSweep. The binary trie is excluded:
+// at 10⁶ routes its per-bit nodes cost gigabytes of host memory for a
+// structure the sweep already brackets from both sides (it is available
+// explicitly via -table-kind trie).
+var LargeTableKinds = rtable.KindsWhere(func(b *rtable.Backend) bool { return b.LargeSweep })
 
 // LargeTableInstances builds the kind × size grid of the large-database
 // sweep: every instance is a 1-bus/1-FU processor evaluated by the
@@ -374,14 +375,8 @@ func LargeTableInstances(kinds []rtable.Kind, sizes []int, churnOps int, cons co
 	return insts
 }
 
-// SweepLargeTable runs the large-database axis — table kind × size, up
-// to millions of routes — returning one point per (kind, size) cell in
-// grid order.
-func SweepLargeTable(kinds []rtable.Kind, sizes []int, cons core.Constraints, sim core.SimOptions) ([]Point, error) {
-	return Sweep(context.Background(), LargeTableInstances(kinds, sizes, 0, cons, sim), 0)
-}
-
-// ReplicationInstances builds the SweepReplication instance list.
+// ReplicationInstances lists a kind at 3 buses with 1..maxRepl
+// counters/comparators/matchers, the paper's second exploration axis.
 func ReplicationInstances(kind rtable.Kind, maxRepl int, cons core.Constraints, sim core.SimOptions) []Instance {
 	var insts []Instance
 	for r := 1; r <= maxRepl; r++ {
@@ -396,17 +391,17 @@ func ReplicationInstances(kind rtable.Kind, maxRepl int, cons core.Constraints, 
 	return insts
 }
 
-// ExploreCtx is Explore with a cancellation context and a worker count.
-//
-// The sequential heuristic prunes lazily: once an implementation meets
-// the throughput constraint with headroom, later instances of that kind
-// are never simulated. Running the grid in parallel cannot know the
-// pruning frontier up front, so ExploreCtx evaluates the full grid
-// speculatively and then replays the pruning walk over the finished
-// results in the original scan order — the Ranked list, Best pick and
-// Evaluated/Pruned counts are identical to the sequential Explore for
-// every worker count; parallelism only trades speculative simulations
-// for wall-clock time.
+// ExploreCtx performs the automated design-space exploration on workers
+// goroutines (workers <= 0 selects GOMAXPROCS), walking (implementation,
+// buses, replication) from cheap to expensive hardware. Its heuristic
+// prunes lazily: once an implementation meets the throughput constraint
+// with headroom, wider or more replicated instances of that kind can
+// only add area and power, and are never simulated. A parallel grid
+// cannot know that frontier up front, so ExploreCtx evaluates the full
+// grid speculatively and then replays the pruning walk over the results
+// in scan order: the Ranked list, Best pick and Evaluated/Pruned counts
+// are identical to a sequential scan for every worker count, and
+// parallelism only trades speculative simulations for wall-clock time.
 func ExploreCtx(ctx context.Context, cons core.Constraints, sim core.SimOptions, maxBuses, maxRepl, workers int) (*ExploreResult, error) {
 	var insts []Instance
 	for _, kind := range rtable.PaperKinds {

@@ -107,7 +107,7 @@ func TestJSONExportShape(t *testing.T) {
 // instance) folds into one valid Prometheus document, with failed
 // points contributing nothing.
 func TestWritePromPoints(t *testing.T) {
-	pts, err := SweepBuses(rtable.CAM, 2, core.PaperConstraints(), testSim())
+	pts, err := Sweep(context.Background(), BusInstances(rtable.CAM, 2, core.PaperConstraints(), testSim()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

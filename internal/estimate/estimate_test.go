@@ -139,3 +139,25 @@ func TestSizingMonotone(t *testing.T) {
 		t.Error("sizing not clamped past the ceiling")
 	}
 }
+
+// TestTableSRAMTernaryRules: ternary regions are priced by their own
+// search rule. A CAM priced from its entry count alone (no table built)
+// searches every chip; a one-block tiled TCAM pays one block's share of
+// a chip plus standby even though its single block is all it has.
+func TestTableSRAMTernaryRules(t *testing.T) {
+	tech, cam := Default180nm(), rtable.DefaultCAMConfig()
+	m := TableSRAM(rtable.CAM, rtable.MemDims{Entries: cam.Capacity + 1}, 100e6, tech)
+	if m.CAMChips != 2 || m.CAMPowerW != 2*cam.ChipPowerW || m.Bits != int64(cam.Capacity+1)*32 {
+		t.Errorf("CAM at capacity+1: %+v", m)
+	}
+	block := rtable.DefaultTiledTCAMConfig().BlockSize
+	tiled := rtable.New(rtable.TiledTCAM).MemDims()
+	m = TableSRAM(rtable.TiledTCAM, tiled, 100e6, tech)
+	want := cam.ChipPowerW*float64(block)/float64(cam.Capacity) + tcamStandbyFrac*cam.ChipPowerW
+	if m.CAMChips != 1 || m.CAMPowerW != want {
+		t.Errorf("one-block tiled TCAM: %d chips, %g W; want 1 chip, %g W", m.CAMChips, m.CAMPowerW, want)
+	}
+	if m := TableSRAM(rtable.BalancedTree, rtable.MemDims{Entries: 100}, 100e6, tech); m.Bits != 0 || m.CAMChips != 0 {
+		t.Errorf("a measured kind without regions priced from its entry count: %+v", m)
+	}
+}

@@ -7,44 +7,6 @@ import (
 	"taco/internal/rtable"
 )
 
-// Per-record storage costs of each table organisation, in bits. The
-// paper's 100-entry constraint makes table storage a rounding error;
-// at 10⁵–10⁶ routes it dominates the die, which is exactly the
-// co-analysis question the large-database axis asks. Widths follow the
-// RTU's data layout:
-const (
-	// seqEntryBits: 128-bit prefix + 8-bit length + 128-bit next hop +
-	// 32 bits of interface/metric/tag data per sequential entry.
-	seqEntryBits = 296
-	// treeNodeBits: two 128-bit range bounds, two 24-bit child indices
-	// and a 48-bit embedded route record per range node.
-	treeNodeBits = 352
-	// trieSlotBits: one expanded child slot of a multibit node — a
-	// 40-bit pointer plus type/route tag.
-	trieSlotBits = 48
-	// trieLeafBits: a path-compressed leaf — 136-bit prefix plus a
-	// 56-bit route reference.
-	trieLeafBits = 192
-	// binaryNodeBits: a binary-trie node — two 32-bit pointers plus a
-	// route flag byte.
-	binaryNodeBits = 72
-	// resultBits: the next-hop record (next hop, interface, metric,
-	// tag) every trie-shaped organisation stores once per route.
-	resultBits = 160
-	// camAssocBits: the on-chip SRAM word associated with each external
-	// CAM entry (the CAM cells themselves are off-chip).
-	camAssocBits = 32
-	// indexNodeBits: one tiled-TCAM index-stage node — two block/node
-	// pointers plus a leaf flag, a binary-trie-shaped SRAM record.
-	indexNodeBits = 72
-	// compressedNodeBits: the fixed part of a compressed-trie node —
-	// level tag, child-array base pointer, span-route list head.
-	compressedNodeBits = 96
-	// compressedKidBits: one occupied compact child record — a 40-bit
-	// pointer plus type tag, same payload as a multibit slot.
-	compressedKidBits = 48
-)
-
 // tcamStandbyFrac is the standby power an inactive (not-searched)
 // tiled-TCAM block draws relative to an active one: match lines are
 // not precharged, only the cell array leaks. The MashUp-style win is
@@ -68,64 +30,39 @@ type TableMem struct {
 	// a low row-access activity plus leakage over the array area).
 	AreaMM2 float64
 	PowerW  float64
-	// CAMChips counts external CAM devices needed for the entry count
-	// (0 for non-CAM kinds); CAMPowerW is their total chip power, kept
+	// CAMChips counts the external CAM devices holding the ternary cells
+	// (0 for kinds without any); CAMPowerW is their total chip power, kept
 	// separate from PowerW the way Table 1 footnotes the CAM chip.
 	CAMChips  int
 	CAMPowerW float64
 }
 
-// TableSRAM prices the storage dims of a table organisation at clockHz
-// in tech. For the CAM the associative array is external silicon
-// (counted in chips, not mm²); only its next-hop SRAM is on-chip.
+// TableSRAM prices the storage of a kind table with dimensions dims at
+// clockHz in tech: on-chip SRAM regions make up Bits, priced as memory;
+// ternary regions are external chips of the paper's CAM part, powered
+// by the region's search rule — every chip searched flat-out (the CAM),
+// or one block at full search power over its share of a chip and every
+// other cell in standby (the tiled TCAM).
 func TableSRAM(kind rtable.Kind, dims rtable.MemDims, clockHz float64, tech Tech) TableMem {
-	var bits int64
 	var m TableMem
-	switch kind {
-	case rtable.Sequential:
-		bits = int64(dims.Entries) * seqEntryBits
-	case rtable.BalancedTree:
-		bits = int64(dims.TreeNodes) * treeNodeBits
-	case rtable.Trie:
-		bits = int64(dims.BinaryNodes)*binaryNodeBits + int64(dims.Entries)*resultBits
-	case rtable.Multibit:
-		bits = int64(dims.TrieSlots)*trieSlotBits +
-			int64(dims.TrieLeaves)*trieLeafBits +
-			int64(dims.Entries)*resultBits
-	case rtable.CAM:
-		bits = int64(dims.Entries) * camAssocBits
-		cam := rtable.DefaultCAMConfig()
-		m.CAMChips = (dims.Entries + cam.Capacity - 1) / cam.Capacity
-		m.CAMPowerW = float64(m.CAMChips) * cam.ChipPowerW
-	case rtable.TiledTCAM:
-		// Ternary cells are external silicon on the same chip basis as
-		// the monolithic CAM; the index stage and per-entry next-hop
-		// words are on-chip SRAM. Allocated capacity is whole blocks.
-		bits = int64(dims.IndexNodes)*indexNodeBits + int64(dims.TCAMEntries)*camAssocBits
-		cam := rtable.DefaultCAMConfig()
-		block := rtable.DefaultTiledTCAMConfig().BlockSize
-		cells := dims.TCAMBlocks * block
-		m.CAMChips = (cells + cam.Capacity - 1) / cam.Capacity
-		// Power: one search activates a single block — full search power
-		// over BlockSize of one chip's Capacity — while every other
-		// allocated cell sits in standby. The monolithic CAM instead
-		// searches every chip flat-out; this difference is the headline
-		// fraction-of-power claim.
-		active := cam.ChipPowerW * float64(block) / float64(cam.Capacity)
-		standby := tcamStandbyFrac * cam.ChipPowerW * float64(m.CAMChips)
-		m.CAMPowerW = active + standby
-	case rtable.Compressed:
-		// Bitmap bits replace the multibit table's expanded slots; only
-		// occupied children pay pointer-width records.
-		bits = int64(dims.CompressedSlots) + // 1 bit per expanded slot
-			int64(dims.CompressedNodes)*compressedNodeBits +
-			int64(dims.CompressedKids)*compressedKidBits +
-			int64(dims.CompressedLeaves)*trieLeafBits +
-			int64(dims.Entries)*resultBits
+	cam := rtable.DefaultCAMConfig()
+	for _, r := range kind.Regions(dims) {
+		if !r.Ternary {
+			m.Bits += int64(r.Records) * int64(r.Bits)
+			continue
+		}
+		chips := (r.Records + cam.Capacity - 1) / cam.Capacity
+		m.CAMChips += chips
+		if r.Searched == 0 {
+			m.CAMPowerW += float64(chips) * cam.ChipPowerW
+			continue
+		}
+		active := cam.ChipPowerW * float64(r.Searched) / float64(cam.Capacity)
+		standby := tcamStandbyFrac * cam.ChipPowerW * float64(chips)
+		m.CAMPowerW += active + standby
 	}
-	m.Bits = bits
 
-	kwords := float64(bits) / memKWordBits
+	kwords := float64(m.Bits) / memKWordBits
 	c := moduleCosts["memKWord"]
 	s := sizing(clockHz, tech)
 	m.AreaMM2 = c.areaMM2 * kwords * s

@@ -155,7 +155,7 @@ type RouterUnits struct {
 	LIU  *LIU
 	// RTU is the routing-table unit; its concrete type depends on the
 	// configured backend.
-	RTU tta.Unit
+	RTU RTU
 }
 
 // NewComputeMachine builds a machine with only the computational units
@@ -187,7 +187,7 @@ func NewRouterMachine(cfg Config, tbl rtable.Table, bank *linecard.Bank) (*tta.M
 	oppu.StoredCycleLookup = ippu.StoredCycleAt
 	liu := NewLIU("liu")
 
-	var rtu tta.Unit
+	var rtu RTU
 	switch t := tbl.(type) {
 	case *rtable.SequentialTable:
 		rtu = NewRTUSeq("rtu", t)

@@ -5,10 +5,23 @@ import (
 
 	"taco/internal/bits"
 	"taco/internal/rtable"
+	"taco/internal/tta"
 )
 
 // NilNode is the sentinel node/entry index meaning "no node".
 const NilNode = 0xffffffff
+
+// RTU is a routing-table unit: the machine's unit over one backend's
+// table.
+type RTU interface {
+	tta.Unit
+	// Loads counts the table accesses since Reset: entry or node loads,
+	// or searches started.
+	Loads() int64
+	// Bind re-points the unit at t, which must be of the unit's backend;
+	// any other table is rejected and leaves the unit untouched.
+	Bind(t rtable.Table) error
+}
 
 // RTUSeq is the routing-table unit over the sequential organisation: the
 // table is an array of entries; triggering an index load latches the
@@ -357,6 +370,9 @@ func (u *RTUCAM) Reset() {
 
 // Searches reports the number of CAM searches started.
 func (u *RTUCAM) Searches() int64 { return u.searches }
+
+// Loads is Searches: a CAM search is the unit's one table access.
+func (u *RTUCAM) Loads() int64 { return u.searches }
 
 // Settled is false while a search is in flight (the busy countdown
 // advances every cycle); otherwise the CAM only reacts to socket

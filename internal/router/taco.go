@@ -128,8 +128,7 @@ func (t *TACO) Reset() {
 // instance was built for; any other table is rejected and leaves the
 // router untouched.
 func (t *TACO) Rebind(tbl rtable.Table) error {
-	rtu := t.Units.RTU.(interface{ Bind(rtable.Table) error }) // every fu RTU binds
-	if err := rtu.Bind(tbl); err != nil {
+	if err := t.Units.RTU.Bind(tbl); err != nil {
 		return fmt.Errorf("router: rebind: %w", err)
 	}
 	t.tbl = tbl

@@ -22,7 +22,6 @@ import (
 type flatTable interface {
 	rtable.Table
 	rtable.BulkLoader
-	rtable.MemSizer
 	Depth() int
 }
 
@@ -61,7 +60,7 @@ func requireSameTable(t *testing.T, stage string, got, want flatTable, dests []b
 	if g, w := structure(t, got), structure(t, want); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: structure differs:\n got  %+v\n want %+v", stage, g, w)
 	}
-	if g, w := got.MemDims(), want.MemDims(); g != w {
+	if g, w := got.MemDims(), want.MemDims(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: MemDims %+v, want %+v", stage, g, w)
 	}
 	if g, w := got.Depth(), want.Depth(); g != w {
@@ -284,7 +283,7 @@ func TestStrideSlabReuse(t *testing.T) {
 			if got := tbl.SlabLens(); got != slabs {
 				t.Fatalf("%v round %d: slabs grew to %v from %v", kind, round, got, slabs)
 			}
-			if got := tbl.MemDims(); got != dims {
+			if got := tbl.MemDims(); !reflect.DeepEqual(got, dims) {
 				t.Fatalf("%v round %d: MemDims %+v, round 1 left %+v", kind, round, got, dims)
 			}
 		}

@@ -141,6 +141,16 @@ func (t *CAMTable) Stats() Stats { return t.stats }
 // ResetStats implements Table.
 func (t *CAMTable) ResetStats() { t.stats = Stats{} }
 
-// MemDims implements MemSizer: one 136-bit CAM word (plus SRAM next-hop
-// record) per entry.
-func (t *CAMTable) MemDims() MemDims { return MemDims{Entries: len(t.entries)} }
+// MemDims implements MemSizer: one 136-bit CAM word per entry, every
+// chip searched by every lookup, plus an on-chip next-hop word (the CAM
+// cells themselves are off-chip).
+func (t *CAMTable) MemDims() MemDims {
+	return MemDims{Entries: len(t.entries), Regions: camRegions(len(t.entries))}
+}
+
+func camRegions(n int) []Region {
+	return []Region{
+		{Name: "next hops", Records: n, Bits: assocBits},
+		{Name: "cells", Records: n, Bits: ternaryBits, Ternary: true},
+	}
+}

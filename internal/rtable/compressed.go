@@ -51,16 +51,17 @@ func (t *CompressedTable) Kind() Kind { return Compressed }
 func (t *CompressedTable) Config() CompressedConfig { return t.cfg }
 
 // MemDims implements MemSizer: per node one 2^stride occupancy bitmap
-// (CompressedSlots counts its bits, each a full slot in the multibit
-// table) plus only the occupied child records and the leaves. The
-// Slots-to-Kids gap is the compression the estimation layer prices.
+// (one bit for each slot the multibit table expands) and a fixed node
+// record, plus only the occupied child records, the leaves and the
+// next-hop records. The bitmap-to-children gap is the compression the
+// estimation layer prices.
 func (t *CompressedTable) MemDims() MemDims {
 	nodes, slots := t.nodeTotals()
-	return MemDims{
-		Entries:          t.count,
-		CompressedNodes:  nodes,
-		CompressedSlots:  slots,
-		CompressedKids:   t.kidSlots,
-		CompressedLeaves: t.leaves,
-	}
+	return MemDims{Entries: t.count, Regions: []Region{
+		{Name: "bitmaps", Records: slots, Bits: 1},
+		{Name: "nodes", Records: nodes, Bits: compressedNodeBits},
+		{Name: "children", Records: t.kidSlots, Bits: slotBits},
+		{Name: "leaves", Records: t.leaves, Bits: leafBits},
+		{Name: "results", Records: t.count, Bits: resultBits},
+	}}
 }

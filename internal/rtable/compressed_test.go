@@ -238,21 +238,20 @@ func TestCompressedMemDims(t *testing.T) {
 		p.insert(t, Route{Prefix: pre, Metric: 1})
 	}
 	md, cd := p.mb.MemDims(), p.cp.MemDims()
-	if cd.CompressedNodes != md.TrieNodes {
-		t.Fatalf("CompressedNodes = %d, multibit TrieNodes = %d", cd.CompressedNodes, md.TrieNodes)
+	if mn, _ := p.mb.nodeTotals(); records(cd, "nodes") != mn {
+		t.Fatalf("compressed nodes = %d, multibit nodes = %d", records(cd, "nodes"), mn)
 	}
-	if cd.CompressedSlots != md.TrieSlots {
-		t.Fatalf("CompressedSlots = %d, multibit TrieSlots = %d (must mirror 1 bit per slot)",
-			cd.CompressedSlots, md.TrieSlots)
+	if records(cd, "bitmaps") != records(md, "slots") {
+		t.Fatalf("bitmap bits = %d, multibit slots = %d (must mirror 1 bit per slot)",
+			records(cd, "bitmaps"), records(md, "slots"))
 	}
-	if cd.CompressedLeaves != md.TrieLeaves {
-		t.Fatalf("CompressedLeaves = %d, multibit TrieLeaves = %d", cd.CompressedLeaves, md.TrieLeaves)
+	if records(cd, "leaves") != records(md, "leaves") {
+		t.Fatalf("compressed leaves = %d, multibit leaves = %d", records(cd, "leaves"), records(md, "leaves"))
 	}
-	if cd.CompressedKids >= cd.CompressedSlots {
+	if kids := records(cd, "children"); kids >= records(cd, "bitmaps") {
 		t.Fatalf("occupied kids %d not sparse against %d slots — compression vacuous",
-			cd.CompressedKids, cd.CompressedSlots)
-	}
-	if cd.CompressedKids <= 0 {
+			kids, records(cd, "bitmaps"))
+	} else if kids <= 0 {
 		t.Fatal("no occupied child records counted")
 	}
 }

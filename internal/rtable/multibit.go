@@ -71,8 +71,13 @@ func (t *MultibitTable) Kind() Kind { return Multibit }
 func (t *MultibitTable) Config() MultibitConfig { return t.cfg }
 
 // MemDims implements MemSizer: the hardware footprint is one 2^stride
-// slot array per allocated node plus the path-compressed leaf records.
+// slot array per allocated node plus the path-compressed leaf records
+// and one next-hop record per route.
 func (t *MultibitTable) MemDims() MemDims {
-	nodes, slots := t.nodeTotals()
-	return MemDims{Entries: t.count, TrieNodes: nodes, TrieSlots: slots, TrieLeaves: t.leaves}
+	_, slots := t.nodeTotals()
+	return MemDims{Entries: t.count, Regions: []Region{
+		{Name: "slots", Records: slots, Bits: slotBits},
+		{Name: "leaves", Records: t.leaves, Bits: leafBits},
+		{Name: "results", Records: t.count, Bits: resultBits},
+	}}
 }

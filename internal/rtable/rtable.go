@@ -11,7 +11,6 @@ package rtable
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -64,59 +63,6 @@ const (
 	Compressed
 )
 
-// Kinds lists the implementations in the paper's Table 1 order, then the
-// extension baselines.
-var Kinds = []Kind{Sequential, BalancedTree, CAM, Trie, Multibit, TiledTCAM, Compressed}
-
-// PaperKinds lists the three implementations the paper evaluates — the
-// columns of its Table 1 and the only kinds with an RTU and a forwarding
-// program — in the paper's order.
-var PaperKinds = Kinds[:3:3]
-
-func (k Kind) String() string {
-	switch k {
-	case Sequential:
-		return "sequential"
-	case BalancedTree:
-		return "balanced-tree"
-	case CAM:
-		return "cam"
-	case Trie:
-		return "trie"
-	case Multibit:
-		return "multibit"
-	case TiledTCAM:
-		return "tiled-tcam"
-	case Compressed:
-		return "compressed"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// KindNames returns every valid kind name, sorted — the vocabulary the
-// strict parsers (KindByName, UnmarshalJSON, cliutil) quote in errors.
-func KindNames() []string {
-	names := make([]string, len(Kinds))
-	for i, k := range Kinds {
-		names[i] = k.String()
-	}
-	sort.Strings(names)
-	return names
-}
-
-// KindByName parses a canonical kind name (the String form). It is the
-// single strict parser shared by JSON round-trips and the CLI layer:
-// unknown names are rejected with the sorted list of valid names.
-func KindByName(name string) (Kind, error) {
-	for _, k := range Kinds {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("rtable: unknown table kind %q (valid: %s)",
-		name, strings.Join(KindNames(), " | "))
-}
-
 // MarshalJSON renders the kind by name, keeping metric exports readable.
 func (k Kind) MarshalJSON() ([]byte, error) {
 	return []byte(fmt.Sprintf("%q", k.String())), nil
@@ -125,8 +71,8 @@ func (k Kind) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON accepts the MarshalJSON form (a kind name) or a bare
 // integer, so serialized configs — forensic bundles in particular —
 // round-trip. Both forms are strict: unknown names and out-of-range
-// integers are rejected with the sorted list of valid names, matching
-// the cliutil error path.
+// integers are rejected with the sorted list of valid names, as
+// ParseKind rejects unknown names.
 func (k *Kind) UnmarshalJSON(data []byte) error {
 	s := string(data)
 	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
@@ -172,6 +118,7 @@ type Table interface {
 	Routes() []Route
 	Stats() Stats
 	ResetStats()
+	MemSizer
 }
 
 // BulkLoader is implemented by tables with a cheaper batch-insert path.
@@ -193,50 +140,55 @@ func InsertAll(tbl Table, rs []Route) error {
 	return nil
 }
 
-// New constructs an empty table of the given kind.
-func New(k Kind) Table {
-	switch k {
-	case Sequential:
-		return NewSequential()
-	case BalancedTree:
-		return NewBalancedTree()
-	case CAM:
-		return NewCAM(DefaultCAMConfig())
-	case Trie:
-		return NewTrie()
-	case Multibit:
-		return NewMultibit(DefaultMultibitConfig())
-	case TiledTCAM:
-		return NewTiledTCAM(DefaultTiledTCAMConfig())
-	case Compressed:
-		return NewCompressed(DefaultCompressedConfig())
-	}
-	panic(fmt.Sprintf("rtable: unknown kind %d", int(k)))
-}
-
-// MemDims sizes a table's storage in implementation-level units so the
-// estimation layer can price the SRAM (or CAM) the organisation needs.
-// Only the fields meaningful for the kind are non-zero.
+// MemDims sizes a table's storage so the estimation layer can price
+// it: the installed prefixes plus the memory regions the organisation
+// occupies.
 type MemDims struct {
-	Entries     int // installed prefixes (all kinds)
-	TreeNodes   int // balanced-tree range nodes
-	BinaryNodes int // binary trie nodes
-	TrieNodes   int // multibit internal nodes
-	TrieSlots   int // multibit expanded child slots (Σ 2^stride per node)
-	TrieLeaves  int // multibit path-compressed leaf records
-
-	TCAMBlocks  int // tiled-TCAM allocated ternary blocks
-	TCAMEntries int // tiled-TCAM occupied ternary entries (incl. covering copies)
-	IndexNodes  int // tiled-TCAM index-stage SRAM nodes
-
-	CompressedNodes  int // compressed-trie internal nodes
-	CompressedSlots  int // compressed-trie bitmap bits (Σ 2^stride per node)
-	CompressedKids   int // compressed-trie occupied child records
-	CompressedLeaves int // compressed-trie path-compressed leaf records
+	Entries int // installed prefixes
+	Regions []Region
 }
 
-// MemSizer is implemented by tables that can report their storage
-// dimensions for area/power co-analysis.
+// Region is one homogeneous block of a table's storage: Records records
+// of Bits bits each, in on-chip SRAM or, when Ternary, in ternary CAM
+// cells on external chips.
+type Region struct {
+	Name    string
+	Records int
+	Bits    int
+	Ternary bool
+	// Searched is the ternary cells one lookup activates while every other
+	// allocated cell stands by (a tiled TCAM's block); 0 when a lookup
+	// searches every cell of every chip (a monolithic CAM).
+	Searched int
+}
+
+// Regions returns the storage of a k table with dimensions d: d's own
+// regions or, when d carries only an entry count (an analytic backend
+// priced without building it), the backend's AnalyticRegions.
+func (k Kind) Regions(d MemDims) []Region {
+	if f := Backends[k].AnalyticRegions; d.Regions == nil && f != nil {
+		return f(d.Entries)
+	}
+	return d.Regions
+}
+
+// Per-record widths in bits, following the RTU's data layout. The
+// paper's 100-entry constraint makes table storage a rounding error; at
+// 10⁵–10⁶ routes it dominates the die.
+const (
+	seqEntryBits       = 296 // prefix 128 + length 8 + next hop 128 + iface/metric/tag 32
+	treeNodeBits       = 352 // two 128-bit range bounds, two 24-bit child indices, 48-bit route
+	slotBits           = 48  // stride-trie child slot or record: 40-bit pointer + type/route tag
+	leafBits           = 192 // path-compressed leaf: 136-bit prefix + 56-bit route reference
+	binaryNodeBits     = 72  // binary-trie or tiled-TCAM index node: two 32-bit pointers + flags
+	resultBits         = 160 // next hop, iface, metric, tag: once per route in a trie
+	assocBits          = 32  // on-chip next-hop word beside each ternary entry
+	ternaryBits        = 136 // ternary entry: 128 address bits + 8 length bits
+	compressedNodeBits = 96  // compressed-trie node: level tag, child base, span-route list head
+)
+
+// MemSizer reports a table's storage dimensions for area/power
+// co-analysis; every Table is one.
 type MemSizer interface {
 	MemDims() MemDims
 }

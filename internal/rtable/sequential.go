@@ -123,4 +123,10 @@ func (t *SequentialTable) Stats() Stats { return t.stats }
 func (t *SequentialTable) ResetStats() { t.stats = Stats{} }
 
 // MemDims implements MemSizer: one record per entry.
-func (t *SequentialTable) MemDims() MemDims { return MemDims{Entries: len(t.entries)} }
+func (t *SequentialTable) MemDims() MemDims {
+	return MemDims{Entries: len(t.entries), Regions: sequentialRegions(len(t.entries))}
+}
+
+func sequentialRegions(n int) []Region {
+	return []Region{{Name: "entries", Records: n, Bits: seqEntryBits}}
+}

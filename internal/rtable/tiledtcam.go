@@ -568,14 +568,14 @@ func (t *TiledTCAMTable) ReplicationFactor() float64 {
 	return float64(t.occupied) / float64(t.count)
 }
 
-// MemDims implements MemSizer: the block budget worth of ternary cells
-// per tile, the occupied entries within them, and the index-stage SRAM
-// nodes.
+// MemDims implements MemSizer: the index-stage SRAM nodes, an on-chip
+// next-hop word per occupied entry (covering copies included), and the
+// block budget worth of ternary cells per tile, of which a lookup
+// activates one block.
 func (t *TiledTCAMTable) MemDims() MemDims {
-	return MemDims{
-		Entries:     t.count,
-		TCAMBlocks:  t.tiles,
-		TCAMEntries: t.occupied,
-		IndexNodes:  t.indexNodes,
-	}
+	return MemDims{Entries: t.count, Regions: []Region{
+		{Name: "index nodes", Records: t.indexNodes, Bits: binaryNodeBits},
+		{Name: "next hops", Records: t.occupied, Bits: assocBits},
+		{Name: "cells", Records: t.tiles * t.cfg.BlockSize, Bits: ternaryBits, Ternary: true, Searched: t.cfg.BlockSize},
+	}}
 }

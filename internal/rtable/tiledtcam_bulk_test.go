@@ -43,7 +43,7 @@ func requireSameTiling(t *testing.T, stage string, got, want *rtable.TiledTCAMTa
 			}
 		}
 	}
-	if g, w := got.MemDims(), want.MemDims(); g != w {
+	if g, w := got.MemDims(), want.MemDims(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: MemDims %+v, loop %+v", stage, g, w)
 	}
 	if g, w := got.TileStats(), want.TileStats(); g != w {

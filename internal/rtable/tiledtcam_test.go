@@ -322,7 +322,8 @@ func TestTiledTCAMProbeAccounting(t *testing.T) {
 }
 
 // TestTiledTCAMMemDims pins the storage accounting the estimate layer
-// prices: blocks × budget ternary cells, occupied entries, index nodes.
+// prices: blocks × budget ternary cells of which one block is searched,
+// occupied entries, index nodes.
 func TestTiledTCAMMemDims(t *testing.T) {
 	tbl := NewTiledTCAM(TiledTCAMConfig{BlockSize: MinTiledBlockSize + 1, MergeFill: 0.5})
 	base := bits.Word128{Hi: 0x2001000000000000}
@@ -337,16 +338,19 @@ func TestTiledTCAMMemDims(t *testing.T) {
 	if dims.Entries != 400 {
 		t.Fatalf("Entries = %d, want 400", dims.Entries)
 	}
-	if dims.TCAMBlocks != st.Tiles || dims.TCAMBlocks < 4 {
-		t.Fatalf("TCAMBlocks = %d, TileStats.Tiles = %d (want several after 400 inserts at min block)",
-			dims.TCAMBlocks, st.Tiles)
+	block := tbl.Config().BlockSize
+	if cells := records(dims, "cells"); cells != st.Tiles*block || st.Tiles < 4 {
+		t.Fatalf("cells = %d, TileStats.Tiles = %d × %d (want several after 400 inserts at min block)",
+			cells, st.Tiles, block)
 	}
-	if dims.TCAMEntries != st.OccupiedSlots {
-		t.Fatalf("TCAMEntries = %d, OccupiedSlots = %d", dims.TCAMEntries, st.OccupiedSlots)
+	if got := dims.Regions[2]; !got.Ternary || got.Searched != block {
+		t.Fatalf("cells region %+v: want ternary, one %d-cell block searched", got, block)
 	}
-	if dims.IndexNodes != st.IndexNodes || dims.IndexNodes != st.Tiles-1 {
-		t.Fatalf("IndexNodes = %d, want internal count %d = tiles-1 = %d",
-			dims.IndexNodes, st.IndexNodes, st.Tiles-1)
+	if records(dims, "next hops") != st.OccupiedSlots {
+		t.Fatalf("next hops = %d, OccupiedSlots = %d", records(dims, "next hops"), st.OccupiedSlots)
+	}
+	if n := records(dims, "index nodes"); n != st.IndexNodes || n != st.Tiles-1 {
+		t.Fatalf("index nodes = %d, want internal count %d = tiles-1 = %d", n, st.IndexNodes, st.Tiles-1)
 	}
 }
 
@@ -378,4 +382,15 @@ func (t *TiledTCAMTable) DumpTiles(tb *testing.T) []TileDump {
 	}
 	walk(t.root)
 	return out
+}
+
+// records returns the record count of d's region called name, 0 when d
+// has none.
+func records(d MemDims, name string) int {
+	for _, r := range d.Regions {
+		if r.Name == name {
+			return r.Records
+		}
+	}
+	return 0
 }

@@ -192,5 +192,7 @@ func (t *BalancedTreeTable) ResetStats() { t.stats = Stats{} }
 // MemDims implements MemSizer: one record per route plus one range node
 // per disjoint interval (up to 2n-1 for n prefixes).
 func (t *BalancedTreeTable) MemDims() MemDims {
-	return MemDims{Entries: len(t.routes), TreeNodes: len(t.nodes)}
+	return MemDims{Entries: len(t.routes), Regions: []Region{
+		{Name: "range nodes", Records: len(t.nodes), Bits: treeNodeBits},
+	}}
 }

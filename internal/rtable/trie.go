@@ -138,5 +138,8 @@ func (t *TrieTable) MemDims() MemDims {
 		walk(n.child[1])
 	}
 	walk(t.root)
-	return MemDims{Entries: t.count, BinaryNodes: nodes}
+	return MemDims{Entries: t.count, Regions: []Region{
+		{Name: "nodes", Records: nodes, Bits: binaryNodeBits},
+		{Name: "results", Records: t.count, Bits: resultBits},
+	}}
 }

@@ -126,15 +126,15 @@ var (
 
 // Design-space exploration (sweeps and the automated future-work tool).
 var (
-	SweepTableSize   = dse.SweepTableSize
-	SweepBuses       = dse.SweepBuses
-	SweepPacketSize  = dse.SweepPacketSize
-	SweepReplication = dse.SweepReplication
-	// SweepLargeTable runs the table kind × size grid up to millions of
-	// routes via the scaled evaluator.
-	SweepLargeTable = dse.SweepLargeTable
-	Explore         = dse.Explore
-	Pareto          = dse.Pareto
+	// Sweep evaluates the instance lists the builders below make.
+	Sweep                = dse.Sweep
+	TableSizeInstances   = dse.TableSizeInstances
+	BusInstances         = dse.BusInstances
+	PacketSizeInstances  = dse.PacketSizeInstances
+	ReplicationInstances = dse.ReplicationInstances
+	LargeTableInstances  = dse.LargeTableInstances
+	ExploreCtx           = dse.ExploreCtx
+	Pareto               = dse.Pareto
 )
 
 // Routers.

@@ -1,6 +1,7 @@
 package taco_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -77,8 +78,8 @@ func TestPublicAPIEstimation(t *testing.T) {
 }
 
 func TestPublicAPIExplore(t *testing.T) {
-	res, err := taco.Explore(taco.PaperConstraints(),
-		taco.SimOptions{Packets: 8, Seed: 3, Ifaces: 4}, 3, 2)
+	res, err := taco.ExploreCtx(context.Background(), taco.PaperConstraints(),
+		taco.SimOptions{Packets: 8, Seed: 3, Ifaces: 4}, 3, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
