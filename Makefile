@@ -37,52 +37,21 @@ soak:
 	$(GO) run ./cmd/tacoroute -soak -soak-campaigns $(SOAK_CAMPAIGNS) \
 		-packets 96 -entries 96 -faults all:0.2
 
-# Network-scale chaos soak: a seeded >=200-node fat-tree campaign
-# (flaps + partition/heal + crash + storm) run at -workers 1 and
-# -workers 8 with byte-identity asserted over text, CSV and JSON; then
-# an injected-violation run whose forensics bundles must all reproduce
-# under tacoreplay.
-TOPO_SEED ?= 3
+# Network-scale chaos soak (TestTopoSoak, behind the slow tag): a
+# seeded 245-node fat-tree campaign (flaps + partition/heal + crash +
+# storm) run through tacotopo at -workers 1 and -workers 8 with
+# byte-identity asserted over text, CSV and JSON; convergence curves for
+# three sizes; then an injected-violation run whose forensics bundles
+# must all reproduce.
 topo-soak:
-	rm -rf /tmp/taco-topo-soak && mkdir -p /tmp/taco-topo-soak
-	$(GO) run ./cmd/tacotopo -campaign -topo fattree -size 14 -mix mixed \
-		-seed $(TOPO_SEED) -workers 1 \
-		-csv /tmp/taco-topo-soak/w1.csv -json /tmp/taco-topo-soak/w1.json \
-		> /tmp/taco-topo-soak/w1.txt
-	$(GO) run ./cmd/tacotopo -campaign -topo fattree -size 14 -mix mixed \
-		-seed $(TOPO_SEED) -workers 8 \
-		-csv /tmp/taco-topo-soak/w8.csv -json /tmp/taco-topo-soak/w8.json \
-		> /tmp/taco-topo-soak/w8.txt
-	cmp /tmp/taco-topo-soak/w1.txt /tmp/taco-topo-soak/w8.txt
-	cmp /tmp/taco-topo-soak/w1.csv /tmp/taco-topo-soak/w8.csv
-	cmp /tmp/taco-topo-soak/w1.json /tmp/taco-topo-soak/w8.json
-	$(GO) run ./cmd/tacotopo -sizes 6,10,14 -topo fattree -mix mixed \
-		-seed $(TOPO_SEED) -csv /tmp/taco-topo-soak/curves.csv
-	$(GO) run ./cmd/tacotopo -campaign -topo ring -size 12 -mix mixed \
-		-seed $(TOPO_SEED) -inject-violation \
-		-forensics-out /tmp/taco-topo-soak/bundles \
-		> /tmp/taco-topo-soak/inject.txt; test $$? -eq 1
-	for b in /tmp/taco-topo-soak/bundles/*.json; do \
-		$(GO) run ./cmd/tacoreplay -bundle $$b || exit 1; \
-	done
+	$(GO) test -count=1 -tags slow -run TestTopoSoak ./cmd/tacotopo
 
-# Campaign reports (text, CSV, JSON) through the CLI at -workers 1 and
+# Campaign reports (text, CSV, JSON) through tacotopo at -workers 1 and
 # 8 must match testdata/topo/ byte for byte; the files were captured on
 # the commit before the RIPng route store and wire codec were rebuilt.
-# TestCampaignReportsMatchGoldens checks the same files in-process.
+# Part of the tier-1 suite; internal/net checks the same files.
 topo-identity:
-	rm -rf /tmp/taco-topo-identity && mkdir -p /tmp/taco-topo-identity
-	for g in fattree-6-seed3 scalefree-40-seed7 ring-12-seed3; do \
-		set -- $$(echo $$g | tr '-' ' '); \
-		for w in 1 8; do \
-			o=/tmp/taco-topo-identity/$$g-w$$w; \
-			$(GO) run ./cmd/tacotopo -campaign -topo $$1 -size $$2 -mix mixed \
-				-seed $${3#seed} -workers $$w -csv $$o.csv -json $$o.json > $$o.txt || exit 1; \
-			for ext in txt csv json; do \
-				cmp $$o.$$ext testdata/topo/$$g.$$ext || exit 1; \
-			done; \
-		done; \
-	done
+	$(GO) test -count=1 -run TestCampaignReportsMatchGoldens ./cmd/tacotopo ./internal/net
 
 # Short differential fuzz bursts (one -fuzz pattern per go test
 # invocation); extend FUZZTIME for longer campaigns.
@@ -135,24 +104,14 @@ bench-e2e:
 bench-compare:
 	$(GO) run ./bench -compare $(OLD) $(NEW)
 
-# The large-table sweep's text and JSON must not depend on the worker
-# count, and must match the files captured before the code under them
-# was rebuilt: the plain pair before the sweep began sharing inputs and
-# bulk-building the tiled TCAM, the -churn 300 pair (point updates on
-# every built table) before the tries and the tree moved to flat storage.
+# The large-table sweep's text and JSON through tacoexplore must not
+# depend on the worker count, and must match the files captured before
+# the code under them was rebuilt: the plain pair before the sweep began
+# sharing inputs and bulk-building the tiled TCAM, the -churn 300 pair
+# (point updates on every built table) before the tries and the tree
+# moved to flat storage. Part of the tier-1 suite.
 largetable-identity:
-	rm -rf /tmp/taco-largetable && mkdir -p /tmp/taco-largetable
-	for w in 1 8; do \
-		for g in "sweep-2000-10000:" "sweep-2000-10000-churn300:-churn 300"; do \
-			o=/tmp/taco-largetable/$${g%%:*}-w$$w; \
-			$(GO) run ./cmd/tacoexplore -sweep largetable -table-size 2000,10000 $${g#*:} -workers $$w \
-				> $$o.txt || exit 1; \
-			$(GO) run ./cmd/tacoexplore -sweep largetable -table-size 2000,10000 $${g#*:} -workers $$w -json \
-				> $$o.json || exit 1; \
-			cmp $$o.txt testdata/largetable/$${g%%:*}.txt || exit 1; \
-			cmp $$o.json testdata/largetable/$${g%%:*}.json || exit 1; \
-		done; \
-	done
+	$(GO) test -count=1 -run TestLargeTableSweepMatchesGoldens ./cmd/tacoexplore
 
 # The CI overhead guard (overhead_guard_test.go, behind its build tag
 # because it asserts on wall-clock time): compiled-with-counters must
@@ -165,26 +124,10 @@ overhead-guard:
 # the same bytes whichever step path ran: tacoreplay -step -trace-out
 # over a bare-machine and a router bundle of the committed corpus, and
 # tacosim -trace -trace-out over a loop whose guard fails, jumps and
-# halts. stdout and the trace file are cmp'd, interpreter vs compiled.
-TRACE_SMOKE_BUNDLES = testdata/forensics/machine-stall-3bus1fu-5cb2e1fee18ed192.json \
-	testdata/forensics/stall-campaign-0-7574f14b6e90ff8c.json
+# halts. stdout and the trace file are compared, interpreter vs
+# compiled. Part of the tier-1 suite.
 trace-smoke:
-	rm -rf /tmp/taco-trace-smoke && mkdir -p /tmp/taco-trace-smoke
-	for b in $(TRACE_SMOKE_BUNDLES); do \
-		o=/tmp/taco-trace-smoke/$$(basename $$b .json); \
-		for p in interpreted compiled; do \
-			$(GO) run ./cmd/tacoreplay -bundle $$b -step -path $$p -trace-out $$o-$$p.trace \
-				> $$o-$$p.txt || exit 1; \
-		done; \
-		cmp $$o-interpreted.txt $$o-compiled.txt || exit 1; \
-		cmp $$o-interpreted.trace $$o-compiled.trace || exit 1; \
-	done
-	o=/tmp/taco-trace-smoke/loop; \
-	$(GO) run ./cmd/tacosim -f testdata/trace/loop.tasm -trace -trace-out $$o-interpreted.trace -interp \
-		> $$o-interpreted.txt && \
-	$(GO) run ./cmd/tacosim -f testdata/trace/loop.tasm -trace -trace-out $$o-compiled.trace \
-		> $$o-compiled.txt && \
-	cmp $$o-interpreted.txt $$o-compiled.txt && cmp $$o-interpreted.trace $$o-compiled.trace
+	$(GO) test -count=1 -run 'TestStepIdenticalOnBothPaths|TestTraceIdenticalOnBothPaths' ./cmd/tacoreplay ./cmd/tacosim
 
 # Regenerate the reference snapshot the regression guard checks against.
 # Only commit the result when cycle counts are intentionally unchanged —
@@ -195,10 +138,11 @@ snapshot:
 vet:
 	$(GO) vet ./...
 
-# The two figures a simplicity PR quotes before and after: lines of
-# non-test Go outside bench/, in total and per internal package.
+# The figures a simplicity PR quotes before and after: lines of
+# non-test Go outside bench/, in total, in cmd/ and per internal package.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | tail -1
+	@printf '%8d %s\n' $$(find cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) cmd
 	@for d in internal/*; do \
 		printf '%8d %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
 	done

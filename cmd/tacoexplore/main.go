@@ -18,22 +18,17 @@
 // and -table-size (comma-separated entry counts), plus -churn to play an
 // update stream into each table first.
 //
-// Common flags: -packets, -entries, -seed, -workers, -json (structured
-// metrics with per-FU counters on stdout), -interp (simulate through
-// the reference interpreter instead of the compiled fast path, which
-// otherwise runs and has its Table 1 results spot-checked against the
-// interpreter), -progress (live engine progress with a running p99 of
-// per-instance evaluation time on stderr), -hist (merged latency
-// histogram summary on stderr), -metrics-out (aggregated Prometheus
-// text exposition), -cpuprofile/-memprofile.
+// Compiled Table 1 results are spot-checked against the reference
+// interpreter, which -interp runs instead. -json prints per-instance
+// metrics with per-FU counters, -hist a merged latency summary on
+// stderr, and -metrics-out the aggregated Prometheus exposition.
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"taco/internal/cliutil"
@@ -45,150 +40,111 @@ import (
 	"taco/internal/rtable"
 )
 
-func main() {
-	var (
-		table1   = flag.Bool("table1", false, "regenerate the paper's Table 1")
-		campower = flag.Bool("campower", false, "CAM power-parity analysis (paper §4)")
-		auto     = flag.Bool("auto", false, "automated design-space exploration")
-		sweep    = flag.String("sweep", "", "sweep: tablesize | buses | packetsize | replication | largetable")
-		packets  = flag.Int("packets", 64, "datagrams to simulate per instance")
-		entries  = flag.Int("entries", 100, "routing-table entries")
-		seed     = flag.Uint64("seed", 2003, "workload seed")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0),
-			"parallel simulation workers (results are identical for any value)")
-		jsonOut = flag.Bool("json", false, "emit per-instance metrics (with counters) as JSON on stdout")
-		interp  = flag.Bool("interp", false,
-			"simulate through the reference interpreter instead of the compiled fast path (bit-identical, several times slower; compiled Table 1 runs are spot-checked against it)")
-		progress   = flag.Bool("progress", false, "report live engine progress on stderr")
-		hist       = flag.Bool("hist", false, "print the merged per-packet latency histogram summary on stderr")
-		metricsOut = flag.String("metrics-out", "",
-			"write the run's aggregated Prometheus text exposition to this file")
-		tableKind = flag.String("table-kind", strings.Join(rtable.Names(dse.LargeTableKinds), ","),
-			"largetable sweep: comma-separated table kinds")
-		tableSize = flag.String("table-size", "10000,100000,1000000",
-			"largetable sweep: comma-separated entry counts")
-		churn = flag.Int("churn", 0,
-			"largetable sweep: update-churn operations applied before measurement")
-		forensicsOut = flag.String("forensics-out", "",
-			"write a forensic bundle (replayable with tacoreplay) for every failed instance into this directory")
-		timing = flag.Bool("timing", false,
-			"stamp per-instance wall times (wall_ns) onto exported points; makes exports nondeterministic")
-	)
-	var prof cliutil.Profiling
-	prof.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	stopProf, err := prof.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProf()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	cons := core.PaperConstraints()
-	cons.TableEntries = *entries
-	sim := core.DefaultSimOptions()
-	sim.Packets = *packets
-	sim.Seed = *seed
-	// The JSON export is the consumer of the fine-grained counters, so
-	// -json switches them on for every simulated instance.
-	sim.Observe = *jsonOut
-	// The compiled path composes with everything: counters are recorded
-	// natively by the fast path, so -json keeps the compiled speedup.
-	// -interp is the escape hatch onto the reference interpreter.
-	sim.Compiled = !*interp
-	// -forensics-out arms the flight recorder on every instance and turns
-	// each failure into a self-contained repro bundle.
-	sim.ForensicsDir = *forensicsOut
-
-	ctx := context.Background()
-	if *progress {
-		ctx = dse.WithProgress(ctx, dse.ProgressPrinter(os.Stderr))
-	}
-	if *timing {
-		ctx = dse.WithTiming(ctx)
-	}
-
-	if !*table1 && !*campower && !*auto && *sweep == "" {
-		*table1 = true // default action
-	}
-
-	exp := obsExport{hist: *hist, metricsOut: *metricsOut}
-
-	if *table1 {
-		if err := runTable1(ctx, cons, sim, *workers, *jsonOut, exp); err != nil {
-			fatal(err)
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cliutil.New("tacoexplore", stdout, stderr, "entries", "seed", "workers", "interp", "json", "hist",
+		"metrics-out", "forensics-out", "cpuprofile", "memprofile")
+	c.PacketsFlag(64)
+	table1 := c.Bool("table1", false, "regenerate the paper's Table 1")
+	campower := c.Bool("campower", false, "CAM power-parity analysis (paper §4)")
+	auto := c.Bool("auto", false, "automated design-space exploration")
+	sweep := c.String("sweep", "", "sweep: tablesize | buses | packetsize | replication | largetable")
+	progress := c.Bool("progress", false, "report live engine progress on stderr")
+	tableKind := c.String("table-kind", strings.Join(rtable.Names(dse.LargeTableKinds), ","),
+		"largetable sweep: comma-separated table kinds")
+	tableSize := c.String("table-size", "10000,100000,1000000",
+		"largetable sweep: comma-separated entry counts")
+	churn := c.Int("churn", 0,
+		"largetable sweep: update-churn operations applied before measurement")
+	timing := c.Bool("timing", false,
+		"stamp per-instance wall times (wall_ns) onto exported points; makes exports nondeterministic")
+	return c.Run(args, func() error {
+		cons := core.PaperConstraints()
+		cons.TableEntries = c.Entries
+		sim := core.DefaultSimOptions()
+		sim.Packets = c.Packets
+		sim.Seed = c.Seed
+		// The JSON export is the consumer of the fine-grained counters, so
+		// -json switches them on; both step paths record them natively.
+		sim.Observe = c.JSON
+		sim.Compiled = !c.Interp
+		// -forensics-out arms the flight recorder on every instance and
+		// turns each failure into a self-contained repro bundle.
+		sim.ForensicsDir = c.ForensicsOut
+		var large []dse.Instance
+		if *sweep == "largetable" {
+			kinds, err := cliutil.KindsByNames(*tableKind)
+			if err != nil {
+				return err
+			}
+			sizes, err := cliutil.ParseSizes(*tableSize)
+			if err != nil {
+				return err
+			}
+			// The scaled evaluator has no simulated machine to observe; keep
+			// the anchors' counters off so anchor results match -table1 runs.
+			ltSim := sim
+			ltSim.Observe = false
+			large = dse.LargeTableInstances(kinds, sizes, *churn, cons, ltSim)
 		}
-	}
-	if *campower {
-		if err := runCAMPower(ctx, cons, sim, *workers); err != nil {
-			fatal(err)
+
+		ctx := context.Background()
+		if *progress {
+			ctx = dse.WithProgress(ctx, dse.ProgressPrinter(stderr))
 		}
-	}
-	if *auto {
-		if err := runAuto(ctx, cons, sim, *workers, *jsonOut, exp); err != nil {
-			fatal(err)
+		if *timing {
+			ctx = dse.WithTiming(ctx)
 		}
-	}
-	if *sweep != "" {
-		lt := largeOpts{kinds: *tableKind, sizes: *tableSize, churn: *churn}
-		if err := runSweep(ctx, *sweep, cons, sim, *workers, *jsonOut, lt, exp); err != nil {
-			fatal(err)
+		if !*table1 && !*campower && !*auto && *sweep == "" {
+			*table1 = true // default action
 		}
-	}
+		var err error
+		if *table1 {
+			err = runTable1(ctx, c, cons, sim)
+		}
+		if err == nil && *campower {
+			err = runCAMPower(ctx, c, cons, sim)
+		}
+		if err == nil && *auto {
+			err = runAuto(ctx, c, cons, sim)
+		}
+		if err == nil && *sweep != "" {
+			err = runSweep(ctx, c, *sweep, cons, sim, large)
+		}
+		return err
+	})
 }
 
-// obsExport carries the -hist/-metrics-out requests to whichever action
-// ran, which hands its evaluated instances to emit.
-type obsExport struct {
-	hist       bool
-	metricsOut string
-}
-
-// emit renders the merged latency summary (stderr) and/or the aggregated
-// Prometheus exposition (file) over the run's evaluated instances.
-func (e obsExport) emit(source string, ms []core.Metrics) error {
-	if e.hist {
+// export prints the merged latency summary on stderr (-hist) and writes
+// the aggregated Prometheus exposition (-metrics-out) over the run's
+// evaluated instances.
+func export(c *cliutil.Command, source string, ms []core.Metrics) error {
+	if c.Hist {
 		h := &obs.LatencyHist{}
 		for _, m := range ms {
 			h.Merge(m.LatencyHist)
 		}
 		p := h.Percentiles()
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(c.Stderr,
 			"tacoexplore: latency over %d packets (%d instances): p50 %d, p90 %d, p99 %d, p99.9 %d cycles\n",
 			h.Count(), len(ms), p.P50, p.P90, p.P99, p.P999)
 	}
-	if e.metricsOut != "" {
-		f, err := os.Create(e.metricsOut)
-		if err != nil {
-			return err
-		}
-		snap := dse.PromSnapshot(map[string]string{"source": source}, ms)
-		if err := obs.WriteProm(f, snap); err != nil {
-			f.Close()
-			return fmt.Errorf("metrics-out: %w", err)
-		}
-		return f.Close()
-	}
-	return nil
-}
-
-// largeOpts carries the raw -table-kind/-table-size/-churn flags into
-// the largetable sweep.
-type largeOpts struct {
-	kinds string
-	sizes string
-	churn int
+	return cliutil.WriteFile(c.MetricsOut, func(w io.Writer) error {
+		return obs.WriteProm(w, dse.PromSnapshot(map[string]string{"source": source}, ms))
+	})
 }
 
 // failedPoint prints a failed sweep point's error in place of its
 // metrics row (graceful degradation: the rest of the sweep is valid).
-func failedPoint(p dse.Point) bool {
+func failedPoint(w io.Writer, p dse.Point) bool {
 	if p.Err == "" {
 		return false
 	}
 	if p.Bundle != "" {
-		fmt.Printf("  %g: FAILED — %s (bundle: %s)\n", p.X, p.Err, p.Bundle)
+		fmt.Fprintf(w, "  %g: FAILED — %s (bundle: %s)\n", p.X, p.Err, p.Bundle)
 	} else {
-		fmt.Printf("  %g: FAILED — %s\n", p.X, p.Err)
+		fmt.Fprintf(w, "  %g: FAILED — %s\n", p.X, p.Err)
 	}
 	return true
 }
@@ -201,19 +157,15 @@ func cyclesCell(p dse.Point) string {
 	return fmt.Sprintf("%.0f", p.Metrics.CyclesPerPacket)
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tacoexplore:", err)
-	os.Exit(1)
-}
-
-func runTable1(ctx context.Context, cons core.Constraints, sim core.SimOptions, workers int, jsonOut bool, exp obsExport) error {
-	if !jsonOut {
-		fmt.Printf("Table 1 — estimated minimum clock frequencies, areas and power\n")
-		fmt.Printf("constraint: %.0f Gbps, %d-byte datagrams (%.2f Mpps), %d-entry table, %s\n\n",
+func runTable1(ctx context.Context, c *cliutil.Command, cons core.Constraints, sim core.SimOptions) error {
+	w := c.Stdout
+	if !c.JSON {
+		fmt.Fprintf(w, "Table 1 — estimated minimum clock frequencies, areas and power\n")
+		fmt.Fprintf(w, "constraint: %.0f Gbps, %d-byte datagrams (%.2f Mpps), %d-entry table, %s\n\n",
 			cons.ThroughputBps/1e9, cons.PacketBytes, cons.PacketRate()/1e6,
 			cons.TableEntries, cons.Tech.Name)
 	}
-	ms, err := dse.Table1(ctx, cons, sim, workers)
+	ms, err := dse.Table1(ctx, cons, sim, c.Workers)
 	if err != nil {
 		return err
 	}
@@ -222,32 +174,33 @@ func runTable1(ctx context.Context, cons core.Constraints, sim core.SimOptions, 
 		// the interpreter and require field-for-field identity. With
 		// counters attached (-json) the check also covers the occupancy,
 		// utilization and latency fields they derive.
-		if err := dse.ReplayInterpreted(ctx, dse.Table1Instances(cons, sim), ms, 3, workers); err != nil {
+		if err := dse.ReplayInterpreted(ctx, dse.Table1Instances(cons, sim), ms, 3, c.Workers); err != nil {
 			return err
 		}
-		fmt.Fprintln(os.Stderr, "tacoexplore: compiled results spot-checked against the interpreter")
+		fmt.Fprintln(c.Stderr, "tacoexplore: compiled results spot-checked against the interpreter")
 	}
-	if err := exp.emit("table1", ms); err != nil {
+	if err := export(c, "table1", ms); err != nil {
 		return err
 	}
-	if jsonOut {
-		return dse.WriteMetricsJSON(os.Stdout, ms)
+	if c.JSON {
+		return dse.WriteMetricsJSON(w, ms)
 	}
-	fmt.Print(core.FormatTable1(ms))
+	fmt.Fprint(w, core.FormatTable1(ms))
 	if best, ok := core.SelectBest(ms); ok {
-		fmt.Printf("\nselected configuration: %s routing table, %s — %s, %.1f mm², %.2f W\n",
+		fmt.Fprintf(w, "\nselected configuration: %s routing table, %s — %s, %.1f mm², %.2f W\n",
 			best.Kind, best.Config.Name, estimate.FormatHz(best.RequiredClockHz),
 			best.Est.AreaMM2, best.Est.PowerW)
 	}
 	return nil
 }
 
-func runCAMPower(ctx context.Context, cons core.Constraints, sim core.SimOptions, workers int) error {
-	ms, err := dse.Table1(ctx, cons, sim, workers)
+func runCAMPower(ctx context.Context, c *cliutil.Command, cons core.Constraints, sim core.SimOptions) error {
+	w := c.Stdout
+	ms, err := dse.Table1(ctx, cons, sim, c.Workers)
 	if err != nil {
 		return err
 	}
-	fmt.Println("CAM power parity (paper §4): TACO+CAM total vs TACO-only solutions")
+	fmt.Fprintln(w, "CAM power parity (paper §4): TACO+CAM total vs TACO-only solutions")
 	for _, m := range ms {
 		if !m.ClockFeasible {
 			continue
@@ -257,52 +210,59 @@ func runCAMPower(ctx context.Context, cons core.Constraints, sim core.SimOptions
 		if m.CAMChipPowerW > 0 {
 			note = fmt.Sprintf(" (core %.2f W + CAM chip %.2f W)", m.Est.PowerW, m.CAMChipPowerW)
 		}
-		fmt.Printf("  %-14s %-18s total %.2f W%s\n", m.Kind, m.Config.Name, total, note)
+		fmt.Fprintf(w, "  %-14s %-18s total %.2f W%s\n", m.Kind, m.Config.Name, total, note)
 	}
 	return nil
 }
 
-func runAuto(ctx context.Context, cons core.Constraints, sim core.SimOptions, workers int, jsonOut bool, exp obsExport) error {
-	res, err := dse.ExploreCtx(ctx, cons, sim, 4, 3, workers)
+func runAuto(ctx context.Context, c *cliutil.Command, cons core.Constraints, sim core.SimOptions) error {
+	w := c.Stdout
+	res, err := dse.ExploreCtx(ctx, cons, sim, 4, 3, c.Workers)
 	if err != nil {
 		return err
 	}
 	ranked := make([]core.Metrics, len(res.Ranked))
-	for i, c := range res.Ranked {
-		ranked[i] = c.Metrics
+	for i, cand := range res.Ranked {
+		ranked[i] = cand.Metrics
 	}
-	if err := exp.emit("auto", ranked); err != nil {
+	if err := export(c, "auto", ranked); err != nil {
 		return err
 	}
-	if jsonOut {
-		fmt.Fprintf(os.Stderr, "tacoexplore: %d instances evaluated, %d pruned\n",
+	if c.JSON {
+		fmt.Fprintf(c.Stderr, "tacoexplore: %d instances evaluated, %d pruned\n",
 			res.Evaluated, res.Pruned)
-		return dse.WriteMetricsJSON(os.Stdout, ranked)
+		return dse.WriteMetricsJSON(w, ranked)
 	}
-	fmt.Printf("automated exploration: %d instances evaluated, %d pruned\n",
+	fmt.Fprintf(w, "automated exploration: %d instances evaluated, %d pruned\n",
 		res.Evaluated, res.Pruned)
 	if !res.OK {
-		fmt.Println("no configuration satisfies the constraints")
+		fmt.Fprintln(w, "no configuration satisfies the constraints")
 		return nil
 	}
-	fmt.Println("ranking (best first):")
-	for i, c := range res.Ranked {
+	fmt.Fprintln(w, "ranking (best first):")
+	for i, cand := range res.Ranked {
 		if i >= 8 {
 			break
 		}
-		m := c.Metrics
+		m := cand.Metrics
 		status := "OK"
 		if !m.Acceptable() {
 			status = "infeasible"
 		}
-		fmt.Printf("  %2d. %-14s %-20s %10s  %6.1f mm²  %5.2f W  [%s]\n",
+		fmt.Fprintf(w, "  %2d. %-14s %-20s %10s  %6.1f mm²  %5.2f W  [%s]\n",
 			i+1, m.Kind, m.Config.Name, estimate.FormatHz(m.RequiredClockHz),
 			m.Est.AreaMM2, m.Est.PowerW, status)
 	}
 	return nil
 }
 
-func runSweep(ctx context.Context, which string, cons core.Constraints, sim core.SimOptions, workers int, jsonOut bool, lt largeOpts, exp obsExport) error {
+// runSweep runs one named sweep; large holds the largetable sweep's
+// instances, built from its flags.
+func runSweep(ctx context.Context, c *cliutil.Command, which string, cons core.Constraints, sim core.SimOptions, large []dse.Instance) error {
+	w := c.Stdout
+	if c.JSON {
+		w = io.Discard // the JSON array of the points is the whole report
+	}
 	// Every sweep collects its points (all kinds concatenated; each
 	// point's Kind/Config identifies it) for the -json array and the
 	// -hist/-metrics-out aggregation.
@@ -312,42 +272,36 @@ func runSweep(ctx context.Context, which string, cons core.Constraints, sim core
 		sizes := []int{10, 25, 50, 100, 250, 500, 1000}
 		rows := map[rtable.Kind][]dse.Point{}
 		for _, kind := range rtable.PaperKinds {
-			pts, err := dse.Sweep(ctx, dse.TableSizeInstances(fu.Config1Bus1FU(kind), sizes, cons, sim), workers)
+			pts, err := dse.Sweep(ctx, dse.TableSizeInstances(fu.Config1Bus1FU(kind), sizes, cons, sim), c.Workers)
 			if err != nil {
 				return err
 			}
 			rows[kind] = pts
 			jsonPts = append(jsonPts, pts...)
 		}
-		if jsonOut {
-			break
-		}
-		fmt.Println("table-size sweep (1BUS/1FU): cycles/packet by implementation")
-		fmt.Printf("%8s %12s %12s %12s %12s\n", "entries", "sequential", "tree", "cam", "trie(model)")
+		fmt.Fprintln(w, "table-size sweep (1BUS/1FU): cycles/packet by implementation")
+		fmt.Fprintf(w, "%8s %12s %12s %12s %12s\n", "entries", "sequential", "tree", "cam", "trie(model)")
 		for i, n := range sizes {
 			// The trie has no hardware unit; report its probe count as a
 			// software model reference.
-			fmt.Printf("%8d %12s %12s %12s %12s\n", n,
+			fmt.Fprintf(w, "%8d %12s %12s %12s %12s\n", n,
 				cyclesCell(rows[rtable.Sequential][i]),
 				cyclesCell(rows[rtable.BalancedTree][i]),
 				cyclesCell(rows[rtable.CAM][i]), "-")
 		}
 	case "buses":
 		for _, kind := range rtable.PaperKinds {
-			pts, err := dse.Sweep(ctx, dse.BusInstances(kind, 4, cons, sim), workers)
+			pts, err := dse.Sweep(ctx, dse.BusInstances(kind, 4, cons, sim), c.Workers)
 			if err != nil {
 				return err
 			}
 			jsonPts = append(jsonPts, pts...)
-			if jsonOut {
-				continue
-			}
-			fmt.Printf("bus sweep, %s:\n", kind)
+			fmt.Fprintf(w, "bus sweep, %s:\n", kind)
 			for _, p := range pts {
-				if failedPoint(p) {
+				if failedPoint(w, p) {
 					continue
 				}
-				fmt.Printf("  %d bus(es): %7.1f cycles/packet, required %s, util %.0f%%\n",
+				fmt.Fprintf(w, "  %d bus(es): %7.1f cycles/packet, required %s, util %.0f%%\n",
 					int(p.X), p.Metrics.CyclesPerPacket,
 					estimate.FormatHz(p.Metrics.RequiredClockHz),
 					p.Metrics.BusUtilization*100)
@@ -356,70 +310,49 @@ func runSweep(ctx context.Context, which string, cons core.Constraints, sim core
 	case "packetsize":
 		sizes := []int{64, 128, 256, 512, 1024, 1500}
 		cfg := fu.Config3Bus1FU(rtable.CAM)
-		pts, err := dse.Sweep(ctx, dse.PacketSizeInstances(cfg, sizes, cons, sim), workers)
+		pts, err := dse.Sweep(ctx, dse.PacketSizeInstances(cfg, sizes, cons, sim), c.Workers)
 		if err != nil {
 			return err
 		}
 		jsonPts = append(jsonPts, pts...)
-		if jsonOut {
-			break
-		}
-		fmt.Printf("packet-size sweep (%s, CAM):\n", cfg.Name)
+		fmt.Fprintf(w, "packet-size sweep (%s, CAM):\n", cfg.Name)
 		for _, p := range pts {
-			if failedPoint(p) {
+			if failedPoint(w, p) {
 				continue
 			}
-			fmt.Printf("  %5d B: %6.1f cycles/packet, required %s\n",
+			fmt.Fprintf(w, "  %5d B: %6.1f cycles/packet, required %s\n",
 				int(p.X), p.Metrics.CyclesPerPacket,
 				estimate.FormatHz(p.Metrics.RequiredClockHz))
 		}
 	case "replication":
 		for _, kind := range rtable.PaperKinds {
-			pts, err := dse.Sweep(ctx, dse.ReplicationInstances(kind, 3, cons, sim), workers)
+			pts, err := dse.Sweep(ctx, dse.ReplicationInstances(kind, 3, cons, sim), c.Workers)
 			if err != nil {
 				return err
 			}
 			jsonPts = append(jsonPts, pts...)
-			if jsonOut {
-				continue
-			}
-			fmt.Printf("replication sweep, %s (3 buses):\n", kind)
+			fmt.Fprintf(w, "replication sweep, %s (3 buses):\n", kind)
 			for _, p := range pts {
-				if failedPoint(p) {
+				if failedPoint(w, p) {
 					continue
 				}
-				fmt.Printf("  %dx CNT/CMP/M: %7.1f cycles/packet, required %s, %.1f mm², %.2f W\n",
+				fmt.Fprintf(w, "  %dx CNT/CMP/M: %7.1f cycles/packet, required %s, %.1f mm², %.2f W\n",
 					int(p.X), p.Metrics.CyclesPerPacket,
 					estimate.FormatHz(p.Metrics.RequiredClockHz),
 					p.Metrics.Est.AreaMM2, p.Metrics.Est.PowerW)
 			}
 		}
 	case "largetable":
-		kinds, err := cliutil.KindsByNames(lt.kinds)
-		if err != nil {
-			return err
-		}
-		sizes, err := cliutil.ParseSizes(lt.sizes)
-		if err != nil {
-			return err
-		}
-		// The scaled evaluator has no simulated machine to observe; keep
-		// the anchors' counters off so anchor results match -table1 runs.
-		ltSim := sim
-		ltSim.Observe = false
-		pts, err := dse.Sweep(ctx, dse.LargeTableInstances(kinds, sizes, lt.churn, cons, ltSim), workers)
+		pts, err := dse.Sweep(ctx, large, c.Workers)
 		if err != nil {
 			return err
 		}
 		jsonPts = append(jsonPts, pts...)
-		if jsonOut {
-			break
-		}
-		fmt.Println("large-table sweep (1BUS/1FU, model-based: anchored cycles + measured probes + table SRAM):")
-		fmt.Printf("%-13s %9s %12s %9s %12s %10s %9s %9s %14s  %s\n",
+		fmt.Fprintln(w, "large-table sweep (1BUS/1FU, model-based: anchored cycles + measured probes + table SRAM):")
+		fmt.Fprintf(w, "%-13s %9s %12s %9s %12s %10s %9s %9s %14s  %s\n",
 			"kind", "entries", "cycles/pkt", "probes", "req clock", "area mm²", "power W", "cam W", "table mem", "verdict")
 		for _, p := range pts {
-			if failedPoint(p) {
+			if failedPoint(w, p) {
 				continue
 			}
 			m := p.Metrics
@@ -445,7 +378,7 @@ func runSweep(ctx context.Context, which string, cons core.Constraints, sim core
 			if m.CAMChipPowerW > 0 {
 				camW = fmt.Sprintf("%.2f", m.CAMChipPowerW)
 			}
-			fmt.Printf("%-13s %9d %12.1f %9.1f %12s %10.1f %9.2f %9s %14s  %s\n",
+			fmt.Fprintf(w, "%-13s %9d %12.1f %9.1f %12s %10.1f %9.2f %9s %14s  %s\n",
 				m.Kind, m.TableEntries, m.CyclesPerPacket, m.AvgProbesPerPacket,
 				estimate.FormatHz(m.RequiredClockHz), m.Est.AreaMM2, m.Est.PowerW,
 				camW, mem, verdict)
@@ -459,11 +392,11 @@ func runSweep(ctx context.Context, which string, cons core.Constraints, sim core
 			ok = append(ok, p.Metrics)
 		}
 	}
-	if err := exp.emit("sweep-"+which, ok); err != nil {
+	if err := export(c, "sweep-"+which, ok); err != nil {
 		return err
 	}
-	if jsonOut {
-		return dse.WriteJSON(os.Stdout, jsonPts)
+	if c.JSON {
+		return dse.WriteJSON(c.Stdout, jsonPts)
 	}
 	return nil
 }

@@ -9,8 +9,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,66 +23,45 @@ import (
 	"taco/internal/rtable"
 )
 
-func main() {
-	var (
-		config = flag.String("config", "3bus1fu", "architecture: 1bus | 3bus1fu | 3bus3fu")
-		table  = flag.String("table", "tree", "routing table: "+strings.Join(rtable.Names(rtable.PaperKinds), " | ")+" (or an alias)")
-		model  = flag.String("model", "all", "model: vhdl | library | json | matlab | all")
-		dir    = flag.String("dir", "", "write files into this directory instead of stdout")
-	)
-	var prof cliutil.Profiling
-	prof.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	stopProf, err := prof.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProf()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	kind, err := rtable.ParseKind(*table)
-	if err != nil {
-		fatal(err)
-	}
-	cfg, err := cliutil.ConfigByName(*config, kind)
-	if err != nil {
-		fatal(err)
-	}
-	m, _, err := fu.NewRouterMachine(cfg, rtable.New(kind), linecard.NewBank(5))
-	if err != nil {
-		fatal(err)
-	}
-	models, err := gen.Generate(cfg, m, estimate.Default180nm())
-	if err != nil {
-		fatal(err)
-	}
-
-	emit := func(name, content string) {
-		if *dir == "" {
-			fmt.Printf("---- %s ----\n%s\n", name, content)
-			return
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cliutil.New("tacogen", stdout, stderr, "config", "table", "cpuprofile", "memprofile")
+	model := c.String("model", "all", "model: vhdl | library | json | matlab | all")
+	dir := c.String("dir", "", "write files into this directory instead of stdout")
+	return c.Run(args, func() error {
+		kind, cfg, err := c.Arch()
+		if err != nil {
+			return err
 		}
-		path := filepath.Join(*dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			fatal(err)
+		m, _, err := fu.NewRouterMachine(cfg, rtable.New(kind), linecard.NewBank(5))
+		if err != nil {
+			return err
 		}
-		fmt.Printf("wrote %s (%d bytes)\n", path, len(content))
-	}
-	base := strings.ToLower(strings.NewReplacer("/", "_", ",", "_").Replace(cfg.Name))
-	if *model == "vhdl" || *model == "all" {
-		emit("taco_"+base+".vhd", models.VHDL)
-	}
-	if *model == "library" || *model == "all" {
-		emit("taco_components.vhd", models.Library)
-	}
-	if *model == "json" || *model == "all" {
-		emit("taco_"+base+".json", models.JSON)
-	}
-	if *model == "matlab" || *model == "all" {
-		emit("taco_"+base+".m", models.Matlab)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tacogen:", err)
-	os.Exit(1)
+		models, err := gen.Generate(cfg, m, estimate.Default180nm())
+		if err != nil {
+			return err
+		}
+		base := strings.ToLower(strings.NewReplacer("/", "_", ",", "_").Replace(cfg.Name))
+		for _, f := range []struct{ model, name, content string }{
+			{"vhdl", "taco_" + base + ".vhd", models.VHDL},
+			{"library", "taco_components.vhd", models.Library},
+			{"json", "taco_" + base + ".json", models.JSON},
+			{"matlab", "taco_" + base + ".m", models.Matlab},
+		} {
+			if *model != f.model && *model != "all" {
+				continue
+			}
+			if *dir == "" {
+				fmt.Fprintf(stdout, "---- %s ----\n%s\n", f.name, f.content)
+				continue
+			}
+			path := filepath.Join(*dir, f.name)
+			if err := os.WriteFile(path, []byte(f.content), 0o644); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "wrote %s (%d bytes)\n", path, len(f.content))
+		}
+		return nil
+	})
 }

@@ -22,105 +22,98 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 
+	"taco/internal/cliutil"
 	"taco/internal/forensics"
 	"taco/internal/obs"
 )
 
-func main() {
-	var (
-		bundlePath = flag.String("bundle", "", "forensic bundle to replay (required)")
-		step       = flag.Bool("step", false, "print every cycle's recorded events while replaying")
-		untilCycle = flag.Int64("until-cycle", -1, "pause the replay just past this machine cycle and dump state")
-		diff       = flag.Bool("diff", false, "replay on both step paths and report the first diverging event")
-		tail       = flag.Bool("tail", false, "print the bundle's captured flight-recorder tail and exit")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event (Perfetto) file of the replay")
-		path       = flag.String("path", "", "step path override: interpreted | compiled (default: as recorded)")
-	)
-	flag.Parse()
-	if *bundlePath == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-	b, err := forensics.Load(*bundlePath)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("bundle: %s (version %d, kind %s", *bundlePath, b.Version, b.Kind)
-	if b.Label != "" {
-		fmt.Printf(", %s", b.Label)
-	}
-	fmt.Println(")")
-	if b.Note != "" {
-		fmt.Printf("  note: %s\n", b.Note)
-	}
-	if b.Err != "" {
-		fmt.Printf("  recorded failure: %s\n", b.Err)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *tail {
-		printTail(b)
-		return
-	}
-
-	var stepPath *bool
-	switch *path {
-	case "":
-	case "interpreted", "compiled":
-		c := *path == "compiled"
-		stepPath = &c
-	default:
-		fatal(fmt.Errorf("unknown -path %q (want interpreted or compiled)", *path))
-	}
-	var tw *obs.TraceWriter
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cliutil.New("tacoreplay", stdout, stderr, "trace-out")
+	bundlePath := c.String("bundle", "", "forensic bundle to replay (required)")
+	step := c.Bool("step", false, "print every cycle's recorded events while replaying")
+	untilCycle := c.Int64("until-cycle", -1, "pause the replay just past this machine cycle and dump state")
+	diff := c.Bool("diff", false, "replay on both step paths and report the first diverging event")
+	tail := c.Bool("tail", false, "print the bundle's captured flight-recorder tail and exit")
+	path := c.String("path", "", "step path override: interpreted | compiled (default: as recorded)")
+	return c.Run(args, func() error {
+		if *bundlePath == "" {
+			return cliutil.Usage(errors.New("nothing to do: pass -bundle b.json"))
+		}
+		var stepPath *bool
+		switch *path {
+		case "":
+		case "interpreted", "compiled":
+			compiled := *path == "compiled"
+			stepPath = &compiled
+		default:
+			return cliutil.Usage(fmt.Errorf("unknown -path %q (want interpreted or compiled)", *path))
+		}
+		b, err := forensics.Load(*bundlePath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		tw = obs.NewTraceWriter(f)
-		defer func() {
-			if err := tw.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "tacoreplay: trace-out:", err)
+		fmt.Fprintf(stdout, "bundle: %s (version %d, kind %s", *bundlePath, b.Version, b.Kind)
+		if b.Label != "" {
+			fmt.Fprintf(stdout, ", %s", b.Label)
+		}
+		fmt.Fprintln(stdout, ")")
+		if b.Note != "" {
+			fmt.Fprintf(stdout, "  note: %s\n", b.Note)
+		}
+		if b.Err != "" {
+			fmt.Fprintf(stdout, "  recorded failure: %s\n", b.Err)
+		}
+		if *tail {
+			printTail(stdout, b)
+			return nil
+		}
+		opts := forensics.ReplayOptions{Path: stepPath}
+		replay := func() error {
+			switch {
+			case *diff:
+				return runDiff(stdout, b, opts)
+			case *step || *untilCycle >= 0:
+				return runStep(stdout, b, opts, *untilCycle, *step)
 			}
-			f.Close()
-		}()
-	}
-	opts := forensics.ReplayOptions{Path: stepPath, Trace: tw}
-
-	if *diff {
-		if err := runDiff(b, opts); err != nil {
-			fatal(err)
+			return runVerify(stdout, b, opts)
 		}
-		return
-	}
-	if *step || *untilCycle >= 0 {
-		runStep(b, opts, *untilCycle, *step)
-		return
-	}
-	runVerify(b, opts)
+		if c.TraceOut == "" {
+			return replay()
+		}
+		return cliutil.WriteFile(c.TraceOut, func(w io.Writer) error {
+			opts.Trace = obs.NewTraceWriter(w)
+			err := replay()
+			// A failed replay still leaves a loadable trace behind.
+			return errors.Join(err, opts.Trace.Close())
+		})
+	})
 }
 
 // runVerify replays once and asserts the recorded failure reproduces.
-func runVerify(b *forensics.Bundle, opts forensics.ReplayOptions) {
+func runVerify(w io.Writer, b *forensics.Bundle, opts forensics.ReplayOptions) error {
 	res, err := forensics.Replay(b, opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	printOutcome(res)
+	printOutcome(w, res)
 	if err := forensics.CheckReproduction(b, res); err != nil {
-		fatal(fmt.Errorf("NOT reproduced: %w", err))
+		return fmt.Errorf("NOT reproduced: %w", err)
 	}
-	fmt.Println("reproduction: OK — replay matches the bundle's recorded failure")
+	fmt.Fprintln(w, "reproduction: OK — replay matches the bundle's recorded failure")
+	return nil
 }
 
 // runDiff replays on both step paths with a ring large enough to retain
 // the whole run and reports the first diverging recorded event — the
 // interpreted-vs-compiled forensic comparison.
-func runDiff(b *forensics.Bundle, opts forensics.ReplayOptions) error {
+func runDiff(w io.Writer, b *forensics.Bundle, opts forensics.ReplayOptions) error {
 	// A generously sized ring so the comparison covers the entire run,
 	// not just the capture-sized tail.
 	const diffCap = 1 << 21
@@ -138,8 +131,8 @@ func runDiff(b *forensics.Bundle, opts forensics.ReplayOptions) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("interpreted: %s\n", outcomeLine(interp))
-	fmt.Printf("compiled:    %s\n", outcomeLine(comp))
+	fmt.Fprintf(w, "interpreted: %s\n", outcomeLine(interp))
+	fmt.Fprintf(w, "compiled:    %s\n", outcomeLine(comp))
 	if d := forensics.DiffEvents(interp.Tail, comp.Tail); d != nil {
 		return fmt.Errorf("step paths diverged:\n%s",
 			d.Describe("interpreted", "compiled", interp.SocketNames))
@@ -150,50 +143,50 @@ func runDiff(b *forensics.Bundle, opts forensics.ReplayOptions) error {
 	if interp.Err != comp.Err {
 		return fmt.Errorf("outcomes diverged: interpreted %q, compiled %q", interp.Err, comp.Err)
 	}
-	fmt.Printf("diff: %d events on both paths, no divergence\n", len(interp.Tail))
+	fmt.Fprintf(w, "diff: %d events on both paths, no divergence\n", len(interp.Tail))
 
 	// The paths agree with each other; now check they agree with the
 	// bundle (same failure, same cycle).
 	if err := forensics.CheckReproduction(b, interp); err != nil {
 		return fmt.Errorf("paths agree but the recorded failure did NOT reproduce: %w", err)
 	}
-	fmt.Println("reproduction: OK — both paths reproduce the bundle's recorded failure")
+	fmt.Fprintln(w, "reproduction: OK — both paths reproduce the bundle's recorded failure")
 	return nil
 }
 
 // runStep replays cycle by cycle, printing recorded events (with -step)
 // until completion or the -until-cycle pause point.
-func runStep(b *forensics.Bundle, opts forensics.ReplayOptions, until int64, print bool) {
-	names := b.SocketNames
+func runStep(w io.Writer, b *forensics.Bundle, opts forensics.ReplayOptions, until int64, print bool) error {
 	res, err := forensics.ReplayStep(b, opts, until, func(cycle int64, evs []obs.RecEvent) {
 		if print {
-			obs.WriteCycle(os.Stdout, cycle, evs, names)
+			obs.WriteCycle(w, cycle, evs, b.SocketNames)
 		}
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	printOutcome(res)
+	printOutcome(w, res)
 	if len(res.Sockets) > 0 {
-		fmt.Println("machine state:")
+		fmt.Fprintln(w, "machine state:")
 		for _, s := range res.Sockets {
-			fmt.Printf("  %-16s %-8s 0x%08x\n", s.Name, s.Kind, s.Value)
+			fmt.Fprintf(w, "  %-16s %-8s 0x%08x\n", s.Name, s.Kind, s.Value)
 		}
 	}
+	return nil
 }
 
-func printTail(b *forensics.Bundle) {
+func printTail(w io.Writer, b *forensics.Bundle) {
 	if len(b.Tail) == 0 {
-		fmt.Println("bundle carries no recorder tail")
+		fmt.Fprintln(w, "bundle carries no recorder tail")
 		return
 	}
-	fmt.Printf("flight recorder tail: %d events", len(b.Tail))
+	fmt.Fprintf(w, "flight recorder tail: %d events", len(b.Tail))
 	if b.TailDropped > 0 {
-		fmt.Printf(" (%d older events overwritten)", b.TailDropped)
+		fmt.Fprintf(w, " (%d older events overwritten)", b.TailDropped)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, e := range b.Tail {
-		fmt.Printf("  %s\n", e.Format(b.SocketNames))
+		fmt.Fprintf(w, "  %s\n", e.Format(b.SocketNames))
 	}
 }
 
@@ -209,14 +202,9 @@ func outcomeLine(res *forensics.ReplayResult) string {
 	}
 }
 
-func printOutcome(res *forensics.ReplayResult) {
-	fmt.Printf("replay: %s\n", outcomeLine(res))
+func printOutcome(w io.Writer, res *forensics.ReplayResult) {
+	fmt.Fprintf(w, "replay: %s\n", outcomeLine(res))
 	if res.Stall != nil && len(res.Tail) > 0 {
-		fmt.Printf("  (recorder retained %d events; -tail or -step to inspect)\n", len(res.Tail))
+		fmt.Fprintf(w, "  (recorder retained %d events; -tail or -step to inspect)\n", len(res.Tail))
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tacoreplay:", err)
-	os.Exit(1)
 }

@@ -17,11 +17,10 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"taco/internal/cliutil"
 	"taco/internal/core"
@@ -38,248 +37,212 @@ import (
 	"taco/internal/workload"
 )
 
-func main() {
-	var (
-		table      = flag.String("table", "tree", "routing table: "+strings.Join(rtable.Names(rtable.PaperKinds), " | ")+" (or an alias)")
-		config     = flag.String("config", "3bus1fu", "architecture: 1bus | 3bus1fu | 3bus3fu")
-		packets    = flag.Int("packets", 200, "datagrams to forward")
-		entries    = flag.Int("entries", 100, "routing-table entries")
-		ifaces     = flag.Int("ifaces", 4, "network interfaces")
-		seed       = flag.Uint64("seed", 2003, "workload seed")
-		verify     = flag.Bool("verify", true, "cross-check against the golden router")
-		prof       = flag.Bool("profile", false, "print per-region cycle attribution (bottleneck analysis)")
-		soak       = flag.Bool("soak", false, "run differential fault campaigns (golden vs TACO) instead of one batch")
-		campaigns  = flag.Int("soak-campaigns", 8, "campaigns per -soak run")
-		hist       = flag.Bool("hist", false, "print the per-packet latency histogram")
-		metricsOut = flag.String("metrics-out", "",
-			"write Prometheus text exposition to this file (also on stall)")
-		forensicsOut = flag.String("forensics-out", "",
-			"arm the flight recorder and write forensic bundles (replayable with tacoreplay) into this directory on failure")
-		soakMaxCycles = flag.Int64("soak-max-cycles", 0,
-			"per-campaign watchdog budget for -soak (0 = generous default; low values provoke stalls)")
-	)
-	var pprofFlags cliutil.Profiling
-	pprofFlags.RegisterFlags(flag.CommandLine)
-	var faultFlags cliutil.FaultFlags
-	faultFlags.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	stopProf, err := pprofFlags.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProf()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	kind, err := rtable.ParseKind(*table)
-	if err != nil {
-		fatal(err)
-	}
-	cfg, err := cliutil.ConfigByName(*config, kind)
-	if err != nil {
-		fatal(err)
-	}
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cliutil.New("tacoroute", stdout, stderr,
+		"table", "config", "entries", "seed", "hist", "metrics-out", "forensics-out", "cpuprofile", "memprofile")
+	c.PacketsFlag(200)
+	ifaces := c.Int("ifaces", 4, "network interfaces")
+	verify := c.Bool("verify", true, "cross-check against the golden router")
+	prof := c.Bool("profile", false, "print per-region cycle attribution (bottleneck analysis)")
+	soak := c.Bool("soak", false, "run differential fault campaigns (golden vs TACO) instead of one batch")
+	campaigns := c.Int("soak-campaigns", 8, "campaigns per -soak run")
+	soakMaxCycles := c.Int64("soak-max-cycles", 0,
+		"per-campaign watchdog budget for -soak (0 = generous default; low values provoke stalls)")
+	faults := c.String("faults", "",
+		"fault spec: comma-separated name[:prob] ("+fault.SpecNames()+", or all[:prob]); empty disables injection")
+	faultSeed := c.Uint64("fault-seed", 1, "fault-injection seed (campaigns replay exactly)")
+	return c.Run(args, func() error {
+		if *ifaces < 1 {
+			return cliutil.Usage(fmt.Errorf("-ifaces %d: want at least one network interface", *ifaces))
+		}
+		kind, cfg, err := c.Arch()
+		if err != nil {
+			return err
+		}
+		if *soak {
+			return runSoak(c, cfg, *campaigns, *ifaces, *faults, *soakMaxCycles)
+		}
+		inj, err := fault.ParseSpec(*faults, *faultSeed)
+		if err != nil {
+			return cliutil.Usage(err)
+		}
 
-	if *soak {
-		runSoak(cfg, *campaigns, *packets, *entries, *ifaces, *seed, faultFlags.Spec,
-			*soakMaxCycles, *forensicsOut)
-		return
-	}
-	inj, err := faultFlags.Injector()
-	if err != nil {
-		fatal(err)
-	}
+		routes := workload.GenerateRoutes(workload.TableSpec{Entries: c.Entries, Ifaces: *ifaces, Seed: c.Seed})
+		spec := workload.PaperTrafficSpec(c.Packets)
+		spec.Seed = c.Seed
+		spec.MissRatio = 0.05
+		pkts, err := workload.GenerateTraffic(routes, spec)
+		if err != nil {
+			return err
+		}
+		for i := range pkts {
+			pkts[i].Data = inj.Apply(pkts[i].Data)
+		}
 
-	routes := workload.GenerateRoutes(workload.TableSpec{
-		Entries: *entries, Ifaces: *ifaces, Seed: *seed,
-	})
-	spec := workload.PaperTrafficSpec(*packets)
-	spec.Seed = *seed
-	spec.MissRatio = 0.05
-	pkts, err := workload.GenerateTraffic(routes, spec)
-	if err != nil {
-		fatal(err)
-	}
-	for i := range pkts {
-		pkts[i].Data = inj.Apply(pkts[i].Data)
-	}
-
-	tbl := rtable.New(kind)
-	if err := rtable.InsertAll(tbl, routes); err != nil {
-		fatal(err)
-	}
-	tr, err := router.NewTACO(cfg, tbl, *ifaces)
-	if err != nil {
-		fatal(err)
-	}
-	if inj != nil {
-		tr.EnableDropAudit()
-	}
-	var ctrs *obs.Counters
-	if *metricsOut != "" {
-		// Counters are native on both step paths now, so the scrape
-		// costs almost nothing.
-		ctrs = tr.Machine.AttachCounters()
-	}
-	// The profile reads the recorder between cycles of a stepped run;
-	// without it the run is the batch one (a nil observer).
-	var prf *profile.Profile
-	var onCycle tta.CycleFunc
-	if *prof {
-		prf = profile.New(tr.Sched.Program)
-		onCycle = prf.Hook()
-	}
-	if *forensicsOut != "" || *prof {
-		tr.ArmRecorder(0)
-	}
-	arrivals := router.RoundRobin(pkts, *ifaces)
-	delivered := tr.DeliverAll(arrivals)
-	if inj == nil && delivered != int64(len(pkts)) {
-		// Without injected faults every generated frame is valid, so a
-		// rejection can only be queue overflow — a real failure.
-		fatal(fmt.Errorf("line card overflow: %d of %d datagrams accepted", delivered, len(pkts)))
-	}
-	budget := router.WatchdogBudget(*packets, *entries)
-	if _, err := tr.RunStepped(delivered, budget, onCycle); err != nil {
-		var stall *router.StallError
-		if errors.As(err, &stall) {
-			fmt.Fprintln(os.Stderr, "tacoroute: forwarding stalled; machine state:")
-			fmt.Fprintln(os.Stderr, stall.Dump())
-			if *forensicsOut != "" {
-				b := forensics.NewRouterBundle(forensics.KindStall,
-					fmt.Sprintf("%s/%s", kind, cfg.Name), cfg, *ifaces, routes,
-					arrivals, delivered, budget, false)
-				b.Seed = *seed
-				b.FaultSpec = faultFlags.Spec
-				b.RecorderCap = obs.DefaultRecorderCap
-				b.AttachStall(stall)
-				if path, berr := b.Save(*forensicsOut); berr != nil {
-					fmt.Fprintln(os.Stderr, "tacoroute: forensics capture failed:", berr)
-				} else {
-					fmt.Fprintf(os.Stderr, "tacoroute: forensic bundle written: %s\n", path)
-					fmt.Fprintf(os.Stderr, "tacoroute: replay with: tacoreplay -bundle %s\n", path)
+		tbl := rtable.New(kind)
+		if err := rtable.InsertAll(tbl, routes); err != nil {
+			return err
+		}
+		tr, err := router.NewTACO(cfg, tbl, *ifaces)
+		if err != nil {
+			return err
+		}
+		if inj != nil {
+			tr.EnableDropAudit()
+		}
+		ctrs := tr.Machine.AttachCounters() // native on both step paths: almost free
+		// The profile reads the recorder between cycles of a stepped run;
+		// without it the run is the batch one (a nil observer).
+		var prf *profile.Profile
+		var onCycle tta.CycleFunc
+		if *prof {
+			prf = profile.New(tr.Sched.Program)
+			onCycle = prf.Hook()
+		}
+		if c.ForensicsOut != "" || *prof {
+			tr.ArmRecorder(0)
+		}
+		arrivals := router.RoundRobin(pkts, *ifaces)
+		delivered := tr.DeliverAll(arrivals)
+		if inj == nil && delivered != int64(len(pkts)) {
+			// Without injected faults every generated frame is valid, so a
+			// rejection can only be queue overflow — a real failure.
+			return fmt.Errorf("line card overflow: %d of %d datagrams accepted", delivered, len(pkts))
+		}
+		budget := router.WatchdogBudget(c.Packets, c.Entries)
+		if _, err := tr.RunStepped(delivered, budget, onCycle); err != nil {
+			var stall *router.StallError
+			if errors.As(err, &stall) {
+				fmt.Fprintln(stderr, "tacoroute: forwarding stalled; machine state:")
+				fmt.Fprintln(stderr, stall.Dump())
+				if c.ForensicsOut != "" {
+					b := forensics.NewRouterBundle(forensics.KindStall,
+						fmt.Sprintf("%s/%s", kind, cfg.Name), cfg, *ifaces, routes,
+						arrivals, delivered, budget, false)
+					b.Seed = c.Seed
+					b.FaultSpec = *faults
+					b.RecorderCap = obs.DefaultRecorderCap
+					b.AttachStall(stall)
+					c.SaveBundle(b, c.ForensicsOut)
 				}
 			}
+			// A stalled run still gets its scrape: the stall-attribution
+			// counters are exactly what the operator wants to see.
+			return errors.Join(err, writeMetrics(c.MetricsOut, tr, ctrs, kind, cfg))
 		}
-		// A stalled run still gets its scrape: the stall-attribution
-		// counters are exactly what the operator wants to see.
-		if *metricsOut != "" {
-			if merr := writeMetrics(*metricsOut, tr, ctrs, kind, cfg); merr != nil {
-				fmt.Fprintln(os.Stderr, "tacoroute:", merr)
+		got := tr.Collect(arrivals) // also finalizes the drop audit
+
+		st := tr.Machine.Stats()
+		fmt.Fprintf(stdout, "TACO router: %s table, %s architecture\n", kind, cfg.Name)
+		fmt.Fprintf(stdout, "  program: %d instructions, %d moves\n", tr.Sched.Cycles, tr.Sched.MovesOut)
+		fmt.Fprintf(stdout, "  %d datagrams in %d cycles: %.1f cycles/datagram, bus utilization %.0f%%\n",
+			len(pkts), st.Cycles, tr.CyclesPerPacket(), st.BusUtilization()*100)
+		rate := core.PaperConstraints().PacketRate()
+		fmt.Fprintf(stdout, "  required clock for 10 Gbps: %s\n",
+			estimate.FormatHz(tr.CyclesPerPacket()*rate))
+
+		count := make([]int, *ifaces+2) // forwarded per interface, local, dropped
+		for _, o := range got.Datagrams {
+			switch o.Action {
+			case router.Forward:
+				count[o.Iface]++
+			case router.Local:
+				count[*ifaces]++
+			default:
+				count[*ifaces+1]++
 			}
 		}
-		fatal(err)
-	}
-	got := tr.Collect(arrivals) // also finalizes the drop audit
-
-	st := tr.Machine.Stats()
-	fmt.Printf("TACO router: %s table, %s architecture\n", kind, cfg.Name)
-	fmt.Printf("  program: %d instructions, %d moves\n", tr.Sched.Cycles, tr.Sched.MovesOut)
-	fmt.Printf("  %d datagrams in %d cycles: %.1f cycles/datagram, bus utilization %.0f%%\n",
-		len(pkts), st.Cycles, tr.CyclesPerPacket(), st.BusUtilization()*100)
-	rate := core.PaperConstraints().PacketRate()
-	fmt.Printf("  required clock for 10 Gbps: %s\n",
-		estimate.FormatHz(tr.CyclesPerPacket()*rate))
-
-	count := make([]int, *ifaces+2) // forwarded per interface, local, dropped
-	for _, o := range got.Datagrams {
-		switch o.Action {
-		case router.Forward:
-			count[o.Iface]++
-		case router.Local:
-			count[*ifaces]++
-		default:
-			count[*ifaces+1]++
+		for i, n := range count[:*ifaces] {
+			fmt.Fprintf(stdout, "  interface %d: %d datagrams out\n", i, n)
 		}
-	}
-	for i, n := range count[:*ifaces] {
-		fmt.Printf("  interface %d: %d datagrams out\n", i, n)
-	}
-	fmt.Printf("  local deliveries: %d, dropped: %d\n", count[*ifaces], count[*ifaces+1])
-	maxIn, dropped := 0, int64(0)
+		fmt.Fprintf(stdout, "  local deliveries: %d, dropped: %d\n", count[*ifaces], count[*ifaces+1])
+		maxIn, dropped, reasons := queues(tr)
+		fmt.Fprintf(stdout, "  line-card queues: max input depth %d of %d, input drops %d\n",
+			maxIn, linecard.MaxQueue, dropped)
+		if m := reasons.Map(); len(m) > 0 {
+			fmt.Fprintln(stdout, "  drops by reason:")
+			for _, k := range sortedKeys(m) {
+				fmt.Fprintf(stdout, "    %-20s %d\n", k, m[k])
+			}
+		}
+		if inj != nil {
+			if counts := inj.Counts(); len(counts) > 0 {
+				fmt.Fprint(stdout, "  mutations applied:")
+				for _, k := range sortedKeys(counts) {
+					fmt.Fprintf(stdout, " %s=%d", k, counts[k])
+				}
+				fmt.Fprintln(stdout)
+			}
+			if n := tr.UnexplainedDrops(); n != 0 {
+				return fmt.Errorf("%d machine drops could not be attributed to a DropReason", n)
+			}
+		}
+		if lat := tr.Latency(); lat.Count > 0 {
+			fmt.Fprintf(stdout, "  latency (cycles, store->transmit): min %d, mean %.0f, p99 %d, max %d\n",
+				lat.MinCycles, lat.MeanCycles, lat.P99Cycles, lat.MaxCycles)
+		}
+		if c.Hist {
+			printHist(stdout, tr.LatencyHist())
+		}
+		if err := writeMetrics(c.MetricsOut, tr, ctrs, kind, cfg); err != nil {
+			return err
+		}
+
+		if *verify {
+			d := router.Compare(router.NewGolden(tbl, *ifaces).Expected(arrivals), got)
+			if !d.Agree() {
+				return fmt.Errorf("golden-router cross-check: TACO diverges on %d datagrams (first seqs %v) and the drop counters of cards %v",
+					len(d.Seqs), d.Seqs[:min(len(d.Seqs), 8)], d.Cards)
+			}
+			fmt.Fprintln(stdout, "  golden-router cross-check: OK")
+		}
+		if prf != nil {
+			fmt.Fprintf(stdout, "\ncycle attribution (bottleneck analysis):\n%s", prf.String())
+		}
+		return nil
+	})
+}
+
+// queues sums the line cards' queue statistics: the deepest input
+// queue, the input drops, and the drops by reason.
+func queues(tr *router.TACO) (maxIn int, dropped int64, reasons obs.DropCounters) {
 	for _, qs := range tr.QueueStats() {
-		if qs.MaxInDepth > maxIn {
-			maxIn = qs.MaxInDepth
-		}
+		maxIn = max(maxIn, qs.MaxInDepth)
 		dropped += qs.DroppedIn
-	}
-	fmt.Printf("  line-card queues: max input depth %d of %d, input drops %d\n",
-		maxIn, linecard.MaxQueue, dropped)
-	var reasons obs.DropCounters
-	for _, qs := range tr.QueueStats() {
 		reasons.Merge(qs.Drops)
 	}
-	if m := reasons.Map(); len(m) > 0 {
-		names := make([]string, 0, len(m))
-		for k := range m {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		fmt.Println("  drops by reason:")
-		for _, k := range names {
-			fmt.Printf("    %-20s %d\n", k, m[k])
-		}
-	}
-	if inj != nil {
-		if counts := inj.Counts(); len(counts) > 0 {
-			names := make([]string, 0, len(counts))
-			for k := range counts {
-				names = append(names, k)
-			}
-			sort.Strings(names)
-			fmt.Print("  mutations applied:")
-			for _, k := range names {
-				fmt.Printf(" %s=%d", k, counts[k])
-			}
-			fmt.Println()
-		}
-		if n := tr.UnexplainedDrops(); n != 0 {
-			fatal(fmt.Errorf("%d machine drops could not be attributed to a DropReason", n))
-		}
-	}
-	if lat := tr.Latency(); lat.Count > 0 {
-		fmt.Printf("  latency (cycles, store->transmit): min %d, mean %.0f, p99 %d, max %d\n",
-			lat.MinCycles, lat.MeanCycles, lat.P99Cycles, lat.MaxCycles)
-	}
-	if *hist {
-		printHist(tr.LatencyHist())
-	}
-	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, tr, ctrs, kind, cfg); err != nil {
-			fatal(err)
-		}
-	}
+	return maxIn, dropped, reasons
+}
 
-	if *verify {
-		d := router.Compare(router.NewGolden(tbl, *ifaces).Expected(arrivals), got)
-		if !d.Agree() {
-			fatal(fmt.Errorf("golden-router cross-check: TACO diverges on %d datagrams (first seqs %v) and the drop counters of cards %v",
-				len(d.Seqs), d.Seqs[:min(len(d.Seqs), 8)], d.Cards))
-		}
-		fmt.Println("  golden-router cross-check: OK")
+// sortedKeys returns the names of a count map in order, so it prints
+// the same way every run.
+func sortedKeys(m map[string]int64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	if prf != nil {
-		fmt.Printf("\ncycle attribution (bottleneck analysis):\n%s", prf.String())
-	}
+	sort.Strings(keys)
+	return keys
 }
 
 // printHist renders the latency histogram as an indented bucket table
 // with the extracted percentiles.
-func printHist(h *obs.LatencyHist) {
+func printHist(w io.Writer, h *obs.LatencyHist) {
 	p := h.Percentiles()
-	fmt.Printf("  latency histogram: %d samples, p50 %d, p90 %d, p99 %d, p99.9 %d cycles\n",
+	fmt.Fprintf(w, "  latency histogram: %d samples, p50 %d, p90 %d, p99 %d, p99.9 %d cycles\n",
 		h.Count(), p.P50, p.P90, p.P99, p.P999)
 	h.ForEachBucket(func(high, count int64) {
-		fmt.Printf("    <= %7d cycles  %d\n", high, count)
+		fmt.Fprintf(w, "    <= %7d cycles  %d\n", high, count)
 	})
 }
 
-// writeMetrics renders the router's full observability state — counters,
-// drops, stall attribution, latency histogram — as Prometheus text
-// exposition.
+// writeMetrics writes the router's full observability state —
+// counters, drops, stall attribution, latency histogram — to path as
+// Prometheus text exposition; an empty path writes nothing.
 func writeMetrics(path string, tr *router.TACO, ctrs *obs.Counters, kind rtable.Kind, cfg fu.Config) error {
-	var drops obs.DropCounters
-	for _, qs := range tr.QueueStats() {
-		drops.Merge(qs.Drops)
-	}
+	_, _, drops := queues(tr)
 	units := tr.Machine.Units()
 	names := make([]string, len(units))
 	for u, unit := range units {
@@ -298,42 +261,28 @@ func writeMetrics(path string, tr *router.TACO, ctrs *obs.Counters, kind rtable.
 		Stalls:          tr.WatchdogStalls(),
 		Latency:         tr.LatencyHist(),
 	}
-	f, err := os.Create(path)
+	return cliutil.WriteFile(path, func(w io.Writer) error { return obs.WriteProm(w, snap) })
+}
+
+// runSoak executes the differential fault campaigns and fails on any
+// divergence; with -forensics-out, every failing campaign leaves a
+// tacoreplay bundle behind.
+func runSoak(c *cliutil.Command, cfg fu.Config, campaigns, ifaces int, spec string, maxCycles int64) error {
+	rep, err := fault.RunSoak(fault.SoakOptions{
+		Campaigns: campaigns, Packets: c.Packets, Entries: c.Entries,
+		Ifaces: ifaces, Seed: c.Seed, Spec: spec, Config: cfg,
+		MaxCycles: maxCycles, ForensicsDir: c.ForensicsOut,
+	})
 	if err != nil {
 		return err
 	}
-	if err := obs.WriteProm(f, snap); err != nil {
-		f.Close()
-		return fmt.Errorf("metrics-out: %w", err)
-	}
-	return f.Close()
-}
-
-// runSoak executes the differential fault campaigns and exits non-zero
-// on any divergence, so `make soak` and the CI smoke job gate on it.
-// With forensicsDir set, every failing campaign leaves a tacoreplay
-// bundle behind.
-func runSoak(cfg fu.Config, campaigns, packets, entries, ifaces int, seed uint64, spec string,
-	maxCycles int64, forensicsDir string) {
-	rep, err := fault.RunSoak(fault.SoakOptions{
-		Campaigns: campaigns, Packets: packets, Entries: entries,
-		Ifaces: ifaces, Seed: seed, Spec: spec, Config: cfg,
-		MaxCycles: maxCycles, ForensicsDir: forensicsDir,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(rep.String())
+	fmt.Fprintln(c.Stdout, rep.String())
 	for _, b := range rep.Bundles {
-		fmt.Printf("  forensic bundle: %s (replay with: tacoreplay -bundle %s)\n", b, b)
+		fmt.Fprintf(c.Stdout, "  forensic bundle: %s (replay with: tacoreplay -bundle %s)\n", b, b)
 	}
 	if !rep.Clean() {
-		fatal(fmt.Errorf("soak diverged: %d stalls, %d mismatches, %d unexplained drops",
-			rep.Stalls, rep.Mismatches, rep.Unexplained))
+		return fmt.Errorf("soak diverged: %d stalls, %d mismatches, %d unexplained drops",
+			rep.Stalls, rep.Mismatches, rep.Unexplained)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tacoroute:", err)
-	os.Exit(1)
+	return nil
 }

@@ -14,7 +14,8 @@ import (
 // and storm counts) on the commit before the RIPng engine's route store
 // and wire codec were rebuilt for speed. Every byte of the text, CSV and
 // JSON report must still come out the same, at any worker count.
-// `make topo-identity` checks the same files through the CLI.
+// cmd/tacotopo's TestCampaignReportsMatchGoldens checks the same files
+// through the tool.
 func TestCampaignReportsMatchGoldens(t *testing.T) {
 	for _, g := range []struct {
 		kind string

@@ -30,7 +30,7 @@
 //	internal/core      the fast-evaluation methodology (Table 1)
 //	internal/dse       design-space sweeps and automated exploration
 //	internal/workload  deterministic tables and traffic
-//	internal/cliutil   flag helpers shared by the cmd/ tools
+//	internal/cliutil   the cmd/ tools' shared flags and run seam
 //
 // A typical evaluation reproduces the paper's headline table:
 //
