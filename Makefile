@@ -56,7 +56,7 @@ topo-identity:
 # Short differential fuzz bursts (one -fuzz pattern per go test
 # invocation); extend FUZZTIME for longer campaigns.
 FUZZTIME ?= 30s
-fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-forensics
+fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo fuzz-forensics
 
 # Golden router vs TACO processor on generated datagrams.
 fuzz-router:

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"testing"
 
-	"taco"
 	"taco/internal/core"
 	"taco/internal/dse"
 	"taco/internal/fu"
@@ -297,14 +296,14 @@ func BenchmarkScheduler(b *testing.B) {
 // updates.
 func BenchmarkRIPngProcessing(b *testing.B) {
 	tbl := rtable.NewSequential()
-	e := ripng.NewEngine(tbl, []ripng.Iface{{LinkLocal: taco.GenerateRoutes(workload.TableSpec{Entries: 1, Seed: 1})[0].NextHop, Cost: 1}}, 0)
+	e := ripng.NewEngine(tbl, []ripng.Iface{{LinkLocal: workload.GenerateRoutes(workload.TableSpec{Entries: 1, Seed: 1})[0].NextHop, Cost: 1}}, 0)
 	routes := workload.GenerateRoutes(workload.TableSpec{Entries: 70, Ifaces: 1, Seed: 3})
 	var rtes []ripng.RTE
 	for _, r := range routes {
 		rtes = append(rtes, ripng.RTE{Prefix: r.Prefix, Metric: 1})
 	}
 	pkt := ripng.Packet{Command: ripng.CommandResponse, RTEs: rtes}
-	src := taco.GenerateRoutes(workload.TableSpec{Entries: 1, Seed: 9})[0].NextHop
+	src := workload.GenerateRoutes(workload.TableSpec{Entries: 1, Seed: 9})[0].NextHop
 	src.Hi = 0xfe80000000000000 // force link-local
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"taco/internal/cliutil"
 )
 
 func TestExitStatus(t *testing.T) {
@@ -26,5 +28,13 @@ func TestExitStatus(t *testing.T) {
 		if code != c.code || !strings.Contains(stdout.String(), c.stdout) || !strings.Contains(stderr.String(), c.stderr) {
 			t.Errorf("tacoasm %q: exit %d\nstdout:\n%sstderr:\n%s", c.args, code, stdout.String(), stderr.String())
 		}
+	}
+}
+
+// Every marked output block of README.md and EXPERIMENTS.md that runs
+// tacoasm must be one contiguous run of what it prints.
+func TestDocBlocks(t *testing.T) {
+	for _, err := range cliutil.CheckDocBlocks(filepath.Join("..", ".."), "tacoasm", run) {
+		t.Error(err)
 	}
 }

@@ -229,12 +229,10 @@ func runAuto(ctx context.Context, c *cliutil.Command, cons core.Constraints, sim
 		return err
 	}
 	if c.JSON {
-		fmt.Fprintf(c.Stderr, "tacoexplore: %d instances evaluated, %d pruned\n",
-			res.Evaluated, res.Pruned)
+		fmt.Fprintf(c.Stderr, "tacoexplore: %d instances evaluated\n", len(res.Ranked))
 		return dse.WriteMetricsJSON(w, ranked)
 	}
-	fmt.Fprintf(w, "automated exploration: %d instances evaluated, %d pruned\n",
-		res.Evaluated, res.Pruned)
+	fmt.Fprintf(w, "automated exploration: %d instances evaluated\n", len(res.Ranked))
 	if !res.OK {
 		fmt.Fprintln(w, "no configuration satisfies the constraints")
 		return nil

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"taco/internal/cliutil"
 )
 
 // runTool runs tacoexplore in-process and returns its exit status,
@@ -89,5 +91,13 @@ func TestUsageErrors(t *testing.T) {
 		if code, _, stderr := runTool(c.args...); code != c.code || !strings.Contains(stderr, c.stderr) {
 			t.Errorf("tacoexplore %q: exit %d, stderr %q; want %d and %q", c.args, code, stderr, c.code, c.stderr)
 		}
+	}
+}
+
+// Every marked output block of README.md and EXPERIMENTS.md that runs
+// tacoexplore must be one contiguous run of what it prints.
+func TestDocBlocks(t *testing.T) {
+	for _, err := range cliutil.CheckDocBlocks(filepath.Join("..", ".."), "tacoexplore", run) {
+		t.Error(err)
 	}
 }

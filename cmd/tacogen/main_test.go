@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"taco/internal/cliutil"
 )
 
 // Every model goes to stdout, or with -dir into one file each whose
@@ -50,5 +52,13 @@ func TestExitStatus(t *testing.T) {
 		if code := run(c.args, &stdout, &stderr); code != c.code || !strings.Contains(stderr.String(), c.stderr) {
 			t.Errorf("tacogen %q: exit %d, stderr %q; want %d and %q", c.args, code, stderr.String(), c.code, c.stderr)
 		}
+	}
+}
+
+// Every marked output block of README.md and EXPERIMENTS.md that runs
+// tacogen must be one contiguous run of what it prints.
+func TestDocBlocks(t *testing.T) {
+	for _, err := range cliutil.CheckDocBlocks(filepath.Join("..", ".."), "tacogen", run) {
+		t.Error(err)
 	}
 }

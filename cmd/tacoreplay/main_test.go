@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"taco/internal/cliutil"
 )
 
 // smokeBundles are a bare-machine and a router bundle of the committed
@@ -117,4 +119,12 @@ func loadTrace(t *testing.T, path string) string {
 		t.Fatalf("%s is not a loadable trace (%d events): %v", path, len(doc.TraceEvents), err)
 	}
 	return string(data)
+}
+
+// Every marked output block of README.md and EXPERIMENTS.md that runs
+// tacoreplay must be one contiguous run of what it prints.
+func TestDocBlocks(t *testing.T) {
+	for _, err := range cliutil.CheckDocBlocks(filepath.Join("..", ".."), "tacoreplay", run) {
+		t.Error(err)
+	}
 }

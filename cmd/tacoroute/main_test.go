@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"taco/internal/cliutil"
 )
 
 // runTool runs tacoroute in-process and returns its exit status, stdout
@@ -108,5 +110,13 @@ func checkGzip(t *testing.T, path string) {
 	}
 	if body, err := io.ReadAll(zr); err != nil || len(body) == 0 {
 		t.Fatalf("%s: %d bytes unpacked, %v", path, len(body), err)
+	}
+}
+
+// Every marked output block of README.md and EXPERIMENTS.md that runs
+// tacoroute must be one contiguous run of what it prints.
+func TestDocBlocks(t *testing.T) {
+	for _, err := range cliutil.CheckDocBlocks(filepath.Join("..", ".."), "tacoroute", run) {
+		t.Error(err)
 	}
 }

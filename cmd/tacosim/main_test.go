@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"taco/internal/cliutil"
 )
 
 // loop is a program whose guard fails, jumps and halts after a few
@@ -133,5 +135,13 @@ func checkGzip(t *testing.T, path string) {
 	}
 	if body, err := io.ReadAll(zr); err != nil || len(body) == 0 {
 		t.Fatalf("%s: %d bytes unpacked, %v", path, len(body), err)
+	}
+}
+
+// Every marked output block of README.md and EXPERIMENTS.md that runs
+// tacosim must be one contiguous run of what it prints.
+func TestDocBlocks(t *testing.T) {
+	for _, err := range cliutil.CheckDocBlocks(filepath.Join("..", ".."), "tacosim", run) {
+		t.Error(err)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"taco/internal/cliutil"
 )
 
 // runTool runs tacotopo in-process and returns its exit status, stdout
@@ -75,4 +77,12 @@ func readFile(t *testing.T, path ...string) string {
 		t.Fatal(err)
 	}
 	return string(data)
+}
+
+// Every marked output block of README.md and EXPERIMENTS.md that runs
+// tacotopo must be one contiguous run of what it prints.
+func TestDocBlocks(t *testing.T) {
+	for _, err := range cliutil.CheckDocBlocks(filepath.Join("..", ".."), "tacotopo", run) {
+		t.Error(err)
+	}
 }

@@ -11,7 +11,7 @@ import (
 	"bytes"
 	"testing"
 
-	"taco"
+	"taco/internal/fault"
 	"taco/internal/fu"
 	"taco/internal/linecard"
 	"taco/internal/router"
@@ -88,7 +88,7 @@ func TestFaultOffBitIdentical(t *testing.T) {
 // TestNilInjectorAllocFree: the fault-off traffic loop — a nil
 // *Injector applied to every packet — must not allocate or copy.
 func TestNilInjectorAllocFree(t *testing.T) {
-	var inj *taco.Injector
+	var inj *fault.Injector
 	data := make([][]byte, 64)
 	for i := range data {
 		data[i] = make([]byte, 128)

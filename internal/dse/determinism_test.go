@@ -40,13 +40,6 @@ func TestSweepDeterminism(t *testing.T) {
 		if err := WriteCSV(&buf, pts); err != nil {
 			t.Fatalf("workers=%d: export: %v", workers, err)
 		}
-		ms := make([]core.Metrics, len(pts))
-		for i, p := range pts {
-			ms[i] = p.Metrics
-		}
-		if err := WriteMetricsCSV(&buf, ms); err != nil {
-			t.Fatalf("workers=%d: metrics export: %v", workers, err)
-		}
 		return buf.Bytes()
 	}
 
@@ -59,8 +52,7 @@ func TestSweepDeterminism(t *testing.T) {
 }
 
 // TestExploreDeterminism pins the parallel Explore to the sequential
-// pruning walk: Ranked order, Best, and the Evaluated/Pruned counts
-// must not depend on the worker count.
+// scan: Ranked order and Best must not depend on the worker count.
 func TestExploreDeterminism(t *testing.T) {
 	cons := core.PaperConstraints()
 	sim := testSim()
@@ -74,10 +66,6 @@ func TestExploreDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if serial.Evaluated != parallel.Evaluated || serial.Pruned != parallel.Pruned {
-		t.Fatalf("counts differ: workers=1 evaluated=%d pruned=%d, workers=8 evaluated=%d pruned=%d",
-			serial.Evaluated, serial.Pruned, parallel.Evaluated, parallel.Pruned)
-	}
 	if len(serial.Ranked) != len(parallel.Ranked) {
 		t.Fatalf("ranked lengths differ: %d vs %d", len(serial.Ranked), len(parallel.Ranked))
 	}

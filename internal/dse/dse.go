@@ -6,11 +6,7 @@
 // phase, which based on some heuristics will suggest good solutions").
 package dse
 
-import (
-	"sort"
-
-	"taco/internal/core"
-)
+import "taco/internal/core"
 
 // Point is one sweep sample.
 type Point struct {
@@ -49,25 +45,6 @@ type ExploreResult struct {
 	// acceptable under the constraints.
 	Best Candidate
 	OK   bool
-	// Evaluated counts full simulations performed; Pruned counts
-	// instances skipped by the heuristic.
-	Evaluated, Pruned int
-}
-
-// sortRanked orders candidates best-first, stably so equal scores keep
-// scan order.
-func sortRanked(ranked []Candidate) {
-	sort.SliceStable(ranked, func(i, j int) bool {
-		return ranked[i].Score < ranked[j].Score
-	})
-}
-
-func replRange(maxRepl int) []int {
-	var out []int
-	for r := 1; r <= maxRepl; r++ {
-		out = append(out, r)
-	}
-	return out
 }
 
 // score orders candidates: acceptable ones by power (then area),

@@ -114,11 +114,8 @@ func TestExploreFindsAcceptable(t *testing.T) {
 	if !res.Best.Metrics.Acceptable() {
 		t.Error("best candidate not acceptable")
 	}
-	if res.Evaluated == 0 {
-		t.Error("nothing evaluated")
-	}
-	if res.Pruned == 0 {
-		t.Error("heuristic pruned nothing; the headroom rule should fire")
+	if len(res.Ranked) != 3*3*3 {
+		t.Errorf("ranked %d instances, want the whole 3x3x3 grid", len(res.Ranked))
 	}
 	// Ranking is sorted.
 	for i := 1; i < len(res.Ranked); i++ {
@@ -126,9 +123,32 @@ func TestExploreFindsAcceptable(t *testing.T) {
 			t.Fatal("ranking unsorted")
 		}
 	}
-	t.Logf("explored %d, pruned %d; best: %v/%s at %.0f MHz, %.2f W",
-		res.Evaluated, res.Pruned, res.Best.Metrics.Kind, res.Best.Metrics.Config.Name,
+	t.Logf("explored %d; best: %v/%s at %.0f MHz, %.2f W",
+		len(res.Ranked), res.Best.Metrics.Kind, res.Best.Metrics.Config.Name,
 		res.Best.Metrics.RequiredClockHz/1e6, res.Best.Metrics.Est.PowerW)
+}
+
+// The grid holds the paper's three instances of every kind, so its pick
+// can be no worse than Table 1's own selection.
+func TestExploreNoWorseThanSelectBest(t *testing.T) {
+	cons := core.PaperConstraints()
+	res, err := ExploreCtx(context.Background(), cons, testSim(), 4, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := core.EvaluateAll(cons, testSim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, ok := core.SelectBest(ms)
+	if !ok || !res.OK {
+		t.Fatalf("SelectBest ok=%v, Explore ok=%v", ok, res.OK)
+	}
+	if res.Best.Score > score(sel) {
+		t.Errorf("Explore picks %v/%s (score %.4f), worse than SelectBest's %v/%s (score %.4f)",
+			res.Best.Metrics.Kind, res.Best.Metrics.Config.Name, res.Best.Score,
+			sel.Kind, sel.Config.Name, score(sel))
+	}
 }
 
 func TestPareto(t *testing.T) {
@@ -173,21 +193,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if rows[0][0] != "x" || rows[1][1] != "cam" {
 		t.Errorf("rows = %v", rows[:2])
-	}
-	ms, err := core.EvaluateAll(core.PaperConstraints(), testSim())
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := WriteMetricsCSV(&buf, ms); err != nil {
-		t.Fatal(err)
-	}
-	rows, err = csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 10 {
-		t.Fatalf("%d metric rows", len(rows))
 	}
 	// The latency percentile columns ride along on every export, and a
 	// simulated run always records per-packet latencies, so p50..p99.9

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -142,9 +143,8 @@ func ProgressPrinter(w io.Writer) func(ProgressReport) {
 // completion order. workers <= 0 selects runtime.GOMAXPROCS(0).
 //
 // Cancelling ctx stops the job feed; the returned error is then the
-// context's. Per-instance simulation errors do not abort the pool (the
-// caller decides which of them matter — ExploreCtx ignores errors on
-// instances its heuristic would have pruned).
+// context's. Per-instance simulation errors do not abort the pool; the
+// caller decides which of them matter.
 func evaluateInstances(ctx context.Context, insts []Instance, workers int) ([]core.Metrics, []error, []time.Duration, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -392,20 +392,16 @@ func ReplicationInstances(kind rtable.Kind, maxRepl int, cons core.Constraints, 
 }
 
 // ExploreCtx performs the automated design-space exploration on workers
-// goroutines (workers <= 0 selects GOMAXPROCS), walking (implementation,
-// buses, replication) from cheap to expensive hardware. Its heuristic
-// prunes lazily: once an implementation meets the throughput constraint
-// with headroom, wider or more replicated instances of that kind can
-// only add area and power, and are never simulated. A parallel grid
-// cannot know that frontier up front, so ExploreCtx evaluates the full
-// grid speculatively and then replays the pruning walk over the results
-// in scan order: the Ranked list, Best pick and Evaluated/Pruned counts
-// are identical to a sequential scan for every worker count, and
-// parallelism only trades speculative simulations for wall-clock time.
+// goroutines (workers <= 0 selects GOMAXPROCS): every (implementation,
+// buses, replication) instance up to maxBuses and maxRepl is simulated
+// and the whole grid is ranked. No instance is skipped by a heuristic: a
+// wider instance needs a lower clock, so it can cost less power than a
+// narrower one. Results are stored by input index, so the Ranked list
+// and Best pick are identical for every worker count.
 func ExploreCtx(ctx context.Context, cons core.Constraints, sim core.SimOptions, maxBuses, maxRepl, workers int) (*ExploreResult, error) {
 	var insts []Instance
 	for _, kind := range rtable.PaperKinds {
-		for _, repl := range replRange(maxRepl) {
+		for repl := 1; repl <= maxRepl; repl++ {
 			for b := 1; b <= maxBuses; b++ {
 				cfg := fu.Config1Bus1FU(kind)
 				cfg.Buses = b
@@ -422,35 +418,18 @@ func ExploreCtx(ctx context.Context, cons core.Constraints, sim core.SimOptions,
 	if err != nil {
 		return nil, err
 	}
-
-	// Replay the sequential pruning walk over the finished grid. Errors
-	// on pruned instances are discarded — the sequential scan would never
-	// have run them.
 	res := &ExploreResult{}
-	i := 0
-	for range rtable.PaperKinds {
-		kindSatisfied := false
-		for range replRange(maxRepl) {
-			for b := 1; b <= maxBuses; b++ {
-				if kindSatisfied {
-					res.Pruned++
-					i++
-					continue
-				}
-				if errs[i] != nil {
-					return nil, errs[i]
-				}
-				m := results[i]
-				res.Evaluated++
-				res.Ranked = append(res.Ranked, Candidate{Metrics: m, Score: score(m)})
-				if m.Acceptable() && m.RequiredClockHz < 0.5*cons.Tech.MaxClockHz {
-					kindSatisfied = true
-				}
-				i++
-			}
+	for i, m := range results {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
+		res.Ranked = append(res.Ranked, Candidate{Metrics: m, Score: score(m)})
 	}
-	rankCandidates(res)
+	// Best first; the stable sort keeps scan order among equal scores.
+	sort.SliceStable(res.Ranked, func(i, j int) bool { return res.Ranked[i].Score < res.Ranked[j].Score })
+	if len(res.Ranked) > 0 && res.Ranked[0].Metrics.Acceptable() {
+		res.Best, res.OK = res.Ranked[0], true
+	}
 	if sim.Compiled && res.OK {
 		// Compiled grids carry an always-on oracle for the pick that
 		// matters: the winner is re-evaluated with the interpreter, and
@@ -460,12 +439,4 @@ func ExploreCtx(ctx context.Context, cons core.Constraints, sim core.SimOptions,
 		}
 	}
 	return res, nil
-}
-
-// rankCandidates sorts Ranked best-first and fills Best/OK.
-func rankCandidates(res *ExploreResult) {
-	sortRanked(res.Ranked)
-	if len(res.Ranked) > 0 && res.Ranked[0].Metrics.Acceptable() {
-		res.Best, res.OK = res.Ranked[0], true
-	}
 }

@@ -58,22 +58,6 @@ func anyTimed(points []Point) bool {
 	return false
 }
 
-// WriteMetricsCSV exports evaluation rows (e.g. the Table 1 set), using
-// the row index as the x value.
-func WriteMetricsCSV(w io.Writer, ms []core.Metrics) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	for i, m := range ms {
-		if err := cw.Write(metricsRow(float64(i), m, "", "")); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // instanceJSON is the machine-readable export of one evaluated
 // instance: the full co-analysed Metrics (including the observability
 // fields when SimOptions.Observe collected them) plus the derived

@@ -1,7 +1,9 @@
-// Package rtable provides the routing-table implementations evaluated in
-// the paper's §4: sequential (linear-scan) organisation, a balanced tree
-// with logarithmic search time, and a content-addressable memory (CAM)
-// model, plus a binary-trie baseline used by the extension benchmarks.
+// Package rtable provides the routing-table implementations: the three
+// evaluated in the paper's §4 — sequential (linear-scan) organisation, a
+// balanced tree with logarithmic search time, and a content-addressable
+// memory (CAM) model — plus four baselines of the large-table study:
+// binary trie, multibit trie, tiled TCAM and compressed trie. Each is
+// one entry of Backends.
 //
 // All implementations answer IPv6 longest-prefix-match queries and expose
 // access statistics so the evaluation layer can validate the cycle costs
