@@ -243,18 +243,13 @@ func printHist(w io.Writer, h *obs.LatencyHist) {
 // Prometheus text exposition; an empty path writes nothing.
 func writeMetrics(path string, tr *router.TACO, ctrs *obs.Counters, kind rtable.Kind, cfg fu.Config) error {
 	_, _, drops := queues(tr)
-	units := tr.Machine.Units()
-	names := make([]string, len(units))
-	for u, unit := range units {
-		names[u] = unit.Name()
-	}
 	snap := obs.MetricSnapshot{
 		Labels:          map[string]string{"config": cfg.Name, "table": fmt.Sprint(kind)},
 		Cycles:          tr.Machine.Stats().Cycles,
 		Packets:         tr.Units.IPPU.Popped(),
 		CyclesPerPacket: tr.CyclesPerPacket(),
 		Counters:        ctrs,
-		UnitNames:       names,
+		UnitNames:       tr.Machine.UnitNames(),
 		SocketNames:     tr.Machine.SocketNames(),
 		Drops:           &drops,
 		SchedStalls:     tr.SchedStalls(),

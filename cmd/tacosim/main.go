@@ -160,12 +160,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		st := m.Stats()
 		fmt.Fprintf(stdout, "halted after %d cycles; %d moves executed; bus utilization %.1f%%\n",
 			cycles, st.MovesExecuted, st.BusUtilization()*100)
-		for u, unit := range m.Units() {
+		for u, name := range m.UnitNames() {
 			if ctrs.UnitTriggers[u] == 0 {
 				continue
 			}
 			fmt.Fprintf(stdout, "  %-6s %5d triggers, %4.0f%% utilized\n",
-				unit.Name(), ctrs.UnitTriggers[u], ctrs.UnitUtilization(u)*100)
+				name, ctrs.UnitTriggers[u], ctrs.UnitUtilization(u)*100)
 		}
 		for _, name := range reads {
 			v, _ := m.ReadSocket(name)
@@ -247,15 +247,11 @@ func emitStat(ev *obs.EventWriter, m *tta.Machine, start int64, event string) {
 // per-packet latency — so the latency families expose an empty
 // histogram; tacoroute fills them with real data.
 func writeMetrics(w io.Writer, m *tta.Machine, ctrs *obs.Counters) error {
-	names := make([]string, len(m.Units()))
-	for u, unit := range m.Units() {
-		names[u] = unit.Name()
-	}
 	return obs.WriteProm(w, obs.MetricSnapshot{
 		Labels:      map[string]string{"config": m.Name()},
 		Cycles:      m.Stats().Cycles,
 		Counters:    ctrs,
-		UnitNames:   names,
+		UnitNames:   m.UnitNames(),
 		SocketNames: m.SocketNames(),
 	})
 }
@@ -327,9 +323,9 @@ func emitJSON(w io.Writer, m *tta.Machine, ctrs *obs.Counters, reads []string) e
 	for b := 0; b < m.Buses(); b++ {
 		out.BusOccupancy = append(out.BusOccupancy, ctrs.BusOccupancy(b))
 	}
-	for u, unit := range m.Units() {
+	for u, name := range m.UnitNames() {
 		out.FUs = append(out.FUs, fuJSON{
-			Unit:        unit.Name(),
+			Unit:        name,
 			Triggers:    ctrs.UnitTriggers[u],
 			Results:     ctrs.UnitResults[u],
 			Utilization: ctrs.UnitUtilization(u),

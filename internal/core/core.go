@@ -305,11 +305,11 @@ func Evaluate(cfg fu.Config, cons Constraints, sim SimOptions) (Metrics, error) 
 		m.SchedStalls = st.Map()
 	}
 	if ctrs != nil {
-		units := tr.Machine.Units()
-		m.FUUtilization = make([]FUUtil, len(units))
-		for u, unit := range units {
+		names := tr.Machine.UnitNames()
+		m.FUUtilization = make([]FUUtil, len(names))
+		for u, name := range names {
 			m.FUUtilization[u] = FUUtil{
-				Unit:        unit.Name(),
+				Unit:        name,
 				Triggers:    ctrs.UnitTriggers[u],
 				Utilization: ctrs.UnitUtilization(u),
 			}

@@ -56,30 +56,3 @@ func score(m core.Metrics) float64 {
 	}
 	return 1e6 + m.RequiredClockHz/1e6
 }
-
-// Pareto returns the candidates not dominated in (required clock, area,
-// power) — the designer's shortlist.
-func Pareto(ms []core.Metrics) []core.Metrics {
-	var out []core.Metrics
-	for i, a := range ms {
-		dominated := false
-		for j, b := range ms {
-			if i == j {
-				continue
-			}
-			if b.RequiredClockHz <= a.RequiredClockHz &&
-				b.Est.AreaMM2 <= a.Est.AreaMM2 &&
-				b.Est.PowerW <= a.Est.PowerW &&
-				(b.RequiredClockHz < a.RequiredClockHz ||
-					b.Est.AreaMM2 < a.Est.AreaMM2 ||
-					b.Est.PowerW < a.Est.PowerW) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, a)
-		}
-	}
-	return out
-}

@@ -151,29 +151,6 @@ func TestExploreNoWorseThanSelectBest(t *testing.T) {
 	}
 }
 
-func TestPareto(t *testing.T) {
-	ms, err := core.EvaluateAll(core.PaperConstraints(), testSim())
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := Pareto(ms)
-	if len(front) == 0 || len(front) > len(ms) {
-		t.Fatalf("front size %d of %d", len(front), len(ms))
-	}
-	// No front member may dominate another front member.
-	for i, a := range front {
-		for j, b := range front {
-			if i == j {
-				continue
-			}
-			if b.RequiredClockHz < a.RequiredClockHz &&
-				b.Est.AreaMM2 < a.Est.AreaMM2 && b.Est.PowerW < a.Est.PowerW {
-				t.Errorf("front member dominated: %s by %s", a.Config.Name, b.Config.Name)
-			}
-		}
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	pts, err := Sweep(context.Background(), BusInstances(rtable.CAM, 2, core.PaperConstraints(), testSim()), 0)
 	if err != nil {

@@ -1,21 +1,23 @@
 package fu
 
+import "taco/internal/tta"
+
 // GPR is the general-purpose register file shown as "Registers" in
 // Figure 2. Every register is a Register-kind socket: readable and
 // writable, with writes visible the next cycle.
 type GPR struct {
-	ports
+	tta.PortTable
 	regs []latch
 }
 
 // NewGPR returns a register file with n registers named r0..r{n-1}.
 func NewGPR(name string, n int) *GPR {
 	g := &GPR{regs: make([]latch, n)}
-	socks := make([]port, n)
+	socks := make([]tta.Port, n)
 	for i := range socks {
 		socks[i] = register(regName(i), &g.regs[i])
 	}
-	g.declare(name, socks)
+	g.PortTable = tta.PortTable{Name: name, Sockets: socks, Clocking: tta.ClockOnWrite}
 	return g
 }
 
@@ -39,13 +41,6 @@ func (g *GPR) Reset() {
 	}
 }
 
-// Settled reports that the register file is purely write-driven: with
-// no pending socket writes its Clock is a no-op (tta.Settler).
-func (g *GPR) Settled() bool { return true }
-
-// SettledAlways marks the constant answer (tta.ConstSettler).
-func (g *GPR) SettledAlways() {}
-
 // Counter performs arithmetic (increment, decrement, addition,
 // subtraction) and counting from a start value toward a stop value,
 // raising a result signal into the network controller when the stop
@@ -66,7 +61,7 @@ func (g *GPR) SettledAlways() {}
 //
 // Signals: "done" (r == stop), "zero" (r == 0).
 type Counter struct {
-	ports
+	tta.PortTable
 	o    latch
 	stop latch
 	r    uint32
@@ -81,12 +76,15 @@ type Counter struct {
 // NewCounter returns a counter unit.
 func NewCounter(name string) *Counter {
 	c := &Counter{zero: true, done: true}
-	c.declare(name, []port{
+	c.PortTable = tta.PortTable{Name: name, Sockets: []tta.Port{
 		operand("o", &c.o), operand("stop", &c.stop),
 		trig("tadd", &c.tadd), trig("tsub", &c.tsub), trig("tinc", &c.tinc),
 		trig("tdec", &c.tdec), trig("tld", &c.tld), trig("tcnt", &c.tcnt),
 		result("r", &c.r),
-	}, flag("done", &c.done), flag("zero", &c.zero))
+	}, Lines: []tta.Line{flag("done", &c.done), flag("zero", &c.zero)},
+		// Counting toward stop (tcnt) is the one autonomous activity.
+		Clocking: tta.ClockSettled, Settled: func() bool { return !c.counting },
+	}
 	return c
 }
 
@@ -128,12 +126,7 @@ func (c *Counter) Clock() error {
 	c.zero = c.r == 0
 	return nil
 }
-func (c *Counter) Reset() { *c = Counter{ports: c.ports, zero: true, done: true} }
-
-// Settled is false while the unit counts autonomously toward its stop
-// value (tcnt); otherwise its Clock only services socket writes
-// (tta.Settler).
-func (c *Counter) Settled() bool { return !c.counting }
+func (c *Counter) Reset() { *c = Counter{PortTable: c.PortTable, zero: true, done: true} }
 
 // Comparator compares a triggered operand against a reference value and
 // signals the outcome to the network controller (paper §3).
@@ -142,7 +135,7 @@ func (c *Counter) Settled() bool { return !c.counting }
 // data == reference). Signals: "eq", "lt" (data < ref), "gt" (data > ref);
 // comparisons are unsigned.
 type Comparator struct {
-	ports
+	tta.PortTable
 	o          latch
 	t          trigger
 	r          uint32
@@ -152,8 +145,10 @@ type Comparator struct {
 // NewComparator returns a comparator unit.
 func NewComparator(name string) *Comparator {
 	c := &Comparator{}
-	c.declare(name, []port{operand("o", &c.o), trig("t", &c.t), result("r", &c.r)},
-		flag("eq", &c.eq), flag("lt", &c.lt), flag("gt", &c.gt))
+	c.PortTable = tta.PortTable{Name: name,
+		Sockets:  []tta.Port{operand("o", &c.o), trig("t", &c.t), result("r", &c.r)},
+		Lines:    []tta.Line{flag("eq", &c.eq), flag("lt", &c.lt), flag("gt", &c.gt)},
+		Clocking: tta.ClockOnWrite}
 	return c
 }
 
@@ -170,14 +165,7 @@ func (c *Comparator) Clock() error {
 	}
 	return nil
 }
-func (c *Comparator) Reset() { *c = Comparator{ports: c.ports} }
-
-// Settled reports that the comparator is purely write-driven
-// (tta.Settler).
-func (c *Comparator) Settled() bool { return true }
-
-// SettledAlways marks the constant answer (tta.ConstSettler).
-func (c *Comparator) SettledAlways() {}
+func (c *Comparator) Reset() { *c = Comparator{PortTable: c.PortTable} }
 
 // Matcher processes only the parts of its input selected by a mask and
 // reports the match over a result line wired directly to the network
@@ -191,7 +179,7 @@ func (c *Comparator) SettledAlways() {}
 // match), tand (trigger, data, cumulative match), r (result: 1/0).
 // Signal: "match".
 type Matcher struct {
-	ports
+	tta.PortTable
 	mask  latch
 	ref   latch
 	t     trigger
@@ -203,11 +191,14 @@ type Matcher struct {
 // NewMatcher returns a matcher unit.
 func NewMatcher(name string) *Matcher {
 	m := &Matcher{}
-	m.declare(name, []port{
+	m.PortTable = tta.PortTable{Name: name, Sockets: []tta.Port{
 		operand("mask", &m.mask), operand("ref", &m.ref),
 		trig("t", &m.t), trig("tand", &m.tand),
 		result("r", &m.r),
-	}, flag("match", &m.match))
+	}, Lines: []tta.Line{flag("match", &m.match)},
+		// An idle Clock recomputes r from the unchanged match flag.
+		Clocking: tta.ClockOnWrite,
+	}
 	return m
 }
 
@@ -227,21 +218,14 @@ func (m *Matcher) Clock() error {
 	}
 	return nil
 }
-func (m *Matcher) Reset() { *m = Matcher{ports: m.ports} }
-
-// Settled reports that the matcher is purely write-driven (its r
-// register is recomputed from the unchanged match flag) (tta.Settler).
-func (m *Matcher) Settled() bool { return true }
-
-// SettledAlways marks the constant answer (tta.ConstSettler).
-func (m *Matcher) SettledAlways() {}
+func (m *Matcher) Reset() { *m = Matcher{PortTable: m.PortTable} }
 
 // Masker sets the bits of a register according to a given mask and a
 // given value (paper §3): r = (data &^ mask) | (value & mask).
 //
 // Sockets: mask (operand), val (operand), t (trigger, data), r (result).
 type Masker struct {
-	ports
+	tta.PortTable
 	mask latch
 	val  latch
 	t    trigger
@@ -251,9 +235,9 @@ type Masker struct {
 // NewMasker returns a masker unit.
 func NewMasker(name string) *Masker {
 	m := &Masker{}
-	m.declare(name, []port{
+	m.PortTable = tta.PortTable{Name: name, Sockets: []tta.Port{
 		operand("mask", &m.mask), operand("val", &m.val), trig("t", &m.t), result("r", &m.r),
-	})
+	}, Clocking: tta.ClockOnWrite}
 	return m
 }
 
@@ -265,13 +249,7 @@ func (m *Masker) Clock() error {
 	}
 	return nil
 }
-func (m *Masker) Reset() { *m = Masker{ports: m.ports} }
-
-// Settled reports that the masker is purely write-driven (tta.Settler).
-func (m *Masker) Settled() bool { return true }
-
-// SettledAlways marks the constant answer (tta.ConstSettler).
-func (m *Masker) SettledAlways() {}
+func (m *Masker) Reset() { *m = Masker{PortTable: m.PortTable} }
 
 // Shifter performs logical shifts; per the paper it also serves as an
 // arithmetical multiplier by two.
@@ -280,7 +258,7 @@ func (m *Masker) SettledAlways() {}
 // tr (trigger: r = data >> amt), tmul2 (trigger: r = data << 1),
 // r (result). Signal: "zero" (r == 0).
 type Shifter struct {
-	ports
+	tta.PortTable
 	amt           latch
 	tl, tr, tmul2 trigger
 	r             uint32
@@ -290,11 +268,11 @@ type Shifter struct {
 // NewShifter returns a shifter unit.
 func NewShifter(name string) *Shifter {
 	s := &Shifter{zero: true}
-	s.declare(name, []port{
+	s.PortTable = tta.PortTable{Name: name, Sockets: []tta.Port{
 		operand("amt", &s.amt),
 		trig("tl", &s.tl), trig("tr", &s.tr), trig("tmul2", &s.tmul2),
 		result("r", &s.r),
-	}, flag("zero", &s.zero))
+	}, Lines: []tta.Line{flag("zero", &s.zero)}, Clocking: tta.ClockOnWrite}
 	return s
 }
 
@@ -316,13 +294,7 @@ func (s *Shifter) Clock() error {
 	}
 	return nil
 }
-func (s *Shifter) Reset() { *s = Shifter{ports: s.ports, zero: true} }
-
-// Settled reports that the shifter is purely write-driven (tta.Settler).
-func (s *Shifter) Settled() bool { return true }
-
-// SettledAlways marks the constant answer (tta.ConstSettler).
-func (s *Shifter) SettledAlways() {}
+func (s *Shifter) Reset() { *s = Shifter{PortTable: s.PortTable, zero: true} }
 
 // Checksum accumulates the Internet one's-complement sum used by the
 // UDP/ICMPv6 checksums that RIPng traffic requires.
@@ -332,7 +304,7 @@ func (s *Shifter) SettledAlways() {}
 // folded 16-bit one's-complement sum). Signal: "valid" (r == 0xffff —
 // a verifying sum over data including its checksum field).
 type Checksum struct {
-	ports
+	tta.PortTable
 	tclr, tadd trigger
 	acc        uint32
 }
@@ -341,8 +313,10 @@ type Checksum struct {
 // signal fold the accumulator on demand, so neither has a slot.
 func NewChecksum(name string) *Checksum {
 	c := &Checksum{}
-	c.declare(name, []port{trig("tclr", &c.tclr), trig("tadd", &c.tadd), computed("r", c.folded)},
-		computedFlag("valid", func() bool { return c.folded() == 0xffff }))
+	c.PortTable = tta.PortTable{Name: name,
+		Sockets:  []tta.Port{trig("tclr", &c.tclr), trig("tadd", &c.tadd), computed("r", c.folded)},
+		Lines:    []tta.Line{computedFlag("valid", func() bool { return c.folded() == 0xffff })},
+		Clocking: tta.ClockOnWrite}
 	return c
 }
 
@@ -362,11 +336,4 @@ func (c *Checksum) Clock() error {
 	}
 	return nil
 }
-func (c *Checksum) Reset() { *c = Checksum{ports: c.ports} }
-
-// Settled reports that the checksum unit is purely write-driven
-// (tta.Settler).
-func (c *Checksum) Settled() bool { return true }
-
-// SettledAlways marks the constant answer (tta.ConstSettler).
-func (c *Checksum) SettledAlways() {}
+func (c *Checksum) Reset() { *c = Checksum{PortTable: c.PortTable} }

@@ -240,7 +240,7 @@ func TestChecksumFolding(t *testing.T) {
 
 func TestGPRNaming(t *testing.T) {
 	g := NewGPR("gpr", 12)
-	specs := g.Sockets()
+	specs := g.Sockets
 	if specs[0].Name != "r0" || specs[9].Name != "r9" || specs[10].Name != "r10" || specs[11].Name != "r11" {
 		t.Errorf("register names: %v", specs)
 	}

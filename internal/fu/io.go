@@ -5,6 +5,7 @@ import (
 
 	"taco/internal/bits"
 	"taco/internal/linecard"
+	"taco/internal/tta"
 )
 
 // LIU is the local info unit of Figure 2: it knows the router's own
@@ -16,7 +17,7 @@ import (
 // word), mine (result: 1/0), nifc (result: interface count).
 // Signal: "mine".
 type LIU struct {
-	ports
+	tta.PortTable
 	local []bits.Word128
 	nifc  uint32
 
@@ -30,12 +31,12 @@ type LIU struct {
 // demand.
 func NewLIU(name string) *LIU {
 	u := &LIU{}
-	u.declare(name, []port{
+	u.PortTable = tta.PortTable{Name: name, Sockets: []tta.Port{
 		operand("a0", &u.a[0]), operand("a1", &u.a[1]), operand("a2", &u.a[2]),
 		trig("tchk", &u.tchk),
 		computed("mine", func() uint32 { return boolWord(u.mine) }),
 		result("nifc", &u.nifc),
-	}, flag("mine", &u.mine))
+	}, Lines: []tta.Line{flag("mine", &u.mine)}, Clocking: tta.ClockOnWrite}
 	return u
 }
 
@@ -64,17 +65,6 @@ func (u *LIU) Clock() error {
 	}
 	return nil
 }
-
-// Settled reports that the local-info unit is purely write-driven
-// (tta.Settler). The IPPU and OPPU deliberately do NOT implement
-// Settler: both count wall-clock cycles for latency measurement, and
-// the IPPU polls the line cards for DMA work every cycle. They
-// implement tta.LagClocker instead, which preserves those semantics
-// while letting the compiled fast path skip their idle cycles.
-func (u *LIU) Settled() bool { return true }
-
-// SettledAlways marks the constant answer (tta.ConstSettler).
-func (u *LIU) SettledAlways() {}
 
 func (u *LIU) Reset() {
 	for i := range u.a {
@@ -109,7 +99,7 @@ type ippuEntry struct {
 // Sockets: tpop (trigger: pop the head entry), ptr/ifc/len (results for
 // the popped entry). Signal: "pending".
 type IPPU struct {
-	ports
+	tta.PortTable
 	bank *linecard.Bank
 	mmu  *MMU
 
@@ -154,10 +144,19 @@ func NewIPPU(name string, bank *linecard.Bank, mmu *MMU) *IPPU {
 		seqs:     make(map[uint32]int64),
 		storedAt: make(map[uint32]int64),
 	}
-	u.declare(name, []port{
-		trig("tpop", &u.tpop),
-		result("ptr", &u.rptr), result("ifc", &u.rifc), result("len", &u.rln),
-	}, computedFlag("pending", func() bool { return u.QueueLen() > 0 }))
+	u.PortTable = tta.PortTable{
+		Name: name,
+		Sockets: []tta.Port{
+			trig("tpop", &u.tpop),
+			result("ptr", &u.rptr), result("ifc", &u.rifc), result("len", &u.rln),
+		},
+		Lines: []tta.Line{computedFlag("pending", func() bool { return u.QueueLen() > 0 })},
+		// Every Clock counts a wall-clock cycle and polls the line cards
+		// for DMA work, so idle stretches are skipped, never settled.
+		Clocking: tta.ClockLag, Lag: u,
+		// A data-memory client behind the MMU's back.
+		Hazard: "dmem",
+	}
 	return u
 }
 
@@ -284,9 +283,6 @@ func (u *IPPU) Reset() {
 	clear(u.storedAt)
 }
 
-// HazardClass marks the preprocessing unit as a data-memory client.
-func (u *IPPU) HazardClass() string { return "dmem" }
-
 // ClockIdle reports that a Clock would only advance the cycle counter:
 // no pop is pending and DMA has nothing to do — either the descriptor
 // queue is full (the gate reopens only on a pop, which is a socket
@@ -341,7 +337,7 @@ func (u *IPPU) QueueLen() int { return len(u.queue) - u.qhead }
 // interface). Signal: "err" — the last send failed (bad interface or
 // full output buffer).
 type OPPU struct {
-	ports
+	tta.PortTable
 	bank *linecard.Bank
 	mmu  *MMU
 
@@ -368,9 +364,16 @@ type OPPU struct {
 // NewOPPU returns a postprocessing unit writing from mmu into bank.
 func NewOPPU(name string, bank *linecard.Bank, mmu *MMU) *OPPU {
 	u := &OPPU{bank: bank, mmu: mmu}
-	u.declare(name, []port{
-		operand("ptr", &u.optr), operand("len", &u.olen), trig("tsend", &u.tsend),
-	}, flag("err", &u.errFlag))
+	u.PortTable = tta.PortTable{
+		Name:    name,
+		Sockets: []tta.Port{operand("ptr", &u.optr), operand("len", &u.olen), trig("tsend", &u.tsend)},
+		Lines:   []tta.Line{flag("err", &u.errFlag)},
+		// Every Clock counts a wall-clock cycle for latency records.
+		Clocking: tta.ClockLag, Lag: u,
+		// Its send trigger stays in program order with MMU writes, so the
+		// datagram it copies out reflects the header rewrite.
+		Hazard: "dmem",
+	}
 	return u
 }
 
@@ -421,11 +424,6 @@ func (u *OPPU) Reset() {
 	u.latencies = u.latencies[:0] // keep capacity for the next batch
 	u.latIfaces = u.latIfaces[:0]
 }
-
-// HazardClass marks the postprocessing unit as a data-memory client: its
-// send trigger must stay in program order with MMU writes so that the
-// datagram it copies out reflects the header rewrite.
-func (u *OPPU) HazardClass() string { return "dmem" }
 
 // ClockIdle reports that a Clock would only advance the cycle counter:
 // no send is triggered and no operand latch update is pending. All

@@ -3,6 +3,8 @@ package fu
 import (
 	"encoding/binary"
 	"fmt"
+
+	"taco/internal/tta"
 )
 
 // MMU is the memory management unit of Figure 2: the interface between
@@ -17,7 +19,7 @@ import (
 //	tw (trigger)  write: value = word address; mem[addr] = ow
 //	r  (result)   the last read word
 type MMU struct {
-	ports
+	tta.PortTable
 	// pages backs the memory in pageWords-word pages, each allocated on
 	// its first write; a nil page reads as power-on zero. A machine
 	// touches only its datagram slots, so most of the 2¹⁶-word default
@@ -49,9 +51,16 @@ func NewMMU(name string, words int) *MMU {
 		pages: make([]*[pageWords]uint32, (words+pageWords-1)/pageWords),
 		span:  make([]struct{}, words),
 	}
-	m.declare(name, []port{
-		operand("ow", &m.ow), trig("tr", &m.tr), trig("tw", &m.tw), result("r", &m.r),
-	})
+	m.PortTable = tta.PortTable{
+		Name:    name,
+		Sockets: []tta.Port{operand("ow", &m.ow), trig("tr", &m.tr), trig("tw", &m.tw), result("r", &m.r)},
+		// Memory traffic happens only on triggered cycles; the DMA
+		// backdoors (StoreBytes, LoadBytes) bypass Clock entirely.
+		Clocking: tta.ClockOnWrite,
+		// The data-memory port: its triggers stay in program order with
+		// the DMA units'.
+		Hazard: "dmem",
+	}
 	return m
 }
 
@@ -110,18 +119,6 @@ func (m *MMU) Reset() {
 	m.tw.reset()
 	m.r = 0
 }
-
-// HazardClass marks the MMU as a data-memory port: the scheduler keeps
-// its triggers in program order with the DMA units' triggers.
-func (m *MMU) HazardClass() string { return "dmem" }
-
-// Settled reports that the MMU is purely write-driven: memory traffic
-// happens only on triggered cycles, and the DMA backdoors (StoreBytes,
-// LoadBytes) bypass Clock entirely (tta.Settler).
-func (m *MMU) Settled() bool { return true }
-
-// SettledAlways marks the constant answer (tta.ConstSettler).
-func (m *MMU) SettledAlways() {}
 
 // Words returns the memory size.
 func (m *MMU) Words() int { return len(m.span) }

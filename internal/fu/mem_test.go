@@ -126,6 +126,10 @@ func checkPagedMMU(t *testing.T, words int, seed uint64) {
 			return rng.IntN(words)
 		}
 	}
+	write := func(local int, v uint32) { // a move into socket local
+		p := &m.Sockets[local]
+		*p.Val, *p.Armed = v, true
+	}
 	value := func() uint32 {
 		if rng.IntN(4) == 0 {
 			return 0
@@ -155,20 +159,20 @@ func checkPagedMMU(t *testing.T, words int, seed uint64) {
 			}
 			rAddr, wAddr := uint32(addr()), uint32(a)
 			if owSet {
-				m.Write(0, ow)
+				write(0, ow)
 			}
 			if rOK {
-				m.Write(1, rAddr)
+				write(1, rAddr)
 			}
 			if wOK {
-				m.Write(2, wAddr)
+				write(2, wAddr)
 			}
 			got, want := errText(m.Clock()), errText(f.clock(ow, owSet, rAddr, rOK, wAddr, wOK))
 			if got != want {
 				t.Fatalf("op %d: Clock error %q, flat %q", op, got, want)
 			}
-			if m.Read(3) != f.r {
-				t.Fatalf("op %d: r = %#x, flat %#x", op, m.Read(3), f.r)
+			if r := *m.Sockets[3].Reg; r != f.r {
+				t.Fatalf("op %d: r = %#x, flat %#x", op, r, f.r)
 			}
 			if want == "" && wOK && int(wAddr)+1 > hw {
 				hw = int(wAddr) + 1

@@ -41,7 +41,7 @@ type RTU interface {
 //
 // Signal: "valid" — the loaded index was in range.
 type RTUSeq struct {
-	ports
+	tta.PortTable
 	table *rtable.SequentialTable
 
 	tidx  trigger
@@ -71,14 +71,14 @@ type seqRec struct {
 // read live from the table, so it has no slot.
 func NewRTUSeq(name string, t *rtable.SequentialTable) *RTUSeq {
 	u := &RTUSeq{table: t}
-	u.declare(name, []port{
+	u.PortTable = tta.PortTable{Name: name, Sockets: []tta.Port{
 		trig("tidx", &u.tidx),
 		result("p0", &u.p[0]), result("p1", &u.p[1]), result("p2", &u.p[2]), result("p3", &u.p[3]),
 		result("m0", &u.m[0]), result("m1", &u.m[1]), result("m2", &u.m[2]), result("m3", &u.m[3]),
 		result("ifc", &u.ifc),
 		result("lenp1", &u.lenp1),
 		computed("count", func() uint32 { return uint32(u.table.Len()) }),
-	}, flag("valid", &u.valid))
+	}, Lines: []tta.Line{flag("valid", &u.valid)}, Clocking: tta.ClockOnWrite}
 	return u
 }
 
@@ -109,7 +109,7 @@ func (u *RTUSeq) Clock() error {
 func (u *RTUSeq) Bind(t rtable.Table) error {
 	st, ok := t.(*rtable.SequentialTable)
 	if !ok {
-		return fmt.Errorf("fu: %s: a sequential RTU cannot bind %T", u.Name(), t)
+		return fmt.Errorf("fu: %s: a sequential RTU cannot bind %T", u.Name, t)
 	}
 	u.table, u.cacheOK = st, false
 	return nil
@@ -137,13 +137,6 @@ func (u *RTUSeq) Reset() {
 // Loads reports the number of entry loads performed.
 func (u *RTUSeq) Loads() int64 { return u.loads }
 
-// Settled reports that the sequential RTU is purely trigger-driven
-// (tta.Settler).
-func (u *RTUSeq) Settled() bool { return true }
-
-// SettledAlways marks the constant answer (tta.ConstSettler).
-func (u *RTUSeq) SettledAlways() {}
-
 // RTUTree is the routing-table unit over the balanced range tree: the
 // table is an array of nodes, each holding a disjoint address range, the
 // owning route's interface, and child indices. Triggering a node load
@@ -161,7 +154,7 @@ func (u *RTUSeq) SettledAlways() {}
 //
 // Signal: "valid" — the loaded index referenced a real node.
 type RTUTree struct {
-	ports
+	tta.PortTable
 	table *rtable.BalancedTreeTable
 
 	tnode       trigger
@@ -189,14 +182,14 @@ type treeRec struct {
 // read live from the table, so it has no slot.
 func NewRTUTree(name string, t *rtable.BalancedTreeTable) *RTUTree {
 	u := &RTUTree{table: t}
-	u.declare(name, []port{
+	u.PortTable = tta.PortTable{Name: name, Sockets: []tta.Port{
 		trig("tnode", &u.tnode),
 		result("f0", &u.f[0]), result("f1", &u.f[1]), result("f2", &u.f[2]), result("f3", &u.f[3]),
 		result("l0", &u.l[0]), result("l1", &u.l[1]), result("l2", &u.l[2]), result("l3", &u.l[3]),
 		result("left", &u.left), result("right", &u.right),
 		result("ifc", &u.ifc),
 		computed("root", func() uint32 { return childIndex(u.table.Root()) }),
-	}, flag("valid", &u.valid))
+	}, Lines: []tta.Line{flag("valid", &u.valid)}, Clocking: tta.ClockOnWrite}
 	return u
 }
 
@@ -228,7 +221,7 @@ func (u *RTUTree) Clock() error {
 func (u *RTUTree) Bind(t rtable.Table) error {
 	bt, ok := t.(*rtable.BalancedTreeTable)
 	if !ok {
-		return fmt.Errorf("fu: %s: a balanced-tree RTU cannot bind %T", u.Name(), t)
+		return fmt.Errorf("fu: %s: a balanced-tree RTU cannot bind %T", u.Name, t)
 	}
 	u.table, u.cacheOK = bt, false
 	return nil
@@ -266,13 +259,6 @@ func (u *RTUTree) Reset() {
 // Loads reports the number of node loads performed.
 func (u *RTUTree) Loads() int64 { return u.loads }
 
-// Settled reports that the tree RTU is purely trigger-driven
-// (tta.Settler).
-func (u *RTUTree) Settled() bool { return true }
-
-// SettledAlways marks the constant answer (tta.ConstSettler).
-func (u *RTUTree) SettledAlways() {}
-
 // RTUCAM is the routing-table unit over the CAM+SRAM solution: the
 // processor hands the unit a destination address and receives, after a
 // fixed search latency, the output interface — the single-probe lookup
@@ -288,7 +274,7 @@ func (u *RTUTree) SettledAlways() {}
 //
 // Signals: "ready" (no search in flight), "hit" (last search matched).
 type RTUCAM struct {
-	ports
+	tta.PortTable
 	table *rtable.CAMTable
 	wait  int
 
@@ -312,12 +298,15 @@ func NewRTUCAM(name string, t *rtable.CAMTable, waitCycles int) *RTUCAM {
 		waitCycles = 1
 	}
 	u := &RTUCAM{table: t, wait: waitCycles, ready: true}
-	u.declare(name, []port{
+	u.PortTable = tta.PortTable{Name: name, Sockets: []tta.Port{
 		operand("a0", &u.a[0]), operand("a1", &u.a[1]), operand("a2", &u.a[2]),
 		trig("tlook", &u.tlook),
 		result("ifc", &u.ifc),
 		computed("hit", func() uint32 { return boolWord(u.hit) }),
-	}, flag("ready", &u.ready), flag("hit", &u.hit))
+	}, Lines: []tta.Line{flag("ready", &u.ready), flag("hit", &u.hit)},
+		// The busy countdown advances every cycle of a search in flight.
+		Clocking: tta.ClockSettled, Settled: func() bool { return u.busy == 0 },
+	}
 	return u
 }
 
@@ -353,7 +342,7 @@ func (u *RTUCAM) Clock() error {
 func (u *RTUCAM) Bind(t rtable.Table) error {
 	ct, ok := t.(*rtable.CAMTable)
 	if !ok {
-		return fmt.Errorf("fu: %s: a CAM RTU cannot bind %T", u.Name(), t)
+		return fmt.Errorf("fu: %s: a CAM RTU cannot bind %T", u.Name, t)
 	}
 	u.table = ct
 	return nil
@@ -373,11 +362,6 @@ func (u *RTUCAM) Searches() int64 { return u.searches }
 
 // Loads is Searches: a CAM search is the unit's one table access.
 func (u *RTUCAM) Loads() int64 { return u.searches }
-
-// Settled is false while a search is in flight (the busy countdown
-// advances every cycle); otherwise the CAM only reacts to socket
-// writes (tta.Settler).
-func (u *RTUCAM) Settled() bool { return u.busy == 0 }
 
 // WaitCycles returns the configured search latency.
 func (u *RTUCAM) WaitCycles() int { return u.wait }

@@ -134,10 +134,10 @@ func TestComponentLibraryCoversTopLevel(t *testing.T) {
 	for _, kind := range []rtable.Kind{rtable.Sequential, rtable.BalancedTree, rtable.CAM} {
 		for _, cfg := range fu.PaperConfigs(kind) {
 			m := testMachine(t, cfg)
-			for _, u := range m.Units() {
-				comp := componentName(u)
+			for _, name := range m.UnitNames() {
+				comp := componentName(name)
 				if _, ok := lib[comp]; !ok {
-					t.Errorf("no library component for %s (unit %s)", comp, u.Name())
+					t.Errorf("no library component for %s (unit %s)", comp, name)
 				}
 			}
 		}
@@ -186,7 +186,8 @@ func TestComponentLibraryMatchesUnits(t *testing.T) {
 	seen := map[string]bool{}
 	for _, kind := range rtable.PaperKinds {
 		for _, u := range testMachine(t, fu.Config3Bus3FU(kind)).Units() {
-			comp := componentName(u)
+			p := u.Ports()
+			comp := componentName(p.Name)
 			if comp == "taco_rtu" || comp == "taco_registers" || seen[comp] {
 				continue
 			}
@@ -198,11 +199,19 @@ func TestComponentLibraryMatchesUnits(t *testing.T) {
 					rtl = append(rtl, tta.SocketSpec{Name: n, Kind: tta.SocketKind(k)})
 				}
 			}
-			if !reflect.DeepEqual(rtl, u.Sockets()) {
-				t.Errorf("%s sockets: RTL has %v, unit %s has %v", comp, rtl, u.Name(), u.Sockets())
+			var socks []tta.SocketSpec
+			for _, sock := range p.Sockets {
+				socks = append(socks, sock.SocketSpec)
 			}
-			if strings.Join(s.signals, " ") != strings.Join(u.Signals(), " ") {
-				t.Errorf("%s signals: RTL has %v, unit %s has %v", comp, s.signals, u.Name(), u.Signals())
+			var lines []string
+			for _, l := range p.Lines {
+				lines = append(lines, l.Name)
+			}
+			if !reflect.DeepEqual(rtl, socks) {
+				t.Errorf("%s sockets: RTL has %v, unit %s has %v", comp, rtl, p.Name, socks)
+			}
+			if strings.Join(s.signals, " ") != strings.Join(lines, " ") {
+				t.Errorf("%s signals: RTL has %v, unit %s has %v", comp, s.signals, p.Name, lines)
 			}
 		}
 	}

@@ -13,13 +13,14 @@ import (
 	"taco/internal/workload"
 )
 
-// The compiled fast path trusts three promises of a unit's slots
-// (tta.SlotReader/SlotWriter/SlotSignal) that the differential wall only
-// checks end to end: a read slot always holds what Read returns, a store
-// to a write slot is a Write, and every slot pointer outlives Reset. This
-// drives every unit of the nine Table 1 router machines and a compute
-// machine directly — random writes, then a Clock — on two identical
-// machines, one written through Write and one through the slots.
+// The compiled fast path trusts two promises of a unit's port table
+// (tta.PortTable) that the differential wall only checks end to end: a
+// store into a socket's (value, armed) storage stays invisible until the
+// unit's next Clock — so an instruction that cannot fault may write
+// straight through — and every pointer in the table outlives Reset,
+// because tta.New resolves the table once. This drives every unit of the
+// nine Table 1 router machines and a compute machine directly: random
+// writes, then a Clock.
 
 // slotRig is a machine under the slot contract test plus the pieces a
 // router machine adds around it.
@@ -59,99 +60,62 @@ func (r slotRig) deliver(pkts []workload.Packet) {
 	}
 }
 
-// slotSet is every slot pointer of a machine, unit by unit.
-type slotSet struct {
-	rd  [][]*uint32
-	wv  [][]*uint32
-	wa  [][]*bool
-	sig [][]*bool
-}
-
-func slotsOf(m *tta.Machine) slotSet {
-	var s slotSet
+// slotsOf lists every pointer in the machine's port tables, unit by
+// unit, with whether each socket and line has a getter; two lists are
+// equal exactly when they name the same storage.
+func slotsOf(m *tta.Machine) []any {
+	var out []any
 	for _, u := range m.Units() {
-		n, k := len(u.Sockets()), len(u.Signals())
-		rd, wv, wa, sig := make([]*uint32, n), make([]*uint32, n), make([]*bool, n), make([]*bool, k)
-		for i := 0; i < n; i++ {
-			if sr, ok := u.(tta.SlotReader); ok {
-				rd[i] = sr.ReadSlot(i)
-			}
-			if sw, ok := u.(tta.SlotWriter); ok {
-				wv[i], wa[i] = sw.WriteSlot(i)
-			}
+		t := u.Ports()
+		for _, p := range t.Sockets {
+			out = append(out, p.Reg, p.Val, p.Armed, p.Get != nil)
 		}
-		for i := 0; i < k; i++ {
-			if ss, ok := u.(tta.SlotSignal); ok {
-				sig[i] = ss.SignalSlot(i)
-			}
-		}
-		s.rd, s.wv, s.wa, s.sig = append(s.rd, rd), append(s.wv, wv), append(s.wa, wa), append(s.sig, sig)
-	}
-	return s
-}
-
-// same reports whether two slot sets name the same storage: pointer
-// identity, which reflect.DeepEqual would look through.
-func (s slotSet) same(o slotSet) bool {
-	for ui := range s.rd {
-		for i := range s.rd[ui] {
-			if s.rd[ui][i] != o.rd[ui][i] || s.wv[ui][i] != o.wv[ui][i] || s.wa[ui][i] != o.wa[ui][i] {
-				return false
-			}
-		}
-		for i := range s.sig[ui] {
-			if s.sig[ui][i] != o.sig[ui][i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func readable(k tta.SocketKind) bool { return k == tta.Result || k == tta.Register }
-
-// observe returns everything the interconnect can see of a machine: each
-// readable socket through Read and each signal through Signal. With slots
-// it first checks each against its slot.
-func observe(t *testing.T, m *tta.Machine, s *slotSet, when string) []uint32 {
-	t.Helper()
-	var out []uint32
-	for ui, u := range m.Units() {
-		for i, spec := range u.Sockets() {
-			if !readable(spec.Kind) {
-				continue
-			}
-			v := u.Read(i)
-			if s != nil && s.rd[ui][i] != nil && *s.rd[ui][i] != v {
-				t.Fatalf("%s: %s.%s: Read = %#x, *ReadSlot = %#x", when, u.Name(), spec.Name, v, *s.rd[ui][i])
-			}
-			out = append(out, v)
-		}
-		for i, name := range u.Signals() {
-			v := u.Signal(i)
-			if s != nil && s.sig[ui][i] != nil && *s.sig[ui][i] != v {
-				t.Fatalf("%s: %s.%s: Signal = %v, *SignalSlot = %v", when, u.Name(), name, v, *s.sig[ui][i])
-			}
-			if v {
-				out = append(out, 1)
-			} else {
-				out = append(out, 0)
-			}
+		for _, l := range t.Lines {
+			out = append(out, l.Flag, l.Get != nil)
 		}
 	}
 	return out
 }
 
-// drive runs cycles of random socket writes followed by a Clock of every
-// unit on both rigs: a through Write, b through its write slots.
-func drive(t *testing.T, rng *workload.RNG, a, b slotRig, sa, sb *slotSet, phase string, cycles int) {
+func sameSlots(a, b []any) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// observe returns everything the interconnect can see of a machine:
+// each readable socket and each signal line.
+func observe(m *tta.Machine) []uint32 {
+	var out []uint32
+	for _, s := range m.SnapshotSockets() {
+		out = append(out, s.Value)
+	}
+	for _, name := range m.SignalNames() {
+		v, _ := m.SignalValue(name)
+		if v {
+			out = append(out, 1)
+		} else {
+			out = append(out, 0)
+		}
+	}
+	return out
+}
+
+// drive runs cycles of random socket writes, each a store into the
+// socket's (value, armed) storage, followed by a Clock of every unit.
+func drive(t *testing.T, rng *workload.RNG, r slotRig, phase string, cycles int) {
 	t.Helper()
 	for c := 0; c < cycles; c++ {
-		when := fmt.Sprintf("%s cycle %d", phase, c)
-		before := observe(t, a.m, sa, when)
-		for ui, u := range a.m.Units() {
-			for i, spec := range u.Sockets() {
-				if spec.Kind == tta.Result || rng.Intn(4) != 0 {
+		before := observe(r.m)
+		for _, u := range r.m.Units() {
+			for _, p := range u.Ports().Sockets {
+				if p.Kind == tta.Result || rng.Intn(4) != 0 {
 					continue
 				}
 				// Mostly small values, so addresses, indices and shift
@@ -160,25 +124,14 @@ func drive(t *testing.T, rng *workload.RNG, a, b slotRig, sa, sb *slotSet, phase
 				if rng.Intn(8) == 0 {
 					v = uint32(rng.Uint64())
 				}
-				u.Write(i, v)
-				if val, armed := sb.wv[ui][i], sb.wa[ui][i]; val != nil {
-					*val, *armed = v, true
-				} else {
-					b.m.Units()[ui].Write(i, v)
-				}
+				*p.Val, *p.Armed = v, true
 			}
 		}
-		if after := observe(t, a.m, sa, when+" after writes"); !reflect.DeepEqual(before, after) {
-			t.Fatalf("%s: a write was visible before Clock", when)
+		if after := observe(r.m); !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s cycle %d: a write was visible before Clock", phase, c)
 		}
-		for ui, u := range a.m.Units() {
-			ea, eb := u.Clock(), b.m.Units()[ui].Clock()
-			if fmt.Sprint(ea) != fmt.Sprint(eb) {
-				t.Fatalf("%s: %s Clock: %v via Write, %v via WriteSlot", when, u.Name(), ea, eb)
-			}
-		}
-		if oa, ob := observe(t, a.m, sa, when), observe(t, b.m, sb, when); !reflect.DeepEqual(oa, ob) {
-			t.Fatalf("%s: machines written via Write and via WriteSlot differ:\n%v\n%v", when, oa, ob)
+		for _, u := range r.m.Units() {
+			u.Clock() // unit faults (a double-triggered MMU) are part of the drive
 		}
 	}
 }
@@ -196,8 +149,7 @@ func TestSlotContract(t *testing.T) {
 		}
 	}
 	// The sockets and signals derived from other state on demand: the only
-	// ones without a slot, and so the only reads and guards the compiled
-	// path leaves as interface calls.
+	// ones read through a getter rather than a slot.
 	computedRTU := map[rtable.Kind]string{
 		rtable.Sequential: "rtu.count", rtable.BalancedTree: "rtu.root", rtable.CAM: "rtu.hit",
 	}
@@ -208,23 +160,20 @@ func TestSlotContract(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			rng := workload.NewRNG(uint64(2003 + ci))
-			a := newSlotRig(t, c.cfg, c.compute, routes, pkts)
-			b := newSlotRig(t, c.cfg, c.compute, routes, pkts)
-			sa, sb := slotsOf(a.m), slotsOf(b.m)
+			r := newSlotRig(t, c.cfg, c.compute, routes, pkts)
+			slots := slotsOf(r.m)
 
 			var slotless []string
-			for ui, u := range a.m.Units() {
-				for i, spec := range u.Sockets() {
-					if readable(spec.Kind) && sa.rd[ui][i] == nil {
-						slotless = append(slotless, u.Name()+"."+spec.Name)
-					}
-					if !readable(spec.Kind) && sa.wv[ui][i] == nil {
-						t.Errorf("%s.%s: writable socket without a write slot", u.Name(), spec.Name)
+			for _, u := range r.m.Units() {
+				pt := u.Ports()
+				for _, p := range pt.Sockets {
+					if p.Get != nil {
+						slotless = append(slotless, pt.Name+"."+p.Name)
 					}
 				}
-				for i, sig := range u.Signals() {
-					if sa.sig[ui][i] == nil {
-						slotless = append(slotless, u.Name()+"."+sig+" (signal)")
+				for _, l := range pt.Lines {
+					if l.Get != nil {
+						slotless = append(slotless, pt.Name+"."+l.Name+" (signal)")
 					}
 				}
 			}
@@ -238,34 +187,29 @@ func TestSlotContract(t *testing.T) {
 				t.Errorf("slot-less sockets and signals = %v, want %v", slotless, want)
 			}
 
-			drive(t, rng, a, b, &sa, &sb, "power-on", 300)
+			drive(t, rng, r, "power-on", 300)
 
 			// Unit-level Reset, then the owner's Reset: every pointer must
 			// survive both, and the machine must be back at power-on.
-			for _, r := range []slotRig{a, b} {
-				for _, u := range r.m.Units() {
-					u.Reset()
-				}
+			for _, u := range r.m.Units() {
+				u.Reset()
 			}
-			if !slotsOf(a.m).same(sa) || !slotsOf(b.m).same(sb) {
+			if !sameSlots(slotsOf(r.m), slots) {
 				t.Fatal("a slot pointer moved across Unit.Reset")
 			}
-			a.deliver(pkts)
-			b.deliver(pkts)
-			drive(t, rng, a, b, &sa, &sb, "after Unit.Reset", 300)
+			r.deliver(pkts)
+			drive(t, rng, r, "after Unit.Reset", 300)
 
-			a.reset()
-			b.reset()
-			if !slotsOf(a.m).same(sa) || !slotsOf(b.m).same(sb) {
+			r.reset()
+			if !sameSlots(slotsOf(r.m), slots) {
 				t.Fatal("a slot pointer moved across the machine's Reset")
 			}
 			fresh := newSlotRig(t, c.cfg, c.compute, routes, nil)
-			if got, want := observe(t, a.m, &sa, "after Reset"), observe(t, fresh.m, nil, ""); !reflect.DeepEqual(got, want) {
+			if got, want := observe(r.m), observe(fresh.m); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Reset did not return the units to power-on:\n%v\n%v", got, want)
 			}
-			a.deliver(pkts)
-			b.deliver(pkts)
-			drive(t, rng, a, b, &sa, &sb, "after Reset", 300)
+			r.deliver(pkts)
+			drive(t, rng, r, "after Reset", 300)
 		})
 	}
 }

@@ -27,9 +27,10 @@ type Target interface {
 	SocketUnit(id isa.SocketID) (int, bool)
 	SignalUnit(id isa.SignalID) (int, bool)
 	UnitOperandSockets(u int) []isa.SocketID
-	// UnitHazardClass names the out-of-band resource a unit shares with
-	// others (e.g. the data memory for the MMU and the DMA units); ""
-	// means none. Triggers within one class stay in program order.
+	// UnitHazardClass is the Hazard its port table declares: the
+	// out-of-band resource a unit shares with others (e.g. the data
+	// memory for the MMU and the DMA units); "" means none. Triggers
+	// within one class stay in program order.
 	UnitHazardClass(u int) string
 	// SocketCount and UnitCount size the scheduler's dependency-tracking
 	// scratch state (socket IDs are 1..SocketCount, units 0..UnitCount-1).

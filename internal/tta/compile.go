@@ -11,9 +11,10 @@ import (
 
 // This file implements the compiled fast path: for a fixed machine
 // instance and loaded program, Compile pre-lowers the move schedule
-// into flat per-pc move records — guards resolved to direct unit
-// signal reads, socket routing resolved to (unit, local) pairs,
-// immediates inlined, error cases pre-rendered — so the steady-state
+// into flat per-pc move records — guards resolved to the flags and
+// getters of the units' port tables, sources and destinations to their
+// registers and (value, armed) latches, immediates inlined, error cases
+// pre-rendered — so the steady-state
 // step loop touches no maps, no socket tables and no per-move
 // validation. The compiled step is required to be bit-identical to
 // Machine.Step: same cycle counts, same halt behavior, same errors
@@ -21,85 +22,6 @@ import (
 // after every cycle. The differential suites in compile_test.go, the
 // root-level TestCompiledVsInterpreted and FuzzCompiledVsInterpreted
 // enforce that contract.
-
-// Settler is an optional Unit capability consumed by the compiled fast
-// path. A unit implementing it promises: whenever Settled reports true,
-// a Clock call on a cycle in which none of the unit's sockets were
-// written would be a no-op — no visible state change, no signal change,
-// no error. The fast path uses the promise to skip Clock on idle units.
-//
-// Units with autonomous per-cycle behavior must gate the promise on
-// that activity (the counter while counting toward its stop value, the
-// CAM while a search is in flight) or not implement Settler at all —
-// possibly offering LagClocker instead (the pre- and postprocessing
-// units, which count wall-clock cycles and poll the line cards).
-type Settler interface {
-	Settled() bool
-}
-
-// ConstSettler marks a Settler whose Settled answer is constant true —
-// a purely trigger-driven unit with no autonomous state at all. The
-// compiled fast path then clears the unit's active bit right after its
-// Clock without the per-cycle Settled query.
-type ConstSettler interface {
-	Settler
-	// SettledAlways is a marker; implementations are empty.
-	SettledAlways()
-}
-
-// LagClocker is an optional capability for units that cannot implement
-// Settler because every Clock advances an internal cycle counter (the
-// pre- and postprocessing units, which timestamp DMA events against
-// wall-clock cycles), but whose Clock is otherwise a no-op on idle
-// cycles. The contract:
-//
-//   - Whenever ClockIdle reports true, every subsequent Clock would do
-//     nothing but advance the internal counter, until either one of the
-//     unit's sockets is written or WakeGen changes.
-//   - CatchUp(n) advances the internal counter by n cycles, exactly as
-//     n idle Clocks would have.
-//   - WakeGen changes (monotonically) whenever external, non-socket
-//     input may give the unit work again — e.g. a line card delivery
-//     into a bank the unit had drained. Units with no external inputs
-//     return a constant.
-//
-// The compiled fast path uses the promise to skip idle Clocks entirely:
-// it records the machine cycle at which the unit was parked, re-checks
-// WakeGen once per batch, and calls CatchUp with the skipped cycle
-// count immediately before the unit's next real Clock — so cycle-
-// stamped observables (DMA latencies) stay bit-identical to the
-// interpreter, which clocks every unit every cycle.
-type LagClocker interface {
-	ClockIdle() bool
-	CatchUp(n int64)
-	WakeGen() uint64
-}
-
-// SlotReader is an optional Unit capability: a stable pointer to the
-// uint32 backing a readable socket, valid for the unit's lifetime
-// (including across Reset), with Read(local) == *ReadSlot(local) at
-// every observable point. Nil means the socket's value is computed on
-// demand and must go through Read. The compiled fast path uses the
-// pointer to read sources without an interface call.
-type SlotReader interface {
-	ReadSlot(local int) *uint32
-}
-
-// SlotWriter is an optional Unit capability: the (value, armed) pair
-// backing a writable socket's input latch or trigger, such that
-// Write(local, v) is exactly {*val = v; *armed = true} — in particular
-// the write stays invisible to Read and Signal until the unit's next
-// Clock. (nil, nil) means the socket has no such flat latch.
-type SlotWriter interface {
-	WriteSlot(local int) (val *uint32, armed *bool)
-}
-
-// SlotSignal is an optional Unit capability: a stable pointer to the
-// bool backing a signal, with Signal(local) == *SignalSlot(local) at
-// every observable point. Nil means the signal is computed on demand.
-type SlotSignal interface {
-	SignalSlot(local int) *bool
-}
 
 // Destination op codes for a compiled move. Error ops reproduce the
 // interpreter's runtime failures for programs that pass Load validation
@@ -118,11 +40,9 @@ const (
 // reaches it, exactly like the interpreter (an earlier failing term
 // short-circuits without error), so lowering stops at the bad term.
 type cterm struct {
-	unit Unit
-	// flag, when non-nil, is the bool backing the signal (SlotSignal);
-	// reading it replaces the Signal interface call.
+	// flag is the bool backing the signal, or nil when get derives it.
 	flag   *bool
-	local  int32
+	get    func() bool
 	negate bool
 	bad    bool
 }
@@ -154,20 +74,19 @@ const (
 )
 
 // cmove is one pre-lowered move. Field order is deliberate: the first
-// group — the devirtualized access paths plus flags — is everything the
+// group — the port-table storage plus flags — is everything the
 // steady-state fast paths touch, packed so a typical move costs a
-// single cache line; the trailing group is only read on fallback and
+// single cache line; the trailing group is only read on getter and
 // error paths.
 type cmove struct {
-	// Devirtualized access paths (nil when the unit exposes no slot):
-	// srcPtr reads the source socket directly; dstVal/dstArmed write the
-	// destination's input latch directly. Latch writes are deferred by
-	// construction (invisible until Clock), so the direct store is only
-	// taken for instructions where the interpreter's deferred buffer
-	// cannot matter (cins.direct). flag0/neg0 inline a single-term guard
-	// whose signal has a slot — the dominant guard shape — avoiding the
-	// guard slice entirely.
-	srcPtr   *uint32
+	// Port-table storage: srcReg is the source socket's register (nil
+	// when srcGet derives it); dstVal/dstArmed are the destination's
+	// (value, armed) latch. Latch writes are invisible until Clock, so
+	// the store goes straight in on instructions where the interpreter's
+	// deferred buffer cannot matter (cins.direct). flag0/neg0 inline a
+	// single-term guard on a flag — the dominant guard shape — avoiding
+	// the guard slice entirely.
+	srcReg   *uint32
 	dstVal   *uint32
 	dstArmed *bool
 	flag0    *bool
@@ -178,15 +97,12 @@ type cmove struct {
 	op      uint8
 	neg0    bool
 
-	// Fallback and error-path fields. srcSock/srcResUnit are also read
-	// on the hot paths, but only when counters are attached.
-	guard    []cterm
-	srcUnit  Unit
-	dstUnit  Unit
-	errs     *cmoveErrs
-	srcLocal int32
-	dstLocal int32
-	sockIdx  int32 // destination SocketID-1 (conflict stamp index)
+	// Getter and error-path fields. srcSock/srcResUnit are also read on
+	// the hot paths, but only when counters are attached.
+	guard   []cterm
+	srcGet  func() uint32
+	errs    *cmoveErrs
+	sockIdx int32 // destination SocketID-1 (conflict stamp index)
 	// Counter indices: srcSock is the source SocketID-1 (heatmap; valid
 	// when the source is a readable socket), srcResUnit the source unit
 	// when the source socket is a Result, else -1.
@@ -210,26 +126,16 @@ type cins struct {
 	// so unit writes may be applied immediately instead of through the
 	// deferred buffer — the buffer exists only so a mid-cycle error
 	// leaves unit latches exactly as the interpreter would, and written
-	// pend latches are invisible until Clock anyway. Requires a maskable
-	// machine (direct writes update the active mask inline).
+	// latches are invisible until Clock anyway.
 	direct bool
 }
 
 // cwrite is a deferred unit write, committed after the move loop so a
 // mid-cycle error leaves unit latches exactly as the interpreter would.
 type cwrite struct {
-	unitIdx int32
-	local   int32
-	val     uint32
+	mv  *cmove
+	val uint32
 }
-
-// Settler classes cached per unit (settleKind).
-const (
-	settleNever   uint8 = iota // no Settler: permanently active
-	settleDynamic              // Settler: query Settled after each Clock
-	settleAlways               // ConstSettler: settles on every Clock
-	settleLag                  // LagClocker: park idle, CatchUp on wake
-)
 
 // CompiledMachine executes a specific (machine, program) pair through
 // pre-lowered step records. It shares the underlying Machine's state —
@@ -255,22 +161,17 @@ type CompiledMachine struct {
 	writes []cwrite
 
 	// Clock-skipping state. A unit is "active" — its Clock must run this
-	// cycle — unless it reported Settled at its last Clock and none of
-	// its sockets have been written since. Units without a Settler are
-	// permanently active. Machines with at most 64 units (maskable) track
-	// activity as a bitmask iterated lowest-bit-first, preserving the
-	// interpreter's declaration-order clocking; wider machines fall back
-	// to the per-unit idle array.
-	maskable bool
+	// cycle — unless its clocking promise let it settle at its last Clock
+	// and none of its sockets have been written since; ClockEvery units
+	// are permanently active. Activity is a bitmask with one bit per unit
+	// (hence the 64-unit limit), iterated lowest-bit-first to preserve
+	// the interpreter's declaration-order clocking.
 	active   uint64
 	allMask  uint64
-	idle     []bool
-	settlers []Settler
-	// settleKind caches each unit's Settler class so the hot loop avoids
-	// the Settled interface call for purely trigger-driven units.
-	settleKind []uint8
+	clocking []Clocking
+	settled  []func() bool
 
-	// Lag-clocked units (LagClocker): lags and lagIdx index the units,
+	// Lag-clocked units (ClockLag): lags and lagIdx index the units,
 	// lastClock records the absolute machine cycle (Stats.Cycles
 	// numbering) of each unit's most recent Clock so a wake can CatchUp
 	// the skipped span, and wakeSeen holds the WakeGen observed when the
@@ -289,6 +190,11 @@ type CompiledMachine struct {
 	dirty      bool
 }
 
+// MaxCompiledUnits is the most functional units a machine may have for
+// Compile: the fast path tracks unit activity in one 64-bit mask. The
+// interpreter has no such limit.
+const MaxCompiledUnits = 64
+
 // Compile lowers the machine's loaded program into a CompiledMachine.
 // The result is tied to the exact *isa.Program pointer loaded at
 // compile time; loading a different program later makes the compiled
@@ -300,36 +206,32 @@ func Compile(m *Machine) (*CompiledMachine, error) {
 	if err := m.prog.Validate(m.buses); err != nil {
 		return nil, fmt.Errorf("tta: compile: %w", err)
 	}
+	n := len(m.units)
+	if n > MaxCompiledUnits {
+		return nil, fmt.Errorf("tta: compile: %d units exceed the compiled path's %d-unit limit; use the interpreter",
+			n, MaxCompiledUnits)
+	}
 	c := &CompiledMachine{
 		m:          m,
 		prog:       m.prog,
 		ins:        make([]cins, len(m.prog.Ins)),
-		maskable:   len(m.units) <= 64,
-		idle:       make([]bool, len(m.units)),
-		settlers:   make([]Settler, len(m.units)),
-		settleKind: make([]uint8, len(m.units)),
-		lags:       make([]LagClocker, len(m.units)),
-		lastClock:  make([]int64, len(m.units)),
-		wakeSeen:   make([]uint64, len(m.units)),
+		clocking:   make([]Clocking, n),
+		settled:    make([]func() bool, n),
+		lags:       make([]LagClocker, n),
+		lastClock:  make([]int64, n),
+		wakeSeen:   make([]uint64, n),
 		lastCycles: m.stats.Cycles,
 		resetGen:   m.resetGen,
 	}
-	if n := len(m.units); c.maskable && n > 0 {
+	if n > 0 {
 		c.allMask = ^uint64(0) >> (64 - uint(n))
 	}
 	c.active = c.allMask
 	for i, u := range m.units {
+		t := u.Ports()
 		c.lastClock[i] = m.stats.Cycles
-		if s, ok := u.(Settler); ok {
-			c.settlers[i] = s
-			if _, ok := u.(ConstSettler); ok {
-				c.settleKind[i] = settleAlways
-			} else {
-				c.settleKind[i] = settleDynamic
-			}
-		} else if lg, ok := u.(LagClocker); ok && c.maskable {
-			c.settleKind[i] = settleLag
-			c.lags[i] = lg
+		c.clocking[i], c.settled[i], c.lags[i] = t.Clocking, t.Settled, t.Lag
+		if t.Clocking == ClockLag {
 			c.lagIdx = append(c.lagIdx, i)
 		}
 	}
@@ -353,12 +255,12 @@ func (cm *cmove) failure() *cmoveErrs {
 	return cm.errs
 }
 
-// destRef resolves a move destination, ok false when it is out of range.
-func (m *Machine) destRef(dst isa.SocketID) (socketRef, bool) {
+// destRef resolves a move destination, nil when it is out of range.
+func (m *Machine) destRef(dst isa.SocketID) *socketRef {
 	if dst == isa.InvalidSocket || int(dst) > len(m.sockets) {
-		return socketRef{}, false
+		return nil
 	}
-	return m.sockets[dst-1], true
+	return &m.sockets[dst-1]
 }
 
 // hazards reports whether another move of in writes the same socket as
@@ -368,11 +270,11 @@ func (m *Machine) destRef(dst isa.SocketID) (socketRef, bool) {
 // runtime conflicting-write (or double-trigger) check. An instruction
 // holds at most one move per bus, so the scan is a few compares.
 func (m *Machine) hazards(in isa.Instruction, i int) (wr, tr bool) {
-	ref, _ := m.destRef(in.Moves[i].Dst)
+	ref := m.destRef(in.Moves[i].Dst)
 	trig := ref.unit >= 0 && ref.kind == Trigger
 	for k, mv := range in.Moves {
-		other, ok := m.destRef(mv.Dst)
-		if k == i || !ok {
+		other := m.destRef(mv.Dst)
+		if k == i || other == nil {
 			continue
 		}
 		wr = wr || mv.Dst == in.Moves[i].Dst
@@ -401,13 +303,8 @@ func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction, start int
 				cm.guard = append(cm.guard, cterm{bad: true})
 				break
 			}
-			ref := m.signals[t.Signal]
-			term := cterm{
-				unit: m.units[ref.unit], local: int32(ref.local), negate: t.Negate,
-			}
-			if ss, ok := term.unit.(SlotSignal); ok {
-				term.flag = ss.SignalSlot(ref.local)
-			}
+			ref := &m.signals[t.Signal]
+			term := cterm{flag: ref.flag, get: ref.get, negate: t.Negate}
 			if len(mv.Guard.Terms) == 1 && term.flag != nil {
 				// Single resolved term: the hot loop tests the flag inline
 				// and never needs a guard slice.
@@ -424,7 +321,7 @@ func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction, start int
 			cm.flags |= fSrcBad
 			cm.failure().srcErr = fmt.Sprintf("tta: pc %d bus %d: bad source socket %d", pc, bus, mv.Src.Socket)
 		default:
-			ref := m.sockets[mv.Src.Socket-1]
+			ref := &m.sockets[mv.Src.Socket-1]
 			switch {
 			case ref.unit < 0:
 				cm.flags |= fSrcBad
@@ -435,18 +332,15 @@ func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction, start int
 				cm.failure().srcErr = fmt.Sprintf("tta: pc %d bus %d: socket %s (%v) is not readable",
 					pc, bus, ref.name, ref.kind)
 			default:
-				cm.srcUnit, cm.srcLocal = m.units[ref.unit], int32(ref.local)
+				cm.srcReg, cm.srcGet = ref.reg, ref.get
 				cm.srcSock = int32(mv.Src.Socket - 1)
 				if ref.kind == Result {
 					cm.srcResUnit = int32(ref.unit)
 				}
-				if sr, ok := cm.srcUnit.(SlotReader); ok {
-					cm.srcPtr = sr.ReadSlot(ref.local)
-				}
 			}
 		}
-		ref, ok := m.destRef(mv.Dst)
-		if !ok {
+		ref := m.destRef(mv.Dst)
+		if ref == nil {
 			cm.op = opDstErr
 			cm.flags |= fCtl
 			cm.failure().dstErr = fmt.Sprintf("tta: pc %d bus %d: bad destination socket %d", pc, bus, mv.Dst)
@@ -472,27 +366,22 @@ func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction, start int
 			cm.failure().dstErr = fmt.Sprintf("tta: pc %d: write to result socket %s", pc, ref.name)
 		case ref.kind == Trigger:
 			cm.op = opTrigger
-			cm.dstUnit, cm.dstLocal, cm.unitIdx = m.units[ref.unit], int32(ref.local), int32(ref.unit)
+			cm.dstVal, cm.dstArmed, cm.unitIdx = ref.val, ref.armed, int32(ref.unit)
 			if checkTr {
 				cm.flags |= fCheckTr
 				cm.failure().retrig = fmt.Sprintf("tta: pc %d: unit %s triggered twice in one cycle",
-					pc, m.units[ref.unit].Name())
+					pc, m.units[ref.unit].Ports().Name)
 			}
 		default: // Operand or Register
 			cm.op = opWrite
-			cm.dstUnit, cm.dstLocal, cm.unitIdx = m.units[ref.unit], int32(ref.local), int32(ref.unit)
-		}
-		if cm.dstUnit != nil {
-			if sw, ok := cm.dstUnit.(SlotWriter); ok {
-				cm.dstVal, cm.dstArmed = sw.WriteSlot(int(cm.dstLocal))
-			}
+			cm.dstVal, cm.dstArmed, cm.unitIdx = ref.val, ref.armed, int32(ref.unit)
 		}
 	}
 	// An instruction whose moves can raise no move-level error may apply
 	// unit writes immediately (see cins.direct). Conflict checks, bad
 	// guards/sources/destinations and result writes all disqualify;
 	// controller moves (jump, halt) are fine — they touch no unit.
-	direct := c.maskable
+	direct := true
 	for i := range moves {
 		if moves[i].errs != nil {
 			direct = false
@@ -534,9 +423,6 @@ func (c *CompiledMachine) RunToPC(stopPC int, maxSteps int64) (int64, error) {
 		// Lag units count as clocked on the (interpreter-run) previous
 		// cycle — their counters are already current, nothing to CatchUp.
 		c.active = c.allMask
-		for i := range c.idle {
-			c.idle[i] = false
-		}
 		for i := range c.lastClock {
 			c.lastClock[i] = m.stats.Cycles
 		}
@@ -564,11 +450,9 @@ func (c *CompiledMachine) RunToPC(stopPC int, maxSteps int64) (int64, error) {
 	ins := c.ins
 	allMoves := c.moves
 	units := m.units
-	maskable := c.maskable
 	active := c.active
-	idle := c.idle
-	settlers := c.settlers
-	kinds := c.settleKind
+	clocking := c.clocking
+	settled := c.settled
 	lags := c.lags
 	lastClock := c.lastClock
 	wakeSeen := c.wakeSeen
@@ -627,10 +511,10 @@ loop:
 			}
 			if fl == 0 {
 				var val uint32
-				if mv.srcPtr != nil {
-					val = *mv.srcPtr
+				if mv.srcReg != nil {
+					val = *mv.srcReg
 				} else {
-					val = mv.srcUnit.Read(int(mv.srcLocal))
+					val = mv.srcGet()
 				}
 				if ctrs != nil {
 					bus := mi - ci.start
@@ -654,15 +538,10 @@ loop:
 						Src: mv.recSrc, Dst: mv.recDst, Value: val})
 				}
 				if direct {
-					if mv.dstVal != nil {
-						*mv.dstVal = val
-						*mv.dstArmed = true
-					} else {
-						mv.dstUnit.Write(int(mv.dstLocal), val)
-					}
+					*mv.dstVal, *mv.dstArmed = val, true
 					active |= 1 << uint(mv.unitIdx)
 				} else {
-					writes = append(writes, cwrite{unitIdx: mv.unitIdx, local: mv.dstLocal, val: val})
+					writes = append(writes, cwrite{mv: mv, val: val})
 				}
 				moved++
 				continue
@@ -686,15 +565,10 @@ loop:
 						Src: -1, Dst: mv.recDst, Value: mv.immVal})
 				}
 				if direct {
-					if mv.dstVal != nil {
-						*mv.dstVal = mv.immVal
-						*mv.dstArmed = true
-					} else {
-						mv.dstUnit.Write(int(mv.dstLocal), mv.immVal)
-					}
+					*mv.dstVal, *mv.dstArmed = mv.immVal, true
 					active |= 1 << uint(mv.unitIdx)
 				} else {
-					writes = append(writes, cwrite{unitIdx: mv.unitIdx, local: mv.dstLocal, val: mv.immVal})
+					writes = append(writes, cwrite{mv: mv, val: mv.immVal})
 				}
 				moved++
 				continue
@@ -711,7 +585,7 @@ loop:
 					if t.flag != nil {
 						sig = *t.flag
 					} else {
-						sig = t.unit.Signal(int(t.local))
+						sig = t.get()
 					}
 					if sig == t.negate {
 						executed = false
@@ -735,10 +609,10 @@ loop:
 			}
 			val := mv.immVal
 			if mv.flags&fImm == 0 {
-				if mv.srcPtr != nil {
-					val = *mv.srcPtr
+				if mv.srcReg != nil {
+					val = *mv.srcReg
 				} else {
-					val = mv.srcUnit.Read(int(mv.srcLocal))
+					val = mv.srcGet()
 				}
 			}
 			if ctrs != nil {
@@ -790,15 +664,10 @@ loop:
 						Src: mv.recSrc, Dst: mv.recDst, Value: val})
 				}
 				if direct {
-					if mv.dstVal != nil {
-						*mv.dstVal = val
-						*mv.dstArmed = true
-					} else {
-						mv.dstUnit.Write(int(mv.dstLocal), val)
-					}
+					*mv.dstVal, *mv.dstArmed = val, true
 					active |= 1 << uint(mv.unitIdx)
 				} else {
-					writes = append(writes, cwrite{unitIdx: mv.unitIdx, local: mv.dstLocal, val: val})
+					writes = append(writes, cwrite{mv: mv, val: val})
 				}
 			case opJump:
 				nextPC = int(val)
@@ -821,58 +690,38 @@ loop:
 		}
 		c.writes = writes
 
-		if maskable {
-			for wi := range writes {
-				w := &writes[wi]
-				units[w.unitIdx].Write(int(w.local), w.val)
-				active |= 1 << uint(w.unitIdx)
+		for wi := range writes {
+			w := &writes[wi]
+			*w.mv.dstVal, *w.mv.dstArmed = w.val, true
+			active |= 1 << uint(w.mv.unitIdx)
+		}
+		for a := active; a != 0; a &= a - 1 {
+			ui := mathbits.TrailingZeros64(a)
+			k := clocking[ui]
+			if k == ClockLag {
+				// A parked stretch ended: advance the unit's internal
+				// cycle counter over the skipped span before its next
+				// real Clock. Current cycle = statsBase+cycles+1.
+				if skipped := statsBase + cycles - lastClock[ui]; skipped > 0 {
+					lags[ui].CatchUp(skipped)
+				}
+				lastClock[ui] = statsBase + cycles + 1
 			}
-			for a := active; a != 0; a &= a - 1 {
-				ui := mathbits.TrailingZeros64(a)
-				k := kinds[ui]
-				if k == settleLag {
-					// A parked stretch ended: advance the unit's internal
-					// cycle counter over the skipped span before its next
-					// real Clock. Current cycle = statsBase+cycles+1.
-					if skipped := statsBase + cycles - lastClock[ui]; skipped > 0 {
-						lags[ui].CatchUp(skipped)
-					}
-					lastClock[ui] = statsBase + cycles + 1
-				}
-				if err := units[ui].Clock(); err != nil {
-					retErr = fmt.Errorf("tta: pc %d: unit %s: %w", pc, units[ui].Name(), err)
-					break loop
-				}
-				switch k {
-				case settleAlways:
+			if err := units[ui].Clock(); err != nil {
+				retErr = fmt.Errorf("tta: pc %d: unit %s: %w", pc, units[ui].Ports().Name, err)
+				break loop
+			}
+			switch k {
+			case ClockOnWrite:
+				active &^= 1 << uint(ui)
+			case ClockSettled:
+				if settled[ui]() {
 					active &^= 1 << uint(ui)
-				case settleDynamic:
-					if settlers[ui].Settled() {
-						active &^= 1 << uint(ui)
-					}
-				case settleLag:
-					if lg := lags[ui]; lg.ClockIdle() {
-						active &^= 1 << uint(ui)
-						wakeSeen[ui] = lg.WakeGen()
-					}
 				}
-			}
-		} else {
-			for wi := range writes {
-				w := &writes[wi]
-				units[w.unitIdx].Write(int(w.local), w.val)
-				idle[w.unitIdx] = false
-			}
-			for ui := range units {
-				if idle[ui] {
-					continue
-				}
-				if err := units[ui].Clock(); err != nil {
-					retErr = fmt.Errorf("tta: pc %d: unit %s: %w", pc, units[ui].Name(), err)
-					break loop
-				}
-				if s := settlers[ui]; s != nil {
-					idle[ui] = s.Settled()
+			case ClockLag:
+				if lg := lags[ui]; lg.ClockIdle() {
+					active &^= 1 << uint(ui)
+					wakeSeen[ui] = lg.WakeGen()
 				}
 			}
 		}

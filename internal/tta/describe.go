@@ -16,13 +16,18 @@ func (m *Machine) Describe() string {
 	fmt.Fprintf(&b, "  network controller sockets: %s (jump), %s (halt)\n", ncJump, ncHalt)
 	fmt.Fprintf(&b, "  functional units (%d):\n", len(m.units))
 	for _, u := range m.units {
-		fmt.Fprintf(&b, "    %-8s", u.Name())
+		t := u.Ports()
+		fmt.Fprintf(&b, "    %-8s", t.Name)
 		var parts []string
-		for _, s := range u.Sockets() {
-			parts = append(parts, fmt.Sprintf("%s(%s)", s.Name, shortKind(s.Kind)))
+		for _, p := range t.Sockets {
+			parts = append(parts, fmt.Sprintf("%s(%s)", p.Name, shortKind(p.Kind)))
 		}
 		fmt.Fprintf(&b, " sockets: %s\n", strings.Join(parts, " "))
-		if sigs := u.Signals(); len(sigs) > 0 {
+		if len(t.Lines) > 0 {
+			sigs := make([]string, len(t.Lines))
+			for i, l := range t.Lines {
+				sigs[i] = l.Name
+			}
 			fmt.Fprintf(&b, "             signals: %s\n", strings.Join(sigs, " "))
 		}
 	}

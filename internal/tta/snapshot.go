@@ -10,24 +10,20 @@ type SocketSnapshot struct {
 
 // SnapshotSockets reads every readable socket (Result and Register
 // kinds) and returns name/kind/value triples in socket-ID order. The
-// write-only kinds — Operand and Trigger — are skipped: units are not
-// required to support reads on them (some panic), and their latched
-// values are not architecturally visible anyway.
+// write-only kinds — Operand and Trigger — are skipped: their latched
+// values are not architecturally visible.
 //
 // Reads observe the state latched at the end of the previous cycle,
 // exactly what a move sourcing the socket would see, so a snapshot
 // taken between Step calls never perturbs the machine.
 func (m *Machine) SnapshotSockets() []SocketSnapshot {
 	var out []SocketSnapshot
-	for _, ref := range m.sockets {
+	for i := range m.sockets {
+		ref := &m.sockets[i]
 		if ref.unit < 0 || (ref.kind != Result && ref.kind != Register) {
 			continue
 		}
-		out = append(out, SocketSnapshot{
-			Name:  ref.name,
-			Kind:  ref.kind,
-			Value: m.units[ref.unit].Read(ref.local),
-		})
+		out = append(out, SocketSnapshot{Name: ref.name, Kind: ref.kind, Value: ref.read()})
 	}
 	return out
 }

@@ -33,7 +33,7 @@ func (m *Machine) TraceHook(tw *obs.TraceWriter) func([]obs.RecEvent) {
 		tw.ThreadName(tracePIDBuses, b, fmt.Sprintf("bus%d", b))
 	}
 	for u, unit := range m.units {
-		tw.ThreadName(tracePIDUnits, u, unit.Name())
+		tw.ThreadName(tracePIDUnits, u, unit.Ports().Name)
 	}
 	names := m.SocketNames()
 	return func(events []obs.RecEvent) {

@@ -54,34 +54,117 @@ type SocketSpec struct {
 	Kind SocketKind
 }
 
-// Unit is a TACO functional unit. The machine drives it with the
-// following per-cycle protocol:
+// Port is one socket of a unit's port table: its spec and the storage
+// behind it. A writable socket (Operand, Trigger, Register) names the
+// (value, armed) pair of its latch or trigger, so every write is
+// {*Val = v; *Armed = true} and stays invisible to reads and signals
+// until the unit's next Clock. A readable socket (Result, Register) names
+// the register a move reads, Reg, or — when the value is derived from
+// other state on demand — a Get func; exactly one of the two.
+type Port struct {
+	SocketSpec
+	Reg   *uint32
+	Get   func() uint32
+	Val   *uint32
+	Armed *bool
+}
+
+// Line is one 1-bit signal into the network controller: the Flag behind
+// it, or a Get func when it is derived on demand; exactly one of the two.
+type Line struct {
+	Name string
+	Flag *bool
+	Get  func() bool
+}
+
+// Clocking is a unit's promise about the cycles in which none of its
+// sockets is written. The compiled fast path uses it to skip those
+// Clock calls; the interpreter clocks every unit every cycle.
+type Clocking uint8
+
+const (
+	// ClockEvery promises nothing: the unit is clocked every cycle.
+	ClockEvery Clocking = iota
+	// ClockOnWrite marks a purely write-driven unit: a Clock with no
+	// socket written since the previous Clock is always a no-op.
+	ClockOnWrite
+	// ClockSettled promises the same whenever PortTable.Settled reports
+	// true; units with autonomous per-cycle work (the counter while
+	// counting, the CAM while a search is in flight) report false then.
+	ClockSettled
+	// ClockLag marks a unit whose every Clock advances an internal cycle
+	// counter but is otherwise a no-op while idle (see LagClocker).
+	ClockLag
+)
+
+// LagClocker is the hook set behind ClockLag, for units that count
+// wall-clock cycles (the pre- and postprocessing units timestamp DMA
+// events). The contract:
 //
-//  1. moves read Result/Register sockets via Read (observing the state
-//     latched at the end of the previous cycle),
-//  2. moves write Operand/Trigger/Register sockets via Write,
+//   - Whenever ClockIdle reports true, every subsequent Clock would do
+//     nothing but advance the internal counter, until either one of the
+//     unit's sockets is written or WakeGen changes.
+//   - CatchUp(n) advances the internal counter by n cycles, exactly as
+//     n idle Clocks would have.
+//   - WakeGen changes (monotonically) whenever external, non-socket
+//     input may give the unit work again — e.g. a line card delivery
+//     into a bank the unit had drained. Units with no external inputs
+//     return a constant.
+//
+// The compiled fast path parks an idle unit, re-checks WakeGen once per
+// batch, and calls CatchUp with the skipped cycle count immediately
+// before the unit's next real Clock — so cycle-stamped observables (DMA
+// latencies) stay bit-identical to the interpreter.
+type LagClocker interface {
+	ClockIdle() bool
+	CatchUp(n int64)
+	WakeGen() uint64
+}
+
+// PortTable is a unit's whole contract with the interconnect, declared
+// once in the unit's constructor: its sockets and signal lines with the
+// storage behind each, its clocking promise and its hazard class. Socket
+// and line order is the unit's local numbering and, with unit order,
+// fixes every SocketID and SignalID. New resolves the table once, so the
+// storage it names must stay put for the unit's lifetime: a Reset resets
+// the fields around it and a unit must not be copied.
+type PortTable struct {
+	Name    string
+	Sockets []Port
+	Lines   []Line
+	// Clocking is the unit's idle-cycle promise; Settled backs
+	// ClockSettled and Lag backs ClockLag (nil otherwise).
+	Clocking Clocking
+	Settled  func() bool
+	Lag      LagClocker
+	// Hazard names an out-of-band resource the unit shares with others
+	// (the data memory the DMA units reach behind the MMU's back); ""
+	// means none. The scheduler keeps triggers within one class in
+	// program order.
+	Hazard string
+}
+
+// Ports returns the table itself, so a unit embedding its PortTable
+// answers Unit.Ports.
+func (p *PortTable) Ports() *PortTable { return p }
+
+// Unit is a TACO functional unit: its port table plus a clock. The
+// machine drives it with the following per-cycle protocol:
+//
+//  1. moves read Result/Register sockets (observing the state latched
+//     at the end of the previous cycle),
+//  2. moves write Operand/Trigger/Register sockets into their (value,
+//     armed) storage,
 //  3. the machine calls Clock once, at which point the unit commits
 //     pending writes and, if a trigger socket was written, computes its
 //     operation into its result registers and signal lines.
 type Unit interface {
-	// Name returns the instance name, e.g. "cnt0".
-	Name() string
-	// Sockets lists the unit's sockets; indices are the "local" socket
-	// numbers used by Read and Write.
-	Sockets() []SocketSpec
-	// Signals lists the unit's 1-bit result lines into the network
-	// controller; indices are the local signal numbers used by Signal.
-	Signals() []string
-	// Read returns the visible value of a Result or Register socket.
-	Read(local int) uint32
-	// Write latches a value into an Operand, Trigger or Register socket.
-	Write(local int, v uint32)
+	// Ports returns the unit's port table.
+	Ports() *PortTable
 	// Clock advances the unit one cycle, committing writes and executing
 	// a triggered operation. It returns an error for unit-level faults
 	// (e.g. an out-of-range memory access), which halt the machine.
 	Clock() error
-	// Signal returns the current value of a signal line.
-	Signal(local int) bool
 	// Reset returns the unit to its power-on state.
 	Reset()
 }
@@ -93,13 +176,25 @@ const (
 	ncHalt = "nc.halt" // write: stop the machine after this cycle
 )
 
-// socketRef resolves a SocketID to its unit and local index.
+// socketRef resolves a SocketID to its unit and the storage its port
+// table names (nil for controller sockets).
 type socketRef struct {
 	unit  int // -1 for controller sockets
-	local int
 	kind  SocketKind
 	name  string
 	ctl   int // controller socket code when unit == -1
+	reg   *uint32
+	get   func() uint32
+	val   *uint32
+	armed *bool
+}
+
+// read returns a readable socket's visible value.
+func (r *socketRef) read() uint32 {
+	if r.reg != nil {
+		return *r.reg
+	}
+	return r.get()
 }
 
 const (
@@ -108,9 +203,17 @@ const (
 )
 
 type signalRef struct {
-	unit  int
-	local int
-	name  string
+	unit int
+	name string
+	flag *bool
+	get  func() bool
+}
+
+func (r *signalRef) value() bool {
+	if r.flag != nil {
+		return *r.flag
+	}
+	return r.get()
 }
 
 // Machine is a configured TACO processor instance: a set of functional
@@ -168,9 +271,8 @@ type Machine struct {
 }
 
 type pendingWrite struct {
-	ref socketRef
+	ref *socketRef
 	val uint32
-	bus int
 }
 
 // Stats accumulates execution counters.
@@ -220,29 +322,57 @@ func New(name string, buses int, units []Unit) (*Machine, error) {
 	}
 	seen := map[string]bool{"nc": true}
 	for ui, u := range units {
-		if seen[u.Name()] {
-			return nil, fmt.Errorf("tta: duplicate unit name %q", u.Name())
+		t := u.Ports()
+		if seen[t.Name] {
+			return nil, fmt.Errorf("tta: duplicate unit name %q", t.Name)
 		}
-		seen[u.Name()] = true
-		for li, spec := range u.Sockets() {
-			ref := socketRef{unit: ui, local: li, kind: spec.Kind,
-				name: u.Name() + "." + spec.Name}
+		seen[t.Name] = true
+		if err := t.check(); err != nil {
+			return nil, err
+		}
+		for _, p := range t.Sockets {
+			ref := socketRef{unit: ui, kind: p.Kind, name: t.Name + "." + p.Name,
+				reg: p.Reg, get: p.Get, val: p.Val, armed: p.Armed}
 			if err := addSocket(ref); err != nil {
 				return nil, err
 			}
 		}
-		for li, sig := range u.Signals() {
-			name := u.Name() + "." + sig
+		for _, l := range t.Lines {
+			name := t.Name + "." + l.Name
 			if _, dup := m.signalIDs[name]; dup {
 				return nil, fmt.Errorf("tta: duplicate signal %q", name)
 			}
-			m.signals = append(m.signals, signalRef{unit: ui, local: li, name: name})
+			m.signals = append(m.signals, signalRef{unit: ui, name: name, flag: l.Flag, get: l.Get})
 			m.signalIDs[name] = isa.SignalID(len(m.signals) - 1)
 		}
 	}
 	m.trigStamp = make([]uint32, len(m.units))
 	m.wrStamp = make([]uint32, len(m.sockets))
 	return m, nil
+}
+
+// check validates a port table: every writable socket names its (value,
+// armed) storage, every readable socket exactly one of a register and a
+// getter, every line exactly one of a flag and a getter, and a clocking
+// promise that needs a hook has it.
+func (t *PortTable) check() error {
+	for _, p := range t.Sockets {
+		if p.Kind != Result && (p.Val == nil || p.Armed == nil) {
+			return fmt.Errorf("tta: unit %s: writable socket %s has no (value, armed) storage", t.Name, p.Name)
+		}
+		if (p.Kind == Result || p.Kind == Register) && (p.Reg == nil) == (p.Get == nil) {
+			return fmt.Errorf("tta: unit %s: readable socket %s needs exactly one of a register and a getter", t.Name, p.Name)
+		}
+	}
+	for _, l := range t.Lines {
+		if (l.Flag == nil) == (l.Get == nil) {
+			return fmt.Errorf("tta: unit %s: signal %s needs exactly one of a flag and a getter", t.Name, l.Name)
+		}
+	}
+	if (t.Clocking == ClockSettled) != (t.Settled != nil) || (t.Clocking == ClockLag) != (t.Lag != nil) {
+		return fmt.Errorf("tta: unit %s: clocking promise %d and its Settled/Lag hook disagree", t.Name, t.Clocking)
+	}
+	return nil
 }
 
 // Name returns the machine's configuration name.
@@ -337,22 +467,12 @@ func (m *Machine) SignalUnit(id isa.SignalID) (int, bool) {
 	return m.signals[id].unit, true
 }
 
-// Hazarder is implemented by units that share an out-of-band resource
-// (e.g. the data memory a DMA unit reads behind the MMU's back). The
-// scheduler keeps triggers within one hazard class in program order.
-type Hazarder interface {
-	HazardClass() string
-}
-
 // UnitHazardClass returns unit u's hazard class, or "" when it has none.
 func (m *Machine) UnitHazardClass(u int) string {
 	if u < 0 || u >= len(m.units) {
 		return ""
 	}
-	if h, ok := m.units[u].(Hazarder); ok {
-		return h.HazardClass()
-	}
-	return ""
+	return m.units[u].Ports().Hazard
 }
 
 // UnitOperandSockets returns the socket IDs of every Operand socket of
@@ -372,6 +492,15 @@ func (m *Machine) SocketCount() int { return len(m.sockets) }
 
 // UnitCount returns the number of functional units.
 func (m *Machine) UnitCount() int { return len(m.units) }
+
+// UnitNames lists every unit name in unit order.
+func (m *Machine) UnitNames() []string {
+	out := make([]string, len(m.units))
+	for i, u := range m.units {
+		out[i] = u.Ports().Name
+	}
+	return out
+}
 
 // SocketNames lists every socket name in ID order.
 func (m *Machine) SocketNames() []string {
@@ -455,14 +584,14 @@ func (m *Machine) ReadSocket(name string) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	ref := m.sockets[id-1]
+	ref := &m.sockets[id-1]
 	if ref.unit < 0 {
 		return 0, fmt.Errorf("tta: socket %q is not readable", name)
 	}
 	if ref.kind != Result && ref.kind != Register {
 		return 0, fmt.Errorf("tta: socket %q (%v) is not readable", name, ref.kind)
 	}
-	return m.units[ref.unit].Read(ref.local), nil
+	return ref.read(), nil
 }
 
 // SignalValue reads a signal line by name (test aid).
@@ -471,8 +600,7 @@ func (m *Machine) SignalValue(name string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	ref := m.signals[id]
-	return m.units[ref.unit].Signal(ref.local), nil
+	return m.signals[id].value(), nil
 }
 
 // guardHolds evaluates a guard against the current signal state.
@@ -481,9 +609,7 @@ func (m *Machine) guardHolds(g isa.Guard) (bool, error) {
 		if int(t.Signal) >= len(m.signals) {
 			return false, fmt.Errorf("tta: guard references unknown signal %d", t.Signal)
 		}
-		ref := m.signals[t.Signal]
-		v := m.units[ref.unit].Signal(ref.local)
-		if v == t.Negate { // v XOR want: term fails
+		if m.signals[t.Signal].value() == t.Negate { // signal XOR want: term fails
 			return false, nil
 		}
 	}
@@ -568,7 +694,7 @@ func (m *Machine) Step() error {
 		if c := m.Counters; c != nil {
 			c.SocketWrites[mv.Dst-1]++
 		}
-		ref := m.sockets[mv.Dst-1]
+		ref := &m.sockets[mv.Dst-1]
 		switch {
 		case ref.unit < 0: // controller
 			switch ref.ctl {
@@ -593,7 +719,7 @@ func (m *Machine) Step() error {
 			if ref.kind == Trigger {
 				if m.trigStamp[ref.unit] == m.stamp {
 					return fmt.Errorf("tta: pc %d: unit %s triggered twice in one cycle",
-						m.pc, m.units[ref.unit].Name())
+						m.pc, m.units[ref.unit].Ports().Name)
 				}
 				m.trigStamp[ref.unit] = m.stamp
 				if c := m.Counters; c != nil {
@@ -607,18 +733,18 @@ func (m *Machine) Step() error {
 				rec.Record(obs.RecEvent{Kind: obs.EvMove, PC: int32(m.pc), Bus: int16(bus),
 					Src: recSrcCode(mv.Src), Dst: int32(mv.Dst), Value: val})
 			}
-			m.writes = append(m.writes, pendingWrite{ref: ref, val: val, bus: bus})
+			m.writes = append(m.writes, pendingWrite{ref: ref, val: val})
 		}
 		m.stats.MovesExecuted++
 	}
 
 	// Commit unit writes, then clock every unit once.
 	for _, w := range m.writes {
-		m.units[w.ref.unit].Write(w.ref.local, w.val)
+		*w.ref.val, *w.ref.armed = w.val, true
 	}
 	for _, u := range m.units {
 		if err := u.Clock(); err != nil {
-			return fmt.Errorf("tta: pc %d: unit %s: %w", m.pc, u.Name(), err)
+			return fmt.Errorf("tta: pc %d: unit %s: %w", m.pc, u.Ports().Name, err)
 		}
 	}
 
@@ -656,14 +782,14 @@ func (m *Machine) readSource(src isa.Source) (uint32, error) {
 	if src.Socket == isa.InvalidSocket || int(src.Socket) > len(m.sockets) {
 		return 0, fmt.Errorf("bad source socket %d", src.Socket)
 	}
-	ref := m.sockets[src.Socket-1]
+	ref := &m.sockets[src.Socket-1]
 	if ref.unit < 0 {
 		return 0, fmt.Errorf("controller socket %s is not readable", ref.name)
 	}
 	if ref.kind != Result && ref.kind != Register {
 		return 0, fmt.Errorf("socket %s (%v) is not readable", ref.name, ref.kind)
 	}
-	return m.units[ref.unit].Read(ref.local), nil
+	return ref.read(), nil
 }
 
 // Run executes until the machine halts or maxCycles elapse. It returns

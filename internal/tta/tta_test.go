@@ -13,7 +13,7 @@ import (
 // "tsub" computes r = o - tsub; "nz" signals r != 0. Like all TACO units
 // it completes in one cycle: trigger in cycle t, result visible at t+1.
 type adder struct {
-	name         string
+	PortTable
 	o, r         uint32
 	pendO        uint32
 	pendT, pendS uint32
@@ -22,29 +22,17 @@ type adder struct {
 	nz           bool
 }
 
-func (a *adder) Name() string { return a.name }
-func (a *adder) Sockets() []SocketSpec {
-	return []SocketSpec{{"o", Operand}, {"t", Trigger}, {"tsub", Trigger}, {"r", Result}}
+func newAdder(name string) *adder {
+	a := &adder{}
+	a.PortTable = PortTable{Name: name, Sockets: []Port{
+		{SocketSpec: SocketSpec{"o", Operand}, Val: &a.pendO, Armed: &a.hasO},
+		{SocketSpec: SocketSpec{"t", Trigger}, Val: &a.pendT, Armed: &a.hasT},
+		{SocketSpec: SocketSpec{"tsub", Trigger}, Val: &a.pendS, Armed: &a.hasS},
+		{SocketSpec: SocketSpec{"r", Result}, Reg: &a.r},
+	}, Lines: []Line{{Name: "nz", Flag: &a.nz}}}
+	return a
 }
-func (a *adder) Signals() []string { return []string{"nz"} }
-func (a *adder) Read(local int) uint32 {
-	if local != 3 {
-		panic("read of non-result socket")
-	}
-	return a.r
-}
-func (a *adder) Write(local int, v uint32) {
-	switch local {
-	case 0:
-		a.pendO, a.hasO = v, true
-	case 1:
-		a.pendT, a.hasT = v, true
-	case 2:
-		a.pendS, a.hasS = v, true
-	default:
-		panic("write to result socket")
-	}
-}
+
 func (a *adder) Clock() error {
 	if a.hasO {
 		a.o, a.hasO = a.pendO, false
@@ -61,24 +49,26 @@ func (a *adder) Clock() error {
 	}
 	return nil
 }
-func (a *adder) Signal(local int) bool { return a.nz }
-func (a *adder) Reset()                { *a = adder{name: a.name} }
+func (a *adder) Reset() { *a = adder{PortTable: a.PortTable} }
 
 // regs is a 4-register file.
 type regs struct {
-	name string
+	PortTable
 	r    [4]uint32
 	pend [4]uint32
 	has  [4]bool
 }
 
-func (g *regs) Name() string { return g.name }
-func (g *regs) Sockets() []SocketSpec {
-	return []SocketSpec{{"r0", Register}, {"r1", Register}, {"r2", Register}, {"r3", Register}}
+func newRegs(name string) *regs {
+	g := &regs{}
+	g.PortTable = PortTable{Name: name, Sockets: make([]Port, len(g.r))}
+	for i := range g.r {
+		g.Sockets[i] = Port{SocketSpec: SocketSpec{"r" + string(rune('0'+i)), Register},
+			Reg: &g.r[i], Val: &g.pend[i], Armed: &g.has[i]}
+	}
+	return g
 }
-func (g *regs) Signals() []string         { return nil }
-func (g *regs) Read(local int) uint32     { return g.r[local] }
-func (g *regs) Write(local int, v uint32) { g.pend[local], g.has[local] = v, true }
+
 func (g *regs) Clock() error {
 	for i := range g.r {
 		if g.has[i] {
@@ -87,15 +77,11 @@ func (g *regs) Clock() error {
 	}
 	return nil
 }
-func (g *regs) Signal(local int) bool { return false }
-func (g *regs) Reset()                { *g = regs{name: g.name} }
+func (g *regs) Reset() { *g = regs{PortTable: g.PortTable} }
 
 func newTestMachine(t *testing.T, buses int) *Machine {
 	t.Helper()
-	m, err := New("test", buses, []Unit{
-		&adder{name: "add0"},
-		&regs{name: "gpr"},
-	})
+	m, err := New("test", buses, []Unit{newAdder("add0"), newRegs("gpr")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +100,49 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	if _, err := New("x", 0, nil); err == nil {
 		t.Error("zero buses accepted")
 	}
-	if _, err := New("x", 1, []Unit{&adder{name: "a"}, &adder{name: "a"}}); err == nil {
+	if _, err := New("x", 1, []Unit{newAdder("a"), newAdder("a")}); err == nil {
 		t.Error("duplicate unit names accepted")
 	}
-	if _, err := New("x", 1, []Unit{&adder{name: "nc"}}); err == nil {
+	if _, err := New("x", 1, []Unit{newAdder("nc")}); err == nil {
 		t.Error("reserved unit name accepted")
 	}
+	// Port tables that name the wrong storage: each is rejected with an
+	// error naming the unit and the socket or line.
+	getWord := func() uint32 { return 0 }
+	getFlag := func() bool { return false }
+	for _, c := range []struct {
+		what  string
+		edit  func(*adder)
+		names string
+	}{
+		{"writable socket without a latch", func(a *adder) { a.Sockets[0].Val = nil }, "bad.o"},
+		{"writable socket without an armed flag", func(a *adder) { a.Sockets[1].Armed = nil }, "bad.t"},
+		{"readable socket with neither slot nor getter", func(a *adder) { a.Sockets[3].Reg = nil }, "bad.r"},
+		{"readable socket with slot and getter", func(a *adder) { a.Sockets[3].Get = getWord }, "bad.r"},
+		{"line with neither flag nor getter", func(a *adder) { a.Lines[0].Flag = nil }, "bad.nz"},
+		{"line with flag and getter", func(a *adder) { a.Lines[0].Get = getFlag }, "bad.nz"},
+		{"settled promise without its hook", func(a *adder) { a.Clocking = ClockSettled }, "bad"},
+		{"lag hook without its promise", func(a *adder) { a.Lag = lagStub{} }, "bad"},
+	} {
+		a := newAdder("bad")
+		c.edit(a)
+		_, err := New("x", 1, []Unit{a})
+		if err == nil {
+			t.Errorf("%s accepted", c.what)
+			continue
+		}
+		unit, socket, _ := strings.Cut(c.names, ".")
+		if !strings.Contains(err.Error(), "unit "+unit) || !strings.Contains(err.Error(), " "+socket+" ") && socket != "" {
+			t.Errorf("%s: error %q does not name unit %s and %s", c.what, err, unit, socket)
+		}
+	}
 }
+
+type lagStub struct{}
+
+func (lagStub) ClockIdle() bool { return true }
+func (lagStub) CatchUp(int64)   {}
+func (lagStub) WakeGen() uint64 { return 0 }
 
 func TestSocketResolution(t *testing.T) {
 	m := newTestMachine(t, 1)
