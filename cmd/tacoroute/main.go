@@ -33,7 +33,6 @@ import (
 	"taco/internal/profile"
 	"taco/internal/router"
 	"taco/internal/rtable"
-	"taco/internal/tta"
 	"taco/internal/workload"
 )
 
@@ -92,17 +91,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if inj != nil {
 			tr.EnableDropAudit()
 		}
-		ctrs := tr.Machine.AttachCounters() // native on both step paths: almost free
-		// The profile reads the recorder between cycles of a stepped run;
-		// without it the run is the batch one (a nil observer).
-		var prf *profile.Profile
-		var onCycle tta.CycleFunc
-		if *prof {
-			prf = profile.New(tr.Sched.Program)
-			onCycle = prf.Hook()
-		}
-		if c.ForensicsOut != "" || *prof {
+		if c.ForensicsOut != "" {
 			tr.ArmRecorder(0)
+		}
+		if err := tr.UseCompiled(); err != nil {
+			return err
 		}
 		arrivals := router.RoundRobin(pkts, *ifaces)
 		delivered := tr.DeliverAll(arrivals)
@@ -112,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fmt.Errorf("line card overflow: %d of %d datagrams accepted", delivered, len(pkts))
 		}
 		budget := router.WatchdogBudget(c.Packets, c.Entries)
-		if _, err := tr.RunStepped(delivered, budget, onCycle); err != nil {
+		if err := tr.Run(delivered, budget); err != nil {
 			var stall *router.StallError
 			if errors.As(err, &stall) {
 				fmt.Fprintln(stderr, "tacoroute: forwarding stalled; machine state:")
@@ -120,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				if c.ForensicsOut != "" {
 					b := forensics.NewRouterBundle(forensics.KindStall,
 						fmt.Sprintf("%s/%s", kind, cfg.Name), cfg, *ifaces, routes,
-						arrivals, delivered, budget, false)
+						arrivals, delivered, budget, true)
 					b.Seed = c.Seed
 					b.FaultSpec = *faults
 					b.RecorderCap = obs.DefaultRecorderCap
@@ -130,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			// A stalled run still gets its scrape: the stall-attribution
 			// counters are exactly what the operator wants to see.
-			return errors.Join(err, writeMetrics(c.MetricsOut, tr, ctrs, kind, cfg))
+			return errors.Join(err, writeMetrics(c.MetricsOut, tr, kind, cfg))
 		}
 		got := tr.Collect(arrivals) // also finalizes the drop audit
 
@@ -186,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if c.Hist {
 			printHist(stdout, tr.LatencyHist())
 		}
-		if err := writeMetrics(c.MetricsOut, tr, ctrs, kind, cfg); err != nil {
+		if err := writeMetrics(c.MetricsOut, tr, kind, cfg); err != nil {
 			return err
 		}
 
@@ -198,8 +191,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintln(stdout, "  golden-router cross-check: OK")
 		}
-		if prf != nil {
-			fmt.Fprintf(stdout, "\ncycle attribution (bottleneck analysis):\n%s", prf.String())
+		if *prof {
+			prf := profile.New(tr.Sched.Program, tr.Machine.Count())
+			fmt.Fprintf(stdout, "\ncycle attribution (bottleneck analysis):\n%s", prf)
 		}
 		return nil
 	})
@@ -241,14 +235,14 @@ func printHist(w io.Writer, h *obs.LatencyHist) {
 // writeMetrics writes the router's full observability state —
 // counters, drops, stall attribution, latency histogram — to path as
 // Prometheus text exposition; an empty path writes nothing.
-func writeMetrics(path string, tr *router.TACO, ctrs *obs.Counters, kind rtable.Kind, cfg fu.Config) error {
+func writeMetrics(path string, tr *router.TACO, kind rtable.Kind, cfg fu.Config) error {
 	_, _, drops := queues(tr)
 	snap := obs.MetricSnapshot{
 		Labels:          map[string]string{"config": cfg.Name, "table": fmt.Sprint(kind)},
 		Cycles:          tr.Machine.Stats().Cycles,
 		Packets:         tr.Units.IPPU.Popped(),
 		CyclesPerPacket: tr.CyclesPerPacket(),
-		Counters:        ctrs,
+		Counters:        tr.Machine.Counters(),
 		UnitNames:       tr.Machine.UnitNames(),
 		SocketNames:     tr.Machine.SocketNames(),
 		Drops:           &drops,

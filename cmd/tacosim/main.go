@@ -71,10 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return err
 		}
 
-		// Counters are recorded natively by both step paths, so they are
-		// always on. The recorder is armed for whoever reads it: a failure
-		// bundle, the stdout trace, the Chrome trace-event stream.
-		ctrs := m.AttachCounters()
+		// The recorder is armed for whoever reads it: a failure bundle, the
+		// stdout trace, the Chrome trace-event stream.
 		if c.ForensicsOut != "" || *trace || c.TraceOut != "" {
 			m.AttachRecorder(0)
 		}
@@ -132,6 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ev = obs.NewEventWriter(stderr)
 		}
 		cycles, err := runSliced(m, step, *maxCy, *statEvery, ev)
+		ctrs := m.Counters()
 
 		// Emit every requested artifact before judging the run: a stalled
 		// program still deserves a loadable trace and a metrics scrape.

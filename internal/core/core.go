@@ -132,7 +132,7 @@ type Metrics struct {
 	// Fine-grained observability. LineCards (per-card queue counters,
 	// index Config-ifaces is the host card) is always populated;
 	// FUUtilization and BusOccupancy require SimOptions.Observe, which
-	// attaches an obs.Counters sink to the simulated machine.
+	// derives them from the simulated machine's execution count.
 	LineCards     []linecard.Stats `json:",omitempty"`
 	FUUtilization []FUUtil         `json:",omitempty"`
 	// BusOccupancy is the per-bus fraction of cycles carrying an
@@ -161,20 +161,19 @@ type SimOptions struct {
 	MissRatio float64
 	Ifaces    int
 
-	// Observe attaches per-bus/per-FU/per-socket counters to the
-	// simulated machine and surfaces them in Metrics.FUUtilization and
-	// Metrics.BusOccupancy. Off by default: the counters never perturb
-	// results, but recording them costs a few percent of simulation
-	// speed.
+	// Observe surfaces the simulated machine's per-FU and per-bus
+	// counters in Metrics.FUUtilization and Metrics.BusOccupancy. They
+	// are derived after the run from the execution count the machine
+	// always keeps, so observing costs no simulation speed; off by
+	// default only to keep exported rows short.
 	Observe bool
 
 	// Compiled runs the simulation through the compiled fast path
 	// (tta.Compile): the forwarding program is pre-lowered into a
 	// specialized step function that is bit-identical to the interpreter
-	// but several times faster. Counters (Observe) are recorded natively
-	// by the fast path, so Compiled+Observe keeps the compiled speedup.
-	// On in DefaultSimOptions; false selects the interpreter, which is
-	// the reference semantics the compiled path is checked against.
+	// but several times faster. On in DefaultSimOptions; false selects
+	// the interpreter, which is the reference semantics the compiled path
+	// is checked against.
 	Compiled bool `json:",omitempty"`
 
 	// MaxCyclesPerPacket overrides the watchdog's cycle budget (budget =
@@ -244,10 +243,6 @@ func Evaluate(cfg fu.Config, cons Constraints, sim SimOptions) (Metrics, error) 
 	if err != nil {
 		return Metrics{}, err
 	}
-	var ctrs *obs.Counters
-	if sim.Observe {
-		ctrs = tr.Machine.AttachCounters()
-	}
 	if sim.ForensicsDir != "" {
 		tr.ArmRecorder(0)
 	}
@@ -304,7 +299,8 @@ func Evaluate(cfg fu.Config, cons Constraints, sim SimOptions) (Metrics, error) 
 	if st := tr.SchedStalls(); st.Total() > 0 {
 		m.SchedStalls = st.Map()
 	}
-	if ctrs != nil {
+	if sim.Observe {
+		ctrs := tr.Machine.Counters()
 		names := tr.Machine.UnitNames()
 		m.FUUtilization = make([]FUUtil, len(names))
 		for u, name := range names {

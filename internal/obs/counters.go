@@ -10,19 +10,18 @@
 // can be *located*, not just measured.
 //
 // The package depends only on the standard library plus the shared
-// ipv6 drop taxonomy (DropCounters). The machine model
-// (internal/tta) holds an optional *Counters sink and feeds it from
-// both step paths — the interpreter and the compiled fast path each
-// record natively behind a single nil check, so attaching counters no
-// longer costs the compiled speedup; internal/tta also provides the
-// adapter that streams its trace records into a TraceWriter.
+// ipv6 drop taxonomy (DropCounters). The machine model (internal/tta)
+// keeps one execution count — cycles per PC, guard failures per static
+// move — on both step paths and derives a Counters from it on demand
+// (Machine.Counters); its flight recorder (FlightRecorder) is the one
+// per-move stream, and internal/tta also provides the adapter that
+// streams recorder events into a TraceWriter.
 package obs
 
-// Counters accumulates per-component activity for one machine. All
-// fields are flat slices indexed by the machine's dense bus, unit and
-// socket IDs — no maps anywhere near the hot path. A nil *Counters is
-// the disabled state; the recording site performs one nil check per
-// cycle and no other work.
+// Counters is per-component activity for one machine. All fields are
+// flat slices indexed by the machine's dense bus, unit and socket IDs.
+// The machine derives it from its execution count after a run
+// (tta.Machine.Counters); nothing updates it while the machine steps.
 type Counters struct {
 	// Cycles counts executed cycles.
 	Cycles int64
@@ -60,17 +59,6 @@ func NewCounters(buses, units, sockets int) *Counters {
 		UnitResults:  make([]int64, units),
 		SocketReads:  make([]int64, sockets),
 		SocketWrites: make([]int64, sockets),
-	}
-}
-
-// Reset zeroes every counter, keeping the slices.
-func (c *Counters) Reset() {
-	c.Cycles = 0
-	for _, s := range [][]int64{
-		c.BusEncoded, c.BusExecuted, c.UnitTriggers,
-		c.UnitResults, c.SocketReads, c.SocketWrites,
-	} {
-		clear(s)
 	}
 }
 

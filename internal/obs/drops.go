@@ -45,33 +45,44 @@ func (c DropCounters) Total() int64 {
 
 // Map returns the nonzero counts keyed by reason name — the export
 // shape used by the -json metrics and the soak reports.
-func (c DropCounters) Map() map[string]int64 {
+func (c DropCounters) Map() map[string]int64 { return countMap[ipv6.DropReason](c[:]) }
+
+// MarshalJSON emits the reason-name-keyed map of nonzero counts
+// (encoding/json sorts map keys, so the bytes are deterministic).
+func (c DropCounters) MarshalJSON() ([]byte, error) { return json.Marshal(c.Map()) }
+
+// UnmarshalJSON accepts the reason-name-keyed map form.
+func (c *DropCounters) UnmarshalJSON(b []byte) error {
+	return unmarshalCounts[ipv6.DropReason](b, c[:])
+}
+
+// countName is the index type of a named count array (DropCounters,
+// StallCounters): each index has a stable exposition name.
+type countName interface {
+	~int | ~uint8
+	String() string
+}
+
+// countMap returns the nonzero counts keyed by their index's name.
+func countMap[K countName](counts []int64) map[string]int64 {
 	m := make(map[string]int64)
-	for r, v := range c {
+	for i, v := range counts {
 		if v != 0 {
-			m[ipv6.DropReason(r).String()] = v
+			m[K(i).String()] = v
 		}
 	}
 	return m
 }
 
-// MarshalJSON emits the reason-name-keyed map of nonzero counts
-// (encoding/json sorts map keys, so the bytes are deterministic).
-func (c DropCounters) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.Map())
-}
-
-// UnmarshalJSON accepts the reason-name-keyed map form.
-func (c *DropCounters) UnmarshalJSON(b []byte) error {
+// unmarshalCounts fills counts from the name-keyed map form; a name the
+// map lacks counts zero.
+func unmarshalCounts[K countName](b []byte, counts []int64) error {
 	var m map[string]int64
 	if err := json.Unmarshal(b, &m); err != nil {
 		return err
 	}
-	*c = DropCounters{}
-	for r := ipv6.DropReason(0); r < ipv6.NumDropReasons; r++ {
-		if v, ok := m[r.String()]; ok {
-			c[r] = v
-		}
+	for i := range counts {
+		counts[i] = m[K(i).String()]
 	}
 	return nil
 }

@@ -58,9 +58,8 @@ func runRouterStepped(t *testing.T, tr *router.TACO, pkts []workload.Packet, onC
 // the paper's metrics.
 func TestCountersSumToStats(t *testing.T) {
 	tr, pkts := goldenRouter(t)
-	c := tr.Machine.AttachCounters()
 	runRouter(t, tr, pkts)
-	st := tr.Machine.Stats()
+	c, st := tr.Machine.Counters(), tr.Machine.Stats()
 
 	if c.Cycles != st.Cycles {
 		t.Errorf("Counters.Cycles = %d, Stats.Cycles = %d", c.Cycles, st.Cycles)
@@ -110,28 +109,27 @@ func closeTo(a, b, eps float64) bool {
 	return d < eps && d > -eps
 }
 
-// TestCountersResetWithMachine checks machine Reset clears the sink and
+// TestCountersResetWithMachine checks machine Reset clears the count and
 // that an identical second batch reproduces identical counters — the
-// sink never perturbs or accumulates across batches.
+// count never perturbs or accumulates across batches.
 func TestCountersResetWithMachine(t *testing.T) {
 	tr, pkts := goldenRouter(t)
-	c := tr.Machine.AttachCounters()
 	runRouter(t, tr, pkts)
-	first := append([]int64(nil), c.UnitTriggers...)
-	firstCycles := c.Cycles
+	first := tr.Machine.Counters()
 
 	tr.Reset()
-	if c.Cycles != 0 || c.EncodedTotal() != 0 || c.TriggerTotal() != 0 {
+	if c := tr.Machine.Counters(); c.Cycles != 0 || c.EncodedTotal() != 0 || c.TriggerTotal() != 0 {
 		t.Fatalf("Reset left counters: cycles=%d encoded=%d triggers=%d",
 			c.Cycles, c.EncodedTotal(), c.TriggerTotal())
 	}
 	runRouter(t, tr, pkts)
-	if c.Cycles != firstCycles {
-		t.Errorf("second batch ran %d cycles, first %d", c.Cycles, firstCycles)
+	c := tr.Machine.Counters()
+	if c.Cycles != first.Cycles {
+		t.Errorf("second batch ran %d cycles, first %d", c.Cycles, first.Cycles)
 	}
 	for u, v := range c.UnitTriggers {
-		if v != first[u] {
-			t.Errorf("unit %d triggers differ across identical batches: %d vs %d", u, first[u], v)
+		if v != first.UnitTriggers[u] {
+			t.Errorf("unit %d triggers differ across identical batches: %d vs %d", u, first.UnitTriggers[u], v)
 		}
 	}
 }
@@ -165,7 +163,6 @@ func TestTraceExportValidChromeJSON(t *testing.T) {
 
 func exportTrace(t *testing.T, compiled bool) []byte {
 	tr, pkts := goldenRouter(t)
-	c := tr.Machine.AttachCounters()
 	tr.ArmRecorder(0)
 	if compiled {
 		if err := tr.UseCompiled(); err != nil {
@@ -233,7 +230,7 @@ func exportTrace(t *testing.T, compiled bool) []byte {
 	if len(threadNames) != wantTracks {
 		t.Errorf("%d named tracks, want %d (buses + units)", len(threadNames), wantTracks)
 	}
-	if busSlices != c.EncodedTotal() || unitSlices != c.TriggerTotal() {
+	if c := tr.Machine.Counters(); busSlices != c.EncodedTotal() || unitSlices != c.TriggerTotal() {
 		t.Errorf("%d bus and %d unit slices for %d encoded moves and %d triggers",
 			busSlices, unitSlices, c.EncodedTotal(), c.TriggerTotal())
 	}

@@ -84,33 +84,13 @@ func (c StallCounters) Total() int64 {
 
 // Map returns the nonzero charges keyed by cause name — the export
 // shape used by the JSON metrics.
-func (c StallCounters) Map() map[string]int64 {
-	m := make(map[string]int64)
-	for r, v := range c {
-		if v != 0 {
-			m[StallCause(r).String()] = v
-		}
-	}
-	return m
-}
+func (c StallCounters) Map() map[string]int64 { return countMap[StallCause](c[:]) }
 
 // MarshalJSON emits the cause-name-keyed map of nonzero charges
 // (encoding/json sorts map keys, so the bytes are deterministic).
-func (c StallCounters) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.Map())
-}
+func (c StallCounters) MarshalJSON() ([]byte, error) { return json.Marshal(c.Map()) }
 
 // UnmarshalJSON accepts the cause-name-keyed map form.
 func (c *StallCounters) UnmarshalJSON(b []byte) error {
-	var m map[string]int64
-	if err := json.Unmarshal(b, &m); err != nil {
-		return err
-	}
-	*c = StallCounters{}
-	for r := StallCause(0); r < NumStallCauses; r++ {
-		if v, ok := m[r.String()]; ok {
-			c[r] = v
-		}
-	}
-	return nil
+	return unmarshalCounts[StallCause](b, c[:])
 }

@@ -2,8 +2,8 @@
 // regions, so the evaluation can report *where* a configuration spends
 // its time — the "key bottlenecks" analysis the paper's methodology is
 // for. A region is the half-open address range between two program
-// labels; cycle attribution reads the flight recorder between the
-// cycles of a stepped run.
+// labels; its cycles and moves are read off the machine's execution
+// count (tta.Count) after a run on either step path.
 package profile
 
 import (
@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"taco/internal/isa"
-	"taco/internal/obs"
 	"taco/internal/tta"
 )
 
@@ -24,16 +23,18 @@ type Region struct {
 	MovesIssued int64
 }
 
-// Profile accumulates per-region cycles for one program.
+// Profile is the per-region cycle attribution of one program.
 type Profile struct {
 	regions []Region
-	byAddr  []int // instruction address -> region index
 	total   int64
 }
 
-// New builds a profile over prog's labels. Instructions before the
-// first label belong to a synthetic "(entry)" region.
-func New(prog *isa.Program) *Profile {
+// New attributes an execution count of prog to prog's labelled
+// regions: every counted cycle to the region of the PC it issued, and
+// every move of it whose guard held to that region's MovesIssued.
+// Instructions before the first label belong to a synthetic "(entry)"
+// region; a zero Count gives every region zero cycles.
+func New(prog *isa.Program, c tta.Count) *Profile {
 	type lbl struct {
 		name string
 		addr int
@@ -48,14 +49,15 @@ func New(prog *isa.Program) *Profile {
 		}
 		return labels[i].name < labels[j].name
 	})
-	p := &Profile{byAddr: make([]int, len(prog.Ins))}
+	p := &Profile{}
+	byAddr := make([]int, len(prog.Ins)) // instruction address -> region index
 	add := func(name string, start, end int) {
 		if start >= end {
 			return
 		}
 		p.regions = append(p.regions, Region{Label: name, Start: start, End: end})
-		for a := start; a < end && a < len(p.byAddr); a++ {
-			p.byAddr[a] = len(p.regions) - 1
+		for a := start; a < end && a < len(byAddr); a++ {
+			byAddr[a] = len(p.regions) - 1
 		}
 	}
 	prev := lbl{"(entry)", 0}
@@ -74,32 +76,23 @@ func New(prog *isa.Program) *Profile {
 		prev = l
 	}
 	add(prev.name, prev.addr, len(prog.Ins))
+
+	move := 0 // flat index of the PC's first move
+	for pc, n := range c.Issued {
+		moves := len(prog.Ins[pc].Moves)
+		r := &p.regions[byAddr[pc]]
+		r.Cycles += n
+		r.MovesIssued += n * int64(moves)
+		for _, sq := range c.Squashed[move : move+moves] {
+			r.MovesIssued -= sq
+		}
+		move += moves
+		p.total += n
+	}
 	return p
 }
 
-// Hook returns the observer to hand to a stepped run (RunStepped on
-// the router or the bare machine). Every cycle is charged to the region
-// of the PC it executed — whether or not it encoded a move — and every
-// recorded move whose guard held to that region's MovesIssued.
-func (p *Profile) Hook() tta.CycleFunc {
-	return func(_ int64, pc int, events []obs.RecEvent) bool {
-		p.total++
-		if pc < 0 || pc >= len(p.byAddr) {
-			return true
-		}
-		reg := &p.regions[p.byAddr[pc]]
-		reg.Cycles++
-		for _, e := range events {
-			switch e.Kind {
-			case obs.EvMove, obs.EvTrigger, obs.EvJump, obs.EvHalt:
-				reg.MovesIssued++
-			}
-		}
-		return true
-	}
-}
-
-// Total returns the number of traced cycles.
+// Total returns the number of counted cycles.
 func (p *Profile) Total() int64 { return p.total }
 
 // Regions returns the regions sorted by descending cycle count.
@@ -112,49 +105,6 @@ func (p *Profile) Regions() []Region {
 		return out[i].Start < out[j].Start
 	})
 	return out
-}
-
-// FindRegion resolves a region query: an exact label match always
-// wins; otherwise label is treated as a substring, which must identify
-// exactly one region. Candidate labels are scanned in sorted order, so
-// a (reported) ambiguity lists them deterministically regardless of the
-// program's label layout.
-func (p *Profile) FindRegion(label string) (Region, error) {
-	var matches []Region
-	for _, r := range p.regions {
-		if r.Label == label {
-			return r, nil
-		}
-		if strings.Contains(r.Label, label) {
-			matches = append(matches, r)
-		}
-	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i].Label < matches[j].Label })
-	switch len(matches) {
-	case 0:
-		return Region{}, fmt.Errorf("profile: no region matches %q", label)
-	case 1:
-		return matches[0], nil
-	}
-	labels := make([]string, len(matches))
-	for i, r := range matches {
-		labels[i] = r.Label
-	}
-	return Region{}, fmt.Errorf("profile: %q is ambiguous: matches %s",
-		label, strings.Join(labels, ", "))
-}
-
-// RegionCycles returns the cycle count for a named region — exact label
-// match first, then a substring match that must be unique (see
-// FindRegion). It returns 0 when the query matches no region or is
-// ambiguous, so an imprecise query can never silently return the wrong
-// region's cycles.
-func (p *Profile) RegionCycles(label string) int64 {
-	r, err := p.FindRegion(label)
-	if err != nil {
-		return 0
-	}
-	return r.Cycles
 }
 
 // String renders the profile as a table.

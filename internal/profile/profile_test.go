@@ -20,8 +20,8 @@ type progT = isa.Program
 func newProg() *progT           { return isa.NewProgram() }
 func emptyIns() isa.Instruction { return isa.Instruction{} }
 
-// profiledRouter forwards 16 datagrams through a stepped run on the
-// interpreter with a profile reading the recorder between cycles.
+// profiledRouter forwards 16 datagrams through a batch run on the
+// interpreter and profiles the machine's execution count.
 func profiledRouter(t *testing.T, kind rtable.Kind, cfg fu.Config, entries int) (*router.TACO, *Profile) {
 	t.Helper()
 	return profiledRouterOn(t, kind, cfg, entries, false)
@@ -38,13 +38,11 @@ func profiledRouterOn(t *testing.T, kind rtable.Kind, cfg fu.Config, entries int
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.ArmRecorder(0)
 	if compiled {
 		if err := tr.UseCompiled(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p := New(tr.Sched.Program)
 	pkts, err := workload.GenerateTraffic(routes, workload.PaperTrafficSpec(16))
 	if err != nil {
 		t.Fatal(err)
@@ -52,17 +50,29 @@ func profiledRouterOn(t *testing.T, kind rtable.Kind, cfg fu.Config, entries int
 	for i, pk := range pkts {
 		tr.Deliver(i%4, linecard.Datagram{Data: pk.Data, Seq: pk.Seq})
 	}
-	if _, err := tr.RunStepped(int64(len(pkts)), 10_000_000, p.Hook()); err != nil {
+	if err := tr.Run(int64(len(pkts)), 10_000_000); err != nil {
 		t.Fatal(err)
 	}
-	return tr, p
+	return tr, New(tr.Sched.Program, tr.Machine.Count())
+}
+
+// region returns the region labelled exactly label.
+func region(t *testing.T, p *Profile, label string) Region {
+	t.Helper()
+	for _, r := range p.Regions() {
+		if r.Label == label {
+			return r
+		}
+	}
+	t.Fatalf("no region labelled %q in\n%s", label, p)
+	return Region{}
 }
 
 // TestProfileAccountsEveryCycle: on both step paths every executed
 // cycle lands in exactly one region, every executed move is counted,
 // and the two paths yield the same table — for a forwarding run, and
 // for testdata/trace/loop.tasm, whose "done" region starts with a cycle
-// that encodes no move (and so records no event).
+// that encodes no move.
 func TestProfileAccountsEveryCycle(t *testing.T) {
 	check := func(t *testing.T, p *Profile, st tta.Stats) string {
 		t.Helper()
@@ -102,23 +112,22 @@ func TestProfileAccountsEveryCycle(t *testing.T) {
 		if err := m.Load(prog); err != nil {
 			t.Fatal(err)
 		}
-		m.AttachRecorder(0)
-		run := m.RunStepped
+		run := m.Run
 		if compiled {
 			cm, err := tta.Compile(m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			run = cm.RunStepped
+			run = cm.Run
 		}
-		p = New(prog)
-		if _, _, err := run(1000, p.Hook()); err != nil {
+		if _, err := run(1000); err != nil {
 			t.Fatal(err)
 		}
+		p = New(prog, m.Count())
 		loop[i] = check(t, p, m.Stats())
 		// done = nop + move + halt: three cycles, two executed moves.
-		if r, err := p.FindRegion("done"); err != nil || r.Cycles != 3 || r.MovesIssued != 2 {
-			t.Errorf("compiled=%t: done region = %+v (%v), want 3 cycles and 2 moves", compiled, r, err)
+		if r := region(t, p, "done"); r.Cycles != 3 || r.MovesIssued != 2 {
+			t.Errorf("compiled=%t: done region = %+v, want 3 cycles and 2 moves", compiled, r)
 		}
 	}
 	if router[0] != router[1] || loop[0] != loop[1] {
@@ -132,7 +141,7 @@ func TestProfileAccountsEveryCycle(t *testing.T) {
 // dominates the per-datagram cycles.
 func TestSequentialBottleneckIsTheScan(t *testing.T) {
 	_, p := profiledRouter(t, rtable.Sequential, fu.Config1Bus1FU(rtable.Sequential), 100)
-	scan := p.RegionCycles("seqloop")
+	scan := region(t, p, "seqloop").Cycles
 	if scan == 0 {
 		t.Fatal("no cycles attributed to the scan loop")
 	}
@@ -145,7 +154,7 @@ func TestSequentialBottleneckIsTheScan(t *testing.T) {
 // wait loop and the fixed per-datagram work dominates instead.
 func TestCAMBottleneckIsNotTheLookup(t *testing.T) {
 	_, p := profiledRouter(t, rtable.CAM, fu.Config3Bus1FU(rtable.CAM), 100)
-	wait := p.RegionCycles("camwait")
+	wait := region(t, p, "camwait").Cycles
 	if frac := float64(wait) / float64(p.Total()); frac > 0.5 {
 		t.Errorf("CAM wait is %.0f%% of cycles; lookup should no longer dominate", frac*100)
 	}
@@ -162,8 +171,7 @@ func TestProfileString(t *testing.T) {
 }
 
 func TestRegionsCoverProgram(t *testing.T) {
-	tr, _ := profiledRouter(t, rtable.CAM, fu.Config1Bus1FU(rtable.CAM), 10)
-	p := New(tr.Sched.Program)
+	tr, p := profiledRouter(t, rtable.CAM, fu.Config1Bus1FU(rtable.CAM), 10)
 	covered := make([]bool, len(tr.Sched.Program.Ins))
 	for _, r := range p.Regions() {
 		for a := r.Start; a < r.End; a++ {
@@ -186,65 +194,15 @@ func TestColocatedLabels(t *testing.T) {
 	prog := isaProgram(6, map[string]int{
 		"a": 0, "b": 0, "x": 3, "y": 3,
 	})
-	p := New(prog)
+	p := New(prog, tta.Count{})
 	regions := p.Regions()
-	if len(regions) != 2 {
+	if len(regions) != 2 || regions[0].Label != "a/b" || regions[1].Label != "x/y" {
 		t.Fatalf("%d regions: %+v", len(regions), regions)
 	}
 	for _, r := range regions {
-		if r.Label == "" {
-			t.Error("empty region label")
+		if r.Cycles != 0 || r.MovesIssued != 0 { // nothing counted
+			t.Errorf("phantom cycles in %+v", r)
 		}
-	}
-	if p.RegionCycles("x") != 0 { // nothing traced yet
-		t.Error("phantom cycles")
-	}
-}
-
-// TestRegionLookupDeterminism is the regression test for the fuzzy
-// region query: an exact match must win even when it is a substring of
-// other labels, and an ambiguous substring must be rejected instead of
-// silently resolving to an arbitrary region.
-func TestRegionLookupDeterminism(t *testing.T) {
-	prog := isaProgram(8, map[string]int{
-		"lookup":      0, // exact label, also a substring of the next two
-		"lookup_fast": 2,
-		"lookup_slow": 4,
-		"store":       6,
-	})
-	p := New(prog)
-
-	// Exact match beats the substring fallback.
-	r, err := p.FindRegion("lookup")
-	if err != nil {
-		t.Fatalf("FindRegion(lookup): %v", err)
-	}
-	if r.Label != "lookup" || r.Start != 0 || r.End != 2 {
-		t.Fatalf("FindRegion(lookup) = %+v, want the exact region [0,2)", r)
-	}
-
-	// A unique substring resolves.
-	r, err = p.FindRegion("slow")
-	if err != nil {
-		t.Fatalf("FindRegion(slow): %v", err)
-	}
-	if r.Label != "lookup_slow" {
-		t.Fatalf("FindRegion(slow) = %q, want lookup_slow", r.Label)
-	}
-
-	// An ambiguous substring errors, listing candidates in sorted order.
-	if _, err := p.FindRegion("lookup_"); err == nil {
-		t.Fatal("FindRegion(lookup_) resolved an ambiguous query")
-	} else if want := "lookup_fast, lookup_slow"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("ambiguity error %q does not list %q", err, want)
-	}
-	if got := p.RegionCycles("lookup_"); got != 0 {
-		t.Fatalf("RegionCycles(ambiguous) = %d, want 0", got)
-	}
-
-	// A miss errors (and reports 0 cycles).
-	if _, err := p.FindRegion("nosuch"); err == nil {
-		t.Fatal("FindRegion(nosuch) succeeded")
 	}
 }
 

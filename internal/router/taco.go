@@ -112,7 +112,7 @@ func (t *TACO) Recorder() *obs.FlightRecorder { return t.Machine.Recorder }
 // capacity is retained, making the steady-state simulate loop
 // allocation-free apart from the datagram payloads themselves.
 func (t *TACO) Reset() {
-	t.Machine.Reset() // also zeroes attached obs counters
+	t.Machine.Reset() // also restarts the execution count
 	t.Bank.Reset()    // also zeroes card stats incl. high-water marks
 	t.stalls = obs.StallCounters{}
 	if t.audit != nil {

@@ -97,17 +97,11 @@ type cmove struct {
 	op      uint8
 	neg0    bool
 
-	// Getter and error-path fields. srcSock/srcResUnit are also read on
-	// the hot paths, but only when counters are attached.
+	// Getter and error-path fields.
 	guard   []cterm
 	srcGet  func() uint32
 	errs    *cmoveErrs
 	sockIdx int32 // destination SocketID-1 (conflict stamp index)
-	// Counter indices: srcSock is the source SocketID-1 (heatmap; valid
-	// when the source is a readable socket), srcResUnit the source unit
-	// when the source socket is a Result, else -1.
-	srcSock    int32
-	srcResUnit int32
 	// Flight-recorder codes, valid for every move (including ones whose
 	// source or destination is invalid): recSrc is -1 for immediates
 	// else the raw source SocketID, recDst the raw destination SocketID
@@ -144,13 +138,11 @@ type cwrite struct {
 // identical values after every compiled cycle, and the two step paths
 // may be interleaved freely.
 //
-// Counters are native: when a *obs.Counters is attached the fast path
-// records per-bus occupancy, per-FU trigger/result counts and the
-// socket heatmap itself, at the same points and in the same order as
-// the interpreter, so compiled-with-counters is bit-identical to
-// interpreted-with-counters — and still compiled. The flight recorder
-// is native the same way, so no observer ever makes a compiled machine
-// execute a cycle through the interpreter.
+// The execution count is native: the fast path counts each completed
+// cycle against its PC and each guard-failed move against its flat
+// index — the same cycles and moves the interpreter counts. The flight
+// recorder is native the same way, so no observer ever makes a
+// compiled machine execute a cycle through the interpreter.
 type CompiledMachine struct {
 	m    *Machine
 	prog *isa.Program
@@ -289,7 +281,7 @@ func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction, start int
 	moves := c.moves[start : start+len(in.Moves)]
 	for bus, mv := range in.Moves {
 		cm := &moves[bus]
-		*cm = cmove{srcResUnit: -1, recSrc: recSrcCode(mv.Src), recDst: int32(mv.Dst)}
+		*cm = cmove{recSrc: recSrcCode(mv.Src), recDst: int32(mv.Dst)}
 		if len(mv.Guard.Terms) > 0 {
 			cm.flags |= fGuarded
 		}
@@ -333,10 +325,6 @@ func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction, start int
 					pc, bus, ref.name, ref.kind)
 			default:
 				cm.srcReg, cm.srcGet = ref.reg, ref.get
-				cm.srcSock = int32(mv.Src.Socket - 1)
-				if ref.kind == Result {
-					cm.srcResUnit = int32(ref.unit)
-				}
 			}
 		}
 		ref := m.destRef(mv.Dst)
@@ -395,7 +383,8 @@ func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction, start int
 func (c *CompiledMachine) Machine() *Machine { return c.m }
 
 // Step executes one cycle through the pre-lowered schedule, mirroring
-// Machine.Step bit for bit — counters and recorder events included.
+// Machine.Step bit for bit — execution count and recorder events
+// included.
 func (c *CompiledMachine) Step() error {
 	_, err := c.RunToPC(-1, 1)
 	return err
@@ -456,13 +445,10 @@ func (c *CompiledMachine) RunToPC(stopPC int, maxSteps int64) (int64, error) {
 	lags := c.lags
 	lastClock := c.lastClock
 	wakeSeen := c.wakeSeen
-	// Counters are recorded inline at the interpreter's exact counting
-	// points (see Machine.Step): encoded slots after guard evaluation,
-	// executed/read counts before destination validation, socket writes
-	// after the conflict check, triggers after the double-trigger check,
-	// cycles only for fully completed cycles. ctrs == nil is the common
-	// disabled case and costs one predictable branch per move.
-	ctrs := m.Counters
+	// The execution count: a guard failure is counted and stamped at
+	// once, the PC when its cycle completes; a failed cycle is uncounted
+	// on exit (see Machine.Step).
+	issued, squashed, sqStamp := m.issued, m.squashed, m.sqStamp
 	// The flight recorder is native here too, recording at the
 	// interpreter's exact event points so an armed recorder sees a
 	// bit-identical stream on either path. rec == nil is the common
@@ -479,6 +465,7 @@ loop:
 		if stamp == 0 {
 			clear(m.trigStamp)
 			clear(m.wrStamp)
+			clear(m.sqStamp)
 			stamp = 1
 		}
 		if rec != nil {
@@ -498,9 +485,8 @@ loop:
 			fl := mv.flags
 			if fl&fGuarded != 0 && mv.flag0 != nil {
 				if *mv.flag0 == mv.neg0 {
-					if ctrs != nil {
-						ctrs.BusEncoded[mi-ci.start]++
-					}
+					squashed[mi]++
+					sqStamp[mi] = stamp
 					if rec != nil {
 						rec.Record(obs.RecEvent{Kind: obs.EvGuardFalse, PC: int32(pc),
 							Bus: int16(mi - ci.start), Src: mv.recSrc, Dst: mv.recDst})
@@ -515,19 +501,6 @@ loop:
 					val = *mv.srcReg
 				} else {
 					val = mv.srcGet()
-				}
-				if ctrs != nil {
-					bus := mi - ci.start
-					ctrs.BusEncoded[bus]++
-					ctrs.BusExecuted[bus]++
-					ctrs.SocketReads[mv.srcSock]++
-					if mv.srcResUnit >= 0 {
-						ctrs.UnitResults[mv.srcResUnit]++
-					}
-					ctrs.SocketWrites[mv.sockIdx]++
-					if mv.op == opTrigger {
-						ctrs.UnitTriggers[mv.unitIdx]++
-					}
 				}
 				if rec != nil {
 					k := obs.EvMove
@@ -547,15 +520,6 @@ loop:
 				continue
 			}
 			if fl == fImm {
-				if ctrs != nil {
-					bus := mi - ci.start
-					ctrs.BusEncoded[bus]++
-					ctrs.BusExecuted[bus]++
-					ctrs.SocketWrites[mv.sockIdx]++
-					if mv.op == opTrigger {
-						ctrs.UnitTriggers[mv.unitIdx]++
-					}
-				}
 				if rec != nil {
 					k := obs.EvMove
 					if mv.op == opTrigger {
@@ -593,9 +557,8 @@ loop:
 					}
 				}
 				if !executed {
-					if ctrs != nil {
-						ctrs.BusEncoded[mi-ci.start]++
-					}
+					squashed[mi]++
+					sqStamp[mi] = stamp
 					if rec != nil {
 						rec.Record(obs.RecEvent{Kind: obs.EvGuardFalse, PC: int32(pc),
 							Bus: int16(mi - ci.start), Src: mv.recSrc, Dst: mv.recDst})
@@ -615,17 +578,6 @@ loop:
 					val = mv.srcGet()
 				}
 			}
-			if ctrs != nil {
-				bus := mi - ci.start
-				ctrs.BusEncoded[bus]++
-				ctrs.BusExecuted[bus]++
-				if mv.flags&fImm == 0 {
-					ctrs.SocketReads[mv.srcSock]++
-					if mv.srcResUnit >= 0 {
-						ctrs.UnitResults[mv.srcResUnit]++
-					}
-				}
-			}
 			if mv.op == opDstErr {
 				retErr = errors.New(mv.errs.dstErr)
 				break loop
@@ -637,12 +589,6 @@ loop:
 				}
 				m.wrStamp[mv.sockIdx] = stamp
 			}
-			if ctrs != nil {
-				// The interpreter counts the destination write after the
-				// conflict check but before the result-write / trigger
-				// errors, controller destinations included.
-				ctrs.SocketWrites[mv.sockIdx]++
-			}
 			switch mv.op {
 			case opWrite, opTrigger:
 				if mv.flags&fCheckTr != 0 {
@@ -651,9 +597,6 @@ loop:
 						break loop
 					}
 					m.trigStamp[mv.unitIdx] = stamp
-				}
-				if ctrs != nil && mv.op == opTrigger {
-					ctrs.UnitTriggers[mv.unitIdx]++
 				}
 				if rec != nil {
 					k := obs.EvMove
@@ -728,6 +671,7 @@ loop:
 
 		cycles++
 		encoded += ci.n
+		issued[pc]++
 		if haltReq {
 			halted = true
 		}
@@ -752,14 +696,10 @@ loop:
 	m.stats.SlotsTotal += cycles * int64(m.buses)
 	m.stats.SlotsEncoded += encoded
 	m.stats.MovesExecuted += moved
-	if ctrs != nil {
-		// Only fully completed cycles count, exactly as the interpreter
-		// increments Counters.Cycles after its units clock successfully.
-		ctrs.Cycles += cycles
-	}
 	c.active = active
 	c.lastCycles = m.stats.Cycles
 	if retErr != nil {
+		m.uncount(pc, stamp)
 		// A mid-cycle abort may have clocked some units of an uncounted
 		// cycle; discard the idle/lastClock caches rather than reason
 		// about the partial state.

@@ -12,6 +12,7 @@ package tta
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"taco/internal/isa"
 	"taco/internal/obs"
@@ -236,19 +237,24 @@ type Machine struct {
 
 	stats Stats
 
-	// Counters, when non-nil, receives per-bus, per-unit and per-socket
-	// activity counts every cycle. A nil sink costs one pointer check
-	// per cycle; see AttachCounters.
-	Counters *obs.Counters
+	// The execution count over the loaded program (see Count): issued
+	// per PC, squashed per static move in flat program order, moveBase
+	// each PC's first flat move index. A guard failure is counted at
+	// once and stamped with its cycle (sqStamp, like wrStamp below), so
+	// a cycle that ends in an error can take it back (uncount).
+	issued   []int64
+	squashed []int64
+	sqStamp  []uint32
+	moveBase []int32
 
 	// Recorder, when non-nil, receives one flight-recorder event per
 	// encoded move (and control-flow event) — the machine's black box.
 	// Both step paths record natively at the same points, so the event
 	// stream is bit-identical between the interpreter and the compiled
 	// fast path. A nil recorder costs one pointer check per move; see
-	// AttachRecorder. It is the only per-move sink: everything that wants
-	// to see moves (stall bundles, replay, traces, the profiler) reads it,
-	// between cycles when it needs them one cycle at a time (RunStepped).
+	// AttachRecorder. It is the only per-move stream: everything that
+	// wants to see moves (stall bundles, replay, traces) reads it, between
+	// cycles when it needs them one cycle at a time (RunStepped).
 	Recorder *obs.FlightRecorder
 
 	// cycleEvents is StepObserved's scratch: the events of the cycle just
@@ -529,6 +535,15 @@ func (m *Machine) Load(p *isa.Program) error {
 	m.prog = p
 	m.pc = 0
 	m.halted = false
+	m.issued = make([]int64, len(p.Ins))
+	m.squashed = make([]int64, p.MoveCount())
+	m.sqStamp = make([]uint32, p.MoveCount())
+	m.moveBase = make([]int32, len(p.Ins))
+	base := 0
+	for pc, in := range p.Ins {
+		m.moveBase[pc] = int32(base)
+		base += len(in.Moves)
+	}
 	return nil
 }
 
@@ -541,20 +556,85 @@ func (m *Machine) Reset() {
 	m.halted = false
 	m.stats = Stats{}
 	m.resetGen++
-	if m.Counters != nil {
-		m.Counters.Reset()
-	}
+	m.AttachCounters() // restart the execution count
 	if m.Recorder != nil {
 		m.Recorder.Reset()
 	}
 }
 
-// AttachCounters installs (and returns) a counters sink sized for this
-// machine's buses, units and sockets. Passing the result to obs-aware
-// reporting code is the caller's business; the machine only fills it.
-func (m *Machine) AttachCounters() *obs.Counters {
-	m.Counters = obs.NewCounters(m.buses, len(m.units), len(m.sockets))
-	return m.Counters
+// AttachCounters restarts the execution count, so Count and Counters
+// report only the cycles run from here on. Counting itself is always
+// on: Load and Reset restart it too.
+func (m *Machine) AttachCounters() {
+	clear(m.issued)
+	clear(m.squashed)
+}
+
+// Count is a machine's execution count over its loaded program. For a
+// static move schedule every per-bus, per-unit and per-socket aggregate
+// — and every region of a cycle profile — is a linear function of it.
+// A cycle that ends in an error counts nothing.
+type Count struct {
+	// Issued holds, per PC, the completed cycles that issued it.
+	Issued []int64
+	// Squashed holds, per static move, the completed cycles in which its
+	// guard failed. A move's index is its flat position in program order
+	// (instruction by instruction, bus by bus).
+	Squashed []int64
+}
+
+// Count returns a copy of the execution count since Load, Reset or
+// AttachCounters.
+func (m *Machine) Count() Count {
+	return Count{Issued: slices.Clone(m.issued), Squashed: slices.Clone(m.squashed)}
+}
+
+// Counters derives the per-bus, per-unit and per-socket activity of the
+// counted cycles in one pass over the loaded program: each move of an
+// issued instruction occupies its bus, and each one whose guard held
+// reads its source socket, writes its destination and, through a
+// trigger socket, starts its unit.
+func (m *Machine) Counters() *obs.Counters {
+	c := obs.NewCounters(m.buses, len(m.units), len(m.sockets))
+	if m.prog == nil {
+		return c
+	}
+	for pc, in := range m.prog.Ins {
+		n := m.issued[pc]
+		c.Cycles += n
+		for bus, mv := range in.Moves {
+			c.BusEncoded[bus] += n
+			// A move that executes with a bad socket fails its cycle, so a
+			// nonzero e always names valid sockets.
+			e := n - m.squashed[int(m.moveBase[pc])+bus]
+			if e == 0 {
+				continue
+			}
+			c.BusExecuted[bus] += e
+			if !mv.Src.Imm {
+				c.SocketReads[mv.Src.Socket-1] += e
+				if src := &m.sockets[mv.Src.Socket-1]; src.kind == Result {
+					c.UnitResults[src.unit] += e
+				}
+			}
+			c.SocketWrites[mv.Dst-1] += e
+			if dst := &m.sockets[mv.Dst-1]; dst.unit >= 0 && dst.kind == Trigger {
+				c.UnitTriggers[dst.unit] += e
+			}
+		}
+	}
+	return c
+}
+
+// uncount takes back the guard failures counted at pc in the cycle
+// stamped stamp, which ended in an error: a failed cycle counts nothing.
+func (m *Machine) uncount(pc int, stamp uint32) {
+	base := int(m.moveBase[pc])
+	for i := base; i < base+len(m.prog.Ins[pc].Moves); i++ {
+		if m.sqStamp[i] == stamp {
+			m.squashed[i]--
+		}
+	}
 }
 
 // AttachRecorder installs (and returns) a flight recorder retaining the
@@ -618,7 +698,7 @@ func (m *Machine) guardHolds(g isa.Guard) (bool, error) {
 
 // Step executes one cycle. Running past the end of the program halts the
 // machine, as does a write to nc.halt.
-func (m *Machine) Step() error {
+func (m *Machine) Step() (err error) {
 	if m.halted {
 		return nil
 	}
@@ -645,8 +725,14 @@ func (m *Machine) Step() error {
 	if m.stamp == 0 {
 		clear(m.trigStamp)
 		clear(m.wrStamp)
+		clear(m.sqStamp)
 		m.stamp = 1
 	}
+	defer func() { // a cycle that ends in an error counts nothing
+		if err != nil {
+			m.uncount(m.pc, m.stamp)
+		}
+	}()
 
 	rec := m.Recorder
 	if rec != nil {
@@ -665,19 +751,10 @@ func (m *Machine) Step() error {
 				return fmt.Errorf("tta: pc %d bus %d: %w", m.pc, bus, err)
 			}
 		}
-		if c := m.Counters; c != nil {
-			c.BusEncoded[bus]++
-			if executed {
-				c.BusExecuted[bus]++
-				if !mv.Src.Imm {
-					c.SocketReads[mv.Src.Socket-1]++
-					if src := m.sockets[mv.Src.Socket-1]; src.kind == Result {
-						c.UnitResults[src.unit]++
-					}
-				}
-			}
-		}
 		if !executed {
+			i := m.moveBase[m.pc] + int32(bus)
+			m.squashed[i]++
+			m.sqStamp[i] = m.stamp
 			if rec != nil {
 				rec.Record(obs.RecEvent{Kind: obs.EvGuardFalse, PC: int32(m.pc),
 					Bus: int16(bus), Src: recSrcCode(mv.Src), Dst: int32(mv.Dst)})
@@ -691,9 +768,6 @@ func (m *Machine) Step() error {
 			return fmt.Errorf("tta: pc %d: conflicting writes to %s", m.pc, m.SocketName(mv.Dst))
 		}
 		m.wrStamp[mv.Dst-1] = m.stamp
-		if c := m.Counters; c != nil {
-			c.SocketWrites[mv.Dst-1]++
-		}
 		ref := &m.sockets[mv.Dst-1]
 		switch {
 		case ref.unit < 0: // controller
@@ -722,9 +796,6 @@ func (m *Machine) Step() error {
 						m.pc, m.units[ref.unit].Ports().Name)
 				}
 				m.trigStamp[ref.unit] = m.stamp
-				if c := m.Counters; c != nil {
-					c.UnitTriggers[ref.unit]++
-				}
 				if rec != nil {
 					rec.Record(obs.RecEvent{Kind: obs.EvTrigger, PC: int32(m.pc), Bus: int16(bus),
 						Src: recSrcCode(mv.Src), Dst: int32(mv.Dst), Value: val})
@@ -751,9 +822,7 @@ func (m *Machine) Step() error {
 	m.stats.Cycles++
 	m.stats.SlotsTotal += int64(m.buses)
 	m.stats.SlotsEncoded += int64(len(in.Moves))
-	if c := m.Counters; c != nil {
-		c.Cycles++
-	}
+	m.issued[m.pc]++
 
 	if haltReq {
 		m.halted = true

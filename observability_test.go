@@ -13,17 +13,20 @@ import (
 	"testing"
 
 	"taco/internal/fu"
+	"taco/internal/isa"
 	"taco/internal/linecard"
 	"taco/internal/obs"
+	"taco/internal/profile"
 	"taco/internal/router"
 	"taco/internal/rtable"
+	"taco/internal/tta"
 	"taco/internal/workload"
 )
 
-// TestCompiledCountersDifferential attaches obs counters to both step
-// paths on every Table 1 instance over the golden corpus (clean plus
-// fault-mutated traffic) and requires bit-identical counter state,
-// latency histograms and stall attribution.
+// TestCompiledCountersDifferential derives obs counters from both step
+// paths' execution counts on every Table 1 instance over the golden
+// corpus (clean plus fault-mutated traffic) and requires bit-identical
+// counter state, latency histograms and stall attribution.
 func TestCompiledCountersDifferential(t *testing.T) {
 	routes := workload.GenerateRoutes(workload.TableSpec{Entries: 100, Ifaces: 4, Seed: 2003})
 	pkts := goldenCorpus(t, routes, 24)
@@ -33,8 +36,6 @@ func TestCompiledCountersDifferential(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", kind, cfg.Name), func(t *testing.T) {
 				trI := buildRouter(t, kind, cfg, routes)
 				trC := buildRouter(t, kind, cfg, routes)
-				cI := trI.Machine.AttachCounters()
-				cC := trC.Machine.AttachCounters()
 				if err := trC.UseCompiled(); err != nil {
 					t.Fatal(err)
 				}
@@ -54,6 +55,7 @@ func TestCompiledCountersDifferential(t *testing.T) {
 					if err := trC.Run(delivered, 20_000_000); err != nil {
 						t.Fatalf("batch %d compiled: %v", batch, err)
 					}
+					cI, cC := trI.Machine.Counters(), trC.Machine.Counters()
 					if !reflect.DeepEqual(cC, cI) {
 						t.Fatalf("batch %d: counters differ:\ncompiled:    %+v\ninterpreted: %+v", batch, cC, cI)
 					}
@@ -69,6 +71,92 @@ func TestCompiledCountersDifferential(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestCountsMatchRecorderTally is the oracle for the execution count:
+// on every Table 1 instance and both step paths, the counters derived
+// from it and every region of the cycle profile built from it must
+// equal an independent tally of the flight-recorder stream of a stepped
+// run — each completed cycle charged to its PC, each move event to its
+// bus, source and destination.
+func TestCountsMatchRecorderTally(t *testing.T) {
+	routes := workload.GenerateRoutes(workload.TableSpec{Entries: 100, Ifaces: 4, Seed: 2003})
+	pkts := goldenCorpus(t, routes, 24)
+	for _, kind := range []rtable.Kind{rtable.Sequential, rtable.BalancedTree, rtable.CAM} {
+		for _, cfg := range fu.PaperConfigs(kind) {
+			for _, compiled := range []bool{false, true} {
+				kind, cfg, compiled := kind, cfg, compiled
+				t.Run(fmt.Sprintf("%s/%s/compiled=%t", kind, cfg.Name, compiled), func(t *testing.T) {
+					tr := buildRouter(t, kind, cfg, routes)
+					tr.ArmRecorder(0)
+					if compiled {
+						if err := tr.UseCompiled(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					m := tr.Machine
+					want := obs.NewCounters(m.Buses(), m.UnitCount(), m.SocketCount())
+					prog := tr.Sched.Program
+					cycles := make([]int64, len(prog.Ins))
+					moves := make([]int64, len(prog.Ins))
+					unit := func(id int32) int { u, _ := m.SocketUnit(isa.SocketID(id)); return u }
+					tally := func(_ int64, pc int, events []obs.RecEvent) bool {
+						want.Cycles++
+						cycles[pc]++
+						for _, e := range events {
+							switch e.Kind {
+							case obs.EvGuardFalse:
+								want.BusEncoded[e.Bus]++
+							case obs.EvMove, obs.EvTrigger, obs.EvJump, obs.EvHalt:
+								moves[pc]++
+								want.BusEncoded[e.Bus]++
+								want.BusExecuted[e.Bus]++
+								if e.Src >= 0 {
+									want.SocketReads[e.Src-1]++
+									if k, _ := m.SocketKindOf(isa.SocketID(e.Src)); k == tta.Result {
+										want.UnitResults[unit(e.Src)]++
+									}
+								}
+								want.SocketWrites[e.Dst-1]++
+								if e.Kind == obs.EvTrigger {
+									want.UnitTriggers[unit(e.Dst)]++
+								}
+							}
+						}
+						return true
+					}
+					delivered := int64(0)
+					for j, p := range pkts {
+						if tr.Deliver(j%4, linecard.Datagram{Data: p.Data, Seq: p.Seq}) {
+							delivered++
+						}
+					}
+					if _, err := tr.RunStepped(delivered, 20_000_000, tally); err != nil {
+						t.Fatal(err)
+					}
+					if want.Cycles == 0 || want.ExecutedTotal() == want.EncodedTotal() {
+						t.Fatalf("tally of %d cycles has no guard-failed move: nothing to check", want.Cycles)
+					}
+					if got := m.Counters(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("derived counters differ from the recorder tally:\nderived: %+v\ntally:   %+v", got, want)
+					}
+					p := profile.New(prog, m.Count())
+					if p.Total() != want.Cycles {
+						t.Errorf("profile total %d, tally %d cycles", p.Total(), want.Cycles)
+					}
+					for _, r := range p.Regions() {
+						var c, mv int64
+						for pc := r.Start; pc < r.End; pc++ {
+							c, mv = c+cycles[pc], mv+moves[pc]
+						}
+						if r.Cycles != c || r.MovesIssued != mv {
+							t.Errorf("region %s: %d cycles, %d moves; tally %d, %d", r.Label, r.Cycles, r.MovesIssued, c, mv)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -97,11 +185,10 @@ func TestResetClearsObservability(t *testing.T) {
 	kind, cfg := rtable.BalancedTree, fu.Config3Bus1FU(rtable.BalancedTree)
 
 	tr := buildRouter(t, kind, cfg, routes)
-	c := tr.Machine.AttachCounters()
 	if err := obsRun(tr, pkts, 20_000_000); err != nil {
 		t.Fatal(err)
 	}
-	referenceCycles := c.Cycles
+	referenceCycles := tr.Machine.Counters().Cycles
 	referenceHist := *tr.LatencyHist()
 
 	// Stall the second batch to dirty the watchdog counters and drive
@@ -115,7 +202,7 @@ func TestResetClearsObservability(t *testing.T) {
 	}
 
 	tr.Reset()
-	if c.Cycles != 0 || c.EncodedTotal() != 0 || c.TriggerTotal() != 0 {
+	if c := tr.Machine.Counters(); c.Cycles != 0 || c.EncodedTotal() != 0 || c.TriggerTotal() != 0 {
 		t.Errorf("Reset left counters: cycles=%d encoded=%d triggers=%d",
 			c.Cycles, c.EncodedTotal(), c.TriggerTotal())
 	}
@@ -136,7 +223,7 @@ func TestResetClearsObservability(t *testing.T) {
 	if err := obsRun(tr, pkts, 20_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if c.Cycles != referenceCycles {
+	if c := tr.Machine.Counters(); c.Cycles != referenceCycles {
 		t.Errorf("post-reset batch ran %d cycles, first ran %d", c.Cycles, referenceCycles)
 	}
 	if got := *tr.LatencyHist(); got != referenceHist {

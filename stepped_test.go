@@ -1,6 +1,6 @@
 // The cycle-stepped run loop against the batch one. RunStepped is what
-// every per-move consumer drives (tacoreplay -step, -trace, -trace-out,
-// -profile), so on every Table 1 cell and both step paths it must be
+// every per-move consumer drives (tacoreplay -step, -trace, -trace-out),
+// so on every Table 1 cell and both step paths it must be
 // Run in every observable, and what it reports cycle by cycle must be
 // the batch run's recorder tail, cut at the cycle boundaries.
 package taco_test
