@@ -1,10 +1,9 @@
 // Package fault is the repository's deterministic fault-injection
 // layer: seeded, composable datagram mutators that turn a well-formed
 // workload into adversarial traffic, link-fault schedules (flaps, loss,
-// corruption) for the line cards, RIPng peer faults (dropped, delayed,
-// duplicated updates and metric-16 poison storms), and seeded soak
-// campaigns that drive the golden and TACO routers differentially over
-// all of it.
+// corruption) for the line cards, metric-16 RIPng poison storms, and
+// seeded soak campaigns that drive the golden and TACO routers
+// differentially over all of it.
 //
 // Everything here is reproducible: the same seed and call order produce
 // the same faults, so a failing campaign is a test case, not a shrug.

@@ -97,99 +97,6 @@ func (l *Link) Stats() LinkStats {
 	return l.stats
 }
 
-// PeerFaultStats counts what a faulty peer link did to RIPng updates.
-type PeerFaultStats struct {
-	Passed     int64
-	Dropped    int64
-	Duplicated int64
-	Delayed    int64
-	Released   int64
-}
-
-// PeerFault degrades the RIPng control channel between two engines:
-// updates are dropped, duplicated, or held back for a bounded number of
-// ticks before delivery — the misbehaving-neighbour model the protocol's
-// timers and poisoned reverse must survive.
-type PeerFault struct {
-	// Drop, Dup, Delay are per-packet probabilities.
-	Drop, Dup, Delay float64
-	// MaxDelayTicks bounds how long a delayed update is held (≥1 when
-	// Delay fires; 0 disables delaying regardless of Delay).
-	MaxDelayTicks int
-
-	rng     *workload.RNG
-	pending []delayedPacket
-	stats   PeerFaultStats
-}
-
-type delayedPacket struct {
-	due ripng.Clock
-	op  ripng.OutPacket
-}
-
-// NewPeerFault returns a seeded peer-fault filter with no faults
-// configured.
-func NewPeerFault(seed uint64) *PeerFault {
-	return &PeerFault{rng: workload.NewRNG(seed)}
-}
-
-// Filter passes a batch of outgoing RIPng packets through the fault
-// model at the given time: due delayed packets are released first (in
-// the order they were held), then each new packet is dropped, delayed,
-// or passed — and possibly duplicated. A nil *PeerFault passes the
-// batch through untouched.
-func (p *PeerFault) Filter(now ripng.Clock, ops []ripng.OutPacket) []ripng.OutPacket {
-	if p == nil {
-		return ops
-	}
-	var out []ripng.OutPacket
-	keep := p.pending[:0]
-	for _, d := range p.pending {
-		if d.due <= now {
-			out = append(out, d.op)
-			p.stats.Released++
-		} else {
-			keep = append(keep, d)
-		}
-	}
-	p.pending = keep
-	for _, op := range ops {
-		switch {
-		case p.Drop > 0 && p.rng.Float64() < p.Drop:
-			p.stats.Dropped++
-			continue
-		case p.MaxDelayTicks > 0 && p.Delay > 0 && p.rng.Float64() < p.Delay:
-			due := now + 1 + ripng.Clock(p.rng.Intn(p.MaxDelayTicks))
-			p.pending = append(p.pending, delayedPacket{due: due, op: op})
-			p.stats.Delayed++
-			continue
-		}
-		out = append(out, op)
-		p.stats.Passed++
-		if p.Dup > 0 && p.rng.Float64() < p.Dup {
-			out = append(out, op)
-			p.stats.Duplicated++
-		}
-	}
-	return out
-}
-
-// Pending returns how many delayed updates are still held back.
-func (p *PeerFault) Pending() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.pending)
-}
-
-// Stats returns the peer-fault counters.
-func (p *PeerFault) Stats() PeerFaultStats {
-	if p == nil {
-		return PeerFaultStats{}
-	}
-	return p.stats
-}
-
 // PoisonStorm builds the response flood a dying (or malicious) peer
 // emits: every given prefix advertised at metric Infinity, split across
 // MTU-sized packets. Feeding these to an Engine must poison exactly the

@@ -84,64 +84,11 @@ func TestLinkCorruptionCopies(t *testing.T) {
 	}
 }
 
-func TestNilLinkAndPeerFaultArePerfect(t *testing.T) {
+func TestNilLinkIsPerfect(t *testing.T) {
 	var l *Link
 	d, ok := l.Transmit(0, []byte{1})
 	if !ok || len(d) != 1 {
 		t.Error("nil link dropped a frame")
-	}
-	var p *PeerFault
-	ops := []ripng.OutPacket{{Iface: 1}}
-	if got := p.Filter(0, ops); len(got) != 1 {
-		t.Error("nil peer fault touched the batch")
-	}
-	if p.Pending() != 0 {
-		t.Error("nil peer fault holds packets")
-	}
-}
-
-func TestPeerFaultDropDupDelay(t *testing.T) {
-	p := NewPeerFault(11)
-	p.Drop, p.Dup, p.Delay = 0.25, 0.25, 0.25
-	p.MaxDelayTicks = 3
-	total := 0
-	for now := ripng.Clock(0); now < 400; now++ {
-		got := p.Filter(now, []ripng.OutPacket{{Iface: int(now)}})
-		total += len(got)
-	}
-	// Drain: everything still pending must come out with a late clock.
-	total += len(p.Filter(10_000, nil))
-	if p.Pending() != 0 {
-		t.Errorf("%d packets never released", p.Pending())
-	}
-	st := p.Stats()
-	if st.Dropped == 0 || st.Duplicated == 0 || st.Delayed == 0 {
-		t.Fatalf("faults never fired: %+v", st)
-	}
-	if st.Released != st.Delayed {
-		t.Errorf("released %d of %d delayed", st.Released, st.Delayed)
-	}
-	// Conservation: in = 400; out = in - dropped + duplicated.
-	if want := 400 - st.Dropped + st.Duplicated; int64(total) != want {
-		t.Errorf("delivered %d, want %d (%+v)", total, want, st)
-	}
-}
-
-func TestPeerFaultDeterministic(t *testing.T) {
-	run := func() (PeerFaultStats, int) {
-		p := NewPeerFault(7)
-		p.Drop, p.Dup, p.Delay = 0.3, 0.3, 0.3
-		p.MaxDelayTicks = 5
-		n := 0
-		for now := ripng.Clock(0); now < 200; now++ {
-			n += len(p.Filter(now, []ripng.OutPacket{{Iface: int(now)}}))
-		}
-		return p.Stats(), n
-	}
-	s1, n1 := run()
-	s2, n2 := run()
-	if s1 != s2 || n1 != n2 {
-		t.Errorf("same-seed peer faults diverged: %+v/%d vs %+v/%d", s1, n1, s2, n2)
 	}
 }
 

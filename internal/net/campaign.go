@@ -7,90 +7,52 @@ import (
 	"taco/internal/workload"
 )
 
-// CampaignOptions shapes one chaos campaign. The zero value (after
-// defaults) runs a modest campaign: a handful of flaps, one partition
-// and heal, lossy/corrupting wires during the chaos window, probe waves
-// throughout, and a clean verdict sweep after reconvergence.
+// The campaign's one fixed schedule, in mesh ticks. The chaos window
+// opens two ticks after initial convergence and lasts chaosTicks; every
+// scheduled fault starts and ends inside it. A flapped edge stays down
+// flapDownTicks, the partition opens three ticks into the window and
+// heals partitionTicks later, and a crashed node restarts after
+// crashDownTicks. Throughout the window every wire loses a frame with
+// probability chaosLoss and flips one bit of it with probability
+// chaosCorrupt, and every probeEvery ticks each alive stub owner
+// launches probeDests audit probes. After reconvergence the verdict
+// sweep sends sweepDests probes per stub owner over perfect wires.
+const (
+	chaosTicks     = 80
+	flapDownTicks  = 13
+	partitionTicks = 41
+	crashDownTicks = 19
+	chaosLoss      = 0.02
+	chaosCorrupt   = 0.01
+	probeEvery     = 7
+	probeDests     = 1
+	sweepDests     = 2
+)
+
+// CampaignOptions says which faults one chaos campaign schedules; the
+// schedule's timing, wire quality and probe load are the constants
+// above.
 type CampaignOptions struct {
-	// Flaps is the number of scheduled single-edge flap cycles.
+	// Flaps is the number of single-edge flap cycles.
 	Flaps int
-	// FlapDownTicks is how long a flapped edge stays down.
-	FlapDownTicks int64
 	// Partition enables one partition/heal: a BFS ball of roughly N/5
-	// nodes is cut off and healed PartitionTicks later.
+	// nodes is cut off and healed partitionTicks later.
 	Partition bool
-	// PartitionTicks is how long the partition lasts.
-	PartitionTicks int64
 	// Crashes is the number of node crash/restart cycles.
 	Crashes int
-	// CrashDownTicks is how long a crashed node stays down.
-	CrashDownTicks int64
 	// Storms is the number of poison storms injected.
 	Storms int
-	// ChaosTicks is the chaos window length; every scheduled fault
-	// starts and finishes inside it.
-	ChaosTicks int64
-	// Loss and Corrupt are the wire fault probabilities during chaos.
-	Loss, Corrupt float64
-	// PeerDrop, PeerDup, PeerDelay are the RIPng peer-fault
-	// probabilities during chaos (delay bounded by PeerMaxDelay ticks).
-	PeerDrop, PeerDup, PeerDelay float64
-	PeerMaxDelay                 int
-	// ProbeEvery launches a wave of audit probes every that many ticks
-	// during chaos; ProbeDests destinations per stub source per wave.
-	ProbeEvery int64
-	ProbeDests int
-	// SweepDests is the per-source destination count of the final
-	// converged verdict sweep.
-	SweepDests int
-	// ConvergeBudget bounds both the initial convergence and the
-	// post-chaos reconvergence, in ticks; 0 derives a bound from the
-	// RIPng timers and the topology diameter.
-	ConvergeBudget int64
 	// InjectViolation deliberately black-holes one stub route before the
 	// verdict sweep, to prove the violation -> bundle -> replay pipeline
 	// end to end. The campaign verdict is then expected to be FAIL.
 	InjectViolation bool
 }
 
-func (c *CampaignOptions) defaults() {
-	if c.FlapDownTicks <= 0 {
-		c.FlapDownTicks = 13
-	}
-	if c.PartitionTicks <= 0 {
-		c.PartitionTicks = 41
-	}
-	if c.CrashDownTicks <= 0 {
-		c.CrashDownTicks = 19
-	}
-	if c.ChaosTicks <= 0 {
-		c.ChaosTicks = 80
-	}
-	if c.ChaosTicks <= c.PartitionTicks {
-		c.ChaosTicks = c.PartitionTicks + 17
-	}
-	if c.Loss == 0 {
-		c.Loss = 0.02
-	}
-	if c.Corrupt == 0 {
-		c.Corrupt = 0.01
-	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 7
-	}
-	if c.ProbeDests <= 0 {
-		c.ProbeDests = 1
-	}
-	if c.SweepDests <= 0 {
-		c.SweepDests = 2
-	}
-}
-
 // convergeBudget bounds how long the mesh may take to settle: the full
 // timeout + GC aging of stale state, a generous number of update
 // rounds, and propagation across the diameter.
 func (m *Mesh) convergeBudget() int64 {
-	return int64(m.opt.Timeout+m.opt.GC+16*m.opt.Update) +
+	return int64(DefaultTimeoutTicks+DefaultGCTicks+16*DefaultUpdateTicks) +
 		4*int64(m.topo.Diameter()) + 64
 }
 
@@ -121,7 +83,6 @@ func (m *Mesh) WaveProbes(dests int) int {
 // convergence, a seeded chaos window with probe waves, reconvergence,
 // a clean verdict sweep, and the invariant verdict.
 func RunCampaign(m *Mesh, copt CampaignOptions) *CampaignReport {
-	copt.defaults()
 	rep := &CampaignReport{
 		Topo:     m.topo.Name,
 		Nodes:    m.topo.N,
@@ -131,10 +92,7 @@ func RunCampaign(m *Mesh, copt CampaignOptions) *CampaignReport {
 		Table:    m.opt.Table.String(),
 		Seed:     m.opt.Seed,
 	}
-	budget := copt.ConvergeBudget
-	if budget <= 0 {
-		budget = m.convergeBudget()
-	}
+	budget := m.convergeBudget()
 
 	// Phase 1: cold-start convergence.
 	rep.InitialTicks, rep.InitialOK = m.RunUntilConverged(budget)
@@ -145,30 +103,23 @@ func RunCampaign(m *Mesh, copt CampaignOptions) *CampaignReport {
 	// Phase 2: schedule the chaos window and run through it.
 	rng := workload.NewRNG(m.opt.Seed ^ 0xc6a4a7935bd1e995)
 	start := m.Now() + 2
-	end := start + copt.ChaosTicks
+	end := start + chaosTicks
 	ev := func(format string, args ...any) {
 		rep.Events = append(rep.Events, fmt.Sprintf(format, args...))
 	}
 	for i := 0; i < copt.Flaps && len(m.topo.Edges) > 0; i++ {
 		ei := rng.Intn(len(m.topo.Edges))
-		window := copt.ChaosTicks - copt.FlapDownTicks - 2
-		if window < 1 {
-			window = 1
-		}
-		at := start + int64(rng.Intn(int(window)))
+		at := start + int64(rng.Intn(chaosTicks-flapDownTicks-2))
 		m.ScheduleEdge(ei, at, false)
-		m.ScheduleEdge(ei, at+copt.FlapDownTicks, true)
+		m.ScheduleEdge(ei, at+flapDownTicks, true)
 		ev("tick %d: edge %d (%d-%d) down for %d ticks",
-			at, ei, m.topo.Edges[ei].A, m.topo.Edges[ei].B, copt.FlapDownTicks)
+			at, ei, m.topo.Edges[ei].A, m.topo.Edges[ei].B, flapDownTicks)
 		rep.Flaps++
 	}
 	if copt.Partition {
 		ball := m.bfsBall(rng.Intn(m.topo.N), (m.topo.N+4)/5)
 		at := start + 3
-		heal := at + copt.PartitionTicks
-		if heal >= end {
-			heal = end - 1
-		}
+		heal := at + partitionTicks
 		cut := m.CutBetween(func(n int) bool { return ball[n] }, at, heal)
 		rep.PartitionEdges = len(cut)
 		var members []int
@@ -181,35 +132,29 @@ func RunCampaign(m *Mesh, copt CampaignOptions) *CampaignReport {
 	}
 	for i := 0; i < copt.Crashes; i++ {
 		nodeID := rng.Intn(m.topo.N)
-		window := copt.ChaosTicks - copt.CrashDownTicks - 2
-		if window < 1 {
-			window = 1
-		}
-		at := start + int64(rng.Intn(int(window)))
-		restart := at + copt.CrashDownTicks
+		at := start + int64(rng.Intn(chaosTicks-crashDownTicks-2))
+		restart := at + crashDownTicks
 		m.ScheduleCrash(nodeID, at, restart)
 		ev("tick %d: node %d crashes, restarts at tick %d", at, nodeID, restart)
 		rep.Crashes++
 	}
 	for i := 0; i < copt.Storms; i++ {
 		nodeID := rng.Intn(m.topo.N)
-		at := start + int64(rng.Intn(int(copt.ChaosTicks-1)))
+		at := start + int64(rng.Intn(chaosTicks-1))
 		m.ScheduleStorm(nodeID, at)
 		ev("tick %d: poison storm from node %d", at, nodeID)
 		rep.Storms++
 	}
-	rep.ChaosTicks = copt.ChaosTicks
+	rep.ChaosTicks = chaosTicks
 
-	m.SetLinkFaults(copt.Loss, copt.Corrupt)
-	m.SetPeerFaults(copt.PeerDrop, copt.PeerDup, copt.PeerDelay, copt.PeerMaxDelay)
+	m.SetLinkFaults(chaosLoss, chaosCorrupt)
 	for m.Now() < end {
-		if copt.ProbeEvery > 0 && (m.Now()-start)%copt.ProbeEvery == 0 {
-			rep.ChaosProbes += m.WaveProbes(copt.ProbeDests)
+		if (m.Now()-start)%probeEvery == 0 {
+			rep.ChaosProbes += m.WaveProbes(probeDests)
 		}
 		m.Step()
 	}
 	m.SetLinkFaults(0, 0)
-	m.SetPeerFaults(0, 0, 0, 0)
 
 	// Phase 3: quiescence — all faults cleared, reconverge.
 	rep.ReconvergeTicks, rep.ReconvergeOK = m.RunUntilConverged(budget)
@@ -234,7 +179,7 @@ func RunCampaign(m *Mesh, copt CampaignOptions) *CampaignReport {
 		}
 	}
 	m.SetConvergedWindow(true)
-	rep.SweepLaunched += m.SweepProbes(copt.SweepDests)
+	rep.SweepLaunched += m.SweepProbes(sweepDests)
 	deadline := m.Now() + maxProbeAgeTicks + 4
 	for m.InFlight() > 0 && m.Now() < deadline {
 		m.Step()

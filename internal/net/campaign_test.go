@@ -1,6 +1,7 @@
 package net
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -51,6 +52,43 @@ func TestInjectedViolationProducesReplayableBundle(t *testing.T) {
 	if replayed == 0 {
 		t.Fatal("no net-invariant bundles to replay")
 	}
+}
+
+// A forensics directory that cannot be written must not silence a
+// capture: a violation that gets no bundle says why in its detail, on
+// the probe-witnessed path and on the stall path alike.
+func TestCaptureFailureIsRecorded(t *testing.T) {
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, vs []Violation) {
+		if len(vs) == 0 {
+			t.Fatalf("%s: no violations", name)
+		}
+		for _, v := range vs {
+			if v.Bundle != "" || !strings.Contains(v.Detail, "forensics capture failed") {
+				t.Errorf("%s: capture failure not recorded: %+v", name, v)
+			}
+		}
+	}
+
+	m := mustMesh(t, "ring", 6, Options{Seed: 23, Mix: "mixed", ForensicsDir: notDir})
+	rep := RunCampaign(m, CampaignOptions{Flaps: 1, Partition: true, InjectViolation: true})
+	if len(rep.Bundles) != 0 {
+		t.Errorf("bundles written to a regular file: %v", rep.Bundles)
+	}
+	check("injected blackhole", rep.Violations)
+
+	m = mustMesh(t, "ring", 8, Options{Seed: 29, Mix: "mixed", ForensicsDir: notDir, MaxCyclesPerProbe: 3})
+	if _, ok := m.RunUntilConverged(m.convergeBudget()); !ok {
+		t.Fatalf("no convergence: %s", m.Divergence())
+	}
+	m.SweepProbes(2)
+	for m.InFlight() > 0 {
+		m.Step()
+	}
+	check("starved watchdog", m.Violations())
 }
 
 // A starved watchdog budget must stall the TACO node on its first probe

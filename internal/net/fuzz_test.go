@@ -5,8 +5,9 @@ import (
 )
 
 // FuzzTopologyEvents throws randomized event schedules — flaps, crashes
-// and restarts, poison storms, probe waves — at small meshes and then
-// heals everything: every run must quiesce back to FIB-vs-oracle
+// and restarts, poison storms, probe waves — at small meshes, over the
+// campaign's lossy, corrupting wires when bit 7 of data[0] is set, and
+// then heals everything: every run must quiesce back to FIB-vs-oracle
 // equality, loop-free forwarding, a clean probe sweep, and conserved
 // drop accounting. Any panic, divergence, or unexplained count is a
 // real bug in the mesh, the RIPng engine, or the invariant checkers.
@@ -15,6 +16,8 @@ func FuzzTopologyEvents(f *testing.F) {
 	f.Add([]byte{1, 6, 1, 2, 7, 3, 0, 0, 9, 1})
 	f.Add([]byte{2, 10, 2, 4, 0, 1, 1, 13})
 	f.Add([]byte{3, 4, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3})
+	f.Add([]byte{0x81, 6, 1, 2, 7, 3, 0, 0, 9, 1, 3, 5, 2})
+	f.Add([]byte{0x83, 9, 0, 1, 3, 1, 4, 5, 2, 0, 1, 3, 7, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -72,13 +75,17 @@ func FuzzTopologyEvents(f *testing.F) {
 		}
 
 		// Run through the event window (probe waves every 6 ticks), then
-		// heal every link and let the mesh quiesce.
+		// restore perfect wires, heal every link and let the mesh quiesce.
+		if data[0]&0x80 != 0 {
+			m.SetLinkFaults(chaosLoss, chaosCorrupt)
+		}
 		for m.Now() <= maxAt {
 			if m.Now()%6 == 0 {
 				m.WaveProbes(1)
 			}
 			m.Step()
 		}
+		m.SetLinkFaults(0, 0)
 		for ei := range topo.Edges {
 			m.ScheduleEdge(ei, m.Now(), true)
 		}

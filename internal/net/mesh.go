@@ -9,6 +9,7 @@ import (
 	"taco/internal/bits"
 	"taco/internal/fault"
 	"taco/internal/forensics"
+	"taco/internal/fu"
 	"taco/internal/ipv6"
 	"taco/internal/obs"
 	"taco/internal/ripng"
@@ -23,20 +24,13 @@ import (
 // violation rather than silently dropped.
 const maxProbeAgeTicks = 96
 
-// dlink is one direction of an edge: the wire (flap schedule, loss,
-// corruption) and the RIPng peer-fault filter in front of it. Both are
-// owned by the transmitting node, so per-tick parallelism never races
-// on their RNGs.
-type dlink struct {
-	link *fault.Link
-	peer *fault.PeerFault
-}
-
-// nbr is one adjacency from a node's point of view.
+// nbr is one adjacency from a node's point of view. Its outgoing wire
+// (flap schedule, loss, corruption) is owned by the transmitting node,
+// so per-tick parallelism never races on the wire's RNG.
 type nbr struct {
 	node      int // neighbor id
 	edge      int // index into topo.Edges
-	out       *dlink
+	out       *fault.Link
 	peerIface int // arrival interface on the neighbor
 }
 
@@ -140,10 +134,8 @@ type node struct {
 
 	inbox  []ctrlMsg
 	probes []*probe
-	opsF   []ripng.OutPacket // process's per-interface filter scratch
 
-	ctrl   CtrlStats
-	budget int64
+	ctrl CtrlStats
 
 	tacoHops, tacoDivergences, stalls int64
 
@@ -162,10 +154,11 @@ type meshEvent struct {
 type Mesh struct {
 	topo Topology
 	opt  Options
+	cfg  fu.Config // every TACO node's architecture instance
 
 	nodes []*node
 	// links[2*e] carries Edges[e].A -> B, links[2*e+1] the reverse.
-	links []*dlink
+	links []*fault.Link
 
 	now      int64
 	probeSeq int64
@@ -203,10 +196,10 @@ func NewMesh(topo Topology, opt Options) (*Mesh, error) {
 		return nil, err
 	}
 	opt.defaults()
-	opt.Config.Table = opt.Table
 	m := &Mesh{
 		topo:        topo,
 		opt:         opt,
+		cfg:         fu.Config3Bus1FU(opt.Table),
 		probeRNG:    workload.NewRNG(opt.Seed ^ 0xa5b35705b5aa5b35),
 		probeDeaths: map[string]int64{},
 		prefixIdx:   map[bits.Prefix]int{},
@@ -220,10 +213,7 @@ func NewMesh(topo Topology, opt Options) (*Mesh, error) {
 	for ei := range topo.Edges {
 		for dir := 0; dir < 2; dir++ {
 			seed := opt.Seed ^ (uint64(ei)<<1 | uint64(dir)) ^ 0xd1b54a32d192ed03
-			m.links = append(m.links, &dlink{
-				link: fault.NewLink(seed),
-				peer: fault.NewPeerFault(seed ^ 0x2545f4914f6cdd1d),
-			})
+			m.links = append(m.links, fault.NewLink(seed))
 		}
 	}
 	// Adjacency, sorted per node by (neighbor, edge) for stable
@@ -258,7 +248,7 @@ func NewMesh(topo Topology, opt Options) (*Mesh, error) {
 		}
 		n.table = rtable.New(opt.Table)
 		if kind != NodeGolden {
-			tr, err := router.NewTACO(opt.Config, n.table, n.ifaces)
+			tr, err := router.NewTACO(m.cfg, n.table, n.ifaces)
 			if err != nil {
 				return nil, fmt.Errorf("net: node %d: %w", id, err)
 			}
@@ -311,7 +301,7 @@ func (m *Mesh) startEngine(n *node) {
 		ifaces[f] = ripng.Iface{LinkLocal: n.lls[f], Cost: 1}
 	}
 	n.eng = ripng.NewEngine(n.table, ifaces, ripng.Clock(m.now))
-	n.eng.SetTimers(m.opt.Update, m.opt.Timeout, m.opt.GC)
+	n.eng.SetTimers(DefaultUpdateTicks, DefaultTimeoutTicks, DefaultGCTicks)
 	for si, p := range n.stubs {
 		if err := n.eng.AddDirect(p, len(n.nbrs)+si); err != nil {
 			// Interface indices are constructed in range; this cannot
@@ -354,8 +344,8 @@ func (m *Mesh) SetConvergedWindow(on bool) { m.convergedWindow = on }
 // ScheduleEdge schedules both directions of edge ei up or down at tick
 // at (the partition/flap primitive).
 func (m *Mesh) ScheduleEdge(ei int, at int64, up bool) {
-	m.links[2*ei].link.Schedule(at, up)
-	m.links[2*ei+1].link.Schedule(at, up)
+	m.links[2*ei].Schedule(at, up)
+	m.links[2*ei+1].Schedule(at, up)
 	m.noteTopoChange(at)
 }
 
@@ -395,19 +385,8 @@ func (m *Mesh) ScheduleStorm(nodeID int, at int64) {
 // perfect wires for verdict sweeps.
 func (m *Mesh) SetLinkFaults(loss, corrupt float64) {
 	for _, l := range m.links {
-		l.link.Loss = loss
-		l.link.Corrupt = corrupt
-	}
-}
-
-// SetPeerFaults sets the RIPng peer-fault probabilities (drop, dup,
-// delay with the given bound) on every directed link.
-func (m *Mesh) SetPeerFaults(drop, dup, delay float64, maxDelay int) {
-	for _, l := range m.links {
-		l.peer.Drop = drop
-		l.peer.Dup = dup
-		l.peer.Delay = delay
-		l.peer.MaxDelayTicks = maxDelay
+		l.Loss = loss
+		l.Corrupt = corrupt
 	}
 }
 
@@ -420,7 +399,7 @@ func (m *Mesh) noteTopoChange(at int64) {
 
 // edgeUp reports whether edge ei passes traffic in both directions now.
 func (m *Mesh) edgeUp(ei int) bool {
-	return m.links[2*ei].link.Up(m.now) && m.links[2*ei+1].link.Up(m.now)
+	return m.links[2*ei].Up(m.now) && m.links[2*ei+1].Up(m.now)
 }
 
 // InjectProbe launches one probe from a stub owner toward a stub
@@ -587,8 +566,8 @@ func (m *Mesh) injectStorm(n *node, now int64) {
 }
 
 // process runs one node's tick: drain the control inbox into the RIPng
-// engine, advance the engine's timers, transmit its updates through the
-// per-edge fault models, then forward every resident probe one hop.
+// engine, advance the engine's timers, transmit its updates over the
+// faulty wires, then forward every resident probe one hop.
 // It touches only node-owned state and the node's outgoing links.
 func (n *node) process(m *Mesh, now int64) {
 	n.out.ctrl = n.out.ctrl[:0]
@@ -616,37 +595,15 @@ func (n *node) process(m *Mesh, now int64) {
 			n.ctrl.Received++
 		}
 		n.eng.Tick(ripng.Clock(now))
-	}
-	var ops []ripng.OutPacket
-	if n.alive {
-		ops = n.eng.Collect()
-	}
-	for f, nb := range n.nbrs {
-		opsF := n.opsF[:0]
-		for _, op := range ops {
-			if op.Iface == f {
-				opsF = append(opsF, op)
-			}
-		}
-		n.opsF = opsF
-		// Filter releases due delayed packets even when opsF is empty,
-		// and even when the node is down (they left it before the crash).
-		for _, op := range nb.out.peer.Filter(ripng.Clock(now), opsF) {
-			data, err := ripng.WrapUDP(n.lls[f], op.Dst, op.Pkt)
-			if err != nil {
-				panic(err)
-			}
-			sent, ok := nb.out.link.Transmit(now, data)
-			if !ok {
-				if !nb.out.link.Up(now) {
-					n.ctrl.LostDown++
-				} else {
-					n.ctrl.LostRandom++
+		// Interfaces in order, each interface's packets in Collect
+		// order: the order of every wire's RNG draws and of every inbox.
+		ops := n.eng.Collect()
+		for f, nb := range n.nbrs {
+			for _, op := range ops {
+				if op.Iface == f {
+					n.transmit(now, f, nb, op)
 				}
-				continue
 			}
-			n.ctrl.LinkDelivered++
-			n.out.ctrl = append(n.out.ctrl, ctrlDelivery{dst: nb.node, iface: nb.peerIface, data: sent})
 		}
 	}
 
@@ -656,6 +613,26 @@ func (n *node) process(m *Mesh, now int64) {
 	for _, p := range probes {
 		n.stepProbe(m, now, p)
 	}
+}
+
+// transmit wraps one RIPng packet in UDP/IPv6 and sends it down the
+// wire to neighbour nb, accounting its fate.
+func (n *node) transmit(now int64, f int, nb nbr, op ripng.OutPacket) {
+	data, err := ripng.WrapUDP(n.lls[f], op.Dst, op.Pkt)
+	if err != nil {
+		panic(err)
+	}
+	sent, ok := nb.out.Transmit(now, data)
+	if !ok {
+		if !nb.out.Up(now) {
+			n.ctrl.LostDown++
+		} else {
+			n.ctrl.LostRandom++
+		}
+		return
+	}
+	n.ctrl.LinkDelivered++
+	n.out.ctrl = append(n.out.ctrl, ctrlDelivery{dst: nb.node, iface: nb.peerIface, data: sent})
 }
 
 // stepProbe decides one probe's fate at this node and either terminates
@@ -699,7 +676,7 @@ func (n *node) stepProbe(m *Mesh, now int64, p *probe) {
 				Detail: fmt.Sprintf("probe %d (%d -> %s) died of %s at node %d after %d hops",
 					p.id, p.src, p.dstPrefix, reason, n.id, p.hops),
 			}
-			v.Bundle = n.captureProbeBundle(m, p, want, v.Detail)
+			n.captureProbeBundle(m, p, want, &v)
 			n.out.violations = append(n.out.violations, v)
 		}
 		return
@@ -713,7 +690,7 @@ func (n *node) stepProbe(m *Mesh, now int64, p *probe) {
 				Tick: now, Node: n.id, Invariant: "probe-audit",
 				Detail: fmt.Sprintf("probe %d locally delivered at node %d", p.id, n.id),
 			}
-			v.Bundle = n.captureProbeBundle(m, p, want, v.Detail)
+			n.captureProbeBundle(m, p, want, &v)
 			n.out.violations = append(n.out.violations, v)
 		}
 		return
@@ -737,15 +714,15 @@ func (n *node) stepProbe(m *Mesh, now int64, p *probe) {
 				Detail: fmt.Sprintf("probe %d for %s delivered out stub interface %d of node %d",
 					p.id, p.dstPrefix, want.Iface, n.id),
 			}
-			v.Bundle = n.captureProbeBundle(m, p, want, v.Detail)
+			n.captureProbeBundle(m, p, want, &v)
 			n.out.violations = append(n.out.violations, v)
 		}
 		return
 	}
 	nb := n.nbrs[want.Iface]
-	sent, ok := nb.out.link.Transmit(now, out)
+	sent, ok := nb.out.Transmit(now, out)
 	if !ok {
-		if !nb.out.link.Up(now) {
+		if !nb.out.Up(now) {
 			die("link-down")
 		} else {
 			die("link-loss")
@@ -771,14 +748,9 @@ func (n *node) differentialHop(m *Mesh, now int64, p *probe, want router.Outcome
 	n.tacoHops++
 	t := n.taco
 	t.Reset()
-	budget := m.opt.MaxCyclesPerProbe
-	if budget <= 0 {
-		budget = router.WatchdogBudget(1, n.table.Len())
-	}
-	n.budget = budget
 	arrival := []router.Arrival{{Iface: p.iface, Seq: p.id, Data: p.data}}
 	accepted := t.DeliverAll(arrival)
-	if err := t.Run(accepted, budget); err != nil {
+	if err := t.Run(accepted, n.hopBudget(m)); err != nil {
 		se, ok := forensics.AsStall(err)
 		n.quarantined = true
 		n.stalls++
@@ -790,9 +762,7 @@ func (n *node) differentialHop(m *Mesh, now int64, p *probe, want router.Outcome
 		if ok && m.opt.ForensicsDir != "" {
 			b := n.newProbeBundle(m, forensics.KindStall, p, accepted)
 			b.AttachStall(se)
-			if path, err := b.Save(m.opt.ForensicsDir); err == nil {
-				v.Bundle = path
-			}
+			m.saveBundle(&v, b)
 		}
 		n.out.violations = append(n.out.violations, v)
 		return
@@ -812,9 +782,7 @@ func (n *node) differentialHop(m *Mesh, now int64, p *probe, want router.Outcome
 		b := n.newProbeBundle(m, forensics.KindFateDivergence, p, accepted)
 		b.Note = v.Detail
 		b.WantFates, b.GotFates = forensics.Fates(golden), forensics.Fates(got)
-		if path, err := b.Save(m.opt.ForensicsDir); err == nil {
-			v.Bundle = path
-		}
+		m.saveBundle(&v, b)
 	}
 	n.out.violations = append(n.out.violations, v)
 }
@@ -823,15 +791,11 @@ func (n *node) differentialHop(m *Mesh, now int64, p *probe, want router.Outcome
 // for one probe hop at this node: its architecture, its exact FIB, and
 // the exact datagram bytes as they arrived.
 func (n *node) newProbeBundle(m *Mesh, kind string, p *probe, accepted int64) *forensics.Bundle {
-	budget := n.budget
-	if budget <= 0 {
-		budget = router.WatchdogBudget(1, n.table.Len())
-	}
 	b := forensics.NewRouterBundle(kind,
 		fmt.Sprintf("node-%d-probe-%d", n.id, p.id),
-		m.opt.Config, n.ifaces, n.table.Routes(),
+		m.cfg, n.ifaces, n.table.Routes(),
 		[]forensics.Datagram{{Iface: p.iface, Seq: p.id, Data: p.data}},
-		accepted, budget, n.kind == NodeTACOCompiled)
+		accepted, n.hopBudget(m), n.kind == NodeTACOCompiled)
 	b.Seed = m.opt.Seed
 	if m.opt.ForensicsDir != "" && n.taco != nil {
 		b.RecorderCap = obs.DefaultRecorderCap
@@ -839,27 +803,44 @@ func (n *node) newProbeBundle(m *Mesh, kind string, p *probe, accepted int64) *f
 	return b
 }
 
+// hopBudget is the TACO watchdog budget of one probe hop at this node:
+// Options.MaxCyclesPerProbe, or else a generous bound scaled to the
+// node's table.
+func (n *node) hopBudget(m *Mesh) int64 {
+	if m.opt.MaxCyclesPerProbe > 0 {
+		return m.opt.MaxCyclesPerProbe
+	}
+	return router.WatchdogBudget(1, n.table.Len())
+}
+
+// saveBundle writes b to the forensics directory and records its path
+// in v, or else the failure in v's detail.
+func (m *Mesh) saveBundle(v *Violation, b *forensics.Bundle) {
+	path, err := b.Save(m.opt.ForensicsDir)
+	if err != nil {
+		v.Detail += fmt.Sprintf(" (forensics capture failed: %v)", err)
+		return
+	}
+	v.Bundle = path
+}
+
 // captureProbeBundle serializes a net-invariant bundle for a
-// probe-witnessed violation: the node's exact forwarding state plus the
-// dying datagram, replayable by tacoreplay. Returns the bundle path, or
-// "" when forensics are disabled.
-func (n *node) captureProbeBundle(m *Mesh, p *probe, did router.Outcome, detail string) string {
+// probe-witnessed violation v: the node's exact forwarding state plus
+// the dying datagram, replayable by tacoreplay. It does nothing when
+// forensics are disabled.
+func (n *node) captureProbeBundle(m *Mesh, p *probe, did router.Outcome, v *Violation) {
 	if m.opt.ForensicsDir == "" {
-		return ""
+		return
 	}
 	accepted := int64(1)
 	if did.Reason == ipv6.DropOversize || did.Reason == ipv6.DropLengthMismatch {
 		accepted = 0 // the line card itself rejects these frames
 	}
 	b := n.newProbeBundle(m, forensics.KindNetInvariant, p, accepted)
-	b.Note = detail
+	b.Note = v.Detail
 	b.GotFates = forensics.Fates(router.Outcomes{Datagrams: []router.Outcome{did}})
 	b.WantFates = []forensics.Fate{m.oracleFate(p)}
-	path, err := b.Save(m.opt.ForensicsDir)
-	if err != nil {
-		return ""
-	}
-	return path
+	m.saveBundle(v, b)
 }
 
 // oracleFate is what the whole-network oracle says the violating node
@@ -961,7 +942,7 @@ func (m *Mesh) AuditConservation() []string {
 	var probs []string
 	var sent, lostDown, lostRandom int64
 	for _, l := range m.links {
-		s := l.link.Stats()
+		s := l.Stats()
 		sent += s.Sent
 		lostDown += s.LostDown
 		lostRandom += s.LostRandom

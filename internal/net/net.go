@@ -2,9 +2,9 @@
 // them: a deterministic multi-router simulation that instantiates
 // hundreds of router nodes — golden, TACO-interpreted or TACO-compiled,
 // mixed per node — over generated topologies (line, ring, ISP-like
-// scale-free, k-ary fat-tree), connects every edge through
-// fault.Link / fault.PeerFault, and advances the whole mesh on a seeded
-// discrete-event clock.
+// scale-free, k-ary fat-tree), connects every edge through a pair of
+// fault.Link wires (flaps, loss, corruption), and advances the whole
+// mesh on a seeded discrete-event clock.
 //
 // Each node runs a real RIPng engine (internal/ripng) over its own
 // forwarding table; control packets cross edges as full UDP/IPv6 frames
@@ -35,7 +35,6 @@ package net
 import (
 	"fmt"
 
-	"taco/internal/fu"
 	"taco/internal/ripng"
 	"taco/internal/rtable"
 )
@@ -102,23 +101,19 @@ const (
 	DefaultGCTicks      ripng.Clock = 24
 )
 
-// Options configures a mesh.
+// Options configures a mesh. Every TACO node runs the paper's
+// 3BUS/1FU instance over Table, and every RIPng engine the
+// Default*Ticks timers.
 type Options struct {
 	// Table selects every node's forwarding-table backend.
 	Table rtable.Kind
 	// Mix is the node-kind spec: golden | taco | compiled | mixed.
 	Mix string
-	// Config is the TACO architecture instance for taco/compiled nodes;
-	// the zero value means fu.Config3Bus1FU(Table).
-	Config fu.Config
-	// Seed derives every per-entity RNG (links, peer faults, probes).
+	// Seed derives every per-entity RNG (links, probes).
 	Seed uint64
 	// Workers bounds the per-tick node-processing parallelism; <= 0
 	// means 1. Any value produces identical results.
 	Workers int
-	// Update, Timeout, GC override the scaled RIPng timers; zero means
-	// the Default*Ticks values.
-	Update, Timeout, GC ripng.Clock
 	// MaxCyclesPerProbe is the TACO watchdog budget for one probe hop;
 	// 0 scales a generous default to the table size.
 	MaxCyclesPerProbe int64
@@ -136,19 +131,7 @@ func (o *Options) defaults() {
 	if o.Mix == "" {
 		o.Mix = "golden"
 	}
-	if o.Config.Buses == 0 {
-		o.Config = fu.Config3Bus1FU(o.Table)
-	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.Update <= 0 {
-		o.Update = DefaultUpdateTicks
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = DefaultTimeoutTicks
-	}
-	if o.GC <= 0 {
-		o.GC = DefaultGCTicks
 	}
 }

@@ -163,23 +163,23 @@ type ChurnOp struct {
 
 // ChurnSpec parameterises update-stream generation.
 type ChurnSpec struct {
-	Ops  int
-	Seed uint64
-	// InsertFrac and DeleteFrac split the stream; the remainder are
-	// replaces. Zero values default to 0.4 / 0.3.
-	InsertFrac, DeleteFrac float64
-	Ifaces                 int
+	Ops    int
+	Seed   uint64
+	Ifaces int
 }
+
+// The churn mix: insertFrac of the ops are inserts, deleteFrac deletes,
+// the remainder replaces.
+const (
+	insertFrac float64 = 0.4
+	deleteFrac float64 = 0.3
+)
 
 // GenerateChurn produces a deterministic update stream against the
 // given base table: inserts of fresh prefixes, deletes and replaces of
 // routes live at that point in the stream (so every delete hits and
 // every replace changes an installed route).
 func GenerateChurn(base []rtable.Route, spec ChurnSpec) []ChurnOp {
-	insertFrac, deleteFrac := spec.InsertFrac, spec.DeleteFrac
-	if insertFrac == 0 && deleteFrac == 0 {
-		insertFrac, deleteFrac = 0.4, 0.3
-	}
 	ifaces := spec.Ifaces
 	if ifaces <= 0 {
 		ifaces = 4

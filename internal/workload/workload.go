@@ -53,12 +53,10 @@ type TableSpec struct {
 	Entries int
 	Ifaces  int
 	Seed    uint64
-	// PrefixLengths is the pool lengths are drawn from; empty means a
-	// realistic IPv6 mix (mostly /32–/64 allocations).
-	PrefixLengths []int
 }
 
-// DefaultPrefixLengths is a plausible backbone mix.
+// DefaultPrefixLengths is the pool GenerateRoutes draws prefix lengths
+// from: a plausible backbone mix, mostly /32–/64 allocations.
 var DefaultPrefixLengths = []int{16, 24, 32, 32, 40, 48, 48, 48, 56, 64, 64}
 
 // PaperTableSpec is the paper's evaluation constraint: "a maximum size
@@ -73,15 +71,11 @@ func GenerateRoutes(spec TableSpec) []rtable.Route {
 	if spec.Ifaces <= 0 {
 		spec.Ifaces = 4
 	}
-	lengths := spec.PrefixLengths
-	if len(lengths) == 0 {
-		lengths = DefaultPrefixLengths
-	}
 	rng := NewRNG(spec.Seed)
 	seen := make(map[bits.Prefix]bool, spec.Entries)
 	routes := make([]rtable.Route, 0, spec.Entries)
 	for len(routes) < spec.Entries {
-		ln := lengths[rng.Intn(len(lengths))]
+		ln := DefaultPrefixLengths[rng.Intn(len(DefaultPrefixLengths))]
 		addr := rng.Word128()
 		// Force global unicast: 001 in the top three bits.
 		addr.Hi = addr.Hi&^(uint64(7)<<61) | uint64(1)<<61
@@ -204,41 +198,6 @@ func GenerateTraffic(routes []rtable.Route, spec TrafficSpec) ([]Packet, error) 
 		})
 	}
 	return out, nil
-}
-
-// IMIXSizes is the classic Internet mix: 7 parts 64-byte, 4 parts
-// 570-byte, 1 part 1500-byte datagrams (sizes include the IPv6 header).
-var IMIXSizes = []int{64, 64, 64, 64, 64, 64, 64, 570, 570, 570, 570, 1500}
-
-// GenerateIMIXTraffic is GenerateTraffic with per-packet sizes drawn
-// from the IMIX distribution instead of a fixed size — the extension
-// workload for the packet-rate sensitivity analysis.
-func GenerateIMIXTraffic(routes []rtable.Route, packets int, seed uint64) ([]Packet, error) {
-	rng := NewRNG(seed ^ 0x1a1a)
-	out := make([]Packet, 0, packets)
-	for i := 0; i < packets; i++ {
-		spec := TrafficSpec{
-			Packets:   1,
-			SizeBytes: IMIXSizes[rng.Intn(len(IMIXSizes))],
-			Seed:      seed + uint64(i)*1000003,
-		}
-		p, err := GenerateTraffic(routes, spec)
-		if err != nil {
-			return nil, err
-		}
-		p[0].Seq = int64(i)
-		out = append(out, p[0])
-	}
-	return out, nil
-}
-
-// AverageIMIXBytes returns the mean IMIX datagram size.
-func AverageIMIXBytes() float64 {
-	s := 0
-	for _, v := range IMIXSizes {
-		s += v
-	}
-	return float64(s) / float64(len(IMIXSizes))
 }
 
 // missSpace finds addresses outside every route (rejection sampling in

@@ -174,35 +174,3 @@ func TestTrafficDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestGenerateIMIXTraffic(t *testing.T) {
-	routes := GenerateRoutes(PaperTableSpec())
-	pkts, err := GenerateIMIXTraffic(routes, 120, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkts) != 120 {
-		t.Fatalf("%d packets", len(pkts))
-	}
-	sizes := map[int]int{}
-	for i, p := range pkts {
-		sizes[len(p.Data)]++
-		if p.Seq != int64(i) {
-			t.Fatalf("seq %d at %d", p.Seq, i)
-		}
-		if _, err := ipv6.ParseHeader(p.Data); err != nil {
-			t.Fatalf("packet %d: %v", i, err)
-		}
-	}
-	for _, s := range []int{64, 570, 1500} {
-		if sizes[s] == 0 {
-			t.Errorf("no %d-byte packets in IMIX", s)
-		}
-	}
-	if sizes[64] <= sizes[1500] {
-		t.Errorf("IMIX skew wrong: %v", sizes)
-	}
-	if avg := AverageIMIXBytes(); avg < 300 || avg > 400 {
-		t.Errorf("average IMIX size %v", avg)
-	}
-}

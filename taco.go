@@ -21,7 +21,7 @@
 //	internal/program   generated forwarding programs, Figure 3 example
 //	internal/router    golden and TACO routers, RIPng host bridge
 //	internal/net       multi-router meshes over generated topologies, chaos campaigns
-//	internal/fault     fault injection: mutators, link/peer faults, soak
+//	internal/fault     fault injection: mutators, link faults, poison storms, soak
 //	internal/obs       counters, latency histograms, stall causes, flight recorder, exporters
 //	internal/forensics failure bundles: capture, deterministic replay, diff
 //	internal/profile   cycles attributed to program regions
