@@ -89,12 +89,14 @@ func DisjointRanges(prefixes []Prefix) []RangeOwner {
 		return nil
 	}
 	// Sweep order is Cmp's: address, then outer (shorter) before inner.
-	// The balanced tree's prefixes arrive in it and skip the sort.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
+	// The balanced tree's prefixes arrive in it and need no index
+	// permutation; other input is swept through a sorted one.
+	var idx []int
 	if !slices.IsSortedFunc(prefixes, Prefix.Cmp) {
+		idx = make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
 		slices.SortFunc(idx, func(a, b int) int { return prefixes[a].Cmp(prefixes[b]) })
 	}
 
@@ -132,7 +134,11 @@ func DisjointRanges(prefixes []Prefix) []RangeOwner {
 		posSet = true
 	}
 
-	for _, id := range idx {
+	for k := range prefixes {
+		id := k
+		if idx != nil {
+			id = idx[k]
+		}
 		p := prefixes[id]
 		first, last := p.First(), p.Last()
 		// Close every active prefix that ends before this one starts.

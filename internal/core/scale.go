@@ -80,6 +80,10 @@ type ScaleModel struct {
 // computed waits for it — and nothing is evicted: the owner drops the
 // cache with the sweep. Cached slices are read-only; no rtable backend
 // writes to the routes it is handed. The zero value is ready to use.
+//
+// Which instance computes a key, and when (the dse pool feeds the
+// largest table first), cannot change a result: every value is a pure
+// function of its key.
 type ScaleCache struct {
 	mu sync.Mutex
 	m  map[any]*cacheEntry

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -139,8 +140,9 @@ func ProgressPrinter(w io.Writer) func(ProgressReport) {
 
 // evaluateInstances runs every instance across a pool of worker
 // goroutines and returns results and errors indexed exactly like insts —
-// the output order is the input order regardless of worker count or
-// completion order. workers <= 0 selects runtime.GOMAXPROCS(0).
+// the output order is the input order regardless of worker count, feed
+// order (scaled instances go largest table first) or completion order.
+// workers <= 0 selects runtime.GOMAXPROCS(0).
 //
 // Cancelling ctx stops the job feed; the returned error is then the
 // context's. Per-instance simulation errors do not abort the pool; the
@@ -177,6 +179,23 @@ func evaluateInstances(ctx context.Context, insts []Instance, workers int) ([]co
 	// per call and dropped with it; instances still share no mutable
 	// state.
 	var shared core.ScaleCache
+	// Scaled instances are fed largest table first (a stable sort, so
+	// equal sizes and sweeps with no scaled instance keep input order).
+	// In input order the sizes of one kind run side by side, so one
+	// waits for the cycle-accurate anchor both share, and the last
+	// instance is a big one, run while the other worker idles. Largest
+	// first, the anchor waits fall away and small instances fill the
+	// tail; the second worker still waits for the biggest route set at
+	// the start. Per 10⁴+10⁵ sweep of the six large kinds at 2 workers
+	// on 2 vCPUs (medians of 12): anchor waits 25 → 0.1 ms, idle tail
+	// 21 → 1 ms, sweep 176 → 138 ms.
+	// Results land by index and a shared input is a pure function of its
+	// key, so the feed order cannot reach the output.
+	order := make([]int, len(insts))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return scaledEntries(insts[b]) - scaledEntries(insts[a]) })
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -209,7 +228,7 @@ func evaluateInstances(ctx context.Context, insts []Instance, workers int) ([]co
 		}()
 	}
 feed:
-	for i := range insts {
+	for _, i := range order {
 		select {
 		case jobs <- i:
 		case <-ctx.Done():
@@ -222,6 +241,14 @@ feed:
 		return nil, nil, nil, err
 	}
 	return results, errs, walls, nil
+}
+
+// scaledEntries is the table size of a scaled instance, 0 otherwise.
+func scaledEntries(inst Instance) int {
+	if inst.Scale == nil {
+		return 0
+	}
+	return inst.Scale.Entries
 }
 
 // firstError returns the lowest-index instance error wrapped with its

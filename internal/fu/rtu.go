@@ -235,7 +235,7 @@ func (u *RTUTree) rebuildCache() {
 		u.cache = append(u.cache, treeRec{
 			f: n.First.Words(), l: n.Last.Words(),
 			left: childIndex(n.Left), right: childIndex(n.Right),
-			ifc: uint32(n.Route.Iface),
+			ifc: uint32(u.table.RouteAt(n.Owner).Iface),
 		})
 	}
 	u.cacheGen = u.table.Gen()

@@ -97,3 +97,21 @@ func BenchmarkBuild(b *testing.B) {
 		}
 	}
 }
+
+// sortedSink keeps benchmarked results live.
+var sortedSink []rtable.Route
+
+// BenchmarkSortedRoutes measures the input phase every built table of
+// a large-table sweep shares: one sort of the generated set.
+func BenchmarkSortedRoutes(b *testing.B) {
+	for _, size := range []int{10000, 100000} {
+		b.Run(fmt.Sprint(size), func(b *testing.B) {
+			routes, _ := benchWorkloadFor(b, size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sortedSink = rtable.SortedRoutes(routes)
+			}
+		})
+	}
+}

@@ -22,12 +22,12 @@ import (
 type flatTable interface {
 	rtable.Table
 	rtable.BulkLoader
-	Depth() int
 }
 
 // strideTable is a multibit or compressed table.
 type strideTable interface {
 	flatTable
+	Depth() int
 	LevelProbes() []int64
 	DumpStride(testing.TB) []rtable.StrideNodeDump
 	SlabLens() [4]int
@@ -35,19 +35,27 @@ type strideTable interface {
 
 var flatKinds = []rtable.Kind{rtable.Multibit, rtable.Compressed, rtable.BalancedTree}
 
-// structure is the comparable shape of a table: the stride dump, or
-// the tree's node array and root.
+// structure is the comparable shape of a table: the stride dump, the
+// tree's node array, root and depth, or the tiled TCAM's index and tiles.
 func structure(t *testing.T, tbl flatTable) any {
 	t.Helper()
 	switch tbl := tbl.(type) {
 	case strideTable:
-		return tbl.DumpStride(t)
+		return struct {
+			Nodes []rtable.StrideNodeDump
+			Depth int
+		}{tbl.DumpStride(t), tbl.Depth()}
 	case *rtable.BalancedTreeTable:
 		nodes, root := tbl.Nodes()
 		return struct {
-			Nodes []rtable.TreeNode
-			Root  int
-		}{append([]rtable.TreeNode{}, nodes...), root}
+			Nodes       []rtable.TreeNode
+			Root, Depth int
+		}{append([]rtable.TreeNode{}, nodes...), root, tbl.Depth()}
+	case *rtable.TiledTCAMTable:
+		return struct {
+			Tiles []rtable.TileDump
+			Stats rtable.TileStats
+		}{tbl.DumpTiles(t), tbl.TileStats()}
 	}
 	t.Fatalf("no structural dump for %T", tbl)
 	return nil
@@ -62,9 +70,6 @@ func requireSameTable(t *testing.T, stage string, got, want flatTable, dests []b
 	}
 	if g, w := got.MemDims(), want.MemDims(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: MemDims %+v, want %+v", stage, g, w)
-	}
-	if g, w := got.Depth(), want.Depth(); g != w {
-		t.Fatalf("%s: Depth %d, want %d", stage, g, w)
 	}
 	if got.Len() != want.Len() || !sameRoutes(got.Routes(), want.Routes()) {
 		t.Fatalf("%s: Routes() differ", stage)
@@ -224,8 +229,55 @@ func TestTreeBulkEqualsInsertLoop(t *testing.T) {
 	}
 }
 
+// referenceSorted is SortedRoutes by one stable sort of the whole set:
+// canonical prefixes in (address, length) order, the last duplicate kept.
+func referenceSorted(rs []rtable.Route) []rtable.Route {
+	out := slices.Clone(rs)
+	for i := range out {
+		out[i].Prefix = bits.MakePrefix(out[i].Prefix.Addr, out[i].Prefix.Len)
+	}
+	slices.SortStableFunc(out, func(a, b rtable.Route) int { return a.Prefix.Cmp(b.Prefix) })
+	kept := out[:0]
+	for i, r := range out {
+		if i+1 < len(out) && out[i+1].Prefix == r.Prefix {
+			continue
+		}
+		kept = append(kept, r)
+	}
+	return kept
+}
+
+// TestSortedRoutesMatchesFullSort: the bucketed sort equals one sort of
+// the whole set on spread-out, crowded (one bucket, the fallback sort),
+// short-prefix, duplicate-laden and tiny inputs.
+func TestSortedRoutesMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var crowded, short []rtable.Route
+	for i := 0; i < 3000; i++ {
+		a := bits.Word128{Hi: 0x20010db800000000 | uint64(rng.Intn(1<<20)), Lo: rng.Uint64()}
+		crowded = append(crowded, rtable.Route{Prefix: bits.Prefix{Addr: a, Len: 32 + rng.Intn(97)}, Iface: i % 4, Metric: 1})
+		short = append(short, rtable.Route{Prefix: bits.Prefix{Addr: bits.Word128{Hi: rng.Uint64(), Lo: rng.Uint64()}, Len: rng.Intn(20)}, Iface: i % 4, Metric: 2})
+	}
+	shuffled := largeRoutes(10000)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for name, rs := range map[string][]rtable.Route{
+		"large-1e4": largeRoutes(10000), "shuffled": shuffled, "duplicates": dirtyDuplicates(),
+		"crowded": crowded, "short": short, "one": largeRoutes(1), "empty": nil,
+	} {
+		input := slices.Clone(rs)
+		got := rtable.SortedRoutes(rs)
+		if !slices.Equal(rs, input) {
+			t.Fatalf("%s: SortedRoutes mutated its argument", name)
+		}
+		if want := referenceSorted(rs); !slices.Equal(got, want) {
+			t.Errorf("%s: SortedRoutes differs from a full sort (%d vs %d routes)", name, len(got), len(want))
+		}
+	}
+}
+
 // TestFlatBuildOrderIndependent: generator order, sorted, reverse-sorted
-// and a seeded shuffle of one route set build the identical table.
+// and a seeded shuffle of one route set build the identical table, the
+// tiled TCAM included.
 func TestFlatBuildOrderIndependent(t *testing.T) {
 	rs := append(largeRoutes(3000), fourLevelChain()...)
 	sorted := rtable.SortedRoutes(rs)
@@ -234,7 +286,7 @@ func TestFlatBuildOrderIndependent(t *testing.T) {
 	shuffled := slices.Clone(rs)
 	rand.New(rand.NewSource(9)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	dests := workload.SampleDests(sorted, 512, 0.05, 11)
-	for _, kind := range flatKinds {
+	for _, kind := range append(flatKinds, rtable.TiledTCAM) {
 		want := newFlat(kind)
 		if err := want.InsertAll(rs); err != nil {
 			t.Fatal(err)

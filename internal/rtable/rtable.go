@@ -12,6 +12,7 @@ package rtable
 
 import (
 	"fmt"
+	mathbits "math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -179,7 +180,7 @@ func (k Kind) Regions(d MemDims) []Region {
 // 10⁵–10⁶ routes it dominates the die.
 const (
 	seqEntryBits       = 296 // prefix 128 + length 8 + next hop 128 + iface/metric/tag 32
-	treeNodeBits       = 352 // two 128-bit range bounds, two 24-bit child indices, 48-bit route
+	treeNodeBits       = 352 // two 128-bit range bounds, two 24-bit child indices, 48-bit route reference (TreeNode.Owner)
 	slotBits           = 48  // stride-trie child slot or record: 40-bit pointer + type/route tag
 	leafBits           = 192 // path-compressed leaf: 136-bit prefix + 56-bit route reference
 	binaryNodeBits     = 72  // binary-trie or tiled-TCAM index node: two 32-bit pointers + flags
@@ -218,21 +219,45 @@ func routesSorted(rs []Route) bool {
 // prefix: the batch form the balanced tree and the stride tries build
 // from directly, so a caller that loads one route set into several
 // tables sorts it once.
+//
+// One counting pass distributes the routes over buckets by the top bits
+// of the canonical address (16 bits, fewer for small sets), which is
+// the high-order key of the sort; each bucket is then sorted alone. A
+// generated set fixes the top 4 bits (2000::/4), so at 10⁵ routes its
+// keys fill ~4 000 buckets of at most ~130.
 func SortedRoutes(rs []Route) []Route {
 	type key struct { // canonical prefix and input position
 		p bits.Prefix
 		i int32
 	}
+	shift := 64 - min(16, mathbits.Len(uint(len(rs))))
+	canon := func(r *Route) bits.Prefix { return bits.MakePrefix(r.Prefix.Addr, r.Prefix.Len) }
+	at := make([]int32, 1<<(64-shift)+1)
+	for i := range rs {
+		at[(canon(&rs[i]).Addr.Hi>>shift)+1]++
+	}
+	for b := 1; b < len(at); b++ {
+		at[b] += at[b-1] // where bucket b begins
+	}
 	keys := make([]key, len(rs))
 	for i := range rs {
-		keys[i] = key{bits.MakePrefix(rs[i].Prefix.Addr, rs[i].Prefix.Len), int32(i)}
+		p := canon(&rs[i])
+		b := p.Addr.Hi >> shift
+		keys[at[b]] = key{p, int32(i)}
+		at[b]++ // finally where bucket b ends
 	}
-	slices.SortFunc(keys, func(a, b key) int {
+	// Within a prefix the later duplicate sorts first: it survives Compact.
+	cmpKey := func(a, b key) int {
 		if c := a.p.Cmp(b.p); c != 0 {
 			return c
 		}
-		return int(b.i - a.i) // the later duplicate first: it survives Compact
-	})
+		return int(b.i - a.i)
+	}
+	lo := int32(0)
+	for _, hi := range at[:len(at)-1] {
+		slices.SortFunc(keys[lo:hi], cmpKey)
+		lo = hi
+	}
 	keys = slices.CompactFunc(keys, func(a, b key) bool { return a.p == b.p })
 	out := make([]Route, len(keys))
 	for i, k := range keys {

@@ -3,6 +3,7 @@ package rtable
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"taco/internal/bits"
 )
@@ -283,93 +284,80 @@ func (t *TiledTCAMTable) InsertAll(rs []Route) error {
 // depth d is internal iff more than BlockSize routes intersect its span
 // (and d < 128), and a leaf holds exactly those routes in priority
 // order. rs is only read.
+//
+// The recursion runs on the routes in (address, length) order — the
+// form a sweep hands every table; other input is sorted into it first,
+// SortedRoutes keeping the last of equal prefixes. In that order the
+// routes nested in a span (length >= its own) are one contiguous run,
+// and address bit d splits the run of a depth-d span at a point one
+// binary search finds: no pass over the routes per index level, and
+// priority order is only ever needed within one block, where one
+// counting pass over prefix length gives it.
 func (t *TiledTCAMTable) bulkLoad(rs []Route) {
-	// Canonical prefixes with their input position, in priority order;
-	// of two equal prefixes the later sorts first and survives Compact.
-	type key struct {
-		p bits.Prefix
-		i int32
+	if !routesSorted(rs) {
+		rs = SortedRoutes(rs)
 	}
-	keys := make([]key, len(rs))
-	for i := range rs {
-		keys[i] = key{bits.MakePrefix(rs[i].Prefix.Addr, rs[i].Prefix.Len), int32(i)}
-	}
-	slices.SortFunc(keys, func(a, b key) int {
-		if c := cmpPriority(a.p, b.p); c != 0 {
-			return c
-		}
-		return int(b.i - a.i)
-	})
-	keys = slices.CompactFunc(keys, func(a, b key) bool { return a.p == b.p })
-	route := func(k int32) Route {
-		r := rs[keys[k].i]
-		r.Prefix = keys[k].p
-		return r
-	}
-
-	// build returns the index subtree for span. inside lists, in
-	// priority order, the keys nested in the span (length >= its own);
-	// cover stacks the shorter prefixes containing all of it — prefixes
-	// of the path, so at most one per length. Every cover entry is
-	// shorter than every inside entry: a leaf's priority order is
-	// inside, then cover from the top of the stack down.
-	var cover, scratch []int32
-	var build func(span bits.Prefix, inside []int32) *ttNode
-	build = func(span bits.Prefix, inside []int32) *ttNode {
+	// cover stacks the shorter prefixes containing all of the current
+	// span — prefixes of the path, so at most one per length. Every
+	// cover entry is shorter than every run entry: a leaf's priority
+	// order is the run's, then cover from the top of the stack down.
+	var cover []Route
+	var build func(span bits.Prefix, run []Route) *ttNode
+	build = func(span bits.Prefix, run []Route) *ttNode {
 		d := span.Len
-		if len(inside)+len(cover) <= t.cfg.BlockSize || d >= 128 {
+		if len(run)+len(cover) <= t.cfg.BlockSize || d >= 128 {
 			// A block is a fixed-size array: allocated whole, so updates
 			// into a tile with room never reallocate.
-			entries := make([]Route, 0, t.cfg.BlockSize)
-			for _, k := range inside {
-				entries = append(entries, route(k))
-			}
+			entries := make([]Route, len(run), t.cfg.BlockSize)
+			byLengthDown(entries, run)
 			for i := len(cover) - 1; i >= 0; i-- {
-				entries = append(entries, route(cover[i]))
+				entries = append(entries, cover[i])
 			}
 			t.tiles++
 			t.occupied += len(entries)
 			return &ttNode{depth: d, tile: &ttTile{prefix: span, entries: entries}}
 		}
-		// The span's own prefix, if installed, sorts last in inside and
-		// covers both halves. (inside is not empty: cover alone holds
-		// at most d < BlockSize entries.)
+		// The span's own prefix, if installed, heads the run and covers
+		// both halves. (The run is not empty: cover alone holds at most
+		// d < BlockSize entries.)
 		covers := len(cover)
-		if last := inside[len(inside)-1]; keys[last].p.Len == d {
-			cover = append(cover, last)
-			inside = inside[:len(inside)-1]
+		if run[0].Prefix.Len == d {
+			cover = append(cover, run[0])
+			run = run[1:]
 		}
-		// Stable in-place partition on address bit d: zeros compact to
-		// the front, ones wait in the scratch the children then reuse.
-		ones, zeros := scratch[:0], 0
-		for _, k := range inside {
-			if keys[k].p.Addr.Bit(d) == 0 {
-				inside[zeros] = k
-				zeros++
-			} else {
-				ones = append(ones, k)
-			}
-		}
-		copy(inside[zeros:], ones)
-		scratch = ones
-
+		// The rest share the span's d address bits; bit d splits them.
+		ones := sort.Search(len(run), func(i int) bool { return run[i].Prefix.Addr.Bit(d) == 1 })
 		oneBit := bits.Mask(d + 1).And(bits.Mask(d).Not())
 		n := &ttNode{depth: d}
-		n.child[0] = build(bits.MakePrefix(span.Addr, d+1), inside[:zeros])
-		n.child[1] = build(bits.MakePrefix(span.Addr.Or(oneBit), d+1), inside[zeros:])
+		n.child[0] = build(bits.MakePrefix(span.Addr, d+1), run[:ones])
+		n.child[1] = build(bits.MakePrefix(span.Addr.Or(oneBit), d+1), run[ones:])
 		cover = cover[:covers]
 		t.indexNodes++
 		t.splits++
 		return n
 	}
 
-	inside := make([]int32, len(keys))
-	for i := range inside {
-		inside[i] = int32(i)
-	}
-	t.count = len(keys)
+	t.count = len(rs)
 	t.tiles = 0 // the empty root tile is replaced
-	t.root = build(bits.MakePrefix(bits.Word128{}, 0), inside)
+	t.root = build(bits.MakePrefix(bits.Word128{}, 0), rs)
+}
+
+// byLengthDown copies run, in (address, length) order, into dst in
+// priority order: one stable counting pass over prefix length, longest
+// first, keeps address order within a length.
+func byLengthDown(dst, run []Route) {
+	var at [129 + 1]int // at[128-l]: where length l begins
+	for i := range run {
+		at[128-run[i].Prefix.Len+1]++
+	}
+	for l := 1; l < len(at); l++ {
+		at[l] += at[l-1]
+	}
+	for i := range run {
+		l := 128 - run[i].Prefix.Len
+		dst[at[l]] = run[i]
+		at[l]++
+	}
 }
 
 // Delete removes the route for p from its owner tile and every covering

@@ -204,6 +204,11 @@ func TestTiledTCAMBulkEqualsInsertLoop(t *testing.T) {
 		{"covering", min, nil, coveringSet()},
 		{"exact-fit", min, nil, exactFit(min.BlockSize)},
 		{"duplicates", min, nil, dups},
+		// Sorted batches, the form a sweep hands the table: bulkLoad
+		// skips its sort and orders by one pass over prefix length.
+		{"sorted-1e4", def, nil, rtable.SortedRoutes(large(10000))},
+		{"sorted-1e4-minblock", min, nil, rtable.SortedRoutes(large(10000))},
+		{"sorted-duplicates", min, nil, rtable.SortedRoutes(dups)},
 		{"empty", def, nil, nil},
 		// A receiver that already holds routes keeps the insert loop.
 		{"non-empty", min, coveringSet()[:300], large(2000)},

@@ -8,12 +8,14 @@ import (
 
 // TreeNode is one node of the balanced search tree in the flattened
 // array layout the TACO routing-table unit exposes to the processor:
-// a disjoint address range, child indices, and the owning route. Index
-// -1 means "no child".
+// a disjoint address range, child indices, and the owner index — the
+// position of the range's longest covering route in the table's route
+// array (RouteAt), the route reference treeNodeBits prices. Index -1
+// means "no child".
 type TreeNode struct {
 	First, Last bits.Word128
 	Left, Right int
-	Route       Route
+	Owner       int
 }
 
 // BalancedTreeTable implements the paper's second case: a balanced tree
@@ -97,7 +99,7 @@ func (t *BalancedTreeTable) Delete(p bits.Prefix) bool {
 	return true
 }
 
-// rebuild derives the node array; range owners index the route array.
+// rebuild derives the node array; node owners index the route array.
 func (t *BalancedTreeTable) rebuild() {
 	t.gen++
 	prefixes := make([]bits.Prefix, len(t.routes))
@@ -106,26 +108,26 @@ func (t *BalancedTreeTable) rebuild() {
 	}
 	ranges := bits.DisjointRanges(prefixes)
 	t.nodes = make([]TreeNode, 0, len(ranges))
-	t.root = t.build(ranges, t.routes)
+	t.root = t.build(ranges)
 }
 
 // build constructs a perfectly balanced BST over the sorted disjoint
 // ranges, returning the root's index into t.nodes.
-func (t *BalancedTreeTable) build(ranges []bits.RangeOwner, rs []Route) int {
+func (t *BalancedTreeTable) build(ranges []bits.RangeOwner) int {
 	if len(ranges) == 0 {
 		return -1
 	}
 	mid := len(ranges) / 2
 	idx := len(t.nodes)
 	t.nodes = append(t.nodes, TreeNode{}) // reserve
-	left := t.build(ranges[:mid], rs)
-	right := t.build(ranges[mid+1:], rs)
+	left := t.build(ranges[:mid])
+	right := t.build(ranges[mid+1:])
 	t.nodes[idx] = TreeNode{
 		First: ranges[mid].Range.First,
 		Last:  ranges[mid].Range.Last,
 		Left:  left,
 		Right: right,
-		Route: rs[ranges[mid].Owner],
+		Owner: ranges[mid].Owner,
 	}
 	return idx
 }
@@ -145,7 +147,7 @@ func (t *BalancedTreeTable) Lookup(addr bits.Word128) (Route, bool) {
 		case n.Last.Less(addr):
 			i = n.Right
 		default:
-			return n.Route, true
+			return t.routes[n.Owner], true
 		}
 	}
 	return Route{}, false
@@ -160,6 +162,9 @@ func (t *BalancedTreeTable) Routes() []Route { return slices.Clone(t.routes) }
 // Nodes exposes the flattened node array (the hardware view used by the
 // TACO routing-table unit) and the root index.
 func (t *BalancedTreeTable) Nodes() ([]TreeNode, int) { return t.nodes, t.root }
+
+// RouteAt returns the route a node's Owner index names.
+func (t *BalancedTreeTable) RouteAt(owner int) Route { return t.routes[owner] }
 
 // Root returns the root node index (-1 when empty).
 func (t *BalancedTreeTable) Root() int { return t.root }

@@ -77,7 +77,7 @@ func GenerateLargeRoutes(spec LargeTableSpec) []rtable.Route {
 		allocs[i] = bits.MakePrefix(a, 32).Addr
 	}
 
-	seen := make(map[bits.Prefix]bool, spec.Entries)
+	seen := newPrefixSet(spec.Entries)
 	routes := make([]rtable.Route, 0, spec.Entries)
 	for len(routes) < spec.Entries {
 		ln := pickLength(rng, LargePrefixLengthWeights)
@@ -93,10 +93,9 @@ func GenerateLargeRoutes(spec LargeTableSpec) []rtable.Route {
 			addr.Hi = addr.Hi&^(uint64(0xf)<<60) | uint64(2)<<60
 		}
 		p := bits.MakePrefix(addr, ln)
-		if seen[p] {
+		if !seen.add(p, routes) {
 			continue
 		}
-		seen[p] = true
 		routes = append(routes, rtable.Route{
 			Prefix:  p,
 			NextHop: linkLocalNeighbor(rng),
@@ -115,6 +114,12 @@ func GenerateLargeRoutes(spec LargeTableSpec) []rtable.Route {
 // inside randomly chosen installed prefixes. This is the cheap
 // probe-measurement workload for million-route tables, where building
 // full datagrams and rejection-sampling misses would dominate runtime.
+//
+// Known defect, not fixed: GenerateChurn inserts fresh prefixes drawn
+// from 2000::/3, which contains 3000::/4, so after a churn stream some
+// of these "guaranteed" misses can match a churned-in route. Fixing the
+// churn draw moves the pinned churn goldens, so it is left to a change
+// of its own.
 func SampleDests(routes []rtable.Route, n int, missRatio float64, seed uint64) []bits.Word128 {
 	rng := NewRNG(seed ^ 0xd0d0)
 	out := make([]bits.Word128, n)
@@ -179,6 +184,11 @@ const (
 // given base table: inserts of fresh prefixes, deletes and replaces of
 // routes live at that point in the stream (so every delete hits and
 // every replace changes an installed route).
+//
+// Known defect, not fixed: fresh prefixes are drawn from 2000::/3, not
+// the 2000::/4 GenerateLargeRoutes keeps to, so an insert can land in
+// the 3000::/4 region SampleDests treats as guaranteed misses.
+// Confining the draw would move testdata/largetable's churn goldens.
 func GenerateChurn(base []rtable.Route, spec ChurnSpec) []ChurnOp {
 	ifaces := spec.Ifaces
 	if ifaces <= 0 {

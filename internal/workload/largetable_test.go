@@ -4,6 +4,9 @@
 package workload
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"taco/internal/bits"
@@ -152,5 +155,75 @@ func TestGenerateChurnValidAgainstTable(t *testing.T) {
 		if ops[i] != ops2[i] {
 			t.Fatalf("churn op %d differs between identical specs", i)
 		}
+	}
+}
+
+// routesDigest is the FNV-64a of a route list in order: prefix, next
+// hop, interface, metric and tag of each route.
+func routesDigest(rs []rtable.Route) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, r := range rs {
+		put(r.Prefix.Addr.Hi)
+		put(r.Prefix.Addr.Lo)
+		put(uint64(r.Prefix.Len))
+		put(r.NextHop.Hi)
+		put(r.NextHop.Lo)
+		put(uint64(r.Iface))
+		put(uint64(r.Metric))
+		put(uint64(r.Tag))
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestGenerateLargeRoutesGolden pins the generator's output in draw
+// order: the RNG draw sequence is the contract every sweep, sample and
+// churn stream is derived from, so a change to how the generator
+// deduplicates must not move a single route.
+func TestGenerateLargeRoutesGolden(t *testing.T) {
+	for _, c := range []struct {
+		spec LargeTableSpec
+		want string
+	}{
+		{LargeTableSpec{Entries: 10000, Seed: 2003}, "ea99539a5944fdb7"},
+		{LargeTableSpec{Entries: 100000, Seed: 2003}, "5985a84e52f3d28c"},
+		{LargeTableSpec{Entries: 5000, Seed: 42}, "c6a7339b3a158a9a"},
+		{LargeTableSpec{Entries: 17, Seed: 2, Allocations: 1}, "f649da62fc7f6d31"},
+	} {
+		if got := routesDigest(GenerateLargeRoutes(c.spec)); got != c.want {
+			t.Errorf("%+v: digest %s, want %s", c.spec, got, c.want)
+		}
+	}
+	// GenerateRoutes dedups through the same set.
+	for _, c := range []struct {
+		spec TableSpec
+		want string
+	}{
+		{PaperTableSpec(), "e2b8f6bf3e68f06f"},
+		{TableSpec{Entries: 20000, Seed: 7}, "4060e1a310f5453a"},
+	} {
+		if got := routesDigest(GenerateRoutes(c.spec)); got != c.want {
+			t.Errorf("%+v: digest %s, want %s", c.spec, got, c.want)
+		}
+	}
+}
+
+// routesSink keeps benchmarked results live.
+var routesSink []rtable.Route
+
+// BenchmarkGenerateLargeRoutes times the large-table sweep's first
+// input phase: drawing and deduplicating the route set.
+func BenchmarkGenerateLargeRoutes(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				routesSink = GenerateLargeRoutes(LargeTableSpec{Entries: n, Seed: 2003})
+			}
+		})
 	}
 }

@@ -72,7 +72,7 @@ func GenerateRoutes(spec TableSpec) []rtable.Route {
 		spec.Ifaces = 4
 	}
 	rng := NewRNG(spec.Seed)
-	seen := make(map[bits.Prefix]bool, spec.Entries)
+	seen := newPrefixSet(spec.Entries)
 	routes := make([]rtable.Route, 0, spec.Entries)
 	for len(routes) < spec.Entries {
 		ln := DefaultPrefixLengths[rng.Intn(len(DefaultPrefixLengths))]
@@ -80,10 +80,9 @@ func GenerateRoutes(spec TableSpec) []rtable.Route {
 		// Force global unicast: 001 in the top three bits.
 		addr.Hi = addr.Hi&^(uint64(7)<<61) | uint64(1)<<61
 		p := bits.MakePrefix(addr, ln)
-		if seen[p] {
+		if !seen.add(p, routes) {
 			continue
 		}
-		seen[p] = true
 		routes = append(routes, rtable.Route{
 			Prefix:  p,
 			NextHop: linkLocalNeighbor(rng),
