@@ -77,26 +77,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			m.AttachRecorder(0)
 		}
 
-		// step advances the machine by up to n cycles through the selected
-		// path; the budget/stat loop around it is shared.
-		stepped := m.RunStepped
-		step := func(n int64) (int64, error) {
-			var i int64
-			for ; i < n && !m.Halted(); i++ {
-				if err := m.Step(); err != nil {
-					return i, err
-				}
-			}
-			return i, nil
-		}
 		if !c.Interp {
-			cm, err := tta.Compile(m)
-			if err != nil {
+			if err := m.UseCompiled(); err != nil {
 				return err
 			}
-			stepped = cm.RunStepped
-			step = func(n int64) (int64, error) { return cm.RunToPC(-1, n) }
 		}
+		// step advances the machine by up to n cycles; the budget/stat
+		// loop around it is shared.
+		step := func(n int64) (int64, error) { return m.RunToPC(-1, n) }
 
 		// Either trace sink turns the run into a stepped one that reads the
 		// recorder after every cycle; a slice of n cycles ends by pausing.
@@ -114,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *trace || tw != nil {
 			names := m.SocketNames()
 			step = func(n int64) (int64, error) {
-				done, _, err := stepped(-1, func(cycle int64, _ int, events []obs.RecEvent) bool {
+				done, _, err := m.RunStepped(-1, func(cycle int64, _ int, events []obs.RecEvent) bool {
 					if *trace {
 						obs.WriteCycle(stdout, cycle, events, names)
 					}
@@ -193,9 +181,9 @@ func resolveReads(m *tta.Machine, list string) ([]string, error) {
 
 // runSliced drives step to halt within maxCy cycles, in slices of
 // `every` cycles when stat events are requested. The budget check
-// matches Machine.Run / CompiledMachine.Run exactly (tested before each
-// slice), so the failure mode and message are identical to an unsliced
-// run. The stat events are flushed however the run ends.
+// matches Machine.Run exactly (tested before each slice), so the
+// failure mode and message are identical to an unsliced run. The stat
+// events are flushed however the run ends.
 func runSliced(m *tta.Machine, step func(int64) (int64, error), maxCy, every int64, ev *obs.EventWriter) (cycles int64, err error) {
 	start := m.Stats().Cycles
 	if ev != nil {

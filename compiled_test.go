@@ -108,7 +108,9 @@ func compareRouters(t *testing.T, trI, trC *router.TACO) {
 
 // TestCompiledVsInterpreted runs the nine Table 1 instances over the
 // golden corpus on both step paths, two reset-reuse batches each, and
-// requires every observable to be identical.
+// requires every observable to be identical. The batches follow a run
+// cut short by the watchdog: the first starts from a Reset in the
+// middle of a run and is compared with a freshly built router.
 func TestCompiledVsInterpreted(t *testing.T) {
 	routes := workload.GenerateRoutes(workload.TableSpec{Entries: 100, Ifaces: 4, Seed: 2003})
 	pkts := goldenCorpus(t, routes, 24)
@@ -121,14 +123,20 @@ func TestCompiledVsInterpreted(t *testing.T) {
 				if err := trC.UseCompiled(); err != nil {
 					t.Fatal(err)
 				}
-				// Two batches: the second exercises the compiled path's
-				// reset-reuse handling (stale caches, retained capacity).
-				for batch := 0; batch < 2; batch++ {
-					trI.Reset()
+				// Batch -1 stalls mid-run; batch 0 exercises a Reset in
+				// the middle of a compiled run (stale idle caches) against
+				// a fresh router, batch 1 reset-reuse (retained capacity)
+				// against the interpreted twin.
+				for batch := -1; batch < 2; batch++ {
+					ref := trI
+					if batch == 0 {
+						ref = buildRouter(t, kind, cfg, routes)
+					}
+					ref.Reset()
 					trC.Reset()
 					delivered := int64(0)
 					for j, p := range pkts {
-						okI := trI.Deliver(j%4, linecard.Datagram{Data: p.Data, Seq: p.Seq})
+						okI := ref.Deliver(j%4, linecard.Datagram{Data: p.Data, Seq: p.Seq})
 						okC := trC.Deliver(j%4, linecard.Datagram{Data: p.Data, Seq: p.Seq})
 						if okI != okC {
 							t.Fatalf("batch %d: delivery %d accepted=%t compiled vs %t interpreted",
@@ -138,16 +146,25 @@ func TestCompiledVsInterpreted(t *testing.T) {
 							delivered++
 						}
 					}
-					const budget = 20_000_000
-					errI := trI.Run(delivered, budget)
+					budget := int64(20_000_000)
+					if batch < 0 {
+						budget = 200
+					}
+					errI := ref.Run(delivered, budget)
 					errC := trC.Run(delivered, budget)
+					if batch < 0 {
+						if !errors.Is(errI, router.ErrStall) || !errors.Is(errC, router.ErrStall) {
+							t.Fatalf("cut-short run: compiled %v, interpreted %v; want stalls", errC, errI)
+						}
+						continue
+					}
 					if (errI == nil) != (errC == nil) {
 						t.Fatalf("batch %d: run errors differ: compiled %v, interpreted %v", batch, errC, errI)
 					}
 					if errI != nil {
 						t.Fatalf("batch %d: run failed on both paths: %v", batch, errI)
 					}
-					compareRouters(t, trI, trC)
+					compareRouters(t, ref, trC)
 				}
 			})
 		}
@@ -187,10 +204,10 @@ func TestCompiledStallErrorIdentical(t *testing.T) {
 	}
 }
 
-// lockstepMachines steps mi (interpreter) and cm (compiled, over mc) one
-// cycle at a time, comparing pc, halt flag, statistics and the full
-// socket snapshot after every cycle, until both halt.
-func lockstepMachines(t *testing.T, mi, mc *tta.Machine, cm *tta.CompiledMachine, maxCycles int) {
+// lockstepMachines steps mi (interpreter) and mc (compiled) one cycle
+// at a time, comparing pc, halt flag, statistics and the full socket
+// snapshot after every cycle, until both halt.
+func lockstepMachines(t *testing.T, mi, mc *tta.Machine, maxCycles int) {
 	t.Helper()
 	for cyc := 0; ; cyc++ {
 		if cyc > maxCycles {
@@ -202,7 +219,7 @@ func lockstepMachines(t *testing.T, mi, mc *tta.Machine, cm *tta.CompiledMachine
 			return
 		}
 		errI := mi.Step()
-		errC := cm.Step()
+		errC := mc.Step()
 		switch {
 		case (errI == nil) != (errC == nil):
 			t.Fatalf("cycle %d: step errors differ: compiled %v, interpreted %v", cyc, errC, errI)
@@ -297,13 +314,13 @@ func TestCompiledVsInterpretedChecksum(t *testing.T) {
 		}
 		mi.SetPC(progI.Labels["cksum"])
 		mc.SetPC(progC.Labels["cksum"])
-		// Compile after Load: the compiled machine is tied to the loaded
-		// program pointer.
-		cm, err := tta.Compile(mc)
-		if err != nil {
-			t.Fatal(err)
+		// Compiled from the first Load on: every later Load re-lowers.
+		if !mc.Compiled() {
+			if err := mc.UseCompiled(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		lockstepMachines(t, mi, mc, cm, 200_000)
+		lockstepMachines(t, mi, mc, 200_000)
 		vI, err := mi.ReadSocket("gpr.r15")
 		if err != nil {
 			t.Fatal(err)

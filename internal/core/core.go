@@ -169,11 +169,11 @@ type SimOptions struct {
 	Observe bool
 
 	// Compiled runs the simulation through the compiled fast path
-	// (tta.Compile): the forwarding program is pre-lowered into a
-	// specialized step function that is bit-identical to the interpreter
-	// but several times faster. On in DefaultSimOptions; false selects
-	// the interpreter, which is the reference semantics the compiled path
-	// is checked against.
+	// (tta.Machine.UseCompiled): the forwarding program is pre-lowered
+	// into a specialized step function that is bit-identical to the
+	// interpreter but several times faster. On in DefaultSimOptions;
+	// false selects the interpreter, which is the reference semantics
+	// the compiled path is checked against.
 	Compiled bool `json:",omitempty"`
 
 	// MaxCyclesPerPacket overrides the watchdog's cycle budget (budget =

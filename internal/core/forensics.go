@@ -12,8 +12,7 @@ import (
 )
 
 // captureBundle serializes the failed evaluation into a forensic bundle
-// and wraps the original error with the bundle path. A save failure is
-// reported alongside the original error rather than eclipsing it.
+// and wraps the original error with the bundle path (Bundle.Capture).
 func captureBundle(dir string, cfg fu.Config, sim SimOptions,
 	routes []rtable.Route, pkts []workload.Packet, expected, budget int64, runErr error) error {
 	se, ok := forensics.AsStall(runErr)
@@ -26,11 +25,7 @@ func captureBundle(dir string, cfg fu.Config, sim SimOptions,
 	b.Seed = sim.Seed
 	b.RecorderCap = obs.DefaultRecorderCap
 	b.AttachStall(se)
-	path, saveErr := b.Save(dir)
-	if saveErr != nil {
-		return fmt.Errorf("%w (forensics capture failed: %v)", runErr, saveErr)
-	}
-	return &forensics.CapturedError{Err: runErr, Bundle: path}
+	return b.Capture(dir, runErr)
 }
 
 // DivergenceBundle builds a compiled-vs-interpreted divergence bundle

@@ -6,7 +6,6 @@ import (
 	"reflect"
 
 	"taco/internal/core"
-	"taco/internal/forensics"
 )
 
 // This file is the design-space-exploration side of the compiled fast
@@ -68,11 +67,7 @@ func captureDivergence(inst Instance, divergence error) error {
 	if err != nil {
 		return divergence
 	}
-	path, err := b.Save(inst.Sim.ForensicsDir)
-	if err != nil {
-		return fmt.Errorf("%w (forensics capture failed: %v)", divergence, err)
-	}
-	return &forensics.CapturedError{Err: divergence, Bundle: path}
+	return b.Capture(inst.Sim.ForensicsDir, divergence)
 }
 
 // diffMetrics compares an interpreter-evaluated Metrics against the
@@ -99,21 +94,4 @@ func diffMetrics(label string, interp, got core.Metrics) error {
 		detail = fmt.Sprintf("got %+v, interpreter %+v", got, interp)
 	}
 	return fmt.Errorf("dse: compiled fast path diverged from interpreter on %s: %s", label, detail)
-}
-
-// verifyBestInterpreted is ExploreCtx's built-in oracle: when the grid
-// was evaluated compiled, the winning configuration is re-simulated
-// with the interpreter before it is reported. The one instance that
-// decides the exploration is never trusted to the fast path alone.
-func verifyBestInterpreted(cons core.Constraints, sim core.SimOptions, best core.Metrics) error {
-	interp := sim
-	interp.Compiled = false
-	m, err := core.Evaluate(best.Config, cons, interp)
-	if err != nil {
-		return fmt.Errorf("dse: interpreter replay of best %v/%s: %w", best.Kind, best.Config.Name, err)
-	}
-	if err := diffMetrics(fmt.Sprintf("best %v/%s", best.Kind, best.Config.Name), m, best); err != nil {
-		return captureDivergence(Instance{Cfg: best.Config, Cons: cons, Sim: sim}, err)
-	}
-	return nil
 }

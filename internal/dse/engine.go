@@ -446,14 +446,18 @@ func ExploreCtx(ctx context.Context, cons core.Constraints, sim core.SimOptions,
 		return nil, err
 	}
 	res := &ExploreResult{}
-	for i, m := range results {
+	order := make([]int, len(results))
+	for i := range results {
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
-		res.Ranked = append(res.Ranked, Candidate{Metrics: m, Score: score(m)})
+		order[i] = i
 	}
 	// Best first; the stable sort keeps scan order among equal scores.
-	sort.SliceStable(res.Ranked, func(i, j int) bool { return res.Ranked[i].Score < res.Ranked[j].Score })
+	sort.SliceStable(order, func(i, j int) bool { return score(results[order[i]]) < score(results[order[j]]) })
+	for _, i := range order {
+		res.Ranked = append(res.Ranked, Candidate{Metrics: results[i], Score: score(results[i])})
+	}
 	if len(res.Ranked) > 0 && res.Ranked[0].Metrics.Acceptable() {
 		res.Best, res.OK = res.Ranked[0], true
 	}
@@ -461,7 +465,9 @@ func ExploreCtx(ctx context.Context, cons core.Constraints, sim core.SimOptions,
 		// Compiled grids carry an always-on oracle for the pick that
 		// matters: the winner is re-evaluated with the interpreter, and
 		// any divergence fails the exploration (see compiled.go).
-		if err := verifyBestInterpreted(cons, sim, res.Best.Metrics); err != nil {
+		winner := insts[order[0]]
+		winner.Label = "best " + winner.Label
+		if err := ReplayInterpreted(ctx, []Instance{winner}, []core.Metrics{res.Best.Metrics}, 1, 1); err != nil {
 			return nil, err
 		}
 	}

@@ -197,6 +197,17 @@ func (b *Bundle) Save(dir string) (string, error) {
 	return path, nil
 }
 
+// Capture saves the bundle into dir and wraps cause, the failure it
+// records, with the written path (a *CapturedError). A save failure is
+// reported alongside cause rather than eclipsing it.
+func (b *Bundle) Capture(dir string, cause error) error {
+	path, err := b.Save(dir)
+	if err != nil {
+		return fmt.Errorf("%w (forensics capture failed: %v)", cause, err)
+	}
+	return &CapturedError{Err: cause, Bundle: path}
+}
+
 // Load reads and validates a bundle file. A router bundle must name at
 // least one interface and deliver every datagram on one of them, in
 // increasing Seq order.

@@ -1,6 +1,7 @@
 package forensics
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -140,6 +141,32 @@ func TestBundleSaveDeterministic(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Fatal("bundle bytes differ across identical captures")
+	}
+}
+
+// TestCaptureWrapsCause: Capture saves the bundle where Save would and
+// wraps the cause with its path; a failed save keeps the cause
+// matchable and names the save error instead of a path.
+func TestCaptureWrapsCause(t *testing.T) {
+	dir := t.TempDir()
+	b := &Bundle{Version: Version, Kind: KindMachineStall, Label: "capture"}
+	cause := errors.New("tta: exceeded 10 cycles (pc=3)")
+	err := b.Capture(dir, cause)
+	want, serr := b.Save(dir)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	if !errors.Is(err, cause) || BundlePath(err) != want {
+		t.Fatalf("Capture = %v, want %v wrapped with bundle %s", err, cause, want)
+	}
+	if got := err.Error(); got != cause.Error()+" [bundle "+want+"]" {
+		t.Errorf("Capture text = %q", got)
+	}
+	notDir := filepath.Join(dir, filepath.Base(want)) // a file, not a directory
+	err = b.Capture(notDir, cause)
+	if !errors.Is(err, cause) || BundlePath(err) != "" ||
+		!strings.HasPrefix(err.Error(), cause.Error()+" (forensics capture failed: forensics: ") {
+		t.Errorf("Capture into a file = %v, want the cause plus the save failure", err)
 	}
 }
 

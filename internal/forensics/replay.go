@@ -244,17 +244,14 @@ func replayMachine(b *Bundle, opts ReplayOptions, until int64, onCycle func(int6
 	if err != nil {
 		return nil, err
 	}
-	run := m.RunStepped
 	if opts.compiled(b) {
-		cm, err := tta.Compile(m)
-		if err != nil {
+		if err := m.UseCompiled(); err != nil {
 			return nil, err
 		}
-		run = cm.RunStepped
 	}
 	rec := m.Recorder
 	res := &ReplayResult{SocketNames: m.SocketNames()}
-	_, paused, runErr := run(b.Budget, opts.observer(m, until, onCycle))
+	_, paused, runErr := m.RunStepped(b.Budget, opts.observer(m, until, onCycle))
 	if paused {
 		res.Err = fmt.Sprintf("replay: paused after cycle %d (pc %d)", until, m.PC())
 	}

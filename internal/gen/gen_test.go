@@ -125,6 +125,11 @@ func TestMatlabScriptContents(t *testing.T) {
 			t.Errorf("Matlab script missing %q", want)
 		}
 	}
+	// The script carries no per-module model, so it may not claim to
+	// track one.
+	if strings.Contains(s, "lockstep") {
+		t.Error("Matlab script claims a lockstep no test checks")
+	}
 }
 
 func TestComponentLibraryCoversTopLevel(t *testing.T) {

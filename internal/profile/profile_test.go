@@ -112,15 +112,12 @@ func TestProfileAccountsEveryCycle(t *testing.T) {
 		if err := m.Load(prog); err != nil {
 			t.Fatal(err)
 		}
-		run := m.Run
 		if compiled {
-			cm, err := tta.Compile(m)
-			if err != nil {
+			if err := m.UseCompiled(); err != nil {
 				t.Fatal(err)
 			}
-			run = cm.Run
 		}
-		if _, err := run(1000); err != nil {
+		if _, err := m.Run(1000); err != nil {
 			t.Fatal(err)
 		}
 		p = New(prog, m.Count())

@@ -11,9 +11,9 @@ import (
 )
 
 // TestCompileRejectsOver64Units: the compiled path keeps one activity
-// bit per unit, so a 65-unit machine is refused — by tta.Compile and by
-// UseCompiled — with an error naming the limit, and still runs, and
-// agrees with the golden router, on the interpreter.
+// bit per unit, so a 65-unit machine is refused — by Machine.UseCompiled
+// and by TACO.UseCompiled — with an error naming the limit, stays on the
+// interpreter, and still runs, and agrees with the golden router, there.
 func TestCompileRejectsOver64Units(t *testing.T) {
 	limitErr := func(what string, err error) {
 		t.Helper()
@@ -39,8 +39,10 @@ func TestCompileRejectsOver64Units(t *testing.T) {
 	if err := m.Load(f3.Optimized); err != nil {
 		t.Fatal(err)
 	}
-	_, err = tta.Compile(m)
-	limitErr("tta.Compile", err)
+	limitErr("Machine.UseCompiled", m.UseCompiled())
+	if m.Compiled() {
+		t.Fatal("a refused UseCompiled left the machine on the compiled path")
+	}
 	mmu := m.Units()[m.UnitCount()-1].(*fu.MMU)
 	wide, err := program.RunFigure3(m, f3.Optimized, mmu.Peek)
 	if err != nil {
@@ -68,7 +70,7 @@ func TestCompileRejectsOver64Units(t *testing.T) {
 		t.Fatalf("router machine has %d units, want %d", n, tta.MaxCompiledUnits+1)
 	}
 	limitErr("UseCompiled", tr.UseCompiled())
-	if tr.Compiled() {
+	if tr.Machine.Compiled() {
 		t.Fatal("a refused UseCompiled left the router on the compiled path")
 	}
 	tr.AddLocal(routerAddr)

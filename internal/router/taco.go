@@ -33,11 +33,6 @@ type TACO struct {
 	ifaces     int
 	localAddrs []ipv6.Addr
 
-	// compiled, when set by UseCompiled, makes Run batch cycles through
-	// the pre-lowered fast path instead of stepping the interpreter.
-	// Both are bit-identical by contract.
-	compiled *tta.CompiledMachine
-
 	// audit, when enabled, records delivered datagrams so machine-level
 	// drops can be attributed to a DropReason after the run; nil (the
 	// default) costs one pointer check per Deliver.
@@ -71,24 +66,15 @@ func NewTACO(cfg fu.Config, tbl rtable.Table, ifaces int) (*TACO, error) {
 	}, nil
 }
 
-// UseCompiled switches Run to the compiled fast path: the loaded
-// forwarding program is pre-lowered once (tta.Compile) and every
-// subsequent cycle executes through the specialized step function.
-// Observable behavior — cycles, stalls, socket and queue state, and
-// attached obs counters, recorded events — is bit-identical to the
-// interpreter; counters and the flight recorder are fed natively by the
-// fast path, so no observer costs the compiled speedup.
-func (t *TACO) UseCompiled() error {
-	cm, err := tta.Compile(t.Machine)
-	if err != nil {
-		return err
-	}
-	t.compiled = cm
-	return nil
-}
-
-// Compiled reports whether Run executes through the compiled fast path.
-func (t *TACO) Compiled() bool { return t.compiled != nil }
+// UseCompiled switches the machine to the compiled fast path
+// (tta.Machine.UseCompiled): the loaded forwarding program is
+// pre-lowered once and every subsequent cycle executes through the
+// specialized step function. Observable behavior — cycles, stalls,
+// socket and queue state, the execution count, recorded events — is
+// bit-identical to the interpreter; the count and the flight recorder
+// are fed natively by the fast path, so no observer costs the compiled
+// speedup.
+func (t *TACO) UseCompiled() error { return t.Machine.UseCompiled() }
 
 // ArmRecorder attaches a flight recorder (capacity <= 0 means
 // obs.DefaultRecorderCap) to the machine and shares it with the line
@@ -181,19 +167,16 @@ func (t *TACO) Run(expected int64, maxCycles int64) error {
 }
 
 // RunStepped is the one forwarding run loop. With a nil onCycle it is
-// Run, taking the fastest way to the next point where the loop's
-// conditions can change. With an onCycle it single-steps whichever step
-// path the router is configured for — same stop condition, same budget
-// check, same *StallError — and reports every completed cycle (see
-// tta.CycleFunc), which needs an armed recorder (ArmRecorder). paused
-// reports that onCycle stopped the run before it was done.
+// Run, batching cycles to the next point where the loop's conditions
+// can change. With an onCycle it single-steps the machine's step path —
+// same stop condition, same budget check, same *StallError — and
+// reports every completed cycle (see tta.CycleFunc), which needs an
+// armed recorder (ArmRecorder). paused reports that onCycle stopped the
+// run before it was done.
 func (t *TACO) RunStepped(expected, maxCycles int64, onCycle tta.CycleFunc) (paused bool, err error) {
 	mainAddr := t.Sched.Program.Labels["main"]
 	start := t.Machine.Stats().Cycles
-	step, more := t.Machine.Step, true
-	if t.compiled != nil {
-		step = t.compiled.Step
-	}
+	more := true
 	for {
 		if cycles := t.Machine.Stats().Cycles - start; cycles > maxCycles {
 			se := &StallError{
@@ -227,25 +210,20 @@ func (t *TACO) RunStepped(expected, maxCycles int64, onCycle tta.CycleFunc) (pau
 			t.Bank.AnyPending() < 0 {
 			return false, nil
 		}
-		switch {
-		case onCycle != nil:
+		if onCycle != nil {
 			if !more {
 				return true, nil
 			}
-			if more, err = t.Machine.StepObserved(step, onCycle); err != nil {
+			if more, err = t.Machine.StepObserved(onCycle); err != nil {
 				return false, err
 			}
-		case t.compiled != nil:
+		} else {
 			// Batch: run until the next poll-loop visit (the only PC at
 			// which the stop condition above can hold) or until one cycle
-			// past the budget — exactly where the interpreted loop lands,
+			// past the budget — exactly where a single-stepped loop lands,
 			// so the StallError dump is identical.
 			cycles := t.Machine.Stats().Cycles - start
-			if _, err := t.compiled.RunToPC(mainAddr, maxCycles-cycles+1); err != nil {
-				return false, err
-			}
-		default:
-			if err := t.Machine.Step(); err != nil {
+			if _, err := t.Machine.RunToPC(mainAddr, maxCycles-cycles+1); err != nil {
 				return false, err
 			}
 		}

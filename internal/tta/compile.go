@@ -10,16 +10,16 @@ import (
 )
 
 // This file implements the compiled fast path: for a fixed machine
-// instance and loaded program, Compile pre-lowers the move schedule
+// instance and loaded program, UseCompiled pre-lowers the move schedule
 // into flat per-pc move records — guards resolved to the flags and
 // getters of the units' port tables, sources and destinations to their
 // registers and (value, armed) latches, immediates inlined, error cases
 // pre-rendered — so the steady-state
 // step loop touches no maps, no socket tables and no per-move
-// validation. The compiled step is required to be bit-identical to
-// Machine.Step: same cycle counts, same halt behavior, same errors
+// validation. The compiled step is required to be bit-identical to the
+// interpreter's: same cycle counts, same halt behavior, same errors
 // (byte-for-byte message text), same observable socket/FU/stats state
-// after every cycle. The differential suites in compile_test.go, the
+// after every cycle. The lockstep tests in edge_test.go, the
 // root-level TestCompiledVsInterpreted and FuzzCompiledVsInterpreted
 // enforce that contract.
 
@@ -131,22 +131,20 @@ type cwrite struct {
 	val uint32
 }
 
-// CompiledMachine executes a specific (machine, program) pair through
-// pre-lowered step records. It shares the underlying Machine's state —
-// pc, halt flag, statistics, stamp arrays and of course the units — so
-// interpreter-side observers (SnapshotSockets, Stats, PC, Halted) see
-// identical values after every compiled cycle, and the two step paths
-// may be interleaved freely.
+// fastPath is a machine's compiled step path, installed by UseCompiled:
+// the loaded program pre-lowered into flat step records. It shares the
+// machine's state — pc, halt flag, statistics, stamp arrays and of
+// course the units — so observers (SnapshotSockets, Stats, PC, Halted)
+// see the values the interpreter would leave after every cycle.
 //
 // The execution count is native: the fast path counts each completed
 // cycle against its PC and each guard-failed move against its flat
 // index — the same cycles and moves the interpreter counts. The flight
 // recorder is native the same way, so no observer ever makes a
 // compiled machine execute a cycle through the interpreter.
-type CompiledMachine struct {
-	m    *Machine
-	prog *isa.Program
-	ins  []cins
+type fastPath struct {
+	m   *Machine
+	ins []cins
 	// moves backs every instruction's [start:end) window (see cins).
 	moves []cmove
 
@@ -174,54 +172,48 @@ type CompiledMachine struct {
 	lastClock []int64
 	wakeSeen  []uint64
 
-	// Staleness tracking: if the machine was reset or stepped by the
-	// interpreter since our last cycle, the idle cache is invalid (unit
-	// activity may have changed without a socket write we saw).
-	lastCycles int64
-	resetGen   uint64
-	dirty      bool
+	// dirty marks the idle cache invalid: set on installation, by Reset
+	// and by a cycle that ended in an error, when unit activity may have
+	// changed without a socket write the fast path saw.
+	dirty bool
 }
 
 // MaxCompiledUnits is the most functional units a machine may have for
-// Compile: the fast path tracks unit activity in one 64-bit mask. The
-// interpreter has no such limit.
+// UseCompiled: the fast path tracks unit activity in one 64-bit mask.
+// The interpreter has no such limit.
 const MaxCompiledUnits = 64
 
-// Compile lowers the machine's loaded program into a CompiledMachine.
-// The result is tied to the exact *isa.Program pointer loaded at
-// compile time; loading a different program later makes the compiled
-// machine stale and its Step returns an error.
-func Compile(m *Machine) (*CompiledMachine, error) {
+// UseCompiled switches the machine to the compiled fast path: the
+// loaded program is pre-lowered once, and from then on Step, Run,
+// RunStepped and RunToPC execute through the lowered records, bit for
+// bit as the interpreter would — execution count and recorder events
+// included. A later Load lowers the new program. A refused switch (no
+// program loaded, more than MaxCompiledUnits units) leaves the machine
+// on the interpreter.
+func (m *Machine) UseCompiled() error {
 	if m.prog == nil {
-		return nil, fmt.Errorf("tta: compile: no program loaded")
-	}
-	if err := m.prog.Validate(m.buses); err != nil {
-		return nil, fmt.Errorf("tta: compile: %w", err)
+		return fmt.Errorf("tta: compile: no program loaded")
 	}
 	n := len(m.units)
 	if n > MaxCompiledUnits {
-		return nil, fmt.Errorf("tta: compile: %d units exceed the compiled path's %d-unit limit; use the interpreter",
+		return fmt.Errorf("tta: compile: %d units exceed the compiled path's %d-unit limit; use the interpreter",
 			n, MaxCompiledUnits)
 	}
-	c := &CompiledMachine{
-		m:          m,
-		prog:       m.prog,
-		ins:        make([]cins, len(m.prog.Ins)),
-		clocking:   make([]Clocking, n),
-		settled:    make([]func() bool, n),
-		lags:       make([]LagClocker, n),
-		lastClock:  make([]int64, n),
-		wakeSeen:   make([]uint64, n),
-		lastCycles: m.stats.Cycles,
-		resetGen:   m.resetGen,
+	c := &fastPath{
+		m:         m,
+		ins:       make([]cins, len(m.prog.Ins)),
+		clocking:  make([]Clocking, n),
+		settled:   make([]func() bool, n),
+		lags:      make([]LagClocker, n),
+		lastClock: make([]int64, n),
+		wakeSeen:  make([]uint64, n),
+		dirty:     true,
 	}
 	if n > 0 {
 		c.allMask = ^uint64(0) >> (64 - uint(n))
 	}
-	c.active = c.allMask
 	for i, u := range m.units {
 		t := u.Ports()
-		c.lastClock[i] = m.stats.Cycles
 		c.clocking[i], c.settled[i], c.lags[i] = t.Clocking, t.Settled, t.Lag
 		if t.Clocking == ClockLag {
 			c.lagIdx = append(c.lagIdx, i)
@@ -235,8 +227,12 @@ func Compile(m *Machine) (*CompiledMachine, error) {
 		c.ins[pc] = c.lowerInstruction(pc, in, start)
 		start += len(in.Moves)
 	}
-	return c, nil
+	m.fast = c
+	return nil
 }
+
+// Compiled reports whether the machine runs on the compiled fast path.
+func (m *Machine) Compiled() bool { return m.fast != nil }
 
 // failure returns the move's error texts, allocating them on the first
 // failure: moves that cannot fail keep errs nil (see cmoveErrs).
@@ -276,7 +272,7 @@ func (m *Machine) hazards(in isa.Instruction, i int) (wr, tr bool) {
 }
 
 // lowerInstruction lowers in into c.moves[start:start+len(in.Moves)].
-func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction, start int) cins {
+func (c *fastPath) lowerInstruction(pc int, in isa.Instruction, start int) cins {
 	m := c.m
 	moves := c.moves[start : start+len(in.Moves)]
 	for bus, mv := range in.Moves {
@@ -379,44 +375,24 @@ func (c *CompiledMachine) lowerInstruction(pc int, in isa.Instruction, start int
 	return cins{start: int32(start), end: int32(start + len(moves)), n: int64(len(in.Moves)), direct: direct}
 }
 
-// Machine returns the underlying machine (shared state, not a copy).
-func (c *CompiledMachine) Machine() *Machine { return c.m }
-
-// Step executes one cycle through the pre-lowered schedule, mirroring
-// Machine.Step bit for bit — execution count and recorder events
-// included.
-func (c *CompiledMachine) Step() error {
-	_, err := c.RunToPC(-1, 1)
-	return err
-}
-
-// RunToPC executes up to maxSteps cycles, additionally stopping once
-// the program counter reaches stopPC after at least one executed cycle
-// (stopPC < 0 never stops; machine halt always does). It returns the
-// number of cycles executed.
-//
-// This is the batch entry point the router's run loop drives: per-cycle
-// bookkeeping (statistics, pc, the cycle stamp) lives in locals and is
-// flushed to the machine on every exit path, so observable state is
-// bit-identical to stepping the interpreter the same number of cycles —
-// while the tight loop itself touches almost no shared memory.
-func (c *CompiledMachine) RunToPC(stopPC int, maxSteps int64) (int64, error) {
+// runToPC is Machine.RunToPC on the fast path. Per-cycle bookkeeping
+// (statistics, pc, the cycle stamp) lives in locals and is flushed to
+// the machine on every exit path, so observable state is bit-identical
+// to stepping the interpreter the same number of cycles — while the
+// tight loop itself touches almost no shared memory.
+func (c *fastPath) runToPC(stopPC int, maxSteps int64) (int64, error) {
 	m := c.m
-	if m.prog != c.prog {
-		return 0, errors.New("tta: compiled machine is stale: program reloaded since Compile")
-	}
-	if c.dirty || m.stats.Cycles != c.lastCycles || m.resetGen != c.resetGen {
-		// The machine was reset or stepped outside the fast path since
-		// our last cycle: every cached "this unit is idle" fact is
-		// suspect, so clock everything until units re-report settled.
-		// Lag units count as clocked on the (interpreter-run) previous
-		// cycle — their counters are already current, nothing to CatchUp.
+	if c.dirty {
+		// Freshly installed, reset, or left mid-cycle by an error: every
+		// cached "this unit is idle" fact is suspect, so clock everything
+		// until units re-report settled. Lag units count as clocked on
+		// the previous cycle — their counters are current, nothing to
+		// CatchUp.
 		c.active = c.allMask
 		for i := range c.lastClock {
 			c.lastClock[i] = m.stats.Cycles
 		}
 		c.dirty = false
-		c.resetGen = m.resetGen
 	} else {
 		// Re-activate parked lag units woken by external input (a line
 		// card delivery) since they were parked. Wakes cannot happen
@@ -685,8 +661,7 @@ loop:
 	}
 
 	// Flush the register-resident cycle state back to the machine so any
-	// observer — or an interleaved interpreter step — sees exactly the
-	// state the interpreter would have produced.
+	// observer sees exactly the state the interpreter would have produced.
 	m.pc = pc
 	m.nextPC = pc
 	m.jumped = jumped
@@ -697,7 +672,6 @@ loop:
 	m.stats.SlotsEncoded += encoded
 	m.stats.MovesExecuted += moved
 	c.active = active
-	c.lastCycles = m.stats.Cycles
 	if retErr != nil {
 		m.uncount(pc, stamp)
 		// A mid-cycle abort may have clocked some units of an uncounted
@@ -706,36 +680,4 @@ loop:
 		c.dirty = true
 	}
 	return cycles, retErr
-}
-
-// Run executes until the machine halts or maxCycles elapse, mirroring
-// Machine.Run (including its error text). It returns the number of
-// cycles executed by this call.
-func (c *CompiledMachine) Run(maxCycles int64) (int64, error) {
-	m := c.m
-	start := m.stats.Cycles
-	for !m.halted {
-		if maxCycles >= 0 && m.stats.Cycles-start >= maxCycles {
-			return m.stats.Cycles - start, fmt.Errorf("tta: exceeded %d cycles (pc=%d)", maxCycles, m.pc)
-		}
-		budget := int64(1) << 62
-		if maxCycles >= 0 {
-			budget = maxCycles - (m.stats.Cycles - start)
-		}
-		if _, err := c.RunToPC(-1, budget); err != nil {
-			return m.stats.Cycles - start, err
-		}
-	}
-	return m.stats.Cycles - start, nil
-}
-
-// RunStepped is Machine.RunStepped through the compiled step: Run one
-// observed cycle at a time, identical in every observable to the
-// interpreter's stepped run. A nil onCycle is Run.
-func (c *CompiledMachine) RunStepped(maxCycles int64, onCycle CycleFunc) (n int64, paused bool, err error) {
-	if onCycle == nil {
-		n, err = c.Run(maxCycles)
-		return n, false, err
-	}
-	return c.m.runStepped(c.Step, maxCycles, onCycle)
 }

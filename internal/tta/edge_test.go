@@ -12,11 +12,11 @@ import (
 // and requires the same error text, halt flag, pc, statistics and
 // derived counters every cycle, including cycles that end in an error —
 // which count nothing, on either path.
-func stepBoth(t *testing.T, mi, mc *Machine, cm *CompiledMachine, cyc int) (error, bool) {
+func stepBoth(t *testing.T, mi, mc *Machine, cyc int) (error, bool) {
 	t.Helper()
 	before := mi.Counters()
 	errI := mi.Step()
-	errC := cm.Step()
+	errC := mc.Step()
 	switch {
 	case (errI == nil) != (errC == nil):
 		t.Fatalf("cycle %d: errors differ: compiled %v, interpreted %v", cyc, errC, errI)
@@ -50,12 +50,11 @@ func runEdgeCase(t *testing.T, buses int, build func(m *Machine) *isa.Program) (
 	if err := mc.Load(build(mc)); err != nil {
 		t.Fatal(err)
 	}
-	cm, err := Compile(mc)
-	if err != nil {
+	if err := mc.UseCompiled(); err != nil {
 		t.Fatal(err)
 	}
 	for cyc := 0; cyc < 1000; cyc++ {
-		err, halted := stepBoth(t, mi, mc, cm, cyc)
+		err, halted := stepBoth(t, mi, mc, cyc)
 		if err != nil || halted {
 			return mi, err
 		}
@@ -99,17 +98,12 @@ func TestStampWraparound(t *testing.T) {
 		for i := range m.trigStamp {
 			m.trigStamp[i] = 1
 		}
-		run := func() (int64, error) {
-			if !compiled {
-				return m.Run(-1)
-			}
-			cm, err := Compile(m)
-			if err != nil {
+		if compiled {
+			if err := m.UseCompiled(); err != nil {
 				t.Fatal(err)
 			}
-			return cm.Run(1000)
 		}
-		if _, err := run(); err != nil {
+		if _, err := m.Run(1000); err != nil {
 			t.Fatalf("compiled=%t: wraparound cycle misflagged: %v", compiled, err)
 		}
 		if got, err := m.ReadSocket("gpr.r0"); err != nil || got != 8 {
@@ -278,4 +272,64 @@ func TestConflictingWriteDetection(t *testing.T) {
 		})
 		wantErr(t, err, "write to result socket")
 	})
+}
+
+// TestLoadOnCompiledMachine: a compiled machine stays compiled across a
+// Load — the new program is lowered, not run on a stale lowering — and
+// runs it in lockstep with an interpreted twin.
+func TestLoadOnCompiledMachine(t *testing.T) {
+	first := func(m *Machine) *isa.Program {
+		p := isa.NewProgram()
+		p.Ins = []isa.Instruction{
+			{Moves: []isa.Move{imm(m, 2, "add0.o"), imm(m, 3, "add0.t")}},
+			{Moves: []isa.Move{mv(m, "add0.r", "gpr.r0")}},
+		}
+		return p
+	}
+	second := func(m *Machine) *isa.Program {
+		p := isa.NewProgram()
+		p.Ins = []isa.Instruction{
+			{Moves: []isa.Move{mv(m, "gpr.r0", "add0.o"), imm(m, 4, "add0.tsub")}},
+			{Moves: []isa.Move{guarded(m, mv(m, "add0.r", "gpr.r1"), false),
+				guarded(m, imm(m, 9, "gpr.r2"), true)}},
+			{Moves: []isa.Move{imm(m, 0, "nc.halt")}},
+		}
+		return p
+	}
+	mi, mc := newTestMachine(t, 2), newTestMachine(t, 2)
+	for i, build := range []func(*Machine) *isa.Program{first, second} {
+		if err := mi.Load(build(mi)); err != nil {
+			t.Fatal(err)
+		}
+		if err := mc.Load(build(mc)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if err := mc.UseCompiled(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if mi.Compiled() || !mc.Compiled() {
+			t.Fatalf("program %d: Compiled() = %t interpreted, %t compiled", i, mi.Compiled(), mc.Compiled())
+		}
+		for cyc := 0; ; cyc++ {
+			err, halted := stepBoth(t, mi, mc, cyc)
+			if err != nil {
+				t.Fatalf("program %d, cycle %d: %v", i, cyc, err)
+			}
+			if halted {
+				break
+			}
+		}
+	}
+	for _, name := range []string{"gpr.r0", "gpr.r1", "gpr.r2"} {
+		vi, _ := mi.ReadSocket(name)
+		vc, _ := mc.ReadSocket(name)
+		if vi != vc {
+			t.Errorf("%s = %d compiled, %d interpreted", name, vc, vi)
+		}
+	}
+	if v, _ := mc.ReadSocket("gpr.r1"); v != 1 {
+		t.Errorf("gpr.r1 = %d, want 5-4 = 1 from the second program", v)
+	}
 }

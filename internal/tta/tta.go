@@ -271,9 +271,10 @@ type Machine struct {
 	wrStamp   []uint32 // per socket (index = SocketID-1): stamp of last write
 	stamp     uint32
 
-	// resetGen counts power-on resets so a CompiledMachine can tell that
-	// unit state was rebuilt behind its back (see compile.go).
-	resetGen uint64
+	// fast, when set by UseCompiled, is the compiled step path that Step,
+	// Run, RunStepped and RunToPC execute through (see compile.go); nil
+	// runs the interpreter, the reference semantics.
+	fast *fastPath
 }
 
 type pendingWrite struct {
@@ -527,7 +528,8 @@ func (m *Machine) SignalNames() []string {
 }
 
 // Load installs a program and resets control flow (but not unit state or
-// statistics; use Reset for a full power-on reset).
+// statistics; use Reset for a full power-on reset). On a compiled
+// machine it lowers the new program too.
 func (m *Machine) Load(p *isa.Program) error {
 	if err := p.Validate(m.buses); err != nil {
 		return err
@@ -544,6 +546,12 @@ func (m *Machine) Load(p *isa.Program) error {
 		m.moveBase[pc] = int32(base)
 		base += len(in.Moves)
 	}
+	if m.fast != nil {
+		// Load validated p and the unit count is fixed, so lowering
+		// cannot newly fail; the old lowering is dropped first anyway.
+		m.fast = nil
+		return m.UseCompiled()
+	}
 	return nil
 }
 
@@ -555,7 +563,9 @@ func (m *Machine) Reset() {
 	m.pc = 0
 	m.halted = false
 	m.stats = Stats{}
-	m.resetGen++
+	if m.fast != nil {
+		m.fast.dirty = true // unit activity was rebuilt behind its back
+	}
 	m.AttachCounters() // restart the execution count
 	if m.Recorder != nil {
 		m.Recorder.Reset()
@@ -698,7 +708,38 @@ func (m *Machine) guardHolds(g isa.Guard) (bool, error) {
 
 // Step executes one cycle. Running past the end of the program halts the
 // machine, as does a write to nc.halt.
-func (m *Machine) Step() (err error) {
+func (m *Machine) Step() error {
+	if m.fast != nil {
+		_, err := m.fast.runToPC(-1, 1)
+		return err
+	}
+	return m.interpStep()
+}
+
+// RunToPC executes up to maxSteps cycles, additionally stopping once
+// the program counter reaches stopPC after at least one executed cycle
+// (stopPC < 0 never stops; machine halt always does). It returns the
+// number of cycles executed. It is the batch entry point of every run
+// loop; on the compiled path the whole batch runs in one call.
+func (m *Machine) RunToPC(stopPC int, maxSteps int64) (int64, error) {
+	if m.fast != nil {
+		return m.fast.runToPC(stopPC, maxSteps)
+	}
+	start := m.stats.Cycles
+	for !m.halted && m.stats.Cycles-start < maxSteps {
+		if err := m.interpStep(); err != nil {
+			return m.stats.Cycles - start, err
+		}
+		if stopPC >= 0 && m.pc == stopPC {
+			break
+		}
+	}
+	return m.stats.Cycles - start, nil
+}
+
+// interpStep is the interpreter's cycle: the reference semantics the
+// compiled fast path reproduces bit for bit.
+func (m *Machine) interpStep() (err error) {
 	if m.halted {
 		return nil
 	}
@@ -877,30 +918,28 @@ type CycleFunc func(cycle int64, pc int, events []obs.RecEvent) bool
 
 // RunStepped is Run one observed cycle at a time: same budget check,
 // same error text, same final state, with onCycle called after every
-// completed cycle. It needs an attached Recorder; a nil onCycle is Run.
-// paused reports that onCycle stopped the run while the machine could
-// still execute.
+// completed cycle, which needs an attached Recorder. A nil onCycle is
+// Run, which executes in batches through RunToPC. paused reports that
+// onCycle stopped the run while the machine could still execute.
 func (m *Machine) RunStepped(maxCycles int64, onCycle CycleFunc) (n int64, paused bool, err error) {
-	return m.runStepped(m.Step, maxCycles, onCycle)
-}
-
-// runStepped is the one single-step run loop of the bare machine; step
-// is m.Step or the Step of a CompiledMachine over m.
-func (m *Machine) runStepped(step func() error, maxCycles int64, onCycle CycleFunc) (int64, bool, error) {
 	start := m.stats.Cycles
 	more := true
 	for !m.halted {
-		if maxCycles >= 0 && m.stats.Cycles-start >= maxCycles {
-			return m.stats.Cycles - start, false, fmt.Errorf("tta: exceeded %d cycles (pc=%d)", maxCycles, m.pc)
+		done := m.stats.Cycles - start
+		if maxCycles >= 0 && done >= maxCycles {
+			return done, false, fmt.Errorf("tta: exceeded %d cycles (pc=%d)", maxCycles, m.pc)
 		}
 		if !more {
-			return m.stats.Cycles - start, true, nil
+			return done, true, nil
 		}
-		var err error
-		if onCycle == nil {
-			err = step()
+		if onCycle != nil {
+			more, err = m.StepObserved(onCycle)
 		} else {
-			more, err = m.StepObserved(step, onCycle)
+			budget := int64(1) << 62
+			if maxCycles >= 0 {
+				budget = maxCycles - done
+			}
+			_, err = m.RunToPC(-1, budget)
 		}
 		if err != nil {
 			return m.stats.Cycles - start, false, err
@@ -909,18 +948,17 @@ func (m *Machine) runStepped(step func() error, maxCycles int64, onCycle CycleFu
 	return m.stats.Cycles - start, false, nil
 }
 
-// StepObserved executes one cycle through step — m.Step, or the
-// single-cycle step of a compiled machine over m — and reports it to
-// onCycle, whose verdict it returns. A cycle that ends in an error is
-// not reported; neither is any cycle of a machine with no Recorder,
-// which is an error.
-func (m *Machine) StepObserved(step func() error, onCycle CycleFunc) (bool, error) {
+// StepObserved executes one cycle (Step) and reports it to onCycle,
+// whose verdict it returns. A cycle that ends in an error is not
+// reported; neither is any cycle of a machine with no Recorder, which
+// is an error.
+func (m *Machine) StepObserved(onCycle CycleFunc) (bool, error) {
 	rec := m.Recorder
 	if rec == nil {
 		return false, errors.New("tta: a stepped run reads the flight recorder: attach one first")
 	}
 	cycle, pc, mark := m.stats.Cycles, m.pc, rec.Total()
-	if err := step(); err != nil {
+	if err := m.Step(); err != nil {
 		return false, err
 	}
 	m.cycleEvents = m.cycleEvents[:0]

@@ -389,16 +389,13 @@ func TestTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.AttachRecorder(4) // smaller than the run: per-cycle reads must not need the whole ring
-		run := m.RunStepped
 		if compiled {
-			cm, err := Compile(m)
-			if err != nil {
+			if err := m.UseCompiled(); err != nil {
 				t.Fatal(err)
 			}
-			run = cm.RunStepped
 		}
 		var recs []cycleRec
-		n, paused, err := run(budget, func(cycle int64, pc int, events []obs.RecEvent) bool {
+		n, paused, err := m.RunStepped(budget, func(cycle int64, pc int, events []obs.RecEvent) bool {
 			recs = append(recs, cycleRec{cycle, pc, append([]obs.RecEvent(nil), events...)})
 			return pauseAfter < 0 || cycle < pauseAfter
 		})
