@@ -39,6 +39,30 @@ func TestPrefixContains(t *testing.T) {
 	}
 }
 
+// TestContainsMatchesMaskFormula checks Contains against the formula
+// written out with shiftMask, on random prefixes with random host bits
+// (non-canonical ones never contain anything) and lengths past both
+// ends of [0,128].
+func TestContainsMatchesMaskFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	word := func() Word128 { return Word128{Hi: rng.Uint64(), Lo: rng.Uint64()} }
+	for i := 0; i < 20000; i++ {
+		n := rng.Intn(133) - 2
+		p := Prefix{Addr: word(), Len: n}
+		if i%2 == 0 {
+			p.Addr = p.Addr.And(shiftMask(n))
+		}
+		// Half the addresses share p's top bits, so both answers occur.
+		addr := word()
+		if i%4 < 2 {
+			addr = p.Addr.And(shiftMask(n)).Or(addr.And(shiftMask(n).Not()))
+		}
+		if got, want := p.Contains(addr), addr.And(shiftMask(n)) == p.Addr; got != want {
+			t.Fatalf("%+v.Contains(%v) = %v, want %v", p, addr, got, want)
+		}
+	}
+}
+
 func TestPrefixFirstLast(t *testing.T) {
 	p := MakePrefix(FromWords(0x20010db8, 0, 0, 0), 32)
 	if p.First() != FromWords(0x20010db8, 0, 0, 0) {

@@ -215,14 +215,17 @@ func (w Word128) Shr(n uint) Word128 {
 // Mask returns the 128-bit mask with the top n bits set (an IPv6 netmask
 // of prefix length n). n is clamped to [0,128].
 func Mask(n int) Word128 {
-	if n <= 0 {
-		return Word128{}
-	}
-	if n >= 128 {
-		return Max128
-	}
-	return Max128.Shl(uint(128 - n))
+	return masks[min(max(n, 0), 128)]
 }
+
+// masks[n] is Max128 shifted left by 128-n: every Prefix.Contains reads
+// one instead of taking Shl's branches.
+var masks = func() (m [129]Word128) {
+	for n := range m {
+		m[n] = Max128.Shl(uint(128 - n))
+	}
+	return m
+}()
 
 // Bit returns bit i of w, where bit 0 is the most significant bit
 // (network order, matching prefix-length semantics).

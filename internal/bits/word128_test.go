@@ -172,6 +172,21 @@ func TestMask(t *testing.T) {
 	}
 }
 
+// shiftMask is Mask by its definition, from two word shifts: the top n
+// bits set, n clamped to [0,128].
+func shiftMask(n int) Word128 {
+	hi, lo := min(max(n, 0), 64), min(max(n-64, 0), 64)
+	return Word128{Hi: ^(^uint64(0) >> hi), Lo: ^(^uint64(0) >> lo)}
+}
+
+func TestMaskMatchesShiftDefinition(t *testing.T) {
+	for n := -2; n <= 130; n++ {
+		if got, want := Mask(n), shiftMask(n); got != want {
+			t.Errorf("Mask(%d) = %v, want %v", n, got, want)
+		}
+	}
+}
+
 func TestBit(t *testing.T) {
 	w := Word128{Hi: 1 << 63, Lo: 1}
 	if w.Bit(0) != 1 || w.Bit(127) != 1 {

@@ -345,6 +345,34 @@ func TestStrideSlabReuse(t *testing.T) {
 	}
 }
 
+// TestTrieSlabReuse: round after round of inserting every route and
+// deleting them all again is served from the free lists — no slab grows
+// past its first-round length, and every drained round leaves the root
+// alone.
+func TestTrieSlabReuse(t *testing.T) {
+	rs := largeRoutes(10000)
+	rng := rand.New(rand.NewSource(5))
+	tbl := rtable.NewTrie()
+	var slabs [2]int
+	for round := 1; round <= 5; round++ {
+		rng.Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
+		insertLoop(t, tbl, rs)
+		if round == 1 {
+			slabs = tbl.SlabLens()
+		} else if got := tbl.SlabLens(); got != slabs {
+			t.Fatalf("round %d: slabs grew to %v from %v", round, got, slabs)
+		}
+		for _, r := range rs {
+			if !tbl.Delete(r.Prefix) {
+				t.Fatalf("round %d: Delete(%v) missed", round, r.Prefix)
+			}
+		}
+		if n, nodes := tbl.Len(), tbl.MemDims().Regions[0].Records; n != 0 || nodes != 1 {
+			t.Fatalf("round %d: drained trie holds %d routes in %d nodes, want 0 in 1", round, n, nodes)
+		}
+	}
+}
+
 // TestFlatBuildAllocs: a 10^4-route bulk build is a handful of slab
 // allocations, not one per node or route, and a lookup allocates nothing.
 func TestFlatBuildAllocs(t *testing.T) {

@@ -382,3 +382,7 @@ func TestTreeUpdateCost(t *testing.T) {
 		}
 	}
 }
+
+// SlabLens reports the length of the trie's node and route slabs: what
+// must stop growing once the free lists hold a churn's worth of slots.
+func (t *TrieTable) SlabLens() [2]int { return [2]int{len(t.nodes), len(t.routes)} }

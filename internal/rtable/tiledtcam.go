@@ -397,10 +397,10 @@ func (t *TiledTCAMTable) mergePath(a bits.Word128) {
 		if !c0.leaf() || !c1.leaf() {
 			break
 		}
-		merged := t.mergedEntries(c0.tile, c1.tile, p.depth)
-		if len(merged) > limit {
+		if mergedSize(c0.tile, c1.tile, p.depth) > limit {
 			break
 		}
+		merged := t.mergedEntries(c0.tile, c1.tile, p.depth)
 		t.occupied += len(merged) - len(c0.tile.entries) - len(c1.tile.entries)
 		p.tile = &ttTile{prefix: bits.MakePrefix(c0.tile.prefix.Addr, p.depth), entries: merged}
 		p.child[0], p.child[1] = nil, nil
@@ -408,6 +408,19 @@ func (t *TiledTCAMTable) mergePath(a bits.Word128) {
 		t.indexNodes--
 		t.merges++
 	}
+}
+
+// mergedSize is len(mergedEntries(c0, c1, depth)) without building it:
+// c1's covering copies (prefixes ending at or above depth) are already
+// in c0, and c1's own entries, all under c1's half, cannot be.
+func mergedSize(c0, c1 *ttTile, depth int) int {
+	n := len(c0.entries)
+	for i := range c1.entries {
+		if c1.entries[i].Prefix.Len > depth {
+			n++
+		}
+	}
+	return n
 }
 
 // mergedEntries unions two sibling blocks, collapsing the covering

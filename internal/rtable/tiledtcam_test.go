@@ -275,6 +275,66 @@ func TestTiledTCAMChurnInvariants(t *testing.T) {
 	}
 }
 
+// TestTiledTCAMMergeSizeMatchesMerge: on every sibling-leaf pair a
+// minimum-block churn stress leaves behind — the pairs a later delete's
+// merge walk meets — mergedSize equals the length of the block
+// mergedEntries would build.
+func TestTiledTCAMMergeSizeMatchesMerge(t *testing.T) {
+	tbl := NewTiledTCAM(TiledTCAMConfig{BlockSize: MinTiledBlockSize, MergeFill: 0.5})
+	rng := rand.New(rand.NewSource(38))
+	base := bits.Word128{Hi: 0x2001000000000000}
+	// Every length the index splits at occurs, so some pairs hold a
+	// copy of their parent's own prefix.
+	length := func() int {
+		if rng.Intn(5) == 0 {
+			return []int{0, 16, 48, 64}[rng.Intn(4)]
+		}
+		return 112 + rng.Intn(17)
+	}
+	pairs := 0
+	check := func(step int) {
+		var walk func(n *ttNode)
+		walk = func(n *ttNode) {
+			if n.leaf() {
+				return
+			}
+			if c0, c1 := n.child[0], n.child[1]; c0.leaf() && c1.leaf() {
+				pairs++
+				if got, want := mergedSize(c0.tile, c1.tile, n.depth), len(tbl.mergedEntries(c0.tile, c1.tile, n.depth)); got != want {
+					t.Fatalf("step %d: depth-%d pair: mergedSize %d, mergedEntries %d", step, n.depth, got, want)
+				}
+			}
+			walk(n.child[0])
+			walk(n.child[1])
+		}
+		walk(tbl.root)
+	}
+	var live []bits.Prefix
+	for step := 0; step < 3000; step++ {
+		if rng.Intn(3) != 0 || len(live) == 0 {
+			a := base.Or(bits.FromUint64(uint64(rng.Intn(400))<<8 | uint64(rng.Intn(4))))
+			p := bits.MakePrefix(a, length())
+			if err := tbl.Insert(Route{Prefix: p, Iface: step % 4, Metric: 1}); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, p)
+			continue
+		}
+		i := rng.Intn(len(live))
+		tbl.Delete(live[i])
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+		check(step)
+	}
+	for _, r := range tbl.Routes() {
+		tbl.Delete(r.Prefix)
+		check(-1)
+	}
+	if st := tbl.TileStats(); pairs == 0 || st.Merges == 0 {
+		t.Fatalf("stress checked %d pairs over %d merges; want both non-zero", pairs, st.Merges)
+	}
+}
+
 // TestTiledTCAMProbeAccounting pins the probe split: every lookup is
 // exactly one tile activation plus depth-many index probes, the sum
 // matching Stats.Probes and the per-depth histogram.

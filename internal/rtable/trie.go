@@ -9,67 +9,104 @@ import (
 // the extension ablations use it as a software baseline between the
 // sequential scan and the balanced range tree: O(W) search with W ≤ 128,
 // but cheap incremental updates.
+//
+// Nothing here is a pointer. Nodes live in one slab named by int32
+// index — the 32-bit-pointer node binaryNodeBits prices — and routes in
+// a second; freed slots of either wait on a free list.
 type TrieTable struct {
-	root  *trieNode
-	count int
-	stats Stats
+	nodes      []trieNode // nodes[0] is the root, never a child
+	routes     []Route    // routes[0] is unused, so route 0 means none
+	freeNodes  []int32
+	freeRoutes []int32
+	count      int
+	stats      Stats
 }
 
 type trieNode struct {
-	child [2]*trieNode
-	route *Route
+	child [2]int32 // 0 = no child
+	route int32    // index into routes; 0 = none
 }
 
 // NewTrie returns an empty trie table.
-func NewTrie() *TrieTable { return &TrieTable{root: &trieNode{}} }
+func NewTrie() *TrieTable {
+	return &TrieTable{nodes: make([]trieNode, 1), routes: make([]Route, 1)}
+}
 
 // Kind implements Table.
 func (t *TrieTable) Kind() Kind { return Trie }
 
+// take stores v in a slot of slab, from free first, and returns its
+// index.
+func take[T any](slab *[]T, free *[]int32, v T) int32 {
+	if n := len(*free); n > 0 {
+		i := (*free)[n-1]
+		*free = (*free)[:n-1]
+		(*slab)[i] = v
+		return i
+	}
+	*slab = append(*slab, v)
+	return int32(len(*slab) - 1)
+}
+
 // Insert adds or replaces the route for r.Prefix.
 func (t *TrieTable) Insert(r Route) error {
 	r.Prefix = bits.MakePrefix(r.Prefix.Addr, r.Prefix.Len)
-	n := t.root
+	var n int32
 	for i := 0; i < r.Prefix.Len; i++ {
 		b := r.Prefix.Addr.Bit(i)
-		if n.child[b] == nil {
-			n.child[b] = &trieNode{}
+		if t.nodes[n].child[b] == 0 {
+			c := take(&t.nodes, &t.freeNodes, trieNode{}) // may grow the slab: index again below
+			t.nodes[n].child[b] = c
 		}
-		n = n.child[b]
+		n = t.nodes[n].child[b]
 	}
-	if n.route == nil {
-		t.count++
+	if ri := t.nodes[n].route; ri != 0 {
+		t.routes[ri] = r
+		return nil
 	}
-	rc := r
-	n.route = &rc
+	t.nodes[n].route = take(&t.routes, &t.freeRoutes, r)
+	t.count++
 	return nil
 }
 
 // Delete removes the route for p, pruning now-empty branches.
 func (t *TrieTable) Delete(p bits.Prefix) bool {
 	p = bits.MakePrefix(p.Addr, p.Len)
-	// Record the path so empty nodes can be pruned bottom-up.
-	path := make([]*trieNode, 0, p.Len+1)
-	n := t.root
-	path = append(path, n)
+	// keep is the deepest node above p's that must stay (the root, or
+	// one with a route or a second child): everything below it on the
+	// path goes if p's node ends up empty.
+	var n, keep int32
+	keepDepth := 0
 	for i := 0; i < p.Len; i++ {
-		n = n.child[p.Addr.Bit(i)]
-		if n == nil {
+		nd := &t.nodes[n]
+		if i == 0 || nd.route != 0 || nd.child[0] != 0 && nd.child[1] != 0 {
+			keep, keepDepth = n, i
+		}
+		n = nd.child[p.Addr.Bit(i)]
+		if n == 0 {
 			return false
 		}
-		path = append(path, n)
 	}
-	if n.route == nil {
+	nd := &t.nodes[n]
+	if nd.route == 0 {
 		return false
 	}
-	n.route = nil
+	t.freeRoutes = append(t.freeRoutes, nd.route)
+	nd.route = 0
 	t.count--
-	for i := len(path) - 1; i > 0; i-- {
-		nd := path[i]
-		if nd.route != nil || nd.child[0] != nil || nd.child[1] != nil {
+	if n == 0 || nd.child[0] != 0 || nd.child[1] != 0 {
+		return true
+	}
+	// p's node is now an empty leaf: free the chain below keep.
+	b := p.Addr.Bit(keepDepth)
+	c := t.nodes[keep].child[b]
+	t.nodes[keep].child[b] = 0
+	for i := keepDepth + 1; c != 0; i++ {
+		t.freeNodes = append(t.freeNodes, c)
+		if i == p.Len {
 			break
 		}
-		path[i-1].child[p.Addr.Bit(i-1)] = nil
+		c = t.nodes[c].child[p.Addr.Bit(i)]
 	}
 	return true
 }
@@ -78,42 +115,38 @@ func (t *TrieTable) Delete(p bits.Prefix) bool {
 // holding a route.
 func (t *TrieTable) Lookup(addr bits.Word128) (Route, bool) {
 	t.stats.Lookups++
-	var best *Route
-	n := t.root
-	for i := 0; n != nil; i++ {
+	var best, n int32
+	for i := 0; ; i++ {
 		t.stats.Probes++
-		if n.route != nil {
-			best = n.route
+		nd := &t.nodes[n]
+		if nd.route != 0 {
+			best = nd.route
 		}
 		if i == 128 {
 			break
 		}
-		n = n.child[addr.Bit(i)]
+		if n = nd.child[addr.Bit(i)]; n == 0 {
+			break
+		}
 	}
-	if best == nil {
+	if best == 0 {
 		return Route{}, false
 	}
-	return *best, true
+	return t.routes[best], true
 }
 
 // Len returns the number of installed prefixes.
 func (t *TrieTable) Len() int { return t.count }
 
-// Routes returns the installed routes in deterministic order.
+// Routes returns the installed routes in deterministic order. A freed
+// node holds no route, so one pass over the node slab finds them all.
 func (t *TrieTable) Routes() []Route {
-	var out []Route
-	var walk func(n *trieNode)
-	walk = func(n *trieNode) {
-		if n == nil {
-			return
+	out := make([]Route, 0, t.count)
+	for _, nd := range t.nodes {
+		if nd.route != 0 {
+			out = append(out, t.routes[nd.route])
 		}
-		if n.route != nil {
-			out = append(out, *n.route)
-		}
-		walk(n.child[0])
-		walk(n.child[1])
 	}
-	walk(t.root)
 	sortRoutes(out)
 	return out
 }
@@ -127,17 +160,7 @@ func (t *TrieTable) ResetStats() { t.stats = Stats{} }
 // MemDims implements MemSizer: one two-pointer node per allocated trie
 // position (the binary trie's memory weakness at scale).
 func (t *TrieTable) MemDims() MemDims {
-	nodes := 0
-	var walk func(n *trieNode)
-	walk = func(n *trieNode) {
-		if n == nil {
-			return
-		}
-		nodes++
-		walk(n.child[0])
-		walk(n.child[1])
-	}
-	walk(t.root)
+	nodes := len(t.nodes) - len(t.freeNodes)
 	return MemDims{Entries: t.count, Regions: []Region{
 		{Name: "nodes", Records: nodes, Bits: binaryNodeBits},
 		{Name: "results", Records: t.count, Bits: resultBits},
