@@ -1,0 +1,73 @@
+package core
+
+import (
+	"sync"
+
+	"taco/internal/rtable"
+	"taco/internal/workload"
+)
+
+// SweepCache shares, between the evaluations of one sweep, every input
+// that is a pure function of its key: an instance's simulation inputs
+// (routes, traffic and watchdog budget, one set per (constraints,
+// options) pair — all nine Table 1 cells draw the same one), and for
+// scaled evaluations the large route set, its address-sorted copy (what
+// the tables are built from), its churn stream and destination sample,
+// and the cycle-accurate anchors.
+// Each key is computed once — a goroutine asking for a key still being
+// computed waits for it — and nothing is evicted: the owner drops the
+// cache with the sweep. Cached slices are read-only: no rtable backend
+// writes to the routes it is handed, and a line card copies a
+// datagram's bytes into the machine rather than rewriting them. The
+// zero value is ready to use.
+//
+// Which instance computes a key, and when (the dse pool feeds the
+// largest table first), cannot change a result: every value is a pure
+// function of its key.
+type SweepCache struct {
+	mu sync.Mutex
+	m  map[any]*cacheEntry
+}
+
+type cacheEntry struct {
+	once sync.Once
+	v    any
+}
+
+// cached returns the value for key, computing it on first request.
+func cached[V any](c *SweepCache, key any, compute func() V) V {
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[any]*cacheEntry)
+	}
+	e := c.m[key]
+	if e == nil {
+		e = new(cacheEntry)
+		c.m[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v = compute() })
+	return e.v.(V)
+}
+
+// inputsKey keys an instance's simulation inputs on everything
+// simInputs may read.
+type inputsKey struct {
+	cons Constraints
+	sim  SimOptions
+}
+
+// simSet is one simInputs result, or why it failed.
+type simSet struct {
+	routes []rtable.Route
+	pkts   []workload.Packet
+	budget int64
+	err    error
+}
+
+func (c *SweepCache) inputs(cons Constraints, sim SimOptions) simSet {
+	return cached(c, inputsKey{cons, sim}, func() simSet {
+		routes, pkts, budget, err := simInputs(cons, sim)
+		return simSet{routes, pkts, budget, err}
+	})
+}

@@ -30,11 +30,12 @@ func EvaluateCAMConverged(cfg fu.Config, cons Constraints, sim SimOptions) (Metr
 		wait = 1
 	}
 	var m Metrics
+	var shared SweepCache // every iteration simulates the same workload
 	for iter := 1; ; iter++ {
 		c := cfg
 		c.CAMWaitCycles = wait
 		var err error
-		m, err = Evaluate(c, cons, sim)
+		m, err = shared.Evaluate(c, cons, sim)
 		if err != nil {
 			return Metrics{}, iter, err
 		}

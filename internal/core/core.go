@@ -228,13 +228,21 @@ func simInputs(cons Constraints, sim SimOptions) ([]rtable.Route, []workload.Pac
 
 // Evaluate runs the full methodology for one architecture instance.
 func Evaluate(cfg fu.Config, cons Constraints, sim SimOptions) (Metrics, error) {
+	return new(SweepCache).Evaluate(cfg, cons, sim)
+}
+
+// Evaluate is the package-level Evaluate drawing the instance's
+// simulation inputs from c; the result does not depend on what c
+// already holds.
+func (c *SweepCache) Evaluate(cfg fu.Config, cons Constraints, sim SimOptions) (Metrics, error) {
 	if sim.Packets <= 0 {
 		sim = DefaultSimOptions()
 	}
-	routes, pkts, budget, err := simInputs(cons, sim)
-	if err != nil {
-		return Metrics{}, err
+	in := c.inputs(cons, sim)
+	if in.err != nil {
+		return Metrics{}, in.err
 	}
+	routes, pkts, budget := in.routes, in.pkts, in.budget
 	tbl := rtable.New(cfg.Table)
 	if err := rtable.InsertAll(tbl, routes); err != nil {
 		return Metrics{}, fmt.Errorf("core: %w", err)
@@ -324,9 +332,10 @@ func Evaluate(cfg fu.Config, cons Constraints, sim SimOptions) (Metrics, error) 
 // configuration) pair of the paper's Table 1, in the paper's row order.
 func EvaluateAll(cons Constraints, sim SimOptions) ([]Metrics, error) {
 	var out []Metrics
+	var c SweepCache
 	for _, kind := range rtable.PaperKinds {
 		for _, cfg := range fu.PaperConfigs(kind) {
-			m, err := Evaluate(cfg, cons, sim)
+			m, err := c.Evaluate(cfg, cons, sim)
 			if err != nil {
 				return nil, fmt.Errorf("core: %v/%s: %w", kind, cfg.Name, err)
 			}

@@ -17,7 +17,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"taco/internal/bits"
 	"taco/internal/estimate"
@@ -72,44 +71,6 @@ type ScaleModel struct {
 	Modelled  bool
 }
 
-// ScaleCache shares, between the scaled evaluations of one sweep, every
-// input that is a pure function of seed and size: the route set, its
-// address-sorted copy (what the tables are built from), its churn
-// stream and destination sample, and the cycle-accurate anchors.
-// Each key is computed once — a goroutine asking for a key still being
-// computed waits for it — and nothing is evicted: the owner drops the
-// cache with the sweep. Cached slices are read-only; no rtable backend
-// writes to the routes it is handed. The zero value is ready to use.
-//
-// Which instance computes a key, and when (the dse pool feeds the
-// largest table first), cannot change a result: every value is a pure
-// function of its key.
-type ScaleCache struct {
-	mu sync.Mutex
-	m  map[any]*cacheEntry
-}
-
-type cacheEntry struct {
-	once sync.Once
-	v    any
-}
-
-// cached returns the value for key, computing it on first request.
-func cached[V any](c *ScaleCache, key any, compute func() V) V {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[any]*cacheEntry)
-	}
-	e := c.m[key]
-	if e == nil {
-		e = new(cacheEntry)
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.v = compute() })
-	return e.v.(V)
-}
-
 // Cache keys; a route set is keyed by its workload.LargeTableSpec.
 type (
 	churnKey struct {
@@ -129,7 +90,7 @@ type (
 	sortedKey struct{ table workload.LargeTableSpec }
 )
 
-func (c *ScaleCache) routes(lt workload.LargeTableSpec) []rtable.Route {
+func (c *SweepCache) routes(lt workload.LargeTableSpec) []rtable.Route {
 	return cached(c, lt, func() []rtable.Route { return workload.GenerateLargeRoutes(lt) })
 }
 
@@ -142,11 +103,11 @@ type anchorPoint struct {
 // anchor is keyed on what reaches the simulation — the donor
 // configuration minus its display name, the constraints at the anchor
 // size, the options — so kinds that share a donor share its anchors.
-func (c *ScaleCache) anchor(cfg fu.Config, cons Constraints, sim SimOptions) anchorPoint {
+func (c *SweepCache) anchor(cfg fu.Config, cons Constraints, sim SimOptions) anchorPoint {
 	key := anchorKey{cfg, cons, sim}
 	key.cfg.Name = ""
 	return cached(c, key, func() anchorPoint {
-		am, err := Evaluate(cfg, cons, sim)
+		am, err := c.Evaluate(cfg, cons, sim)
 		if err != nil {
 			return anchorPoint{err: fmt.Errorf("core: anchor %d entries: %w", cons.TableEntries, err)}
 		}
@@ -162,12 +123,12 @@ func (c *ScaleCache) anchor(cfg fu.Config, cons Constraints, sim SimOptions) anc
 // returned Metrics carries the modelled cycles per packet, the required
 // clock, and a physical estimate that includes the table SRAM.
 func EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constraints, sim SimOptions) (Metrics, error) {
-	return new(ScaleCache).EvaluateScaled(cfg, spec, cons, sim)
+	return new(SweepCache).EvaluateScaled(cfg, spec, cons, sim)
 }
 
 // EvaluateScaled is the package-level EvaluateScaled drawing its shared
 // inputs from c; the result does not depend on what c already holds.
-func (c *ScaleCache) EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constraints, sim SimOptions) (Metrics, error) {
+func (c *SweepCache) EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constraints, sim SimOptions) (Metrics, error) {
 	if cfg.Table != spec.Kind {
 		return Metrics{}, fmt.Errorf("core: config table %v does not match scale spec %v", cfg.Table, spec.Kind)
 	}
@@ -253,7 +214,7 @@ func (c *ScaleCache) EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constrai
 
 // measureProbes returns the per-lookup probe count, storage dimensions
 // and live entry count of spec.Kind at the target size.
-func (c *ScaleCache) measureProbes(spec ScaleSpec, sim SimOptions) (float64, rtable.MemDims, int, error) {
+func (c *SweepCache) measureProbes(spec ScaleSpec, sim SimOptions) (float64, rtable.MemDims, int, error) {
 	lt := workload.LargeTableSpec{Entries: spec.Entries, Ifaces: sim.Ifaces, Seed: sim.Seed}
 	var churn []workload.ChurnOp
 	if spec.ChurnOps > 0 {

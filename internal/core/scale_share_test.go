@@ -1,4 +1,4 @@
-// Tests for ScaleCache: each shared input is computed once however many
+// Tests for SweepCache: each shared input is computed once however many
 // goroutines ask, analytic kinds generate nothing, and the shared slices
 // survive every backend untouched.
 package core
@@ -19,7 +19,7 @@ import (
 // TestCachedComputesOnce: goroutines racing for one key see a single
 // compute, and the latecomers wait for its value.
 func TestCachedComputesOnce(t *testing.T) {
-	var c ScaleCache
+	var c SweepCache
 	var computes atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -43,15 +43,17 @@ func TestCachedComputesOnce(t *testing.T) {
 	}
 }
 
-// TestScaleCacheSharesPerSweep drives one cache the way dse's pool does
+// TestSweepCacheSharesPerSweep drives one cache the way dse's pool does
 // — every kind × size from concurrent goroutines — and counts what it
 // computed: one route set, sorted copy, churn stream and sample per
-// size, one anchor per (donor, anchor size). Every result equals a stand-alone call.
-func TestScaleCacheSharesPerSweep(t *testing.T) {
+// size, one anchor per (donor, anchor size) and one simulation input set
+// per anchor size, shared by its three donors. Every result equals a
+// stand-alone call.
+func TestSweepCacheSharesPerSweep(t *testing.T) {
 	sizes := []int{500, 2000}
 	cons, sim := PaperConstraints(), DefaultSimOptions()
 	sim.Packets = 16
-	var c ScaleCache
+	var c SweepCache
 	var wg sync.WaitGroup
 	for _, kind := range rtable.Kinds {
 		for _, n := range sizes {
@@ -83,6 +85,7 @@ func TestScaleCacheSharesPerSweep(t *testing.T) {
 		"churnKey":       len(sizes),
 		"destsKey":       len(sizes),
 		"anchorKey":      3 * 2, // donors sequential, balanced-tree, cam × two anchor sizes
+		"inputsKey":      2,     // one per anchor size
 	}
 	if !reflect.DeepEqual(counts, want) {
 		t.Fatalf("cache computed %v, want %v", counts, want)
@@ -95,19 +98,22 @@ func TestScaleCacheSharesPerSweep(t *testing.T) {
 
 // TestAnalyticKindsGenerateNothing: without churn the sequential and CAM
 // rows need only the entry count, so they must not generate the route
-// set — and the row must be what generating it would have given.
+// set — only their anchors and the anchors' simulation inputs — and the
+// row must be what generating it would have given.
 func TestAnalyticKindsGenerateNothing(t *testing.T) {
 	const entries = 3000
 	cons, sim := PaperConstraints(), DefaultSimOptions()
 	routes := workload.GenerateLargeRoutes(workload.LargeTableSpec{Entries: entries, Ifaces: sim.Ifaces, Seed: sim.Seed})
 	for _, kind := range []rtable.Kind{rtable.Sequential, rtable.CAM} {
-		var c ScaleCache
+		var c SweepCache
 		m, err := c.EvaluateScaled(fu.Config1Bus1FU(kind), ScaleSpec{Kind: kind, Entries: entries}, cons, sim)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for key := range c.m {
-			if _, anchor := key.(anchorKey); !anchor {
+			switch key.(type) {
+			case anchorKey, inputsKey:
+			default:
 				t.Errorf("%v: generated %T for an analytic row", kind, key)
 			}
 		}
@@ -133,11 +139,24 @@ func hashRoutes(rs []rtable.Route) uint64 {
 	return h.Sum64()
 }
 
+func hashPackets(ps []workload.Packet) uint64 {
+	h := fnv.New64a()
+	for _, p := range ps {
+		binary.Write(h, binary.LittleEndian, p.Seq)
+		binary.Write(h, binary.LittleEndian, uint64(len(p.Data)))
+		h.Write(p.Data)
+	}
+	return h.Sum64()
+}
+
 // TestSharedInputsReadOnly pins the contract sharing rests on: no
 // backend's InsertAll, and no churn replay, writes to the slices it is
 // handed — neither the generator-order set nor the sorted copy the
 // tables are built from (the balanced tree clones it before owning it,
-// so its point updates splice its own array).
+// so its point updates splice its own array). Nor does a simulation
+// write to the routes or the datagram bytes it is fed: all nine Table 1
+// cells evaluated from one SweepCache, recorder armed, leave the one
+// input set they share as they found it.
 func TestSharedInputsReadOnly(t *testing.T) {
 	routes := workload.GenerateLargeRoutes(workload.LargeTableSpec{Entries: 4000, Ifaces: 4, Seed: 2003})
 	sorted := rtable.SortedRoutes(routes)
@@ -164,5 +183,28 @@ func TestSharedInputsReadOnly(t *testing.T) {
 				t.Fatalf("%v mutated its shared input", kind)
 			}
 		}
+	}
+
+	cons, sim := PaperConstraints(), DefaultSimOptions()
+	sim.Packets = 32
+	sim.ForensicsDir = t.TempDir()
+	var c SweepCache
+	in := c.inputs(cons, sim)
+	if in.err != nil {
+		t.Fatal(in.err)
+	}
+	wantRoutes, wantPkts := hashRoutes(in.routes), hashPackets(in.pkts)
+	for _, kind := range rtable.PaperKinds {
+		for _, cfg := range fu.PaperConfigs(kind) {
+			if _, err := c.Evaluate(cfg, cons, sim); err != nil {
+				t.Fatalf("%v/%s: %v", kind, cfg.Name, err)
+			}
+		}
+	}
+	if again := c.inputs(cons, sim); &again.routes[0] != &in.routes[0] || &again.pkts[0] != &in.pkts[0] {
+		t.Fatal("Table 1 cells regenerated their inputs instead of sharing one set")
+	}
+	if hashRoutes(in.routes) != wantRoutes || hashPackets(in.pkts) != wantPkts {
+		t.Fatal("a Table 1 evaluation mutated the shared routes or datagrams")
 	}
 }

@@ -18,10 +18,12 @@ import (
 )
 
 // Instance is one architecture point queued for evaluation: a complete,
-// self-contained (configuration, constraints, workload) triple.
-// core.Evaluate builds the routing table, processor and traffic per call
-// and shares no mutable state between calls, so instances evaluate
-// safely on concurrent goroutines.
+// self-contained (configuration, constraints, workload) triple. An
+// evaluation builds its own routing table and processor and shares no
+// mutable state with another; what instances of one sweep share — the
+// routes and traffic of one (constraints, options) pair — is read-only
+// (core.SweepCache), so instances evaluate safely on concurrent
+// goroutines.
 type Instance struct {
 	// X is the swept parameter's value, carried into the resulting Point.
 	X float64
@@ -42,14 +44,15 @@ type Instance struct {
 	Scale *core.ScaleSpec
 }
 
-// evalOne dispatches an instance to its evaluator. Scaled instances
-// draw the inputs that depend only on seed and size from the pool's
-// shared cache.
-func evalOne(inst Instance, shared *core.ScaleCache) (core.Metrics, error) {
+// evalOne dispatches an instance to its evaluator, which draws the
+// inputs that are a pure function of the instance's constraints and
+// options — its routes and traffic, a scaled instance's route set,
+// sample and anchors — from the pool's shared cache.
+func evalOne(inst Instance, shared *core.SweepCache) (core.Metrics, error) {
 	if inst.Scale != nil {
 		return shared.EvaluateScaled(inst.Cfg, *inst.Scale, inst.Cons, inst.Sim)
 	}
-	return core.Evaluate(inst.Cfg, inst.Cons, inst.Sim)
+	return shared.Evaluate(inst.Cfg, inst.Cons, inst.Sim)
 }
 
 // ProgressReport is one live progress snapshot from the worker pool,
@@ -175,10 +178,11 @@ func evaluateInstances(ctx context.Context, insts []Instance, workers int) ([]co
 		start = time.Now()
 	}
 
-	// An input that is a pure function of seed and size is computed once
-	// per call and dropped with it; instances still share no mutable
-	// state.
-	var shared core.ScaleCache
+	// An input that is a pure function of its key — one routes-and-
+	// traffic set per (constraints, options), the scaled route sets and
+	// anchors — is computed once per call and dropped with it; instances
+	// still share no mutable state.
+	var shared core.SweepCache
 	// Scaled instances are fed largest table first (a stable sort, so
 	// equal sizes and sweeps with no scaled instance keep input order).
 	// In input order the sizes of one kind run side by side, so one

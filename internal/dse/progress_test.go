@@ -16,7 +16,7 @@ import (
 func TestProgressUnderLargestFirstFeed(t *testing.T) {
 	cons, sim := core.PaperConstraints(), testSim()
 	insts := LargeTableInstances(nil, []int{500, 5000, 2000}, 50, cons, sim)
-	var cache core.ScaleCache
+	var cache core.SweepCache
 	want := make([]Point, len(insts))
 	size := map[string]int{}
 	for i, inst := range insts {

@@ -10,10 +10,12 @@ import (
 	"taco/internal/rtable"
 )
 
-// TestSweepSharingMatchesStandalone: sharing the seed-and-size inputs
-// across a sweep changes no result. Every point of the large-table grid,
-// with and without churn, at one worker and at eight, equals a
-// stand-alone core.EvaluateScaled of the same instance.
+// TestSweepSharingMatchesStandalone: sharing inputs across a sweep
+// changes no result. Every point of the large-table grid, with and
+// without churn, at one worker and at eight, equals a stand-alone
+// core.EvaluateScaled of the same instance; and the nine Table 1 cells,
+// which draw one routes-and-traffic set, equal nine stand-alone
+// core.Evaluate calls at one worker and at four, on either step path.
 func TestSweepSharingMatchesStandalone(t *testing.T) {
 	cons, sim := core.PaperConstraints(), testSim()
 	for _, churn := range []int{0, 100} {
@@ -35,6 +37,31 @@ func TestSweepSharingMatchesStandalone(t *testing.T) {
 				if p.Err != "" || !reflect.DeepEqual(p.Metrics, want[i]) {
 					t.Errorf("churn %d workers %d %s: shared sweep\n %+v (err %q)\nstand-alone\n %+v",
 						churn, workers, insts[i].Label, p.Metrics, p.Err, want[i])
+				}
+			}
+		}
+	}
+	for _, compiled := range []bool{true, false} {
+		sim := testSim()
+		sim.Compiled = compiled
+		insts := Table1Instances(cons, sim)
+		want := make([]core.Metrics, len(insts))
+		for i, inst := range insts {
+			m, err := core.Evaluate(inst.Cfg, inst.Cons, inst.Sim)
+			if err != nil {
+				t.Fatalf("%s: %v", inst.Label, err)
+			}
+			want[i] = m
+		}
+		for _, workers := range []int{1, 4} {
+			got, err := Table1(context.Background(), cons, sim, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("compiled %v workers %d %s: shared sweep\n %+v\nstand-alone\n %+v",
+						compiled, workers, insts[i].Label, got[i], want[i])
 				}
 			}
 		}

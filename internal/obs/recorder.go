@@ -44,7 +44,8 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 }
 
 // RecEvent is one recorded event. The struct is fixed-size and flat so
-// the ring is a single allocation and Record a plain store. Socket
+// the ring is a single allocation and Record a run of field stores
+// into the ring slot (see Record for why not one struct store). Socket
 // references are SocketIDs (1-based, matching Machine.SocketName); a
 // Src of -1 means an inlined immediate (Value then is the immediate).
 // JSON keys are terse: bundles carry thousands of these.
@@ -114,9 +115,21 @@ func (r *FlightRecorder) Cycle() int64 { return r.now }
 
 // Record stores one event, overwriting the oldest when full. The
 // event's Cycle is filled from the recorder's current cycle stamp.
+//
+// The fields are written into the ring slot one by one. RecEvent has
+// more fields than the compiler splits into registers, so storing the
+// struct whole builds it on the stack with narrow stores and copies it
+// out with two wide loads that cannot be store-forwarded: every event
+// stalled on the copy, in the step loop of an armed machine.
 func (r *FlightRecorder) Record(e RecEvent) {
-	e.Cycle = r.now
-	r.buf[r.head] = e
+	s := &r.buf[r.head]
+	s.Cycle = r.now
+	s.Value = e.Value
+	s.PC = e.PC
+	s.Src = e.Src
+	s.Dst = e.Dst
+	s.Bus = e.Bus
+	s.Kind = e.Kind
 	r.head++
 	if r.head == len(r.buf) {
 		r.head = 0

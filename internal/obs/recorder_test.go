@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -67,5 +68,44 @@ func TestRecorderSince(t *testing.T) {
 		rec.Since(m, visit)
 	}); avg != 0 {
 		t.Errorf("Since allocates %.1f times per call", avg)
+	}
+}
+
+// TestRecordStoresEveryField: Record writes an event into its ring slot
+// field by field, so a field it forgot would come back zero. Events
+// whose seven fields are all distinct and non-zero — Src at -1, Bus at
+// its maximum — are recorded past a wrap, and Tail and Since must return
+// each field for field, stamped with its cycle.
+func TestRecordStoresEveryField(t *testing.T) {
+	const capacity, n = 4, 11
+	event := func(i int) obs.RecEvent {
+		return obs.RecEvent{
+			Cycle: 1000 + int64(i),
+			Value: 0xdead0000 + uint32(i),
+			PC:    100 + int32(i),
+			Src:   -1,
+			Dst:   200 + int32(i),
+			Bus:   math.MaxInt16 - int16(i),
+			Kind:  obs.EvTrigger + uint8(i%2),
+		}
+	}
+	rec := obs.NewFlightRecorder(capacity)
+	for i := 0; i < n; i++ {
+		e := event(i)
+		rec.SetCycle(e.Cycle)
+		e.Cycle = 0 // Record stamps it from SetCycle
+		rec.Record(e)
+	}
+	var want []obs.RecEvent
+	for i := n - capacity; i < n; i++ {
+		want = append(want, event(i))
+	}
+	if got := rec.Tail(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Tail:\n got %+v\nwant %+v", got, want)
+	}
+	var since []obs.RecEvent
+	rec.Since(0, func(e obs.RecEvent) { since = append(since, e) })
+	if !reflect.DeepEqual(since, want) {
+		t.Errorf("Since:\n got %+v\nwant %+v", since, want)
 	}
 }

@@ -148,6 +148,9 @@ type fastPath struct {
 	// moves backs every instruction's [start:end) window (see cins).
 	moves []cmove
 
+	// writes is the deferred-writes buffer, sized at install for the
+	// widest instruction: append never grows it, so the step loop never
+	// stores its header back.
 	writes []cwrite
 
 	// Clock-skipping state. A unit is "active" — its Clock must run this
@@ -155,19 +158,18 @@ type fastPath struct {
 	// and none of its sockets have been written since; ClockEvery units
 	// are permanently active. Activity is a bitmask with one bit per unit
 	// (hence the 64-unit limit), iterated lowest-bit-first to preserve
-	// the interpreter's declaration-order clocking.
-	active   uint64
-	allMask  uint64
-	clocking []Clocking
-	settled  []func() bool
+	// the interpreter's declaration-order clocking. onWrite holds the
+	// ClockOnWrite units' bits: they settle at every Clock.
+	active  uint64
+	allMask uint64
+	onWrite uint64
+	slots   []unitSlot
 
-	// Lag-clocked units (ClockLag): lags and lagIdx index the units,
-	// lastClock records the absolute machine cycle (Stats.Cycles
-	// numbering) of each unit's most recent Clock so a wake can CatchUp
-	// the skipped span, and wakeSeen holds the WakeGen observed when the
-	// unit was parked — a changed generation at batch entry re-activates
-	// the unit.
-	lags      []LagClocker
+	// Lag-clocked units (ClockLag): lagIdx indexes them, lastClock
+	// records the absolute machine cycle (Stats.Cycles numbering) of each
+	// unit's most recent Clock so a wake can CatchUp the skipped span,
+	// and wakeSeen holds the WakeGen observed when the unit was parked —
+	// a changed generation at batch entry re-activates the unit.
 	lagIdx    []int
 	lastClock []int64
 	wakeSeen  []uint64
@@ -176,6 +178,16 @@ type fastPath struct {
 	// and by a cycle that ended in an error, when unit activity may have
 	// changed without a socket write the fast path saw.
 	dirty bool
+}
+
+// unitSlot is everything the clock loop reads of one unit, in one
+// record: the unit and its port table's clocking promise with the hook
+// behind it.
+type unitSlot struct {
+	u       Unit
+	k       Clocking
+	settled func() bool
+	lag     LagClocker
 }
 
 // MaxCompiledUnits is the most functional units a machine may have for
@@ -202,9 +214,7 @@ func (m *Machine) UseCompiled() error {
 	c := &fastPath{
 		m:         m,
 		ins:       make([]cins, len(m.prog.Ins)),
-		clocking:  make([]Clocking, n),
-		settled:   make([]func() bool, n),
-		lags:      make([]LagClocker, n),
+		slots:     make([]unitSlot, n),
 		lastClock: make([]int64, n),
 		wakeSeen:  make([]uint64, n),
 		dirty:     true,
@@ -214,19 +224,24 @@ func (m *Machine) UseCompiled() error {
 	}
 	for i, u := range m.units {
 		t := u.Ports()
-		c.clocking[i], c.settled[i], c.lags[i] = t.Clocking, t.Settled, t.Lag
-		if t.Clocking == ClockLag {
+		c.slots[i] = unitSlot{u: u, k: t.Clocking, settled: t.Settled, lag: t.Lag}
+		switch t.Clocking {
+		case ClockOnWrite:
+			c.onWrite |= 1 << uint(i)
+		case ClockLag:
 			c.lagIdx = append(c.lagIdx, i)
 		}
 	}
 	// One flat move array for the whole program, sized up front: each
 	// instruction lowers straight into its window.
 	c.moves = make([]cmove, m.prog.MoveCount())
-	start := 0
+	start, widest := 0, 0
 	for pc, in := range m.prog.Ins {
 		c.ins[pc] = c.lowerInstruction(pc, in, start)
 		start += len(in.Moves)
+		widest = max(widest, len(in.Moves))
 	}
+	c.writes = make([]cwrite, 0, widest)
 	m.fast = c
 	return nil
 }
@@ -399,7 +414,7 @@ func (c *fastPath) runToPC(stopPC int, maxSteps int64) (int64, error) {
 		// mid-batch — nothing inside the machine delivers input traffic —
 		// so one generation check per batch suffices.
 		for _, li := range c.lagIdx {
-			if c.active&(1<<uint(li)) == 0 && c.lags[li].WakeGen() != c.wakeSeen[li] {
+			if c.active&(1<<uint(li)) == 0 && c.slots[li].lag.WakeGen() != c.wakeSeen[li] {
 				c.active |= 1 << uint(li)
 			}
 		}
@@ -414,11 +429,9 @@ func (c *fastPath) runToPC(stopPC int, maxSteps int64) (int64, error) {
 	var retErr error
 	ins := c.ins
 	allMoves := c.moves
-	units := m.units
 	active := c.active
-	clocking := c.clocking
-	settled := c.settled
-	lags := c.lags
+	onWrite := c.onWrite
+	slots := c.slots
 	lastClock := c.lastClock
 	wakeSeen := c.wakeSeen
 	// The execution count: a guard failure is counted and stamped at
@@ -450,10 +463,14 @@ loop:
 		nextPC := pc + 1
 		jumped = false
 		haltReq := false
-		writes := c.writes[:0]
 
 		ci := &ins[pc]
 		direct := ci.direct
+		// Only an instruction that is not direct defers its writes.
+		var writes []cwrite
+		if !direct {
+			writes = c.writes[:0]
+		}
 		for mi := ci.start; mi < ci.end; mi++ {
 			mv := &allMoves[mi]
 			// Fast paths: hazard-free unit writes, at most one inlined
@@ -607,8 +624,6 @@ loop:
 			}
 			moved++
 		}
-		c.writes = writes
-
 		for wi := range writes {
 			w := &writes[wi]
 			*w.mv.dstVal, *w.mv.dstArmed = w.val, true
@@ -616,34 +631,35 @@ loop:
 		}
 		for a := active; a != 0; a &= a - 1 {
 			ui := mathbits.TrailingZeros64(a)
-			k := clocking[ui]
-			if k == ClockLag {
+			s := &slots[ui]
+			if s.k == ClockLag {
 				// A parked stretch ended: advance the unit's internal
 				// cycle counter over the skipped span before its next
 				// real Clock. Current cycle = statsBase+cycles+1.
 				if skipped := statsBase + cycles - lastClock[ui]; skipped > 0 {
-					lags[ui].CatchUp(skipped)
+					s.lag.CatchUp(skipped)
 				}
 				lastClock[ui] = statsBase + cycles + 1
 			}
-			if err := units[ui].Clock(); err != nil {
-				retErr = fmt.Errorf("tta: pc %d: unit %s: %w", pc, units[ui].Ports().Name, err)
+			if err := s.u.Clock(); err != nil {
+				retErr = fmt.Errorf("tta: pc %d: unit %s: %w", pc, s.u.Ports().Name, err)
 				break loop
 			}
-			switch k {
-			case ClockOnWrite:
-				active &^= 1 << uint(ui)
+			switch s.k {
 			case ClockSettled:
-				if settled[ui]() {
+				if s.settled() {
 					active &^= 1 << uint(ui)
 				}
 			case ClockLag:
-				if lg := lags[ui]; lg.ClockIdle() {
+				if s.lag.ClockIdle() {
 					active &^= 1 << uint(ui)
-					wakeSeen[ui] = lg.WakeGen()
+					wakeSeen[ui] = s.lag.WakeGen()
 				}
 			}
 		}
+		// A write-driven unit settles at every Clock (an error above
+		// leaves the mask dirty, so the partial loop needs no care).
+		active &^= onWrite
 
 		cycles++
 		encoded += ci.n

@@ -120,12 +120,11 @@ func TestRecorderPathsIdentical(t *testing.T) {
 	}
 }
 
-// TestRecorderOffAllocFree: the recorder-off steady state (the default)
-// must stay allocation-free per reset-reuse batch beyond the datagram
-// payload copies themselves — the recorder's absence is one nil check,
-// not an allocation site. Mirrors TestSteadyStateAllocs with the
-// recorder explicitly in the picture (armed once, then detached).
-func TestRecorderOffAllocFree(t *testing.T) {
+// batchAllocs is the average allocation count of one reset-reuse batch
+// of a router whose recorder was armed and, unless armed, detached again
+// — so both cases start from the same machine.
+func batchAllocs(t *testing.T, compiled, armed bool) float64 {
+	t.Helper()
 	const packets, ifaces = 16, 4
 	kind := rtable.BalancedTree
 	routes := workload.GenerateRoutes(workload.TableSpec{Entries: 64, Ifaces: ifaces, Seed: 11})
@@ -141,11 +140,16 @@ func TestRecorderOffAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Arm and then detach: a previously armed machine must pay nothing
-	// once the recorder is gone.
 	tr.ArmRecorder(64)
-	tr.Machine.Recorder = nil
-	tr.Bank.SetRecorder(nil)
+	if !armed {
+		tr.Machine.Recorder = nil
+		tr.Bank.SetRecorder(nil)
+	}
+	if compiled {
+		if err := tr.UseCompiled(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	run := func() {
 		tr.Reset()
 		for i, p := range pkts {
@@ -159,10 +163,33 @@ func TestRecorderOffAllocFree(t *testing.T) {
 		}
 	}
 	run() // warm scratch capacity
-	avg := testing.AllocsPerRun(10, run)
+	return testing.AllocsPerRun(10, run)
+}
+
+// TestRecorderOffAllocFree: the recorder-off steady state (the default)
+// must stay allocation-free per reset-reuse batch beyond the datagram
+// payload copies themselves — the recorder's absence is one nil check,
+// not an allocation site. Mirrors TestSteadyStateAllocs with the
+// recorder explicitly in the picture (armed once, then detached: a
+// previously armed machine must pay nothing once the recorder is gone).
+func TestRecorderOffAllocFree(t *testing.T) {
+	const packets = 16
+	avg := batchAllocs(t, false, false)
 	// Same budget as TestSteadyStateAllocs: the per-batch DrainOutput
 	// slices (and nothing else) may allocate.
 	if budget := float64(4 * packets); avg > budget {
 		t.Errorf("recorder-off batch allocates %.1f times (budget %.0f)", avg, budget)
+	}
+}
+
+// TestRecorderOnAllocFree: an armed recorder writes into its fixed ring,
+// so on either step path a reset-reuse batch with it armed allocates no
+// more than the same batch with it off.
+func TestRecorderOnAllocFree(t *testing.T) {
+	for _, compiled := range []bool{false, true} {
+		off, on := batchAllocs(t, compiled, false), batchAllocs(t, compiled, true)
+		if on > off {
+			t.Errorf("compiled=%v: armed batch allocates %.1f times, recorder-off %.1f", compiled, on, off)
+		}
 	}
 }
