@@ -106,11 +106,33 @@ func compareRouters(t *testing.T, trI, trC *router.TACO) {
 	}
 }
 
+// deliverBoth delivers pkts to both routers, pkts[j] on interface
+// (first+j)%4 — first is pkts[0]'s index in the corpus — and returns
+// how many both accepted.
+func deliverBoth(t *testing.T, trI, trC *router.TACO, pkts []workload.Packet, first int) int64 {
+	t.Helper()
+	delivered := int64(0)
+	for j, p := range pkts {
+		okI := trI.Deliver((first+j)%4, linecard.Datagram{Data: p.Data, Seq: p.Seq})
+		okC := trC.Deliver((first+j)%4, linecard.Datagram{Data: p.Data, Seq: p.Seq})
+		if okI != okC {
+			t.Fatalf("delivery %d accepted=%t compiled vs %t interpreted", first+j, okC, okI)
+		}
+		if okI {
+			delivered++
+		}
+	}
+	return delivered
+}
+
 // TestCompiledVsInterpreted runs the nine Table 1 instances over the
 // golden corpus on both step paths, two reset-reuse batches each, and
 // requires every observable to be identical. The batches follow a run
 // cut short by the watchdog: the first starts from a Reset in the
-// middle of a run and is compared with a freshly built router.
+// middle of a run and is compared with a freshly built router. A last
+// case delivers the corpus in two waves with no Reset between them: the
+// second wave reaches a bank the first left drained, so the compiled
+// machine must wake its parked preprocessing unit.
 func TestCompiledVsInterpreted(t *testing.T) {
 	routes := workload.GenerateRoutes(workload.TableSpec{Entries: 100, Ifaces: 4, Seed: 2003})
 	pkts := goldenCorpus(t, routes, 24)
@@ -134,18 +156,7 @@ func TestCompiledVsInterpreted(t *testing.T) {
 					}
 					ref.Reset()
 					trC.Reset()
-					delivered := int64(0)
-					for j, p := range pkts {
-						okI := ref.Deliver(j%4, linecard.Datagram{Data: p.Data, Seq: p.Seq})
-						okC := trC.Deliver(j%4, linecard.Datagram{Data: p.Data, Seq: p.Seq})
-						if okI != okC {
-							t.Fatalf("batch %d: delivery %d accepted=%t compiled vs %t interpreted",
-								batch, j, okC, okI)
-						}
-						if okI {
-							delivered++
-						}
-					}
+					delivered := deliverBoth(t, ref, trC, pkts, 0)
 					budget := int64(20_000_000)
 					if batch < 0 {
 						budget = 200
@@ -166,6 +177,20 @@ func TestCompiledVsInterpreted(t *testing.T) {
 					}
 					compareRouters(t, ref, trC)
 				}
+
+				trI.Reset()
+				trC.Reset()
+				half := len(pkts) / 2
+				delivered := int64(0)
+				for wave, w := range [][]workload.Packet{pkts[:half], pkts[half:]} {
+					delivered += deliverBoth(t, trI, trC, w, wave*half)
+					errI := trI.Run(delivered, 20_000_000)
+					errC := trC.Run(delivered, 20_000_000)
+					if errI != nil || errC != nil {
+						t.Fatalf("wave %d: compiled %v, interpreted %v", wave, errC, errI)
+					}
+				}
+				compareRouters(t, trI, trC)
 			})
 		}
 	}

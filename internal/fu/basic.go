@@ -29,7 +29,7 @@ func regName(i int) string {
 	return "r" + digits[i/10:i/10+1] + digits[i%10:i%10+1]
 }
 
-func (g *GPR) Clock() error {
+func (g *GPR) Clock(int64) error {
 	for i := range g.regs {
 		g.regs[i].clock()
 	}
@@ -88,7 +88,7 @@ func NewCounter(name string) *Counter {
 	return c
 }
 
-func (c *Counter) Clock() error {
+func (c *Counter) Clock(int64) error {
 	c.o.clock()
 	c.stop.clock()
 	fired := false
@@ -152,7 +152,7 @@ func NewComparator(name string) *Comparator {
 	return c
 }
 
-func (c *Comparator) Clock() error {
+func (c *Comparator) Clock(int64) error {
 	c.o.clock()
 	if v, ok := c.t.take(); ok {
 		ref := c.o.cur
@@ -202,7 +202,7 @@ func NewMatcher(name string) *Matcher {
 	return m
 }
 
-func (m *Matcher) Clock() error {
+func (m *Matcher) Clock(int64) error {
 	m.mask.clock()
 	m.ref.clock()
 	if v, ok := m.t.take(); ok {
@@ -241,7 +241,7 @@ func NewMasker(name string) *Masker {
 	return m
 }
 
-func (m *Masker) Clock() error {
+func (m *Masker) Clock(int64) error {
 	m.mask.clock()
 	m.val.clock()
 	if v, ok := m.t.take(); ok {
@@ -276,7 +276,7 @@ func NewShifter(name string) *Shifter {
 	return s
 }
 
-func (s *Shifter) Clock() error {
+func (s *Shifter) Clock(int64) error {
 	s.amt.clock()
 	n := s.amt.cur & 31
 	fired := false
@@ -327,7 +327,7 @@ func (c *Checksum) folded() uint32 {
 	}
 	return s
 }
-func (c *Checksum) Clock() error {
+func (c *Checksum) Clock(int64) error {
 	if _, ok := c.tclr.take(); ok {
 		c.acc = 0
 	}

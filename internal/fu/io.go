@@ -49,7 +49,7 @@ func (u *LIU) SetLocal(addrs []bits.Word128) {
 // SetIfaceCount installs the router's interface count.
 func (u *LIU) SetIfaceCount(n int) { u.nifc = uint32(n) }
 
-func (u *LIU) Clock() error {
+func (u *LIU) Clock(int64) error {
 	for i := range u.a {
 		u.a[i].clock()
 	}
@@ -125,9 +125,8 @@ type IPPU struct {
 	oversized int64
 	seqs      map[uint32]int64
 
-	// now counts unit clocks (= machine cycles); storedAt records when a
-	// datagram finished its input DMA, for latency measurement.
-	now      int64
+	// storedAt records the machine cycle in which a datagram finished its
+	// input DMA, for latency measurement.
 	storedAt map[uint32]int64
 }
 
@@ -151,9 +150,13 @@ func NewIPPU(name string, bank *linecard.Bank, mmu *MMU) *IPPU {
 			result("ptr", &u.rptr), result("ifc", &u.rifc), result("len", &u.rln),
 		},
 		Lines: []tta.Line{computedFlag("pending", func() bool { return u.QueueLen() > 0 })},
-		// Every Clock counts a wall-clock cycle and polls the line cards
-		// for DMA work, so idle stretches are skipped, never settled.
-		Clocking: tta.ClockLag, Lag: u,
+		// Idle when no pop is pending and DMA has nothing to do: the
+		// descriptor queue is full (it reopens only on a pop, a socket
+		// write) or no card has input waiting (a line card delivery
+		// between runs unsettles it).
+		Clocking: tta.ClockSettled, Settled: func() bool {
+			return !u.tpop.fired && (u.QueueLen() >= maxInflight || u.bank.AnyPending() < 0)
+		},
 		// A data-memory client behind the MMU's back.
 		Hazard: "dmem",
 	}
@@ -168,8 +171,7 @@ const MaxInflight = 64
 // maxInflight is the internal alias used by the queue logic.
 const maxInflight = MaxInflight
 
-func (u *IPPU) Clock() error {
-	u.now++
+func (u *IPPU) Clock(now int64) error {
 	// Service a pop first so the freed region is available to DMA.
 	if _, ok := u.tpop.take(); ok {
 		if u.QueueLen() == 0 {
@@ -209,7 +211,7 @@ func (u *IPPU) Clock() error {
 					}
 					u.queue = append(u.queue, e)
 					u.seqs[e.ptr] = e.seq
-					u.storedAt[e.ptr] = u.now
+					u.storedAt[e.ptr] = now
 					u.alloc = ptr + words
 					u.stored++
 				}
@@ -278,29 +280,9 @@ func (u *IPPU) Reset() {
 	u.tpop.reset()
 	u.rptr, u.rifc, u.rln = 0, 0, 0
 	u.popped, u.stored, u.oversized = 0, 0, 0
-	u.now = 0
 	clear(u.seqs)
 	clear(u.storedAt)
 }
-
-// ClockIdle reports that a Clock would only advance the cycle counter:
-// no pop is pending and DMA has nothing to do — either the descriptor
-// queue is full (the gate reopens only on a pop, which is a socket
-// write) or no card has input waiting (tta.LagClocker).
-func (u *IPPU) ClockIdle() bool {
-	if u.tpop.fired {
-		return false
-	}
-	return u.QueueLen() >= maxInflight || u.bank.AnyPending() < 0
-}
-
-// CatchUp advances the cycle counter over a parked stretch so storedAt
-// stamps keep wall-clock cycle numbering (tta.LagClocker).
-func (u *IPPU) CatchUp(n int64) { u.now += n }
-
-// WakeGen changes whenever a line card delivery gives the drained bank
-// new input (tta.LagClocker).
-func (u *IPPU) WakeGen() uint64 { return u.bank.DeliverGen() }
 
 // SeqAt returns the workload sequence number of the datagram stored at
 // ptr (harness correlation aid).
@@ -346,7 +328,6 @@ type OPPU struct {
 	errFlag    bool
 
 	sent      int64
-	now       int64
 	latencies []int64
 	// latIfaces parallels latencies with the output interface of each
 	// sent datagram, so per-card latency histograms can be rebuilt.
@@ -368,8 +349,8 @@ func NewOPPU(name string, bank *linecard.Bank, mmu *MMU) *OPPU {
 		Name:    name,
 		Sockets: []tta.Port{operand("ptr", &u.optr), operand("len", &u.olen), trig("tsend", &u.tsend)},
 		Lines:   []tta.Line{flag("err", &u.errFlag)},
-		// Every Clock counts a wall-clock cycle for latency records.
-		Clocking: tta.ClockLag, Lag: u,
+		// Its only work consumes written operands or its trigger.
+		Clocking: tta.ClockOnWrite,
 		// Its send trigger stays in program order with MMU writes, so the
 		// datagram it copies out reflects the header rewrite.
 		Hazard: "dmem",
@@ -377,8 +358,7 @@ func NewOPPU(name string, bank *linecard.Bank, mmu *MMU) *OPPU {
 	return u
 }
 
-func (u *OPPU) Clock() error {
-	u.now++
+func (u *OPPU) Clock(now int64) error {
 	u.optr.clock()
 	u.olen.clock()
 	if ifc, ok := u.tsend.take(); ok {
@@ -407,7 +387,7 @@ func (u *OPPU) Clock() error {
 		u.sent++
 		if u.StoredCycleLookup != nil {
 			if at, ok := u.StoredCycleLookup(u.optr.cur); ok {
-				u.latencies = append(u.latencies, u.now-at)
+				u.latencies = append(u.latencies, now-at)
 				u.latIfaces = append(u.latIfaces, int32(ifc))
 			}
 		}
@@ -420,25 +400,9 @@ func (u *OPPU) Reset() {
 	u.tsend.reset()
 	u.errFlag = false
 	u.sent = 0
-	u.now = 0
 	u.latencies = u.latencies[:0] // keep capacity for the next batch
 	u.latIfaces = u.latIfaces[:0]
 }
-
-// ClockIdle reports that a Clock would only advance the cycle counter:
-// no send is triggered and no operand latch update is pending. All
-// reactivation paths are socket writes (tta.LagClocker).
-func (u *OPPU) ClockIdle() bool {
-	return !u.tsend.fired && !u.optr.dirty && !u.olen.dirty
-}
-
-// CatchUp advances the cycle counter over a parked stretch so recorded
-// latencies keep wall-clock cycle numbering (tta.LagClocker).
-func (u *OPPU) CatchUp(n int64) { u.now += n }
-
-// WakeGen is constant: nothing outside the socket interface ever gives
-// the postprocessing unit work (tta.LagClocker).
-func (u *OPPU) WakeGen() uint64 { return 0 }
 
 // Sent reports the number of datagrams moved to output buffers.
 func (u *OPPU) Sent() int64 { return u.sent }

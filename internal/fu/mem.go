@@ -83,7 +83,7 @@ func (m *MMU) set(addr int, v uint32) {
 	p[addr&(pageWords-1)] = v
 }
 
-func (m *MMU) Clock() error {
+func (m *MMU) Clock(int64) error {
 	m.ow.clock()
 	rAddr, rOK := m.tr.take()
 	wAddr, wOK := m.tw.take()

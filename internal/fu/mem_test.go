@@ -167,7 +167,7 @@ func checkPagedMMU(t *testing.T, words int, seed uint64) {
 			if wOK {
 				write(2, wAddr)
 			}
-			got, want := errText(m.Clock()), errText(f.clock(ow, owSet, rAddr, rOK, wAddr, wOK))
+			got, want := errText(m.Clock(int64(op))), errText(f.clock(ow, owSet, rAddr, rOK, wAddr, wOK))
 			if got != want {
 				t.Fatalf("op %d: Clock error %q, flat %q", op, got, want)
 			}

@@ -82,7 +82,7 @@ func NewRTUSeq(name string, t *rtable.SequentialTable) *RTUSeq {
 	return u
 }
 
-func (u *RTUSeq) Clock() error {
+func (u *RTUSeq) Clock(int64) error {
 	if idx, ok := u.tidx.take(); ok {
 		u.loads++
 		if !u.cacheOK || u.cacheGen != u.table.Gen() {
@@ -193,7 +193,7 @@ func NewRTUTree(name string, t *rtable.BalancedTreeTable) *RTUTree {
 	return u
 }
 
-func (u *RTUTree) Clock() error {
+func (u *RTUTree) Clock(int64) error {
 	if idx, ok := u.tnode.take(); ok {
 		u.loads++
 		if idx == NilNode {
@@ -310,7 +310,7 @@ func NewRTUCAM(name string, t *rtable.CAMTable, waitCycles int) *RTUCAM {
 	return u
 }
 
-func (u *RTUCAM) Clock() error {
+func (u *RTUCAM) Clock(int64) error {
 	for i := range u.a {
 		u.a[i].clock()
 	}

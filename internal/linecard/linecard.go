@@ -109,9 +109,6 @@ func (c *Card) Deliver(d Datagram) bool {
 		c.in, c.inHead = c.in[:0], 0
 		if c.bank != nil {
 			c.bank.pending++
-			// An empty card gained input: bump the delivery generation so
-			// a parked preprocessing unit knows to wake (Bank.DeliverGen).
-			c.bank.deliverGen++
 		}
 	}
 	c.in = append(c.in, d)
@@ -225,12 +222,9 @@ func (c *Card) Reset() {
 type Bank struct {
 	cards []*Card
 	// pending counts cards with input waiting, maintained on every
-	// empty/non-empty input-queue transition.
+	// empty/non-empty input-queue transition, so a drained bank — the
+	// preprocessing unit's settled state — is one compare (AnyPending).
 	pending int
-	// deliverGen increments whenever a delivery puts input into a card
-	// that was empty — the external-wake events a sleeping DMA consumer
-	// (the preprocessing unit's compiled fast path) must observe.
-	deliverGen uint64
 	// rec, when non-nil, receives push/pop flight-recorder events from
 	// every card (stamped with the recorder's current machine cycle).
 	// Sharing the machine's recorder puts DMA activity on the same
@@ -262,11 +256,6 @@ func (b *Bank) Card(i int) *Card { return b.cards[i] }
 
 // Cards returns the underlying slice.
 func (b *Bank) Cards() []*Card { return b.cards }
-
-// DeliverGen returns the delivery generation: a counter that changes
-// whenever an empty card receives input. Consumers that stop polling a
-// drained bank compare generations to learn that work has arrived.
-func (b *Bank) DeliverGen() uint64 { return b.deliverGen }
 
 // AnyPending returns the lowest-numbered card with input pending, or -1 —
 // the scan the preprocessing unit performs over the cards' status

@@ -131,7 +131,7 @@ func drive(t *testing.T, rng *workload.RNG, r slotRig, phase string, cycles int)
 			t.Fatalf("%s cycle %d: a write was visible before Clock", phase, c)
 		}
 		for _, u := range r.m.Units() {
-			u.Clock() // unit faults (a double-triggered MMU) are part of the drive
+			u.Clock(int64(c)) // unit faults (a double-triggered MMU) are part of the drive
 		}
 	}
 }

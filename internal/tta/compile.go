@@ -165,15 +165,6 @@ type fastPath struct {
 	onWrite uint64
 	slots   []unitSlot
 
-	// Lag-clocked units (ClockLag): lagIdx indexes them, lastClock
-	// records the absolute machine cycle (Stats.Cycles numbering) of each
-	// unit's most recent Clock so a wake can CatchUp the skipped span,
-	// and wakeSeen holds the WakeGen observed when the unit was parked —
-	// a changed generation at batch entry re-activates the unit.
-	lagIdx    []int
-	lastClock []int64
-	wakeSeen  []uint64
-
 	// dirty marks the idle cache invalid: set on installation, by Reset
 	// and by a cycle that ended in an error, when unit activity may have
 	// changed without a socket write the fast path saw.
@@ -181,13 +172,11 @@ type fastPath struct {
 }
 
 // unitSlot is everything the clock loop reads of one unit, in one
-// record: the unit and its port table's clocking promise with the hook
-// behind it.
+// record: the unit and, for a ClockSettled unit, its Settled hook (nil
+// for every other promise).
 type unitSlot struct {
 	u       Unit
-	k       Clocking
 	settled func() bool
-	lag     LagClocker
 }
 
 // MaxCompiledUnits is the most functional units a machine may have for
@@ -212,24 +201,19 @@ func (m *Machine) UseCompiled() error {
 			n, MaxCompiledUnits)
 	}
 	c := &fastPath{
-		m:         m,
-		ins:       make([]cins, len(m.prog.Ins)),
-		slots:     make([]unitSlot, n),
-		lastClock: make([]int64, n),
-		wakeSeen:  make([]uint64, n),
-		dirty:     true,
+		m:     m,
+		ins:   make([]cins, len(m.prog.Ins)),
+		slots: make([]unitSlot, n),
+		dirty: true,
 	}
 	if n > 0 {
 		c.allMask = ^uint64(0) >> (64 - uint(n))
 	}
 	for i, u := range m.units {
 		t := u.Ports()
-		c.slots[i] = unitSlot{u: u, k: t.Clocking, settled: t.Settled, lag: t.Lag}
-		switch t.Clocking {
-		case ClockOnWrite:
+		c.slots[i] = unitSlot{u: u, settled: t.Settled}
+		if t.Clocking == ClockOnWrite {
 			c.onWrite |= 1 << uint(i)
-		case ClockLag:
-			c.lagIdx = append(c.lagIdx, i)
 		}
 	}
 	// One flat move array for the whole program, sized up front: each
@@ -400,22 +384,17 @@ func (c *fastPath) runToPC(stopPC int, maxSteps int64) (int64, error) {
 	if c.dirty {
 		// Freshly installed, reset, or left mid-cycle by an error: every
 		// cached "this unit is idle" fact is suspect, so clock everything
-		// until units re-report settled. Lag units count as clocked on
-		// the previous cycle — their counters are current, nothing to
-		// CatchUp.
+		// until units re-report settled.
 		c.active = c.allMask
-		for i := range c.lastClock {
-			c.lastClock[i] = m.stats.Cycles
-		}
 		c.dirty = false
 	} else {
-		// Re-activate parked lag units woken by external input (a line
-		// card delivery) since they were parked. Wakes cannot happen
-		// mid-batch — nothing inside the machine delivers input traffic —
-		// so one generation check per batch suffices.
-		for _, li := range c.lagIdx {
-			if c.active&(1<<uint(li)) == 0 && c.slots[li].lag.WakeGen() != c.wakeSeen[li] {
-				c.active |= 1 << uint(li)
+		// Ask every parked ClockSettled unit again: input from outside
+		// the machine (a line card delivery) may have unsettled it since
+		// the last batch. Nothing inside a batch delivers such input, so
+		// one check per batch suffices.
+		for a := c.allMask &^ c.active &^ c.onWrite; a != 0; a &= a - 1 {
+			if ui := mathbits.TrailingZeros64(a); !c.slots[ui].settled() {
+				c.active |= 1 << uint(ui)
 			}
 		}
 	}
@@ -432,8 +411,6 @@ func (c *fastPath) runToPC(stopPC int, maxSteps int64) (int64, error) {
 	active := c.active
 	onWrite := c.onWrite
 	slots := c.slots
-	lastClock := c.lastClock
-	wakeSeen := c.wakeSeen
 	// The execution count: a guard failure is counted and stamped at
 	// once, the PC when its cycle completes; a failed cycle is uncounted
 	// on exit (see Machine.Step).
@@ -632,29 +609,12 @@ loop:
 		for a := active; a != 0; a &= a - 1 {
 			ui := mathbits.TrailingZeros64(a)
 			s := &slots[ui]
-			if s.k == ClockLag {
-				// A parked stretch ended: advance the unit's internal
-				// cycle counter over the skipped span before its next
-				// real Clock. Current cycle = statsBase+cycles+1.
-				if skipped := statsBase + cycles - lastClock[ui]; skipped > 0 {
-					s.lag.CatchUp(skipped)
-				}
-				lastClock[ui] = statsBase + cycles + 1
-			}
-			if err := s.u.Clock(); err != nil {
+			if err := s.u.Clock(statsBase + cycles); err != nil {
 				retErr = fmt.Errorf("tta: pc %d: unit %s: %w", pc, s.u.Ports().Name, err)
 				break loop
 			}
-			switch s.k {
-			case ClockSettled:
-				if s.settled() {
-					active &^= 1 << uint(ui)
-				}
-			case ClockLag:
-				if s.lag.ClockIdle() {
-					active &^= 1 << uint(ui)
-					wakeSeen[ui] = s.lag.WakeGen()
-				}
+			if s.settled != nil && s.settled() {
+				active &^= 1 << uint(ui)
 			}
 		}
 		// A write-driven unit settles at every Clock (an error above
@@ -691,8 +651,8 @@ loop:
 	if retErr != nil {
 		m.uncount(pc, stamp)
 		// A mid-cycle abort may have clocked some units of an uncounted
-		// cycle; discard the idle/lastClock caches rather than reason
-		// about the partial state.
+		// cycle; discard the idle cache rather than reason about the
+		// partial state.
 		c.dirty = true
 	}
 	return cycles, retErr

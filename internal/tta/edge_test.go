@@ -333,3 +333,70 @@ func TestLoadOnCompiledMachine(t *testing.T) {
 		t.Errorf("gpr.r1 = %d, want 5-4 = 1 from the second program", v)
 	}
 }
+
+// inbox is a ClockSettled test unit fed from outside the machine, the
+// way line cards feed the preprocessing unit: each Clock serves one
+// queued item, stamped with the cycle it ran in, and the unit is
+// settled while nothing is queued.
+type inbox struct {
+	PortTable
+	queued int
+	served []int64
+}
+
+func newInbox(name string) *inbox {
+	u := &inbox{}
+	u.PortTable = PortTable{Name: name, Clocking: ClockSettled, Settled: func() bool { return u.queued == 0 }}
+	return u
+}
+
+func (u *inbox) Clock(now int64) error {
+	if u.queued > 0 {
+		u.queued--
+		u.served = append(u.served, now)
+	}
+	return nil
+}
+func (u *inbox) Reset() { u.queued, u.served = 0, nil }
+
+// TestCompiledWakesSettledUnit: input that arrives between two RunToPC
+// calls unsettles a parked ClockSettled unit, and the compiled machine
+// must clock it exactly as the interpreter does — same items served in
+// the same cycles, same statistics after every call.
+func TestCompiledWakesSettledUnit(t *testing.T) {
+	build := func() (*Machine, *inbox) {
+		u := newInbox("in")
+		m, err := New("wake", 1, []Unit{u})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := isa.NewProgram()
+		p.Ins = []isa.Instruction{{Moves: []isa.Move{imm(m, 0, "nc.jmp")}}} // spin
+		if err := m.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		return m, u
+	}
+	mi, ui := build()
+	mc, uc := build()
+	if err := mc.UseCompiled(); err != nil {
+		t.Fatal(err)
+	}
+	for call, arrive := range []int{0, 3, 0, 5} {
+		ui.queued += arrive
+		uc.queued += arrive
+		if _, err := mi.RunToPC(-1, 10); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mc.RunToPC(-1, 10); err != nil {
+			t.Fatal(err)
+		}
+		if mi.Stats() != mc.Stats() || ui.queued != uc.queued || !reflect.DeepEqual(ui.served, uc.served) {
+			t.Fatalf("call %d: compiled %+v queued %d served %v; interpreted %+v queued %d served %v",
+				call, mc.Stats(), uc.queued, uc.served, mi.Stats(), ui.queued, ui.served)
+		}
+	}
+	if want := []int64{10, 11, 12, 30, 31, 32, 33, 34}; !reflect.DeepEqual(ui.served, want) {
+		t.Fatalf("served in cycles %v, want %v", ui.served, want)
+	}
+}

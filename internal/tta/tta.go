@@ -92,35 +92,11 @@ const (
 	// ClockSettled promises the same whenever PortTable.Settled reports
 	// true; units with autonomous per-cycle work (the counter while
 	// counting, the CAM while a search is in flight) report false then.
+	// Settled may also turn false between runs, when input arrives from
+	// outside the machine (a line card delivery): the fast path asks
+	// every parked ClockSettled unit again at the start of each batch.
 	ClockSettled
-	// ClockLag marks a unit whose every Clock advances an internal cycle
-	// counter but is otherwise a no-op while idle (see LagClocker).
-	ClockLag
 )
-
-// LagClocker is the hook set behind ClockLag, for units that count
-// wall-clock cycles (the pre- and postprocessing units timestamp DMA
-// events). The contract:
-//
-//   - Whenever ClockIdle reports true, every subsequent Clock would do
-//     nothing but advance the internal counter, until either one of the
-//     unit's sockets is written or WakeGen changes.
-//   - CatchUp(n) advances the internal counter by n cycles, exactly as
-//     n idle Clocks would have.
-//   - WakeGen changes (monotonically) whenever external, non-socket
-//     input may give the unit work again — e.g. a line card delivery
-//     into a bank the unit had drained. Units with no external inputs
-//     return a constant.
-//
-// The compiled fast path parks an idle unit, re-checks WakeGen once per
-// batch, and calls CatchUp with the skipped cycle count immediately
-// before the unit's next real Clock — so cycle-stamped observables (DMA
-// latencies) stay bit-identical to the interpreter.
-type LagClocker interface {
-	ClockIdle() bool
-	CatchUp(n int64)
-	WakeGen() uint64
-}
 
 // PortTable is a unit's whole contract with the interconnect, declared
 // once in the unit's constructor: its sockets and signal lines with the
@@ -134,10 +110,9 @@ type PortTable struct {
 	Sockets []Port
 	Lines   []Line
 	// Clocking is the unit's idle-cycle promise; Settled backs
-	// ClockSettled and Lag backs ClockLag (nil otherwise).
+	// ClockSettled (nil otherwise).
 	Clocking Clocking
 	Settled  func() bool
-	Lag      LagClocker
 	// Hazard names an out-of-band resource the unit shares with others
 	// (the data memory the DMA units reach behind the MMU's back); ""
 	// means none. The scheduler keeps triggers within one class in
@@ -159,13 +134,18 @@ func (p *PortTable) Ports() *PortTable { return p }
 //  3. the machine calls Clock once, at which point the unit commits
 //     pending writes and, if a trigger socket was written, computes its
 //     operation into its result registers and signal lines.
+//
+// The machine owns time: Clock is told the cycle it executes, so a unit
+// that timestamps events (the DMA units) keeps no counter of its own.
 type Unit interface {
 	// Ports returns the unit's port table.
 	Ports() *PortTable
 	// Clock advances the unit one cycle, committing writes and executing
-	// a triggered operation. It returns an error for unit-level faults
-	// (e.g. an out-of-range memory access), which halt the machine.
-	Clock() error
+	// a triggered operation. now is the cycle being executed
+	// (Stats().Cycles before it completes). It returns an error for
+	// unit-level faults (e.g. an out-of-range memory access), which halt
+	// the machine.
+	Clock(now int64) error
 	// Reset returns the unit to its power-on state.
 	Reset()
 }
@@ -376,8 +356,8 @@ func (t *PortTable) check() error {
 			return fmt.Errorf("tta: unit %s: signal %s needs exactly one of a flag and a getter", t.Name, l.Name)
 		}
 	}
-	if (t.Clocking == ClockSettled) != (t.Settled != nil) || (t.Clocking == ClockLag) != (t.Lag != nil) {
-		return fmt.Errorf("tta: unit %s: clocking promise %d and its Settled/Lag hook disagree", t.Name, t.Clocking)
+	if (t.Clocking == ClockSettled) != (t.Settled != nil) {
+		return fmt.Errorf("tta: unit %s: clocking promise %d and its Settled hook disagree", t.Name, t.Clocking)
 	}
 	return nil
 }
@@ -854,8 +834,9 @@ func (m *Machine) interpStep() (err error) {
 	for _, w := range m.writes {
 		*w.ref.val, *w.ref.armed = w.val, true
 	}
+	now := m.stats.Cycles
 	for _, u := range m.units {
-		if err := u.Clock(); err != nil {
+		if err := u.Clock(now); err != nil {
 			return fmt.Errorf("tta: pc %d: unit %s: %w", m.pc, u.Ports().Name, err)
 		}
 	}

@@ -33,7 +33,7 @@ func newAdder(name string) *adder {
 	return a
 }
 
-func (a *adder) Clock() error {
+func (a *adder) Clock(int64) error {
 	if a.hasO {
 		a.o, a.hasO = a.pendO, false
 	}
@@ -69,7 +69,7 @@ func newRegs(name string) *regs {
 	return g
 }
 
-func (g *regs) Clock() error {
+func (g *regs) Clock(int64) error {
 	for i := range g.r {
 		if g.has[i] {
 			g.r[i], g.has[i] = g.pend[i], false
@@ -122,7 +122,7 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 		{"line with neither flag nor getter", func(a *adder) { a.Lines[0].Flag = nil }, "bad.nz"},
 		{"line with flag and getter", func(a *adder) { a.Lines[0].Get = getFlag }, "bad.nz"},
 		{"settled promise without its hook", func(a *adder) { a.Clocking = ClockSettled }, "bad"},
-		{"lag hook without its promise", func(a *adder) { a.Lag = lagStub{} }, "bad"},
+		{"settled hook without its promise", func(a *adder) { a.Settled = func() bool { return true } }, "bad"},
 	} {
 		a := newAdder("bad")
 		c.edit(a)
@@ -137,12 +137,6 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 		}
 	}
 }
-
-type lagStub struct{}
-
-func (lagStub) ClockIdle() bool { return true }
-func (lagStub) CatchUp(int64)   {}
-func (lagStub) WakeGen() uint64 { return 0 }
 
 func TestSocketResolution(t *testing.T) {
 	m := newTestMachine(t, 1)

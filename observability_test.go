@@ -161,6 +161,57 @@ func TestCountsMatchRecorderTally(t *testing.T) {
 	}
 }
 
+// TestLatencyIsPopToPush holds the postprocessing unit's latency
+// records to the flight recorder: every entry of OPPU.Latencies must be
+// its datagram's EvPush cycle minus its EvPop cycle (the two line-card
+// events, matched by sequence number), on every Table 1 instance and
+// both step paths. The DMA units read the cycle from the machine, so a
+// latency and the recorder's timeline cannot drift apart.
+func TestLatencyIsPopToPush(t *testing.T) {
+	routes := workload.GenerateRoutes(workload.TableSpec{Entries: 100, Ifaces: 4, Seed: 2003})
+	pkts := goldenCorpus(t, routes, 24)
+	for _, kind := range []rtable.Kind{rtable.Sequential, rtable.BalancedTree, rtable.CAM} {
+		for _, cfg := range fu.PaperConfigs(kind) {
+			for _, compiled := range []bool{false, true} {
+				kind, cfg, compiled := kind, cfg, compiled
+				t.Run(fmt.Sprintf("%s/%s/compiled=%t", kind, cfg.Name, compiled), func(t *testing.T) {
+					tr := buildRouter(t, kind, cfg, routes)
+					rec := tr.ArmRecorder(1 << 16)
+					if compiled {
+						if err := tr.UseCompiled(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := obsRun(tr, pkts, 20_000_000); err != nil {
+						t.Fatal(err)
+					}
+					if rec.Dropped() != 0 {
+						t.Fatalf("recorder dropped %d of %d events: arm a larger one", rec.Dropped(), rec.Total())
+					}
+					popped := map[uint32]int64{}
+					var want []int64
+					for _, e := range rec.Tail() {
+						switch e.Kind {
+						case obs.EvPop:
+							popped[e.Value] = e.Cycle
+						case obs.EvPush:
+							at, ok := popped[e.Value]
+							if !ok {
+								t.Fatalf("seq %d pushed at cycle %d, never popped", e.Value, e.Cycle)
+							}
+							want = append(want, e.Cycle-at)
+						}
+					}
+					got := tr.Units.OPPU.Latencies()
+					if len(got) == 0 || !reflect.DeepEqual(got, want) {
+						t.Fatalf("latencies %v, recorder push-pop %v", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
 // obsRun pushes pkts through tr (counting only the deliveries the
 // cards accept — fault-mutated frames can be rejected at the door) and
 // returns the Run error.
