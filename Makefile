@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo fuzz-forensics bench bench-e2e bench-compare overhead-guard trace-smoke largetable-identity snapshot vet loc
+.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics bench bench-e2e bench-compare overhead-guard trace-smoke largetable-identity snapshot vet loc
 
 all: build test
 
@@ -56,7 +56,7 @@ topo-identity:
 # Short differential fuzz bursts (one -fuzz pattern per go test
 # invocation); extend FUZZTIME for longer campaigns.
 FUZZTIME ?= 30s
-fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo fuzz-forensics
+fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics
 
 # Golden router vs TACO processor on generated datagrams.
 fuzz-router:
@@ -72,6 +72,11 @@ fuzz-lpm:
 # every campaign must stay stall-, mismatch- and unexplained-free.
 fuzz-faults:
 	$(GO) test ./internal/fault -run xxx -fuzz FuzzSoakDifferential -fuzztime $(FUZZTIME)
+
+# Fault specs (tacoroute -faults): ParseSpec must never panic, and every
+# rule of a spec it accepts must fire with a probability in [0, 1].
+fuzz-spec:
+	$(GO) test ./internal/fault -run xxx -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)
 
 # Compiled fast path vs interpreter on fault-mutated traffic: every
 # observable (cycles, sockets, drops, latency, forwarded bytes) must be

@@ -43,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"table", "config", "entries", "seed", "hist", "metrics-out", "forensics-out", "cpuprofile", "memprofile")
 	c.PacketsFlag(200)
 	ifaces := c.Int("ifaces", 4, "network interfaces")
-	verify := c.Bool("verify", true, "cross-check against the golden router")
 	prof := c.Bool("profile", false, "print per-region cycle attribution (bottleneck analysis)")
 	soak := c.Bool("soak", false, "run differential fault campaigns (golden vs TACO) instead of one batch")
 	campaigns := c.Int("soak-campaigns", 8, "campaigns per -soak run")
@@ -98,34 +97,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return err
 		}
 		arrivals := router.RoundRobin(pkts, *ifaces)
-		delivered := tr.DeliverAll(arrivals)
-		if inj == nil && delivered != int64(len(pkts)) {
-			// Without injected faults every generated frame is valid, so a
-			// rejection can only be queue overflow — a real failure.
-			return fmt.Errorf("line card overflow: %d of %d datagrams accepted", delivered, len(pkts))
+		want, err := router.ReferenceOutcomes(routes, *ifaces, arrivals)
+		if err != nil {
+			return err
 		}
 		budget := router.WatchdogBudget(c.Packets, c.Entries)
-		if err := tr.Run(delivered, budget); err != nil {
-			var stall *router.StallError
-			if errors.As(err, &stall) {
-				fmt.Fprintln(stderr, "tacoroute: forwarding stalled; machine state:")
-				fmt.Fprintln(stderr, stall.Dump())
-				if c.ForensicsOut != "" {
-					b := forensics.NewRouterBundle(forensics.KindStall,
-						fmt.Sprintf("%s/%s", kind, cfg.Name), cfg, *ifaces, routes,
-						arrivals, delivered, budget, true)
-					b.Seed = c.Seed
-					b.FaultSpec = *faults
-					b.RecorderCap = obs.DefaultRecorderCap
-					b.AttachStall(stall)
-					c.SaveBundle(b, c.ForensicsOut)
-				}
+		run, err := tr.RunChecked(arrivals, want, budget, nil)
+		if inj == nil && run.Delivered != int64(len(pkts)) {
+			// Without injected faults every generated frame is valid, so a
+			// rejection can only be queue overflow — a real failure.
+			return fmt.Errorf("line card overflow: %d of %d datagrams accepted", run.Delivered, len(pkts))
+		}
+		var stall *router.StallError
+		if errors.As(err, &stall) {
+			fmt.Fprintln(stderr, "tacoroute: forwarding stalled; machine state:")
+			fmt.Fprintln(stderr, stall.Dump())
+		}
+		if c.ForensicsOut != "" {
+			base := forensics.NewRouterBundle("", fmt.Sprintf("%s/%s", kind, cfg.Name), cfg, *ifaces, routes,
+				arrivals, run.Delivered, budget, true)
+			base.Seed = c.Seed
+			base.FaultSpec = *faults
+			for _, b := range base.Failures(tr, run, err) {
+				c.SaveBundle(b, c.ForensicsOut)
 			}
+		}
+		if err != nil {
 			// A stalled run still gets its scrape: the stall-attribution
 			// counters are exactly what the operator wants to see.
 			return errors.Join(err, writeMetrics(c.MetricsOut, tr, kind, cfg))
 		}
-		got := tr.Collect(arrivals) // also finalizes the drop audit
 
 		st := tr.Machine.Stats()
 		fmt.Fprintf(stdout, "TACO router: %s table, %s architecture\n", kind, cfg.Name)
@@ -137,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			estimate.FormatHz(tr.CyclesPerPacket()*rate))
 
 		count := make([]int, *ifaces+2) // forwarded per interface, local, dropped
-		for _, o := range got.Datagrams {
+		for _, o := range run.Outcomes.Datagrams {
 			switch o.Action {
 			case router.Forward:
 				count[o.Iface]++
@@ -168,7 +169,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 				fmt.Fprintln(stdout)
 			}
-			if n := tr.UnexplainedDrops(); n != 0 {
+			if n := run.Unexplained; n != 0 {
 				return fmt.Errorf("%d machine drops could not be attributed to a DropReason", n)
 			}
 		}
@@ -183,14 +184,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return err
 		}
 
-		if *verify {
-			d := router.Compare(router.NewGolden(tbl, *ifaces).Expected(arrivals), got)
-			if !d.Agree() {
-				return fmt.Errorf("golden-router cross-check: TACO diverges on %d datagrams (first seqs %v) and the drop counters of cards %v",
-					len(d.Seqs), d.Seqs[:min(len(d.Seqs), 8)], d.Cards)
-			}
-			fmt.Fprintln(stdout, "  golden-router cross-check: OK")
+		if !run.Diff.Agree() {
+			return fmt.Errorf("golden-router cross-check: %v", run.Diff)
 		}
+		fmt.Fprintln(stdout, "  golden-router cross-check: OK")
 		if *prof {
 			prf := profile.New(tr.Sched.Program, tr.Machine.Count())
 			fmt.Fprintf(stdout, "\ncycle attribution (bottleneck analysis):\n%s", prf)

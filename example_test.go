@@ -84,8 +84,9 @@ func Example_ipv6router() {
 	}
 	tr.EnableDropAudit()
 	arrivals := router.RoundRobin(pkts, ifaces)
-	tr.DeliverAll(arrivals)
-	if err := tr.Run(int64(len(arrivals)), 50_000_000); err != nil {
+	g := router.NewGolden(tbl, ifaces)
+	run, err := tr.RunChecked(arrivals, g.Expected(arrivals), 50_000_000, nil)
+	if err != nil {
 		log.Fatal(err)
 	}
 	st := tr.Machine.Stats()
@@ -93,11 +94,7 @@ func Example_ipv6router() {
 		len(pkts), st.Cycles, tr.CyclesPerPacket(), st.BusUtilization()*100)
 	fmt.Printf("required clock for 10 Gbps at 512 B: %s\n",
 		estimate.FormatHz(tr.CyclesPerPacket()*core.PaperConstraints().PacketRate()))
-
-	got := tr.Collect(arrivals)
-	g := router.NewGolden(tbl, ifaces)
-	diff := router.Compare(g.Expected(arrivals), got)
-	fmt.Printf("golden cross-check agrees: %v\n", diff.Agree())
+	fmt.Printf("golden cross-check agrees: %v\n", run.Agree())
 	gs := g.Stats()
 	fmt.Printf("golden stats: %d forwarded, %d local, %d dropped\n", gs.Forwarded, gs.LocalDelivered, gs.Dropped)
 	// Output:

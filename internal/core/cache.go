@@ -3,14 +3,15 @@ package core
 import (
 	"sync"
 
+	"taco/internal/router"
 	"taco/internal/rtable"
-	"taco/internal/workload"
 )
 
 // SweepCache shares, between the evaluations of one sweep, every input
 // that is a pure function of its key: an instance's simulation inputs
-// (routes, traffic and watchdog budget, one set per (constraints,
-// options) pair — all nine Table 1 cells draw the same one), and for
+// (routes, arrivals, the golden reference's outcomes and watchdog
+// budget, one set per (constraints, options) pair — all nine Table 1
+// cells draw the same one, so the golden side is paid once), and for
 // scaled evaluations the large route set, its address-sorted copy (what
 // the tables are built from), its churn stream and destination sample,
 // and the cycle-accurate anchors.
@@ -59,15 +60,13 @@ type inputsKey struct {
 
 // simSet is one simInputs result, or why it failed.
 type simSet struct {
-	routes []rtable.Route
-	pkts   []workload.Packet
-	budget int64
-	err    error
+	routes   []rtable.Route
+	arrivals []router.Arrival
+	want     router.Outcomes
+	budget   int64
+	err      error
 }
 
 func (c *SweepCache) inputs(cons Constraints, sim SimOptions) simSet {
-	return cached(c, inputsKey{cons, sim}, func() simSet {
-		routes, pkts, budget, err := simInputs(cons, sim)
-		return simSet{routes, pkts, budget, err}
-	})
+	return cached(c, inputsKey{cons, sim}, func() simSet { return simInputs(cons, sim) })
 }

@@ -200,11 +200,12 @@ func DefaultSimOptions() SimOptions {
 }
 
 // simInputs derives an instance's complete simulation workload — the
-// routing table entries, the traffic and the watchdog budget — from its
-// (constraints, options) pair. Both Evaluate and the forensic-bundle
+// routing table entries, the arrivals, what the golden reference does
+// with them (router.ReferenceOutcomes) and the watchdog budget — from
+// its (constraints, options) pair. Both Evaluate and the forensic-bundle
 // builders go through this one derivation, so a bundle's recorded
 // inputs are exactly what the evaluation ran.
-func simInputs(cons Constraints, sim SimOptions) ([]rtable.Route, []workload.Packet, int64, error) {
+func simInputs(cons Constraints, sim SimOptions) simSet {
 	routes := workload.GenerateRoutes(workload.TableSpec{
 		Entries: cons.TableEntries,
 		Ifaces:  sim.Ifaces,
@@ -217,13 +218,15 @@ func simInputs(cons Constraints, sim SimOptions) ([]rtable.Route, []workload.Pac
 		Seed:      sim.Seed,
 	})
 	if err != nil {
-		return nil, nil, 0, err
+		return simSet{err: err}
 	}
-	budget := router.WatchdogBudget(sim.Packets, cons.TableEntries)
+	in := simSet{routes: routes, arrivals: router.RoundRobin(pkts, sim.Ifaces),
+		budget: router.WatchdogBudget(sim.Packets, cons.TableEntries)}
 	if sim.MaxCyclesPerPacket > 0 {
-		budget = int64(sim.Packets) * int64(sim.MaxCyclesPerPacket)
+		in.budget = int64(sim.Packets) * int64(sim.MaxCyclesPerPacket)
 	}
-	return routes, pkts, budget, nil
+	in.want, in.err = router.ReferenceOutcomes(routes, sim.Ifaces, in.arrivals)
+	return in
 }
 
 // Evaluate runs the full methodology for one architecture instance.
@@ -242,9 +245,8 @@ func (c *SweepCache) Evaluate(cfg fu.Config, cons Constraints, sim SimOptions) (
 	if in.err != nil {
 		return Metrics{}, in.err
 	}
-	routes, pkts, budget := in.routes, in.pkts, in.budget
 	tbl := rtable.New(cfg.Table)
-	if err := rtable.InsertAll(tbl, routes); err != nil {
+	if err := rtable.InsertAll(tbl, in.routes); err != nil {
 		return Metrics{}, fmt.Errorf("core: %w", err)
 	}
 	tr, err := router.NewTACO(cfg, tbl, sim.Ifaces)
@@ -259,14 +261,16 @@ func (c *SweepCache) Evaluate(cfg fu.Config, cons Constraints, sim SimOptions) (
 			return Metrics{}, err
 		}
 	}
-	for i, p := range pkts {
-		if !tr.Deliver(i%sim.Ifaces, linecard.Datagram{Data: p.Data, Seq: p.Seq}) {
-			return Metrics{}, fmt.Errorf("core: line card overflow at packet %d", i)
-		}
+	run, runErr := tr.RunChecked(in.arrivals, in.want, in.budget, nil)
+	err = runErr
+	if err == nil && !run.Agree() {
+		err = fmt.Errorf("core: %s/%s: golden-router cross-check: %v", cfg.Table, cfg.Name, run.Diff)
 	}
-	if err := tr.Run(int64(len(pkts)), budget); err != nil {
+	if err != nil {
 		if sim.ForensicsDir != "" {
-			err = captureBundle(sim.ForensicsDir, cfg, sim, routes, pkts, int64(len(pkts)), budget, err)
+			if bs := in.bundle("", cfg, sim, run.Delivered, sim.Compiled).Failures(tr, run, runErr); len(bs) > 0 {
+				err = bs[0].Capture(sim.ForensicsDir, err)
+			}
 		}
 		return Metrics{}, err
 	}
@@ -280,7 +284,7 @@ func (c *SweepCache) Evaluate(cfg fu.Config, cons Constraints, sim SimOptions) (
 		Config:          cfg,
 		CyclesPerPacket: cycles,
 		BusUtilization:  tr.Machine.Stats().BusUtilization(),
-		PacketsRun:      len(pkts),
+		PacketsRun:      len(in.arrivals),
 		RequiredClockHz: required,
 		Est:             est,
 		ClockFeasible:   est.Feasible,

@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"taco/internal/forensics"
 	"taco/internal/fu"
 	"taco/internal/router"
 	"taco/internal/rtable"
@@ -283,6 +285,62 @@ func TestMaxCyclesPerPacketBudget(t *testing.T) {
 		sim.Compiled = compiled
 		if _, err := Evaluate(cfg, cons, sim); err != nil {
 			t.Errorf("compiled=%t: generous per-packet budget still stalled: %v", compiled, err)
+		}
+	}
+}
+
+// TestEvaluateRejectsDivergence: Evaluate checks its run against the
+// golden reference. One forwarded datagram planted out another interface
+// in the shared reference outcomes makes the instance fail with no
+// Metrics; with ForensicsDir set the error carries a fate-divergence
+// bundle whose fates differ at exactly the planted seq.
+func TestEvaluateRejectsDivergence(t *testing.T) {
+	cfg, cons := fu.Config3Bus1FU(rtable.BalancedTree), PaperConstraints()
+	for _, dir := range []string{"", t.TempDir()} {
+		sim := smallSim()
+		sim.ForensicsDir = dir
+		var c SweepCache
+		in := c.inputs(cons, sim)
+		if in.err != nil {
+			t.Fatal(in.err)
+		}
+		i := slices.IndexFunc(in.want.Datagrams, func(o router.Outcome) bool { return o.Action == router.Forward })
+		if i < 0 {
+			t.Fatal("workload forwards nothing")
+		}
+		planted := &in.want.Datagrams[i] // shared with c: Evaluate reads this one
+		planted.Iface = (planted.Iface + 1) % sim.Ifaces
+
+		m, err := c.Evaluate(cfg, cons, sim)
+		if err == nil {
+			t.Fatalf("dir %q: a run that disagrees with the reference evaluated clean", dir)
+		}
+		if !reflect.DeepEqual(m, Metrics{}) {
+			t.Errorf("dir %q: a failed evaluation returned Metrics %+v", dir, m)
+		}
+		if dir == "" {
+			continue
+		}
+		path := forensics.BundlePath(err)
+		if path == "" {
+			t.Fatalf("divergence captured no bundle: %v", err)
+		}
+		b, err := forensics.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Kind != forensics.KindFateDivergence || len(b.WantFates) != len(b.GotFates) {
+			t.Fatalf("bundle kind %q with %d want and %d got fates, want a fate divergence",
+				b.Kind, len(b.WantFates), len(b.GotFates))
+		}
+		var differ []int64
+		for k := range b.WantFates {
+			if b.WantFates[k] != b.GotFates[k] {
+				differ = append(differ, b.WantFates[k].Seq)
+			}
+		}
+		if !slices.Equal(differ, []int64{planted.Seq}) {
+			t.Errorf("fates differ at seqs %v, want only the planted %d", differ, planted.Seq)
 		}
 	}
 }

@@ -5,27 +5,15 @@ import (
 
 	"taco/internal/forensics"
 	"taco/internal/fu"
-	"taco/internal/obs"
-	"taco/internal/router"
-	"taco/internal/rtable"
-	"taco/internal/workload"
 )
 
-// captureBundle serializes the failed evaluation into a forensic bundle
-// and wraps the original error with the bundle path (Bundle.Capture).
-func captureBundle(dir string, cfg fu.Config, sim SimOptions,
-	routes []rtable.Route, pkts []workload.Packet, expected, budget int64, runErr error) error {
-	se, ok := forensics.AsStall(runErr)
-	if !ok {
-		return runErr
-	}
-	label := fmt.Sprintf("%s/%s", cfg.Table, cfg.Name)
-	b := forensics.NewRouterBundle(forensics.KindStall, label, cfg, sim.Ifaces,
-		routes, router.RoundRobin(pkts, sim.Ifaces), expected, budget, sim.Compiled)
+// bundle is the replay-input half of a forensic bundle of the given kind
+// for cfg's run over in (see forensics.NewRouterBundle).
+func (in simSet) bundle(kind string, cfg fu.Config, sim SimOptions, expected int64, compiled bool) *forensics.Bundle {
+	b := forensics.NewRouterBundle(kind, fmt.Sprintf("%s/%s", cfg.Table, cfg.Name), cfg, sim.Ifaces,
+		in.routes, in.arrivals, expected, in.budget, compiled)
 	b.Seed = sim.Seed
-	b.RecorderCap = obs.DefaultRecorderCap
-	b.AttachStall(se)
-	return b.Capture(dir, runErr)
+	return b
 }
 
 // DivergenceBundle builds a compiled-vs-interpreted divergence bundle
@@ -38,15 +26,11 @@ func DivergenceBundle(cfg fu.Config, cons Constraints, sim SimOptions, note stri
 	if sim.Packets <= 0 {
 		sim = DefaultSimOptions()
 	}
-	routes, pkts, budget, err := simInputs(cons, sim)
-	if err != nil {
-		return nil, err
+	in := simInputs(cons, sim)
+	if in.err != nil {
+		return nil, in.err
 	}
-	label := fmt.Sprintf("%s/%s", cfg.Table, cfg.Name)
-	b := forensics.NewRouterBundle(forensics.KindCompiledDivergence, label, cfg, sim.Ifaces,
-		routes, router.RoundRobin(pkts, sim.Ifaces), int64(len(pkts)), budget, true)
-	b.Seed = sim.Seed
-	b.RecorderCap = obs.DefaultRecorderCap
+	b := in.bundle(forensics.KindCompiledDivergence, cfg, sim, int64(len(in.arrivals)), true)
 	b.Note = note
 	return b, nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"taco/internal/fu"
+	"taco/internal/router"
 	"taco/internal/rtable"
 	"taco/internal/workload"
 )
@@ -139,12 +140,20 @@ func hashRoutes(rs []rtable.Route) uint64 {
 	return h.Sum64()
 }
 
-func hashPackets(ps []workload.Packet) uint64 {
+// hashDatagrams hashes the seq and bytes of the arrivals and of the
+// reference outcomes of one input set.
+func hashDatagrams(as []router.Arrival, want router.Outcomes) uint64 {
 	h := fnv.New64a()
-	for _, p := range ps {
-		binary.Write(h, binary.LittleEndian, p.Seq)
-		binary.Write(h, binary.LittleEndian, uint64(len(p.Data)))
-		h.Write(p.Data)
+	put := func(seq int64, data []byte) {
+		binary.Write(h, binary.LittleEndian, seq)
+		binary.Write(h, binary.LittleEndian, uint64(len(data)))
+		h.Write(data)
+	}
+	for _, a := range as {
+		put(a.Seq, a.Data)
+	}
+	for _, o := range want.Datagrams {
+		put(o.Seq, o.Data)
 	}
 	return h.Sum64()
 }
@@ -154,9 +163,10 @@ func hashPackets(ps []workload.Packet) uint64 {
 // handed — neither the generator-order set nor the sorted copy the
 // tables are built from (the balanced tree clones it before owning it,
 // so its point updates splice its own array). Nor does a simulation
-// write to the routes or the datagram bytes it is fed: all nine Table 1
-// cells evaluated from one SweepCache, recorder armed, leave the one
-// input set they share as they found it.
+// write to the routes, the datagram bytes it is fed or the reference
+// outcomes it is checked against: all nine Table 1 cells evaluated from
+// one SweepCache, recorder armed, leave the one input set they share as
+// they found it.
 func TestSharedInputsReadOnly(t *testing.T) {
 	routes := workload.GenerateLargeRoutes(workload.LargeTableSpec{Entries: 4000, Ifaces: 4, Seed: 2003})
 	sorted := rtable.SortedRoutes(routes)
@@ -193,7 +203,7 @@ func TestSharedInputsReadOnly(t *testing.T) {
 	if in.err != nil {
 		t.Fatal(in.err)
 	}
-	wantRoutes, wantPkts := hashRoutes(in.routes), hashPackets(in.pkts)
+	wantRoutes, wantPkts := hashRoutes(in.routes), hashDatagrams(in.arrivals, in.want)
 	for _, kind := range rtable.PaperKinds {
 		for _, cfg := range fu.PaperConfigs(kind) {
 			if _, err := c.Evaluate(cfg, cons, sim); err != nil {
@@ -201,10 +211,10 @@ func TestSharedInputsReadOnly(t *testing.T) {
 			}
 		}
 	}
-	if again := c.inputs(cons, sim); &again.routes[0] != &in.routes[0] || &again.pkts[0] != &in.pkts[0] {
+	if again := c.inputs(cons, sim); &again.routes[0] != &in.routes[0] || &again.arrivals[0] != &in.arrivals[0] {
 		t.Fatal("Table 1 cells regenerated their inputs instead of sharing one set")
 	}
-	if hashRoutes(in.routes) != wantRoutes || hashPackets(in.pkts) != wantPkts {
-		t.Fatal("a Table 1 evaluation mutated the shared routes or datagrams")
+	if hashRoutes(in.routes) != wantRoutes || hashDatagrams(in.arrivals, in.want) != wantPkts {
+		t.Fatal("a Table 1 evaluation mutated the shared routes, datagrams or reference outcomes")
 	}
 }

@@ -271,7 +271,7 @@ func ParseSpec(spec string, seed uint64) (*Injector, error) {
 		prob := DefaultProb
 		if hasProb {
 			p, err := strconv.ParseFloat(probStr, 64)
-			if err != nil || p < 0 || p > 1 {
+			if err != nil || !(p >= 0 && p <= 1) { // NaN fails both
 				return nil, fmt.Errorf("fault: bad probability %q in %q", probStr, entry)
 			}
 			prob = p

@@ -134,6 +134,10 @@ func TestInjectorCountsAndDeterminism(t *testing.T) {
 	}
 }
 
+// parseSpecBad are specs ParseSpec must reject; with the accepted specs
+// of TestParseSpec they seed FuzzParseSpec.
+var parseSpecBad = []string{"nosuch", "truncate:1.5", "truncate:x", "hoplimit:-1", "truncate:NaN", "all:nan"}
+
 func TestParseSpec(t *testing.T) {
 	if in, err := ParseSpec("", 1); err != nil || in != nil {
 		t.Errorf("empty spec: %v, %v", in, err)
@@ -157,7 +161,7 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("%s prob = %v", r.Mutator.Name(), r.Prob)
 		}
 	}
-	for _, bad := range []string{"nosuch", "truncate:1.5", "truncate:x", "hoplimit:-1"} {
+	for _, bad := range parseSpecBad {
 		if _, err := ParseSpec(bad, 1); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}

@@ -85,3 +85,23 @@ func TestUnknownMutatorErrorListsNamesSorted(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseSpec: ParseSpec never panics, and every rule of a spec it
+// accepts fires with a probability in [0, 1] — NaN included among the
+// rejected. Seeded with TestParseSpec's specs.
+func FuzzParseSpec(f *testing.F) {
+	for _, spec := range append([]string{"", "truncate:0.1, hoplimit", "all:0.05"}, parseSpecBad...) {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		in, err := ParseSpec(spec, 1)
+		if err != nil || in == nil {
+			return
+		}
+		for _, r := range in.rules {
+			if !(r.Prob >= 0 && r.Prob <= 1) {
+				t.Fatalf("ParseSpec(%q) accepted %s with probability %v", spec, r.Mutator.Name(), r.Prob)
+			}
+		}
+	})
+}

@@ -152,10 +152,14 @@ func campaignSeed(base uint64, c int) uint64 {
 
 // RunSoak drives o.Campaigns independent campaigns. Each campaign
 // generates a routing table and traffic from its seed, mutates the
-// traffic through the fault spec, runs the golden router and the TACO
-// router (drop audit enabled) over identical bytes and one table, and
-// compares them with router.Compare: every datagram's action, output
-// interface and output bytes, and every card's per-reason drop counts.
+// traffic through the fault spec, and checks the TACO router (drop audit
+// enabled) against the golden router over identical bytes and one table
+// (router.TACO.RunChecked): every datagram's action, output interface and
+// output bytes, and every card's per-reason drop counts. The golden side
+// reads the campaign's own table, not a second, sequential one
+// (router.ReferenceOutcomes): the soak targets the forwarding kernel
+// under faulted traffic (FuzzLPMBackends targets the backends), and one
+// more table per campaign costs 13 % in bytes allocated per datagram.
 // Divergence is counted, not fatal: a soak run completes and reports, it
 // does not stop at the first bad campaign.
 //
@@ -211,53 +215,40 @@ func RunSoak(o SoakOptions) (SoakReport, error) {
 		for i := range pkts {
 			pkts[i].Data = inj.Apply(pkts[i].Data)
 		}
+		for name, n := range inj.Counts() {
+			rep.Mutations[name] += n
+		}
 
 		arrivals := router.RoundRobin(pkts, o.Ifaces)
 		want := router.NewGolden(tbl, o.Ifaces).Expected(arrivals)
 		if err := tr.Rebind(tbl); err != nil {
 			return rep, fmt.Errorf("fault: campaign %d: %w", c, err)
 		}
-		delivered := tr.DeliverAll(arrivals)
+		run, err := tr.RunChecked(arrivals, want, budget, nil)
 		rep.Packets += int64(len(pkts))
-		rep.Delivered += delivered
-
-		// newBundle builds the replay-input half of a forensic bundle for
-		// this campaign; save appends the written path to the report.
-		newBundle := func(kind string) *forensics.Bundle {
-			b := forensics.NewRouterBundle(kind, fmt.Sprintf("campaign-%d", c),
-				o.Config, o.Ifaces, routes, arrivals, delivered, budget, o.Compiled)
-			b.Seed = seed
-			b.FaultSpec = o.Spec
-			b.RecorderCap = obs.DefaultRecorderCap
-			return b
-		}
-		save := func(b *forensics.Bundle) error {
-			path, err := b.Save(o.ForensicsDir)
-			if err != nil {
-				return fmt.Errorf("fault: campaign %d: forensics capture: %w", c, err)
-			}
-			rep.Bundles = append(rep.Bundles, path)
-			return nil
-		}
-
-		if err := tr.Run(delivered, budget); err != nil {
-			if errors.Is(err, router.ErrStall) {
-				rep.Stalls++
-				if se, ok := forensics.AsStall(err); ok && o.ForensicsDir != "" {
-					b := newBundle(forensics.KindStall)
-					b.AttachStall(se)
-					if err := save(b); err != nil {
-						return rep, err
-					}
+		rep.Delivered += run.Delivered
+		if o.ForensicsDir != "" {
+			base := forensics.NewRouterBundle("", fmt.Sprintf("campaign-%d", c),
+				o.Config, o.Ifaces, routes, arrivals, run.Delivered, budget, o.Compiled)
+			base.Seed = seed
+			base.FaultSpec = o.Spec
+			for _, b := range base.Failures(tr, run, err) {
+				path, err := b.Save(o.ForensicsDir)
+				if err != nil {
+					return rep, fmt.Errorf("fault: campaign %d: forensics capture: %w", c, err)
 				}
-				continue // campaign lost; the soak itself goes on
+				rep.Bundles = append(rep.Bundles, path)
 			}
+		}
+		if errors.Is(err, router.ErrStall) {
+			rep.Stalls++
+			continue // campaign lost; the soak itself goes on
+		}
+		if err != nil {
 			return rep, fmt.Errorf("fault: campaign %d: %w", c, err)
 		}
-		got := tr.Collect(arrivals)
-		unexplained := tr.UnexplainedDrops()
-		rep.Unexplained += unexplained
-		for _, d := range got.Datagrams {
+		rep.Unexplained += run.Unexplained
+		for _, d := range run.Outcomes.Datagrams {
 			switch d.Action {
 			case router.Forward:
 				rep.Forwarded++
@@ -270,37 +261,7 @@ func RunSoak(o SoakOptions) (SoakReport, error) {
 		for _, st := range tr.QueueStats() {
 			rep.Drops.Merge(st.Drops)
 		}
-		diff := router.Compare(want, got)
-		rep.Mismatches += len(diff.Seqs) + len(diff.Cards)
-		if o.ForensicsDir != "" && (!diff.Agree() || unexplained > 0) {
-			attachTail := func(b *forensics.Bundle) {
-				if rec := tr.Recorder(); rec != nil {
-					b.Tail = rec.Tail()
-					b.TailDropped = rec.Dropped()
-					b.SocketNames = tr.Machine.SocketNames()
-				}
-			}
-			if len(diff.Seqs) > 0 {
-				b := newBundle(forensics.KindFateDivergence)
-				b.WantFates, b.GotFates = forensics.Fates(want), forensics.Fates(got)
-				attachTail(b)
-				if err := save(b); err != nil {
-					return rep, err
-				}
-			}
-			if len(diff.Cards) > 0 || unexplained > 0 {
-				b := newBundle(forensics.KindDropAudit)
-				b.Unexplained = unexplained
-				b.WantDrops, b.GotDrops = forensics.DropMaps(want), forensics.DropMaps(got)
-				attachTail(b)
-				if err := save(b); err != nil {
-					return rep, err
-				}
-			}
-		}
-		for name, n := range inj.Counts() {
-			rep.Mutations[name] += n
-		}
+		rep.Mismatches += len(run.Diff.Seqs) + len(run.Diff.Cards)
 	}
 	return rep, nil
 }

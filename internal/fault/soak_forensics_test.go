@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"taco/internal/forensics"
@@ -31,15 +32,24 @@ func soakStallOptions(dir string) SoakOptions {
 // default) stalls both campaigns, and campaign 1 runs on the router
 // rebound right after campaign 0 stalled. Both bundles must come out
 // byte-identical to the ones captured when every campaign built its own
-// router.
+// router, and the mutations must be counted as if neither had stalled.
 func TestSoakStallBundlesMatchCorpus(t *testing.T) {
-	dir := t.TempDir()
-	rep, err := RunSoak(SoakOptions{
+	opts := SoakOptions{
 		Campaigns: 2, Packets: 48, Entries: 100, Seed: 42,
-		Config: fu.Config3Bus1FU(rtable.BalancedTree), MaxCycles: 600, ForensicsDir: dir,
-	})
+		Config: fu.Config3Bus1FU(rtable.BalancedTree), ForensicsDir: t.TempDir(),
+	}
+	clean, err := RunSoak(opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	opts.MaxCycles, opts.ForensicsDir = 600, t.TempDir()
+	rep, err := RunSoak(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A stalled campaign's traffic was mutated all the same.
+	if !reflect.DeepEqual(rep.Mutations, clean.Mutations) {
+		t.Errorf("stalled soak counts mutations %v, the same soak within budget %v", rep.Mutations, clean.Mutations)
 	}
 	want := []string{"stall-campaign-0-7574f14b6e90ff8c.json", "stall-campaign-1-3240880bf8820553.json"}
 	if rep.Stalls != 2 || len(rep.Bundles) != len(want) {

@@ -148,13 +148,15 @@ type Bundle struct {
 // NewRouterBundle assembles the replay-input half of a router-kind
 // bundle. The datagram list must be in delivery order with the exact
 // delivered bytes; expected is the count Run was asked to process
-// (datagrams the line cards accepted).
+// (datagrams the line cards accepted). The recorder capacity is the
+// default every capturing router arms (router.TACO.ArmRecorder(0)).
 func NewRouterBundle(kind, label string, cfg fu.Config, ifaces int,
 	routes []rtable.Route, dgs []Datagram, expected, budget int64, compiled bool) *Bundle {
 	return &Bundle{
 		Version: Version, Kind: kind, Label: label,
 		Config: &cfg, Ifaces: ifaces, Routes: routes, Datagrams: dgs,
 		Expected: expected, Budget: budget, Compiled: compiled,
+		RecorderCap: obs.DefaultRecorderCap,
 	}
 }
 
@@ -172,6 +174,50 @@ func (b *Bundle) AttachStall(se *router.StallError) {
 	b.SocketNames = se.SocketNames
 	b.Tail = se.Tail
 	b.TailDropped = se.TailDropped
+}
+
+// Failures builds the bundles a checked run (router.TACO.RunChecked)
+// calls for, each a copy of b — the replay-input half, see
+// NewRouterBundle — of its own kind, with that failure's evidence:
+//   - a stall, when err is a *router.StallError;
+//   - a fate divergence, when a datagram's outcome differs from the
+//     reference;
+//   - a drop audit, when a card's drop counters differ or a machine drop
+//     went unexplained.
+//
+// A differential bundle carries the tail of tr's flight recorder when one
+// is armed. A clean run, or one that failed otherwise, calls for none.
+func (b *Bundle) Failures(tr *router.TACO, run router.Checked, err error) []*Bundle {
+	var out []*Bundle
+	add := func(kind string) *Bundle {
+		c := *b
+		c.Kind = kind
+		out = append(out, &c)
+		return &c
+	}
+	var se *router.StallError
+	if errors.As(err, &se) {
+		add(KindStall).AttachStall(se)
+		return out
+	}
+	if err != nil {
+		return nil
+	}
+	if len(run.Diff.Seqs) > 0 {
+		c := add(KindFateDivergence)
+		c.WantFates, c.GotFates = Fates(run.Want), Fates(run.Outcomes)
+	}
+	if len(run.Diff.Cards) > 0 || run.Unexplained > 0 {
+		c := add(KindDropAudit)
+		c.Unexplained = run.Unexplained
+		c.WantDrops, c.GotDrops = DropMaps(run.Want), DropMaps(run.Outcomes)
+	}
+	if rec := tr.Recorder(); rec != nil {
+		for _, c := range out {
+			c.Tail, c.TailDropped, c.SocketNames = rec.Tail(), rec.Dropped(), tr.Machine.SocketNames()
+		}
+	}
+	return out
 }
 
 // Save writes the bundle into dir (created if needed) under a

@@ -6,15 +6,7 @@ import (
 	"slices"
 
 	"taco/internal/obs"
-	"taco/internal/router"
 )
-
-// AsStall unwraps an error chain to the *StallError inside it.
-func AsStall(err error) (*router.StallError, bool) {
-	var se *router.StallError
-	ok := errors.As(err, &se)
-	return se, ok
-}
 
 // EventDiff pinpoints the first divergence between two recorded event
 // streams: the index where they differ, and the event each side holds
@@ -106,14 +98,10 @@ func CheckReproduction(b *Bundle, res *ReplayResult) error {
 		if err := diffFates("got", Fates(res.Outcomes), b.GotFates); err != nil {
 			return err
 		}
-		want, err := GoldenOutcomes(b)
-		if err != nil {
+		if err := diffFates("want", Fates(res.Want), b.WantFates); err != nil {
 			return err
 		}
-		if err := diffFates("want", Fates(want), b.WantFates); err != nil {
-			return err
-		}
-		if len(router.Compare(want, res.Outcomes).Seqs) == 0 {
+		if len(res.Diff.Seqs) == 0 {
 			return errors.New("bundle records a divergence but replayed fates match the golden reference")
 		}
 		return nil

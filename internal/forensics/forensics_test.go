@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"taco/internal/fu"
-	"taco/internal/linecard"
 	"taco/internal/obs"
 	"taco/internal/router"
 	"taco/internal/rtable"
@@ -43,22 +42,15 @@ func stallScenario(t *testing.T, dir string, compiled bool) string {
 			t.Fatal(err)
 		}
 	}
-	var dgs []Datagram
-	var delivered int64
-	for i, p := range pkts {
-		if tr.Deliver(i%ifaces, linecard.Datagram{Data: p.Data, Seq: p.Seq}) {
-			delivered++
-		}
-		dgs = append(dgs, Datagram{Iface: i % ifaces, Seq: p.Seq, Data: p.Data})
+	dgs := router.RoundRobin(pkts, ifaces)
+	run, runErr := tr.RunChecked(dgs, router.Outcomes{}, budget, nil)
+	base := NewRouterBundle("", "test/stall", cfg, ifaces, routes, dgs, run.Delivered, budget, compiled)
+	base.RecorderCap = 256
+	bs := base.Failures(tr, run, runErr)
+	if len(bs) != 1 || bs[0].Kind != KindStall {
+		t.Fatalf("expected one stall bundle, got %d for %v", len(bs), runErr)
 	}
-	runErr := tr.Run(delivered, budget)
-	se, ok := AsStall(runErr)
-	if !ok {
-		t.Fatalf("expected a stall, got %v", runErr)
-	}
-	b := NewRouterBundle(KindStall, "test/stall", cfg, ifaces, routes, dgs, delivered, budget, compiled)
-	b.RecorderCap = 256
-	b.AttachStall(se)
+	b := bs[0]
 	path, err := b.Save(dir)
 	if err != nil {
 		t.Fatal(err)

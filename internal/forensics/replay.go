@@ -76,10 +76,11 @@ type ReplayResult struct {
 	Err string
 	// PC is the final program counter.
 	PC int
-	// Outcomes is what the router did with the bundle's datagrams
-	// (clean completions only), read by router.TACO.Collect.
-	Outcomes    router.Outcomes
-	Unexplained int64
+	// Checked is the replay's checked run against the golden reference
+	// recomputed from the bundle (router.ReferenceOutcomes, as at
+	// capture): what the router did with the datagrams (clean
+	// completions only), where that disagrees, the unexplained drops.
+	router.Checked
 	// Tail is the flight recorder's retained history at run end,
 	// TailDropped the overwritten-event count.
 	Tail        []obs.RecEvent
@@ -138,14 +139,16 @@ func replayRouter(b *Bundle, opts ReplayOptions, until int64, onCycle func(int64
 	if err != nil {
 		return nil, err
 	}
-	delivered := tr.DeliverAll(b.Datagrams)
+	want, err := router.ReferenceOutcomes(b.Routes, b.Ifaces, b.Datagrams)
+	if err != nil {
+		return nil, err
+	}
 	res := &ReplayResult{SocketNames: tr.Machine.SocketNames()}
-	rec := tr.Recorder()
-
-	paused, runErr := tr.RunStepped(delivered, b.Budget, opts.observer(tr.Machine, until, onCycle))
+	var runErr error
+	res.Checked, runErr = tr.RunChecked(b.Datagrams, want, b.Budget, opts.observer(tr.Machine, until, onCycle))
 	var se *router.StallError
 	switch {
-	case paused:
+	case res.Paused:
 		res.Err = fmt.Sprintf("replay: paused after cycle %d (pc %d)", until, tr.Machine.PC())
 	case errors.As(runErr, &se):
 		res.Stall = se
@@ -160,36 +163,20 @@ func replayRouter(b *Bundle, opts ReplayOptions, until int64, onCycle func(int64
 		return res, nil
 	case runErr != nil:
 		res.Err = runErr.Error()
-	default:
-		res.Outcomes = tr.Collect(b.Datagrams)
-		res.Unexplained = tr.UnexplainedDrops()
 	}
-	finishSnapshot(res, tr, rec)
+	finishSnapshot(res, tr.Machine)
 	return res, nil
 }
 
-func finishSnapshot(res *ReplayResult, tr *router.TACO, rec *obs.FlightRecorder) {
-	res.Cycles = tr.Machine.Stats().Cycles
-	res.PC = tr.Machine.PC()
-	res.Sockets = tr.Machine.SnapshotSockets()
-	if rec != nil {
+// finishSnapshot reads m's terminal state and recorder tail into res.
+func finishSnapshot(res *ReplayResult, m *tta.Machine) {
+	res.Cycles = m.Stats().Cycles
+	res.PC = m.PC()
+	res.Sockets = m.SnapshotSockets()
+	if rec := m.Recorder; rec != nil {
 		res.Tail = rec.Tail()
 		res.TailDropped = rec.Dropped()
 	}
-}
-
-// GoldenOutcomes runs the golden reference router over the bundle's
-// datagrams: the "want" side of the differential comparison, recomputed
-// from first principles.
-func GoldenOutcomes(b *Bundle) (router.Outcomes, error) {
-	if b.Config == nil {
-		return router.Outcomes{}, errors.New("forensics: bundle carries no architecture config")
-	}
-	tbl := rtable.New(b.Config.Table)
-	if err := rtable.InsertAll(tbl, b.Routes); err != nil {
-		return router.Outcomes{}, fmt.Errorf("forensics: rebuild table: %w", err)
-	}
-	return router.NewGolden(tbl, b.Ifaces).Expected(b.Datagrams), nil
 }
 
 // NewMachineBundle assembles a KindMachineStall bundle: a compute
@@ -249,7 +236,6 @@ func replayMachine(b *Bundle, opts ReplayOptions, until int64, onCycle func(int6
 			return nil, err
 		}
 	}
-	rec := m.Recorder
 	res := &ReplayResult{SocketNames: m.SocketNames()}
 	_, paused, runErr := m.RunStepped(b.Budget, opts.observer(m, until, onCycle))
 	if paused {
@@ -258,10 +244,6 @@ func replayMachine(b *Bundle, opts ReplayOptions, until int64, onCycle func(int6
 	if runErr != nil {
 		res.Err = runErr.Error()
 	}
-	res.Cycles = m.Stats().Cycles
-	res.PC = m.PC()
-	res.Sockets = m.SnapshotSockets()
-	res.Tail = rec.Tail()
-	res.TailDropped = rec.Dropped()
+	finishSnapshot(res, m)
 	return res, nil
 }

@@ -11,7 +11,6 @@ import (
 	"taco/internal/forensics"
 	"taco/internal/fu"
 	"taco/internal/ipv6"
-	"taco/internal/obs"
 	"taco/internal/ripng"
 	"taco/internal/router"
 	"taco/internal/rtable"
@@ -739,50 +738,39 @@ func (n *node) stepProbe(m *Mesh, now int64, p *probe) {
 }
 
 // differentialHop replays the probe hop on the node's cycle-accurate
-// TACO pipeline and checks with router.Compare that the machine did what
-// the golden decision requires (want), output bytes included. A
+// TACO pipeline and checks that the machine did what the golden decision
+// requires (want), output bytes included (router.TACO.RunChecked). A
 // watchdog stall quarantines the node (the campaign degrades gracefully
-// to the golden path) and captures a forensic bundle; a divergence
-// captures a fate-divergence bundle.
+// to the golden path) and a divergence is counted; either captures its
+// forensic bundle.
 func (n *node) differentialHop(m *Mesh, now int64, p *probe, want router.Outcome) {
 	n.tacoHops++
 	t := n.taco
 	t.Reset()
 	arrival := []router.Arrival{{Iface: p.iface, Seq: p.id, Data: p.data}}
-	accepted := t.DeliverAll(arrival)
-	if err := t.Run(accepted, n.hopBudget(m)); err != nil {
-		se, ok := forensics.AsStall(err)
+	run, err := t.RunChecked(arrival, router.Outcomes{Datagrams: []router.Outcome{want}}, n.hopBudget(m), nil)
+	v := Violation{Tick: now, Node: n.id}
+	switch {
+	case err != nil:
 		n.quarantined = true
 		n.stalls++
-		v := Violation{
-			Tick: now, Node: n.id, Invariant: "stall-quarantine",
-			Detail: fmt.Sprintf("node %d (%s) stalled on probe %d: %v — quarantined",
-				n.id, n.kind, p.id, err),
-		}
-		if ok && m.opt.ForensicsDir != "" {
-			b := n.newProbeBundle(m, forensics.KindStall, p, accepted)
-			b.AttachStall(se)
-			m.saveBundle(&v, b)
-		}
-		n.out.violations = append(n.out.violations, v)
+		v.Invariant = "stall-quarantine"
+		v.Detail = fmt.Sprintf("node %d (%s) stalled on probe %d: %v — quarantined",
+			n.id, n.kind, p.id, err)
+	case run.Agree():
 		return
-	}
-	golden := router.Outcomes{Datagrams: []router.Outcome{want}}
-	got := t.Collect(arrival)
-	if router.Compare(golden, got).Agree() {
-		return
-	}
-	n.tacoDivergences++
-	v := Violation{
-		Tick: now, Node: n.id, Invariant: "differential",
-		Detail: fmt.Sprintf("node %d (%s): TACO %v diverges from golden %v for probe %d",
-			n.id, n.kind, got.Datagrams[0], want, p.id),
+	default:
+		n.tacoDivergences++
+		v.Invariant = "differential"
+		v.Detail = fmt.Sprintf("node %d (%s): TACO %v diverges from golden %v for probe %d",
+			n.id, n.kind, run.Outcomes.Datagrams[0], want, p.id)
 	}
 	if m.opt.ForensicsDir != "" {
-		b := n.newProbeBundle(m, forensics.KindFateDivergence, p, accepted)
-		b.Note = v.Detail
-		b.WantFates, b.GotFates = forensics.Fates(golden), forensics.Fates(got)
-		m.saveBundle(&v, b)
+		base := n.newProbeBundle(m, "", p, run.Delivered)
+		base.Note = v.Detail
+		for _, b := range base.Failures(t, run, err) {
+			m.saveBundle(&v, b)
+		}
 	}
 	n.out.violations = append(n.out.violations, v)
 }
@@ -797,9 +785,6 @@ func (n *node) newProbeBundle(m *Mesh, kind string, p *probe, accepted int64) *f
 		[]forensics.Datagram{{Iface: p.iface, Seq: p.id, Data: p.data}},
 		accepted, n.hopBudget(m), n.kind == NodeTACOCompiled)
 	b.Seed = m.opt.Seed
-	if m.opt.ForensicsDir != "" && n.taco != nil {
-		b.RecorderCap = obs.DefaultRecorderCap
-	}
 	return b
 }
 

@@ -75,12 +75,13 @@ func TestCompileRejectsOver64Units(t *testing.T) {
 	}
 	tr.AddLocal(routerAddr)
 	arrivals := RoundRobin(pkts, nIfaces)
-	if err := tr.Run(tr.DeliverAll(arrivals), 20_000_000); err != nil {
-		t.Fatal(err)
-	}
 	g := NewGolden(fillTable(t, cfg.Table, routes), nIfaces)
 	g.AddLocal(routerAddr)
-	if d := Compare(g.Expected(arrivals), tr.Collect(arrivals)); !d.Agree() {
-		t.Fatalf("65-unit router on the interpreter disagrees with the golden router: %+v", d)
+	run, err := tr.RunChecked(arrivals, g.Expected(arrivals), 20_000_000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !run.Agree() {
+		t.Fatalf("65-unit router on the interpreter disagrees with the golden router: %+v", run.Diff)
 	}
 }

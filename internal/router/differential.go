@@ -9,6 +9,8 @@ import (
 	"taco/internal/ipv6"
 	"taco/internal/linecard"
 	"taco/internal/obs"
+	"taco/internal/rtable"
+	"taco/internal/tta"
 	"taco/internal/workload"
 )
 
@@ -103,19 +105,58 @@ func (g *Golden) Expected(arrivals []Arrival) Outcomes {
 	return o
 }
 
-// DeliverAll offers every arrival to its card and returns how many the
-// cards accepted — the count Run expects.
-func (t *TACO) DeliverAll(arrivals []Arrival) int64 {
-	var n int64
-	for _, a := range arrivals {
-		if t.Deliver(a.Iface, linecard.Datagram{Data: a.Data, Seq: a.Seq}) {
-			n++
-		}
+// ReferenceOutcomes is what any router over routes must do with
+// arrivals: the golden router's Expected over the routes held in the
+// sequential reference scan (rtable.Sequential). Every checked run takes
+// its want side from this one table, so a bug in the backend under test
+// shows as a divergence instead of being shared by both sides.
+func ReferenceOutcomes(routes []rtable.Route, ifaces int, arrivals []Arrival) (Outcomes, error) {
+	tbl := rtable.New(rtable.Sequential)
+	if err := rtable.InsertAll(tbl, routes); err != nil {
+		return Outcomes{}, fmt.Errorf("router: reference table: %w", err)
 	}
-	return n
+	return NewGolden(tbl, ifaces).Expected(arrivals), nil
 }
 
-// Collect reads what the machine did with arrivals, after Run: an
+// Checked is what RunChecked observed of one batch.
+type Checked struct {
+	Delivered   int64    // arrivals the line cards accepted
+	Want        Outcomes // the reference the run was checked against
+	Outcomes    Outcomes // what the machine did; empty unless the run completed
+	Diff        Diff     // where Outcomes disagrees with Want
+	Unexplained int64    // machine drops the drop audit could not name
+	Paused      bool     // onCycle stopped the run before it was done
+}
+
+// Agree reports a run that did what Want requires and left no machine
+// drop unexplained.
+func (c Checked) Agree() bool { return c.Diff.Agree() && c.Unexplained == 0 }
+
+// RunChecked is the one checked run: it offers every arrival to its
+// card, runs the machine until every accepted one is processed
+// (RunStepped: a nil onCycle is the batch run), reads what the machine
+// did (Collect) and compares it with want (Compare). A run that fails or
+// pauses is neither collected nor compared; its error — a *StallError
+// when the watchdog fired — is returned beside what was observed.
+func (t *TACO) RunChecked(arrivals []Arrival, want Outcomes, budget int64, onCycle tta.CycleFunc) (Checked, error) {
+	c := Checked{Want: want}
+	for _, a := range arrivals {
+		if t.Deliver(a.Iface, linecard.Datagram{Data: a.Data, Seq: a.Seq}) {
+			c.Delivered++
+		}
+	}
+	var err error
+	c.Paused, err = t.RunStepped(c.Delivered, budget, onCycle)
+	if c.Paused || err != nil {
+		return c, err
+	}
+	c.Outcomes = t.Collect(arrivals)
+	c.Diff = Compare(want, c.Outcomes)
+	c.Unexplained = t.UnexplainedDrops()
+	return c, nil
+}
+
+// Collect reads what the machine did with arrivals, after a run: an
 // arrival that surfaced on network card i was forwarded out i, one in
 // the host queue was delivered locally, and any other — rejected by its
 // card or discarded by the program — was dropped. Outputs are matched
@@ -169,6 +210,13 @@ type Diff struct {
 
 // Agree reports whether nothing differs.
 func (d Diff) Agree() bool { return len(d.Seqs) == 0 && len(d.Cards) == 0 }
+
+// String names what differs: how many datagrams, the first few of their
+// seqs, and the cards whose drop counters differ.
+func (d Diff) String() string {
+	return fmt.Sprintf("TACO diverges on %d datagrams (first seqs %v) and the drop counters of cards %v",
+		len(d.Seqs), d.Seqs[:min(len(d.Seqs), 8)], d.Cards)
+}
 
 // Compare is the one definition of "golden and TACO agree". Per
 // datagram: the same action, the same output interface, byte-identical

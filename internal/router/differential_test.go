@@ -35,16 +35,17 @@ func TestCompareCatchesPlantedDivergence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := tr.Run(tr.DeliverAll(arrivals), 20_000_000); err != nil {
+			run, err := tr.RunChecked(arrivals, want, 20_000_000, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			got := tr.Collect(arrivals)
+			got := run.Outcomes
 			name := kind.String()
 			if compiled {
 				name += "/compiled"
 			}
-			if d := Compare(want, got); !d.Agree() {
-				t.Fatalf("%s: unplanted run disagrees: %+v", name, d)
+			if !run.Agree() {
+				t.Fatalf("%s: unplanted run disagrees: %+v", name, run.Diff)
 			}
 
 			first := func(a Action) int {
@@ -107,7 +108,7 @@ func TestCompareCatchesRepeatedOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.AddLocal(routerAddr)
-	if err := tr.Run(tr.DeliverAll(arrivals), 20_000_000); err != nil {
+	if _, err := tr.RunChecked(arrivals, want, 20_000_000, nil); err != nil {
 		t.Fatal(err)
 	}
 	i := slices.IndexFunc(want.Datagrams, func(o Outcome) bool { return o.Action == Forward })

@@ -124,10 +124,11 @@ func FuzzGoldenVsTACO(f *testing.F) {
 		tr.EnableDropAudit()
 		check := func(label string) {
 			t.Helper()
-			if err := tr.Run(tr.DeliverAll(arrivals), 20_000_000); err != nil {
+			run, err := tr.RunChecked(arrivals, want, 20_000_000, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if d := Compare(want, tr.Collect(arrivals)); !d.Agree() {
+			if d := run.Diff; !d.Agree() {
 				t.Errorf("%v/%s%s: golden and TACO disagree on seqs %v, drop counters of cards %v",
 					kind, cfg.Name, label, d.Seqs, d.Cards)
 			}
