@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics bench bench-e2e bench-compare overhead-guard trace-smoke largetable-identity snapshot vet loc
+.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm bench bench-e2e bench-compare overhead-guard trace-smoke largetable-identity snapshot vet loc
 
 all: build test
 
@@ -56,7 +56,7 @@ topo-identity:
 # Short differential fuzz bursts (one -fuzz pattern per go test
 # invocation); extend FUZZTIME for longer campaigns.
 FUZZTIME ?= 30s
-fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics
+fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm
 
 # Golden router vs TACO processor on generated datagrams.
 fuzz-router:
@@ -96,6 +96,14 @@ fuzz-topo:
 # capped at 1s instead of the default 60s.
 fuzz-forensics:
 	$(GO) test ./internal/forensics -run xxx -fuzz FuzzLoadBundle -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+
+# The program readers: Assemble (tacosim -f, tacoasm -f) and
+# DecodeProgram (tacoasm -d) must never panic, and a program either
+# accepts must survive a round trip (disassemble and reassemble,
+# re-encode and decode) unchanged.
+fuzz-asm:
+	$(GO) test ./internal/asm -run xxx -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/isa -run xxx -fuzz FuzzDecodeProgram -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench . -benchmem

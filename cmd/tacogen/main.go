@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	tacogen [-config 3bus3fu] [-table tree] [-model vhdl|json|matlab|all] [-dir out]
+//	tacogen [-config 3bus3fu] [-table tree] [-model vhdl|library|json|matlab|all] [-dir out]
 package main
 
 import (
@@ -42,6 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
+		matched := false
 		base := strings.ToLower(strings.NewReplacer("/", "_", ",", "_").Replace(cfg.Name))
 		for _, f := range []struct{ model, name, content string }{
 			{"vhdl", "taco_" + base + ".vhd", models.VHDL},
@@ -52,6 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if *model != f.model && *model != "all" {
 				continue
 			}
+			matched = true
 			if *dir == "" {
 				fmt.Fprintf(stdout, "---- %s ----\n%s\n", f.name, f.content)
 				continue
@@ -61,6 +63,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return err
 			}
 			fmt.Fprintf(stdout, "wrote %s (%d bytes)\n", path, len(f.content))
+		}
+		if !matched {
+			return cliutil.Usage(fmt.Errorf("unknown model %q (want vhdl | library | json | matlab | all)", *model))
 		}
 		return nil
 	})

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"taco/internal/cliutil"
+	"taco/internal/rtable"
 )
 
 // Every model goes to stdout, or with -dir into one file each whose
@@ -37,6 +38,49 @@ func TestModelsOnStdoutAndInDir(t *testing.T) {
 	}
 }
 
+// The files under testdata/gen/ pin what tacogen writes for the nine
+// Table 1 instances: each table's directory holds the VHDL top level,
+// JSON description and Matlab script of its three configurations, and
+// taco_components.vhd is the one component library every instance
+// writes. They were captured before the unit kinds moved into one
+// fu.UnitKinds table.
+func TestModelsMatchGoldens(t *testing.T) {
+	golden := filepath.Join("..", "..", "testdata", "gen")
+	library, err := os.ReadFile(filepath.Join(golden, "taco_components.vhd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range rtable.PaperKinds {
+		for _, config := range []string{"1bus1fu", "3bus1fu", "3bus3fu"} {
+			dir := t.TempDir()
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-config", config, "-table", kind.String(), "-dir", dir}, &stdout, &stderr); code != 0 {
+				t.Fatalf("%s/%s: exit %d: %s", kind, config, code, stderr.String())
+			}
+			files, _ := filepath.Glob(filepath.Join(dir, "*"))
+			if len(files) != 4 {
+				t.Fatalf("%s/%s wrote %v", kind, config, files)
+			}
+			for _, f := range files {
+				got, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, path := library, filepath.Join(golden, "taco_components.vhd")
+				if filepath.Base(f) != "taco_components.vhd" {
+					path = filepath.Join(golden, kind.String(), filepath.Base(f))
+					if want, err = os.ReadFile(path); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s/%s: %s differs from %s", kind, config, filepath.Base(f), path)
+				}
+			}
+		}
+	}
+}
+
 func TestExitStatus(t *testing.T) {
 	for _, c := range []struct {
 		args   []string
@@ -46,6 +90,7 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-table", "seq", "-model", "json"}, 0, ""}, // aliases, like every tool's parser
 		{[]string{"-table", "hash"}, 2, `"hash"`},
 		{[]string{"-config", "5bus"}, 2, `unknown config "5bus"`},
+		{[]string{"-model", "vhd"}, 2, `unknown model "vhd" (want vhdl | library | json | matlab | all)`},
 		{[]string{"-h"}, 0, "-model"},
 	} {
 		var stdout, stderr bytes.Buffer

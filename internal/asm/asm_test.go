@@ -9,7 +9,7 @@ import (
 	"taco/internal/tta"
 )
 
-func testMachine(t *testing.T) *tta.Machine {
+func testMachine(t testing.TB) *tta.Machine {
 	t.Helper()
 	m, err := fu.NewComputeMachine(fu.Config3Bus1FU(0))
 	if err != nil {
@@ -124,19 +124,21 @@ func TestAssembleImmediates(t *testing.T) {
 	}
 }
 
+// badSources are programs Assemble must reject, by what is wrong.
+var badSources = map[string]string{
+	"unknown socket":  "#1 -> bogus.x",
+	"unknown signal":  "?bogus.sig #1 -> gpr.r0",
+	"undefined label": "@nowhere -> nc.jmp",
+	"bad move":        "gpr.r0 gpr.r1",
+	"bad immediate":   "#zz -> gpr.r0",
+	"guard alone":     "?cmp0.eq",
+	"duplicate label": "x:\nx:\n#1 -> gpr.r0",
+	"too many guards": "?cmp0.eq&cmp0.lt&cmp0.gt&shf0.zero #1 -> gpr.r0",
+}
+
 func TestAssembleErrors(t *testing.T) {
 	m := testMachine(t)
-	cases := map[string]string{
-		"unknown socket":  "#1 -> bogus.x",
-		"unknown signal":  "?bogus.sig #1 -> gpr.r0",
-		"undefined label": "@nowhere -> nc.jmp",
-		"bad move":        "gpr.r0 gpr.r1",
-		"bad immediate":   "#zz -> gpr.r0",
-		"guard alone":     "?cmp0.eq",
-		"duplicate label": "x:\nx:\n#1 -> gpr.r0",
-		"too many guards": "?cmp0.eq&cmp0.lt&cmp0.gt&shf0.zero #1 -> gpr.r0",
-	}
-	for name, src := range cases {
+	for name, src := range badSources {
 		if _, err := Assemble(src, m); err == nil {
 			t.Errorf("%s: accepted %q", name, src)
 		}
@@ -154,9 +156,7 @@ func TestNopAndComments(t *testing.T) {
 	}
 }
 
-func TestDisassembleRoundTrip(t *testing.T) {
-	m := testMachine(t)
-	src := `
+const roundTripSource = `
 start:
     #5 -> shf0.tmul2
     shf0.r -> cnt0.o, #6 -> cnt0.tadd
@@ -165,7 +165,10 @@ loop:
     nop
     ?cmp0.eq&!mat0.match gpr.r0 -> gpr.r1
 `
-	p1, err := Assemble(src, m)
+
+func TestDisassembleRoundTrip(t *testing.T) {
+	m := testMachine(t)
+	p1, err := Assemble(roundTripSource, m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,19 +106,28 @@ type Estimate struct {
 	Breakdown []ModuleCost
 }
 
+// kindSockets is the socket count of one unit of each fu.UnitKinds
+// entry, read once from its port table.
+var kindSockets = func() []int {
+	n := make([]int, len(fu.UnitKinds))
+	for i, k := range fu.UnitKinds {
+		n[i] = len(k.New(k.Stem).Ports().Sockets)
+	}
+	return n
+}()
+
 // socketCount approximates the configuration's socket total: each unit
-// type contributes its socket list size.
+// type contributes its socket list size. The RTU term is typed by hand
+// and is the sequential backend's; the tree's RTU has one socket more
+// and the CAM's six fewer (TestSocketCountError).
 func socketCount(cfg fu.Config) int {
 	n := 2 // controller jump/halt
-	n += cfg.Counters * 9
-	n += cfg.Comparators * 3
-	n += cfg.Matchers * 5
-	n += cfg.Maskers * 4
-	n += cfg.Shifters * 5
-	n += cfg.Checksums * 3
+	for i, k := range fu.UnitKinds {
+		n += k.Count(cfg) * kindSockets[i]
+	}
 	n += cfg.GPRs
 	n += 4     // mmu
-	n += 12    // rtu (worst case of the three backends)
+	n += 12    // rtu
 	n += 6     // liu
 	n += 4 + 3 // ippu + oppu
 	return n

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"taco/internal/fu"
+	"taco/internal/linecard"
 	"taco/internal/rtable"
 )
 
@@ -159,5 +160,25 @@ func TestTableSRAMTernaryRules(t *testing.T) {
 	}
 	if m := TableSRAM(rtable.BalancedTree, rtable.MemDims{Entries: 100}, 100e6, tech); m.Bits != 0 || m.CAMChips != 0 {
 		t.Errorf("a measured kind without regions priced from its entry count: %+v", m)
+	}
+}
+
+// socketCount's only error is its hand-typed RTU term, the sequential
+// backend's 12 sockets: on every Table 1 cell it is exact for the
+// sequential table, one short of the tree's RTU and six over the CAM's.
+// Pricing the built machine's sockets instead moves these cells.
+func TestSocketCountError(t *testing.T) {
+	want := map[rtable.Kind]int{rtable.Sequential: 0, rtable.BalancedTree: -1, rtable.CAM: 6}
+	for _, kind := range rtable.PaperKinds {
+		for _, cfg := range fu.PaperConfigs(kind) {
+			m, _, err := fu.NewRouterMachine(cfg, rtable.New(kind), linecard.NewBank(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := socketCount(cfg) - m.SocketCount(); d != want[kind] {
+				t.Errorf("%s/%s: socketCount %d, machine %d (difference %d, want %d)",
+					kind, cfg.Name, socketCount(cfg), m.SocketCount(), d, want[kind])
+			}
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package fu
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"taco/internal/isa"
@@ -340,6 +343,46 @@ func TestConfigValidate(t *testing.T) {
 	bad.MemWords = 1
 	if err := bad.Validate(); err == nil {
 		t.Error("tiny memory accepted")
+	}
+}
+
+// Each UnitKinds entry reads its own Config field (Name+"s",
+// capitalised), and the machine holds Count instances of it named
+// Stem0, Stem1, ... in table order, then the register file and the MMU.
+// Zeroing the field fails Validate with the entry's word.
+func TestUnitKindsBuildTheMachine(t *testing.T) {
+	cfg := Config1Bus1FU(0)
+	field := func(c *Config, k UnitKind) reflect.Value {
+		return reflect.ValueOf(c).Elem().FieldByName(strings.ToUpper(k.Name[:1]) + k.Name[1:] + "s")
+	}
+	count := func(i int) int { return i%3 + 1 }
+	for i, k := range UnitKinds {
+		f := field(&cfg, k)
+		if !f.IsValid() {
+			t.Fatalf("%s: no Config field for %ss", k.Stem, k.Name)
+		}
+		f.SetInt(int64(count(i)))
+	}
+	var want []string
+	for i, k := range UnitKinds {
+		if got := k.Count(cfg); got != count(i) {
+			t.Errorf("%s: Count reads %d, want %d", k.Name, got, count(i))
+		}
+		for n := 0; n < count(i); n++ {
+			want = append(want, fmt.Sprintf("%s%d", k.Stem, n))
+		}
+		bad := cfg
+		field(&bad, k).SetInt(0)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "need ≥1 "+k.Name+"s") {
+			t.Errorf("0 %ss: Validate says %v", k.Name, err)
+		}
+	}
+	m, err := NewComputeMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(m.UnitNames(), " "), strings.Join(append(want, "gpr", "mmu"), " "); got != want {
+		t.Errorf("unit order %q, want %q", got, want)
 	}
 }
 

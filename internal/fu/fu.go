@@ -9,6 +9,7 @@ package fu
 
 import (
 	"fmt"
+	"strconv"
 
 	"taco/internal/linecard"
 	"taco/internal/rtable"
@@ -86,23 +87,46 @@ func (c Config) Validate() error {
 	if c.Buses < 1 {
 		return fmt.Errorf("fu: config %q: need ≥1 bus", c.Name)
 	}
-	for _, n := range []struct {
-		what string
-		v    int
-	}{
-		{"counters", c.Counters}, {"comparators", c.Comparators},
-		{"matchers", c.Matchers}, {"maskers", c.Maskers},
-		{"shifters", c.Shifters}, {"checksums", c.Checksums},
-		{"gprs", c.GPRs},
-	} {
-		if n.v < 1 {
-			return fmt.Errorf("fu: config %q: need ≥1 %s", c.Name, n.what)
+	for _, k := range UnitKinds {
+		if k.Count(c) < 1 {
+			return fmt.Errorf("fu: config %q: need ≥1 %ss", c.Name, k.Name)
 		}
+	}
+	if c.GPRs < 1 {
+		return fmt.Errorf("fu: config %q: need ≥1 gprs", c.Name)
 	}
 	if c.MemWords < 64 {
 		return fmt.Errorf("fu: config %q: memory too small (%d words)", c.Name, c.MemWords)
 	}
 	return nil
+}
+
+// UnitKind is one functional-unit type a Config replicates: the paper
+// builds architecture instances "by varying the number of modules of the
+// same type".
+type UnitKind struct {
+	// Stem prefixes each instance's name: cnt0, cnt1, ...
+	Stem string
+	// Name is the type: "counter" is also the taco_counter component
+	// and the estimate's module key, "counters" the word Validate and
+	// the Matlab script use for the count.
+	Name string
+	// New builds one instance named name.
+	New func(name string) tta.Unit
+	// Count is how many instances cfg asks for.
+	Count func(cfg Config) int
+}
+
+// UnitKinds lists every replicable unit type in machine unit order. It
+// is the one declaration the machine builder, Validate, the design tool
+// (internal/gen) and the socket estimate (internal/estimate) read.
+var UnitKinds = []UnitKind{
+	{"cnt", "counter", func(n string) tta.Unit { return NewCounter(n) }, func(c Config) int { return c.Counters }},
+	{"cmp", "comparator", func(n string) tta.Unit { return NewComparator(n) }, func(c Config) int { return c.Comparators }},
+	{"mat", "matcher", func(n string) tta.Unit { return NewMatcher(n) }, func(c Config) int { return c.Matchers }},
+	{"msk", "masker", func(n string) tta.Unit { return NewMasker(n) }, func(c Config) int { return c.Maskers }},
+	{"shf", "shifter", func(n string) tta.Unit { return NewShifter(n) }, func(c Config) int { return c.Shifters }},
+	{"chk", "checksum", func(n string) tta.Unit { return NewChecksum(n) }, func(c Config) int { return c.Checksums }},
 }
 
 // baseConfig fills the fields shared by the paper's configurations.
@@ -210,23 +234,10 @@ func NewRouterMachine(cfg Config, tbl rtable.Table, bank *linecard.Bank) (*tta.M
 
 func computeUnits(cfg Config) []tta.Unit {
 	var units []tta.Unit
-	for i := 0; i < cfg.Counters; i++ {
-		units = append(units, NewCounter(fmt.Sprintf("cnt%d", i)))
-	}
-	for i := 0; i < cfg.Comparators; i++ {
-		units = append(units, NewComparator(fmt.Sprintf("cmp%d", i)))
-	}
-	for i := 0; i < cfg.Matchers; i++ {
-		units = append(units, NewMatcher(fmt.Sprintf("mat%d", i)))
-	}
-	for i := 0; i < cfg.Maskers; i++ {
-		units = append(units, NewMasker(fmt.Sprintf("msk%d", i)))
-	}
-	for i := 0; i < cfg.Shifters; i++ {
-		units = append(units, NewShifter(fmt.Sprintf("shf%d", i)))
-	}
-	for i := 0; i < cfg.Checksums; i++ {
-		units = append(units, NewChecksum(fmt.Sprintf("chk%d", i)))
+	for _, k := range UnitKinds {
+		for i := 0; i < k.Count(cfg); i++ {
+			units = append(units, k.New(k.Stem+strconv.Itoa(i)))
+		}
 	}
 	units = append(units, NewGPR("gpr", cfg.GPRs))
 	return units

@@ -2,43 +2,68 @@ package gen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+
+	"taco/internal/tta"
 )
 
-// ComponentLibrary returns the behavioural VHDL for every TACO
-// functional-unit component the top level instantiates — the reusable
-// library the TACO framework is built on ("our approach is very much
+// ComponentLibrary returns the behavioural VHDL of every component m's
+// units instantiate, plus the network controller — the reusable library
+// the TACO framework is built on ("our approach is very much
 // library-based and allows extensive component re-use for both
-// simulation and synthesis", paper §1.1). One entity per unit kind;
-// the map key is the component name used by VHDLTopLevel.
+// simulation and synthesis", paper §1.1). One entity per unit kind; the
+// map key is the component name used by VHDLTopLevel.
 //
 // Each component shares the socket bus protocol: on a rising edge, a
 // write strobe whose destination address falls in the unit's socket
 // range latches bus data into the addressed register; trigger sockets
 // additionally execute the unit's operation, updating result registers
-// and the signal lines into the network controller.
-func ComponentLibrary() map[string]string {
+// and the signal lines into the network controller. A component's
+// sockets and signals are its unit's port table, except taco_rtu's.
+func ComponentLibrary(m *tta.Machine) map[string]string {
 	lib := map[string]string{"taco_network_controller": networkControllerVHDL}
-	for name, s := range unitSpecs() {
-		lib[name] = unitVHDL(name, s)
+	for _, u := range m.Units() {
+		p := u.Ports()
+		name := componentName(p.Name)
+		if _, done := lib[name]; done {
+			continue
+		}
+		if name == "taco_rtu" {
+			p = &rtuPorts
+		}
+		lib[name] = unitVHDL(name, p, bodies[name])
 	}
 	return lib
 }
 
-// unitSpecs names the sockets and signals of every functional-unit
-// component, keyed by component name. For a component that models one
-// simulator unit, operands ++ triggers ++ results is that unit's socket
-// order (TestComponentLibraryMatchesUnits).
-func unitSpecs() map[string]unitSpec {
-	specs := map[string]unitSpec{}
+// rtuPorts is taco_rtu's socket map, typed by hand: one component stands
+// for the three RTU backends, whose port tables differ. It declares the
+// sequential and CAM backends' sockets and the tree's trigger, not the
+// tree's node result sockets.
+var rtuPorts = tta.PortTable{
+	Sockets: slices.Concat(
+		ports(tta.Operand, "a0", "a1", "a2"),
+		ports(tta.Trigger, "tidx", "tnode", "tlook"),
+		ports(tta.Result, "p0", "p1", "p2", "p3", "m0", "m1", "m2", "m3", "ifc", "lenp1", "count", "hit")),
+	Lines: []tta.Line{{Name: "valid"}, {Name: "ready"}, {Name: "hit"}},
+}
 
-	specs["taco_counter"] = unitSpec{
-		operands: []string{"o", "stop"},
-		triggers: []string{"tadd", "tsub", "tinc", "tdec", "tld", "tcnt"},
-		results:  []string{"r"},
-		signals:  []string{"done", "zero"},
-		body: `
+// ports declares storage-less sockets of one kind, for a socket map no
+// unit backs.
+func ports(kind tta.SocketKind, names ...string) []tta.Port {
+	out := make([]tta.Port, len(names))
+	for i, n := range names {
+		out[i].SocketSpec = tta.SocketSpec{Name: n, Kind: kind}
+	}
+	return out
+}
+
+// bodies holds each component's operation, keyed by component name: the
+// VHDL inside the clocked process after the operand latches.
+var bodies = map[string]string{
+	"taco_counter": `
         if w_tadd = '1' then r_reg <= std_logic_vector(unsigned(bus_data) + unsigned(o_reg));
         elsif w_tsub = '1' then r_reg <= std_logic_vector(unsigned(bus_data) - unsigned(o_reg));
         elsif w_tinc = '1' then r_reg <= std_logic_vector(unsigned(bus_data) + 1);
@@ -51,28 +76,16 @@ func unitSpecs() map[string]unitSpec {
         end if;
         sig_done <= '1' when r_reg = stop_reg else '0';
         sig_zero <= '1' when unsigned(r_reg) = 0 else '0';`,
-	}
 
-	specs["taco_comparator"] = unitSpec{
-		operands: []string{"o"},
-		triggers: []string{"t"},
-		results:  []string{"r"},
-		signals:  []string{"eq", "lt", "gt"},
-		body: `
+	"taco_comparator": `
         if w_t = '1' then
           sig_eq <= '1' when bus_data = o_reg else '0';
           sig_lt <= '1' when unsigned(bus_data) < unsigned(o_reg) else '0';
           sig_gt <= '1' when unsigned(bus_data) > unsigned(o_reg) else '0';
           r_reg  <= (0 => sig_eq, others => '0');
         end if;`,
-	}
 
-	specs["taco_matcher"] = unitSpec{
-		operands: []string{"mask", "ref"},
-		triggers: []string{"t", "tand"},
-		results:  []string{"r"},
-		signals:  []string{"match"},
-		body: `
+	"taco_matcher": `
         if w_t = '1' then
           sig_match <= '1' when ((bus_data xor ref_reg) and mask_reg) = x"00000000" else '0';
         elsif w_tand = '1' then
@@ -80,37 +93,20 @@ func unitSpecs() map[string]unitSpec {
             ('1' when ((bus_data xor ref_reg) and mask_reg) = x"00000000" else '0');
         end if;
         r_reg <= (0 => sig_match, others => '0');`,
-	}
 
-	specs["taco_masker"] = unitSpec{
-		operands: []string{"mask", "val"},
-		triggers: []string{"t"},
-		results:  []string{"r"},
-		body: `
+	"taco_masker": `
         if w_t = '1' then
           r_reg <= (bus_data and not mask_reg) or (val_reg and mask_reg);
         end if;`,
-	}
 
-	specs["taco_shifter"] = unitSpec{
-		operands: []string{"amt"},
-		triggers: []string{"tl", "tr", "tmul2"},
-		results:  []string{"r"},
-		signals:  []string{"zero"},
-		body: `
+	"taco_shifter": `
         if w_tl = '1' then r_reg <= std_logic_vector(shift_left(unsigned(bus_data), to_integer(unsigned(amt_reg(4 downto 0)))));
         elsif w_tr = '1' then r_reg <= std_logic_vector(shift_right(unsigned(bus_data), to_integer(unsigned(amt_reg(4 downto 0)))));
         elsif w_tmul2 = '1' then r_reg <= bus_data(30 downto 0) & '0';
         end if;
         sig_zero <= '1' when unsigned(r_reg) = 0 else '0';`,
-	}
 
-	specs["taco_checksum"] = unitSpec{
-		operands: []string{},
-		triggers: []string{"tclr", "tadd"},
-		results:  []string{"r"},
-		signals:  []string{"valid"},
-		body: `
+	"taco_checksum": `
         if w_tclr = '1' then acc <= (others => '0');
         elsif w_tadd = '1' then
           acc <= acc + unsigned(x"0000" & bus_data(31 downto 16)) + unsigned(x"0000" & bus_data(15 downto 0));
@@ -118,80 +114,43 @@ func unitSpecs() map[string]unitSpec {
         -- one's-complement folding on the read port
         r_reg <= std_logic_vector(acc(15 downto 0) + acc(31 downto 16));
         sig_valid <= '1' when r_reg = x"0000ffff" else '0';`,
-	}
 
-	specs["taco_registers"] = unitSpec{
-		operands: []string{},
-		triggers: []string{},
-		results:  []string{},
-		body: `
+	"taco_registers": `
         -- general-purpose register file: every socket in range is a
         -- read/write register addressed by (dst - SOCKET_BASE)
         if bus_we = '1' and in_range(bus_dst) then
           regs(to_integer(unsigned(bus_dst)) - SOCKET_BASE) <= bus_data;
         end if;`,
-	}
 
-	specs["taco_mmu"] = unitSpec{
-		operands: []string{"ow"},
-		triggers: []string{"tr", "tw"},
-		results:  []string{"r"},
-		body: `
+	"taco_mmu": `
         if w_tr = '1' then r_reg <= dmem(to_integer(unsigned(bus_data)));
         elsif w_tw = '1' then dmem(to_integer(unsigned(bus_data))) <= ow_reg;
         end if;`,
-	}
 
-	specs["taco_rtu"] = unitSpec{
-		operands: []string{"a0", "a1", "a2"},
-		triggers: []string{"tidx", "tnode", "tlook"},
-		results:  []string{"p0", "p1", "p2", "p3", "m0", "m1", "m2", "m3", "ifc", "lenp1", "count", "hit"},
-		signals:  []string{"valid", "ready", "hit"},
-		body: `
+	"taco_rtu": `
         -- backend-specific: sequential entry latch, tree node latch, or
         -- CAM search pipeline; see internal/fu/rtu.go for the behaviour
         if w_tidx = '1' then entry_latch <= table_mem(to_integer(unsigned(bus_data)));
         end if;`,
-	}
 
-	specs["taco_liu"] = unitSpec{
-		operands: []string{"a0", "a1", "a2"},
-		triggers: []string{"tchk"},
-		results:  []string{"mine", "nifc"},
-		signals:  []string{"mine"},
-		body: `
+	"taco_liu": `
         if w_tchk = '1' then
           sig_mine <= '1' when {a0_reg, a1_reg, a2_reg, bus_data} = local_addr else '0';
         end if;`,
-	}
 
-	specs["taco_ippu"] = unitSpec{
-		operands: []string{},
-		triggers: []string{"tpop"},
-		results:  []string{"ptr", "ifc", "len"},
-		signals:  []string{"pending"},
-		body: `
+	"taco_ippu": `
         -- autonomous DMA engine: scans card input buffers, writes the
         -- datagram into data memory, pushes a descriptor
         if w_tpop = '1' and queue_nonempty = '1' then
           ptr_reg <= q_head_ptr; ifc_reg <= q_head_ifc; len_reg <= q_head_len;
         end if;
         sig_pending <= queue_nonempty;`,
-	}
 
-	specs["taco_oppu"] = unitSpec{
-		operands: []string{"ptr", "len"},
-		triggers: []string{"tsend"},
-		results:  []string{},
-		signals:  []string{"err"},
-		body: `
+	"taco_oppu": `
         -- autonomous DMA engine: copies [ptr_reg, ptr_reg+len_reg) from
         -- data memory into the output buffer of card bus_data
         if w_tsend = '1' then start_tx <= '1'; tx_card <= bus_data(3 downto 0);
         end if;`,
-	}
-
-	return specs
 }
 
 const networkControllerVHDL = `-- TACO interconnection network controller
@@ -224,16 +183,9 @@ begin
 end architecture behavioural;
 `
 
-type unitSpec struct {
-	operands []string
-	triggers []string
-	results  []string
-	signals  []string
-	body     string
-}
-
-// unitVHDL renders a component with the shared socket-bus protocol.
-func unitVHDL(name string, s unitSpec) string {
+// unitVHDL renders a component with the shared socket-bus protocol:
+// socket i of p decodes SOCKET_BASE + i.
+func unitVHDL(name string, p *tta.PortTable, body string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "-- TACO functional unit: %s\n", name)
 	b.WriteString("library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n")
@@ -249,40 +201,41 @@ func unitVHDL(name string, s unitSpec) string {
 	b.WriteString("  );\n")
 	fmt.Fprintf(&b, "end entity %s;\n\n", name)
 	fmt.Fprintf(&b, "architecture behavioural of %s is\n", name)
-	for _, o := range s.operands {
-		fmt.Fprintf(&b, "  signal %s_reg : std_logic_vector(31 downto 0);\n", o)
+	each := func(kind tta.SocketKind, line func(i int, name string)) {
+		for i, sock := range p.Sockets {
+			if sock.Kind == kind {
+				line(i, sock.Name)
+			}
+		}
 	}
-	for _, r := range s.results {
-		fmt.Fprintf(&b, "  signal %s_reg : std_logic_vector(31 downto 0);\n", r)
-	}
-	for _, t := range s.triggers {
-		fmt.Fprintf(&b, "  signal w_%s : std_logic; -- trigger strobe\n", t)
-	}
-	for _, g := range s.signals {
-		fmt.Fprintf(&b, "  signal sig_%s : std_logic; -- to network controller\n", g)
+	reg := func(_ int, n string) { fmt.Fprintf(&b, "  signal %s_reg : std_logic_vector(31 downto 0);\n", n) }
+	each(tta.Operand, reg)
+	each(tta.Result, reg)
+	each(tta.Trigger, func(_ int, t string) { fmt.Fprintf(&b, "  signal w_%s : std_logic; -- trigger strobe\n", t) })
+	for _, l := range p.Lines {
+		fmt.Fprintf(&b, "  signal sig_%s : std_logic; -- to network controller\n", l.Name)
 	}
 	b.WriteString("begin\n")
 	// Socket decode: each named socket is SOCKET_BASE + its index.
-	for i, t := range s.triggers {
-		fmt.Fprintf(&b, "  w_%s <= bus_we when unsigned(bus_dst) = SOCKET_BASE + %d else '0';\n",
-			t, len(s.operands)+i)
-	}
+	each(tta.Trigger, func(i int, t string) {
+		fmt.Fprintf(&b, "  w_%s <= bus_we when unsigned(bus_dst) = SOCKET_BASE + %d else '0';\n", t, i)
+	})
 	b.WriteString("  process (clk)\n  begin\n    if rising_edge(clk) then\n")
-	for i, o := range s.operands {
+	each(tta.Operand, func(i int, o string) {
 		fmt.Fprintf(&b, "      if bus_we = '1' and unsigned(bus_dst) = SOCKET_BASE + %d then %s_reg <= bus_data; end if;\n", i, o)
-	}
+	})
 	b.WriteString("      -- operation\n")
-	for _, line := range strings.Split(strings.TrimSpace(s.body), "\n") {
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
 		fmt.Fprintf(&b, "      %s\n", strings.TrimRight(line, " "))
 	}
 	b.WriteString("    end if;\n  end process;\nend architecture behavioural;\n")
 	return b.String()
 }
 
-// WriteLibrary renders the whole library as one concatenated file with
-// deterministic ordering.
-func WriteLibrary() string {
-	lib := ComponentLibrary()
+// WriteLibrary renders m's component library as one concatenated file
+// with deterministic ordering.
+func WriteLibrary(m *tta.Machine) string {
+	lib := ComponentLibrary(m)
 	names := make([]string, 0, len(lib))
 	for n := range lib {
 		names = append(names, n)

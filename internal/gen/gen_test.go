@@ -2,7 +2,6 @@ package gen
 
 import (
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -133,27 +132,31 @@ func TestMatlabScriptContents(t *testing.T) {
 }
 
 func TestComponentLibraryCoversTopLevel(t *testing.T) {
-	lib := ComponentLibrary()
 	// Every component the top level instantiates must exist in the
-	// library, for every configuration and table backend.
-	for _, kind := range []rtable.Kind{rtable.Sequential, rtable.BalancedTree, rtable.CAM} {
+	// library, with an operation body, for every configuration and
+	// table backend.
+	for _, kind := range rtable.PaperKinds {
 		for _, cfg := range fu.PaperConfigs(kind) {
 			m := testMachine(t, cfg)
+			lib := ComponentLibrary(m)
 			for _, name := range m.UnitNames() {
 				comp := componentName(name)
 				if _, ok := lib[comp]; !ok {
 					t.Errorf("no library component for %s (unit %s)", comp, name)
 				}
+				if _, ok := bodies[comp]; !ok {
+					t.Errorf("no operation body for %s (unit %s)", comp, name)
+				}
+			}
+			if _, ok := lib["taco_network_controller"]; !ok {
+				t.Error("no network controller component")
 			}
 		}
-	}
-	if _, ok := lib["taco_network_controller"]; !ok {
-		t.Error("no network controller component")
 	}
 }
 
 func TestComponentLibraryStructure(t *testing.T) {
-	lib := ComponentLibrary()
+	lib := ComponentLibrary(testMachine(t, fu.Config1Bus1FU(rtable.CAM)))
 	for name, src := range lib {
 		for _, want := range []string{
 			"entity " + name + " is",
@@ -173,54 +176,12 @@ func TestComponentLibraryStructure(t *testing.T) {
 }
 
 func TestWriteLibraryDeterministic(t *testing.T) {
-	a, b := WriteLibrary(), WriteLibrary()
+	m := testMachine(t, fu.Config1Bus1FU(rtable.Sequential))
+	a, b := WriteLibrary(m), WriteLibrary(m)
 	if a != b {
 		t.Error("library output not deterministic")
 	}
 	if len(a) < 2000 {
 		t.Errorf("library suspiciously small: %d bytes", len(a))
-	}
-}
-
-// components.go names each unit's operands, triggers, results and signals
-// a second time, for the RTL; the simulator's units are the reference.
-// taco_rtu (one component for three backends) and taco_registers (a
-// generic register range) have no one-to-one unit and are not compared.
-func TestComponentLibraryMatchesUnits(t *testing.T) {
-	specs := unitSpecs()
-	seen := map[string]bool{}
-	for _, kind := range rtable.PaperKinds {
-		for _, u := range testMachine(t, fu.Config3Bus3FU(kind)).Units() {
-			p := u.Ports()
-			comp := componentName(p.Name)
-			if comp == "taco_rtu" || comp == "taco_registers" || seen[comp] {
-				continue
-			}
-			seen[comp] = true
-			s := specs[comp]
-			var rtl []tta.SocketSpec
-			for k, names := range [][]string{tta.Operand: s.operands, tta.Trigger: s.triggers, tta.Result: s.results} {
-				for _, n := range names {
-					rtl = append(rtl, tta.SocketSpec{Name: n, Kind: tta.SocketKind(k)})
-				}
-			}
-			var socks []tta.SocketSpec
-			for _, sock := range p.Sockets {
-				socks = append(socks, sock.SocketSpec)
-			}
-			var lines []string
-			for _, l := range p.Lines {
-				lines = append(lines, l.Name)
-			}
-			if !reflect.DeepEqual(rtl, socks) {
-				t.Errorf("%s sockets: RTL has %v, unit %s has %v", comp, rtl, p.Name, socks)
-			}
-			if strings.Join(s.signals, " ") != strings.Join(lines, " ") {
-				t.Errorf("%s signals: RTL has %v, unit %s has %v", comp, s.signals, p.Name, lines)
-			}
-		}
-	}
-	if len(seen) != 10 {
-		t.Errorf("compared %d components, want the ten one-to-one ones: %v", len(seen), seen)
 	}
 }

@@ -2,15 +2,15 @@ package isa
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
-// TestDecodeNeverPanics feeds noise and corrupted encodings to the
-// decoder: it must fail cleanly, and anything it does accept must
-// re-encode without error.
-func TestDecodeNeverPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	valid, err := EncodeProgram(&Program{
+// validEncoding is a small program's encoding: an immediate move, a
+// socket move and a negated guard.
+func validEncoding(t testing.TB) []byte {
+	t.Helper()
+	b, err := EncodeProgram(&Program{
 		Ins: []Instruction{
 			{Moves: []Move{{Src: ImmSrc(42), Dst: 7}}},
 			{Moves: []Move{
@@ -24,6 +24,15 @@ func TestDecodeNeverPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return b
+}
+
+// TestDecodeNeverPanics feeds noise and corrupted encodings to the
+// decoder: it must fail cleanly, and anything it does accept must
+// re-encode without error.
+func TestDecodeNeverPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	valid := validEncoding(t)
 	for trial := 0; trial < 5000; trial++ {
 		var b []byte
 		switch trial % 3 {
@@ -46,4 +55,32 @@ func TestDecodeNeverPanics(t *testing.T) {
 			t.Fatalf("trial %d: decoded program fails to re-encode: %v", trial, err)
 		}
 	}
+}
+
+// FuzzDecodeProgram feeds bytes to DecodeProgram, as tacoasm -d does
+// with a binary: it must never panic, and a program it accepts must
+// re-encode to bytes that decode to the same program.
+func FuzzDecodeProgram(f *testing.F) {
+	valid := validEncoding(f)
+	f.Add(valid)
+	for _, n := range []int{0, 4, 10, len(valid) - 1} {
+		f.Add(valid[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodeProgram(data)
+		if err != nil {
+			return
+		}
+		b, err := EncodeProgram(p)
+		if err != nil {
+			t.Fatalf("decoded program fails to re-encode: %v", err)
+		}
+		again, err := DecodeProgram(b)
+		if err != nil {
+			t.Fatalf("re-encoded program fails to decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, p) {
+			t.Fatalf("re-encoding changed the program:\n%+v\n%+v", p, again)
+		}
+	})
 }
