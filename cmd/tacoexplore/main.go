@@ -82,6 +82,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err != nil {
 				return err
 			}
+			if *churn < 0 {
+				return cliutil.Usage(fmt.Errorf("bad churn %d: want a non-negative integer", *churn))
+			}
 			// The scaled evaluator has no simulated machine to observe; keep
 			// the anchors' counters off so anchor results match -table1 runs.
 			ltSim := sim

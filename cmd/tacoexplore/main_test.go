@@ -84,6 +84,7 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-sweep", "largetable", "-table-kind", "hash"}, 2, `"hash"`},
 		{[]string{"-sweep", "largetable", "-table-size", "0"}, 2, `bad size "0"`},
+		{[]string{"-sweep", "largetable", "-churn", "-5"}, 2, "bad churn -5"},
 		{[]string{"-sweep", "nonesuch"}, 1, `unknown sweep "nonesuch"`},
 		{[]string{"-workers"}, 2, "flag needs an argument: -workers"},
 		{[]string{"-h"}, 0, "-table-kind"},

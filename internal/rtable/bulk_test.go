@@ -1,7 +1,7 @@
 // Bulk ≡ insert-loop differential for the flat-storage backends: the
-// stride tries (multibit, compressed) fill their slabs top-down from
-// the sorted batch and the balanced tree adopts the sorted batch as its
-// state, and both must be indistinguishable — structure, accounting,
+// stride tries (multibit, compressed) and the binary trie fill their
+// slabs top-down from the sorted batch and the balanced tree adopts the
+// sorted batch as its state, and all must be indistinguishable — structure, accounting,
 // lookup answers and probe counts, and behaviour under later churn —
 // from the table the per-route Insert loop grows, whatever order the
 // batch arrives in.
@@ -33,10 +33,11 @@ type strideTable interface {
 	SlabLens() [4]int
 }
 
-var flatKinds = []rtable.Kind{rtable.Multibit, rtable.Compressed, rtable.BalancedTree}
+var flatKinds = []rtable.Kind{rtable.Multibit, rtable.Compressed, rtable.BalancedTree, rtable.Trie}
 
 // structure is the comparable shape of a table: the stride dump, the
-// tree's node array, root and depth, or the tiled TCAM's index and tiles.
+// tree's node array, root and depth, the binary trie's preorder walk, or
+// the tiled TCAM's index and tiles.
 func structure(t *testing.T, tbl flatTable) any {
 	t.Helper()
 	switch tbl := tbl.(type) {
@@ -51,6 +52,8 @@ func structure(t *testing.T, tbl flatTable) any {
 			Nodes       []rtable.TreeNode
 			Root, Depth int
 		}{append([]rtable.TreeNode{}, nodes...), root, tbl.Depth()}
+	case *rtable.TrieTable:
+		return tbl.DumpTrie(t)
 	case *rtable.TiledTCAMTable:
 		return struct {
 			Tiles []rtable.TileDump
@@ -213,6 +216,14 @@ func TestStrideBulkEqualsInsertLoop(t *testing.T) {
 	}
 }
 
+func TestTrieBulkEqualsInsertLoop(t *testing.T) {
+	for _, c := range flatCases() {
+		t.Run(c.name, func(t *testing.T) {
+			checkFlatBulkEqualsLoop(t, rtable.Trie, c.preload, c.rs, 500)
+		})
+	}
+}
+
 // treeLoopLimit keeps the default suite quick: the reference insert
 // loop re-derives the whole tree per route, ~1 ms each at 10^4 routes.
 // The slow suite (bulk_slow_test.go) runs the cases above it.
@@ -370,6 +381,26 @@ func TestTrieSlabReuse(t *testing.T) {
 		if n, nodes := tbl.Len(), tbl.MemDims().Regions[0].Records; n != 0 || nodes != 1 {
 			t.Fatalf("round %d: drained trie holds %d routes in %d nodes, want 0 in 1", round, n, nodes)
 		}
+	}
+}
+
+// TestTrieBulkHeadroom: the headroom a bulk build leaves takes a churn
+// stream of 0.4 ops per route without regrowing either slab; the stream
+// grows the node count by 26 %. (The rtable-churn bench plays under 0.1
+// ops per route.)
+func TestTrieBulkHeadroom(t *testing.T) {
+	rs := largeRoutes(10000)
+	tbl := rtable.NewTrie()
+	if err := tbl.InsertAll(rs); err != nil {
+		t.Fatal(err)
+	}
+	caps := tbl.SlabCaps()
+	ops := workload.GenerateChurn(rs, workload.ChurnSpec{Ops: 4000, Seed: 2003, Ifaces: 4})
+	if _, err := workload.ApplyChurn(tbl, ops); err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.SlabCaps(); got != caps {
+		t.Fatalf("churn regrew the slabs: capacities %v, built with %v", got, caps)
 	}
 }
 

@@ -5,9 +5,10 @@
 // final listing) is a crash. Alongside the default-config backends the
 // lockstep set carries a minimum-block tiled-TCAM instance, so the
 // fuzzer reaches tile splits and merges inside the per-input op budget
-// (the default 256-entry block cannot overflow in 256 ops). `make
-// fuzz-lpm` runs the campaign; the plain test suite replays the seed
-// corpus.
+// (the default 256-entry block cannot overflow in 256 ops), and a
+// bulk-loaded twin of every kind joins it after the input's leading run
+// of inserts, which the twin took in one InsertAll. `make fuzz-lpm`
+// runs the campaign; the plain test suite replays the seed corpus.
 package rtable_test
 
 import (
@@ -27,6 +28,19 @@ func fuzzOp(buf []byte, op byte, ln int, addr bits.Word128) []byte {
 	buf = append(buf, op, byte(ln))
 	a := addr.Bytes()
 	return append(buf, a[:]...)
+}
+
+// fuzzRoute decodes the route an insert op carries.
+func fuzzRoute(data []byte) rtable.Route {
+	op, ln := data[0], int(data[1])%129
+	addr, _ := bits.FromBytes(data[2:fuzzOpSize])
+	return rtable.Route{
+		Prefix:  bits.Prefix{Addr: addr, Len: ln},
+		NextHop: addr.Not(),
+		Iface:   int(op>>2) % 4,
+		Metric:  1 + int(op>>4),
+		Tag:     uint16(ln),
+	}
 }
 
 // fuzzMaxOps bounds the work per input so the fuzzer explores breadth
@@ -113,10 +127,32 @@ func FuzzLPMBackends(f *testing.F) {
 		}))
 		ref := tables[0] // sequential scan: the trivially correct oracle
 
+		// The twins take the leading run of inserts in one InsertAll and
+		// join the lockstep set where it ends.
+		var lead []rtable.Route
+		for rest := data; len(rest) >= fuzzOpSize && len(lead) < fuzzMaxOps && rest[0]%4 < 2; rest = rest[fuzzOpSize:] {
+			lead = append(lead, fuzzRoute(rest))
+		}
+		var twins []rtable.Table
+		for _, k := range rtable.Kinds {
+			tbl := rtable.New(k)
+			if bl, ok := tbl.(rtable.BulkLoader); ok {
+				if err := bl.InsertAll(lead); err != nil {
+					t.Fatalf("%v.InsertAll: %v", k, err)
+				}
+				twins = append(twins, tbl)
+			}
+		}
+		join := func() { tables, twins = append(tables, twins...), nil }
+
 		ops := 0
 		for len(data) >= fuzzOpSize && ops < fuzzMaxOps {
-			op, ln := data[0], int(data[1])%129
-			addr, err := bits.FromBytes(data[2:fuzzOpSize])
+			if ops == len(lead) {
+				join()
+			}
+			cur := data[:fuzzOpSize]
+			op, ln := cur[0], int(cur[1])%129
+			addr, err := bits.FromBytes(cur[2:])
 			if err != nil {
 				t.Fatalf("FromBytes: %v", err)
 			}
@@ -125,13 +161,7 @@ func FuzzLPMBackends(f *testing.F) {
 
 			switch op % 4 {
 			case 0, 1: // insert (two opcodes: inserts dominate the mix)
-				r := rtable.Route{
-					Prefix:  bits.Prefix{Addr: addr, Len: ln},
-					NextHop: addr.Not(),
-					Iface:   int(op>>2) % 4,
-					Metric:  1 + int(op>>4),
-					Tag:     uint16(ln),
-				}
+				r := fuzzRoute(cur)
 				for _, tbl := range tables {
 					if err := tbl.Insert(r); err != nil {
 						t.Fatalf("%v.Insert(%v): %v", tbl.Kind(), r, err)
@@ -160,6 +190,8 @@ func FuzzLPMBackends(f *testing.F) {
 				}
 			}
 		}
+
+		join() // when every op was a leading insert
 
 		// Final structural agreement, plus a deterministic lookup sweep
 		// over every installed prefix boundary.

@@ -386,3 +386,37 @@ func TestTreeUpdateCost(t *testing.T) {
 // SlabLens reports the length of the trie's node and route slabs: what
 // must stop growing once the free lists hold a churn's worth of slots.
 func (t *TrieTable) SlabLens() [2]int { return [2]int{len(t.nodes), len(t.routes)} }
+
+// SlabCaps reports the capacity of the trie's node and route slabs.
+func (t *TrieTable) SlabCaps() [2]int { return [2]int{cap(t.nodes), cap(t.routes)} }
+
+// TrieNodeDump is one trie node without its slab indices: its depth,
+// the branch bit taken into it (0 at the root) and its route, if any.
+type TrieNodeDump struct {
+	Depth int
+	Bit   uint
+	Route Route
+	Held  bool
+}
+
+// DumpTrie lists the trie's nodes in preorder, child 0 first: a shape
+// two tries share whatever order their slabs hold the nodes in.
+func (t *TrieTable) DumpTrie(testing.TB) []TrieNodeDump {
+	var out []TrieNodeDump
+	var walk func(n int32, depth int, bit uint)
+	walk = func(n int32, depth int, bit uint) {
+		nd := t.nodes[n]
+		d := TrieNodeDump{Depth: depth, Bit: bit, Held: nd.route != 0}
+		if d.Held {
+			d.Route = t.routes[nd.route]
+		}
+		out = append(out, d)
+		for b, c := range nd.child {
+			if c != 0 {
+				walk(c, depth+1, uint(b))
+			}
+		}
+	}
+	walk(0, 0, 0)
+	return out
+}

@@ -1,6 +1,8 @@
 package rtable
 
 import (
+	mathbits "math/bits"
+
 	"taco/internal/bits"
 )
 
@@ -67,6 +69,74 @@ func (t *TrieTable) Insert(r Route) error {
 	t.nodes[n].route = take(&t.routes, &t.freeRoutes, r)
 	t.count++
 	return nil
+}
+
+// InsertAll implements BulkLoader. An empty trie is built in one walk
+// over rs in SortedRoutes order (bulkLoad); one that holds routes takes
+// the batch one by one.
+func (t *TrieTable) InsertAll(rs []Route) error {
+	if t.count == 0 {
+		if !routesSorted(rs) {
+			rs = SortedRoutes(rs)
+		}
+		t.bulkLoad(rs)
+		return nil
+	}
+	for _, r := range rs {
+		if err := t.Insert(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// bulkLoad replaces the empty trie with the one the insert loop would
+// reach from rs, which must be in SortedRoutes order: the same nodes,
+// numbered in preorder. In that order the deepest existing node on a
+// prefix's path is where it leaves the previous prefix's path, at depth
+// min(lcp, previous length, own length), and every node below it is
+// new. A first pass counts the nodes, so each slab is allocated once,
+// with a third's headroom for later inserts; the second fills them.
+// (A churn of 0.4 ops per route grows the node count by 26 %;
+// TestTrieBulkHeadroom holds it.)
+func (t *TrieTable) bulkLoad(rs []Route) {
+	nNodes := 1
+	for i := range rs {
+		nNodes += rs[i].Prefix.Len - trieShared(rs, i)
+	}
+	nRoutes := 1 + len(rs)
+	*t = TrieTable{
+		nodes:  make([]trieNode, nNodes, nNodes+nNodes/3),
+		routes: make([]Route, nRoutes, nRoutes+nRoutes/3),
+		count:  len(rs),
+		stats:  t.stats,
+	}
+	copy(t.routes[1:], rs)
+	var path [129]int32 // path[d]: the previous prefix's node at depth d
+	next := int32(1)
+	for i := range rs {
+		p := rs[i].Prefix
+		for d := trieShared(rs, i); d < p.Len; d++ {
+			t.nodes[path[d]].child[p.Addr.Bit(d)] = next
+			path[d+1] = next
+			next++
+		}
+		t.nodes[path[p.Len]].route = int32(i + 1)
+	}
+}
+
+// trieShared is the depth to which rs[i]'s path runs along rs[i-1]'s.
+func trieShared(rs []Route, i int) int {
+	if i == 0 {
+		return 0
+	}
+	p, q := rs[i-1].Prefix, rs[i].Prefix
+	x := p.Addr.Xor(q.Addr)
+	lcp := mathbits.LeadingZeros64(x.Hi)
+	if x.Hi == 0 {
+		lcp += mathbits.LeadingZeros64(x.Lo)
+	}
+	return min(lcp, p.Len, q.Len)
 }
 
 // Delete removes the route for p, pruning now-empty branches.

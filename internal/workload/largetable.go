@@ -183,7 +183,10 @@ const (
 // GenerateChurn produces a deterministic update stream against the
 // given base table: inserts of fresh prefixes, deletes and replaces of
 // routes live at that point in the stream (so every delete hits and
-// every replace changes an installed route).
+// every replace changes an installed route). The live set is a
+// swap-removed list indexed by prefix through the generators' flat
+// prefix set, sized once for every route the stream could add. Ops ≤ 0
+// gives an empty stream.
 //
 // Known defect, not fixed: fresh prefixes are drawn from 2000::/3, not
 // the 2000::/4 GenerateLargeRoutes keeps to, so an insert can land in
@@ -194,19 +197,20 @@ func GenerateChurn(base []rtable.Route, spec ChurnSpec) []ChurnOp {
 	if ifaces <= 0 {
 		ifaces = 4
 	}
+	spec.Ops = max(spec.Ops, 0)
 	rng := NewRNG(spec.Seed ^ 0xc4c4)
 
 	live := append([]rtable.Route(nil), base...)
-	idx := make(map[bits.Prefix]int, len(live))
-	for i, r := range live {
-		idx[r.Prefix] = i
+	idx := newPrefixSet(len(live) + spec.Ops)
+	for i := range live {
+		idx.set(live[i].Prefix, live, i)
 	}
 	removeAt := func(i int) {
-		delete(idx, live[i].Prefix)
+		idx.del(live[i].Prefix, live)
 		last := len(live) - 1
 		if i != last {
+			idx.set(live[last].Prefix, live, i)
 			live[i] = live[last]
-			idx[live[i].Prefix] = i
 		}
 		live = live[:last]
 	}
@@ -220,7 +224,7 @@ func GenerateChurn(base []rtable.Route, spec ChurnSpec) []ChurnOp {
 			addr := rng.Word128()
 			addr.Hi = addr.Hi&^(uint64(7)<<61) | uint64(1)<<61
 			p := bits.MakePrefix(addr, ln)
-			if _, dup := idx[p]; dup {
+			if !idx.add(p, live) {
 				continue
 			}
 			r := rtable.Route{
@@ -229,7 +233,6 @@ func GenerateChurn(base []rtable.Route, spec ChurnSpec) []ChurnOp {
 				Iface:   rng.Intn(ifaces),
 				Metric:  1 + rng.Intn(14),
 			}
-			idx[p] = len(live)
 			live = append(live, r)
 			ops = append(ops, ChurnOp{Op: ChurnInsert, Route: r})
 		case roll < insertFrac+deleteFrac:

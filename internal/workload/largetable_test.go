@@ -158,26 +158,36 @@ func TestGenerateChurnValidAgainstTable(t *testing.T) {
 	}
 }
 
-// routesDigest is the FNV-64a of a route list in order: prefix, next
-// hop, interface, metric and tag of each route.
-func routesDigest(rs []rtable.Route) string {
+// digest is the FNV-64a of the words write puts, each little-endian.
+func digest(write func(put func(uint64))) string {
 	h := fnv.New64a()
 	var buf [8]byte
-	put := func(v uint64) {
+	write(func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
-	}
-	for _, r := range rs {
-		put(r.Prefix.Addr.Hi)
-		put(r.Prefix.Addr.Lo)
-		put(uint64(r.Prefix.Len))
-		put(r.NextHop.Hi)
-		put(r.NextHop.Lo)
-		put(uint64(r.Iface))
-		put(uint64(r.Metric))
-		put(uint64(r.Tag))
-	}
+	})
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// putRoute puts a route's prefix, next hop, interface, metric and tag.
+func putRoute(put func(uint64), r rtable.Route) {
+	put(r.Prefix.Addr.Hi)
+	put(r.Prefix.Addr.Lo)
+	put(uint64(r.Prefix.Len))
+	put(r.NextHop.Hi)
+	put(r.NextHop.Lo)
+	put(uint64(r.Iface))
+	put(uint64(r.Metric))
+	put(uint64(r.Tag))
+}
+
+// routesDigest is the digest of a route list in order.
+func routesDigest(rs []rtable.Route) string {
+	return digest(func(put func(uint64)) {
+		for _, r := range rs {
+			putRoute(put, r)
+		}
+	})
 }
 
 // TestGenerateLargeRoutesGolden pins the generator's output in draw
@@ -225,5 +235,82 @@ func BenchmarkGenerateLargeRoutes(b *testing.B) {
 				routesSink = GenerateLargeRoutes(LargeTableSpec{Entries: n, Seed: 2003})
 			}
 		})
+	}
+}
+
+// churnDigest is the digest of an update stream in order: each op's
+// kind, then its route.
+func churnDigest(ops []ChurnOp) string {
+	return digest(func(put func(uint64)) {
+		for _, op := range ops {
+			put(uint64(op.Op))
+			putRoute(put, op.Route)
+		}
+	})
+}
+
+// TestGenerateChurnGolden pins the update streams in emit order: the
+// rtable-churn bench stream, the one the rtable pin tests replay, and
+// a small one. How the generator indexes its live set must not move
+// one op. The streams keep the known 2000::/3 insert draw (see
+// GenerateChurn).
+func TestGenerateChurnGolden(t *testing.T) {
+	for _, c := range []struct {
+		entries, ops int
+		seed         uint64
+		want         string
+	}{
+		{100_000, 1 << 18, 2003, "f3bf5f0259527efb"},
+		{10_000, 4000, 2003, "0a8b7117ed17d897"},
+		{1000, 600, 5, "89c15c8a55872e41"},
+	} {
+		base := GenerateLargeRoutes(LargeTableSpec{Entries: c.entries, Seed: c.seed})
+		ops := GenerateChurn(base, ChurnSpec{Ops: c.ops, Seed: c.seed})
+		if len(ops) != c.ops {
+			t.Errorf("%d routes, seed %d: %d ops, want %d", c.entries, c.seed, len(ops), c.ops)
+		}
+		if got := churnDigest(ops); got != c.want {
+			t.Errorf("%d routes, %d ops, seed %d: digest %s, want %s", c.entries, c.ops, c.seed, got, c.want)
+		}
+	}
+}
+
+// TestGenerateChurnNoOps: a zero or negative op count is an empty
+// stream, not a panic.
+func TestGenerateChurnNoOps(t *testing.T) {
+	base := GenerateLargeRoutes(LargeTableSpec{Entries: 100, Seed: 1})
+	for _, n := range []int{0, -1, -5000} {
+		if ops := GenerateChurn(base, ChurnSpec{Ops: n, Seed: 1}); len(ops) != 0 {
+			t.Errorf("Ops %d: %d ops, want none", n, len(ops))
+		}
+	}
+}
+
+// TestPrefixSetMatchesMap drives the flat set and a map through the
+// same random set and delete calls over a pool of 100 prefixes in 128
+// slots, so probe runs are long and wrap, and requires the same answer
+// for every pool prefix after each call.
+func TestPrefixSetMatchesMap(t *testing.T) {
+	pool := GenerateLargeRoutes(LargeTableSpec{Entries: 100, Seed: 4})
+	s := newPrefixSet(64)
+	m := map[bits.Prefix]int{}
+	rng := NewRNG(8)
+	for step := 0; step < 20000; step++ {
+		k := rng.Intn(len(pool))
+		p := pool[k].Prefix
+		if rng.Intn(2) == 0 {
+			s.set(p, pool, k)
+			m[p] = k
+		} else {
+			s.del(p, pool)
+			delete(m, p)
+		}
+		for i, r := range pool {
+			slot, found := s.find(prefixHash(r.Prefix), r.Prefix, pool)
+			_, want := m[r.Prefix]
+			if found != want || found && int(uint32(s.slots[slot]))-1 != i {
+				t.Fatalf("step %d: %v found=%v, map has it=%v", step, r.Prefix, found, want)
+			}
+		}
 	}
 }

@@ -5,12 +5,14 @@ import (
 	"taco/internal/rtable"
 )
 
-// prefixSet is the generators' dedup: an open-addressed, linearly
-// probed set over the prefixes of the route list being built. A slot
-// holds a 32-bit hash tag beside the route's index plus one (0 marks an
-// empty slot), so a probe reads a route only when the tags agree.
+// prefixSet is the generators' prefix index: an open-addressed,
+// linearly probed map from the prefixes of a route list to their
+// positions in it. A slot holds the low 32 bits of the prefix's hash
+// beside the route's index plus one (0 marks an empty slot): a probe
+// reads a route only when the hash bits agree, and a removal finds each
+// later slot's home without reading its route.
 type prefixSet struct {
-	slots []uint64 // tag<<32 | index+1
+	slots []uint64 // hash<<32 | index+1
 }
 
 // newPrefixSet returns a set for at most n prefixes: sized for them at
@@ -23,22 +25,62 @@ func newPrefixSet(n int) prefixSet {
 	return prefixSet{slots: make([]uint64, size)}
 }
 
+// prefixHash is the low 32 bits of p's hash; they pick its home slot.
+func prefixHash(p bits.Prefix) uint64 {
+	return mix64(p.Addr.Hi^mix64(p.Addr.Lo^uint64(p.Len))) & (1<<32 - 1)
+}
+
+// find returns the slot holding p, or the empty slot where p would go.
+// h is prefixHash(p) and routes the list the indices point into.
+func (s prefixSet) find(h uint64, p bits.Prefix, routes []rtable.Route) (i int, found bool) {
+	mask := len(s.slots) - 1
+	for i = int(h) & mask; ; i = (i + 1) & mask {
+		slot := s.slots[i]
+		if slot == 0 {
+			return i, false
+		}
+		if slot>>32 == h && routes[uint32(slot)-1].Prefix == p {
+			return i, true
+		}
+	}
+}
+
 // add reports whether p is the prefix of none of routes and, when it is
 // new, records it at index len(routes), where the caller appends it.
 func (s prefixSet) add(p bits.Prefix, routes []rtable.Route) bool {
-	h := mix64(p.Addr.Hi ^ mix64(p.Addr.Lo^uint64(p.Len)))
-	tag := h >> 32
-	mask := uint64(len(s.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		slot := s.slots[i]
-		if slot == 0 {
-			s.slots[i] = tag<<32 | uint64(len(routes)+1)
-			return true
-		}
-		if slot>>32 == tag && routes[uint32(slot)-1].Prefix == p {
-			return false
+	h := prefixHash(p)
+	i, found := s.find(h, p, routes)
+	if !found {
+		s.slots[i] = h<<32 | uint64(len(routes)+1)
+	}
+	return !found
+}
+
+// set records p at index at, in its slot or a new one.
+func (s prefixSet) set(p bits.Prefix, routes []rtable.Route, at int) {
+	h := prefixHash(p)
+	i, _ := s.find(h, p, routes)
+	s.slots[i] = h<<32 | uint64(at+1)
+}
+
+// del removes p if it is there. Later slots of the probe run shift back
+// into the hole, each as far as its home allows, so no probe ever
+// stops short of its key at an emptied slot.
+func (s prefixSet) del(p bits.Prefix, routes []rtable.Route) {
+	i, found := s.find(prefixHash(p), p, routes)
+	if !found {
+		return
+	}
+	mask := len(s.slots) - 1
+	for j := (i + 1) & mask; s.slots[j] != 0; j = (j + 1) & mask {
+		// The slot at j may fill the hole at i unless its home lies in
+		// (i, j].
+		if home := int(s.slots[j]>>32) & mask; (j-home)&mask >= (j-i)&mask {
+			s.slots[i] = s.slots[j]
+			i = j
 		}
 	}
+	s.slots[i] = 0
 }
 
 // mix64 is the murmur3 64-bit finaliser.
