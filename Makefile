@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm bench bench-e2e bench-compare overhead-guard trace-smoke largetable-identity snapshot vet loc
+.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm fuzz-ipv6 bench bench-e2e bench-compare overhead-guard trace-smoke largetable-identity snapshot vet loc
 
 all: build test
 
@@ -56,7 +56,7 @@ topo-identity:
 # Short differential fuzz bursts (one -fuzz pattern per go test
 # invocation); extend FUZZTIME for longer campaigns.
 FUZZTIME ?= 30s
-fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm
+fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm fuzz-ipv6
 
 # Golden router vs TACO processor on generated datagrams.
 fuzz-router:
@@ -64,9 +64,14 @@ fuzz-router:
 
 # All seven routing-table backends in lockstep on decoded op streams —
 # including a minimum-block tiled TCAM instance so the fuzzer reaches
-# the tile split/merge machinery.
+# the tile split/merge machinery. Minimizing a new input is capped at
+# 100 runs: the default 60s per input never ends on these multi-KB op
+# streams (byte-wise minimization is quadratic in the length, and one
+# run drives fifteen tables) and kept both workers from fuzzing after
+# the first few seconds; a time cap races the worker's own deadline and
+# restarts the worker instead.
 fuzz-lpm:
-	$(GO) test ./internal/rtable -run xxx -fuzz FuzzLPMBackends -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rtable -run xxx -fuzz FuzzLPMBackends -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 
 # Whole soak campaigns on fuzzed seed/mutator-mix/probability inputs:
 # every campaign must stay stall-, mismatch- and unexplained-free.
@@ -104,6 +109,13 @@ fuzz-forensics:
 fuzz-asm:
 	$(GO) test ./internal/asm -run xxx -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/isa -run xxx -fuzz FuzzDecodeProgram -fuzztime $(FUZZTIME)
+
+# The IPv6 parsers (header, extension chain, UDP, ICMP) on arbitrary
+# bytes: none may panic, and Validate must never accept a datagram
+# ParseHeader rejects. Minimizing is capped as for fuzz-lpm: uncapped,
+# the first new inputs held both workers from the third second on.
+fuzz-ipv6:
+	$(GO) test ./internal/ipv6 -run xxx -fuzz FuzzParsers -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 
 bench:
 	$(GO) test -bench . -benchmem

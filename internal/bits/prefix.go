@@ -73,41 +73,58 @@ type RangeOwner struct {
 	Owner int
 }
 
-// DisjointRanges flattens a prefix set into the sorted, disjoint address
-// ranges it induces, each labelled with the index of its longest (i.e.
-// innermost) covering prefix. Ranges with no covering prefix are
-// omitted. This is the classic "binary search on ranges" transformation
-// used by the balanced-tree routing table: a longest-prefix match over
-// the prefixes becomes a point location over the ranges.
+// DisjointRanges flattens a set of n prefixes, read through prefix,
+// into the sorted, disjoint address ranges it induces, each labelled
+// with the index of its longest (i.e. innermost) covering prefix.
+// Ranges with no covering prefix are omitted. This is the classic
+// "binary search on ranges" transformation used by the balanced-tree
+// routing table: a longest-prefix match over the prefixes becomes a
+// point location over the ranges. The accessor lets a caller sweep the
+// prefixes where they already live (the tree's route array) instead of
+// copying them out first.
 //
 // Prefix address sets form a laminar family — any two prefixes are
 // either disjoint or nested — so one sort and a single sweep with a
-// nesting stack suffice.
-func DisjointRanges(prefixes []Prefix) []RangeOwner {
-	n := len(prefixes)
+// nesting stack suffice. The sweep runs twice, counting and then
+// filling, so the result is allocated at its exact length: up to 2n-1
+// ranges, but ~1.7n for a generated table.
+func DisjointRanges(n int, prefix func(i int) Prefix) []RangeOwner {
 	if n == 0 {
 		return nil
 	}
 	// Sweep order is Cmp's: address, then outer (shorter) before inner.
 	// The balanced tree's prefixes arrive in it and need no index
 	// permutation; other input is swept through a sorted one.
+	sorted := true
+	for i := 1; i < n && sorted; i++ {
+		sorted = prefix(i-1).Cmp(prefix(i)) <= 0
+	}
 	var idx []int
-	if !slices.IsSortedFunc(prefixes, Prefix.Cmp) {
+	if !sorted {
 		idx = make([]int, n)
 		for i := range idx {
 			idx[i] = i
 		}
-		slices.SortFunc(idx, func(a, b int) int { return prefixes[a].Cmp(prefixes[b]) })
+		slices.SortFunc(idx, func(a, b int) int { return prefix(a).Cmp(prefix(b)) })
 	}
+	out := make([]RangeOwner, sweepRanges(n, prefix, idx, nil))
+	sweepRanges(n, prefix, idx, out)
+	return out
+}
 
+// sweepRanges is DisjointRanges' sweep over the prefixes in idx order
+// (index order when idx is nil). It writes the ranges to out, or only
+// counts them when out is nil, and returns how many there are.
+func sweepRanges(n int, prefix func(int) Prefix, idx []int, out []RangeOwner) int {
 	type active struct {
-		owner int
-		last  Word128
+		owner       int
+		first, last Word128
 	}
 	var (
-		stack     []active
-		out       = make([]RangeOwner, 0, 2*n) // at most 2n-1 ranges
-		pos       Word128                      // next address not yet assigned to a range
+		buf       [129]active // a chain of distinct nested prefixes is at most 129 deep
+		stack     = buf[:0]
+		count     int
+		pos       Word128 // next address not yet assigned to a range
 		posSet    bool
 		saturated bool // pos has run past Max128
 	)
@@ -115,15 +132,17 @@ func DisjointRanges(prefixes []Prefix) []RangeOwner {
 		if to.Less(from) {
 			return
 		}
-		out = append(out, RangeOwner{Range: Range{First: from, Last: to}, Owner: owner})
+		if out != nil {
+			out[count] = RangeOwner{Range: Range{First: from, Last: to}, Owner: owner}
+		}
+		count++
 	}
 	// segStart returns where the next segment of an active prefix begins.
 	segStart := func(a active) Word128 {
-		start := prefixes[a.owner].First()
-		if posSet && start.Less(pos) {
-			start = pos
+		if posSet && a.first.Less(pos) {
+			return pos
 		}
-		return start
+		return a.first
 	}
 	bump := func(last Word128) {
 		if last == Max128 {
@@ -134,12 +153,12 @@ func DisjointRanges(prefixes []Prefix) []RangeOwner {
 		posSet = true
 	}
 
-	for k := range prefixes {
+	for k := 0; k < n; k++ {
 		id := k
 		if idx != nil {
 			id = idx[k]
 		}
-		p := prefixes[id]
+		p := prefix(id)
 		first, last := p.First(), p.Last()
 		// Close every active prefix that ends before this one starts.
 		for len(stack) > 0 {
@@ -163,7 +182,7 @@ func DisjointRanges(prefixes []Prefix) []RangeOwner {
 		if !posSet || pos.Less(first) {
 			pos, posSet, saturated = first, true, false
 		}
-		stack = append(stack, active{owner: id, last: last})
+		stack = append(stack, active{owner: id, first: first, last: last})
 	}
 	for len(stack) > 0 {
 		top := stack[len(stack)-1]
@@ -173,5 +192,5 @@ func DisjointRanges(prefixes []Prefix) []RangeOwner {
 		}
 		bump(top.last)
 	}
-	return out
+	return count
 }

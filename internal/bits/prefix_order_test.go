@@ -36,7 +36,7 @@ func TestDisjointRangesSortedEqualsShuffled(t *testing.T) {
 	}
 	resolve := func(prefixes []Prefix) []owned {
 		var out []owned
-		for _, ro := range DisjointRanges(prefixes) {
+		for _, ro := range rangesOf(t, prefixes) {
 			out = append(out, owned{ro.Range, prefixes[ro.Owner]})
 		}
 		return out

@@ -100,11 +100,22 @@ func TestRangeContains(t *testing.T) {
 	}
 }
 
+// rangesOf sweeps ps through DisjointRanges' accessor and checks the
+// result was allocated at its exact length.
+func rangesOf(t *testing.T, ps []Prefix) []RangeOwner {
+	t.Helper()
+	out := DisjointRanges(len(ps), func(i int) Prefix { return ps[i] })
+	if cap(out) != len(out) {
+		t.Fatalf("%d ranges in a slice of capacity %d", len(out), cap(out))
+	}
+	return out
+}
+
 func TestDisjointRangesSimple(t *testing.T) {
 	// One /16 with a nested /32: three ranges (before, inside, after).
 	outer := MakePrefix(FromWords(0x20010000, 0, 0, 0), 16)
 	inner := MakePrefix(FromWords(0x20010db8, 0, 0, 0), 32)
-	ranges := DisjointRanges([]Prefix{outer, inner})
+	ranges := rangesOf(t, []Prefix{outer, inner})
 	if len(ranges) != 3 {
 		t.Fatalf("got %d ranges, want 3: %v", len(ranges), ranges)
 	}
@@ -120,7 +131,7 @@ func TestDisjointRangesDefaultRoute(t *testing.T) {
 	// ::/0 plus a specific: the tail range must reach Max128.
 	def := MakePrefix(Zero128, 0)
 	spec := MakePrefix(FromWords(0x20010db8, 0, 0, 0), 32)
-	ranges := DisjointRanges([]Prefix{def, spec})
+	ranges := rangesOf(t, []Prefix{def, spec})
 	if len(ranges) != 3 {
 		t.Fatalf("got %d ranges: %v", len(ranges), ranges)
 	}
@@ -133,8 +144,8 @@ func TestDisjointRangesDefaultRoute(t *testing.T) {
 }
 
 func TestDisjointRangesEmpty(t *testing.T) {
-	if got := DisjointRanges(nil); got != nil {
-		t.Errorf("DisjointRanges(nil) = %v", got)
+	if got := rangesOf(t, nil); got != nil {
+		t.Errorf("DisjointRanges of no prefixes = %v", got)
 	}
 }
 
@@ -143,7 +154,7 @@ func TestDisjointRangesMergesAdjacent(t *testing.T) {
 	// happen (different prefixes), but a covering /16 whose inner /32 is
 	// removed leaves adjacent same-owner segments that must merge.
 	outer := MakePrefix(FromWords(0x20010000, 0, 0, 0), 16)
-	ranges := DisjointRanges([]Prefix{outer})
+	ranges := rangesOf(t, []Prefix{outer})
 	if len(ranges) != 1 {
 		t.Fatalf("single prefix should yield one range, got %v", ranges)
 	}
@@ -161,7 +172,7 @@ func TestDisjointRangesAgainstLinearScan(t *testing.T) {
 			ln := rng.Intn(129)
 			prefixes[i] = MakePrefix(randWord(rng), ln)
 		}
-		ranges := DisjointRanges(prefixes)
+		ranges := rangesOf(t, prefixes)
 
 		locate := func(addr Word128) int {
 			for _, ro := range ranges {

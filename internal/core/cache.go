@@ -14,13 +14,20 @@ import (
 // cells draw the same one, so the golden side is paid once), and for
 // scaled evaluations the large route set, its address-sorted copy (what
 // the tables are built from), its churn stream and destination sample,
-// and the cycle-accurate anchors.
+// the cycle-accurate anchors, and what each built table measured.
+// A table is built once per (route set, churn stream, sample, built
+// kind), and every kind that prices that structure reads its row from
+// the one build (rtable.Kind.BuiltAs: the compressed rows from the
+// multibit trie). The cache keeps the probe average, the live count
+// and each such kind's MemDims, never the table, so no built table
+// outlives the instance that built it.
 // Each key is computed once — a goroutine asking for a key still being
 // computed waits for it — and nothing is evicted: the owner drops the
 // cache with the sweep. Cached slices are read-only: no rtable backend
-// writes to the routes it is handed, and a line card copies a
-// datagram's bytes into the machine rather than rewriting them. The
-// zero value is ready to use.
+// writes to the routes it is handed (the balanced tree keeps the sorted
+// copy but clones it before its first point update), and a line card
+// copies a datagram's bytes into the machine rather than rewriting
+// them. The zero value is ready to use.
 //
 // Which instance computes a key, and when (the dse pool feeds the
 // largest table first), cannot change a result: every value is a pure

@@ -88,6 +88,13 @@ type (
 		sim  SimOptions
 	}
 	sortedKey struct{ table workload.LargeTableSpec }
+	// measureKey names one built table: the route set, churn stream and
+	// sample it is measured under, and the kind it is built as.
+	measureKey struct {
+		dests destsKey
+		ops   int
+		built rtable.Kind
+	}
 )
 
 func (c *SweepCache) routes(lt workload.LargeTableSpec) []rtable.Route {
@@ -241,26 +248,52 @@ func (c *SweepCache) measureProbes(spec ScaleSpec, sim SimOptions) (float64, rta
 		return probes(entries), rtable.MemDims{Entries: entries}, entries, nil
 	}
 
+	key := measureKey{destsKey{lt, spec.SampleLookups, sim.MissRatio}, spec.ChurnOps, spec.Kind.BuiltAs()}
+	m := cached(c, key, func() measurement { return c.measure(key, churn) })
+	return m.avgProbes, m.dims[spec.Kind], m.entries, m.err
+}
+
+// measurement is what the scaled rows priced from one built table read
+// off it: the probe average over the destination sample, the live
+// entry count and, indexed by kind, the storage of every kind built as
+// key.built. The table itself is dropped once measured.
+type measurement struct {
+	avgProbes float64
+	entries   int
+	dims      []rtable.MemDims
+	err       error
+}
+
+// measure builds a key.built table from the sorted route set, plays the
+// churn stream at it and looks up the destination sample.
+func (c *SweepCache) measure(key measureKey, churn []workload.ChurnOp) measurement {
+	lt := key.dests.table
 	// Every table of the sweep is built from one sorted copy of the set.
 	routes := c.routes(lt)
 	sorted := cached(c, sortedKey{lt}, func() []rtable.Route { return rtable.SortedRoutes(routes) })
-	tbl := rtable.New(spec.Kind)
+	tbl := rtable.New(key.built)
 	if err := rtable.InsertAll(tbl, sorted); err != nil {
-		return 0, rtable.MemDims{}, 0, fmt.Errorf("core: build %v table: %w", spec.Kind, err)
+		return measurement{err: fmt.Errorf("core: build %v table: %w", key.built, err)}
 	}
 	if len(churn) > 0 {
 		if _, err := workload.ApplyChurn(tbl, churn); err != nil {
-			return 0, rtable.MemDims{}, 0, err
+			return measurement{err: err}
 		}
 	}
 	tbl.ResetStats()
-	dests := cached(c, destsKey{lt, spec.SampleLookups, sim.MissRatio}, func() []bits.Word128 {
-		return workload.SampleDests(routes, spec.SampleLookups, sim.MissRatio, sim.Seed)
+	dests := cached(c, key.dests, func() []bits.Word128 {
+		return workload.SampleDests(routes, key.dests.n, key.dests.missRatio, lt.Seed)
 	})
 	for _, dst := range dests {
 		tbl.Lookup(dst)
 	}
 	st := tbl.Stats()
-	avg := float64(st.Probes) / float64(st.Lookups)
-	return avg, tbl.MemDims(), tbl.Len(), nil
+	m := measurement{avgProbes: float64(st.Probes) / float64(st.Lookups), entries: tbl.Len(),
+		dims: make([]rtable.MemDims, len(rtable.Backends))}
+	for _, k := range rtable.Kinds {
+		if k.BuiltAs() == key.built {
+			m.dims[k] = k.Dims(tbl)
+		}
+	}
+	return m
 }

@@ -47,9 +47,10 @@ func TestCachedComputesOnce(t *testing.T) {
 // TestSweepCacheSharesPerSweep drives one cache the way dse's pool does
 // — every kind × size from concurrent goroutines — and counts what it
 // computed: one route set, sorted copy, churn stream and sample per
-// size, one anchor per (donor, anchor size) and one simulation input set
-// per anchor size, shared by its three donors. Every result equals a
-// stand-alone call.
+// size, one built table per (built kind, size) — the multibit and
+// compressed rows share one stride-trie build — one anchor per (donor,
+// anchor size) and one simulation input set per anchor size, shared by
+// its three donors. Every result equals a stand-alone call.
 func TestSweepCacheSharesPerSweep(t *testing.T) {
 	sizes := []int{500, 2000}
 	cons, sim := PaperConstraints(), DefaultSimOptions()
@@ -77,19 +78,27 @@ func TestSweepCacheSharesPerSweep(t *testing.T) {
 	wg.Wait()
 
 	counts := map[string]int{}
+	strideBuilds := 0
 	for key := range c.m {
 		counts[reflect.TypeOf(key).Name()]++
+		if mk, ok := key.(measureKey); ok && mk.built == rtable.Multibit {
+			strideBuilds++
+		}
 	}
 	want := map[string]int{
 		"LargeTableSpec": len(sizes),
 		"sortedKey":      len(sizes),
 		"churnKey":       len(sizes),
 		"destsKey":       len(sizes),
-		"anchorKey":      3 * 2, // donors sequential, balanced-tree, cam × two anchor sizes
-		"inputsKey":      2,     // one per anchor size
+		"measureKey":     4 * len(sizes), // built as balanced-tree, trie, multibit, tiled-tcam
+		"anchorKey":      3 * 2,          // donors sequential, balanced-tree, cam × two anchor sizes
+		"inputsKey":      2,              // one per anchor size
 	}
 	if !reflect.DeepEqual(counts, want) {
 		t.Fatalf("cache computed %v, want %v", counts, want)
+	}
+	if strideBuilds != len(sizes) {
+		t.Fatalf("%d stride-trie builds for %d sizes and one churn stream", strideBuilds, len(sizes))
 	}
 	lt := workload.LargeTableSpec{Entries: sizes[0], Ifaces: sim.Ifaces, Seed: sim.Seed}
 	if a, b := c.routes(lt), c.routes(lt); &a[0] != &b[0] {
@@ -129,6 +138,73 @@ func TestAnalyticKindsGenerateNothing(t *testing.T) {
 	}
 }
 
+// TestSharedStrideMeasurement: a kind that prices another's structure
+// (rtable.Backend.Reprice — the compressed trie reprices the multibit
+// build) reads off the shared build the probe average, Len and MemDims
+// a table of its own gives under the same route set, churn stream and
+// sample, at 10³ and 10⁴ routes with and without churn.
+func TestSharedStrideMeasurement(t *testing.T) {
+	sim := DefaultSimOptions()
+	repriced := 0
+	for _, kind := range rtable.Kinds {
+		built := kind.BuiltAs()
+		if built == kind {
+			continue
+		}
+		repriced++
+		for _, n := range []int{1000, 10000} {
+			for _, ops := range []int{0, 400} {
+				var c SweepCache
+				spec := ScaleSpec{Kind: kind, Entries: n, ChurnOps: ops, SampleLookups: DefaultSampleLookups}
+				sibling := spec
+				sibling.Kind = built
+				if _, _, _, err := c.measureProbes(sibling, sim); err != nil {
+					t.Fatal(err)
+				}
+				avg, dims, entries, err := c.measureProbes(spec, sim)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				lt := workload.LargeTableSpec{Entries: n, Ifaces: sim.Ifaces, Seed: sim.Seed}
+				routes := workload.GenerateLargeRoutes(lt)
+				own := rtable.New(kind)
+				if err := rtable.InsertAll(own, rtable.SortedRoutes(routes)); err != nil {
+					t.Fatal(err)
+				}
+				if ops > 0 {
+					churn := workload.GenerateChurn(routes, workload.ChurnSpec{Ops: ops, Seed: sim.Seed, Ifaces: sim.Ifaces})
+					if _, err := workload.ApplyChurn(own, churn); err != nil {
+						t.Fatal(err)
+					}
+				}
+				own.ResetStats()
+				for _, dst := range workload.SampleDests(routes, DefaultSampleLookups, sim.MissRatio, sim.Seed) {
+					own.Lookup(dst)
+				}
+				st := own.Stats()
+				wantAvg := float64(st.Probes) / float64(st.Lookups)
+				if avg != wantAvg || entries != own.Len() || !reflect.DeepEqual(dims, own.MemDims()) {
+					t.Errorf("%v at %d routes, churn %d: shared build gives probes %v, Len %d, %+v; own table %v, %d, %+v",
+						kind, n, ops, avg, entries, dims, wantAvg, own.Len(), own.MemDims())
+				}
+				builds := 0
+				for key := range c.m {
+					if _, ok := key.(measureKey); ok {
+						builds++
+					}
+				}
+				if builds != 1 {
+					t.Errorf("%v at %d routes, churn %d: %d builds for two kinds of one structure", kind, n, ops, builds)
+				}
+			}
+		}
+	}
+	if repriced == 0 {
+		t.Fatal("no backend reprices another's build")
+	}
+}
+
 func hashRoutes(rs []rtable.Route) uint64 {
 	h := fnv.New64a()
 	for _, r := range rs {
@@ -161,8 +237,9 @@ func hashDatagrams(as []router.Arrival, want router.Outcomes) uint64 {
 // TestSharedInputsReadOnly pins the contract sharing rests on: no
 // backend's InsertAll, and no churn replay, writes to the slices it is
 // handed — neither the generator-order set nor the sorted copy the
-// tables are built from (the balanced tree clones it before owning it,
-// so its point updates splice its own array). Nor does a simulation
+// tables are built from (the balanced tree keeps the sorted copy and
+// reads it in place, but clones it at its first point update, so the
+// splice writes its own array). Nor does a simulation
 // write to the routes, the datagram bytes it is fed or the reference
 // outcomes it is checked against: all nine Table 1 cells evaluated from
 // one SweepCache, recorder armed, leave the one input set they share as

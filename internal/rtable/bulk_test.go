@@ -10,8 +10,10 @@ package rtable_test
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"taco/internal/bits"
 	"taco/internal/rtable"
@@ -237,6 +239,70 @@ func TestTreeBulkEqualsInsertLoop(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			checkFlatBulkEqualsLoop(t, rtable.BalancedTree, c.preload, c.rs, 500)
 		})
+	}
+}
+
+// TestTreeBorrowedBatch: a tree bulk-built from a batch already in
+// SortedRoutes order keeps the batch and reads it in place. Played a
+// churn stream, it answers lookup for lookup, probe for probe, as a tree
+// built from a private copy, and the batch is left exactly as it was:
+// the first point update clones it before splicing.
+func TestTreeBorrowedBatch(t *testing.T) {
+	batch := rtable.SortedRoutes(largeRoutes(10000))
+	before := slices.Clone(batch)
+	borrowed, private := newFlat(rtable.BalancedTree), newFlat(rtable.BalancedTree)
+	if err := borrowed.InsertAll(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := private.InsertAll(slices.Clone(batch)); err != nil {
+		t.Fatal(err)
+	}
+	dests := workload.SampleDests(batch, 2048, 0.05, 11)
+	requireSameTable(t, "after build", borrowed, private, dests)
+	for i, op := range workload.GenerateChurn(batch, workload.ChurnSpec{Ops: 300, Seed: 11}) {
+		for _, tbl := range []rtable.Table{borrowed, private} {
+			if _, err := workload.ApplyChurn(tbl, []workload.ChurnOp{op}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, d := range dests[:128] {
+			gr, gok := borrowed.Lookup(d)
+			wr, wok := private.Lookup(d)
+			if gr != wr || gok != wok {
+				t.Fatalf("op %d: Lookup(%v) = (%v,%v), private copy (%v,%v)", i, d, gr, gok, wr, wok)
+			}
+		}
+	}
+	requireSameTable(t, "after churn", borrowed, private, dests)
+	if !slices.Equal(batch, before) {
+		t.Fatal("the churned tree wrote to the batch it was built from")
+	}
+}
+
+// TestTreeSortedBuildBytes: a bulk build from a sorted batch of 10^4
+// routes allocates the node array and the range sweep's exact-length
+// output, and nothing in proportion to the routes: a clone of the batch
+// (64 B a route), a copy of its prefixes (24 B a route) or a range
+// array sized for 2n (~12 B a route more) each break the bound.
+func TestTreeSortedBuildBytes(t *testing.T) {
+	rs := rtable.SortedRoutes(largeRoutes(10000))
+	const runs = 4
+	var tbl *rtable.BalancedTreeTable
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		tbl = rtable.NewBalancedTree()
+		if err := tbl.InsertAll(rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	nodes, _ := tbl.Nodes()
+	perRange := unsafe.Sizeof(rtable.TreeNode{}) + unsafe.Sizeof(bits.RangeOwner{})
+	want := float64(uintptr(len(nodes))*perRange + 8*uintptr(len(rs))) // 8 B a route of slack
+	if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > want {
+		t.Errorf("sorted-batch build of %d routes (%d ranges) allocated %.0f bytes, want <= %.0f",
+			len(rs), len(nodes), got, want)
 	}
 }
 

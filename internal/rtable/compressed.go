@@ -13,7 +13,8 @@ type CompressedConfig struct {
 }
 
 // DefaultCompressedConfig mirrors the multibit reference schedule so
-// the two backends are directly comparable probe-for-probe.
+// the two backends are directly comparable probe-for-probe — and one
+// default multibit build stands for both (Backends' Reprice).
 func DefaultCompressedConfig() CompressedConfig {
 	return CompressedConfig{Strides: append([]int(nil), DefaultMultibitStrides...)}
 }
@@ -55,13 +56,17 @@ func (t *CompressedTable) Config() CompressedConfig { return t.cfg }
 // record, plus only the occupied child records, the leaves and the
 // next-hop records. The bitmap-to-children gap is the compression the
 // estimation layer prices.
-func (t *CompressedTable) MemDims() MemDims {
-	nodes, slots := t.nodeTotals()
-	return MemDims{Entries: t.count, Regions: []Region{
+func (t *CompressedTable) MemDims() MemDims { return t.compressedDims() }
+
+// compressedDims prices the trie as CompressedTable stores it, whichever
+// of the two types built it: Backends reprices a multibit build with it.
+func (c *strideCore) compressedDims() MemDims {
+	nodes, slots := c.nodeTotals()
+	return MemDims{Entries: c.count, Regions: []Region{
 		{Name: "bitmaps", Records: slots, Bits: 1},
 		{Name: "nodes", Records: nodes, Bits: compressedNodeBits},
-		{Name: "children", Records: t.kidSlots, Bits: slotBits},
-		{Name: "leaves", Records: t.leaves, Bits: leafBits},
-		{Name: "results", Records: t.count, Bits: resultBits},
+		{Name: "children", Records: c.kidSlots, Bits: slotBits},
+		{Name: "leaves", Records: c.leaves, Bits: leafBits},
+		{Name: "results", Records: c.count, Bits: resultBits},
 	}}
 }

@@ -7,12 +7,14 @@
 // fuzzer reaches tile splits and merges inside the per-input op budget
 // (the default 256-entry block cannot overflow in 256 ops), and a
 // bulk-loaded twin of every kind joins it after the input's leading run
-// of inserts, which the twin took in one InsertAll. `make fuzz-lpm`
-// runs the campaign; the plain test suite replays the seed corpus.
+// of inserts, which the twin took in one InsertAll (and must not have
+// written). `make fuzz-lpm` runs the campaign; the plain test suite
+// replays the seed corpus.
 package rtable_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"taco/internal/bits"
@@ -116,6 +118,22 @@ func FuzzLPMBackends(f *testing.F) {
 	}
 	f.Add(s7)
 
+	// s8's leading inserts are canonical and ascending, a batch already
+	// in SortedRoutes order: the tree twin keeps it rather than copying
+	// it, and the deletes and re-inserts after it make the twin clone it.
+	var s8 []byte
+	sorted := rtable.SortedRoutes(workload.GenerateLargeRoutes(workload.LargeTableSpec{Entries: 24, Seed: 7}))
+	for _, r := range sorted {
+		s8 = fuzzOp(s8, 0, r.Prefix.Len, r.Prefix.Addr)
+	}
+	for _, r := range sorted[:4] {
+		s8 = fuzzOp(s8, 2, r.Prefix.Len, r.Prefix.Addr)
+		s8 = fuzzOp(s8, 3, 0, r.Prefix.Addr)
+	}
+	s8 = fuzzOp(s8, 1, sorted[0].Prefix.Len, sorted[0].Prefix.Addr)
+	s8 = fuzzOp(s8, 3, 0, sorted[0].Prefix.Addr)
+	f.Add(s8)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tables := make([]rtable.Table, 0, len(rtable.Kinds)+1)
 		for _, k := range rtable.Kinds {
@@ -133,6 +151,7 @@ func FuzzLPMBackends(f *testing.F) {
 		for rest := data; len(rest) >= fuzzOpSize && len(lead) < fuzzMaxOps && rest[0]%4 < 2; rest = rest[fuzzOpSize:] {
 			lead = append(lead, fuzzRoute(rest))
 		}
+		batch := slices.Clone(lead)
 		var twins []rtable.Table
 		for _, k := range rtable.Kinds {
 			tbl := rtable.New(k)
@@ -192,6 +211,9 @@ func FuzzLPMBackends(f *testing.F) {
 		}
 
 		join() // when every op was a leading insert
+		if !slices.Equal(lead, batch) {
+			t.Fatal("a bulk-loaded twin wrote to the batch it was built from")
+		}
 
 		// Final structural agreement, plus a deterministic lookup sweep
 		// over every installed prefix boundary.

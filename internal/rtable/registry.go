@@ -37,6 +37,14 @@ type Backend struct {
 	// per-probe cycle cost relative to the balanced tree's, whose anchors
 	// its scaled evaluation borrows.
 	StepFactor float64
+	// PricedFrom and Reprice, when Reprice is set, declare an
+	// organisation that is another backend's structure stored another
+	// way: a default PricedFrom table walks, probes and updates exactly
+	// as a default table of this kind, and Reprice returns this kind's
+	// MemDims of it. A sweep builds the structure once, as PricedFrom,
+	// and prices it as both kinds (Kind.BuiltAs, Kind.Dims).
+	PricedFrom Kind
+	Reprice    func(Table) MemDims
 }
 
 // Backends lists every table organisation in Kind order. The step
@@ -61,7 +69,8 @@ var Backends = []Backend{
 	{Kind: TiledTCAM, Name: "tiled-tcam", Aliases: []string{"tiledtcam", "tcam"}, Label: "Tiled TCAM",
 		New: func() Table { return NewTiledTCAM(DefaultTiledTCAMConfig()) }, LargeSweep: true, StepFactor: 0.40},
 	{Kind: Compressed, Name: "compressed", Aliases: []string{"cram"}, Label: "Compressed trie",
-		New: func() Table { return NewCompressed(DefaultCompressedConfig()) }, LargeSweep: true, StepFactor: 0.55},
+		New: func() Table { return NewCompressed(DefaultCompressedConfig()) }, LargeSweep: true, StepFactor: 0.55,
+		PricedFrom: Multibit, Reprice: func(t Table) MemDims { return t.(*MultibitTable).compressedDims() }},
 }
 
 // Kinds lists every implementation: the paper's Table 1 order, then the
@@ -92,6 +101,24 @@ func (k Kind) String() string {
 
 // New constructs an empty table of the given kind.
 func New(k Kind) Table { return Backends[k].New() }
+
+// BuiltAs returns the kind whose table is built to measure k: the
+// backend whose structure k reprices, or k itself.
+func (k Kind) BuiltAs() Kind {
+	if Backends[k].Reprice != nil {
+		return Backends[k].PricedFrom
+	}
+	return k
+}
+
+// Dims returns k's storage dimensions of tbl, a table of kind
+// k.BuiltAs().
+func (k Kind) Dims(tbl Table) MemDims {
+	if f := Backends[k].Reprice; f != nil {
+		return f(tbl)
+	}
+	return tbl.MemDims()
+}
 
 // Names returns the canonical names of kinds, in order.
 func Names(kinds []Kind) []string {

@@ -38,9 +38,12 @@ type TreeNode struct {
 // and a rebuild: linear, with nothing sorted or hashed.
 type BalancedTreeTable struct {
 	routes []Route
-	nodes  []TreeNode
-	root   int
-	stats  Stats
+	// borrowed marks routes as the caller's batch, kept by InsertAll:
+	// read-only until own gives the table its own copy.
+	borrowed bool
+	nodes    []TreeNode
+	root     int
+	stats    Stats
 	// gen counts rebuilds, letting the routing-table unit cache a
 	// lowered copy of the node array and invalidate it on table updates.
 	gen uint64
@@ -57,10 +60,20 @@ func (t *BalancedTreeTable) find(p bits.Prefix) (int, bool) {
 	return slices.BinarySearchFunc(t.routes, p, func(r Route, p bits.Prefix) int { return r.Prefix.Cmp(p) })
 }
 
+// own clones a borrowed route array before an update writes it, with
+// room for the route an Insert may splice in.
+func (t *BalancedTreeTable) own() {
+	if t.borrowed {
+		t.routes = append(make([]Route, 0, len(t.routes)+1), t.routes...)
+		t.borrowed = false
+	}
+}
+
 // Insert adds or replaces the route for r.Prefix and rebuilds the range
 // tree (the complex update of the paper's discussion).
 func (t *BalancedTreeTable) Insert(r Route) error {
 	r.Prefix = bits.MakePrefix(r.Prefix.Addr, r.Prefix.Len)
+	t.own()
 	if i, found := t.find(r.Prefix); found {
 		t.routes[i] = r
 	} else {
@@ -73,14 +86,20 @@ func (t *BalancedTreeTable) Insert(r Route) error {
 // InsertAll adds or replaces a batch of routes with a single rebuild —
 // the bulk-load path for large tables (the per-insert rebuild is the
 // "complex update" the paper discusses; amortising it is how a real
-// control plane would apply a full RIPng table transfer). rs is only
-// read: a batch already in SortedRoutes order is cloned before owned.
+// control plane would apply a full RIPng table transfer).
+//
+// An empty table may keep rs: a batch already in SortedRoutes order is
+// the table's route array as it stands, so the table reads it in place
+// until its first Insert or Delete, which clones it. The caller must
+// not write rs while the table holds it; the table never writes it.
+// Any other batch is only read.
 func (t *BalancedTreeTable) InsertAll(rs []Route) error {
+	t.borrowed = false
 	switch {
 	case len(t.routes) > 0: // the batch, coming later, replaces
 		t.routes = SortedRoutes(append(slices.Clone(t.routes), rs...))
 	case routesSorted(rs):
-		t.routes = slices.Clone(rs)
+		t.routes, t.borrowed = rs, true
 	default:
 		t.routes = SortedRoutes(rs)
 	}
@@ -94,6 +113,7 @@ func (t *BalancedTreeTable) Delete(p bits.Prefix) bool {
 	if !found {
 		return false
 	}
+	t.own()
 	t.routes = slices.Delete(t.routes, i, i+1)
 	t.rebuild()
 	return true
@@ -102,11 +122,7 @@ func (t *BalancedTreeTable) Delete(p bits.Prefix) bool {
 // rebuild derives the node array; node owners index the route array.
 func (t *BalancedTreeTable) rebuild() {
 	t.gen++
-	prefixes := make([]bits.Prefix, len(t.routes))
-	for i, r := range t.routes {
-		prefixes[i] = r.Prefix
-	}
-	ranges := bits.DisjointRanges(prefixes)
+	ranges := bits.DisjointRanges(len(t.routes), func(i int) bits.Prefix { return t.routes[i].Prefix })
 	t.nodes = make([]TreeNode, 0, len(ranges))
 	t.root = t.build(ranges)
 }
