@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm fuzz-ipv6 bench bench-e2e bench-compare overhead-guard trace-smoke largetable-identity snapshot vet loc
+.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm fuzz-ipv6 fuzz-ripng bench bench-e2e bench-compare bench-pair overhead-guard trace-smoke largetable-identity snapshot vet loc
 
 all: build test
 
@@ -56,7 +56,7 @@ topo-identity:
 # Short differential fuzz bursts (one -fuzz pattern per go test
 # invocation); extend FUZZTIME for longer campaigns.
 FUZZTIME ?= 30s
-fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm fuzz-ipv6
+fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm fuzz-ipv6 fuzz-ripng
 
 # Golden router vs TACO processor on generated datagrams.
 fuzz-router:
@@ -117,6 +117,13 @@ fuzz-asm:
 fuzz-ipv6:
 	$(GO) test ./internal/ipv6 -run xxx -fuzz FuzzParsers -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 
+# The RIPng wire codec on fuzzed packets: every frame must equal the
+# three-buffer build, round-trip, encode into a reused dirty buffer and
+# decode into a dirty scratch exactly as on the fresh path, and reject
+# any single flipped bit. Minimizing is capped as for fuzz-lpm.
+fuzz-ripng:
+	$(GO) test ./internal/ripng -run xxx -fuzz FuzzWrapUnwrapUDP -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+
 bench:
 	$(GO) test -bench . -benchmem
 
@@ -128,6 +135,45 @@ bench-e2e:
 # Verdict per (workload, metric) between two `go run ./bench -o` files.
 bench-compare:
 	$(GO) run ./bench -compare $(OLD) $(NEW)
+
+# A speed claim's evidence, written as BENCH_$(RECORD).json and checked
+# by TestBenchLedger: PAIRS alternating runs of WORKLOAD (-passes 3
+# -seconds 9 each), revision OLD against the working tree. OLD is
+# exported into a temporary directory, each side's bench binary is built
+# once and runs from its own checkout (bench writes .bench_build/ into its
+# working directory), and the side that runs first alternates pair by
+# pair. The record keeps the claim — METRIC, in its fixed direction,
+# better by at least MIN_CHANGE, a share of OLD's median — and every
+# run's -o results, whitespace squeezed. The ledger sets the bar for
+# pairs and wins.
+PAIRS ?= 10
+bench-pair:
+	@test -n "$(OLD)" -a -n "$(WORKLOAD)" -a -n "$(RECORD)" -a -n "$(METRIC)" -a -n "$(MIN_CHANGE)" || { \
+		echo "usage: make bench-pair OLD=<rev> WORKLOAD=<name> RECORD=<NNNN> METRIC=<name> MIN_CHANGE=<share> [PAIRS=10]"; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/old"; git archive "$(OLD)" | tar -x -C "$$tmp/old"; \
+	(cd "$$tmp/old" && $(GO) build -o "$$tmp/old.bin" ./bench); \
+	$(GO) build -o "$$tmp/new.bin" ./bench; \
+	run() { \
+		echo "pair $$2: $$1"; \
+		if [ "$$1" = old ]; then dir="$$tmp/old"; else dir=.; fi; \
+		(cd "$$dir" && "$$tmp/$$1.bin" -workload "$(WORKLOAD)" -passes 3 -seconds 9 -o "$$tmp/$$1-$$2.json" >/dev/null); \
+	}; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) = 1 ]; then run old $$i; run new $$i; else run new $$i; run old $$i; fi; \
+	done; \
+	squeeze() { sed 's/^ *//' "$$1" | tr -d '\n'; }; \
+	{ printf '{"record":%d,"old":"%s","new":"%s",\n' \
+		$$(expr $(RECORD) + 0) "$$(git rev-parse --short "$(OLD)")" "$$(git describe --always --dirty)"; \
+	  printf '"claim":{"workload":"%s","metric":"%s","min_change":%s},\n"pairs":[' \
+		"$(WORKLOAD)" "$(METRIC)" "$(MIN_CHANGE)"; \
+	  for i in $$(seq 1 $(PAIRS)); do \
+		first=old; [ $$((i % 2)) = 1 ] || first=new; \
+		[ $$i = 1 ] || printf ',\n'; \
+		printf '{"first":"%s","old":' $$first; squeeze "$$tmp/old-$$i.json"; \
+		printf ',"new":'; squeeze "$$tmp/new-$$i.json"; printf '}'; \
+	  done; printf ']}\n'; } > BENCH_$(RECORD).json; \
+	echo "wrote BENCH_$(RECORD).json"; $(GO) test -count=1 -run TestBenchLedger .
 
 # The large-table sweep's text and JSON through tacoexplore must not
 # depend on the worker count, and must match the files captured before

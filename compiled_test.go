@@ -298,7 +298,7 @@ func TestCompiledVsInterpretedChecksum(t *testing.T) {
 	for _, r := range routes {
 		pkt.RTEs = append(pkt.RTEs, ripng.RTE{Prefix: r.Prefix, Metric: 2})
 	}
-	d, err := ripng.WrapUDP(ipv6.MustParseAddr("fe80::7"), ipv6.AllRIPRouters, pkt)
+	d, err := ripng.WrapUDP(nil, ipv6.MustParseAddr("fe80::7"), ipv6.AllRIPRouters, pkt)
 	if err != nil {
 		t.Fatal(err)
 	}

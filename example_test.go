@@ -147,7 +147,7 @@ func Example_ripng() {
 				if !linkUp[i] {
 					continue
 				}
-				d, err := ripng.WrapUDP(e.LinkLocal(0), op.Dst, op.Pkt)
+				d, err := ripng.WrapUDP(nil, e.LinkLocal(0), op.Dst, op.Pkt)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -163,7 +163,7 @@ func Example_ripng() {
 		}
 		for i, e := range peers {
 			for _, d := range trB.Outputs(i) {
-				if src, pkt, err := ripng.UnwrapUDP(d.Data); err == nil && linkUp[i] {
+				if src, pkt, err := ripng.UnwrapUDP(nil, d.Data); err == nil && linkUp[i] {
 					if err := e.Receive(0, src, pkt); err != nil {
 						log.Fatal(err)
 					}

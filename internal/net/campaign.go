@@ -53,7 +53,7 @@ type CampaignOptions struct {
 // rounds, and propagation across the diameter.
 func (m *Mesh) convergeBudget() int64 {
 	return int64(DefaultTimeoutTicks+DefaultGCTicks+16*DefaultUpdateTicks) +
-		4*int64(m.topo.Diameter()) + 64
+		4*int64(m.diameter) + 64
 }
 
 // WaveProbes injects up to dests audit probes from every alive stub
@@ -87,7 +87,7 @@ func RunCampaign(m *Mesh, copt CampaignOptions) *CampaignReport {
 		Topo:     m.topo.Name,
 		Nodes:    m.topo.N,
 		Edges:    len(m.topo.Edges),
-		Diameter: m.topo.Diameter(),
+		Diameter: m.diameter,
 		Mix:      m.opt.Mix,
 		Table:    m.opt.Table.String(),
 		Seed:     m.opt.Seed,

@@ -133,6 +133,7 @@ type node struct {
 
 	inbox  []ctrlMsg
 	probes []*probe
+	rtes   []ripng.RTE // decoding scratch for inbox frames
 
 	ctrl CtrlStats
 
@@ -151,9 +152,10 @@ type meshEvent struct {
 // data planes, faulty links, in-flight probes, and the seeded
 // discrete-event clock driving it all.
 type Mesh struct {
-	topo Topology
-	opt  Options
-	cfg  fu.Config // every TACO node's architecture instance
+	topo     Topology
+	diameter int // topo.Diameter(), computed once
+	opt      Options
+	cfg      fu.Config // every TACO node's architecture instance
 
 	nodes []*node
 	// links[2*e] carries Edges[e].A -> B, links[2*e+1] the reverse.
@@ -197,6 +199,7 @@ func NewMesh(topo Topology, opt Options) (*Mesh, error) {
 	opt.defaults()
 	m := &Mesh{
 		topo:        topo,
+		diameter:    topo.Diameter(),
 		opt:         opt,
 		cfg:         fu.Config3Bus1FU(opt.Table),
 		probeRNG:    workload.NewRNG(opt.Seed ^ 0xa5b35705b5aa5b35),
@@ -237,7 +240,8 @@ func NewMesh(topo Topology, opt Options) (*Mesh, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := &node{id: id, kind: kind, alive: true, nbrs: adj[id]}
+		n := &node{id: id, kind: kind, alive: true, nbrs: adj[id],
+			rtes: make([]ripng.RTE, 0, ripng.MaxRTEsPerPacket)}
 		if stubOwner[id] {
 			n.stubs = append(n.stubs, StubPrefix(id))
 		}
@@ -554,7 +558,7 @@ func (m *Mesh) injectStorm(n *node, now int64) {
 			continue
 		}
 		for _, pkt := range pkts {
-			data, err := ripng.WrapUDP(n.lls[f], ipv6.AllRIPRouters, pkt)
+			data, err := ripng.WrapUDP(nil, n.lls[f], ipv6.AllRIPRouters, pkt)
 			if err != nil {
 				panic(err)
 			}
@@ -578,21 +582,11 @@ func (n *node) process(m *Mesh, now int64) {
 	inbox := n.inbox
 	n.inbox = n.inbox[:0]
 	n.ctrl.InboxDrained += int64(len(inbox))
-	if !n.alive {
-		n.ctrl.NodeDown += int64(len(inbox))
-	} else {
-		for _, msg := range inbox {
-			src, pkt, err := ripng.UnwrapUDP(msg.data)
-			if err != nil {
-				n.ctrl.Garbage++
-				continue
-			}
-			if err := n.eng.Receive(msg.iface, src, pkt); err != nil {
-				n.ctrl.Garbage++
-				continue
-			}
-			n.ctrl.Received++
-		}
+	for _, msg := range inbox {
+		n.drain(msg)
+		putFrame(msg.data)
+	}
+	if n.alive {
 		n.eng.Tick(ripng.Clock(now))
 		// Interfaces in order, each interface's packets in Collect
 		// order: the order of every wire's RNG draws and of every inbox.
@@ -614,14 +608,51 @@ func (n *node) process(m *Mesh, now int64) {
 	}
 }
 
-// transmit wraps one RIPng packet in UDP/IPv6 and sends it down the
-// wire to neighbour nb, accounting its fate.
+// drain accounts one inbox frame: dropped by a crashed node, else
+// decoded into the node's scratch and handed to the engine, which copies
+// what it keeps.
+func (n *node) drain(msg ctrlMsg) {
+	if !n.alive {
+		n.ctrl.NodeDown++
+		return
+	}
+	src, pkt, err := ripng.UnwrapUDP(n.rtes, msg.data)
+	if err == nil {
+		err = n.eng.Receive(msg.iface, src, pkt)
+	}
+	if err != nil {
+		n.ctrl.Garbage++
+		return
+	}
+	n.ctrl.Received++
+}
+
+// framePool recycles control frames, which live one tick: encoded at t,
+// drained and put back at t+1.
+var framePool = sync.Pool{New: func() any { return new([ripng.MaxFrameBytes]byte) }}
+
+// putFrame returns a drained buffer to the pool when it can hold any
+// frame (cap ≥ MaxFrameBytes) — a storm frame or a corrupted copy whose
+// size class rounds up that far included — and leaves a smaller one to
+// the collector.
+func putFrame(b []byte) {
+	if cap(b) >= ripng.MaxFrameBytes {
+		framePool.Put((*[ripng.MaxFrameBytes]byte)(b[:ripng.MaxFrameBytes]))
+	}
+}
+
+// transmit wraps one RIPng packet in UDP/IPv6 in a pooled buffer and
+// sends it down the wire to neighbour nb, accounting its fate. A frame
+// the wire loses, or replaces by a corrupted copy, goes straight back.
 func (n *node) transmit(now int64, f int, nb nbr, op ripng.OutPacket) {
-	data, err := ripng.WrapUDP(n.lls[f], op.Dst, op.Pkt)
+	data, err := ripng.WrapUDP(framePool.Get().(*[ripng.MaxFrameBytes]byte)[:0], n.lls[f], op.Dst, op.Pkt)
 	if err != nil {
 		panic(err)
 	}
 	sent, ok := nb.out.Transmit(now, data)
+	if !ok || &sent[0] != &data[0] {
+		putFrame(data)
+	}
 	if !ok {
 		if !nb.out.Up(now) {
 			n.ctrl.LostDown++

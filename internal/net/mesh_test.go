@@ -132,3 +132,27 @@ func (w *testWriter) Write(p []byte) (int, error) {
 	*w = append(*w, p...)
 	return len(p), nil
 }
+
+// raceEnabled is set under the race detector, whose sync.Pool drops a
+// share of what is put back on purpose.
+var raceEnabled bool
+
+// Once converged, a mesh's control plane recycles its buffers: frames,
+// exported RTEs and decoded RTEs come from pools, and Collect reuses its
+// batch slices. A steady-state tick of a fat-tree-4 (20 nodes, a
+// periodic update every DefaultUpdateTicks) measures one allocation, the
+// per-tick node closure; a fresh frame per transmission or a fresh batch
+// per Collect adds several per tick.
+func TestSteadyStateTickAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers")
+	}
+	m := mustMesh(t, "fattree", 4, Options{Seed: 1})
+	if _, ok := m.RunUntilConverged(m.convergeBudget()); !ok {
+		t.Fatalf("no convergence: %s", m.Divergence())
+	}
+	m.RunTicks(2 * int64(DefaultUpdateTicks)) // fill the pools
+	if got := testing.AllocsPerRun(4*int(DefaultUpdateTicks), m.Step); got > 1 {
+		t.Errorf("a steady-state tick allocates %v times, want at most 1", got)
+	}
+}

@@ -8,12 +8,12 @@
 //
 // Each node runs a real RIPng engine (internal/ripng) over its own
 // forwarding table; control packets cross edges as full UDP/IPv6 frames
-// (ripng.WrapUDP), so link corruption is caught by the UDP checksum and
-// audited, exactly as on the wire. Probe datagrams injected at stub
-// nodes traverse the mesh one hop per tick through each node's data
-// plane — router.Classify for golden nodes, the cycle-accurate TACO
-// pipeline for TACO nodes, with every TACO hop differentially checked
-// against the golden decision.
+// in pooled buffers that live one tick, so link corruption is caught by
+// the UDP checksum and audited, exactly as on the wire. Probe datagrams
+// injected at stub nodes traverse the mesh one hop per tick through
+// each node's data plane — router.Classify for golden nodes, the
+// cycle-accurate TACO pipeline for TACO nodes, with every TACO hop
+// differentially checked against the golden decision.
 //
 // On top of the mesh, campaign.go runs seeded chaos campaigns — link
 // flaps, partitions and heals, node crashes and restarts, poison

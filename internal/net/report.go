@@ -199,7 +199,7 @@ func ConvergenceCurve(kind string, sizes []int, opt Options) ([]CurvePoint, erro
 		ticks, ok := m.RunUntilConverged(m.convergeBudget())
 		pts = append(pts, CurvePoint{
 			Topo: topo.Name, Kind: topo.Kind, Size: size, Nodes: topo.N,
-			Edges: len(topo.Edges), Diameter: topo.Diameter(),
+			Edges: len(topo.Edges), Diameter: m.diameter,
 			Prefixes: len(topo.StubOwners), Ticks: ticks, Converged: ok,
 		})
 	}

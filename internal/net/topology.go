@@ -195,9 +195,8 @@ func (t Topology) Diameter() int {
 		}
 		dist[s] = 0
 		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
 			for _, v := range adj[u] {
 				if dist[v] < 0 {
 					dist[v] = dist[u] + 1

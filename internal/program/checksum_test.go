@@ -100,7 +100,7 @@ func TestChecksumVerifyMatchesSoftware(t *testing.T) {
 			})
 		}
 		src := ipv6.MustParseAddr("fe80::7")
-		d, err := ripng.WrapUDP(src, ipv6.AllRIPRouters, pkt)
+		d, err := ripng.WrapUDP(nil, src, ipv6.AllRIPRouters, pkt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestChecksumVerifyMatchesSoftware(t *testing.T) {
 		if verify(t, m, mmu, prog, bad) {
 			t.Fatalf("trial %d: hardware accepted a corrupted datagram (byte %d)", trial, idx)
 		}
-		if _, _, err := ripng.UnwrapUDP(bad); err == nil {
+		if _, _, err := ripng.UnwrapUDP(nil, bad); err == nil {
 			t.Fatalf("trial %d: software accepted the same corruption", trial)
 		}
 	}

@@ -2,6 +2,7 @@ package ripng
 
 import (
 	"fmt"
+	"sync"
 
 	"taco/internal/bits"
 	"taco/internal/ipv6"
@@ -72,7 +73,10 @@ type Engine struct {
 	timeout    Clock
 	gc         Clock
 
-	out []OutPacket
+	// out and chunks are the packets queued for the next Collect and
+	// their RTEs; lent and lentChunks are the batch the last one returned.
+	out, lent          []OutPacket
+	chunks, lentChunks []*rteChunk
 
 	// Stats counters.
 	responsesIn, requestsIn, updatesOut int64
@@ -210,7 +214,7 @@ func (e *Engine) Receive(iface int, src ipv6.Addr, p Packet) error {
 
 func (e *Engine) handleRequest(iface int, src ipv6.Addr, p Packet) error {
 	if IsWholeTableRequest(p) {
-		e.queueResponses(iface, src, e.exportRTEs(iface, false))
+		e.queueResponses(iface, src, false)
 		return nil
 	}
 	if len(p.RTEs) == 0 {
@@ -357,7 +361,7 @@ func (e *Engine) Tick(now Clock) {
 // flags.
 func (e *Engine) emit(changedOnly bool) {
 	for i := range e.ifaces {
-		e.queueResponses(i, ipv6.AllRIPRouters, e.exportRTEs(i, changedOnly))
+		e.queueResponses(i, ipv6.AllRIPRouters, changedOnly)
 	}
 	for _, r := range e.order {
 		r.changed = false
@@ -376,44 +380,51 @@ func (e *Engine) exportOne(r *ripRoute, iface int) RTE {
 	return RTE{Prefix: r.prefix, Metric: m, Tag: r.tag}
 }
 
-// exportRTEs lists the routes — only the flagged ones when changedOnly —
-// as advertised on iface, in an exact-size slice.
-func (e *Engine) exportRTEs(iface int, changedOnly bool) []RTE {
-	n := len(e.order)
-	if changedOnly {
-		n = e.changed
-	}
-	rtes := make([]RTE, 0, n)
+// rteChunk holds one response packet's RTEs.
+type rteChunk [MaxRTEsPerPacket]RTE
+
+// chunkPool is shared by every engine, so the chunks in use stay near
+// one round of updates instead of each engine keeping its own peak.
+var chunkPool = sync.Pool{New: func() any { return new(rteChunk) }}
+
+// queueResponses queues the routes — only the flagged ones when
+// changedOnly — as advertised on iface, each MTU-sized packet exported
+// straight into a pooled chunk. A packet's RTEs are capped at its length,
+// so an append cannot reach another packet's entries; queued RTEs are
+// read-only from here on.
+func (e *Engine) queueResponses(iface int, dst ipv6.Addr, changedOnly bool) {
+	var c *rteChunk
+	n := 0
 	for _, r := range e.order {
-		if !changedOnly || r.changed {
-			rtes = append(rtes, e.exportOne(r, iface))
+		if changedOnly && !r.changed {
+			continue
 		}
-	}
-	return rtes
-}
-
-// queueResponses splits rtes across MTU-sized packets. The packets share
-// rtes' backing array (capped, so an append cannot reach a neighbour's
-// entries); queued RTEs are read-only from here on.
-func (e *Engine) queueResponses(iface int, dst ipv6.Addr, rtes []RTE) {
-	for len(rtes) > 0 {
-		n := len(rtes)
-		if n > MaxRTEsPerPacket {
-			n = MaxRTEsPerPacket
+		if n == 0 {
+			c = chunkPool.Get().(*rteChunk)
+			e.chunks = append(e.chunks, c)
+			e.out = append(e.out, OutPacket{Iface: iface, Dst: dst, Pkt: Packet{Command: CommandResponse}})
 		}
-		e.out = append(e.out, OutPacket{
-			Iface: iface, Dst: dst,
-			Pkt: Packet{Command: CommandResponse, RTEs: rtes[:n:n]},
-		})
-		rtes = rtes[n:]
+		c[n] = e.exportOne(r, iface)
+		n++
+		e.out[len(e.out)-1].Pkt.RTEs = c[:n:n]
+		n %= MaxRTEsPerPacket
 	}
 }
 
-// Collect drains the queued outgoing packets.
+// Collect returns the packets queued since the last Collect. The batch —
+// the slice and every packet's RTEs — stays valid until the engine's next
+// Collect, which recycles its storage; a caller that keeps packets longer
+// copies them.
 func (e *Engine) Collect() []OutPacket {
-	out := e.out
-	e.out = nil
-	return out
+	for _, c := range e.lentChunks {
+		chunkPool.Put(c)
+	}
+	clear(e.lentChunks)
+	clear(e.lent)
+	batch := e.out
+	e.out, e.lent = e.lent[:0], batch
+	e.chunks, e.lentChunks = e.lentChunks[:0], e.chunks
+	return batch
 }
 
 // RouteCount returns the number of RIPng routes (including poisoned ones

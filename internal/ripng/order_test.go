@@ -2,6 +2,7 @@ package ripng
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"taco/internal/bits"
@@ -183,6 +184,56 @@ func TestQueuedPacketsAreCapped(t *testing.T) {
 	_ = append(out[0].Pkt.RTEs, RTE{Metric: 9})
 	if out[1].Pkt.RTEs[0] != first {
 		t.Error("append to the first packet overwrote the second")
+	}
+}
+
+// A batch from Collect stays intact until the engine's next Collect,
+// whatever the engine queues meanwhile: answers to requests, triggered
+// updates provoked by a response, and a periodic update.
+func TestCollectBatchStableUntilNextCollect(t *testing.T) {
+	e := newTestEngine(t, 2)
+	learned := Packet{Command: CommandResponse}
+	for i := 0; i < MaxRTEsPerPacket+5; i++ {
+		learned.RTEs = append(learned.RTEs, RTE{Prefix: stubN(i), Metric: 1})
+	}
+	if err := e.Receive(0, ll(2), learned); err != nil {
+		t.Fatal(err)
+	}
+	// Metric 2 out of interface 1; the same routes go out of interface 0
+	// poisoned, so an answer there that reused the batch's RTEs shows.
+	if err := e.Receive(1, ll(9), WholeTableRequest()); err != nil {
+		t.Fatal(err)
+	}
+	batch := e.Collect()
+	if len(batch) != 2 {
+		t.Fatalf("%d packets, want 2", len(batch))
+	}
+	want := make([]OutPacket, len(batch))
+	for i, op := range batch {
+		want[i] = op
+		want[i].Pkt.RTEs = slices.Clone(op.Pkt.RTEs)
+	}
+
+	if err := e.Receive(0, ll(2), WholeTableRequest()); err != nil {
+		t.Fatal(err)
+	}
+	more := Packet{Command: CommandResponse}
+	for i := 0; i < MaxRTEsPerPacket; i++ {
+		more.RTEs = append(more.RTEs, RTE{Prefix: stubN(1000 + i), Metric: 2})
+	}
+	if err := e.Receive(1, ll(9), more); err != nil {
+		t.Fatal(err)
+	}
+	e.Tick(DefaultUpdateSeconds)
+
+	for i, op := range batch {
+		if op.Iface != want[i].Iface || op.Dst != want[i].Dst || op.Pkt.Command != want[i].Pkt.Command ||
+			!slices.Equal(op.Pkt.RTEs, want[i].Pkt.RTEs) {
+			t.Fatalf("packet %d of the first batch changed before the next Collect", i)
+		}
+	}
+	if next := e.Collect(); len(next) == 0 {
+		t.Fatal("the second batch is empty")
 	}
 }
 

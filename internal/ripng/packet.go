@@ -36,6 +36,9 @@ const (
 	// MaxRTEsPerPacket keeps packets under a 1500-byte IPv6 MTU
 	// (RFC 2080 §2.1: (MTU - headers) / 20).
 	MaxRTEsPerPacket = 70
+	// MaxFrameBytes is the largest frame WrapUDP builds for a packet of
+	// at most MaxRTEsPerPacket entries: 1 452 bytes.
+	MaxFrameBytes = ipv6.HeaderBytes + ipv6.UDPHeaderBytes + HeaderBytes + MaxRTEsPerPacket*RTEBytes
 )
 
 // RTE is one routing table entry on the wire.
@@ -69,8 +72,10 @@ func (p Packet) appendTo(out []byte) []byte {
 	return out
 }
 
-// Parse decodes a RIPng packet.
-func Parse(b []byte) (Packet, error) {
+// Parse decodes a RIPng packet. Its RTEs are decoded into rtes' storage
+// when it has room for them and into a new exact-size slice otherwise;
+// pass nil for a fresh one.
+func Parse(rtes []RTE, b []byte) (Packet, error) {
 	if len(b) < HeaderBytes {
 		return Packet{}, fmt.Errorf("ripng: packet of %d bytes too short", len(b))
 	}
@@ -85,10 +90,10 @@ func Parse(b []byte) (Packet, error) {
 	if len(body)%RTEBytes != 0 {
 		return Packet{}, fmt.Errorf("ripng: body of %d bytes not a multiple of %d", len(body), RTEBytes)
 	}
-	p := Packet{Command: cmd}
-	if len(body) > 0 {
-		p.RTEs = make([]RTE, 0, len(body)/RTEBytes)
+	if n := len(body) / RTEBytes; cap(rtes) < n {
+		rtes = make([]RTE, 0, n)
 	}
+	p := Packet{Command: cmd, RTEs: rtes[:0]}
 	for off := 0; off < len(body); off += RTEBytes {
 		addr := bits.Word128{
 			Hi: binary.BigEndian.Uint64(body[off:]),
@@ -130,10 +135,11 @@ func IsWholeTableRequest(p Packet) bool {
 }
 
 // WrapUDP encapsulates a RIPng packet in UDP+IPv6 for transmission from
-// src (a link-local address) to dst. The frame is built in one buffer:
-// IPv6 header, UDP header with a zero checksum, RIPng body, then the
-// checksum patched in over the finished body.
-func WrapUDP(src, dst ipv6.Addr, p Packet) ([]byte, error) {
+// src (a link-local address) to dst. The frame is built in one buffer —
+// buf's storage when it has room for the frame, a new exact-size one
+// otherwise (pass nil): IPv6 header, UDP header with a zero checksum,
+// RIPng body, then the checksum patched in over the finished body.
+func WrapUDP(buf []byte, src, dst ipv6.Addr, p Packet) ([]byte, error) {
 	const udpOff, bodyOff = ipv6.HeaderBytes, ipv6.HeaderBytes + ipv6.UDPHeaderBytes
 	udpLen := ipv6.UDPHeaderBytes + p.wireLen()
 	if udpLen > 0xffff {
@@ -147,7 +153,10 @@ func WrapUDP(src, dst ipv6.Addr, p Packet) ([]byte, error) {
 		Dst:        dst,
 	}
 	uh := ipv6.UDPHeader{SrcPort: Port, DstPort: Port, Length: uint16(udpLen)}
-	out := h.Marshal(make([]byte, 0, udpOff+udpLen))
+	if cap(buf) < udpOff+udpLen {
+		buf = make([]byte, 0, udpOff+udpLen)
+	}
+	out := h.Marshal(buf[:0])
 	out = binary.BigEndian.AppendUint16(out, uh.SrcPort)
 	out = binary.BigEndian.AppendUint16(out, uh.DstPort)
 	out = binary.BigEndian.AppendUint16(out, uh.Length)
@@ -157,8 +166,9 @@ func WrapUDP(src, dst ipv6.Addr, p Packet) ([]byte, error) {
 }
 
 // UnwrapUDP extracts a RIPng packet from a full IPv6 datagram, verifying
-// the UDP checksum and port.
-func UnwrapUDP(datagram []byte) (src ipv6.Addr, p Packet, err error) {
+// the UDP checksum and port. The RTEs are decoded as Parse decodes them,
+// into rtes' storage when it has room.
+func UnwrapUDP(rtes []RTE, datagram []byte) (src ipv6.Addr, p Packet, err error) {
 	h, err := ipv6.ParseHeader(datagram)
 	if err != nil {
 		return src, p, err
@@ -177,7 +187,7 @@ func UnwrapUDP(datagram []byte) (src ipv6.Addr, p Packet, err error) {
 	if uh.DstPort != Port {
 		return src, p, fmt.Errorf("ripng: UDP port %d, want %d", uh.DstPort, Port)
 	}
-	pkt, err := Parse(payload)
+	pkt, err := Parse(rtes, payload)
 	if err != nil {
 		return src, p, err
 	}

@@ -30,7 +30,7 @@ func TestPacketRoundTrip(t *testing.T) {
 		{Prefix: pfx("2001:db8:1::/48"), Metric: 16},
 		{Prefix: pfx("::/0"), Metric: 1},
 	}}
-	got, err := Parse(p.Marshal())
+	got, err := Parse(nil, p.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestParseErrors(t *testing.T) {
 		"bad pfx len": func() []byte { b := append([]byte{}, good...); b[HeaderBytes+18] = 200; return b }(),
 	}
 	for name, b := range cases {
-		if _, err := Parse(b); err == nil {
+		if _, err := Parse(nil, b); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -63,7 +63,7 @@ func TestParseErrors(t *testing.T) {
 	nh := append([]byte{2, 1, 0, 0}, make([]byte, 20)...)
 	nh[HeaderBytes+19] = NextHopMetric
 	nh[HeaderBytes+18] = 200 // length field unused in next-hop RTEs
-	if _, err := Parse(nh); err != nil {
+	if _, err := Parse(nil, nh); err != nil {
 		t.Errorf("next-hop RTE rejected: %v", err)
 	}
 }
@@ -80,11 +80,11 @@ func TestWholeTableRequest(t *testing.T) {
 
 func TestWrapUnwrapUDP(t *testing.T) {
 	p := Packet{Command: CommandResponse, RTEs: []RTE{{Prefix: pfx("2001:db8::/32"), Metric: 2}}}
-	d, err := WrapUDP(ll(1), ipv6.AllRIPRouters, p)
+	d, err := WrapUDP(nil, ll(1), ipv6.AllRIPRouters, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, got, err := UnwrapUDP(d)
+	src, got, err := UnwrapUDP(nil, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestWrapUnwrapUDP(t *testing.T) {
 	}
 	// Corruption must be detected by the UDP checksum.
 	d[50] ^= 0xff
-	if _, _, err := UnwrapUDP(d); err == nil {
+	if _, _, err := UnwrapUDP(nil, d); err == nil {
 		t.Error("corrupted datagram unwrapped")
 	}
 }

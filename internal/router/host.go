@@ -52,7 +52,7 @@ func NewHost(r *TACO, e *ripng.Engine) *Host {
 // for the router's own addresses are answered.
 func (h *Host) PumpLocal() error {
 	for _, d := range h.Router.LocalQueue() {
-		if src, pkt, err := ripng.UnwrapUDP(d.Data); err == nil {
+		if src, pkt, err := ripng.UnwrapUDP(nil, d.Data); err == nil {
 			iface, ok := h.NeighborIface[src]
 			if !ok {
 				h.Dropped++
@@ -126,7 +126,7 @@ func (h *Host) FlushUpdates() error {
 		if op.Iface < 0 || op.Iface >= h.Router.Ifaces() {
 			return fmt.Errorf("router: update for bad interface %d", op.Iface)
 		}
-		d, err := ripng.WrapUDP(h.Engine.LinkLocal(op.Iface), op.Dst, op.Pkt)
+		d, err := ripng.WrapUDP(nil, h.Engine.LinkLocal(op.Iface), op.Dst, op.Pkt)
 		if err != nil {
 			return err
 		}

@@ -60,7 +60,7 @@ func TestRIPngThroughTACODatapath(t *testing.T) {
 			update := ripng.Packet{Command: ripng.CommandResponse, RTEs: []ripng.RTE{{
 				Prefix: ipv6.MustParsePrefix("2001:db8:77::/48"), Metric: 1,
 			}}}
-			ud, err := ripng.WrapUDP(neighbor, ipv6.AllRIPRouters, update)
+			ud, err := ripng.WrapUDP(nil, neighbor, ipv6.AllRIPRouters, update)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestRIPngThroughTACODatapath(t *testing.T) {
 			total := 0
 			for i := 0; i < nIfaces; i++ {
 				for _, d := range tr.Outputs(i) {
-					src, pkt, err := ripng.UnwrapUDP(d.Data)
+					src, pkt, err := ripng.UnwrapUDP(nil, d.Data)
 					if err != nil {
 						t.Fatalf("iface %d: bad update: %v", i, err)
 					}

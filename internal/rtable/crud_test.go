@@ -160,21 +160,27 @@ func runCRUD(t *testing.T, tbl rtable.Table, steps []crudStep) {
 	}
 }
 
+type crudBackend struct {
+	name string
+	new  func() rtable.Table
+}
+
+// crudBackends is every kind plus a minimum-block tiled TCAM.
+func crudBackends() []crudBackend {
+	var backends []crudBackend
+	for _, k := range rtable.Kinds {
+		backends = append(backends, crudBackend{k.String(), func() rtable.Table { return rtable.New(k) }})
+	}
+	return append(backends, crudBackend{"tiled-tcam/min-block", func() rtable.Table {
+		return rtable.NewTiledTCAM(rtable.TiledTCAMConfig{BlockSize: rtable.MinTiledBlockSize, MergeFill: 0.5})
+	}})
+}
+
 // TestCRUDConformance runs every script on every backend; the
 // minimum-block tiled TCAM must also have split and merged on the bulk
 // script, so its deletes crossed real merges.
 func TestCRUDConformance(t *testing.T) {
-	type backend struct {
-		name string
-		new  func() rtable.Table
-	}
-	var backends []backend
-	for _, k := range rtable.Kinds {
-		backends = append(backends, backend{k.String(), func() rtable.Table { return rtable.New(k) }})
-	}
-	backends = append(backends, backend{"tiled-tcam/min-block", func() rtable.Table {
-		return rtable.NewTiledTCAM(rtable.TiledTCAMConfig{BlockSize: rtable.MinTiledBlockSize, MergeFill: 0.5})
-	}})
+	backends := crudBackends()
 	for _, c := range crudCases(t) {
 		for _, b := range backends {
 			t.Run(c.name+"/"+b.name, func(t *testing.T) {
