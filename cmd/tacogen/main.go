@@ -1,11 +1,12 @@
 // Command tacogen is the processor design tool of the TACO flow (paper
 // reference [14]): from one architecture instance it generates the
-// top-level description files for all three development models —
-// synthesis (VHDL), simulation (JSON) and physical estimation (Matlab).
+// synthesis model — the VHDL top level and the component library. The
+// simulation model is the Go machine (tacosim -describe prints its
+// socket map) and the estimation model is internal/estimate.
 //
 // Usage:
 //
-//	tacogen [-config 3bus3fu] [-table tree] [-model vhdl|library|json|matlab|all] [-dir out]
+//	tacogen [-config 3bus3fu] [-table tree] [-model vhdl|library|all] [-dir out]
 package main
 
 import (
@@ -16,7 +17,6 @@ import (
 	"strings"
 
 	"taco/internal/cliutil"
-	"taco/internal/estimate"
 	"taco/internal/fu"
 	"taco/internal/gen"
 	"taco/internal/linecard"
@@ -27,7 +27,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	c := cliutil.New("tacogen", stdout, stderr, "config", "table", "cpuprofile", "memprofile")
-	model := c.String("model", "all", "model: vhdl | library | json | matlab | all")
+	model := c.String("model", "all", "model: vhdl | library | all")
 	dir := c.String("dir", "", "write files into this directory instead of stdout")
 	return c.Run(args, func() error {
 		kind, cfg, err := c.Arch()
@@ -38,17 +38,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return err
 		}
-		models, err := gen.Generate(cfg, m, estimate.Default180nm())
+		vhdl, err := gen.VHDLTopLevel(cfg, m)
 		if err != nil {
 			return err
 		}
 		matched := false
 		base := strings.ToLower(strings.NewReplacer("/", "_", ",", "_").Replace(cfg.Name))
 		for _, f := range []struct{ model, name, content string }{
-			{"vhdl", "taco_" + base + ".vhd", models.VHDL},
-			{"library", "taco_components.vhd", models.Library},
-			{"json", "taco_" + base + ".json", models.JSON},
-			{"matlab", "taco_" + base + ".m", models.Matlab},
+			{"vhdl", "taco_" + base + ".vhd", vhdl},
+			{"library", "taco_components.vhd", gen.WriteLibrary(m)},
 		} {
 			if *model != f.model && *model != "all" {
 				continue
@@ -65,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "wrote %s (%d bytes)\n", path, len(f.content))
 		}
 		if !matched {
-			return cliutil.Usage(fmt.Errorf("unknown model %q (want vhdl | library | json | matlab | all)", *model))
+			return cliutil.Usage(fmt.Errorf("unknown model %q (want vhdl | library | all)", *model))
 		}
 		return nil
 	})

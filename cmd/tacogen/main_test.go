@@ -24,7 +24,7 @@ func TestModelsOnStdoutAndInDir(t *testing.T) {
 		t.Fatalf("-dir: exit %d: %s", code, stderr.String())
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "*"))
-	if len(files) != 4 || strings.Count(listing.String(), "wrote ") != 4 {
+	if len(files) != 2 || strings.Count(listing.String(), "wrote ") != 2 {
 		t.Fatalf("-dir wrote %v\n%s", files, listing.String())
 	}
 	for _, f := range files {
@@ -39,11 +39,10 @@ func TestModelsOnStdoutAndInDir(t *testing.T) {
 }
 
 // The files under testdata/gen/ pin what tacogen writes for the nine
-// Table 1 instances: each table's directory holds the VHDL top level,
-// JSON description and Matlab script of its three configurations, and
-// taco_components.vhd is the one component library every instance
-// writes. They were captured before the unit kinds moved into one
-// fu.UnitKinds table.
+// Table 1 instances: each table's directory holds the VHDL top levels of
+// its three configurations, and taco_components.vhd is the one component
+// library every instance writes. They were captured before the unit
+// kinds moved into one fu.UnitKinds table.
 func TestModelsMatchGoldens(t *testing.T) {
 	golden := filepath.Join("..", "..", "testdata", "gen")
 	library, err := os.ReadFile(filepath.Join(golden, "taco_components.vhd"))
@@ -58,7 +57,7 @@ func TestModelsMatchGoldens(t *testing.T) {
 				t.Fatalf("%s/%s: exit %d: %s", kind, config, code, stderr.String())
 			}
 			files, _ := filepath.Glob(filepath.Join(dir, "*"))
-			if len(files) != 4 {
+			if len(files) != 2 {
 				t.Fatalf("%s/%s wrote %v", kind, config, files)
 			}
 			for _, f := range files {
@@ -87,10 +86,12 @@ func TestExitStatus(t *testing.T) {
 		code   int
 		stderr string
 	}{
-		{[]string{"-table", "seq", "-model", "json"}, 0, ""}, // aliases, like every tool's parser
+		{[]string{"-table", "seq", "-model", "vhdl"}, 0, ""}, // aliases, like every tool's parser
 		{[]string{"-table", "hash"}, 2, `"hash"`},
 		{[]string{"-config", "5bus"}, 2, `unknown config "5bus"`},
-		{[]string{"-model", "vhd"}, 2, `unknown model "vhd" (want vhdl | library | json | matlab | all)`},
+		{[]string{"-model", "vhd"}, 2, `unknown model "vhd" (want vhdl | library | all)`},
+		{[]string{"-model", "json"}, 2, `unknown model "json" (want vhdl | library | all)`},
+		{[]string{"-model", "matlab"}, 2, `unknown model "matlab" (want vhdl | library | all)`},
 		{[]string{"-h"}, 0, "-model"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -25,10 +25,7 @@ func EvaluateCAMConverged(cfg fu.Config, cons Constraints, sim SimOptions) (Metr
 		return Metrics{}, 0, fmt.Errorf("core: converged evaluation applies to CAM configurations")
 	}
 	searchNs := rtable.DefaultCAMConfig().SearchNs
-	wait := cfg.CAMWaitCycles
-	if wait < 1 {
-		wait = 1
-	}
+	wait := cfg.CAMWaitCycles // Evaluate rejects a wait below 1
 	var m Metrics
 	var shared SweepCache // every iteration simulates the same workload
 	for iter := 1; ; iter++ {

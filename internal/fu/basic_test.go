@@ -344,6 +344,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("tiny memory accepted")
 	}
+	bad = good
+	bad.CAMWaitCycles = 0
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "need ≥1 CAM wait cycle") {
+		t.Errorf("0 CAM wait cycles: err = %v", err)
+	}
 }
 
 // Each UnitKinds entry reads its own Config field (Name+"s",

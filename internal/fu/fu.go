@@ -98,6 +98,9 @@ func (c Config) Validate() error {
 	if c.MemWords < 64 {
 		return fmt.Errorf("fu: config %q: memory too small (%d words)", c.Name, c.MemWords)
 	}
+	if c.CAMWaitCycles < 1 {
+		return fmt.Errorf("fu: config %q: need ≥1 CAM wait cycle", c.Name)
+	}
 	return nil
 }
 
@@ -108,8 +111,8 @@ type UnitKind struct {
 	// Stem prefixes each instance's name: cnt0, cnt1, ...
 	Stem string
 	// Name is the type: "counter" is also the taco_counter component
-	// and the estimate's module key, "counters" the word Validate and
-	// the Matlab script use for the count.
+	// and the estimate's module key, "counters" the word Validate uses
+	// for the count.
 	Name string
 	// New builds one instance named name.
 	New func(name string) tta.Unit
@@ -182,6 +185,17 @@ type RouterUnits struct {
 	RTU RTU
 }
 
+// RTUKinds declares each routing-table unit backend once, keyed by the
+// table kind it serves: the entry builds the unit unbound, and
+// NewRouterMachine binds it to the machine's table. Its keys are the
+// paper's kinds (rtable.Backend.Paper), the ones with a forwarding
+// kernel.
+var RTUKinds = map[rtable.Kind]func(name string, cfg Config) RTU{
+	rtable.Sequential:   func(n string, _ Config) RTU { return NewRTUSeq(n) },
+	rtable.BalancedTree: func(n string, _ Config) RTU { return NewRTUTree(n) },
+	rtable.CAM:          func(n string, c Config) RTU { return NewRTUCAM(n, c.CAMWaitCycles) },
+}
+
 // NewComputeMachine builds a machine with only the computational units
 // (no router I/O, no routing table) — sufficient for the Figure 3
 // example and the assembler/scheduler tests.
@@ -201,8 +215,13 @@ func NewRouterMachine(cfg Config, tbl rtable.Table, bank *linecard.Bank) (*tta.M
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if tbl.Kind() != cfg.Table {
-		return nil, nil, fmt.Errorf("fu: config wants %v table, got %v", cfg.Table, tbl.Kind())
+	newRTU, ok := RTUKinds[cfg.Table]
+	if !ok {
+		return nil, nil, fmt.Errorf("fu: no RTU backend for %v tables", cfg.Table)
+	}
+	rtu := newRTU("rtu", cfg)
+	if err := rtu.Bind(tbl); err != nil {
+		return nil, nil, err
 	}
 	mmu := NewMMU("mmu", cfg.MemWords)
 	ippu := NewIPPU("ippu", bank, mmu)
@@ -210,18 +229,6 @@ func NewRouterMachine(cfg Config, tbl rtable.Table, bank *linecard.Bank) (*tta.M
 	oppu.SeqLookup = ippu.SeqAt
 	oppu.StoredCycleLookup = ippu.StoredCycleAt
 	liu := NewLIU("liu")
-
-	var rtu RTU
-	switch t := tbl.(type) {
-	case *rtable.SequentialTable:
-		rtu = NewRTUSeq("rtu", t)
-	case *rtable.BalancedTreeTable:
-		rtu = NewRTUTree("rtu", t)
-	case *rtable.CAMTable:
-		rtu = NewRTUCAM("rtu", t, cfg.CAMWaitCycles)
-	default:
-		return nil, nil, fmt.Errorf("fu: no RTU backend for %v tables", tbl.Kind())
-	}
 
 	units := computeUnits(cfg)
 	units = append(units, mmu, rtu, liu, ippu, oppu)

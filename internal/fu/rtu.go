@@ -18,8 +18,9 @@ type RTU interface {
 	// Loads counts the table accesses since Reset: entry or node loads,
 	// or searches started.
 	Loads() int64
-	// Bind re-points the unit at t, which must be of the unit's backend;
-	// any other table is rejected and leaves the unit untouched.
+	// Bind points the unit at t, which must be of the unit's backend;
+	// any other table is rejected and leaves the unit untouched. A unit
+	// is built unbound (RTUKinds) and must be bound before it runs.
 	Bind(t rtable.Table) error
 }
 
@@ -67,10 +68,10 @@ type seqRec struct {
 	lenp1 uint32
 }
 
-// NewRTUSeq returns a sequential-backend routing-table unit. count is
-// read live from the table, so it has no slot.
-func NewRTUSeq(name string, t *rtable.SequentialTable) *RTUSeq {
-	u := &RTUSeq{table: t}
+// NewRTUSeq returns an unbound sequential-backend routing-table unit.
+// count is read live from the table, so it has no slot.
+func NewRTUSeq(name string) *RTUSeq {
+	u := &RTUSeq{}
 	u.PortTable = tta.PortTable{Name: name, Sockets: []tta.Port{
 		trig("tidx", &u.tidx),
 		result("p0", &u.p[0]), result("p1", &u.p[1]), result("p2", &u.p[2]), result("p3", &u.p[3]),
@@ -178,10 +179,10 @@ type treeRec struct {
 	left, right, ifc uint32
 }
 
-// NewRTUTree returns a balanced-tree-backend routing-table unit. root is
-// read live from the table, so it has no slot.
-func NewRTUTree(name string, t *rtable.BalancedTreeTable) *RTUTree {
-	u := &RTUTree{table: t}
+// NewRTUTree returns an unbound balanced-tree-backend routing-table
+// unit. root is read live from the table, so it has no slot.
+func NewRTUTree(name string) *RTUTree {
+	u := &RTUTree{}
 	u.PortTable = tta.PortTable{Name: name, Sockets: []tta.Port{
 		trig("tnode", &u.tnode),
 		result("f0", &u.f[0]), result("f1", &u.f[1]), result("f2", &u.f[2]), result("f3", &u.f[3]),
@@ -290,14 +291,11 @@ type RTUCAM struct {
 	searches int64
 }
 
-// NewRTUCAM returns a CAM-backend routing-table unit with the given
-// search latency in cycles. The hit result is the hit flag read as a
-// word, on demand.
-func NewRTUCAM(name string, t *rtable.CAMTable, waitCycles int) *RTUCAM {
-	if waitCycles < 1 {
-		waitCycles = 1
-	}
-	u := &RTUCAM{table: t, wait: waitCycles, ready: true}
+// NewRTUCAM returns an unbound CAM-backend routing-table unit with the
+// given search latency in cycles (Config.Validate holds it ≥ 1). The hit
+// result is the hit flag read as a word, on demand.
+func NewRTUCAM(name string, waitCycles int) *RTUCAM {
+	u := &RTUCAM{wait: waitCycles, ready: true}
 	u.PortTable = tta.PortTable{Name: name, Sockets: []tta.Port{
 		operand("a0", &u.a[0]), operand("a1", &u.a[1]), operand("a2", &u.a[2]),
 		trig("tlook", &u.tlook),

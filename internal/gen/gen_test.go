@@ -1,11 +1,11 @@
 package gen
 
 import (
-	"encoding/json"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
-	"taco/internal/estimate"
 	"taco/internal/fu"
 	"taco/internal/linecard"
 	"taco/internal/rtable"
@@ -20,18 +20,6 @@ func testMachine(t *testing.T, cfg fu.Config) *tta.Machine {
 		t.Fatal(err)
 	}
 	return m
-}
-
-func TestGenerateAllModels(t *testing.T) {
-	cfg := fu.Config3Bus3FU(rtable.BalancedTree)
-	m := testMachine(t, cfg)
-	models, err := Generate(cfg, m, estimate.Default180nm())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if models.VHDL == "" || models.JSON == "" || models.Matlab == "" {
-		t.Fatal("empty model output")
-	}
 }
 
 func TestVHDLStructure(t *testing.T) {
@@ -89,48 +77,6 @@ func TestVHDLDeterministic(t *testing.T) {
 	}
 }
 
-func TestSimDescriptionRoundTrips(t *testing.T) {
-	cfg := fu.Config3Bus1FU(rtable.CAM)
-	m := testMachine(t, cfg)
-	js, err := SimDescription(cfg, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]interface{}
-	if err := json.Unmarshal([]byte(js), &decoded); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if decoded["buses"].(float64) != 3 {
-		t.Errorf("buses = %v", decoded["buses"])
-	}
-	if decoded["routingTable"].(string) != "cam" {
-		t.Errorf("routingTable = %v", decoded["routingTable"])
-	}
-	units := decoded["units"].([]interface{})
-	if len(units) != len(m.Units()) {
-		t.Errorf("%d units serialised, machine has %d", len(units), len(m.Units()))
-	}
-}
-
-func TestMatlabScriptContents(t *testing.T) {
-	cfg := fu.Config3Bus3FU(rtable.BalancedTree)
-	s := MatlabScript(cfg, estimate.Default180nm())
-	for _, want := range []string{
-		"tech.fmax", "tech.vdd", "cfg.buses       = 3",
-		"cfg.matchers    = 3", "cfg.maskers     = 1",
-		"P(f) = Ceff",
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("Matlab script missing %q", want)
-		}
-	}
-	// The script carries no per-module model, so it may not claim to
-	// track one.
-	if strings.Contains(s, "lockstep") {
-		t.Error("Matlab script claims a lockstep no test checks")
-	}
-}
-
 func TestComponentLibraryCoversTopLevel(t *testing.T) {
 	// Every component the top level instantiates must exist in the
 	// library, with an operation body, for every configuration and
@@ -183,5 +129,84 @@ func TestWriteLibraryDeterministic(t *testing.T) {
 	}
 	if len(a) < 2000 {
 		t.Errorf("library suspiciously small: %d bytes", len(a))
+	}
+}
+
+var (
+	instanceRE = regexp.MustCompile(`(?m)^  u_(\w+) : (\w+)\n    generic map \(SOCKET_BASE => (\d+)\)`)
+	entityRE   = regexp.MustCompile(`(?m)^-- TACO functional unit: (\w+)\n`)
+	triggerRE  = regexp.MustCompile(`w_(\w+) <= bus_we when unsigned\(bus_dst\) = SOCKET_BASE \+ (\d+) `)
+	operandRE  = regexp.MustCompile(`unsigned\(bus_dst\) = SOCKET_BASE \+ (\d+) then (\w+)_reg <= bus_data`)
+)
+
+// The generated hardware decodes each operand and trigger socket at the
+// address the machine gave it: SOCKET_BASE (from the top level) plus the
+// socket's offset (from the library) is m.Socket("<unit>.<socket>"), for
+// every unit of the nine Table 1 instances.
+func TestSocketDecodeMatchesMachine(t *testing.T) {
+	for _, kind := range rtable.PaperKinds {
+		for _, cfg := range fu.PaperConfigs(kind) {
+			m := testMachine(t, cfg)
+			top, err := VHDLTopLevel(cfg, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// decode[component][socket] is the socket's offset from
+			// SOCKET_BASE.
+			decode := map[string]map[string]int{}
+			lib := WriteLibrary(m)
+			heads := entityRE.FindAllStringSubmatchIndex(lib, -1)
+			for i, h := range heads {
+				end := len(lib)
+				if i+1 < len(heads) {
+					end = heads[i+1][0]
+				}
+				body := lib[h[1]:end]
+				offsets := map[string]int{}
+				for _, d := range triggerRE.FindAllStringSubmatch(body, -1) {
+					offsets[d[1]], _ = strconv.Atoi(d[2])
+				}
+				for _, d := range operandRE.FindAllStringSubmatch(body, -1) {
+					offsets[d[2]], _ = strconv.Atoi(d[1])
+				}
+				decode[lib[h[2]:h[3]]] = offsets
+			}
+			// One instance per unit in machine order, then the network
+			// controller.
+			instances := instanceRE.FindAllStringSubmatch(top, -1)
+			if n := len(instances); n != len(m.Units())+1 || instances[n-1][2] != "taco_network_controller" {
+				t.Fatalf("%s: %d instances in the top level, machine has %d units", cfg.Name, n, len(m.Units()))
+			}
+			instances = instances[:len(m.Units())]
+			for i, in := range instances {
+				p := m.Units()[i].Ports()
+				unit, comp := p.Name, in[2]
+				if in[1] != vhdlIdent(unit) {
+					t.Fatalf("%s: instance %d is u_%s, unit %s", cfg.Name, i, in[1], unit)
+				}
+				// taco_rtu's socket map is typed by hand for all three
+				// backends and does not match any one of them (ROADMAP
+				// item 25(b)); that fix moves the pinned library.
+				if comp == "taco_rtu" {
+					continue
+				}
+				base, _ := strconv.Atoi(in[3])
+				var want int
+				for _, sock := range p.Sockets {
+					if sock.Kind == tta.Operand || sock.Kind == tta.Trigger {
+						want++
+					}
+				}
+				if len(decode[comp]) != want {
+					t.Errorf("%s: %s decodes %d sockets, unit %s has %d operands and triggers", cfg.Name, comp, len(decode[comp]), unit, want)
+				}
+				for sock, off := range decode[comp] {
+					id, err := m.Socket(unit + "." + sock)
+					if err != nil || int(id) != base+off {
+						t.Errorf("%s: %s.%s decodes SOCKET_BASE %d + %d, machine socket %d (%v)", cfg.Name, unit, sock, base, off, id, err)
+					}
+				}
+			}
+		}
 	}
 }

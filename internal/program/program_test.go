@@ -119,6 +119,11 @@ func TestForwardingGeneratesForAllConfigs(t *testing.T) {
 	}
 }
 
+// Three places declare which kinds have a forwarding kernel:
+// rtable.Backend.Paper, fu.RTUKinds and Forwarding's switch. They name
+// the same kinds; for any other kind a router machine fails naming the
+// kind, and Forwarding (on a machine without an RTU) says it has no
+// program rather than failing on a missing socket.
 func TestForwardingRejectsTrie(t *testing.T) {
 	cfg := fu.Config1Bus1FU(rtable.Trie)
 	m, err := fu.NewComputeMachine(fu.Config1Bus1FU(0))
@@ -128,6 +133,33 @@ func TestForwardingRejectsTrie(t *testing.T) {
 	if _, _, err := Forwarding(m, cfg); err == nil ||
 		!strings.Contains(err.Error(), "no forwarding program") {
 		t.Errorf("err = %v", err)
+	}
+}
+
+func TestKernelKindsAgree(t *testing.T) {
+	bare, err := fu.NewComputeMachine(fu.Config1Bus1FU(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range rtable.Kinds {
+		paper := rtable.Backends[k].Paper
+		_, rtu := fu.RTUKinds[k]
+		cfg := fu.Config3Bus1FU(k)
+		m, _, err := fu.NewRouterMachine(cfg, rtable.New(k), newBank(t))
+		if err != nil {
+			if rtu || !strings.Contains(err.Error(), k.String()) {
+				t.Errorf("%v: NewRouterMachine: %v", k, err)
+			}
+			m = bare
+		}
+		_, _, err = Forwarding(m, cfg)
+		kernel := err == nil
+		if err != nil && !strings.Contains(err.Error(), "no forwarding program for "+k.String()+" tables") {
+			t.Errorf("%v: Forwarding: %v", k, err)
+		}
+		if paper != rtu || rtu != kernel {
+			t.Errorf("%v: Backend.Paper %v, in fu.RTUKinds %v, Forwarding builds %v", k, paper, rtu, kernel)
+		}
 	}
 }
 
