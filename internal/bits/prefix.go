@@ -1,9 +1,6 @@
 package bits
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Prefix is a 128-bit address prefix: the top Len bits of Addr are
 // significant; the rest are zero in a canonical prefix.
@@ -65,57 +62,24 @@ func (r Range) Contains(addr Word128) bool {
 // String formats r as [first,last].
 func (r Range) String() string { return fmt.Sprintf("[%s,%s]", r.First, r.Last) }
 
-// RangeOwner pairs a disjoint address range with the index (into the
-// original prefix slice) of the longest prefix covering it, or -1 when no
-// prefix covers the range.
-type RangeOwner struct {
-	Range Range
-	Owner int
-}
-
-// DisjointRanges flattens a set of n prefixes, read through prefix,
-// into the sorted, disjoint address ranges it induces, each labelled
-// with the index of its longest (i.e. innermost) covering prefix.
-// Ranges with no covering prefix are omitted. This is the classic
-// "binary search on ranges" transformation used by the balanced-tree
-// routing table: a longest-prefix match over the prefixes becomes a
-// point location over the ranges. The accessor lets a caller sweep the
-// prefixes where they already live (the tree's route array) instead of
-// copying them out first.
+// DisjointRanges sweeps a set of n prefixes, read through prefix in
+// Cmp order (address, then outer before inner), into the sorted,
+// disjoint address ranges it induces, each labelled with the index of
+// its longest (i.e. innermost) covering prefix. It hands them to emit
+// in address order and returns how many there are; a nil emit only
+// counts them. Ranges with no covering prefix are omitted. This is the
+// classic "binary search on ranges" transformation used by the
+// balanced-tree routing table: a longest-prefix match over the
+// prefixes becomes a point location over the ranges. The accessor and
+// the callback let a caller sweep the prefixes where they already live
+// (the tree's route array) and write each range where it belongs (the
+// tree's node array), so nothing is copied out in between.
 //
 // Prefix address sets form a laminar family — any two prefixes are
-// either disjoint or nested — so one sort and a single sweep with a
-// nesting stack suffice. The sweep runs twice, counting and then
-// filling, so the result is allocated at its exact length: up to 2n-1
-// ranges, but ~1.7n for a generated table.
-func DisjointRanges(n int, prefix func(i int) Prefix) []RangeOwner {
-	if n == 0 {
-		return nil
-	}
-	// Sweep order is Cmp's: address, then outer (shorter) before inner.
-	// The balanced tree's prefixes arrive in it and need no index
-	// permutation; other input is swept through a sorted one.
-	sorted := true
-	for i := 1; i < n && sorted; i++ {
-		sorted = prefix(i-1).Cmp(prefix(i)) <= 0
-	}
-	var idx []int
-	if !sorted {
-		idx = make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		slices.SortFunc(idx, func(a, b int) int { return prefix(a).Cmp(prefix(b)) })
-	}
-	out := make([]RangeOwner, sweepRanges(n, prefix, idx, nil))
-	sweepRanges(n, prefix, idx, out)
-	return out
-}
-
-// sweepRanges is DisjointRanges' sweep over the prefixes in idx order
-// (index order when idx is nil). It writes the ranges to out, or only
-// counts them when out is nil, and returns how many there are.
-func sweepRanges(n int, prefix func(int) Prefix, idx []int, out []RangeOwner) int {
+// either disjoint or nested — so in Cmp order one sweep with a nesting
+// stack suffices. There are up to 2n-1 ranges, ~1.7n for a generated
+// table.
+func DisjointRanges(n int, prefix func(i int) Prefix, emit func(r Range, owner int)) int {
 	type active struct {
 		owner       int
 		first, last Word128
@@ -128,12 +92,12 @@ func sweepRanges(n int, prefix func(int) Prefix, idx []int, out []RangeOwner) in
 		posSet    bool
 		saturated bool // pos has run past Max128
 	)
-	emit := func(from, to Word128, owner int) {
+	put := func(from, to Word128, owner int) {
 		if to.Less(from) {
 			return
 		}
-		if out != nil {
-			out[count] = RangeOwner{Range: Range{First: from, Last: to}, Owner: owner}
+		if emit != nil {
+			emit(Range{First: from, Last: to}, owner)
 		}
 		count++
 	}
@@ -153,11 +117,7 @@ func sweepRanges(n int, prefix func(int) Prefix, idx []int, out []RangeOwner) in
 		posSet = true
 	}
 
-	for k := 0; k < n; k++ {
-		id := k
-		if idx != nil {
-			id = idx[k]
-		}
+	for id := 0; id < n; id++ {
 		p := prefix(id)
 		first, last := p.First(), p.Last()
 		// Close every active prefix that ends before this one starts.
@@ -167,7 +127,7 @@ func sweepRanges(n int, prefix func(int) Prefix, idx []int, out []RangeOwner) in
 				break
 			}
 			if !saturated {
-				emit(segStart(top), top.last, top.owner)
+				put(segStart(top), top.last, top.owner)
 			}
 			bump(top.last)
 			stack = stack[:len(stack)-1]
@@ -176,7 +136,7 @@ func sweepRanges(n int, prefix func(int) Prefix, idx []int, out []RangeOwner) in
 		if len(stack) > 0 && !saturated {
 			top := stack[len(stack)-1]
 			if start := segStart(top); start.Less(first) {
-				emit(start, first.SubOne(), top.owner)
+				put(start, first.SubOne(), top.owner)
 			}
 		}
 		if !posSet || pos.Less(first) {
@@ -188,7 +148,7 @@ func sweepRanges(n int, prefix func(int) Prefix, idx []int, out []RangeOwner) in
 		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if !saturated {
-			emit(segStart(top), top.last, top.owner)
+			put(segStart(top), top.last, top.owner)
 		}
 		bump(top.last)
 	}

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestDisjointRangesSortedEqualsShuffled: the one-pass path taken for
-// prefixes already in sweep order and the index-sort path taken
-// otherwise yield the same ranges with the same owning prefixes, on the
-// sets of the tests above and on random ones.
+// TestDisjointRangesSortedEqualsShuffled: the sweep over a set already
+// in Cmp order and the sweep over shuffles of it, sorted back through
+// an index permutation (rangesOf), yield the same ranges with the same
+// owning prefixes, on the sets of the tests above and on random ones.
 func TestDisjointRangesSortedEqualsShuffled(t *testing.T) {
 	outer := MakePrefix(FromWords(0x20010000, 0, 0, 0), 16)
 	inner := MakePrefix(FromWords(0x20010db8, 0, 0, 0), 32)
@@ -44,7 +44,10 @@ func TestDisjointRangesSortedEqualsShuffled(t *testing.T) {
 	for i, set := range sets {
 		sorted := slices.Clone(set)
 		slices.SortFunc(sorted, Prefix.Cmp)
-		want := resolve(sorted)
+		var want []owned
+		DisjointRanges(len(sorted), func(i int) Prefix { return sorted[i] }, func(r Range, owner int) {
+			want = append(want, owned{r, sorted[owner]})
+		})
 		for shuffle := 0; shuffle < 4; shuffle++ {
 			mixed := slices.Clone(sorted)
 			rng.Shuffle(len(mixed), func(a, b int) { mixed[a], mixed[b] = mixed[b], mixed[a] })

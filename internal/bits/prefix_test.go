@@ -2,6 +2,7 @@ package bits
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -100,13 +101,27 @@ func TestRangeContains(t *testing.T) {
 	}
 }
 
-// rangesOf sweeps ps through DisjointRanges' accessor and checks the
-// result was allocated at its exact length.
-func rangesOf(t *testing.T, ps []Prefix) []RangeOwner {
+// rangeOwner is one range DisjointRanges emits, with its owner.
+type rangeOwner struct {
+	Range Range
+	Owner int
+}
+
+// rangesOf sweeps ps, in any order, through DisjointRanges — by a
+// permutation sorting them into Cmp order, so owners index ps — and
+// checks the counting sweep agrees with the ranges emitted.
+func rangesOf(t *testing.T, ps []Prefix) []rangeOwner {
 	t.Helper()
-	out := DisjointRanges(len(ps), func(i int) Prefix { return ps[i] })
-	if cap(out) != len(out) {
-		t.Fatalf("%d ranges in a slice of capacity %d", len(out), cap(out))
+	idx := make([]int, len(ps))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortStableFunc(idx, func(a, b int) int { return ps[a].Cmp(ps[b]) })
+	prefix := func(i int) Prefix { return ps[idx[i]] }
+	var out []rangeOwner
+	n := DisjointRanges(len(ps), prefix, func(r Range, owner int) { out = append(out, rangeOwner{r, idx[owner]}) })
+	if counted := DisjointRanges(len(ps), prefix, nil); counted != n || len(out) != n {
+		t.Fatalf("counting sweep gives %d ranges, emitting sweep %d (returned %d)", counted, len(out), n)
 	}
 	return out
 }

@@ -12,9 +12,11 @@ import (
 // (routes, arrivals, the golden reference's outcomes and watchdog
 // budget, one set per (constraints, options) pair — all nine Table 1
 // cells draw the same one, so the golden side is paid once), and for
-// scaled evaluations the large route set, its address-sorted copy (what
-// the tables are built from), its churn stream and destination sample,
-// the cycle-accurate anchors, and what each built table measured.
+// scaled evaluations the large route set — one array per size, sorted
+// in place into the address order the tables are built from, with an
+// int32 index the churn stream and destination sample read it through
+// in draw order — that stream and sample, the cycle-accurate anchors,
+// and what each built table measured.
 // A table is built once per (route set, churn stream, sample, built
 // kind), and every kind that prices that structure reads its row from
 // the one build (rtable.Kind.BuiltAs: the compressed rows from the
@@ -25,7 +27,7 @@ import (
 // computed waits for it — and nothing is evicted: the owner drops the
 // cache with the sweep. Cached slices are read-only: no rtable backend
 // writes to the routes it is handed (the balanced tree keeps the sorted
-// copy but clones it before its first point update), and a line card
+// set but clones it before its first point update), and a line card
 // copies a datagram's bytes into the machine rather than rewriting
 // them. The zero value is ready to use.
 //

@@ -87,7 +87,6 @@ type (
 		cons Constraints
 		sim  SimOptions
 	}
-	sortedKey struct{ table workload.LargeTableSpec }
 	// measureKey names one built table: the route set, churn stream and
 	// sample it is measured under, and the kind it is built as.
 	measureKey struct {
@@ -97,8 +96,20 @@ type (
 	}
 )
 
-func (c *SweepCache) routes(lt workload.LargeTableSpec) []rtable.Route {
-	return cached(c, lt, func() []rtable.Route { return workload.GenerateLargeRoutes(lt) })
+// routeSet is a generated route set sorted in place, the batch every
+// table is built from, and its draw order: route i of the draw, which
+// the churn stream and the sample read, is sorted[at[i]].
+type routeSet struct {
+	sorted []rtable.Route
+	at     []int32
+}
+
+func (c *SweepCache) routes(lt workload.LargeTableSpec) routeSet {
+	return cached(c, lt, func() routeSet {
+		routes := workload.GenerateLargeRoutes(lt)
+		at := make([]int32, len(routes))
+		return routeSet{rtable.SortRoutesInPlace(routes, at), at}
+	})
 }
 
 // anchorPoint is one cycle-accurate calibration run, or why it failed.
@@ -226,7 +237,8 @@ func (c *SweepCache) measureProbes(spec ScaleSpec, sim SimOptions) (float64, rta
 	var churn []workload.ChurnOp
 	if spec.ChurnOps > 0 {
 		churn = cached(c, churnKey{lt, spec.ChurnOps}, func() []workload.ChurnOp {
-			return workload.GenerateChurn(c.routes(lt), workload.ChurnSpec{
+			set := c.routes(lt)
+			return workload.GenerateChurnAt(set.sorted, set.at, workload.ChurnSpec{
 				Ops: spec.ChurnOps, Seed: sim.Seed, Ifaces: sim.Ifaces,
 			})
 		})
@@ -268,11 +280,9 @@ type measurement struct {
 // churn stream at it and looks up the destination sample.
 func (c *SweepCache) measure(key measureKey, churn []workload.ChurnOp) measurement {
 	lt := key.dests.table
-	// Every table of the sweep is built from one sorted copy of the set.
-	routes := c.routes(lt)
-	sorted := cached(c, sortedKey{lt}, func() []rtable.Route { return rtable.SortedRoutes(routes) })
+	set := c.routes(lt)
 	tbl := rtable.New(key.built)
-	if err := rtable.InsertAll(tbl, sorted); err != nil {
+	if err := rtable.InsertAll(tbl, set.sorted); err != nil {
 		return measurement{err: fmt.Errorf("core: build %v table: %w", key.built, err)}
 	}
 	if len(churn) > 0 {
@@ -282,7 +292,7 @@ func (c *SweepCache) measure(key measureKey, churn []workload.ChurnOp) measureme
 	}
 	tbl.ResetStats()
 	dests := cached(c, key.dests, func() []bits.Word128 {
-		return workload.SampleDests(routes, key.dests.n, key.dests.missRatio, lt.Seed)
+		return workload.SampleDestsAt(set.sorted, set.at, key.dests.n, key.dests.missRatio, lt.Seed)
 	})
 	for _, dst := range dests {
 		tbl.Lookup(dst)

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,11 +47,14 @@ func TestCachedComputesOnce(t *testing.T) {
 
 // TestSweepCacheSharesPerSweep drives one cache the way dse's pool does
 // — every kind × size from concurrent goroutines — and counts what it
-// computed: one route set, sorted copy, churn stream and sample per
-// size, one built table per (built kind, size) — the multibit and
-// compressed rows share one stride-trie build — one anchor per (donor,
-// anchor size) and one simulation input set per anchor size, shared by
-// its three donors. Every result equals a stand-alone call.
+// computed: one route set, churn stream and sample per size, one built
+// table per (built kind, size) — the multibit and compressed rows share
+// one stride-trie build — one anchor per (donor, anchor size) and one
+// simulation input set per anchor size, shared by its three donors.
+// Every result equals a stand-alone call. The route set is one array
+// per size: the generated routes sorted in place, which every table is
+// built from and the balanced tree borrows, read in draw order through
+// its index.
 func TestSweepCacheSharesPerSweep(t *testing.T) {
 	sizes := []int{500, 2000}
 	cons, sim := PaperConstraints(), DefaultSimOptions()
@@ -87,7 +91,6 @@ func TestSweepCacheSharesPerSweep(t *testing.T) {
 	}
 	want := map[string]int{
 		"LargeTableSpec": len(sizes),
-		"sortedKey":      len(sizes),
 		"churnKey":       len(sizes),
 		"destsKey":       len(sizes),
 		"measureKey":     4 * len(sizes), // built as balanced-tree, trie, multibit, tiled-tcam
@@ -100,9 +103,27 @@ func TestSweepCacheSharesPerSweep(t *testing.T) {
 	if strideBuilds != len(sizes) {
 		t.Fatalf("%d stride-trie builds for %d sizes and one churn stream", strideBuilds, len(sizes))
 	}
-	lt := workload.LargeTableSpec{Entries: sizes[0], Ifaces: sim.Ifaces, Seed: sim.Seed}
-	if a, b := c.routes(lt), c.routes(lt); &a[0] != &b[0] {
-		t.Fatal("route set regenerated instead of shared")
+	for key, e := range c.m {
+		if _, isSet := key.(workload.LargeTableSpec); !isSet && reflect.TypeOf(e.v).Kind() == reflect.Slice &&
+			reflect.TypeOf(e.v).Elem() == reflect.TypeOf(rtable.Route{}) {
+			t.Errorf("cache holds a second route array under %T", key)
+		}
+	}
+	for _, n := range sizes {
+		lt := workload.LargeTableSpec{Entries: n, Ifaces: sim.Ifaces, Seed: sim.Seed}
+		set := c.routes(lt)
+		if again := c.routes(lt); &again.sorted[0] != &set.sorted[0] {
+			t.Fatal("route set regenerated instead of shared")
+		}
+		drawn := workload.GenerateLargeRoutes(lt)
+		if !slices.Equal(set.sorted, rtable.SortedRoutes(drawn)) {
+			t.Errorf("%d routes: the cached set is not in SortedRoutes order, so the tree would copy it", n)
+		}
+		for i, r := range drawn {
+			if set.sorted[set.at[i]] != r {
+				t.Fatalf("%d routes: draw %d reads %v through the index, generated %v", n, i, set.sorted[set.at[i]], r)
+			}
+		}
 	}
 }
 

@@ -280,10 +280,10 @@ func TestTreeBorrowedBatch(t *testing.T) {
 }
 
 // TestTreeSortedBuildBytes: a bulk build from a sorted batch of 10^4
-// routes allocates the node array and the range sweep's exact-length
-// output, and nothing in proportion to the routes: a clone of the batch
-// (64 B a route), a copy of its prefixes (24 B a route) or a range
-// array sized for 2n (~12 B a route more) each break the bound.
+// routes allocates the node array and nothing in proportion to the
+// routes or ranges: a clone of the batch (64 B a route), a copy of its
+// prefixes (24 B a route), a materialised range array (48 B a range) or
+// a node array sized for 2n (~12 B a route more) each break the bound.
 func TestTreeSortedBuildBytes(t *testing.T) {
 	rs := rtable.SortedRoutes(largeRoutes(10000))
 	const runs = 4
@@ -298,11 +298,43 @@ func TestTreeSortedBuildBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	nodes, _ := tbl.Nodes()
-	perRange := unsafe.Sizeof(rtable.TreeNode{}) + unsafe.Sizeof(bits.RangeOwner{})
-	want := float64(uintptr(len(nodes))*perRange + 8*uintptr(len(rs))) // 8 B a route of slack
+	want := float64(uintptr(len(nodes))*unsafe.Sizeof(rtable.TreeNode{}) + 8*uintptr(len(rs))) // 8 B a route of slack
 	if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > want {
 		t.Errorf("sorted-batch build of %d routes (%d ranges) allocated %.0f bytes, want <= %.0f",
 			len(rs), len(nodes), got, want)
+	}
+}
+
+// TestTreeMergeBuildBytes: a batch loaded into a tree that holds routes
+// is merged with them in one buffer, sorted where it lies: the build
+// allocates that buffer, the sort's keys and the node array, not a clone
+// of the old routes, a grown append and a sorted copy besides.
+func TestTreeMergeBuildBytes(t *testing.T) {
+	rs := largeRoutes(10000)
+	old, batch := rtable.SortedRoutes(rs[:5000]), rs[5000:]
+	const runs = 4
+	var got uint64
+	var tbl *rtable.BalancedTreeTable
+	for i := 0; i < runs; i++ {
+		tbl = rtable.NewBalancedTree()
+		if err := tbl.InsertAll(old); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := tbl.InsertAll(batch); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got += after.TotalAlloc - before.TotalAlloc
+	}
+	nodes, _ := tbl.Nodes()
+	// The merged buffer and the sort's keys (32 B) a route, plus 16 B a
+	// route of slack for the sort's bucket counts and size classes.
+	perRoute := unsafe.Sizeof(rtable.Route{}) + 32 + 16
+	want := float64(uintptr(len(nodes))*unsafe.Sizeof(rtable.TreeNode{}) + perRoute*uintptr(len(rs)))
+	if avg := float64(got) / runs; avg > want {
+		t.Errorf("merging %d routes into %d allocated %.0f bytes, want <= %.0f", len(batch), len(old), avg, want)
 	}
 }
 
@@ -326,7 +358,9 @@ func referenceSorted(rs []rtable.Route) []rtable.Route {
 
 // TestSortedRoutesMatchesFullSort: the bucketed sort equals one sort of
 // the whole set on spread-out, crowded (one bucket, the fallback sort),
-// short-prefix, duplicate-laden and tiny inputs.
+// short-prefix, duplicate-laden and tiny inputs, and so does the in-place
+// sort, whose index leads every input route to the one holding its
+// prefix.
 func TestSortedRoutesMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var crowded, short []rtable.Route
@@ -348,6 +382,16 @@ func TestSortedRoutesMatchesFullSort(t *testing.T) {
 		}
 		if want := referenceSorted(rs); !slices.Equal(got, want) {
 			t.Errorf("%s: SortedRoutes differs from a full sort (%d vs %d routes)", name, len(got), len(want))
+		}
+		at := make([]int32, len(rs))
+		sorted := rtable.SortRoutesInPlace(slices.Clone(rs), at)
+		if !slices.Equal(sorted, got) {
+			t.Errorf("%s: SortRoutesInPlace differs from SortedRoutes", name)
+		}
+		for i, r := range rs {
+			if p := bits.MakePrefix(r.Prefix.Addr, r.Prefix.Len); sorted[at[i]].Prefix != p {
+				t.Fatalf("%s: input %d (%v) indexes %v", name, i, p, sorted[at[i]].Prefix)
+			}
 		}
 	}
 }

@@ -1,12 +1,16 @@
-// Modelled-hardware pins for the trie and the tiled TCAM: probe counts,
-// trie node records and the tiling state after a generated build, churn
-// stream and lookup sample. They count what the hardware would hold and
-// do, so a change to how either backend stores its state must leave
-// every value as it is; the values were taken from the pointer trie and
-// the tiled TCAM that built every merge candidate before sizing it.
+// Modelled-hardware pins for the trie, the balanced tree and the tiled
+// TCAM: probe counts, trie node records, the tree's node array and the
+// tiling state after a generated build, churn stream and lookup sample.
+// They count what the hardware would hold and do, so a change to how a
+// backend stores its state must leave every value as it is; the values
+// were taken from the pointer trie, the tree that built its nodes from
+// a materialised range array, and the tiled TCAM that built every merge
+// candidate before sizing it.
 package rtable_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"slices"
 	"testing"
 
@@ -58,6 +62,36 @@ func TestTriePinned(t *testing.T) {
 	})
 	if !slices.Equal(got, want) {
 		t.Errorf("trie: got %#v, want %#v", got, want)
+	}
+}
+
+// TestTreePinned holds the balanced tree's node array — its length,
+// root, depth and an FNV-64a digest of every node's range, children and
+// owner — with its probe count, so a change to how the tree lays out
+// its nodes must reproduce the array the routing-table unit reads.
+func TestTreePinned(t *testing.T) {
+	type pin struct {
+		Len, Nodes, Root, Depth int
+		Probes                  int64
+		Digest                  uint64
+	}
+	want := []pin{
+		{Len: 10443, Nodes: 16104, Root: 0, Depth: 14, Probes: 53367, Digest: 0x5aad9b19917b4503},
+		{Len: 5221, Nodes: 6756, Root: 0, Depth: 13, Probes: 49841, Digest: 0x10429d0eed81f5c},
+	}
+	tbl := rtable.NewBalancedTree()
+	var got []pin
+	pinStates(t, tbl, func() {
+		nodes, root := tbl.Nodes()
+		h := fnv.New64a()
+		for _, n := range nodes {
+			binary.Write(h, binary.LittleEndian, [7]int64{int64(n.First.Hi), int64(n.First.Lo),
+				int64(n.Last.Hi), int64(n.Last.Lo), int64(n.Left), int64(n.Right), int64(n.Owner)})
+		}
+		got = append(got, pin{tbl.Len(), len(nodes), root, tbl.Depth(), tbl.Stats().Probes, h.Sum64()})
+	})
+	if !slices.Equal(got, want) {
+		t.Errorf("balanced tree: got %#v, want %#v", got, want)
 	}
 }
 

@@ -219,32 +219,40 @@ func routesSorted(rs []Route) bool {
 // prefix: the batch form the balanced tree and the stride tries build
 // from directly, so a caller that loads one route set into several
 // tables sorts it once.
+func SortedRoutes(rs []Route) []Route { return SortRoutesInPlace(slices.Clone(rs), nil) }
+
+// SortRoutesInPlace sorts rs in place into SortedRoutes order and
+// returns the sorted set, a prefix of rs. Unless at is nil (else it has
+// len(rs)), it sets at[i] to the index in the sorted set of the route
+// holding rs[i]'s prefix — its own, or the later duplicate that
+// replaced it — so one array serves a caller in both orders.
 //
-// One counting pass distributes the routes over buckets by the top bits
-// of the canonical address (16 bits, fewer for small sets), which is
-// the high-order key of the sort; each bucket is then sorted alone. A
-// generated set fixes the top 4 bits (2000::/4), so at 10⁵ routes its
-// keys fill ~4 000 buckets of at most ~130.
-func SortedRoutes(rs []Route) []Route {
+// The sort orders keys, not the 64-byte routes, which then move once,
+// cycle by cycle. One counting pass buckets the keys by the top bits of
+// the canonical address (16 bits, fewer for small sets), the sort's
+// high-order key; each bucket is then sorted alone. A generated set
+// fixes the top 4 bits (2000::/4), so at 10⁵ routes its keys fill
+// ~4 000 buckets of at most ~130.
+func SortRoutesInPlace(rs []Route, at []int32) []Route {
 	type key struct { // canonical prefix and input position
 		p bits.Prefix
 		i int32
 	}
 	shift := 64 - min(16, mathbits.Len(uint(len(rs))))
-	canon := func(r *Route) bits.Prefix { return bits.MakePrefix(r.Prefix.Addr, r.Prefix.Len) }
-	at := make([]int32, 1<<(64-shift)+1)
+	ends := make([]int32, 1<<(64-shift)+1)
 	for i := range rs {
-		at[(canon(&rs[i]).Addr.Hi>>shift)+1]++
+		rs[i].Prefix = bits.MakePrefix(rs[i].Prefix.Addr, rs[i].Prefix.Len)
+		ends[(rs[i].Prefix.Addr.Hi>>shift)+1]++
 	}
-	for b := 1; b < len(at); b++ {
-		at[b] += at[b-1] // where bucket b begins
+	for b := 1; b < len(ends); b++ {
+		ends[b] += ends[b-1] // where bucket b begins
 	}
 	keys := make([]key, len(rs))
 	for i := range rs {
-		p := canon(&rs[i])
+		p := rs[i].Prefix
 		b := p.Addr.Hi >> shift
-		keys[at[b]] = key{p, int32(i)}
-		at[b]++ // finally where bucket b ends
+		keys[ends[b]] = key{p, int32(i)}
+		ends[b]++ // finally where bucket b ends
 	}
 	// Within a prefix the later duplicate sorts first: it survives Compact.
 	cmpKey := func(a, b key) int {
@@ -254,17 +262,43 @@ func SortedRoutes(rs []Route) []Route {
 		return int(b.i - a.i)
 	}
 	lo := int32(0)
-	for _, hi := range at[:len(at)-1] {
+	for _, hi := range ends[:len(ends)-1] {
 		slices.SortFunc(keys[lo:hi], cmpKey)
 		lo = hi
 	}
-	keys = slices.CompactFunc(keys, func(a, b key) bool { return a.p == b.p })
-	out := make([]Route, len(keys))
-	for i, k := range keys {
-		out[i] = rs[k.i]
-		out[i].Prefix = k.p
+	// Slot k takes the route at from[k] (4 B a key, to stay in cache as
+	// the cycles jump); a slot filled is marked by pointing it at itself.
+	from := make([]int32, len(keys))
+	kept := int32(-1) // the sorted set's last index
+	for k, key := range keys {
+		if k == 0 || key.p != keys[k-1].p {
+			kept++
+		}
+		from[k] = key.i
+		if at != nil {
+			at[key.i] = kept
+		}
 	}
-	return out
+	for s := range from {
+		if int(from[s]) == s {
+			continue
+		}
+		held := rs[s]
+		for j := s; ; {
+			src := int(from[j])
+			from[j] = int32(j)
+			if src == s {
+				rs[j] = held
+				break
+			}
+			rs[j] = rs[src]
+			j = src
+		}
+	}
+	if int(kept) < len(rs)-1 {
+		return slices.CompactFunc(rs, func(a, b Route) bool { return a.Prefix == b.Prefix })
+	}
+	return rs
 }
 
 // cmpPriority is the priority-encoder order shared by the CAM, the

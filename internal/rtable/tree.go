@@ -97,7 +97,7 @@ func (t *BalancedTreeTable) InsertAll(rs []Route) error {
 	t.borrowed = false
 	switch {
 	case len(t.routes) > 0: // the batch, coming later, replaces
-		t.routes = SortedRoutes(append(slices.Clone(t.routes), rs...))
+		t.routes = SortRoutesInPlace(slices.Concat(t.routes, rs), nil)
 	case routesSorted(rs):
 		t.routes, t.borrowed = rs, true
 	default:
@@ -119,33 +119,44 @@ func (t *BalancedTreeTable) Delete(p bits.Prefix) bool {
 	return true
 }
 
-// rebuild derives the node array; node owners index the route array.
+// rebuild derives the node array: a perfectly balanced BST over the
+// disjoint ranges in preorder — the middle range at the root, then the
+// lower half's subtree, then the upper half's. One range sweep counts
+// the ranges; a second hands them over in address order, which is the
+// tree's in-order, and each is written straight into its preorder slot.
 func (t *BalancedTreeTable) rebuild() {
 	t.gen++
-	ranges := bits.DisjointRanges(len(t.routes), func(i int) bits.Prefix { return t.routes[i].Prefix })
-	t.nodes = make([]TreeNode, 0, len(ranges))
-	t.root = t.build(ranges)
-}
-
-// build constructs a perfectly balanced BST over the sorted disjoint
-// ranges, returning the root's index into t.nodes.
-func (t *BalancedTreeTable) build(ranges []bits.RangeOwner) int {
-	if len(ranges) == 0 {
-		return -1
+	prefix := func(i int) bits.Prefix { return t.routes[i].Prefix }
+	n := bits.DisjointRanges(len(t.routes), prefix, nil)
+	t.nodes = make([]TreeNode, n)
+	// A subtree is the in-order ranges [lo,hi) with its root at preorder
+	// slot at; its lower half's subtree follows the root there. pending
+	// holds, innermost last, the subtrees whose root the sweep has yet
+	// to reach; descend pushes a subtree's left spine and returns its
+	// root's slot, -1 when it is empty.
+	type subtree struct{ lo, hi, at int }
+	pending := make([]subtree, 0, 64) // deeper than any tree of < 2^63 nodes
+	descend := func(lo, hi, at int) int {
+		root := -1
+		if lo < hi {
+			root = at
+		}
+		for ; lo < hi; hi, at = lo+(hi-lo)/2, at+1 {
+			pending = append(pending, subtree{lo, hi, at})
+		}
+		return root
 	}
-	mid := len(ranges) / 2
-	idx := len(t.nodes)
-	t.nodes = append(t.nodes, TreeNode{}) // reserve
-	left := t.build(ranges[:mid])
-	right := t.build(ranges[mid+1:])
-	t.nodes[idx] = TreeNode{
-		First: ranges[mid].Range.First,
-		Last:  ranges[mid].Range.Last,
-		Left:  left,
-		Right: right,
-		Owner: ranges[mid].Owner,
-	}
-	return idx
+	t.root = descend(0, n, 0)
+	bits.DisjointRanges(len(t.routes), prefix, func(r bits.Range, owner int) {
+		s := pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+		mid, left := s.lo+(s.hi-s.lo)/2, -1
+		if s.lo < mid {
+			left = s.at + 1
+		}
+		t.nodes[s.at] = TreeNode{First: r.First, Last: r.Last, Left: left,
+			Right: descend(mid+1, s.hi, s.at+1+mid-s.lo), Owner: owner}
+	})
 }
 
 // Lookup walks the tree from the root: left when addr precedes the

@@ -121,6 +121,13 @@ func GenerateLargeRoutes(spec LargeTableSpec) []rtable.Route {
 // churn draw moves the pinned churn goldens, so it is left to a change
 // of its own.
 func SampleDests(routes []rtable.Route, n int, missRatio float64, seed uint64) []bits.Word128 {
+	return SampleDestsAt(routes, nil, n, missRatio, seed)
+}
+
+// SampleDestsAt is SampleDests reading route i of the set as drawn at
+// routes[at[i]] (routes[i] when at is nil): rtable.SortRoutesInPlace's
+// index.
+func SampleDestsAt(routes []rtable.Route, at []int32, n int, missRatio float64, seed uint64) []bits.Word128 {
 	rng := NewRNG(seed ^ 0xd0d0)
 	out := make([]bits.Word128, n)
 	for i := range out {
@@ -130,7 +137,11 @@ func SampleDests(routes []rtable.Route, n int, missRatio float64, seed uint64) [
 			out[i] = a
 			continue
 		}
-		out[i] = AddrInPrefix(rng, routes[rng.Intn(len(routes))].Prefix)
+		j := rng.Intn(len(routes))
+		if at != nil {
+			j = int(at[j])
+		}
+		out[i] = AddrInPrefix(rng, routes[j].Prefix)
 	}
 	return out
 }
@@ -193,6 +204,12 @@ const (
 // the 3000::/4 region SampleDests treats as guaranteed misses.
 // Confining the draw would move testdata/largetable's churn goldens.
 func GenerateChurn(base []rtable.Route, spec ChurnSpec) []ChurnOp {
+	return GenerateChurnAt(base, nil, spec)
+}
+
+// GenerateChurnAt is GenerateChurn reading route i of the base as
+// drawn at base[at[i]] (base[i] when at is nil).
+func GenerateChurnAt(base []rtable.Route, at []int32, spec ChurnSpec) []ChurnOp {
 	ifaces := spec.Ifaces
 	if ifaces <= 0 {
 		ifaces = 4
@@ -200,7 +217,13 @@ func GenerateChurn(base []rtable.Route, spec ChurnSpec) []ChurnOp {
 	spec.Ops = max(spec.Ops, 0)
 	rng := NewRNG(spec.Seed ^ 0xc4c4)
 
-	live := append([]rtable.Route(nil), base...)
+	live := make([]rtable.Route, len(base))
+	if at == nil {
+		copy(live, base)
+	}
+	for i, j := range at {
+		live[i] = base[j]
+	}
 	idx := newPrefixSet(len(live) + spec.Ops)
 	for i := range live {
 		idx.set(live[i].Prefix, live, i)
