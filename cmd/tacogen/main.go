@@ -1,8 +1,9 @@
 // Command tacogen is the processor design tool of the TACO flow (paper
 // reference [14]): from one architecture instance it generates the
-// synthesis model — the VHDL top level and the component library. The
-// simulation model is the Go machine (tacosim -describe prints its
-// socket map) and the estimation model is internal/estimate.
+// synthesis model — the VHDL top level and the component library, one
+// component per unit kind and per RTU backend (the same file for every
+// instance). The simulation model is the Go machine (tacosim -describe
+// prints its socket map) and the estimation model is internal/estimate.
 //
 // Usage:
 //
@@ -46,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		base := strings.ToLower(strings.NewReplacer("/", "_", ",", "_").Replace(cfg.Name))
 		for _, f := range []struct{ model, name, content string }{
 			{"vhdl", "taco_" + base + ".vhd", vhdl},
-			{"library", "taco_components.vhd", gen.WriteLibrary(m)},
+			{"library", "taco_components.vhd", gen.WriteLibrary(cfg, m)},
 		} {
 			if *model != f.model && *model != "all" {
 				continue

@@ -41,8 +41,7 @@ func TestModelsOnStdoutAndInDir(t *testing.T) {
 // The files under testdata/gen/ pin what tacogen writes for the nine
 // Table 1 instances: each table's directory holds the VHDL top levels of
 // its three configurations, and taco_components.vhd is the one component
-// library every instance writes. They were captured before the unit
-// kinds moved into one fu.UnitKinds table.
+// library every instance writes. `make gen-goldens` rewrites them.
 func TestModelsMatchGoldens(t *testing.T) {
 	golden := filepath.Join("..", "..", "testdata", "gen")
 	library, err := os.ReadFile(filepath.Join(golden, "taco_components.vhd"))

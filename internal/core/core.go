@@ -12,8 +12,8 @@
 //  5. co-analyses the two results against the design constraints —
 //     exactly the SystemC + Matlab co-analysis of the paper's §2.
 //
-// The output of a full evaluation over the paper's nine instances is
-// Table 1.
+// The output of a full evaluation over the paper's nine instances
+// (dse.Table1) is Table 1; Score ranks instances for selection.
 package core
 
 import (
@@ -332,34 +332,23 @@ func (c *SweepCache) Evaluate(cfg fu.Config, cons Constraints, sim SimOptions) (
 	return m, nil
 }
 
-// EvaluateAll runs the methodology over every (implementation,
-// configuration) pair of the paper's Table 1, in the paper's row order.
-func EvaluateAll(cons Constraints, sim SimOptions) ([]Metrics, error) {
-	var out []Metrics
-	var c SweepCache
-	for _, kind := range rtable.PaperKinds {
-		for _, cfg := range fu.PaperConfigs(kind) {
-			m, err := c.Evaluate(cfg, cons, sim)
-			if err != nil {
-				return nil, fmt.Errorf("core: %v/%s: %w", kind, cfg.Name, err)
-			}
-			out = append(out, m)
-		}
+// Score orders instances for selection, lower first — the paper's
+// final criterion (performance met, then physical characteristics):
+// acceptable instances by power, then area; unacceptable ones after all
+// acceptable ones, by how far the required clock overshoots.
+func Score(m Metrics) float64 {
+	if m.Acceptable() {
+		return m.Est.PowerW + m.Est.AreaMM2/1000
 	}
-	return out, nil
+	return 1e6 + m.RequiredClockHz/1e6
 }
 
-// SelectBest returns the acceptable instance with the lowest power, the
-// paper's final selection criterion (performance met, then physical
-// characteristics), or false when none is acceptable.
+// SelectBest returns the acceptable instance with the lowest Score, the
+// first of equals, or false when none is acceptable.
 func SelectBest(ms []Metrics) (Metrics, bool) {
-	best := Metrics{}
-	found := false
+	best, found := Metrics{}, false
 	for _, m := range ms {
-		if !m.Acceptable() {
-			continue
-		}
-		if !found || m.Est.PowerW < best.Est.PowerW {
+		if m.Acceptable() && (!found || Score(m) < Score(best)) {
 			best, found = m, true
 		}
 	}

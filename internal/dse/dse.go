@@ -31,9 +31,8 @@ type Point struct {
 // Candidate is an explored instance with its evaluation.
 type Candidate struct {
 	Metrics core.Metrics
-	// Score is the exploration objective (lower is better); the default
-	// heuristic minimises power among acceptable instances and required
-	// clock among unacceptable ones.
+	// Score is core.Score of Metrics (lower is better): power among
+	// acceptable instances, required clock among unacceptable ones.
 	Score float64
 }
 
@@ -45,14 +44,4 @@ type ExploreResult struct {
 	// acceptable under the constraints.
 	Best Candidate
 	OK   bool
-}
-
-// score orders candidates: acceptable ones by power (then area),
-// unacceptable ones after all acceptable ones, by how far the required
-// clock overshoots the ceiling.
-func score(m core.Metrics) float64 {
-	if m.Acceptable() {
-		return m.Est.PowerW + m.Est.AreaMM2/1000
-	}
-	return 1e6 + m.RequiredClockHz/1e6
 }

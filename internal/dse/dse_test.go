@@ -136,7 +136,7 @@ func TestExploreNoWorseThanSelectBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := core.EvaluateAll(cons, testSim())
+	ms, err := Table1(context.Background(), cons, testSim(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +144,10 @@ func TestExploreNoWorseThanSelectBest(t *testing.T) {
 	if !ok || !res.OK {
 		t.Fatalf("SelectBest ok=%v, Explore ok=%v", ok, res.OK)
 	}
-	if res.Best.Score > score(sel) {
+	if res.Best.Score > core.Score(sel) {
 		t.Errorf("Explore picks %v/%s (score %.4f), worse than SelectBest's %v/%s (score %.4f)",
 			res.Best.Metrics.Kind, res.Best.Metrics.Config.Name, res.Best.Score,
-			sel.Kind, sel.Config.Name, score(sel))
+			sel.Kind, sel.Config.Name, core.Score(sel))
 	}
 }
 

@@ -314,7 +314,7 @@ func Table1Instances(cons core.Constraints, sim core.SimOptions) []Instance {
 }
 
 // Table1 evaluates the paper's nine Table 1 cells on workers goroutines,
-// producing the same rows in the same order as core.EvaluateAll.
+// in the paper's row order (Table1Instances).
 func Table1(ctx context.Context, cons core.Constraints, sim core.SimOptions, workers int) ([]core.Metrics, error) {
 	insts := Table1Instances(cons, sim)
 	results, errs, _, err := evaluateInstances(ctx, insts, workers)
@@ -458,9 +458,9 @@ func ExploreCtx(ctx context.Context, cons core.Constraints, sim core.SimOptions,
 		order[i] = i
 	}
 	// Best first; the stable sort keeps scan order among equal scores.
-	sort.SliceStable(order, func(i, j int) bool { return score(results[order[i]]) < score(results[order[j]]) })
+	sort.SliceStable(order, func(i, j int) bool { return core.Score(results[order[i]]) < core.Score(results[order[j]]) })
 	for _, i := range order {
-		res.Ranked = append(res.Ranked, Candidate{Metrics: results[i], Score: score(results[i])})
+		res.Ranked = append(res.Ranked, Candidate{Metrics: results[i], Score: core.Score(results[i])})
 	}
 	if len(res.Ranked) > 0 && res.Ranked[0].Metrics.Acceptable() {
 		res.Best, res.OK = res.Ranked[0], true

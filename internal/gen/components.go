@@ -2,62 +2,41 @@ package gen
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
+	"taco/internal/fu"
 	"taco/internal/tta"
 )
 
 // ComponentLibrary returns the behavioural VHDL of every component m's
-// units instantiate, plus the network controller — the reusable library
-// the TACO framework is built on ("our approach is very much
-// library-based and allows extensive component re-use for both
-// simulation and synthesis", paper §1.1). One entity per unit kind; the
-// map key is the component name used by VHDLTopLevel.
+// units instantiate, every RTU backend's, and the network controller —
+// the reusable library the TACO framework is built on ("our approach is
+// very much library-based and allows extensive component re-use for
+// both simulation and synthesis", paper §1.1). One entity per unit kind;
+// the map key is the component name used by VHDLTopLevel.
 //
 // Each component shares the socket bus protocol: on a rising edge, a
 // write strobe whose destination address falls in the unit's socket
 // range latches bus data into the addressed register; trigger sockets
 // additionally execute the unit's operation, updating result registers
 // and the signal lines into the network controller. A component's
-// sockets and signals are its unit's port table, except taco_rtu's.
-func ComponentLibrary(m *tta.Machine) map[string]string {
+// sockets and signals are its unit's port table, an RTU backend's from
+// its unit built unbound (fu.RTUKinds).
+func ComponentLibrary(cfg fu.Config, m *tta.Machine) map[string]string {
 	lib := map[string]string{"taco_network_controller": networkControllerVHDL}
+	add := func(name string, u tta.Unit) {
+		if _, done := lib[name]; !done {
+			lib[name] = unitVHDL(name, u.Ports(), bodies[name])
+		}
+	}
 	for _, u := range m.Units() {
-		p := u.Ports()
-		name := componentName(p.Name)
-		if _, done := lib[name]; done {
-			continue
-		}
-		if name == "taco_rtu" {
-			p = &rtuPorts
-		}
-		lib[name] = unitVHDL(name, p, bodies[name])
+		add(componentName(u.Ports().Name, cfg.Table), u)
+	}
+	for kind, newRTU := range fu.RTUKinds {
+		add(rtuComponent(kind), newRTU("rtu", cfg))
 	}
 	return lib
-}
-
-// rtuPorts is taco_rtu's socket map, typed by hand: one component stands
-// for the three RTU backends, whose port tables differ. It declares the
-// sequential and CAM backends' sockets and the tree's trigger, not the
-// tree's node result sockets.
-var rtuPorts = tta.PortTable{
-	Sockets: slices.Concat(
-		ports(tta.Operand, "a0", "a1", "a2"),
-		ports(tta.Trigger, "tidx", "tnode", "tlook"),
-		ports(tta.Result, "p0", "p1", "p2", "p3", "m0", "m1", "m2", "m3", "ifc", "lenp1", "count", "hit")),
-	Lines: []tta.Line{{Name: "valid"}, {Name: "ready"}, {Name: "hit"}},
-}
-
-// ports declares storage-less sockets of one kind, for a socket map no
-// unit backs.
-func ports(kind tta.SocketKind, names ...string) []tta.Port {
-	out := make([]tta.Port, len(names))
-	for i, n := range names {
-		out[i].SocketSpec = tta.SocketSpec{Name: n, Kind: kind}
-	}
-	return out
 }
 
 // bodies holds each component's operation, keyed by component name: the
@@ -127,10 +106,19 @@ var bodies = map[string]string{
         elsif w_tw = '1' then dmem(to_integer(unsigned(bus_data))) <= ow_reg;
         end if;`,
 
-	"taco_rtu": `
-        -- backend-specific: sequential entry latch, tree node latch, or
-        -- CAM search pipeline; see internal/fu/rtu.go for the behaviour
+	"taco_rtu_sequential": `
+        -- entry latch: prefix, mask, length and interface of entry bus_data
         if w_tidx = '1' then entry_latch <= table_mem(to_integer(unsigned(bus_data)));
+        end if;`,
+
+	"taco_rtu_balanced_tree": `
+        -- node latch: range, children and interface of node bus_data
+        if w_tnode = '1' then node_latch <= node_mem(to_integer(unsigned(bus_data)));
+        end if;`,
+
+	"taco_rtu_cam": `
+        -- search: the external CAM raises ready and hit after its wait cycles
+        if w_tlook = '1' then cam_key <= a0_reg & a1_reg & a2_reg & bus_data; sig_ready <= '0';
         end if;`,
 
 	"taco_liu": `
@@ -232,10 +220,10 @@ func unitVHDL(name string, p *tta.PortTable, body string) string {
 	return b.String()
 }
 
-// WriteLibrary renders m's component library as one concatenated file
-// with deterministic ordering.
-func WriteLibrary(m *tta.Machine) string {
-	lib := ComponentLibrary(m)
+// WriteLibrary renders the component library of m, built for cfg, as
+// one concatenated file with deterministic ordering.
+func WriteLibrary(cfg fu.Config, m *tta.Machine) string {
+	lib := ComponentLibrary(cfg, m)
 	names := make([]string, 0, len(lib))
 	for n := range lib {
 		names = append(names, n)

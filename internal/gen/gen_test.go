@@ -2,6 +2,7 @@ package gen
 
 import (
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -38,7 +39,7 @@ func TestVHDLStructure(t *testing.T) {
 		"u_cnt0 : taco_counter",
 		"u_cnt2 : taco_counter", // replication reflected
 		"u_mat2 : taco_matcher",
-		"u_rtu : taco_rtu",
+		"u_rtu : taco_rtu_sequential",
 		"u_ippu : taco_ippu",
 		"taco_network_controller",
 		"SOCKET_BASE",
@@ -84,9 +85,9 @@ func TestComponentLibraryCoversTopLevel(t *testing.T) {
 	for _, kind := range rtable.PaperKinds {
 		for _, cfg := range fu.PaperConfigs(kind) {
 			m := testMachine(t, cfg)
-			lib := ComponentLibrary(m)
+			lib := ComponentLibrary(cfg, m)
 			for _, name := range m.UnitNames() {
-				comp := componentName(name)
+				comp := componentName(name, cfg.Table)
 				if _, ok := lib[comp]; !ok {
 					t.Errorf("no library component for %s (unit %s)", comp, name)
 				}
@@ -102,7 +103,8 @@ func TestComponentLibraryCoversTopLevel(t *testing.T) {
 }
 
 func TestComponentLibraryStructure(t *testing.T) {
-	lib := ComponentLibrary(testMachine(t, fu.Config1Bus1FU(rtable.CAM)))
+	cfg := fu.Config1Bus1FU(rtable.CAM)
+	lib := ComponentLibrary(cfg, testMachine(t, cfg))
 	for name, src := range lib {
 		for _, want := range []string{
 			"entity " + name + " is",
@@ -122,8 +124,9 @@ func TestComponentLibraryStructure(t *testing.T) {
 }
 
 func TestWriteLibraryDeterministic(t *testing.T) {
-	m := testMachine(t, fu.Config1Bus1FU(rtable.Sequential))
-	a, b := WriteLibrary(m), WriteLibrary(m)
+	cfg := fu.Config1Bus1FU(rtable.Sequential)
+	m := testMachine(t, cfg)
+	a, b := WriteLibrary(cfg, m), WriteLibrary(cfg, m)
 	if a != b {
 		t.Error("library output not deterministic")
 	}
@@ -137,12 +140,57 @@ var (
 	entityRE   = regexp.MustCompile(`(?m)^-- TACO functional unit: (\w+)\n`)
 	triggerRE  = regexp.MustCompile(`w_(\w+) <= bus_we when unsigned\(bus_dst\) = SOCKET_BASE \+ (\d+) `)
 	operandRE  = regexp.MustCompile(`unsigned\(bus_dst\) = SOCKET_BASE \+ (\d+) then (\w+)_reg <= bus_data`)
+	registerRE = regexp.MustCompile(`(?m)^  signal (\w+)_reg : `)
+	lineRE     = regexp.MustCompile(`(?m)^  signal sig_(\w+) : std_logic; -- to network controller$`)
 )
 
-// The generated hardware decodes each operand and trigger socket at the
-// address the machine gave it: SOCKET_BASE (from the top level) plus the
-// socket's offset (from the library) is m.Socket("<unit>.<socket>"), for
-// every unit of the nine Table 1 instances.
+// decoded is what one library component declares: the offset from
+// SOCKET_BASE of each operand and trigger socket it decodes, the result
+// sockets it holds a register for, and its signal lines.
+type decoded struct {
+	offsets map[string]int
+	results []string
+	lines   []string
+}
+
+// parseLibrary reads every component of a WriteLibrary file.
+func parseLibrary(lib string) map[string]decoded {
+	out := map[string]decoded{}
+	heads := entityRE.FindAllStringSubmatchIndex(lib, -1)
+	for i, h := range heads {
+		end := len(lib)
+		if i+1 < len(heads) {
+			end = heads[i+1][0]
+		}
+		body := lib[h[1]:end]
+		d := decoded{offsets: map[string]int{}}
+		for _, m := range triggerRE.FindAllStringSubmatch(body, -1) {
+			d.offsets[m[1]], _ = strconv.Atoi(m[2])
+		}
+		for _, m := range operandRE.FindAllStringSubmatch(body, -1) {
+			d.offsets[m[2]], _ = strconv.Atoi(m[1])
+		}
+		// Every operand and result socket has a register; the ones no
+		// bus write latches are the results.
+		for _, m := range registerRE.FindAllStringSubmatch(body, -1) {
+			if _, operand := d.offsets[m[1]]; !operand {
+				d.results = append(d.results, m[1])
+			}
+		}
+		for _, m := range lineRE.FindAllStringSubmatch(body, -1) {
+			d.lines = append(d.lines, m[1])
+		}
+		out[lib[h[2]:h[3]]] = d
+	}
+	return out
+}
+
+// The generated hardware is the simulated machine, socket for socket:
+// for every unit of the nine Table 1 instances, its component decodes
+// each operand and trigger socket at the address the machine gave it
+// (SOCKET_BASE from the top level plus the offset from the library is
+// m.Socket("<unit>.<socket>")), and declares exactly the unit's result
+// sockets and signal lines, in port-table order.
 func TestSocketDecodeMatchesMachine(t *testing.T) {
 	for _, kind := range rtable.PaperKinds {
 		for _, cfg := range fu.PaperConfigs(kind) {
@@ -151,26 +199,7 @@ func TestSocketDecodeMatchesMachine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// decode[component][socket] is the socket's offset from
-			// SOCKET_BASE.
-			decode := map[string]map[string]int{}
-			lib := WriteLibrary(m)
-			heads := entityRE.FindAllStringSubmatchIndex(lib, -1)
-			for i, h := range heads {
-				end := len(lib)
-				if i+1 < len(heads) {
-					end = heads[i+1][0]
-				}
-				body := lib[h[1]:end]
-				offsets := map[string]int{}
-				for _, d := range triggerRE.FindAllStringSubmatch(body, -1) {
-					offsets[d[1]], _ = strconv.Atoi(d[2])
-				}
-				for _, d := range operandRE.FindAllStringSubmatch(body, -1) {
-					offsets[d[2]], _ = strconv.Atoi(d[1])
-				}
-				decode[lib[h[2]:h[3]]] = offsets
-			}
+			lib := parseLibrary(WriteLibrary(cfg, m))
 			// One instance per unit in machine order, then the network
 			// controller.
 			instances := instanceRE.FindAllStringSubmatch(top, -1)
@@ -180,31 +209,38 @@ func TestSocketDecodeMatchesMachine(t *testing.T) {
 			instances = instances[:len(m.Units())]
 			for i, in := range instances {
 				p := m.Units()[i].Ports()
-				unit, comp := p.Name, in[2]
+				unit, comp := p.Name, lib[in[2]]
 				if in[1] != vhdlIdent(unit) {
 					t.Fatalf("%s: instance %d is u_%s, unit %s", cfg.Name, i, in[1], unit)
 				}
-				// taco_rtu's socket map is typed by hand for all three
-				// backends and does not match any one of them (ROADMAP
-				// item 25(b)); that fix moves the pinned library.
-				if comp == "taco_rtu" {
-					continue
-				}
 				base, _ := strconv.Atoi(in[3])
-				var want int
+				var decodes int
+				var results, lines []string
 				for _, sock := range p.Sockets {
-					if sock.Kind == tta.Operand || sock.Kind == tta.Trigger {
-						want++
+					switch sock.Kind {
+					case tta.Operand, tta.Trigger:
+						decodes++
+					case tta.Result:
+						results = append(results, sock.Name)
 					}
 				}
-				if len(decode[comp]) != want {
-					t.Errorf("%s: %s decodes %d sockets, unit %s has %d operands and triggers", cfg.Name, comp, len(decode[comp]), unit, want)
+				for _, l := range p.Lines {
+					lines = append(lines, l.Name)
 				}
-				for sock, off := range decode[comp] {
+				if len(comp.offsets) != decodes {
+					t.Errorf("%s: %s decodes %d sockets, unit %s has %d operands and triggers", cfg.Name, in[2], len(comp.offsets), unit, decodes)
+				}
+				for sock, off := range comp.offsets {
 					id, err := m.Socket(unit + "." + sock)
 					if err != nil || int(id) != base+off {
 						t.Errorf("%s: %s.%s decodes SOCKET_BASE %d + %d, machine socket %d (%v)", cfg.Name, unit, sock, base, off, id, err)
 					}
+				}
+				if !slices.Equal(comp.results, results) {
+					t.Errorf("%s: %s declares results %v, unit %s has %v", cfg.Name, in[2], comp.results, unit, results)
+				}
+				if !slices.Equal(comp.lines, lines) {
+					t.Errorf("%s: %s declares signal lines %v, unit %s has %v", cfg.Name, in[2], comp.lines, unit, lines)
 				}
 			}
 		}

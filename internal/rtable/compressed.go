@@ -1,42 +1,26 @@
 package rtable
 
-// CompressedConfig parameterises the CRAM-style compressed trie: the
-// same stride schedule as the multibit table, but each node stores its
-// children as a 2^stride occupancy bitmap plus a rank-indexed compact
-// array holding only the occupied slots — the Lulea/tree-bitmap idiom.
-// The lookup path is bit-for-bit the multibit walk (same nodes, same
-// probe counts); only the storage representation changes: one bit per
-// expanded slot instead of a full pointer, which is where the
-// CRAM-lens "scale IP lookup to large databases" headline comes from.
-type CompressedConfig struct {
-	Strides []int
-}
-
-// DefaultCompressedConfig mirrors the multibit reference schedule so
-// the two backends are directly comparable probe-for-probe — and one
-// default multibit build stands for both (Backends' Reprice).
-func DefaultCompressedConfig() CompressedConfig {
-	return CompressedConfig{Strides: append([]int(nil), DefaultMultibitStrides...)}
-}
-
-// Validate checks the stride schedule (same constraints as multibit).
-func (c CompressedConfig) Validate() error {
-	return MultibitConfig{Strides: c.Strides}.Validate()
-}
-
 // CompressedTable is the CRAM-style compressed routing table: the
-// multibit-stride trie with bitmap-compressed child arrays — which is
-// strideCore as is, so lookups visit exactly the nodes the multibit
-// table visits (identical per-level probe histograms, a property the
-// test wall pins) while MemDims reports the compressed storage.
+// multibit-stride trie with bitmap-compressed child arrays — each node
+// stores its children as a 2^stride occupancy bitmap plus a
+// rank-indexed compact array holding only the occupied slots, the
+// Lulea/tree-bitmap idiom. The walk is strideCore's as is, so lookups
+// visit exactly the nodes the multibit table visits (identical
+// per-level probe histograms, a property the test wall pins) while
+// MemDims reports the compressed storage: one bit per expanded slot
+// instead of a full pointer, which is where the CRAM-lens "scale IP
+// lookup to large databases" headline comes from.
 type CompressedTable struct {
 	strideCore
-	cfg CompressedConfig
+	cfg MultibitConfig
 }
 
-// NewCompressed returns an empty compressed trie; it panics on an
-// invalid stride schedule (use CompressedConfig.Validate first).
-func NewCompressed(cfg CompressedConfig) *CompressedTable {
+// NewCompressed returns an empty compressed trie over a multibit stride
+// schedule; it panics on an invalid one (use MultibitConfig.Validate
+// first). With DefaultMultibitConfig the two backends are comparable
+// probe for probe, and one default multibit build stands for both
+// (Backends' Reprice).
+func NewCompressed(cfg MultibitConfig) *CompressedTable {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -49,7 +33,7 @@ func NewCompressed(cfg CompressedConfig) *CompressedTable {
 func (t *CompressedTable) Kind() Kind { return Compressed }
 
 // Config returns the stride schedule.
-func (t *CompressedTable) Config() CompressedConfig { return t.cfg }
+func (t *CompressedTable) Config() MultibitConfig { return t.cfg }
 
 // MemDims implements MemSizer: per node one 2^stride occupancy bitmap
 // (one bit for each slot the multibit table expands) and a fixed node

@@ -24,7 +24,7 @@ type cpPair struct {
 func newCPPair() cpPair {
 	return cpPair{
 		mb: NewMultibit(DefaultMultibitConfig()),
-		cp: NewCompressed(DefaultCompressedConfig()),
+		cp: NewCompressed(DefaultMultibitConfig()),
 	}
 }
 
@@ -169,7 +169,7 @@ func TestCompressedRankOps(t *testing.T) {
 		for rest := 128 - stride; rest > 0; rest -= min(rest, 16) {
 			strides = append(strides, min(rest, 16))
 		}
-		tbl := NewCompressed(CompressedConfig{Strides: strides})
+		tbl := NewCompressed(MultibitConfig{Strides: strides})
 		if got, want := tbl.bitmapWords(0) > tbl.words[0], stride >= 9; got != want {
 			t.Fatalf("stride %d: rank directory %v, want %v", stride, got, want)
 		}

@@ -8,7 +8,8 @@ import "fmt"
 // models a 2^stride expanded slot array in hardware) for fewer memory
 // accesses per lookup — the classic controlled-prefix-expansion /
 // LC-trie trade-off that decides which organisation wins once the
-// database grows past the paper's 100-entry constraint.
+// database grows past the paper's 100-entry constraint. The compressed
+// trie (NewCompressed) walks the same schedule.
 type MultibitConfig struct {
 	Strides []int
 }

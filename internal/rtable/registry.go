@@ -69,7 +69,7 @@ var Backends = []Backend{
 	{Kind: TiledTCAM, Name: "tiled-tcam", Aliases: []string{"tiledtcam", "tcam"}, Label: "Tiled TCAM",
 		New: func() Table { return NewTiledTCAM(DefaultTiledTCAMConfig()) }, LargeSweep: true, StepFactor: 0.40},
 	{Kind: Compressed, Name: "compressed", Aliases: []string{"cram"}, Label: "Compressed trie",
-		New: func() Table { return NewCompressed(DefaultCompressedConfig()) }, LargeSweep: true, StepFactor: 0.55,
+		New: func() Table { return NewCompressed(DefaultMultibitConfig()) }, LargeSweep: true, StepFactor: 0.55,
 		PricedFrom: Multibit, Reprice: func(t Table) MemDims { return t.(*MultibitTable).compressedDims() }},
 }
 

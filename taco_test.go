@@ -1,10 +1,12 @@
 package taco_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"taco/internal/core"
+	"taco/internal/dse"
 	"taco/internal/estimate"
 	"taco/internal/fu"
 	"taco/internal/rtable"
@@ -24,7 +26,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Error("CAM 3-bus unacceptable")
 	}
 
-	ms, err := core.EvaluateAll(cons, sim)
+	ms, err := dse.Table1(context.Background(), cons, sim, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

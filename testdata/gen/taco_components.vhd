@@ -436,12 +436,12 @@ begin
   end process;
 end architecture behavioural;
 
--- TACO functional unit: taco_rtu
+-- TACO functional unit: taco_rtu_balanced_tree
 library ieee;
 use ieee.std_logic_1164.all;
 use ieee.numeric_std.all;
 
-entity taco_rtu is
+entity taco_rtu_balanced_tree is
   generic (SOCKET_BASE : natural);
   port (
     clk, rst_n : in  std_logic;
@@ -451,12 +451,96 @@ entity taco_rtu is
     rd_addr    : in  std_logic_vector(11 downto 0);
     rd_data    : out std_logic_vector(31 downto 0)
   );
-end entity taco_rtu;
+end entity taco_rtu_balanced_tree;
 
-architecture behavioural of taco_rtu is
+architecture behavioural of taco_rtu_balanced_tree is
+  signal f0_reg : std_logic_vector(31 downto 0);
+  signal f1_reg : std_logic_vector(31 downto 0);
+  signal f2_reg : std_logic_vector(31 downto 0);
+  signal f3_reg : std_logic_vector(31 downto 0);
+  signal l0_reg : std_logic_vector(31 downto 0);
+  signal l1_reg : std_logic_vector(31 downto 0);
+  signal l2_reg : std_logic_vector(31 downto 0);
+  signal l3_reg : std_logic_vector(31 downto 0);
+  signal left_reg : std_logic_vector(31 downto 0);
+  signal right_reg : std_logic_vector(31 downto 0);
+  signal ifc_reg : std_logic_vector(31 downto 0);
+  signal root_reg : std_logic_vector(31 downto 0);
+  signal w_tnode : std_logic; -- trigger strobe
+  signal sig_valid : std_logic; -- to network controller
+begin
+  w_tnode <= bus_we when unsigned(bus_dst) = SOCKET_BASE + 0 else '0';
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      -- operation
+      -- node latch: range, children and interface of node bus_data
+              if w_tnode = '1' then node_latch <= node_mem(to_integer(unsigned(bus_data)));
+              end if;
+    end if;
+  end process;
+end architecture behavioural;
+
+-- TACO functional unit: taco_rtu_cam
+library ieee;
+use ieee.std_logic_1164.all;
+use ieee.numeric_std.all;
+
+entity taco_rtu_cam is
+  generic (SOCKET_BASE : natural);
+  port (
+    clk, rst_n : in  std_logic;
+    bus_we     : in  std_logic;
+    bus_dst    : in  std_logic_vector(11 downto 0);
+    bus_data   : in  std_logic_vector(31 downto 0);
+    rd_addr    : in  std_logic_vector(11 downto 0);
+    rd_data    : out std_logic_vector(31 downto 0)
+  );
+end entity taco_rtu_cam;
+
+architecture behavioural of taco_rtu_cam is
   signal a0_reg : std_logic_vector(31 downto 0);
   signal a1_reg : std_logic_vector(31 downto 0);
   signal a2_reg : std_logic_vector(31 downto 0);
+  signal ifc_reg : std_logic_vector(31 downto 0);
+  signal hit_reg : std_logic_vector(31 downto 0);
+  signal w_tlook : std_logic; -- trigger strobe
+  signal sig_ready : std_logic; -- to network controller
+  signal sig_hit : std_logic; -- to network controller
+begin
+  w_tlook <= bus_we when unsigned(bus_dst) = SOCKET_BASE + 3 else '0';
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      if bus_we = '1' and unsigned(bus_dst) = SOCKET_BASE + 0 then a0_reg <= bus_data; end if;
+      if bus_we = '1' and unsigned(bus_dst) = SOCKET_BASE + 1 then a1_reg <= bus_data; end if;
+      if bus_we = '1' and unsigned(bus_dst) = SOCKET_BASE + 2 then a2_reg <= bus_data; end if;
+      -- operation
+      -- search: the external CAM raises ready and hit after its wait cycles
+              if w_tlook = '1' then cam_key <= a0_reg & a1_reg & a2_reg & bus_data; sig_ready <= '0';
+              end if;
+    end if;
+  end process;
+end architecture behavioural;
+
+-- TACO functional unit: taco_rtu_sequential
+library ieee;
+use ieee.std_logic_1164.all;
+use ieee.numeric_std.all;
+
+entity taco_rtu_sequential is
+  generic (SOCKET_BASE : natural);
+  port (
+    clk, rst_n : in  std_logic;
+    bus_we     : in  std_logic;
+    bus_dst    : in  std_logic_vector(11 downto 0);
+    bus_data   : in  std_logic_vector(31 downto 0);
+    rd_addr    : in  std_logic_vector(11 downto 0);
+    rd_data    : out std_logic_vector(31 downto 0)
+  );
+end entity taco_rtu_sequential;
+
+architecture behavioural of taco_rtu_sequential is
   signal p0_reg : std_logic_vector(31 downto 0);
   signal p1_reg : std_logic_vector(31 downto 0);
   signal p2_reg : std_logic_vector(31 downto 0);
@@ -468,26 +552,15 @@ architecture behavioural of taco_rtu is
   signal ifc_reg : std_logic_vector(31 downto 0);
   signal lenp1_reg : std_logic_vector(31 downto 0);
   signal count_reg : std_logic_vector(31 downto 0);
-  signal hit_reg : std_logic_vector(31 downto 0);
   signal w_tidx : std_logic; -- trigger strobe
-  signal w_tnode : std_logic; -- trigger strobe
-  signal w_tlook : std_logic; -- trigger strobe
   signal sig_valid : std_logic; -- to network controller
-  signal sig_ready : std_logic; -- to network controller
-  signal sig_hit : std_logic; -- to network controller
 begin
-  w_tidx <= bus_we when unsigned(bus_dst) = SOCKET_BASE + 3 else '0';
-  w_tnode <= bus_we when unsigned(bus_dst) = SOCKET_BASE + 4 else '0';
-  w_tlook <= bus_we when unsigned(bus_dst) = SOCKET_BASE + 5 else '0';
+  w_tidx <= bus_we when unsigned(bus_dst) = SOCKET_BASE + 0 else '0';
   process (clk)
   begin
     if rising_edge(clk) then
-      if bus_we = '1' and unsigned(bus_dst) = SOCKET_BASE + 0 then a0_reg <= bus_data; end if;
-      if bus_we = '1' and unsigned(bus_dst) = SOCKET_BASE + 1 then a1_reg <= bus_data; end if;
-      if bus_we = '1' and unsigned(bus_dst) = SOCKET_BASE + 2 then a2_reg <= bus_data; end if;
       -- operation
-      -- backend-specific: sequential entry latch, tree node latch, or
-              -- CAM search pipeline; see internal/fu/rtu.go for the behaviour
+      -- entry latch: prefix, mask, length and interface of entry bus_data
               if w_tidx = '1' then entry_latch <= table_mem(to_integer(unsigned(bus_data)));
               end if;
     end if;
