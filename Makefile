@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm fuzz-ipv6 fuzz-ripng bench bench-e2e bench-compare bench-pair overhead-guard trace-smoke largetable-identity snapshot gen-goldens vet loc
+.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm fuzz-ipv6 fuzz-ripng fuzz-sort bench bench-e2e bench-compare bench-pair overhead-guard trace-smoke largetable-identity snapshot gen-goldens vet loc
 
 all: build test
 
@@ -56,7 +56,7 @@ topo-identity:
 # Short differential fuzz bursts (one -fuzz pattern per go test
 # invocation); extend FUZZTIME for longer campaigns.
 FUZZTIME ?= 30s
-fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm fuzz-ipv6 fuzz-ripng
+fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm fuzz-ipv6 fuzz-ripng fuzz-sort
 
 # Golden router vs TACO processor on generated datagrams.
 fuzz-router:
@@ -123,6 +123,14 @@ fuzz-ipv6:
 # any single flipped bit. Minimizing is capped as for fuzz-lpm.
 fuzz-ripng:
 	$(GO) test ./internal/ripng -run xxx -fuzz FuzzWrapUnwrapUDP -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+
+# The large-table sweep's route-set sort on fuzzed sets (equal, narrow
+# and spread high words, duplicates): SortRoutesInPlace must equal a
+# full sort, and its index must lead every input route to its prefix.
+# Minimizing is capped as for fuzz-lpm: uncapped, both workers stopped
+# fuzzing after the first three seconds.
+fuzz-sort:
+	$(GO) test ./internal/rtable -run xxx -fuzz FuzzSortRoutes -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 
 bench:
 	$(GO) test -bench . -benchmem

@@ -31,9 +31,9 @@ import (
 // copies a datagram's bytes into the machine rather than rewriting
 // them. The zero value is ready to use.
 //
-// Which instance computes a key, and when (the dse pool feeds the
-// largest table first), cannot change a result: every value is a pure
-// function of its key.
+// Which job computes a key, and when (the dse pool computes each route
+// set as a job of its own, ahead of the instances), cannot change a
+// result: every value is a pure function of its key.
 type SweepCache struct {
 	mu sync.Mutex
 	m  map[any]*cacheEntry

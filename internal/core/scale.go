@@ -104,6 +104,21 @@ type routeSet struct {
 	at     []int32
 }
 
+// RouteSet returns the key of the route set a scaled evaluation of
+// spec under sim reads (its table, churn stream and sample are drawn
+// from it) and a job computing that set into c, or a nil job when the
+// evaluation reads none: an analytic kind with no churn stream.
+func (c *SweepCache) RouteSet(spec ScaleSpec, sim SimOptions) (lt workload.LargeTableSpec, job func()) {
+	if sim.Packets <= 0 {
+		sim = DefaultSimOptions()
+	}
+	lt = workload.LargeTableSpec{Entries: spec.Entries, Ifaces: sim.Ifaces, Seed: sim.Seed}
+	if spec.Entries <= 0 || rtable.Backends[spec.Kind].AnalyticProbes != nil && spec.ChurnOps <= 0 {
+		return lt, nil
+	}
+	return lt, func() { c.routes(lt) }
+}
+
 func (c *SweepCache) routes(lt workload.LargeTableSpec) routeSet {
 	return cached(c, lt, func() routeSet {
 		routes := workload.GenerateLargeRoutes(lt)
@@ -233,7 +248,7 @@ func (c *SweepCache) EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constrai
 // measureProbes returns the per-lookup probe count, storage dimensions
 // and live entry count of spec.Kind at the target size.
 func (c *SweepCache) measureProbes(spec ScaleSpec, sim SimOptions) (float64, rtable.MemDims, int, error) {
-	lt := workload.LargeTableSpec{Entries: spec.Entries, Ifaces: sim.Ifaces, Seed: sim.Seed}
+	lt, _ := c.RouteSet(spec, sim)
 	var churn []workload.ChurnOp
 	if spec.ChurnOps > 0 {
 		churn = cached(c, churnKey{lt, spec.ChurnOps}, func() []workload.ChurnOp {

@@ -357,23 +357,39 @@ func referenceSorted(rs []rtable.Route) []rtable.Route {
 }
 
 // TestSortedRoutesMatchesFullSort: the bucketed sort equals one sort of
-// the whole set on spread-out, crowded (one bucket, the fallback sort),
-// short-prefix, duplicate-laden and tiny inputs, and so does the in-place
-// sort, whose index leads every input route to the one holding its
-// prefix.
+// the whole set on spread-out, crowded, short-prefix, duplicate-laden
+// and tiny inputs; on a set whose high words are all equal (one bucket,
+// the fallback sort), one whose high words differ only in their low 8
+// bits (an 8-bit bucket index), and one spread across the top address
+// bit, each with duplicates; and so does the in-place sort, whose index
+// leads every input route to the one holding its prefix.
 func TestSortedRoutesMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	var crowded, short []rtable.Route
+	var crowded, short, oneHi, low8, topBit []rtable.Route
 	for i := 0; i < 3000; i++ {
 		a := bits.Word128{Hi: 0x20010db800000000 | uint64(rng.Intn(1<<20)), Lo: rng.Uint64()}
 		crowded = append(crowded, rtable.Route{Prefix: bits.Prefix{Addr: a, Len: 32 + rng.Intn(97)}, Iface: i % 4, Metric: 1})
 		short = append(short, rtable.Route{Prefix: bits.Prefix{Addr: bits.Word128{Hi: rng.Uint64(), Lo: rng.Uint64()}, Len: rng.Intn(20)}, Iface: i % 4, Metric: 2})
+		a = bits.Word128{Hi: 0x20010db800000000, Lo: rng.Uint64() >> rng.Intn(64)}
+		oneHi = append(oneHi, rtable.Route{Prefix: bits.Prefix{Addr: a, Len: 64 + rng.Intn(65)}, Iface: i % 4, Metric: 3})
+		a = bits.Word128{Hi: 0x20010db8000000a0 | uint64(rng.Intn(1<<8)), Lo: rng.Uint64()}
+		low8 = append(low8, rtable.Route{Prefix: bits.Prefix{Addr: a, Len: 64 + rng.Intn(65)}, Iface: i % 4, Metric: 4})
+		a = bits.Word128{Hi: rng.Uint64(), Lo: rng.Uint64()}
+		topBit = append(topBit, rtable.Route{Prefix: bits.Prefix{Addr: a, Len: 1 + rng.Intn(128)}, Iface: i % 4, Metric: 5})
+	}
+	for _, rs := range []*[]rtable.Route{&oneHi, &low8, &topBit} {
+		for i := 0; i < 500; i++ { // re-announce earlier prefixes: the later one survives
+			r := (*rs)[rng.Intn(len(*rs))]
+			r.Iface, r.Tag = (r.Iface+1)%4, uint16(i)
+			*rs = append(*rs, r)
+		}
 	}
 	shuffled := largeRoutes(10000)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	for name, rs := range map[string][]rtable.Route{
 		"large-1e4": largeRoutes(10000), "shuffled": shuffled, "duplicates": dirtyDuplicates(),
 		"crowded": crowded, "short": short, "one": largeRoutes(1), "empty": nil,
+		"one-hi": oneHi, "low-8": low8, "top-bit": topBit,
 	} {
 		input := slices.Clone(rs)
 		got := rtable.SortedRoutes(rs)

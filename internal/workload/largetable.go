@@ -37,20 +37,24 @@ var LargePrefixLengthWeights = []lengthWeight{
 	{56, 3}, {64, 3}, {128, 1},
 }
 
-// pickLength draws a prefix length from the weighted mix.
-func pickLength(rng *RNG, weights []lengthWeight) int {
-	total := 0
-	for _, w := range weights {
-		total += w.Weight
+// largeWeightTotal is the sum of LargePrefixLengthWeights' weights.
+var largeWeightTotal = func() (n int) {
+	for _, w := range LargePrefixLengthWeights {
+		n += w.Weight
 	}
-	n := rng.Intn(total)
-	for _, w := range weights {
+	return n
+}()
+
+// pickLength draws a prefix length from LargePrefixLengthWeights.
+func pickLength(rng *RNG) int {
+	n := rng.Intn(largeWeightTotal)
+	for _, w := range LargePrefixLengthWeights {
 		if n < w.Weight {
 			return w.Len
 		}
 		n -= w.Weight
 	}
-	return weights[len(weights)-1].Len
+	return LargePrefixLengthWeights[len(LargePrefixLengthWeights)-1].Len
 }
 
 // GenerateLargeRoutes produces spec.Entries distinct routes in
@@ -79,8 +83,9 @@ func GenerateLargeRoutes(spec LargeTableSpec) []rtable.Route {
 
 	seen := newPrefixSet(spec.Entries)
 	routes := make([]rtable.Route, 0, spec.Entries)
+	prefixAt := func(i int) bits.Prefix { return routes[i].Prefix }
 	for len(routes) < spec.Entries {
-		ln := pickLength(rng, LargePrefixLengthWeights)
+		ln := pickLength(rng)
 		var addr bits.Word128
 		if ln >= 32 {
 			// More-specific inside a provider block: keep the top 32
@@ -93,7 +98,7 @@ func GenerateLargeRoutes(spec LargeTableSpec) []rtable.Route {
 			addr.Hi = addr.Hi&^(uint64(0xf)<<60) | uint64(2)<<60
 		}
 		p := bits.MakePrefix(addr, ln)
-		if !seen.add(p, routes) {
+		if !seen.add(p, len(routes), prefixAt) {
 			continue
 		}
 		routes = append(routes, rtable.Route{
@@ -194,10 +199,8 @@ const (
 // GenerateChurn produces a deterministic update stream against the
 // given base table: inserts of fresh prefixes, deletes and replaces of
 // routes live at that point in the stream (so every delete hits and
-// every replace changes an installed route). The live set is a
-// swap-removed list indexed by prefix through the generators' flat
-// prefix set, sized once for every route the stream could add. Ops ≤ 0
-// gives an empty stream.
+// every replace changes an installed route). Ops ≤ 0 gives an empty
+// stream.
 //
 // Known defect, not fixed: fresh prefixes are drawn from 2000::/3, not
 // the 2000::/4 GenerateLargeRoutes keeps to, so an insert can land in
@@ -208,7 +211,11 @@ func GenerateChurn(base []rtable.Route, spec ChurnSpec) []ChurnOp {
 }
 
 // GenerateChurnAt is GenerateChurn reading route i of the base as
-// drawn at base[at[i]] (base[i] when at is nil).
+// drawn at base[at[i]] (base[i] when at is nil). Its live set is a
+// swap-removed list of references, never a copy of the base: r ≥ 0 is
+// base[r], r < 0 the route of ops[^r], the op that inserted or last
+// replaced it. A flat prefix set, sized once for every route the stream
+// could add, indexes the list by prefix.
 func GenerateChurnAt(base []rtable.Route, at []int32, spec ChurnSpec) []ChurnOp {
 	ifaces := spec.Ifaces
 	if ifaces <= 0 {
@@ -217,58 +224,64 @@ func GenerateChurnAt(base []rtable.Route, at []int32, spec ChurnSpec) []ChurnOp 
 	spec.Ops = max(spec.Ops, 0)
 	rng := NewRNG(spec.Seed ^ 0xc4c4)
 
-	live := make([]rtable.Route, len(base))
-	if at == nil {
-		copy(live, base)
+	live := make([]int32, len(base), len(base)+spec.Ops)
+	for i := range live {
+		live[i] = int32(i)
 	}
-	for i, j := range at {
-		live[i] = base[j]
+	if at != nil {
+		copy(live, at)
 	}
+	ops := make([]ChurnOp, 0, spec.Ops)
+	route := func(i int) *rtable.Route {
+		if r := live[i]; r < 0 {
+			return &ops[^r].Route
+		}
+		return &base[live[i]]
+	}
+	prefixAt := func(i int) bits.Prefix { return route(i).Prefix }
 	idx := newPrefixSet(len(live) + spec.Ops)
 	for i := range live {
-		idx.set(live[i].Prefix, live, i)
+		idx.set(prefixAt(i), i, prefixAt)
 	}
 	removeAt := func(i int) {
-		idx.del(live[i].Prefix, live)
+		idx.del(prefixAt(i), prefixAt)
 		last := len(live) - 1
 		if i != last {
-			idx.set(live[last].Prefix, live, i)
+			idx.set(prefixAt(last), i, prefixAt)
 			live[i] = live[last]
 		}
 		live = live[:last]
 	}
 
-	ops := make([]ChurnOp, 0, spec.Ops)
 	for len(ops) < spec.Ops {
 		roll := rng.Float64()
 		switch {
 		case roll < insertFrac || len(live) == 0:
-			ln := pickLength(rng, LargePrefixLengthWeights)
+			ln := pickLength(rng)
 			addr := rng.Word128()
 			addr.Hi = addr.Hi&^(uint64(7)<<61) | uint64(1)<<61
 			p := bits.MakePrefix(addr, ln)
-			if !idx.add(p, live) {
+			if !idx.add(p, len(live), prefixAt) {
 				continue
 			}
-			r := rtable.Route{
+			live = append(live, ^int32(len(ops)))
+			ops = append(ops, ChurnOp{Op: ChurnInsert, Route: rtable.Route{
 				Prefix:  p,
 				NextHop: linkLocalNeighbor(rng),
 				Iface:   rng.Intn(ifaces),
 				Metric:  1 + rng.Intn(14),
-			}
-			live = append(live, r)
-			ops = append(ops, ChurnOp{Op: ChurnInsert, Route: r})
+			}})
 		case roll < insertFrac+deleteFrac:
 			i := rng.Intn(len(live))
-			ops = append(ops, ChurnOp{Op: ChurnDelete, Route: live[i]})
+			ops = append(ops, ChurnOp{Op: ChurnDelete, Route: *route(i)})
 			removeAt(i)
 		default:
 			i := rng.Intn(len(live))
-			r := live[i]
+			r := *route(i)
 			r.NextHop = linkLocalNeighbor(rng)
 			r.Iface = rng.Intn(ifaces)
 			r.Metric = 1 + rng.Intn(14)
-			live[i] = r
+			live[i] = ^int32(len(ops))
 			ops = append(ops, ChurnOp{Op: ChurnReplace, Route: r})
 		}
 	}

@@ -293,20 +293,21 @@ func TestGenerateChurnNoOps(t *testing.T) {
 func TestPrefixSetMatchesMap(t *testing.T) {
 	pool := GenerateLargeRoutes(LargeTableSpec{Entries: 100, Seed: 4})
 	s := newPrefixSet(64)
+	prefixAt := func(i int) bits.Prefix { return pool[i].Prefix }
 	m := map[bits.Prefix]int{}
 	rng := NewRNG(8)
 	for step := 0; step < 20000; step++ {
 		k := rng.Intn(len(pool))
 		p := pool[k].Prefix
 		if rng.Intn(2) == 0 {
-			s.set(p, pool, k)
+			s.set(p, k, prefixAt)
 			m[p] = k
 		} else {
-			s.del(p, pool)
+			s.del(p, prefixAt)
 			delete(m, p)
 		}
 		for i, r := range pool {
-			slot, found := s.find(prefixHash(r.Prefix), r.Prefix, pool)
+			slot, found := s.find(prefixHash(r.Prefix), r.Prefix, prefixAt)
 			_, want := m[r.Prefix]
 			if found != want || found && int(uint32(s.slots[slot]))-1 != i {
 				t.Fatalf("step %d: %v found=%v, map has it=%v", step, r.Prefix, found, want)

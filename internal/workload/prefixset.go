@@ -1,13 +1,11 @@
 package workload
 
-import (
-	"taco/internal/bits"
-	"taco/internal/rtable"
-)
+import "taco/internal/bits"
 
 // prefixSet is the generators' prefix index: an open-addressed,
 // linearly probed map from the prefixes of a route list to their
-// positions in it. A slot holds the low 32 bits of the prefix's hash
+// positions in it, the list read through prefixAt (the prefix of the
+// route at index i). A slot holds the low 32 bits of the prefix's hash
 // beside the route's index plus one (0 marks an empty slot): a probe
 // reads a route only when the hash bits agree, and a removal finds each
 // later slot's home without reading its route.
@@ -30,44 +28,44 @@ func prefixHash(p bits.Prefix) uint64 {
 	return mix64(p.Addr.Hi^mix64(p.Addr.Lo^uint64(p.Len))) & (1<<32 - 1)
 }
 
-// find returns the slot holding p, or the empty slot where p would go.
-// h is prefixHash(p) and routes the list the indices point into.
-func (s prefixSet) find(h uint64, p bits.Prefix, routes []rtable.Route) (i int, found bool) {
+// find returns the slot holding p, or the empty slot where p would go;
+// h is prefixHash(p).
+func (s prefixSet) find(h uint64, p bits.Prefix, prefixAt func(int) bits.Prefix) (i int, found bool) {
 	mask := len(s.slots) - 1
 	for i = int(h) & mask; ; i = (i + 1) & mask {
 		slot := s.slots[i]
 		if slot == 0 {
 			return i, false
 		}
-		if slot>>32 == h && routes[uint32(slot)-1].Prefix == p {
+		if slot>>32 == h && prefixAt(int(uint32(slot)-1)) == p {
 			return i, true
 		}
 	}
 }
 
-// add reports whether p is the prefix of none of routes and, when it is
-// new, records it at index len(routes), where the caller appends it.
-func (s prefixSet) add(p bits.Prefix, routes []rtable.Route) bool {
+// add reports whether p is the prefix of no listed route and, when it
+// is new, records it at index at, where the caller puts it.
+func (s prefixSet) add(p bits.Prefix, at int, prefixAt func(int) bits.Prefix) bool {
 	h := prefixHash(p)
-	i, found := s.find(h, p, routes)
+	i, found := s.find(h, p, prefixAt)
 	if !found {
-		s.slots[i] = h<<32 | uint64(len(routes)+1)
+		s.slots[i] = h<<32 | uint64(at+1)
 	}
 	return !found
 }
 
 // set records p at index at, in its slot or a new one.
-func (s prefixSet) set(p bits.Prefix, routes []rtable.Route, at int) {
+func (s prefixSet) set(p bits.Prefix, at int, prefixAt func(int) bits.Prefix) {
 	h := prefixHash(p)
-	i, _ := s.find(h, p, routes)
+	i, _ := s.find(h, p, prefixAt)
 	s.slots[i] = h<<32 | uint64(at+1)
 }
 
 // del removes p if it is there. Later slots of the probe run shift back
 // into the hole, each as far as its home allows, so no probe ever
 // stops short of its key at an emptied slot.
-func (s prefixSet) del(p bits.Prefix, routes []rtable.Route) {
-	i, found := s.find(prefixHash(p), p, routes)
+func (s prefixSet) del(p bits.Prefix, prefixAt func(int) bits.Prefix) {
+	i, found := s.find(prefixHash(p), p, prefixAt)
 	if !found {
 		return
 	}

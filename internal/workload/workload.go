@@ -74,13 +74,14 @@ func GenerateRoutes(spec TableSpec) []rtable.Route {
 	rng := NewRNG(spec.Seed)
 	seen := newPrefixSet(spec.Entries)
 	routes := make([]rtable.Route, 0, spec.Entries)
+	prefixAt := func(i int) bits.Prefix { return routes[i].Prefix }
 	for len(routes) < spec.Entries {
 		ln := DefaultPrefixLengths[rng.Intn(len(DefaultPrefixLengths))]
 		addr := rng.Word128()
 		// Force global unicast: 001 in the top three bits.
 		addr.Hi = addr.Hi&^(uint64(7)<<61) | uint64(1)<<61
 		p := bits.MakePrefix(addr, ln)
-		if !seen.add(p, routes) {
+		if !seen.add(p, len(routes), prefixAt) {
 			continue
 		}
 		routes = append(routes, rtable.Route{
