@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm fuzz-ipv6 fuzz-ripng fuzz-sort bench bench-e2e bench-compare bench-pair overhead-guard trace-smoke largetable-identity snapshot gen-goldens vet loc
+.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm fuzz-ipv6 fuzz-ripng fuzz-sort bench bench-e2e bench-compare bench-pair overhead-guard trace-smoke largetable-identity snapshot vet loc
 
 all: build test
 
@@ -213,19 +213,6 @@ trace-smoke:
 # TestBenchSnapshotCycles fails otherwise.
 snapshot:
 	$(GO) test -run xxx -bench . -benchtime 2x -benchmem . > bench_snapshot.txt
-
-# Rewrite testdata/gen/, the synthesis models TestModelsMatchGoldens
-# pins, through tacogen -dir: each table's directory gets the top levels
-# of its three Table 1 configurations, and the component library every
-# instance writes goes to testdata/gen/taco_components.vhd. Only commit
-# the result when the generated hardware is meant to change.
-gen-goldens:
-	for t in sequential balanced-tree cam; do \
-		for c in 1bus1fu 3bus1fu 3bus3fu; do \
-			$(GO) run ./cmd/tacogen -config $$c -table $$t -dir testdata/gen/$$t || exit 1; \
-		done; \
-		mv testdata/gen/$$t/taco_components.vhd testdata/gen/; \
-	done
 
 vet:
 	$(GO) vet ./...

@@ -11,7 +11,7 @@ import (
 )
 
 // docTools are the tools a doc-block marker may name: the cmd/ tools.
-var docTools = []string{"tacoasm", "tacoexplore", "tacogen", "tacoreplay", "tacoroute", "tacosim", "tacotopo"}
+var docTools = []string{"tacoasm", "tacoexplore", "tacoreplay", "tacoroute", "tacosim", "tacotopo"}
 
 // docFiles are the documents whose marked blocks the tools' tests re-run.
 var docFiles = []string{"README.md", "EXPERIMENTS.md"}

@@ -110,9 +110,9 @@ func (c Config) Validate() error {
 type UnitKind struct {
 	// Stem prefixes each instance's name: cnt0, cnt1, ...
 	Stem string
-	// Name is the type: "counter" is also the taco_counter component
-	// and the estimate's module key, "counters" the word Validate uses
-	// for the count.
+	// Name is the type: "counter" is also the estimate's module key,
+	// and "counters" (Name plus "s") is the word Validate uses for the
+	// count.
 	Name string
 	// New builds one instance named name.
 	New func(name string) tta.Unit
@@ -121,8 +121,8 @@ type UnitKind struct {
 }
 
 // UnitKinds lists every replicable unit type in machine unit order. It
-// is the one declaration the machine builder, Validate, the design tool
-// (internal/gen) and the socket estimate (internal/estimate) read.
+// is the one declaration the machine builder, Validate and the socket
+// estimate (internal/estimate) read.
 var UnitKinds = []UnitKind{
 	{"cnt", "counter", func(n string) tta.Unit { return NewCounter(n) }, func(c Config) int { return c.Counters }},
 	{"cmp", "comparator", func(n string) tta.Unit { return NewComparator(n) }, func(c Config) int { return c.Comparators }},

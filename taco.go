@@ -26,7 +26,6 @@
 //	internal/forensics failure bundles: capture, deterministic replay, diff
 //	internal/profile   cycles attributed to program regions
 //	internal/estimate  0.18 µm area/power/frequency model
-//	internal/gen       VHDL top level and component library generator
 //	internal/core      the fast-evaluation methodology (Table 1)
 //	internal/dse       design-space sweeps and automated exploration
 //	internal/workload  deterministic tables and traffic
