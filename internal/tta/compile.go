@@ -11,17 +11,23 @@ import (
 
 // This file implements the compiled fast path: for a fixed machine
 // instance and loaded program, UseCompiled pre-lowers the move schedule
-// into flat per-pc move records — guards resolved to the flags and
-// getters of the units' port tables, sources and destinations to their
-// registers and (value, armed) latches, immediates inlined, error cases
-// pre-rendered — so the steady-state
-// step loop touches no maps, no socket tables and no per-move
-// validation. The compiled step is required to be bit-identical to the
-// interpreter's: same cycle counts, same halt behavior, same errors
-// (byte-for-byte message text), same observable socket/FU/stats state
-// after every cycle. The lockstep tests in edge_test.go, the
-// root-level TestCompiledVsInterpreted and FuzzCompiledVsInterpreted
-// enforce that contract.
+// into flat per-move records — guards resolved to the flags and getters
+// of the units' port tables, sources and destinations to their registers
+// and (value, armed) latches, immediates inlined, error cases
+// pre-rendered — so the step loop touches no maps, no socket tables and
+// no per-move validation. Each move is two records at its flat index:
+// the hot cmove, all a lean instruction reads, and the cold ccold, read
+// by general and the flight recorder. A lean instruction is direct,
+// every source a register or an immediate, every guard absent or one
+// inlined flag, every destination a unit write, a trigger or nc.jmp: the
+// cycle loop runs its moves from the hot records alone. Every other
+// instruction's moves go through general, which mirrors the interpreter
+// check by check. The compiled step is required to be bit-identical to the interpreter's:
+// same cycle counts, same halt behavior, same errors (byte-for-byte
+// message text), same observable socket/FU/stats state after every
+// cycle. The lockstep tests in edge_test.go, the root-level
+// TestCompiledVsInterpreted and FuzzCompiledVsInterpreted enforce that
+// contract.
 
 // Destination op codes for a compiled move. Error ops reproduce the
 // interpreter's runtime failures for programs that pass Load validation
@@ -34,6 +40,9 @@ const (
 	opDstErr                 // destination socket out of range
 	opResultErr              // write to a Result socket
 )
+
+// recKind is the flight-recorder event of an executed move, by op.
+var recKind = [...]uint8{opWrite: obs.EvMove, opTrigger: obs.EvTrigger, opJump: obs.EvJump, opHalt: obs.EvHalt}
 
 // cterm is one pre-resolved guard term. A term referencing an unknown
 // signal is lowered with bad set; it faults only when guard evaluation
@@ -49,8 +58,7 @@ type cterm struct {
 
 // cmoveErrs collects a move's pre-rendered failure messages (pc and bus
 // are static per move, so the whole text is known at compile time). The
-// pointer is nil for moves that cannot fail, keeping the hot cmove
-// record small.
+// pointer is nil for moves that cannot fail.
 type cmoveErrs struct {
 	guardErr string // a guard term references an unknown signal
 	srcErr   string // unreadable source (bad id, controller, write-only)
@@ -59,69 +67,65 @@ type cmoveErrs struct {
 	retrig   string // unit triggered twice in one cycle
 }
 
-// Move flag bits. A move with flags == 0 is the steady-state common
-// case — unguarded, source read from a socket, destination a plain unit
-// write with no hazard to check — and executes through a branch-free
-// fast path. fImm alone is the same with an inlined immediate. Any
-// other bit routes the move through the general path.
+// Cold move flag bits: the checks general makes at run time.
 const (
-	fImm     uint8 = 1 << iota // source is an immediate
-	fGuarded                   // move has guard terms
-	fSrcBad                    // source read faults when executed
+	fSrcBad  uint8 = 1 << iota // source read faults when executed
 	fCheckWr                   // destination shared within the instruction
 	fCheckTr                   // trigger unit shared within the instruction
-	fCtl                       // destination is the controller or an error op
 )
 
-// cmove is one pre-lowered move. Field order is deliberate: the first
-// group — the port-table storage plus flags — is everything the
-// steady-state fast paths touch, packed so a typical move costs a
-// single cache line; the trailing group is only read on getter and
-// error paths.
+// cmove is the hot half of a pre-lowered move: everything a lean
+// instruction reads, in one 48-byte record.
 type cmove struct {
-	// Port-table storage: srcReg is the source socket's register (nil
-	// when srcGet derives it); dstVal/dstArmed are the destination's
-	// (value, armed) latch. Latch writes are invisible until Clock, so
-	// the store goes straight in on instructions where the interpreter's
-	// deferred buffer cannot matter (cins.direct). flag0/neg0 inline a
-	// single-term guard on a flag — the dominant guard shape — avoiding
-	// the guard slice entirely.
-	srcReg   *uint32
-	dstVal   *uint32
-	dstArmed *bool
-	flag0    *bool
+	// src is the register the move reads — the source socket's, or imm
+	// for an immediate — and nil when the cold record's getter derives
+	// the source or it is unreadable.
+	src *uint32
+	// val/armed are the destination's (value, armed) latch, nil for the
+	// controller. Latch writes are invisible until Clock, so the store
+	// goes straight in on instructions where the interpreter's deferred
+	// buffer cannot matter (cins.direct).
+	val   *uint32
+	armed *bool
+	// flag/neg inline a single-term guard on a flag, the dominant guard
+	// shape; flag is nil when the move is unguarded or the cold record
+	// holds its guard.
+	flag *bool
+	// act is the bit the move's write sets in the active-unit mask: its
+	// unit's, or 0 when the write needs no Clock of its own — a write to
+	// an Operand socket of a ClockOnWrite unit, which the unit's next
+	// Clock commits before any trigger reads it.
+	act  uint64
+	imm  uint32
+	neg  bool
+	jump bool // destination is nc.jmp
+}
 
-	immVal  uint32
-	unitIdx int32 // destination unit index (active-mask bookkeeping)
-	flags   uint8
-	op      uint8
-	neg0    bool
-
-	// Getter and error-path fields.
-	guard   []cterm
-	srcGet  func() uint32
-	errs    *cmoveErrs
-	sockIdx int32 // destination SocketID-1 (conflict stamp index)
+// ccold is the cold half of a pre-lowered move.
+type ccold struct {
+	guard  []cterm       // a guard the hot record cannot inline
+	srcGet func() uint32 // derived source (hot src nil)
+	errs   *cmoveErrs
 	// Flight-recorder codes, valid for every move (including ones whose
 	// source or destination is invalid): recSrc is -1 for immediates
 	// else the raw source SocketID, recDst the raw destination SocketID
-	// — exactly what the interpreter records.
-	recSrc int32
-	recDst int32
+	// — exactly what the interpreter records. recDst-1 indexes wrStamp.
+	recSrc, recDst int32
+	op, flags      uint8
 }
 
-// cins is one pre-lowered instruction: its moves are c.moves[start:end]
-// (one flat array for the whole program, so stepping an instruction is
-// a contiguous scan, not a per-pc slice chase).
+// cins is one pre-lowered instruction: its moves are [start, end) of the
+// flat move arrays (one for the whole program, so stepping an
+// instruction is a contiguous scan, not a per-pc slice chase).
 type cins struct {
 	start, end int32
-	n          int64 // encoded move count (SlotsEncoded per cycle)
 	// direct: no move of this instruction can raise a move-level error,
 	// so unit writes may be applied immediately instead of through the
 	// deferred buffer — the buffer exists only so a mid-cycle error
 	// leaves unit latches exactly as the interpreter would, and written
 	// latches are invisible until Clock anyway.
 	direct bool
+	lean   bool // see the file comment
 }
 
 // cwrite is a deferred unit write, committed after the move loop so a
@@ -145,8 +149,9 @@ type cwrite struct {
 type fastPath struct {
 	m   *Machine
 	ins []cins
-	// moves backs every instruction's [start:end) window (see cins).
+	// moves and cold back every instruction's [start:end) window.
 	moves []cmove
+	cold  []ccold
 
 	// writes is the deferred-writes buffer, sized at install for the
 	// widest instruction: append never grows it, so the step loop never
@@ -155,11 +160,12 @@ type fastPath struct {
 
 	// Clock-skipping state. A unit is "active" — its Clock must run this
 	// cycle — unless its clocking promise let it settle at its last Clock
-	// and none of its sockets have been written since; ClockEvery units
-	// are permanently active. Activity is a bitmask with one bit per unit
-	// (hence the 64-unit limit), iterated lowest-bit-first to preserve
-	// the interpreter's declaration-order clocking. onWrite holds the
-	// ClockOnWrite units' bits: they settle at every Clock.
+	// and nothing has been written since that needs a Clock (see
+	// cmove.act); ClockEvery units are permanently active. Activity is a
+	// bitmask with one bit per unit (hence the 64-unit limit), iterated
+	// lowest-bit-first to preserve the interpreter's declaration-order
+	// clocking. onWrite holds the ClockOnWrite units' bits: they settle
+	// at every Clock.
 	active  uint64
 	allMask uint64
 	onWrite uint64
@@ -216,9 +222,10 @@ func (m *Machine) UseCompiled() error {
 			c.onWrite |= 1 << uint(i)
 		}
 	}
-	// One flat move array for the whole program, sized up front: each
-	// instruction lowers straight into its window.
+	// One flat pair of move arrays for the whole program, sized up
+	// front: each instruction lowers straight into its window.
 	c.moves = make([]cmove, m.prog.MoveCount())
+	c.cold = make([]ccold, len(c.moves))
 	start, widest := 0, 0
 	for pc, in := range m.prog.Ins {
 		c.ins[pc] = c.lowerInstruction(pc, in, start)
@@ -235,11 +242,11 @@ func (m *Machine) Compiled() bool { return m.fast != nil }
 
 // failure returns the move's error texts, allocating them on the first
 // failure: moves that cannot fail keep errs nil (see cmoveErrs).
-func (cm *cmove) failure() *cmoveErrs {
-	if cm.errs == nil {
-		cm.errs = &cmoveErrs{}
+func (cc *ccold) failure() *cmoveErrs {
+	if cc.errs == nil {
+		cc.errs = &cmoveErrs{}
 	}
-	return cm.errs
+	return cc.errs
 }
 
 // destRef resolves a move destination, nil when it is out of range.
@@ -270,115 +277,110 @@ func (m *Machine) hazards(in isa.Instruction, i int) (wr, tr bool) {
 	return wr, tr
 }
 
-// lowerInstruction lowers in into c.moves[start:start+len(in.Moves)].
+// lowerInstruction lowers in into the move windows [start, start+len).
 func (c *fastPath) lowerInstruction(pc int, in isa.Instruction, start int) cins {
 	m := c.m
-	moves := c.moves[start : start+len(in.Moves)]
+	ci := cins{start: int32(start), end: int32(start + len(in.Moves)), direct: true, lean: true}
 	for bus, mv := range in.Moves {
-		cm := &moves[bus]
-		*cm = cmove{recSrc: recSrcCode(mv.Src), recDst: int32(mv.Dst)}
-		if len(mv.Guard.Terms) > 0 {
-			cm.flags |= fGuarded
-		}
+		cm, cc := &c.moves[start+bus], &c.cold[start+bus]
+		*cc = ccold{recSrc: recSrcCode(mv.Src), recDst: int32(mv.Dst)}
 		for _, t := range mv.Guard.Terms {
 			if int(t.Signal) >= len(m.signals) {
 				// The interpreter evaluates terms in order and faults on
 				// reaching an unknown signal; terms after it are never
 				// evaluated, so lowering stops here too.
-				cm.failure().guardErr = fmt.Sprintf(
+				cc.failure().guardErr = fmt.Sprintf(
 					"tta: pc %d bus %d: tta: guard references unknown signal %d", pc, bus, t.Signal)
-				cm.guard = append(cm.guard, cterm{bad: true})
+				cc.guard = append(cc.guard, cterm{bad: true})
 				break
 			}
 			ref := &m.signals[t.Signal]
 			term := cterm{flag: ref.flag, get: ref.get, negate: t.Negate}
 			if len(mv.Guard.Terms) == 1 && term.flag != nil {
-				// Single resolved term: the hot loop tests the flag inline
-				// and never needs a guard slice.
-				cm.flag0, cm.neg0 = term.flag, term.negate
+				// Single resolved term: the hot record tests the flag
+				// inline and never needs a guard slice.
+				cm.flag, cm.neg = term.flag, term.negate
 				break
 			}
-			cm.guard = append(cm.guard, term)
+			cc.guard = append(cc.guard, term)
 		}
 		switch {
 		case mv.Src.Imm:
-			cm.flags |= fImm
-			cm.immVal = mv.Src.Value
+			cm.imm = mv.Src.Value
+			cm.src = &cm.imm
 		case mv.Src.Socket == isa.InvalidSocket || int(mv.Src.Socket) > len(m.sockets):
-			cm.flags |= fSrcBad
-			cm.failure().srcErr = fmt.Sprintf("tta: pc %d bus %d: bad source socket %d", pc, bus, mv.Src.Socket)
+			cc.flags |= fSrcBad
+			cc.failure().srcErr = fmt.Sprintf("tta: pc %d bus %d: bad source socket %d", pc, bus, mv.Src.Socket)
 		default:
 			ref := &m.sockets[mv.Src.Socket-1]
 			switch {
 			case ref.unit < 0:
-				cm.flags |= fSrcBad
-				cm.failure().srcErr = fmt.Sprintf("tta: pc %d bus %d: controller socket %s is not readable",
+				cc.flags |= fSrcBad
+				cc.failure().srcErr = fmt.Sprintf("tta: pc %d bus %d: controller socket %s is not readable",
 					pc, bus, ref.name)
 			case ref.kind != Result && ref.kind != Register:
-				cm.flags |= fSrcBad
-				cm.failure().srcErr = fmt.Sprintf("tta: pc %d bus %d: socket %s (%v) is not readable",
+				cc.flags |= fSrcBad
+				cc.failure().srcErr = fmt.Sprintf("tta: pc %d bus %d: socket %s (%v) is not readable",
 					pc, bus, ref.name, ref.kind)
 			default:
-				cm.srcReg, cm.srcGet = ref.reg, ref.get
+				cm.src, cc.srcGet = ref.reg, ref.get
 			}
 		}
+		ci.lean = ci.lean && cc.guard == nil && cm.src != nil
 		ref := m.destRef(mv.Dst)
 		if ref == nil {
-			cm.op = opDstErr
-			cm.flags |= fCtl
-			cm.failure().dstErr = fmt.Sprintf("tta: pc %d bus %d: bad destination socket %d", pc, bus, mv.Dst)
+			cc.op = opDstErr
+			cc.failure().dstErr = fmt.Sprintf("tta: pc %d bus %d: bad destination socket %d", pc, bus, mv.Dst)
 			continue
 		}
-		cm.sockIdx = int32(mv.Dst - 1)
 		checkWr, checkTr := m.hazards(in, bus)
 		if checkWr {
-			cm.flags |= fCheckWr
-			cm.failure().conflict = fmt.Sprintf("tta: pc %d: conflicting writes to %s", pc, ref.name)
+			cc.flags |= fCheckWr
+			cc.failure().conflict = fmt.Sprintf("tta: pc %d: conflicting writes to %s", pc, ref.name)
 		}
 		switch {
+		case ref.unit < 0 && ref.ctl == ctlJump:
+			cc.op, cm.jump = opJump, true
 		case ref.unit < 0:
-			cm.flags |= fCtl
-			if ref.ctl == ctlJump {
-				cm.op = opJump
-			} else {
-				cm.op = opHalt
-			}
+			cc.op, ci.lean = opHalt, false
 		case ref.kind == Result:
-			cm.op = opResultErr
-			cm.flags |= fCtl
-			cm.failure().dstErr = fmt.Sprintf("tta: pc %d: write to result socket %s", pc, ref.name)
-		case ref.kind == Trigger:
-			cm.op = opTrigger
-			cm.dstVal, cm.dstArmed, cm.unitIdx = ref.val, ref.armed, int32(ref.unit)
+			cc.op = opResultErr
+			cc.failure().dstErr = fmt.Sprintf("tta: pc %d: write to result socket %s", pc, ref.name)
+		default:
+			cc.op = opWrite
+			cm.val, cm.armed = ref.val, ref.armed
+			if ref.kind != Operand || c.onWrite&(1<<uint(ref.unit)) == 0 {
+				cm.act = 1 << uint(ref.unit)
+			}
+			if ref.kind == Trigger {
+				cc.op = opTrigger
+			}
 			if checkTr {
-				cm.flags |= fCheckTr
-				cm.failure().retrig = fmt.Sprintf("tta: pc %d: unit %s triggered twice in one cycle",
+				cc.flags |= fCheckTr
+				cc.failure().retrig = fmt.Sprintf("tta: pc %d: unit %s triggered twice in one cycle",
 					pc, m.units[ref.unit].Ports().Name)
 			}
-		default: // Operand or Register
-			cm.op = opWrite
-			cm.dstVal, cm.dstArmed, cm.unitIdx = ref.val, ref.armed, int32(ref.unit)
 		}
 	}
 	// An instruction whose moves can raise no move-level error may apply
 	// unit writes immediately (see cins.direct). Conflict checks, bad
 	// guards/sources/destinations and result writes all disqualify;
 	// controller moves (jump, halt) are fine — they touch no unit.
-	direct := true
-	for i := range moves {
-		if moves[i].errs != nil {
-			direct = false
-			break
-		}
+	for _, cc := range c.cold[ci.start:ci.end] {
+		ci.direct = ci.direct && cc.errs == nil
 	}
-	return cins{start: int32(start), end: int32(start + len(moves)), n: int64(len(in.Moves)), direct: direct}
+	ci.lean = ci.lean && ci.direct
+	return ci
 }
 
 // runToPC is Machine.RunToPC on the fast path. Per-cycle bookkeeping
 // (statistics, pc, the cycle stamp) lives in locals and is flushed to
 // the machine on every exit path, so observable state is bit-identical
 // to stepping the interpreter the same number of cycles — while the
-// tight loop itself touches almost no shared memory.
+// tight loop itself touches almost no shared memory. Consecutive lean
+// instructions run in the inner loop, which stops at the first one that
+// is not lean; that one's moves go through general, in the same cycle
+// steps around them.
 func (c *fastPath) runToPC(stopPC int, maxSteps int64) (int64, error) {
 	m := c.m
 	if c.dirty {
@@ -400,17 +402,11 @@ func (c *fastPath) runToPC(stopPC int, maxSteps int64) (int64, error) {
 	}
 
 	statsBase := m.stats.Cycles
-	pc := m.pc
-	stamp := m.stamp
-	halted := m.halted
-	jumped := m.jumped
+	pc, stamp, halted, jumped := m.pc, m.stamp, m.halted, m.jumped
 	var cycles, encoded, moved int64
 	var retErr error
-	ins := c.ins
-	allMoves := c.moves
+	ins, moves, cold := c.ins, c.moves, c.cold
 	active := c.active
-	onWrite := c.onWrite
-	slots := c.slots
 	// The execution count: a guard failure is counted and stamped at
 	// once, the PC when its cycle completes; a failed cycle is uncounted
 	// on exit (see Machine.Step).
@@ -423,212 +419,89 @@ func (c *fastPath) runToPC(stopPC int, maxSteps int64) (int64, error) {
 
 loop:
 	for !halted && cycles < maxSteps {
-		if pc < 0 || pc >= len(ins) {
+		if uint(pc) >= uint(len(ins)) {
 			halted = true
 			break
 		}
-		stamp++
-		if stamp == 0 {
-			clear(m.trigStamp)
-			clear(m.wrStamp)
-			clear(m.sqStamp)
-			stamp = 1
+		ci := &ins[pc]
+		// The lean loop. It leaves the batch where the general cycle below
+		// would — out-of-range PC, stop PC, budget, unit fault — and falls
+		// through to it at the first instruction that is not lean.
+		for ci.lean {
+			if stamp++; stamp == 0 {
+				stamp = m.restamp()
+			}
+			if rec != nil {
+				rec.SetCycle(statsBase + cycles)
+			}
+			nextPC := pc + 1
+			jumped = false
+			base, ms := int(ci.start), moves[ci.start:ci.end]
+			for bus := range ms {
+				mv := &ms[bus]
+				if mv.flag != nil && *mv.flag == mv.neg {
+					squashed[base+bus]++
+					sqStamp[base+bus] = stamp
+					if rec != nil {
+						cc := &cold[base+bus]
+						rec.Record(obs.RecEvent{Kind: obs.EvGuardFalse, PC: int32(pc), Bus: int16(bus),
+							Src: cc.recSrc, Dst: cc.recDst})
+					}
+					continue // guard failed: move not executed
+				}
+				v := *mv.src
+				if rec != nil {
+					cc := &cold[base+bus]
+					rec.Record(obs.RecEvent{Kind: recKind[cc.op], PC: int32(pc), Bus: int16(bus),
+						Src: cc.recSrc, Dst: cc.recDst, Value: v})
+				}
+				if mv.jump {
+					nextPC, jumped = int(v), true
+				} else {
+					*mv.val, *mv.armed = v, true
+					active |= mv.act
+				}
+				moved++
+			}
+			if active, retErr = c.clock(active, pc, statsBase+cycles); retErr != nil {
+				break loop
+			}
+			cycles++
+			encoded += int64(len(ms))
+			issued[pc]++
+			pc = nextPC
+			if uint(pc) >= uint(len(ins)) {
+				halted = true
+				break loop
+			}
+			if stopPC >= 0 && pc == stopPC || cycles == maxSteps {
+				break loop
+			}
+			ci = &ins[pc]
+		}
+		// ci is not lean.
+		if stamp++; stamp == 0 {
+			stamp = m.restamp()
 		}
 		if rec != nil {
 			rec.SetCycle(statsBase + cycles)
 		}
-		nextPC := pc + 1
-		jumped = false
-		haltReq := false
-
-		ci := &ins[pc]
-		direct := ci.direct
-		// Only an instruction that is not direct defers its writes.
-		var writes []cwrite
-		if !direct {
-			writes = c.writes[:0]
+		var n int64
+		var nextPC int
+		var haltReq bool
+		active, n, nextPC, jumped, haltReq, retErr = c.general(ci, pc, stamp, active)
+		if moved += n; retErr != nil {
+			break
 		}
-		for mi := ci.start; mi < ci.end; mi++ {
-			mv := &allMoves[mi]
-			// Fast paths: hazard-free unit writes, at most one inlined
-			// guard term — the whole steady state of a scheduled program.
-			fl := mv.flags
-			if fl&fGuarded != 0 && mv.flag0 != nil {
-				if *mv.flag0 == mv.neg0 {
-					squashed[mi]++
-					sqStamp[mi] = stamp
-					if rec != nil {
-						rec.Record(obs.RecEvent{Kind: obs.EvGuardFalse, PC: int32(pc),
-							Bus: int16(mi - ci.start), Src: mv.recSrc, Dst: mv.recDst})
-					}
-					continue // guard failed: move not executed
-				}
-				fl &^= fGuarded
-			}
-			if fl == 0 {
-				var val uint32
-				if mv.srcReg != nil {
-					val = *mv.srcReg
-				} else {
-					val = mv.srcGet()
-				}
-				if rec != nil {
-					k := obs.EvMove
-					if mv.op == opTrigger {
-						k = obs.EvTrigger
-					}
-					rec.Record(obs.RecEvent{Kind: k, PC: int32(pc), Bus: int16(mi - ci.start),
-						Src: mv.recSrc, Dst: mv.recDst, Value: val})
-				}
-				if direct {
-					*mv.dstVal, *mv.dstArmed = val, true
-					active |= 1 << uint(mv.unitIdx)
-				} else {
-					writes = append(writes, cwrite{mv: mv, val: val})
-				}
-				moved++
-				continue
-			}
-			if fl == fImm {
-				if rec != nil {
-					k := obs.EvMove
-					if mv.op == opTrigger {
-						k = obs.EvTrigger
-					}
-					rec.Record(obs.RecEvent{Kind: k, PC: int32(pc), Bus: int16(mi - ci.start),
-						Src: -1, Dst: mv.recDst, Value: mv.immVal})
-				}
-				if direct {
-					*mv.dstVal, *mv.dstArmed = mv.immVal, true
-					active |= 1 << uint(mv.unitIdx)
-				} else {
-					writes = append(writes, cwrite{mv: mv, val: mv.immVal})
-				}
-				moved++
-				continue
-			}
-			if fl&fGuarded != 0 {
-				executed := true
-				for ti := range mv.guard {
-					t := &mv.guard[ti]
-					if t.bad {
-						retErr = errors.New(mv.errs.guardErr)
-						break loop
-					}
-					var sig bool
-					if t.flag != nil {
-						sig = *t.flag
-					} else {
-						sig = t.get()
-					}
-					if sig == t.negate {
-						executed = false
-						break
-					}
-				}
-				if !executed {
-					squashed[mi]++
-					sqStamp[mi] = stamp
-					if rec != nil {
-						rec.Record(obs.RecEvent{Kind: obs.EvGuardFalse, PC: int32(pc),
-							Bus: int16(mi - ci.start), Src: mv.recSrc, Dst: mv.recDst})
-					}
-					continue
-				}
-			}
-			if mv.flags&fSrcBad != 0 {
-				retErr = errors.New(mv.errs.srcErr)
-				break loop
-			}
-			val := mv.immVal
-			if mv.flags&fImm == 0 {
-				if mv.srcReg != nil {
-					val = *mv.srcReg
-				} else {
-					val = mv.srcGet()
-				}
-			}
-			if mv.op == opDstErr {
-				retErr = errors.New(mv.errs.dstErr)
-				break loop
-			}
-			if mv.flags&fCheckWr != 0 {
-				if m.wrStamp[mv.sockIdx] == stamp {
-					retErr = errors.New(mv.errs.conflict)
-					break loop
-				}
-				m.wrStamp[mv.sockIdx] = stamp
-			}
-			switch mv.op {
-			case opWrite, opTrigger:
-				if mv.flags&fCheckTr != 0 {
-					if m.trigStamp[mv.unitIdx] == stamp {
-						retErr = errors.New(mv.errs.retrig)
-						break loop
-					}
-					m.trigStamp[mv.unitIdx] = stamp
-				}
-				if rec != nil {
-					k := obs.EvMove
-					if mv.op == opTrigger {
-						k = obs.EvTrigger
-					}
-					rec.Record(obs.RecEvent{Kind: k, PC: int32(pc), Bus: int16(mi - ci.start),
-						Src: mv.recSrc, Dst: mv.recDst, Value: val})
-				}
-				if direct {
-					*mv.dstVal, *mv.dstArmed = val, true
-					active |= 1 << uint(mv.unitIdx)
-				} else {
-					writes = append(writes, cwrite{mv: mv, val: val})
-				}
-			case opJump:
-				nextPC = int(val)
-				jumped = true
-				if rec != nil {
-					rec.Record(obs.RecEvent{Kind: obs.EvJump, PC: int32(pc), Bus: int16(mi - ci.start),
-						Src: mv.recSrc, Dst: mv.recDst, Value: val})
-				}
-			case opHalt:
-				haltReq = true
-				if rec != nil {
-					rec.Record(obs.RecEvent{Kind: obs.EvHalt, PC: int32(pc), Bus: int16(mi - ci.start),
-						Src: mv.recSrc, Dst: mv.recDst, Value: val})
-				}
-			case opResultErr:
-				retErr = errors.New(mv.errs.dstErr)
-				break loop
-			}
-			moved++
+		if active, retErr = c.clock(active, pc, statsBase+cycles); retErr != nil {
+			break
 		}
-		for wi := range writes {
-			w := &writes[wi]
-			*w.mv.dstVal, *w.mv.dstArmed = w.val, true
-			active |= 1 << uint(w.mv.unitIdx)
-		}
-		for a := active; a != 0; a &= a - 1 {
-			ui := mathbits.TrailingZeros64(a)
-			s := &slots[ui]
-			if err := s.u.Clock(statsBase + cycles); err != nil {
-				retErr = fmt.Errorf("tta: pc %d: unit %s: %w", pc, s.u.Ports().Name, err)
-				break loop
-			}
-			if s.settled != nil && s.settled() {
-				active &^= 1 << uint(ui)
-			}
-		}
-		// A write-driven unit settles at every Clock (an error above
-		// leaves the mask dirty, so the partial loop needs no care).
-		active &^= onWrite
-
 		cycles++
-		encoded += ci.n
+		encoded += int64(ci.end - ci.start)
 		issued[pc]++
-		if haltReq {
-			halted = true
-		}
+		halted = haltReq
 		pc = nextPC
-		if pc < 0 || pc >= len(ins) {
+		if uint(pc) >= uint(len(ins)) {
 			halted = true
 		}
 		if stopPC >= 0 && pc == stopPC {
@@ -656,4 +529,106 @@ loop:
 		c.dirty = true
 	}
 	return cycles, retErr
+}
+
+// general executes the moves of an instruction that is not lean, making
+// every check the interpreter makes in its order, and returns the
+// updated active mask, the executed-move count and the cycle's control
+// flow. Only an instruction that is not direct defers its writes.
+func (c *fastPath) general(ci *cins, pc int, stamp uint32, active uint64) (
+	_ uint64, moved int64, nextPC int, jumped, halt bool, err error) {
+	m, rec := c.m, c.m.Recorder
+	nextPC = pc + 1
+	writes := c.writes[:0]
+	for mi := ci.start; mi < ci.end; mi++ {
+		mv, cc := &c.moves[mi], &c.cold[mi]
+		bus := mi - ci.start
+		executed := mv.flag == nil || *mv.flag != mv.neg
+		for ti := 0; executed && ti < len(cc.guard); ti++ {
+			t := &cc.guard[ti]
+			if t.bad {
+				return active, moved, nextPC, jumped, halt, errors.New(cc.errs.guardErr)
+			}
+			if t.flag != nil {
+				executed = *t.flag != t.negate
+			} else {
+				executed = t.get() != t.negate
+			}
+		}
+		if !executed {
+			m.squashed[mi]++
+			m.sqStamp[mi] = stamp
+			if rec != nil {
+				rec.Record(obs.RecEvent{Kind: obs.EvGuardFalse, PC: int32(pc), Bus: int16(bus),
+					Src: cc.recSrc, Dst: cc.recDst})
+			}
+			continue
+		}
+		if cc.flags&fSrcBad != 0 {
+			return active, moved, nextPC, jumped, halt, errors.New(cc.errs.srcErr)
+		}
+		var val uint32
+		if mv.src != nil {
+			val = *mv.src
+		} else {
+			val = cc.srcGet()
+		}
+		switch cc.op {
+		case opDstErr, opResultErr:
+			return active, moved, nextPC, jumped, halt, errors.New(cc.errs.dstErr)
+		}
+		if cc.flags&fCheckWr != 0 {
+			if m.wrStamp[cc.recDst-1] == stamp {
+				return active, moved, nextPC, jumped, halt, errors.New(cc.errs.conflict)
+			}
+			m.wrStamp[cc.recDst-1] = stamp
+		}
+		if cc.flags&fCheckTr != 0 {
+			ui := mathbits.TrailingZeros64(mv.act) // a trigger always activates its unit
+			if m.trigStamp[ui] == stamp {
+				return active, moved, nextPC, jumped, halt, errors.New(cc.errs.retrig)
+			}
+			m.trigStamp[ui] = stamp
+		}
+		if rec != nil {
+			rec.Record(obs.RecEvent{Kind: recKind[cc.op], PC: int32(pc), Bus: int16(bus),
+				Src: cc.recSrc, Dst: cc.recDst, Value: val})
+		}
+		switch {
+		case cc.op == opJump:
+			nextPC, jumped = int(val), true
+		case cc.op == opHalt:
+			halt = true
+		case ci.direct:
+			*mv.val, *mv.armed = val, true
+			active |= mv.act
+		default:
+			writes = append(writes, cwrite{mv: mv, val: val})
+		}
+		moved++
+	}
+	for _, w := range writes {
+		*w.mv.val, *w.mv.armed = w.val, true
+		active |= w.mv.act
+	}
+	return active, moved, nextPC, jumped, halt, nil
+}
+
+// clock runs one cycle's Clock walk over the active units in
+// declaration order and returns the mask for the next cycle: a unit
+// that reports settled parks, and a write-driven unit settles at every
+// Clock. On a unit fault it returns the error with the pc (the mask is
+// then moot: the failed cycle leaves the idle cache dirty).
+func (c *fastPath) clock(active uint64, pc int, now int64) (uint64, error) {
+	for a := active; a != 0; a &= a - 1 {
+		ui := mathbits.TrailingZeros64(a)
+		s := &c.slots[ui]
+		if err := s.u.Clock(now); err != nil {
+			return active, fmt.Errorf("tta: pc %d: unit %s: %w", pc, s.u.Ports().Name, err)
+		}
+		if s.settled != nil && s.settled() {
+			active &^= 1 << uint(ui)
+		}
+	}
+	return active &^ c.onWrite, nil
 }

@@ -400,3 +400,65 @@ func TestCompiledWakesSettledUnit(t *testing.T) {
 		t.Fatalf("served in cycles %v, want %v", ui.served, want)
 	}
 }
+
+// clockCount is a test unit that counts its Clock calls.
+type clockCount struct {
+	*adder
+	clocks int
+}
+
+func (c *clockCount) Clock(now int64) error { c.clocks++; return c.adder.Clock(now) }
+
+// TestOperandOverwriteLockstep: on the compiled path a write to an
+// Operand socket of a ClockOnWrite unit costs no Clock; the unit's next
+// Clock, at its trigger, commits it. An operand written cycles before
+// its trigger and overwritten in between must still compute exactly as
+// the interpreter, which clocks every unit every cycle.
+func TestOperandOverwriteLockstep(t *testing.T) {
+	build := func() (*Machine, *clockCount) {
+		u := &clockCount{adder: newAdder("acc")}
+		u.Clocking = ClockOnWrite
+		m, err := New("onwrite", 2, []Unit{u, newRegs("gpr")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := isa.NewProgram()
+		p.Ins = []isa.Instruction{
+			{Moves: []isa.Move{imm(m, 5, "acc.o")}},
+			{Moves: []isa.Move{imm(m, 1, "gpr.r1")}},
+			{Moves: []isa.Move{imm(m, 7, "acc.o"), imm(m, 2, "gpr.r2")}}, // overwrite
+			{Moves: []isa.Move{imm(m, 3, "gpr.r3")}},
+			{Moves: []isa.Move{imm(m, 3, "acc.t")}},
+			{Moves: []isa.Move{mv(m, "acc.r", "gpr.r0"), imm(m, 9, "acc.o")}},
+			{Moves: []isa.Move{imm(m, 1, "acc.tsub")}},
+			{Moves: []isa.Move{mv(m, "acc.r", "gpr.r1"), imm(m, 0, "nc.halt")}},
+		}
+		if err := m.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		return m, u
+	}
+	mi, ui := build()
+	mc, uc := build()
+	if err := mc.UseCompiled(); err != nil {
+		t.Fatal(err)
+	}
+	for cyc := 0; !mi.Halted(); cyc++ {
+		if err, _ := stepBoth(t, mi, mc, cyc); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := mc.SnapshotSockets(), mi.SnapshotSockets(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cycle %d: sockets differ:\ncompiled:    %+v\ninterpreted: %+v", cyc, got, want)
+		}
+	}
+	for name, want := range map[string]uint32{"gpr.r0": 7 + 3, "gpr.r1": 9 - 1} {
+		if got, _ := mc.ReadSocket(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	// The first cycle clocks every unit (nothing is known settled yet),
+	// then only the two triggers: no operand write cost a Clock.
+	if ui.clocks != 8 || uc.clocks != 3 {
+		t.Errorf("acc clocked %d times interpreted, %d compiled; want 8 and 3", ui.clocks, uc.clocks)
+	}
+}

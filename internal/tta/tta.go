@@ -87,7 +87,14 @@ const (
 	// ClockEvery promises nothing: the unit is clocked every cycle.
 	ClockEvery Clocking = iota
 	// ClockOnWrite marks a purely write-driven unit: a Clock with no
-	// socket written since the previous Clock is always a no-op.
+	// socket written since the previous Clock is always a no-op, and one
+	// after writes to Operand sockets alone only commits them. Operand
+	// sockets are write-only, and the unit's Clock commits its operand
+	// latches before a trigger reads them, so the fast path clocks such
+	// a unit only for a write to a Trigger or Register socket and leaves
+	// operand writes for that Clock to commit. A unit with a flag or
+	// result that follows an operand (the counter's done follows stop)
+	// makes another promise.
 	ClockOnWrite
 	// ClockSettled promises the same whenever PortTable.Settled reports
 	// true; units with autonomous per-cycle work (the counter while
@@ -285,12 +292,19 @@ func New(name string, buses int, units []Unit) (*Machine, error) {
 	if buses < 1 {
 		return nil, fmt.Errorf("tta: need at least one bus, got %d", buses)
 	}
+	nsock, nsig := 2, 0 // the controller's two sockets, then the units'
+	for _, u := range units {
+		nsock += len(u.Ports().Sockets)
+		nsig += len(u.Ports().Lines)
+	}
 	m := &Machine{
 		name:      name,
 		buses:     buses,
 		units:     units,
-		socketIDs: make(map[string]isa.SocketID),
-		signalIDs: make(map[string]isa.SignalID),
+		sockets:   make([]socketRef, 0, nsock),
+		socketIDs: make(map[string]isa.SocketID, nsock),
+		signals:   make([]signalRef, 0, nsig),
+		signalIDs: make(map[string]isa.SignalID, nsig),
 	}
 	addSocket := func(ref socketRef) error {
 		if _, dup := m.socketIDs[ref.name]; dup {
@@ -740,14 +754,8 @@ func (m *Machine) interpStep() (err error) {
 	m.nextPC = m.pc + 1
 	haltReq := false
 
-	// Advance the cycle stamp; on wraparound every stale stamp is cleared
-	// so old cycles can never alias the current one.
-	m.stamp++
-	if m.stamp == 0 {
-		clear(m.trigStamp)
-		clear(m.wrStamp)
-		clear(m.sqStamp)
-		m.stamp = 1
+	if m.stamp++; m.stamp == 0 {
+		m.stamp = m.restamp()
 	}
 	defer func() { // a cycle that ends in an error counts nothing
 		if err != nil {
@@ -854,6 +862,15 @@ func (m *Machine) interpStep() (err error) {
 		m.halted = true
 	}
 	return nil
+}
+
+// restamp is the cycle stamp after a wraparound: every stale stamp is
+// cleared so old cycles can never alias the current one.
+func (m *Machine) restamp() uint32 {
+	clear(m.trigStamp)
+	clear(m.wrStamp)
+	clear(m.sqStamp)
+	return 1
 }
 
 // recSrcCode encodes a move source for flight-recorder events: -1 for

@@ -8,6 +8,7 @@
 package taco_test
 
 import (
+	"fmt"
 	"testing"
 
 	"taco/internal/fu"
@@ -18,12 +19,13 @@ import (
 	"taco/internal/workload"
 )
 
-// recorderBatch forwards a fixed workload through a fresh router and
-// returns (cycles, outputs, recorder tail).
-func recorderBatch(t *testing.T, compiled bool, recorderCap int) (int64, [][]byte, []obs.RecEvent) {
+// recorderBatch forwards a fixed workload through a fresh router of
+// cfg and returns (cycles, outputs, recorder tail). An armed recorder
+// must retain the whole run.
+func recorderBatch(t *testing.T, cfg fu.Config, compiled bool, recorderCap int) (int64, [][]byte, []obs.RecEvent) {
 	t.Helper()
 	const packets, ifaces = 48, 4
-	kind := rtable.BalancedTree
+	kind := cfg.Table
 	routes := workload.GenerateRoutes(workload.TableSpec{Entries: 64, Ifaces: ifaces, Seed: 11})
 	tbl := rtable.New(kind)
 	if err := rtable.InsertAll(tbl, routes); err != nil {
@@ -36,7 +38,7 @@ func recorderBatch(t *testing.T, compiled bool, recorderCap int) (int64, [][]byt
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := router.NewTACO(fu.Config3Bus1FU(kind), tbl, ifaces)
+	tr, err := router.NewTACO(cfg, tbl, ifaces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,6 +67,9 @@ func recorderBatch(t *testing.T, compiled bool, recorderCap int) (int64, [][]byt
 	}
 	var tail []obs.RecEvent
 	if rec != nil {
+		if rec.Dropped() != 0 {
+			t.Fatalf("%s/%v: the recorder overwrote %d events; raise its capacity", cfg.Name, kind, rec.Dropped())
+		}
 		tail = rec.Tail()
 	}
 	return tr.Machine.Stats().Cycles, outs, tail
@@ -81,8 +86,9 @@ func TestRecorderOffBitIdentical(t *testing.T) {
 			name = "compiled"
 		}
 		t.Run(name, func(t *testing.T) {
-			offCycles, offOuts, _ := recorderBatch(t, compiled, 0)
-			onCycles, onOuts, tail := recorderBatch(t, compiled, 1<<16)
+			cfg := fu.Config3Bus1FU(rtable.BalancedTree)
+			offCycles, offOuts, _ := recorderBatch(t, cfg, compiled, 0)
+			onCycles, onOuts, tail := recorderBatch(t, cfg, compiled, 1<<16)
 			if offCycles != onCycles {
 				t.Errorf("recorder changed the cycle count: %d off vs %d on", offCycles, onCycles)
 			}
@@ -102,20 +108,28 @@ func TestRecorderOffBitIdentical(t *testing.T) {
 // the whole run, the interpreter and the compiled fast path must
 // record the exact same event stream — every move, guard outcome,
 // trigger, jump and line-card push/pop at the same cycle with the same
-// value. This is the contract tacoreplay -diff leans on.
+// value — on each of the nine Table 1 machines: the sequential scan's
+// guarded jumps, the three-matcher multi-term guards and the CAM's
+// search wait included. This is the contract tacoreplay -diff leans on.
 func TestRecorderPathsIdentical(t *testing.T) {
-	_, _, interp := recorderBatch(t, false, 1<<21)
-	_, _, compiled := recorderBatch(t, true, 1<<21)
-	if len(interp) == 0 {
-		t.Fatal("no events recorded")
-	}
-	if len(interp) != len(compiled) {
-		t.Fatalf("event counts differ: interpreted %d, compiled %d", len(interp), len(compiled))
-	}
-	for i := range interp {
-		if interp[i] != compiled[i] {
-			t.Fatalf("event %d diverged:\n  interpreted: %s\n  compiled:    %s",
-				i, interp[i].Format(nil), compiled[i].Format(nil))
+	for _, kind := range rtable.PaperKinds {
+		for _, cfg := range fu.PaperConfigs(kind) {
+			t.Run(fmt.Sprintf("%v/%s", kind, cfg.Name), func(t *testing.T) {
+				_, _, interp := recorderBatch(t, cfg, false, 1<<18)
+				_, _, compiled := recorderBatch(t, cfg, true, 1<<18)
+				if len(interp) == 0 {
+					t.Fatal("no events recorded")
+				}
+				if len(interp) != len(compiled) {
+					t.Fatalf("event counts differ: interpreted %d, compiled %d", len(interp), len(compiled))
+				}
+				for i := range interp {
+					if interp[i] != compiled[i] {
+						t.Fatalf("event %d diverged:\n  interpreted: %s\n  compiled:    %s",
+							i, interp[i].Format(nil), compiled[i].Format(nil))
+					}
+				}
+			})
 		}
 	}
 }
