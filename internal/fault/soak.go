@@ -3,8 +3,11 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"taco/internal/forensics"
 	"taco/internal/fu"
@@ -42,7 +45,7 @@ type SoakOptions struct {
 	// Compiled runs the soak's TACO router through the compiled fast
 	// path (bit-identical to the interpreter by contract — the soak is
 	// one of the contract's enforcers). The program is compiled once per
-	// RunSoak and serves every campaign.
+	// RunSoak worker and serves every campaign that worker runs.
 	Compiled bool
 	// ForensicsDir, when non-empty, arms the router's flight recorder
 	// (cleared at the start of every campaign) and serializes a
@@ -163,18 +166,81 @@ func campaignSeed(base uint64, c int) uint64 {
 // Divergence is counted, not fatal: a soak run completes and reports, it
 // does not stop at the first bad campaign.
 //
-// The TACO router is built once per call — machine, forwarding program,
-// schedule and, with o.Compiled, the compiled step path — because every
-// campaign shares o.Config and the program depends on nothing else. Each
-// campaign rebinds it to its own freshly built table, which also resets
-// it to power-on state, so a campaign after a stall starts as clean as
-// the first.
+// Campaigns are handed out, lowest first, to min(GOMAXPROCS, Campaigns)
+// workers. The TACO router is built once per worker — machine,
+// forwarding program, schedule and, with o.Compiled, the compiled step
+// path — because every campaign shares o.Config and the program depends
+// on nothing else. Each campaign rebinds its worker's router to its own
+// freshly built table, which also resets it to power-on state, so a
+// campaign after a stall starts as clean as the first and no campaign
+// sees which worker ran it. Results are merged in campaign order, so the
+// report and its bundle list do not depend on the worker count.
+//
+// An error is reported as a serial run would: the report merged through
+// the lowest failing campaign, and that campaign's error. Once a
+// campaign fails no further campaign is started.
 func RunSoak(o SoakOptions) (SoakReport, error) {
 	o.defaults()
 	rep := SoakReport{Campaigns: o.Campaigns, Mutations: map[string]int64{}}
+	first, err := newSoakRouter(o)
+	if err != nil {
+		return rep, err
+	}
+	budget := o.MaxCycles
+	if budget <= 0 {
+		budget = router.WatchdogBudget(o.Packets, o.Entries)
+	}
+	type slot struct {
+		rep SoakReport // this campaign's counts alone
+		err error
+	}
+	slots := make([]slot, o.Campaigns)
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func(tr *router.TACO) {
+		for !failed.Load() {
+			c := int(next.Add(1) - 1)
+			if c >= o.Campaigns {
+				return
+			}
+			s := &slots[c]
+			if s.err = runCampaign(o, tr, c, budget, &s.rep); s.err != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), o.Campaigns); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// The same options built first's router, so this cannot fail
+			// differently; should it fail, the other workers take its share.
+			if tr, err := newSoakRouter(o); err == nil {
+				work(tr)
+			}
+		}()
+	}
+	work(first)
+	wg.Wait()
+	// Every campaign below the lowest failing one was handed out before
+	// it, so has run; campaigns above it are not merged.
+	for c := range slots {
+		rep.add(slots[c].rep)
+		if err := slots[c].err; err != nil {
+			return rep, err
+		}
+	}
+	return rep, nil
+}
+
+// newSoakRouter builds one soak worker's router: drop audit on, the
+// flight recorder armed when bundles are wanted, and the compiled step
+// path when asked for.
+func newSoakRouter(o SoakOptions) (*router.TACO, error) {
 	tr, err := router.NewTACO(o.Config, rtable.New(o.Config.Table), o.Ifaces)
 	if err != nil {
-		return rep, fmt.Errorf("fault: %w", err)
+		return nil, fmt.Errorf("fault: %w", err)
 	}
 	tr.EnableDropAudit()
 	if o.ForensicsDir != "" {
@@ -182,86 +248,101 @@ func RunSoak(o SoakOptions) (SoakReport, error) {
 	}
 	if o.Compiled {
 		if err := tr.UseCompiled(); err != nil {
-			return rep, fmt.Errorf("fault: %w", err)
+			return nil, fmt.Errorf("fault: %w", err)
 		}
 	}
-	budget := o.MaxCycles
-	if budget <= 0 {
-		budget = router.WatchdogBudget(o.Packets, o.Entries)
-	}
-	for c := 0; c < o.Campaigns; c++ {
-		seed := campaignSeed(o.Seed, c)
-		routes := workload.GenerateRoutes(workload.TableSpec{
-			Entries: o.Entries, Ifaces: o.Ifaces, Seed: seed,
-		})
-		tbl := rtable.New(o.Config.Table)
-		if err := rtable.InsertAll(tbl, routes); err != nil {
-			return rep, fmt.Errorf("fault: campaign %d: %w", c, err)
-		}
-		pkts, err := workload.GenerateTraffic(routes, workload.TrafficSpec{
-			Packets:          o.Packets,
-			SizeBytes:        128,
-			MissRatio:        0.1,
-			HopLimitOneRatio: 0.05,
-			Seed:             seed,
-		})
-		if err != nil {
-			return rep, fmt.Errorf("fault: campaign %d: %w", c, err)
-		}
-		inj, err := ParseSpec(o.Spec, seed^0xda942042e4dd58b5)
-		if err != nil {
-			return rep, err
-		}
-		for i := range pkts {
-			pkts[i].Data = inj.Apply(pkts[i].Data)
-		}
-		for name, n := range inj.Counts() {
-			rep.Mutations[name] += n
-		}
+	return tr, nil
+}
 
-		arrivals := router.RoundRobin(pkts, o.Ifaces)
-		want := router.NewGolden(tbl, o.Ifaces).Expected(arrivals)
-		if err := tr.Rebind(tbl); err != nil {
-			return rep, fmt.Errorf("fault: campaign %d: %w", c, err)
-		}
-		run, err := tr.RunChecked(arrivals, want, budget, nil)
-		rep.Packets += int64(len(pkts))
-		rep.Delivered += run.Delivered
-		if o.ForensicsDir != "" {
-			base := forensics.NewRouterBundle("", fmt.Sprintf("campaign-%d", c),
-				o.Config, o.Ifaces, routes, arrivals, run.Delivered, budget, o.Compiled)
-			base.Seed = seed
-			base.FaultSpec = o.Spec
-			for _, b := range base.Failures(tr, run, err) {
-				path, err := b.Save(o.ForensicsDir)
-				if err != nil {
-					return rep, fmt.Errorf("fault: campaign %d: forensics capture: %w", c, err)
-				}
-				rep.Bundles = append(rep.Bundles, path)
-			}
-		}
-		if errors.Is(err, router.ErrStall) {
-			rep.Stalls++
-			continue // campaign lost; the soak itself goes on
-		}
-		if err != nil {
-			return rep, fmt.Errorf("fault: campaign %d: %w", c, err)
-		}
-		rep.Unexplained += run.Unexplained
-		for _, d := range run.Outcomes.Datagrams {
-			switch d.Action {
-			case router.Forward:
-				rep.Forwarded++
-			case router.Local:
-				rep.Local++
-			default:
-				rep.Dropped++
-			}
-		}
-		for _, st := range tr.QueueStats() {
-			rep.Drops.Merge(st.Drops)
-		}
-		rep.Mismatches += len(run.Diff.Seqs) + len(run.Diff.Cards)
+// add merges one campaign's counts into r.
+func (r *SoakReport) add(c SoakReport) {
+	r.Packets += c.Packets
+	r.Delivered += c.Delivered
+	r.Forwarded += c.Forwarded
+	r.Local += c.Local
+	r.Dropped += c.Dropped
+	r.Drops.Merge(c.Drops)
+	for name, n := range c.Mutations {
+		r.Mutations[name] += n
 	}
-	return rep, nil
+	r.Stalls += c.Stalls
+	r.Mismatches += c.Mismatches
+	r.Unexplained += c.Unexplained
+	r.Bundles = append(r.Bundles, c.Bundles...)
+}
+
+// runCampaign runs campaign c on tr, counting into rep, which starts
+// empty. On error rep holds what the campaign counted before it failed.
+func runCampaign(o SoakOptions, tr *router.TACO, c int, budget int64, rep *SoakReport) error {
+	seed := campaignSeed(o.Seed, c)
+	routes := workload.GenerateRoutes(workload.TableSpec{
+		Entries: o.Entries, Ifaces: o.Ifaces, Seed: seed,
+	})
+	tbl := rtable.New(o.Config.Table)
+	if err := rtable.InsertAll(tbl, routes); err != nil {
+		return fmt.Errorf("fault: campaign %d: %w", c, err)
+	}
+	pkts, err := workload.GenerateTraffic(routes, workload.TrafficSpec{
+		Packets:          o.Packets,
+		SizeBytes:        128,
+		MissRatio:        0.1,
+		HopLimitOneRatio: 0.05,
+		Seed:             seed,
+	})
+	if err != nil {
+		return fmt.Errorf("fault: campaign %d: %w", c, err)
+	}
+	inj, err := ParseSpec(o.Spec, seed^0xda942042e4dd58b5)
+	if err != nil {
+		return err
+	}
+	for i := range pkts {
+		pkts[i].Data = inj.Apply(pkts[i].Data)
+	}
+	rep.Mutations = inj.Counts()
+
+	arrivals := router.RoundRobin(pkts, o.Ifaces)
+	want := router.NewGolden(tbl, o.Ifaces).Expected(arrivals)
+	if err := tr.Rebind(tbl); err != nil {
+		return fmt.Errorf("fault: campaign %d: %w", c, err)
+	}
+	run, err := tr.RunChecked(arrivals, want, budget, nil)
+	rep.Packets += int64(len(pkts))
+	rep.Delivered += run.Delivered
+	if o.ForensicsDir != "" {
+		base := forensics.NewRouterBundle("", fmt.Sprintf("campaign-%d", c),
+			o.Config, o.Ifaces, routes, arrivals, run.Delivered, budget, o.Compiled)
+		base.Seed = seed
+		base.FaultSpec = o.Spec
+		for _, b := range base.Failures(tr, run, err) {
+			path, err := b.Save(o.ForensicsDir)
+			if err != nil {
+				return fmt.Errorf("fault: campaign %d: forensics capture: %w", c, err)
+			}
+			rep.Bundles = append(rep.Bundles, path)
+		}
+	}
+	if errors.Is(err, router.ErrStall) {
+		rep.Stalls++
+		return nil // campaign lost; the soak itself goes on
+	}
+	if err != nil {
+		return fmt.Errorf("fault: campaign %d: %w", c, err)
+	}
+	rep.Unexplained += run.Unexplained
+	for _, d := range run.Outcomes.Datagrams {
+		switch d.Action {
+		case router.Forward:
+			rep.Forwarded++
+		case router.Local:
+			rep.Local++
+		default:
+			rep.Dropped++
+		}
+	}
+	for _, st := range tr.QueueStats() {
+		rep.Drops.Merge(st.Drops)
+	}
+	rep.Mismatches += len(run.Diff.Seqs) + len(run.Diff.Cards)
+	return nil
 }

@@ -2,9 +2,12 @@ package fault
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"taco/internal/forensics"
@@ -146,6 +149,62 @@ func TestSoakForensicsDeterministic(t *testing.T) {
 		}
 		if string(a) != string(b) {
 			t.Errorf("bundle %s bytes differ between runs", lists[0][i])
+		}
+	}
+}
+
+// TestSoakWorkersIdentical: RunSoak hands campaigns to one worker per
+// GOMAXPROCS, each with its own router, and merges in campaign order.
+// The report, its bundle list and the bundle files must come out the
+// same on one worker as on four, for a clean soak and a stalling one.
+func TestSoakWorkersIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	stalling := soakStallOptions("")
+	stalling.Campaigns = 8
+	for name, opts := range map[string]SoakOptions{
+		"clean": {Campaigns: 8, Packets: 48, Entries: 48, Seed: 2003, Compiled: true},
+		"stall": stalling,
+	} {
+		var reports [2][]byte
+		var files [2]map[string][sha256.Size]byte
+		for i, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			opts.ForensicsDir = t.TempDir()
+			rep, err := RunSoak(opts)
+			if err != nil {
+				t.Fatalf("%s, GOMAXPROCS %d: %v", name, procs, err)
+			}
+			// Bundle paths name the run's own directory; compare names.
+			for j, p := range rep.Bundles {
+				rep.Bundles[j] = filepath.Base(p)
+			}
+			if reports[i], err = json.Marshal(rep); err != nil {
+				t.Fatal(err)
+			}
+			files[i] = map[string][sha256.Size]byte{}
+			entries, err := os.ReadDir(opts.ForensicsDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				data, err := os.ReadFile(filepath.Join(opts.ForensicsDir, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[i][e.Name()] = sha256.Sum256(data)
+			}
+			if len(files[i]) != len(rep.Bundles) {
+				t.Errorf("%s, GOMAXPROCS %d: %d files for bundles %v", name, procs, len(files[i]), rep.Bundles)
+			}
+		}
+		if !bytes.Equal(reports[0], reports[1]) {
+			t.Errorf("%s: report differs between 1 and 4 workers:\n%s\n%s", name, reports[0], reports[1])
+		}
+		if !reflect.DeepEqual(files[0], files[1]) {
+			t.Errorf("%s: bundle files differ between 1 and 4 workers", name)
+		}
+		if name == "stall" && len(files[0]) < 2 {
+			t.Errorf("stalling soak wrote %d bundles; the merge order goes untested", len(files[0]))
 		}
 	}
 }

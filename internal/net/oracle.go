@@ -172,26 +172,37 @@ func (m *Mesh) Divergence() string {
 // returns the first forwarding loop or dead end it finds, or "". Unlike
 // Divergence it does not require metric optimality — it is the pure
 // loop-freedom invariant, meaningful even mid-convergence.
+//
+// A walk stops at a node an earlier walk proved sound for the same
+// prefix: that node's own chain reaches the owner, and it cannot lead
+// back into the current walk, or its own chain would loop. So the
+// verdict and the first failure are those of walking every chain to the
+// end.
 func (m *Mesh) NextHopSound() string {
 	o := m.oracle()
 	// visited[n] holds the last (prefix, start) walk that passed node n,
-	// so one slice serves every walk without clearing.
+	// so one slice serves every walk without clearing; sound[n] holds
+	// p+1 once a walk through n reached prefix p's owner.
 	visited := make([]int32, len(m.nodes))
+	sound := make([]int32, len(m.nodes))
+	var path []int
 	walk := int32(0)
 	for p := range o.prefixes {
+		proven := int32(p + 1)
 		addr := probeDst(o.prefixes[p])
 		for start := range m.nodes {
-			if !m.nodes[start].alive || !o.Reachable(p, start) {
+			if !m.nodes[start].alive || !o.Reachable(p, start) || sound[start] == proven {
 				continue
 			}
 			walk++
-			cur := start
-			for {
+			path = path[:0]
+			for cur := start; sound[cur] != proven; {
 				if visited[cur] == walk {
 					return fmt.Sprintf("prefix %v: forwarding loop through node %d (from node %d)",
 						o.prefixes[p], cur, start)
 				}
 				visited[cur] = walk
+				path = append(path, cur)
 				n := m.nodes[cur]
 				r, ok := n.table.Lookup(addr)
 				if !ok {
@@ -206,6 +217,9 @@ func (m *Mesh) NextHopSound() string {
 					break // delivered to the owner's stub
 				}
 				cur = n.nbrs[r.Iface].node
+			}
+			for _, n := range path {
+				sound[n] = proven
 			}
 		}
 	}

@@ -406,8 +406,13 @@ func (e *Engine) queueResponses(iface int, dst ipv6.Addr, changedOnly bool) {
 		}
 		c[n] = e.exportOne(r, iface)
 		n++
+		if n == MaxRTEsPerPacket {
+			e.out[len(e.out)-1].Pkt.RTEs = c[:n:n]
+			n = 0
+		}
+	}
+	if n > 0 {
 		e.out[len(e.out)-1].Pkt.RTEs = c[:n:n]
-		n %= MaxRTEsPerPacket
 	}
 }
 

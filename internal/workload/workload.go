@@ -166,6 +166,8 @@ func GenerateTraffic(routes []rtable.Route, spec TrafficSpec) ([]Packet, error) 
 	rng := NewRNG(spec.Seed ^ 0xdada)
 	misses := buildMissSpace(routes)
 	out := make([]Packet, 0, spec.Packets)
+	// BuildDatagram copies the payload, so one buffer serves every datagram.
+	payload := make([]byte, spec.SizeBytes-ipv6.HeaderBytes)
 	for i := 0; i < spec.Packets; i++ {
 		var dst bits.Word128
 		expectMiss := false
@@ -183,7 +185,6 @@ func GenerateTraffic(routes []rtable.Route, spec TrafficSpec) ([]Packet, error) 
 			expectDrop = true
 		}
 		src := bits.FromWords(0x20010000, 0xfeed0000, rng.Uint64AsUint32(), rng.Uint64AsUint32())
-		payload := make([]byte, spec.SizeBytes-ipv6.HeaderBytes)
 		for j := range payload {
 			payload[j] = byte(rng.Uint64())
 		}
