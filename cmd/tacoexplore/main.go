@@ -283,8 +283,8 @@ func runSweep(ctx context.Context, c *cliutil.Command, which string, cons core.C
 		fmt.Fprintln(w, "table-size sweep (1BUS/1FU): cycles/packet by implementation")
 		fmt.Fprintf(w, "%8s %12s %12s %12s %12s\n", "entries", "sequential", "tree", "cam", "trie(model)")
 		for i, n := range sizes {
-			// The trie has no hardware unit; report its probe count as a
-			// software model reference.
+			// The trie has no hardware unit and is not swept, so its
+			// column always prints "-".
 			fmt.Fprintf(w, "%8d %12s %12s %12s %12s\n", n,
 				cyclesCell(rows[rtable.Sequential][i]),
 				cyclesCell(rows[rtable.BalancedTree][i]),

@@ -329,14 +329,27 @@ func TestTreeMergeBuildBytes(t *testing.T) {
 		got += after.TotalAlloc - before.TotalAlloc
 	}
 	nodes, _ := tbl.Nodes()
+	if want := len(rtable.SortedRoutes(rs)); tbl.Len() != want {
+		t.Fatalf("merged table holds %d routes, want %d", tbl.Len(), want)
+	}
 	// The merged buffer and the sort's keys (32 B) a route, plus 16 B a
 	// route of slack for the sort's bucket counts and size classes.
 	perRoute := unsafe.Sizeof(rtable.Route{}) + 32 + 16
 	want := float64(uintptr(len(nodes))*unsafe.Sizeof(rtable.TreeNode{}) + perRoute*uintptr(len(rs)))
-	if avg := float64(got) / runs; avg > want {
+	avg := float64(got) / runs
+	if raceEnabled {
+		// The race runtime's own allocations inflate TotalAlloc.
+		t.Logf("race build: merge allocated %.0f bytes; the bound %.0f is checked without -race", avg, want)
+		return
+	}
+	if avg > want {
 		t.Errorf("merging %d routes into %d allocated %.0f bytes, want <= %.0f", len(batch), len(old), avg, want)
 	}
 }
+
+// raceEnabled is set under the race detector, whose runtime allocates
+// on the program's behalf.
+var raceEnabled bool
 
 // referenceSorted is SortedRoutes by one stable sort of the whole set:
 // canonical prefixes in (address, length) order, the last duplicate kept.

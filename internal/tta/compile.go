@@ -1,7 +1,6 @@
 package tta
 
 import (
-	"errors"
 	"fmt"
 	mathbits "math/bits"
 
@@ -10,129 +9,63 @@ import (
 )
 
 // This file implements the compiled fast path: for a fixed machine
-// instance and loaded program, UseCompiled pre-lowers the move schedule
-// into flat per-move records — guards resolved to the flags and getters
-// of the units' port tables, sources and destinations to their registers
-// and (value, armed) latches, immediates inlined, error cases
-// pre-rendered — so the step loop touches no maps, no socket tables and
-// no per-move validation. Each move is two records at its flat index:
-// the hot cmove, all a lean instruction reads, and the cold ccold, read
-// by general and the flight recorder. A lean instruction is direct,
-// every source a register or an immediate, every guard absent or one
-// inlined flag, every destination a unit write, a trigger or nc.jmp: the
-// cycle loop runs its moves from the hot records alone. Every other
-// instruction's moves go through general, which mirrors the interpreter
-// check by check. The compiled step is required to be bit-identical to the interpreter's:
-// same cycle counts, same halt behavior, same errors (byte-for-byte
-// message text), same observable socket/FU/stats state after every
-// cycle. The lockstep tests in edge_test.go, the root-level
+// instance and loaded program, UseCompiled pre-lowers every lean
+// instruction into flat per-move records — guards resolved to the flags
+// of the units' port tables, sources and destinations to their
+// registers and (value, armed) latches, immediates inlined — so the step
+// loop touches no maps, no socket tables and no per-move validation. An
+// instruction is lean when it cannot fail: every source a register or an
+// immediate, every guard absent or one inlined flag, every destination a
+// unit write, a trigger or nc.jmp, and no two moves writing one socket
+// or triggering one unit. Each of its moves is two records at its flat
+// index: the hot cmove, all the cycle loop reads, and the cold ccold,
+// read only by the flight recorder. Every other instruction runs through
+// the interpreter's own move loop (Machine.moves), so every move check
+// and its error text exist once. The compiled step is required to be
+// bit-identical to the interpreter's: same cycle counts, same halt
+// behavior, same errors, same observable socket/FU/stats state after
+// every cycle. The lockstep tests in edge_test.go, the root-level
 // TestCompiledVsInterpreted and FuzzCompiledVsInterpreted enforce that
 // contract.
 
-// Destination op codes for a compiled move. Error ops reproduce the
-// interpreter's runtime failures for programs that pass Load validation
-// (which checks structure, not socket kinds) but fault when executed.
-const (
-	opWrite     uint8 = iota // latch into an Operand or Register socket
-	opTrigger                // latch into a Trigger socket
-	opJump                   // nc.jmp: next PC = moved value
-	opHalt                   // nc.halt: stop after this cycle
-	opDstErr                 // destination socket out of range
-	opResultErr              // write to a Result socket
-)
-
-// recKind is the flight-recorder event of an executed move, by op.
-var recKind = [...]uint8{opWrite: obs.EvMove, opTrigger: obs.EvTrigger, opJump: obs.EvJump, opHalt: obs.EvHalt}
-
-// cterm is one pre-resolved guard term. A term referencing an unknown
-// signal is lowered with bad set; it faults only when guard evaluation
-// reaches it, exactly like the interpreter (an earlier failing term
-// short-circuits without error), so lowering stops at the bad term.
-type cterm struct {
-	// flag is the bool backing the signal, or nil when get derives it.
-	flag   *bool
-	get    func() bool
-	negate bool
-	bad    bool
-}
-
-// cmoveErrs collects a move's pre-rendered failure messages (pc and bus
-// are static per move, so the whole text is known at compile time). The
-// pointer is nil for moves that cannot fail.
-type cmoveErrs struct {
-	guardErr string // a guard term references an unknown signal
-	srcErr   string // unreadable source (bad id, controller, write-only)
-	dstErr   string // opDstErr / opResultErr text
-	conflict string // conflicting writes within this instruction
-	retrig   string // unit triggered twice in one cycle
-}
-
-// Cold move flag bits: the checks general makes at run time.
-const (
-	fSrcBad  uint8 = 1 << iota // source read faults when executed
-	fCheckWr                   // destination shared within the instruction
-	fCheckTr                   // trigger unit shared within the instruction
-)
-
-// cmove is the hot half of a pre-lowered move: everything a lean
-// instruction reads, in one 48-byte record.
+// cmove is the hot half of a pre-lowered move of a lean instruction:
+// everything the cycle loop reads, in one 48-byte record.
 type cmove struct {
-	// src is the register the move reads — the source socket's, or imm
-	// for an immediate — and nil when the cold record's getter derives
-	// the source or it is unreadable.
+	// src is the register the move reads: the source socket's, or imm
+	// for an immediate.
 	src *uint32
-	// val/armed are the destination's (value, armed) latch, nil for the
-	// controller. Latch writes are invisible until Clock, so the store
-	// goes straight in on instructions where the interpreter's deferred
-	// buffer cannot matter (cins.direct).
+	// val/armed are the destination's (value, armed) latch, nil for
+	// nc.jmp. Latch writes are invisible until Clock and a lean
+	// instruction cannot fail mid-cycle, so the store goes straight in.
 	val   *uint32
 	armed *bool
-	// flag/neg inline a single-term guard on a flag, the dominant guard
-	// shape; flag is nil when the move is unguarded or the cold record
-	// holds its guard.
+	// flag/neg inline a single-term guard on a flag; flag is nil when the
+	// move is unguarded.
 	flag *bool
-	// act is the bit the move's write sets in the active-unit mask: its
-	// unit's, or 0 when the write needs no Clock of its own — a write to
-	// an Operand socket of a ClockOnWrite unit, which the unit's next
-	// Clock commits before any trigger reads it.
+	// act is the bit the move's write sets in the active-unit mask (see
+	// fastPath.act).
 	act  uint64
 	imm  uint32
 	neg  bool
 	jump bool // destination is nc.jmp
 }
 
-// ccold is the cold half of a pre-lowered move.
+// ccold is the cold half of a pre-lowered move: its flight-recorder
+// event kind when it executes, and recSrc (-1 for an immediate, else
+// the source SocketID) and recDst (the destination SocketID), exactly
+// what the interpreter records.
 type ccold struct {
-	guard  []cterm       // a guard the hot record cannot inline
-	srcGet func() uint32 // derived source (hot src nil)
-	errs   *cmoveErrs
-	// Flight-recorder codes, valid for every move (including ones whose
-	// source or destination is invalid): recSrc is -1 for immediates
-	// else the raw source SocketID, recDst the raw destination SocketID
-	// — exactly what the interpreter records. recDst-1 indexes wrStamp.
 	recSrc, recDst int32
-	op, flags      uint8
+	kind           uint8
 }
 
 // cins is one pre-lowered instruction: its moves are [start, end) of the
 // flat move arrays (one for the whole program, so stepping an
-// instruction is a contiguous scan, not a per-pc slice chase).
+// instruction is a contiguous scan, not a per-pc slice chase). Only a
+// lean instruction's records are read.
 type cins struct {
 	start, end int32
-	// direct: no move of this instruction can raise a move-level error,
-	// so unit writes may be applied immediately instead of through the
-	// deferred buffer — the buffer exists only so a mid-cycle error
-	// leaves unit latches exactly as the interpreter would, and written
-	// latches are invisible until Clock anyway.
-	direct bool
-	lean   bool // see the file comment
-}
-
-// cwrite is a deferred unit write, committed after the move loop so a
-// mid-cycle error leaves unit latches exactly as the interpreter would.
-type cwrite struct {
-	mv  *cmove
-	val uint32
+	lean       bool // see the file comment
 }
 
 // fastPath is a machine's compiled step path, installed by UseCompiled:
@@ -153,15 +86,10 @@ type fastPath struct {
 	moves []cmove
 	cold  []ccold
 
-	// writes is the deferred-writes buffer, sized at install for the
-	// widest instruction: append never grows it, so the step loop never
-	// stores its header back.
-	writes []cwrite
-
 	// Clock-skipping state. A unit is "active" — its Clock must run this
 	// cycle — unless its clocking promise let it settle at its last Clock
 	// and nothing has been written since that needs a Clock (see
-	// cmove.act); ClockEvery units are permanently active. Activity is a
+	// fastPath.act); ClockEvery units are permanently active. Activity is a
 	// bitmask with one bit per unit (hence the 64-unit limit), iterated
 	// lowest-bit-first to preserve the interpreter's declaration-order
 	// clocking. onWrite holds the ClockOnWrite units' bits: they settle
@@ -191,9 +119,10 @@ type unitSlot struct {
 const MaxCompiledUnits = 64
 
 // UseCompiled switches the machine to the compiled fast path: the
-// loaded program is pre-lowered once, and from then on Step, Run,
-// RunStepped and RunToPC execute through the lowered records, bit for
-// bit as the interpreter would — execution count and recorder events
+// loaded program's lean instructions are pre-lowered once, and from then
+// on Step, Run, RunStepped and RunToPC run them from the lowered records
+// and every other instruction through the interpreter's move loop, bit
+// for bit as the interpreter would — execution count and recorder events
 // included. A later Load lowers the new program. A refused switch (no
 // program loaded, more than MaxCompiledUnits units) leaves the machine
 // on the interpreter.
@@ -226,13 +155,11 @@ func (m *Machine) UseCompiled() error {
 	// front: each instruction lowers straight into its window.
 	c.moves = make([]cmove, m.prog.MoveCount())
 	c.cold = make([]ccold, len(c.moves))
-	start, widest := 0, 0
+	start := 0
 	for pc, in := range m.prog.Ins {
-		c.ins[pc] = c.lowerInstruction(pc, in, start)
+		c.ins[pc] = c.lowerInstruction(in, start)
 		start += len(in.Moves)
-		widest = max(widest, len(in.Moves))
 	}
-	c.writes = make([]cwrite, 0, widest)
 	m.fast = c
 	return nil
 }
@@ -240,137 +167,85 @@ func (m *Machine) UseCompiled() error {
 // Compiled reports whether the machine runs on the compiled fast path.
 func (m *Machine) Compiled() bool { return m.fast != nil }
 
-// failure returns the move's error texts, allocating them on the first
-// failure: moves that cannot fail keep errs nil (see cmoveErrs).
-func (cc *ccold) failure() *cmoveErrs {
-	if cc.errs == nil {
-		cc.errs = &cmoveErrs{}
-	}
-	return cc.errs
-}
-
-// destRef resolves a move destination, nil when it is out of range.
-func (m *Machine) destRef(dst isa.SocketID) *socketRef {
-	if dst == isa.InvalidSocket || int(dst) > len(m.sockets) {
-		return nil
-	}
-	return &m.sockets[dst-1]
-}
-
-// hazards reports whether another move of in writes the same socket as
-// move i (wr) or triggers the same unit (tr). Guards are ignored —
-// whether both actually execute is decided at runtime, exactly as the
-// interpreter does with its stamp arrays — so only these moves need a
-// runtime conflicting-write (or double-trigger) check. An instruction
-// holds at most one move per bus, so the scan is a few compares.
-func (m *Machine) hazards(in isa.Instruction, i int) (wr, tr bool) {
-	ref := m.destRef(in.Moves[i].Dst)
+// hazard reports whether another move of in writes the same socket as
+// move i or triggers the same unit. Guards are ignored: whether both
+// actually execute is decided at run time, by the interpreter's move
+// loop and its stamp arrays, so a hazard makes the instruction not lean.
+// An instruction holds at most one move per bus, so the scan is a few
+// compares.
+func (m *Machine) hazard(in isa.Instruction, i int) bool {
+	ref := m.sockRef(in.Moves[i].Dst)
 	trig := ref.unit >= 0 && ref.kind == Trigger
 	for k, mv := range in.Moves {
-		other := m.destRef(mv.Dst)
-		if k == i || other == nil {
-			continue
+		other := m.sockRef(mv.Dst)
+		if k != i && other != nil && (mv.Dst == in.Moves[i].Dst ||
+			trig && other.unit == ref.unit && other.kind == Trigger) {
+			return true
 		}
-		wr = wr || mv.Dst == in.Moves[i].Dst
-		tr = tr || trig && other.unit == ref.unit && other.kind == Trigger
 	}
-	return wr, tr
+	return false
 }
 
-// lowerInstruction lowers in into the move windows [start, start+len).
-func (c *fastPath) lowerInstruction(pc int, in isa.Instruction, start int) cins {
-	m := c.m
-	ci := cins{start: int32(start), end: int32(start + len(in.Moves)), direct: true, lean: true}
-	for bus, mv := range in.Moves {
-		cm, cc := &c.moves[start+bus], &c.cold[start+bus]
-		*cc = ccold{recSrc: recSrcCode(mv.Src), recDst: int32(mv.Dst)}
-		for _, t := range mv.Guard.Terms {
-			if int(t.Signal) >= len(m.signals) {
-				// The interpreter evaluates terms in order and faults on
-				// reaching an unknown signal; terms after it are never
-				// evaluated, so lowering stops here too.
-				cc.failure().guardErr = fmt.Sprintf(
-					"tta: pc %d bus %d: tta: guard references unknown signal %d", pc, bus, t.Signal)
-				cc.guard = append(cc.guard, cterm{bad: true})
-				break
-			}
-			ref := &m.signals[t.Signal]
-			term := cterm{flag: ref.flag, get: ref.get, negate: t.Negate}
-			if len(mv.Guard.Terms) == 1 && term.flag != nil {
-				// Single resolved term: the hot record tests the flag
-				// inline and never needs a guard slice.
-				cm.flag, cm.neg = term.flag, term.negate
-				break
-			}
-			cc.guard = append(cc.guard, term)
-		}
-		switch {
-		case mv.Src.Imm:
-			cm.imm = mv.Src.Value
-			cm.src = &cm.imm
-		case mv.Src.Socket == isa.InvalidSocket || int(mv.Src.Socket) > len(m.sockets):
-			cc.flags |= fSrcBad
-			cc.failure().srcErr = fmt.Sprintf("tta: pc %d bus %d: bad source socket %d", pc, bus, mv.Src.Socket)
-		default:
-			ref := &m.sockets[mv.Src.Socket-1]
-			switch {
-			case ref.unit < 0:
-				cc.flags |= fSrcBad
-				cc.failure().srcErr = fmt.Sprintf("tta: pc %d bus %d: controller socket %s is not readable",
-					pc, bus, ref.name)
-			case ref.kind != Result && ref.kind != Register:
-				cc.flags |= fSrcBad
-				cc.failure().srcErr = fmt.Sprintf("tta: pc %d bus %d: socket %s (%v) is not readable",
-					pc, bus, ref.name, ref.kind)
-			default:
-				cm.src, cc.srcGet = ref.reg, ref.get
-			}
-		}
-		ci.lean = ci.lean && cc.guard == nil && cm.src != nil
-		ref := m.destRef(mv.Dst)
-		if ref == nil {
-			cc.op = opDstErr
-			cc.failure().dstErr = fmt.Sprintf("tta: pc %d bus %d: bad destination socket %d", pc, bus, mv.Dst)
-			continue
-		}
-		checkWr, checkTr := m.hazards(in, bus)
-		if checkWr {
-			cc.flags |= fCheckWr
-			cc.failure().conflict = fmt.Sprintf("tta: pc %d: conflicting writes to %s", pc, ref.name)
-		}
-		switch {
-		case ref.unit < 0 && ref.ctl == ctlJump:
-			cc.op, cm.jump = opJump, true
-		case ref.unit < 0:
-			cc.op, ci.lean = opHalt, false
-		case ref.kind == Result:
-			cc.op = opResultErr
-			cc.failure().dstErr = fmt.Sprintf("tta: pc %d: write to result socket %s", pc, ref.name)
-		default:
-			cc.op = opWrite
-			cm.val, cm.armed = ref.val, ref.armed
-			if ref.kind != Operand || c.onWrite&(1<<uint(ref.unit)) == 0 {
-				cm.act = 1 << uint(ref.unit)
-			}
-			if ref.kind == Trigger {
-				cc.op = opTrigger
-			}
-			if checkTr {
-				cc.flags |= fCheckTr
-				cc.failure().retrig = fmt.Sprintf("tta: pc %d: unit %s triggered twice in one cycle",
-					pc, m.units[ref.unit].Ports().Name)
-			}
-		}
+// lowerInstruction lowers in into the move windows [start, start+len)
+// when it is lean, and reports whether it is.
+func (c *fastPath) lowerInstruction(in isa.Instruction, start int) cins {
+	ci := cins{start: int32(start), end: int32(start + len(in.Moves)), lean: true}
+	for bus := range in.Moves {
+		ci.lean = ci.lean && c.lowerMove(&c.moves[start+bus], &c.cold[start+bus], in, bus)
 	}
-	// An instruction whose moves can raise no move-level error may apply
-	// unit writes immediately (see cins.direct). Conflict checks, bad
-	// guards/sources/destinations and result writes all disqualify;
-	// controller moves (jump, halt) are fine — they touch no unit.
-	for _, cc := range c.cold[ci.start:ci.end] {
-		ci.direct = ci.direct && cc.errs == nil
-	}
-	ci.lean = ci.lean && ci.direct
 	return ci
+}
+
+// lowerMove lowers move bus of in into its hot and cold records and
+// reports whether the move is lean (see the file comment); it stops at
+// the first thing that is not.
+func (c *fastPath) lowerMove(cm *cmove, cc *ccold, in isa.Instruction, bus int) bool {
+	m, mv := c.m, in.Moves[bus]
+	*cc = ccold{recSrc: recSrcCode(mv.Src), recDst: int32(mv.Dst)}
+	if terms := mv.Guard.Terms; len(terms) > 0 {
+		if len(terms) > 1 || int(terms[0].Signal) >= len(m.signals) || m.signals[terms[0].Signal].flag == nil {
+			return false
+		}
+		cm.flag, cm.neg = m.signals[terms[0].Signal].flag, terms[0].Negate
+	}
+	if mv.Src.Imm {
+		cm.imm = mv.Src.Value
+		cm.src = &cm.imm
+	} else {
+		ref := m.sockRef(mv.Src.Socket)
+		if ref == nil || ref.kind != Result && ref.kind != Register || ref.reg == nil {
+			return false
+		}
+		cm.src = ref.reg
+	}
+	ref := m.sockRef(mv.Dst)
+	if ref == nil || m.hazard(in, bus) {
+		return false
+	}
+	switch {
+	case ref.unit < 0 && ref.ctl == ctlJump:
+		cm.jump, cc.kind = true, obs.EvJump
+	case ref.unit < 0 || ref.kind == Result:
+		return false // nc.halt, or a write that fails
+	default:
+		cm.val, cm.armed, cm.act = ref.val, ref.armed, c.act(ref)
+		cc.kind = obs.EvMove
+		if ref.kind == Trigger {
+			cc.kind = obs.EvTrigger
+		}
+	}
+	return true
+}
+
+// act is the bit a write to ref sets in the active-unit mask: its unit's,
+// or 0 when the write needs no Clock of its own — a write to an Operand
+// socket of a ClockOnWrite unit, which the unit's next Clock commits
+// before any trigger reads it.
+func (c *fastPath) act(ref *socketRef) uint64 {
+	if ref.kind == Operand && c.onWrite&(1<<uint(ref.unit)) != 0 {
+		return 0
+	}
+	return 1 << uint(ref.unit)
 }
 
 // runToPC is Machine.RunToPC on the fast path. Per-cycle bookkeeping
@@ -379,8 +254,8 @@ func (c *fastPath) lowerInstruction(pc int, in isa.Instruction, start int) cins 
 // to stepping the interpreter the same number of cycles — while the
 // tight loop itself touches almost no shared memory. Consecutive lean
 // instructions run in the inner loop, which stops at the first one that
-// is not lean; that one's moves go through general, in the same cycle
-// steps around them.
+// is not lean; that one's moves go through the interpreter's move loop,
+// in the same cycle steps around them.
 func (c *fastPath) runToPC(stopPC int, maxSteps int64) (int64, error) {
 	m := c.m
 	if c.dirty {
@@ -402,7 +277,7 @@ func (c *fastPath) runToPC(stopPC int, maxSteps int64) (int64, error) {
 	}
 
 	statsBase := m.stats.Cycles
-	pc, stamp, halted, jumped := m.pc, m.stamp, m.halted, m.jumped
+	pc, stamp, halted := m.pc, m.stamp, m.halted
 	var cycles, encoded, moved int64
 	var retErr error
 	ins, moves, cold := c.ins, c.moves, c.cold
@@ -424,7 +299,7 @@ loop:
 			break
 		}
 		ci := &ins[pc]
-		// The lean loop. It leaves the batch where the general cycle below
+		// The lean loop. It leaves the batch where the cycle below
 		// would — out-of-range PC, stop PC, budget, unit fault — and falls
 		// through to it at the first instruction that is not lean.
 		for ci.lean {
@@ -435,7 +310,6 @@ loop:
 				rec.SetCycle(statsBase + cycles)
 			}
 			nextPC := pc + 1
-			jumped = false
 			base, ms := int(ci.start), moves[ci.start:ci.end]
 			for bus := range ms {
 				mv := &ms[bus]
@@ -452,11 +326,11 @@ loop:
 				v := *mv.src
 				if rec != nil {
 					cc := &cold[base+bus]
-					rec.Record(obs.RecEvent{Kind: recKind[cc.op], PC: int32(pc), Bus: int16(bus),
+					rec.Record(obs.RecEvent{Kind: cc.kind, PC: int32(pc), Bus: int16(bus),
 						Src: cc.recSrc, Dst: cc.recDst, Value: v})
 				}
 				if mv.jump {
-					nextPC, jumped = int(v), true
+					nextPC = int(v)
 				} else {
 					*mv.val, *mv.armed = v, true
 					active |= mv.act
@@ -486,12 +360,13 @@ loop:
 		if rec != nil {
 			rec.SetCycle(statsBase + cycles)
 		}
-		var n int64
-		var nextPC int
-		var haltReq bool
-		active, n, nextPC, jumped, haltReq, retErr = c.general(ci, pc, stamp, active)
-		if moved += n; retErr != nil {
+		nextPC, n, haltReq, err := m.moves(pc, stamp)
+		if moved += n; err != nil {
+			retErr = err
 			break
+		}
+		for _, w := range m.writes {
+			active |= c.act(w.ref)
 		}
 		if active, retErr = c.clock(active, pc, statsBase+cycles); retErr != nil {
 			break
@@ -512,8 +387,6 @@ loop:
 	// Flush the register-resident cycle state back to the machine so any
 	// observer sees exactly the state the interpreter would have produced.
 	m.pc = pc
-	m.nextPC = pc
-	m.jumped = jumped
 	m.stamp = stamp
 	m.halted = halted
 	m.stats.Cycles += cycles
@@ -529,89 +402,6 @@ loop:
 		c.dirty = true
 	}
 	return cycles, retErr
-}
-
-// general executes the moves of an instruction that is not lean, making
-// every check the interpreter makes in its order, and returns the
-// updated active mask, the executed-move count and the cycle's control
-// flow. Only an instruction that is not direct defers its writes.
-func (c *fastPath) general(ci *cins, pc int, stamp uint32, active uint64) (
-	_ uint64, moved int64, nextPC int, jumped, halt bool, err error) {
-	m, rec := c.m, c.m.Recorder
-	nextPC = pc + 1
-	writes := c.writes[:0]
-	for mi := ci.start; mi < ci.end; mi++ {
-		mv, cc := &c.moves[mi], &c.cold[mi]
-		bus := mi - ci.start
-		executed := mv.flag == nil || *mv.flag != mv.neg
-		for ti := 0; executed && ti < len(cc.guard); ti++ {
-			t := &cc.guard[ti]
-			if t.bad {
-				return active, moved, nextPC, jumped, halt, errors.New(cc.errs.guardErr)
-			}
-			if t.flag != nil {
-				executed = *t.flag != t.negate
-			} else {
-				executed = t.get() != t.negate
-			}
-		}
-		if !executed {
-			m.squashed[mi]++
-			m.sqStamp[mi] = stamp
-			if rec != nil {
-				rec.Record(obs.RecEvent{Kind: obs.EvGuardFalse, PC: int32(pc), Bus: int16(bus),
-					Src: cc.recSrc, Dst: cc.recDst})
-			}
-			continue
-		}
-		if cc.flags&fSrcBad != 0 {
-			return active, moved, nextPC, jumped, halt, errors.New(cc.errs.srcErr)
-		}
-		var val uint32
-		if mv.src != nil {
-			val = *mv.src
-		} else {
-			val = cc.srcGet()
-		}
-		switch cc.op {
-		case opDstErr, opResultErr:
-			return active, moved, nextPC, jumped, halt, errors.New(cc.errs.dstErr)
-		}
-		if cc.flags&fCheckWr != 0 {
-			if m.wrStamp[cc.recDst-1] == stamp {
-				return active, moved, nextPC, jumped, halt, errors.New(cc.errs.conflict)
-			}
-			m.wrStamp[cc.recDst-1] = stamp
-		}
-		if cc.flags&fCheckTr != 0 {
-			ui := mathbits.TrailingZeros64(mv.act) // a trigger always activates its unit
-			if m.trigStamp[ui] == stamp {
-				return active, moved, nextPC, jumped, halt, errors.New(cc.errs.retrig)
-			}
-			m.trigStamp[ui] = stamp
-		}
-		if rec != nil {
-			rec.Record(obs.RecEvent{Kind: recKind[cc.op], PC: int32(pc), Bus: int16(bus),
-				Src: cc.recSrc, Dst: cc.recDst, Value: val})
-		}
-		switch {
-		case cc.op == opJump:
-			nextPC, jumped = int(val), true
-		case cc.op == opHalt:
-			halt = true
-		case ci.direct:
-			*mv.val, *mv.armed = val, true
-			active |= mv.act
-		default:
-			writes = append(writes, cwrite{mv: mv, val: val})
-		}
-		moved++
-	}
-	for _, w := range writes {
-		*w.mv.val, *w.mv.armed = w.val, true
-		active |= w.mv.act
-	}
-	return active, moved, nextPC, jumped, halt, nil
 }
 
 // clock runs one cycle's Clock walk over the active units in

@@ -462,3 +462,101 @@ func TestOperandOverwriteLockstep(t *testing.T) {
 		t.Errorf("acc clocked %d times interpreted, %d compiled; want 8 and 3", ui.clocks, uc.clocks)
 	}
 }
+
+// countdown is a ClockSettled test unit: a trigger loads a count, and
+// every Clock after that counts one down and the result one up. It is
+// settled, and its busy line low, once the count is spent.
+type countdown struct {
+	PortTable
+	pendT, left, r uint32
+	hasT, busy     bool
+}
+
+func newCountdown(name string) *countdown {
+	u := &countdown{}
+	u.PortTable = PortTable{Name: name, Sockets: []Port{
+		{SocketSpec: SocketSpec{"t", Trigger}, Val: &u.pendT, Armed: &u.hasT},
+		{SocketSpec: SocketSpec{"r", Result}, Reg: &u.r},
+	}, Lines: []Line{{Name: "busy", Flag: &u.busy}},
+		Clocking: ClockSettled, Settled: func() bool { return u.left == 0 }}
+	return u
+}
+
+func (u *countdown) Clock(int64) error {
+	if u.hasT {
+		u.left, u.hasT = u.pendT, false
+	}
+	if u.left > 0 {
+		u.left--
+		u.r++
+	}
+	u.busy = u.left > 0
+	return nil
+}
+func (u *countdown) Reset() { *u = countdown{PortTable: u.PortTable} }
+
+// TestMoveLoopWakesUnitsLockstep: an instruction that is not lean runs
+// through the interpreter's move loop on the compiled path too, and the
+// fast path must then wake exactly the units that loop wrote. Here a
+// three-term guard makes one instruction the only writer of a parked
+// ClockSettled unit's trigger, which must wake it, and of a ClockOnWrite
+// unit's operand, which must not cost a Clock. Both machines must agree
+// after every cycle.
+func TestMoveLoopWakesUnitsLockstep(t *testing.T) {
+	build := func() (*Machine, *clockCount) {
+		acc := &clockCount{adder: newAdder("acc")}
+		acc.Clocking = ClockOnWrite
+		m, err := New("wake", 2, []Unit{acc, newCountdown("cd"), newRegs("gpr")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		three := isa.Guard{Terms: []isa.GuardTerm{
+			{Signal: m.MustSignal("acc.nz")},
+			{Signal: m.MustSignal("cd.busy"), Negate: true},
+			{Signal: m.MustSignal("acc.nz")},
+		}}
+		wake, operand := imm(m, 3, "cd.t"), imm(m, 7, "acc.o")
+		wake.Guard, operand.Guard = three, three
+		p := isa.NewProgram()
+		p.Ins = []isa.Instruction{
+			{Moves: []isa.Move{imm(m, 0, "acc.o"), imm(m, 5, "acc.t")}},
+			{Moves: []isa.Move{imm(m, 1, "gpr.r0")}}, // cd has parked
+			{Moves: []isa.Move{wake, operand}},
+			{Moves: []isa.Move{imm(m, 2, "gpr.r1")}},
+			{Moves: []isa.Move{mv(m, "cd.r", "gpr.r2")}},
+			{Moves: []isa.Move{imm(m, 1, "acc.tsub")}},
+			{Moves: []isa.Move{mv(m, "acc.r", "gpr.r3"), mv(m, "cd.r", "gpr.r0")}},
+			{Moves: []isa.Move{imm(m, 0, "nc.halt")}},
+		}
+		if err := m.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		return m, acc
+	}
+	mi, _ := build()
+	mc, acc := build()
+	if err := mc.UseCompiled(); err != nil {
+		t.Fatal(err)
+	}
+	if mc.fast.ins[2].lean {
+		t.Fatal("the three-term-guarded instruction was lowered as lean")
+	}
+	for cyc := 0; !mi.Halted(); cyc++ {
+		if err, _ := stepBoth(t, mi, mc, cyc); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := mc.SnapshotSockets(), mi.SnapshotSockets(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cycle %d: sockets differ:\ncompiled:    %+v\ninterpreted: %+v", cyc, got, want)
+		}
+	}
+	for name, want := range map[string]uint32{"gpr.r2": 2, "gpr.r3": 7 - 1, "gpr.r0": 3} {
+		if got, _ := mc.ReadSocket(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	// acc is clocked in the first cycle (nothing is known settled yet)
+	// and at its second trigger: the guarded operand write cost no Clock.
+	if acc.clocks != 2 {
+		t.Errorf("compiled: acc clocked %d times, want 2", acc.clocks)
+	}
+}

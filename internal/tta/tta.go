@@ -218,8 +218,6 @@ type Machine struct {
 
 	prog   *isa.Program
 	pc     int
-	nextPC int
-	jumped bool
 	halted bool
 
 	stats Stats
@@ -749,11 +747,6 @@ func (m *Machine) interpStep() (err error) {
 		return fmt.Errorf("tta: pc %d: %d moves exceed %d buses", m.pc, len(in.Moves), m.buses)
 	}
 
-	m.writes = m.writes[:0]
-	m.jumped = false
-	m.nextPC = m.pc + 1
-	haltReq := false
-
 	if m.stamp++; m.stamp == 0 {
 		m.stamp = m.restamp()
 	}
@@ -762,85 +755,14 @@ func (m *Machine) interpStep() (err error) {
 			m.uncount(m.pc, m.stamp)
 		}
 	}()
-
-	rec := m.Recorder
-	if rec != nil {
-		rec.SetCycle(m.stats.Cycles)
+	if m.Recorder != nil {
+		m.Recorder.SetCycle(m.stats.Cycles)
 	}
 
-	for bus, mv := range in.Moves {
-		executed, err := m.guardHolds(mv.Guard)
-		if err != nil {
-			return fmt.Errorf("tta: pc %d bus %d: %w", m.pc, bus, err)
-		}
-		var val uint32
-		if executed {
-			val, err = m.readSource(mv.Src)
-			if err != nil {
-				return fmt.Errorf("tta: pc %d bus %d: %w", m.pc, bus, err)
-			}
-		}
-		if !executed {
-			i := m.moveBase[m.pc] + int32(bus)
-			m.squashed[i]++
-			m.sqStamp[i] = m.stamp
-			if rec != nil {
-				rec.Record(obs.RecEvent{Kind: obs.EvGuardFalse, PC: int32(m.pc),
-					Bus: int16(bus), Src: recSrcCode(mv.Src), Dst: int32(mv.Dst)})
-			}
-			continue
-		}
-		if mv.Dst == isa.InvalidSocket || int(mv.Dst) > len(m.sockets) {
-			return fmt.Errorf("tta: pc %d bus %d: bad destination socket %d", m.pc, bus, mv.Dst)
-		}
-		if m.wrStamp[mv.Dst-1] == m.stamp {
-			return fmt.Errorf("tta: pc %d: conflicting writes to %s", m.pc, m.SocketName(mv.Dst))
-		}
-		m.wrStamp[mv.Dst-1] = m.stamp
-		ref := &m.sockets[mv.Dst-1]
-		switch {
-		case ref.unit < 0: // controller
-			switch ref.ctl {
-			case ctlJump:
-				m.nextPC = int(val)
-				m.jumped = true
-				if rec != nil {
-					rec.Record(obs.RecEvent{Kind: obs.EvJump, PC: int32(m.pc), Bus: int16(bus),
-						Src: recSrcCode(mv.Src), Dst: int32(mv.Dst), Value: val})
-				}
-			case ctlHalt:
-				haltReq = true
-				if rec != nil {
-					rec.Record(obs.RecEvent{Kind: obs.EvHalt, PC: int32(m.pc), Bus: int16(bus),
-						Src: recSrcCode(mv.Src), Dst: int32(mv.Dst), Value: val})
-				}
-			}
-		default:
-			if ref.kind == Result {
-				return fmt.Errorf("tta: pc %d: write to result socket %s", m.pc, ref.name)
-			}
-			if ref.kind == Trigger {
-				if m.trigStamp[ref.unit] == m.stamp {
-					return fmt.Errorf("tta: pc %d: unit %s triggered twice in one cycle",
-						m.pc, m.units[ref.unit].Ports().Name)
-				}
-				m.trigStamp[ref.unit] = m.stamp
-				if rec != nil {
-					rec.Record(obs.RecEvent{Kind: obs.EvTrigger, PC: int32(m.pc), Bus: int16(bus),
-						Src: recSrcCode(mv.Src), Dst: int32(mv.Dst), Value: val})
-				}
-			} else if rec != nil {
-				rec.Record(obs.RecEvent{Kind: obs.EvMove, PC: int32(m.pc), Bus: int16(bus),
-					Src: recSrcCode(mv.Src), Dst: int32(mv.Dst), Value: val})
-			}
-			m.writes = append(m.writes, pendingWrite{ref: ref, val: val})
-		}
-		m.stats.MovesExecuted++
-	}
-
-	// Commit unit writes, then clock every unit once.
-	for _, w := range m.writes {
-		*w.ref.val, *w.ref.armed = w.val, true
+	nextPC, moved, haltReq, err := m.moves(m.pc, m.stamp)
+	m.stats.MovesExecuted += moved
+	if err != nil {
+		return err
 	}
 	now := m.stats.Cycles
 	for _, u := range m.units {
@@ -857,11 +779,82 @@ func (m *Machine) interpStep() (err error) {
 	if haltReq {
 		m.halted = true
 	}
-	m.pc = m.nextPC
+	m.pc = nextPC
 	if m.pc < 0 || m.pc >= len(m.prog.Ins) {
 		m.halted = true
 	}
 	return nil
+}
+
+// moves executes the moves of the instruction at pc in the cycle stamped
+// stamp — the one implementation of move semantics, shared by both step
+// paths. In bus order it evaluates each guard, reads each source and
+// makes every check a move can fail, recording the flight-recorder
+// events as it goes; then it commits the unit writes, which stay listed
+// in m.writes until the next call. It returns the next PC, the moves
+// executed (a failing cycle's included) and whether one wrote nc.halt.
+// On an error no unit write is committed.
+func (m *Machine) moves(pc int, stamp uint32) (nextPC int, moved int64, halt bool, err error) {
+	m.writes = m.writes[:0]
+	nextPC = pc + 1
+	rec := m.Recorder
+	base := int(m.moveBase[pc])
+	for bus := range m.prog.Ins[pc].Moves {
+		mv := &m.prog.Ins[pc].Moves[bus]
+		executed, err := m.guardHolds(mv.Guard)
+		if err != nil {
+			return nextPC, moved, halt, fmt.Errorf("tta: pc %d bus %d: %w", pc, bus, err)
+		}
+		if !executed {
+			m.squashed[base+bus]++
+			m.sqStamp[base+bus] = stamp
+			if rec != nil {
+				rec.Record(obs.RecEvent{Kind: obs.EvGuardFalse, PC: int32(pc),
+					Bus: int16(bus), Src: recSrcCode(mv.Src), Dst: int32(mv.Dst)})
+			}
+			continue
+		}
+		val, err := m.readSource(mv.Src)
+		if err != nil {
+			return nextPC, moved, halt, fmt.Errorf("tta: pc %d bus %d: %w", pc, bus, err)
+		}
+		ref := m.sockRef(mv.Dst)
+		if ref == nil {
+			return nextPC, moved, halt, fmt.Errorf("tta: pc %d bus %d: bad destination socket %d", pc, bus, mv.Dst)
+		}
+		if m.wrStamp[mv.Dst-1] == stamp {
+			return nextPC, moved, halt, fmt.Errorf("tta: pc %d: conflicting writes to %s", pc, ref.name)
+		}
+		m.wrStamp[mv.Dst-1] = stamp
+		kind := obs.EvMove
+		switch {
+		case ref.unit < 0 && ref.ctl == ctlJump:
+			nextPC, kind = int(val), obs.EvJump
+		case ref.unit < 0:
+			halt, kind = true, obs.EvHalt
+		case ref.kind == Result:
+			return nextPC, moved, halt, fmt.Errorf("tta: pc %d: write to result socket %s", pc, ref.name)
+		case ref.kind == Trigger:
+			if m.trigStamp[ref.unit] == stamp {
+				return nextPC, moved, halt, fmt.Errorf("tta: pc %d: unit %s triggered twice in one cycle",
+					pc, m.units[ref.unit].Ports().Name)
+			}
+			m.trigStamp[ref.unit] = stamp
+			kind = obs.EvTrigger
+		}
+		if rec != nil {
+			rec.Record(obs.RecEvent{Kind: kind, PC: int32(pc), Bus: int16(bus),
+				Src: recSrcCode(mv.Src), Dst: int32(mv.Dst), Value: val})
+		}
+		if ref.unit >= 0 {
+			m.writes = append(m.writes, pendingWrite{ref: ref, val: val})
+		}
+		moved++
+	}
+	for _, w := range m.writes {
+		*w.ref.val, *w.ref.armed = w.val, true
+	}
+	return nextPC, moved, halt, nil
 }
 
 // restamp is the cycle stamp after a wraparound: every stale stamp is
@@ -883,14 +876,22 @@ func recSrcCode(src isa.Source) int32 {
 	return int32(src.Socket)
 }
 
+// sockRef resolves a SocketID, nil when it is out of range.
+func (m *Machine) sockRef(id isa.SocketID) *socketRef {
+	if id == isa.InvalidSocket || int(id) > len(m.sockets) {
+		return nil
+	}
+	return &m.sockets[id-1]
+}
+
 func (m *Machine) readSource(src isa.Source) (uint32, error) {
 	if src.Imm {
 		return src.Value, nil
 	}
-	if src.Socket == isa.InvalidSocket || int(src.Socket) > len(m.sockets) {
+	ref := m.sockRef(src.Socket)
+	if ref == nil {
 		return 0, fmt.Errorf("bad source socket %d", src.Socket)
 	}
-	ref := &m.sockets[src.Socket-1]
 	if ref.unit < 0 {
 		return 0, fmt.Errorf("controller socket %s is not readable", ref.name)
 	}
