@@ -117,12 +117,18 @@ fuzz-asm:
 fuzz-ipv6:
 	$(GO) test ./internal/ipv6 -run xxx -fuzz FuzzParsers -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 
-# The RIPng wire codec on fuzzed packets: every frame must equal the
-# three-buffer build, round-trip, encode into a reused dirty buffer and
-# decode into a dirty scratch exactly as on the fresh path, and reject
-# any single flipped bit. Minimizing is capped as for fuzz-lpm.
+# The RIPng wire codec, two targets. FuzzWrapUnwrapUDP on fuzzed
+# packets: every frame must equal the three-buffer build, round-trip
+# through the one-pass decoder, encode into a reused dirty buffer and
+# decode into a dirty scratch exactly as on the fresh path, derive every
+# interface's frame equal to WrapUDP of that interface's packet, and
+# reject any single flipped bit. FuzzUnwrapUDP on arbitrary bytes: the
+# one-pass decoder must fail exactly when the two-step one (ParseUDP,
+# then Parse) fails, and otherwise agree with it field for field.
+# Minimizing is capped as for fuzz-lpm.
 fuzz-ripng:
 	$(GO) test ./internal/ripng -run xxx -fuzz FuzzWrapUnwrapUDP -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	$(GO) test ./internal/ripng -run xxx -fuzz FuzzUnwrapUDP -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 
 # The large-table sweep's route-set sort on fuzzed sets (equal, narrow
 # and spread high words, duplicates): SortRoutesInPlace must equal a

@@ -147,10 +147,11 @@ func Example_ripng() {
 				if !linkUp[i] {
 					continue
 				}
-				d, err := ripng.WrapUDP(nil, e.LinkLocal(0), op.Dst, op.Pkt)
+				base, err := ripng.WrapUDP(nil, e.LinkLocal(0), op.Dst, op.Pkt)
 				if err != nil {
 					log.Fatal(err)
 				}
+				d := ripng.DeriveUDP(nil, base, e.LinkLocal(0), op, 0)
 				trB.Deliver(i, linecard.Datagram{Data: d, Seq: -1})
 				delivered++
 			}

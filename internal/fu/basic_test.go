@@ -249,6 +249,52 @@ func TestGPRNaming(t *testing.T) {
 	}
 }
 
+// A register written through its socket's raw (value, armed) pair, as
+// the compiled step path writes it, reads its old value until Clock, and
+// Clock commits the written registers and no other.
+func TestGPRClockCommitsWrittenOnly(t *testing.T) {
+	g := NewGPR("gpr", 12)
+	read := func() (out []uint32) {
+		for _, p := range g.Sockets {
+			out = append(out, *p.Reg)
+		}
+		return out
+	}
+	write := func(i int, v uint32) { *g.Sockets[i].Val, *g.Sockets[i].Armed = v, true }
+	for i := range g.Sockets {
+		write(i, uint32(100+i))
+	}
+	if err := g.Clock(0); err != nil {
+		t.Fatal(err)
+	}
+	write(0, 1)
+	write(7, 2)
+	write(8, 3)
+	write(11, 4)
+	*g.Sockets[5].Val = 99 // a value with no write behind it
+	want := []uint32{100, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111}
+	if got := read(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("before Clock: %v, want %v", got, want)
+	}
+	if err := g.Clock(1); err != nil {
+		t.Fatal(err)
+	}
+	want[0], want[7], want[8], want[11] = 1, 2, 3, 4
+	if got := read(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Clock: %v, want %v", got, want)
+	}
+	for i, p := range g.Sockets {
+		if *p.Armed {
+			t.Errorf("r%d still armed after Clock", i)
+		}
+	}
+	write(3, 7)
+	g.Reset()
+	if got := read(); !reflect.DeepEqual(got, make([]uint32, 12)) || *g.Sockets[3].Armed {
+		t.Errorf("after Reset: %v, r3 armed %v", got, *g.Sockets[3].Armed)
+	}
+}
+
 func TestMMUReadWrite(t *testing.T) {
 	m := run(t, 3, func(m *tta.Machine) *isa.Program {
 		p := isa.NewProgram()

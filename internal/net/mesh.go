@@ -134,6 +134,7 @@ type node struct {
 	inbox  []ctrlMsg
 	probes []*probe
 	rtes   []ripng.RTE // decoding scratch for inbox frames
+	bases  [][]byte    // this tick's base frame per queued packet, pooled
 
 	ctrl CtrlStats
 
@@ -588,16 +589,7 @@ func (n *node) process(m *Mesh, now int64) {
 	}
 	if n.alive {
 		n.eng.Tick(ripng.Clock(now))
-		// Interfaces in order, each interface's packets in Collect
-		// order: the order of every wire's RNG draws and of every inbox.
-		ops := n.eng.Collect()
-		for f, nb := range n.nbrs {
-			for _, op := range ops {
-				if op.Iface == f {
-					n.transmit(now, f, nb, op)
-				}
-			}
-		}
+		n.transmitAll(now, n.eng.Collect())
 	}
 
 	// Data plane: forward resident probes one hop.
@@ -641,14 +633,43 @@ func putFrame(b []byte) {
 	}
 }
 
-// transmit wraps one RIPng packet in UDP/IPv6 in a pooled buffer and
-// sends it down the wire to neighbour nb, accounting its fate. A frame
-// the wire loses, or replaces by a corrupted copy, goes straight back.
-func (n *node) transmit(now int64, f int, nb nbr, op ripng.OutPacket) {
-	data, err := ripng.WrapUDP(framePool.Get().(*[ripng.MaxFrameBytes]byte)[:0], n.lls[f], op.Dst, op.Pkt)
-	if err != nil {
-		panic(err)
+// getFrame takes an empty MaxFrameBytes buffer from the pool.
+func getFrame() []byte { return framePool.Get().(*[ripng.MaxFrameBytes]byte)[:0] }
+
+// transmitAll sends a Collect batch to the neighbours: interfaces in
+// order, each interface's packets in batch order — the order of every
+// wire's RNG draws and of every inbox. Each packet a neighbour gets is
+// encoded once, on first use, into a pooled base frame, and every
+// interface's frame is derived from it; stub interfaces get nothing.
+func (n *node) transmitAll(now int64, ops []ripng.OutPacket) {
+	n.bases = append(n.bases[:0], make([][]byte, len(ops))...)
+	for f, nb := range n.nbrs {
+		for i, op := range ops {
+			if !op.SentOn(f) {
+				continue
+			}
+			if n.bases[i] == nil {
+				base, err := ripng.WrapUDP(getFrame(), n.lls[f], op.Dst, op.Pkt)
+				if err != nil {
+					panic(err)
+				}
+				n.bases[i] = base
+			}
+			n.transmit(now, nb, ripng.DeriveUDP(getFrame(), n.bases[i], n.lls[f], op, f))
+		}
 	}
+	for i, b := range n.bases {
+		if b != nil {
+			putFrame(b)
+			n.bases[i] = nil
+		}
+	}
+}
+
+// transmit sends one frame in a pooled buffer down the wire to
+// neighbour nb, accounting its fate. A frame the wire loses, or replaces
+// by a corrupted copy, goes straight back.
+func (n *node) transmit(now int64, nb nbr, data []byte) {
 	sent, ok := nb.out.Transmit(now, data)
 	if !ok || &sent[0] != &data[0] {
 		putFrame(data)

@@ -14,7 +14,14 @@ import (
 // buffer; the bytes on the wire must not have moved.
 func wrapThreeBuffers(t testing.TB, src, dst ipv6.Addr, p Packet) []byte {
 	t.Helper()
-	seg, err := ipv6.MarshalUDP(src, dst, Port, Port, p.Marshal())
+	return wrapThreeBuffersRaw(t, src, dst, p.Marshal())
+}
+
+// wrapThreeBuffersRaw frames an arbitrary RIPng body the three-buffer
+// way, so a body Marshal would never produce gets a valid checksum.
+func wrapThreeBuffersRaw(t testing.TB, src, dst ipv6.Addr, body []byte) []byte {
+	t.Helper()
+	seg, err := ipv6.MarshalUDP(src, dst, Port, Port, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +156,11 @@ func TestCodecAllocs(t *testing.T) {
 }
 
 // FuzzWrapUnwrapUDP builds a packet from the fuzzer's bytes, checks the
-// frame equals the three-buffer build and round-trips, checks that
-// encoding into a reused, dirty buffer and decoding into a dirty scratch
-// give the same bytes and fields as the fresh path, and checks that
+// frame equals the three-buffer build and round-trips through the
+// one-pass decoder, checks that encoding into a reused, dirty buffer and
+// decoding into a dirty scratch give the same bytes and fields as the
+// fresh path, checks that the frame derived for each of three
+// interfaces equals WrapUDP of that interface's packet, and checks that
 // flipping the fuzzer's choice of bit inside the checksummed span is
 // rejected.
 func FuzzWrapUnwrapUDP(f *testing.F) {
@@ -160,6 +169,7 @@ func FuzzWrapUnwrapUDP(f *testing.F) {
 	f.Add(uint64(2003), uint64(521), bytes.Repeat([]byte{0xa5, 0x00, 0x3c}, 140), uint16(4097))
 	f.Fuzz(func(t *testing.T, srcLo, dstLo uint64, raw []byte, flip uint16) {
 		p := Packet{Command: CommandResponse}
+		var poisonOn []int32 // the interface each RTE is poisoned on, from its address
 		for ; len(raw) >= RTEBytes && len(p.RTEs) < MaxRTEsPerPacket; raw = raw[RTEBytes:] {
 			addr, _ := bits.FromBytes(raw[:16])
 			p.RTEs = append(p.RTEs, RTE{
@@ -167,6 +177,7 @@ func FuzzWrapUnwrapUDP(f *testing.F) {
 				Tag:    uint16(raw[16])<<8 | uint16(raw[17]),
 				Metric: 1 + raw[19]%Infinity,
 			})
+			poisonOn = append(poisonOn, int32(raw[15]%4)-1)
 		}
 		src := ipv6.Addr{Hi: 0xfe80 << 48, Lo: srcLo}
 		dst := ipv6.Addr{Hi: 0xff02 << 48, Lo: dstLo}
@@ -177,9 +188,9 @@ func FuzzWrapUnwrapUDP(f *testing.F) {
 		if want := wrapThreeBuffers(t, src, dst, p); !bytes.Equal(frame, want) {
 			t.Fatalf("frame differs from the three-buffer build\n got %x\nwant %x", frame, want)
 		}
-		gotSrc, back, err := UnwrapUDP(nil, frame)
-		if err != nil || gotSrc != src || len(back.RTEs) != len(p.RTEs) {
-			t.Fatalf("round trip: %v, %d RTEs, %v", gotSrc, len(back.RTEs), err)
+		gotSrc, back, ok := unwrapOnePass(nil, frame)
+		if !ok || gotSrc != src || len(back.RTEs) != len(p.RTEs) {
+			t.Fatalf("one-pass round trip: %v, %d RTEs, ok %v", gotSrc, len(back.RTEs), ok)
 		}
 		for i := range p.RTEs {
 			if back.RTEs[i] != p.RTEs[i] {
@@ -202,10 +213,65 @@ func FuzzWrapUnwrapUDP(f *testing.F) {
 		if err != nil || gotSrc != src || again.Command != back.Command || !slices.Equal(again.RTEs, back.RTEs) {
 			t.Fatalf("dirty scratch: %v, %+v, %v; fresh %+v", gotSrc, again, err, back)
 		}
+		op := OutPacket{Iface: AllIfaces, Dst: dst, Pkt: p, PoisonOn: poisonOn}
+		for f := 0; f < 3; f++ {
+			srcF := ipv6.Addr{Hi: 0xfe80 << 48, Lo: srcLo + uint64(f)*0x9e3779b97f4a7c15}
+			want, err := WrapUDP(nil, srcF, dst, op.On(f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := DeriveUDP(dirty, frame, srcF, op, f); !bytes.Equal(got, want) {
+				t.Fatalf("interface %d: derived frame differs\n got %x\nwant %x", f, got, want)
+			}
+		}
 		bit := checksummedFrom*8 + int(flip)%((len(frame)-checksummedFrom)*8)
 		frame[bit/8] ^= 1 << (bit % 8)
 		if _, _, err := UnwrapUDP(nil, frame); err == nil {
 			t.Fatalf("bit %d flipped and the frame still unwrapped", bit)
+		}
+	})
+}
+
+// FuzzUnwrapUDP runs UnwrapUDP on arbitrary bytes against the two-step
+// decoder (ipv6.ParseUDP, then Parse): both must fail or both succeed,
+// and on success return the same source, command and RTEs.
+func FuzzUnwrapUDP(f *testing.F) {
+	rng := rand.New(rand.NewSource(521))
+	for _, n := range []int{0, 1, 3, MaxRTEsPerPacket} {
+		frame, err := WrapUDP(nil, ll(uint64(n)), ipv6.AllRIPRouters, randomPacket(rng, n))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+		bad := bytes.Clone(frame)
+		bad[len(bad)-1] = 0 // metric 0 and a wrong checksum at once
+		f.Add(bad)
+		zero := bytes.Clone(frame)
+		zero[ipv6.HeaderBytes+6], zero[ipv6.HeaderBytes+7] = 0, 0
+		f.Add(zero)
+		f.Add(frame[:len(frame)-1])
+	}
+	body := randomPacket(rng, 2).Marshal()
+	seg, err := ipv6.MarshalUDP(ll(1), ipv6.AllRIPRouters, Port, Port, body)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ext, err := ipv6.BuildDatagram(ipv6.Header{HopLimit: 255, Src: ll(1), Dst: ipv6.AllRIPRouters},
+		[]ipv6.ExtensionHeader{{Proto: ipv6.ProtoHopByHop, Body: []byte{1, 0}}}, ipv6.ProtoUDP, seg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ext)
+	body[len(body)-1] = 0 // metric 0 under a checksum that holds
+	f.Add(wrapThreeBuffersRaw(f, ll(1), ipv6.AllRIPRouters, body))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src, p, err := UnwrapUDP(nil, data)
+		wantSrc, want, wantErr := unwrapTwoStep(nil, data)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("one-pass error %v, two-step error %v", err, wantErr)
+		}
+		if err == nil && (src != wantSrc || p.Command != want.Command || !slices.Equal(p.RTEs, want.RTEs)) {
+			t.Fatalf("one-pass %v %+v, two-step %v %+v", src, p, wantSrc, want)
 		}
 	})
 }

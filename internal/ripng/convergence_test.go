@@ -31,19 +31,19 @@ func exchange(t *testing.T, a, b *peer) int {
 	t.Helper()
 	moved := 0
 	for _, op := range a.eng.Collect() {
-		if op.Iface != a.link {
+		if !op.SentOn(a.link) {
 			continue // stub interface: no listener
 		}
-		if err := b.eng.Receive(b.link, a.ll, op.Pkt); err != nil {
+		if err := b.eng.Receive(b.link, a.ll, op.On(a.link)); err != nil {
 			t.Fatalf("B.Receive: %v", err)
 		}
 		moved++
 	}
 	for _, op := range b.eng.Collect() {
-		if op.Iface != b.link {
+		if !op.SentOn(b.link) {
 			continue
 		}
-		if err := a.eng.Receive(a.link, b.ll, op.Pkt); err != nil {
+		if err := a.eng.Receive(a.link, b.ll, op.On(b.link)); err != nil {
 			t.Fatalf("A.Receive: %v", err)
 		}
 		moved++

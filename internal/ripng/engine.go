@@ -31,11 +31,27 @@ type Iface struct {
 	Cost int
 }
 
-// OutPacket is a RIPng packet queued for transmission.
+// AllIfaces is the Iface of a packet queued on every interface: an
+// update.
+const AllIfaces = -1
+
+// OutPacket is a RIPng packet queued for transmission on one interface
+// or, for an update, on all of them. A response is exported once, with
+// each route's own metric; split horizon with poisoned reverse is
+// applied per interface on the way out (DeriveUDP).
 type OutPacket struct {
-	Iface int
+	Iface int // the interface it goes out on, or AllIfaces
 	Dst   ipv6.Addr
 	Pkt   Packet
+	// PoisonOn[i] is the interface on which Pkt.RTEs[i] goes out at
+	// metric Infinity — the one its route was learned on — or -1. It is
+	// nil for a packet sent as it is.
+	PoisonOn []int32
+}
+
+// SentOn reports whether op goes out on iface.
+func (op OutPacket) SentOn(iface int) bool {
+	return op.Iface == iface || op.Iface == AllIfaces
 }
 
 type ripRoute struct {
@@ -103,12 +119,8 @@ func NewEngine(table rtable.Table, ifaces []Iface, start Clock) *Engine {
 // request multicast on every interface, so neighbours answer with their
 // tables immediately instead of waiting for their periodic updates.
 func (e *Engine) Start() {
-	for i := range e.ifaces {
-		e.out = append(e.out, OutPacket{
-			Iface: i,
-			Dst:   ipv6.AllRIPRouters,
-			Pkt:   WholeTableRequest(),
-		})
+	if len(e.ifaces) > 0 {
+		e.out = append(e.out, OutPacket{Iface: AllIfaces, Dst: ipv6.AllRIPRouters, Pkt: WholeTableRequest()})
 	}
 }
 
@@ -356,12 +368,12 @@ func (e *Engine) Tick(now Clock) {
 	}
 }
 
-// emit queues one update on every interface — the whole table
+// emit queues one update for every interface — the whole table
 // (periodic) or only the flagged routes (triggered) — and clears the
 // flags.
 func (e *Engine) emit(changedOnly bool) {
-	for i := range e.ifaces {
-		e.queueResponses(i, ipv6.AllRIPRouters, changedOnly)
+	if len(e.ifaces) > 0 {
+		e.queueResponses(AllIfaces, ipv6.AllRIPRouters, changedOnly)
 	}
 	for _, r := range e.order {
 		r.changed = false
@@ -370,28 +382,23 @@ func (e *Engine) emit(changedOnly bool) {
 	e.updatesOut++
 }
 
-// exportOne applies split horizon with poisoned reverse: routes learned
-// through the interface being advertised are sent with metric Infinity.
-func (e *Engine) exportOne(r *ripRoute, iface int) RTE {
-	m := uint8(r.metric)
-	if !r.direct && r.iface == iface {
-		m = Infinity
-	}
-	return RTE{Prefix: r.prefix, Metric: m, Tag: r.tag}
+// rteChunk holds one response packet's RTEs and, per RTE, the
+// interface split horizon poisons it on.
+type rteChunk struct {
+	rtes     [MaxRTEsPerPacket]RTE
+	poisonOn [MaxRTEsPerPacket]int32
 }
-
-// rteChunk holds one response packet's RTEs.
-type rteChunk [MaxRTEsPerPacket]RTE
 
 // chunkPool is shared by every engine, so the chunks in use stay near
 // one round of updates instead of each engine keeping its own peak.
 var chunkPool = sync.Pool{New: func() any { return new(rteChunk) }}
 
 // queueResponses queues the routes — only the flagged ones when
-// changedOnly — as advertised on iface, each MTU-sized packet exported
-// straight into a pooled chunk. A packet's RTEs are capped at its length,
-// so an append cannot reach another packet's entries; queued RTEs are
-// read-only from here on.
+// changedOnly — for iface (or AllIfaces), each MTU-sized packet exported
+// once, straight into a pooled chunk: every route at its own metric,
+// poisoned on the interface it was learned on unless it is direct. A
+// packet's slices are capped at its length, so an append cannot reach
+// another packet's entries; queued packets are read-only from here on.
 func (e *Engine) queueResponses(iface int, dst ipv6.Addr, changedOnly bool) {
 	var c *rteChunk
 	n := 0
@@ -404,20 +411,30 @@ func (e *Engine) queueResponses(iface int, dst ipv6.Addr, changedOnly bool) {
 			e.chunks = append(e.chunks, c)
 			e.out = append(e.out, OutPacket{Iface: iface, Dst: dst, Pkt: Packet{Command: CommandResponse}})
 		}
-		c[n] = e.exportOne(r, iface)
+		c.rtes[n] = RTE{Prefix: r.prefix, Metric: uint8(r.metric), Tag: r.tag}
+		c.poisonOn[n] = -1
+		if !r.direct {
+			c.poisonOn[n] = int32(r.iface)
+		}
 		n++
 		if n == MaxRTEsPerPacket {
-			e.out[len(e.out)-1].Pkt.RTEs = c[:n:n]
+			e.seal(c, n)
 			n = 0
 		}
 	}
 	if n > 0 {
-		e.out[len(e.out)-1].Pkt.RTEs = c[:n:n]
+		e.seal(c, n)
 	}
 }
 
+// seal hands the last queued packet the first n entries of its chunk.
+func (e *Engine) seal(c *rteChunk, n int) {
+	op := &e.out[len(e.out)-1]
+	op.Pkt.RTEs, op.PoisonOn = c.rtes[:n:n], c.poisonOn[:n:n]
+}
+
 // Collect returns the packets queued since the last Collect. The batch —
-// the slice and every packet's RTEs — stays valid until the engine's next
+// the slice and every packet's RTEs and PoisonOn — stays valid until the engine's next
 // Collect, which recycles its storage; a caller that keeps packets longer
 // copies them.
 func (e *Engine) Collect() []OutPacket {

@@ -11,7 +11,9 @@ import (
 
 // Example shows the distance-vector core: a neighbour's response
 // installs a route at metric+cost, and split horizon poisons it on the
-// interface it was learned from.
+// interface it was learned from. The update is encoded once and each
+// interface's frame derived from it, as a router sends it; decoding
+// each frame shows what that interface's neighbour hears.
 func Example() {
 	tbl := rtable.NewSequential()
 	e := ripng.NewEngine(tbl, []ripng.Iface{
@@ -29,10 +31,24 @@ func Example() {
 	fmt.Printf("installed: metric %d via iface %d\n", r.Metric, r.Iface)
 
 	e.Tick(ripng.DefaultUpdateSeconds) // fire the periodic update
-	for _, op := range e.Collect() {
-		for _, rte := range op.Pkt.RTEs {
-			fmt.Printf("iface %d advertises %s metric %d\n",
-				op.Iface, ipv6.FormatPrefix(rte.Prefix), rte.Metric)
+	batch := e.Collect()
+	for f := 0; f < e.Ifaces(); f++ {
+		for _, op := range batch {
+			if !op.SentOn(f) {
+				continue
+			}
+			base, err := ripng.WrapUDP(nil, e.LinkLocal(0), op.Dst, op.Pkt)
+			if err != nil {
+				log.Fatal(err)
+			}
+			_, pkt, err := ripng.UnwrapUDP(nil, ripng.DeriveUDP(nil, base, e.LinkLocal(f), op, f))
+			if err != nil {
+				log.Fatal(err)
+			}
+			for _, rte := range pkt.RTEs {
+				fmt.Printf("iface %d advertises %s metric %d\n",
+					f, ipv6.FormatPrefix(rte.Prefix), rte.Metric)
+			}
 		}
 	}
 	// Output:

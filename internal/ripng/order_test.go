@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"taco/internal/bits"
+	"taco/internal/ipv6"
 	"taco/internal/rtable"
 )
 
@@ -180,9 +181,10 @@ func TestQueuedPacketsAreCapped(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("%d packets, want 2", len(out))
 	}
-	first := out[1].Pkt.RTEs[0]
+	first, firstPoison := out[1].Pkt.RTEs[0], out[1].PoisonOn[0]
 	_ = append(out[0].Pkt.RTEs, RTE{Metric: 9})
-	if out[1].Pkt.RTEs[0] != first {
+	_ = append(out[0].PoisonOn, 7)
+	if out[1].Pkt.RTEs[0] != first || out[1].PoisonOn[0] != firstPoison {
 		t.Error("append to the first packet overwrote the second")
 	}
 }
@@ -199,8 +201,7 @@ func TestCollectBatchStableUntilNextCollect(t *testing.T) {
 	if err := e.Receive(0, ll(2), learned); err != nil {
 		t.Fatal(err)
 	}
-	// Metric 2 out of interface 1; the same routes go out of interface 0
-	// poisoned, so an answer there that reused the batch's RTEs shows.
+	// Metric 2, poisoned on interface 0.
 	if err := e.Receive(1, ll(9), WholeTableRequest()); err != nil {
 		t.Fatal(err)
 	}
@@ -212,23 +213,35 @@ func TestCollectBatchStableUntilNextCollect(t *testing.T) {
 	for i, op := range batch {
 		want[i] = op
 		want[i].Pkt.RTEs = slices.Clone(op.Pkt.RTEs)
+		want[i].PoisonOn = slices.Clone(op.PoisonOn)
 	}
 
+	// Every export queued from here on differs from the batch in its
+	// first entries: the same gateway re-advertises the routes at metric
+	// 6 before the first answer, and a better gateway on interface 1 then
+	// takes them over (metric 2, poisoned on interface 1) before the
+	// triggered and periodic updates. A chunk handed out again before the
+	// next Collect, in whatever order, is overwritten with other bytes.
+	relearn := func(iface int, src ipv6.Addr, metric uint8) {
+		t.Helper()
+		p := Packet{Command: CommandResponse, RTEs: slices.Clone(learned.RTEs)}
+		for i := range p.RTEs {
+			p.RTEs[i].Metric = metric
+		}
+		if err := e.Receive(iface, src, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	relearn(0, ll(2), 5)
 	if err := e.Receive(0, ll(2), WholeTableRequest()); err != nil {
 		t.Fatal(err)
 	}
-	more := Packet{Command: CommandResponse}
-	for i := 0; i < MaxRTEsPerPacket; i++ {
-		more.RTEs = append(more.RTEs, RTE{Prefix: stubN(1000 + i), Metric: 2})
-	}
-	if err := e.Receive(1, ll(9), more); err != nil {
-		t.Fatal(err)
-	}
+	relearn(1, ll(9), 1)
 	e.Tick(DefaultUpdateSeconds)
 
 	for i, op := range batch {
 		if op.Iface != want[i].Iface || op.Dst != want[i].Dst || op.Pkt.Command != want[i].Pkt.Command ||
-			!slices.Equal(op.Pkt.RTEs, want[i].Pkt.RTEs) {
+			!slices.Equal(op.Pkt.RTEs, want[i].Pkt.RTEs) || !slices.Equal(op.PoisonOn, want[i].PoisonOn) {
 			t.Fatalf("packet %d of the first batch changed before the next Collect", i)
 		}
 	}

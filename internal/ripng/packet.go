@@ -5,6 +5,16 @@
 // update/timeout/garbage-collection timer machinery. The engine is
 // deterministic: time is injected, and outgoing packets are collected by
 // the caller rather than sent on real sockets.
+//
+// A response is exported once, however many interfaces send it: each
+// route at its own metric, beside the interface split horizon poisons
+// it on (OutPacket.PoisonOn). On the wire, WrapUDP encodes each queued
+// packet once, as a base frame in a buffer the caller owns (the mesh
+// takes it from its frame pool and returns it when the tick's frames are
+// sent), and DeriveUDP makes every interface's frame from that base: a
+// copy with the source address and the poisoned metric bytes rewritten
+// and the UDP checksum updated for just those words (RFC 1624 eqn. 3).
+// UnwrapUDP verifies the checksum and decodes the RTEs in one sweep.
 package ripng
 
 import (
@@ -165,10 +175,124 @@ func WrapUDP(buf []byte, src, dst ipv6.Addr, p Packet) ([]byte, error) {
 	return out, nil
 }
 
+// DeriveUDP builds in buf — buf's storage when it has room, a new
+// exact-size buffer otherwise — the frame WrapUDP(buf, src, dst, p)
+// would build for p, the packet op sends on iface: op.Pkt with every RTE
+// that op.PoisonOn puts on iface at metric Infinity. It starts from
+// base, a frame WrapUDP built for op.Pkt to dst from any source: it
+// copies base, rewrites the source address and the metric of every RTE
+// poisoned on iface, and updates the UDP
+// checksum for just those words (RFC 1624 eqn. 3: HC' = ~(~HC + ~m +
+// m')), keeping UDP's rule that a computed 0 goes out as 0xffff.
+func DeriveUDP(buf, base []byte, src ipv6.Addr, op OutPacket, iface int) []byte {
+	const csumOff, rteOff = ipv6.HeaderBytes + 6, ipv6.HeaderBytes + ipv6.UDPHeaderBytes + HeaderBytes
+	if cap(buf) < len(base) {
+		buf = make([]byte, len(base))
+	}
+	out := buf[:len(base)]
+	copy(out, base)
+	// Every term is ~old + new over a 32- or 16-bit word: 2^32-1 and
+	// 2^16-1 are both 0 modulo 0xffff, so each adds new - old to the
+	// one's-complement sum.
+	acc := uint64(^binary.BigEndian.Uint16(out[csumOff:]))
+	sb := src.Bytes()
+	for i := 8; i < 24; i += 4 {
+		acc += uint64(^binary.BigEndian.Uint32(out[i:])) + uint64(binary.BigEndian.Uint32(sb[i-8:]))
+	}
+	copy(out[8:24], sb[:])
+	for i, f := range op.PoisonOn {
+		if int(f) != iface {
+			continue
+		}
+		w := rteOff + i*RTEBytes + 18 // prefix length, metric
+		old := binary.BigEndian.Uint16(out[w:])
+		acc += uint64(^old) + uint64(old&0xff00|Infinity)
+		out[w+1] = Infinity
+	}
+	c := ^fold(acc)
+	if c == 0 {
+		c = 0xffff
+	}
+	binary.BigEndian.PutUint16(out[csumOff:], c)
+	return out
+}
+
+// fold reduces a one's-complement accumulator to 16 bits.
+func fold(acc uint64) uint16 {
+	for acc>>16 != 0 {
+		acc = acc&0xffff + acc>>16
+	}
+	return uint16(acc)
+}
+
 // UnwrapUDP extracts a RIPng packet from a full IPv6 datagram, verifying
 // the UDP checksum and port. The RTEs are decoded as Parse decodes them,
-// into rtes' storage when it has room.
+// into rtes' storage when it has room. A datagram of the shape WrapUDP
+// builds — UDP straight after the fixed header — is checksummed and
+// decoded in one sweep; any other shape, and any frame that sweep
+// rejects, takes the two-step path (ipv6.ParseUDP, then Parse), whose
+// error it returns.
 func UnwrapUDP(rtes []RTE, datagram []byte) (src ipv6.Addr, p Packet, err error) {
+	if src, p, ok := unwrapOnePass(rtes, datagram); ok {
+		return src, p, nil
+	}
+	return unwrapTwoStep(rtes, datagram)
+}
+
+// unwrapOnePass decodes the RTEs and sums the UDP checksum in the same
+// loads. It accepts exactly the frames unwrapTwoStep accepts, and
+// returns ok false for everything else.
+func unwrapOnePass(rtes []RTE, d []byte) (src ipv6.Addr, p Packet, ok bool) {
+	const udpOff, bodyOff = ipv6.HeaderBytes, ipv6.HeaderBytes + ipv6.UDPHeaderBytes
+	if len(d) < bodyOff+HeaderBytes || d[0]>>4 != ipv6.Version || d[6] != ipv6.ProtoUDP {
+		return src, p, false
+	}
+	udpLen := int(binary.BigEndian.Uint16(d[udpOff+4:]))
+	bodyLen := udpLen - ipv6.UDPHeaderBytes - HeaderBytes
+	if udpLen > len(d)-udpOff || bodyLen < 0 || bodyLen%RTEBytes != 0 ||
+		binary.BigEndian.Uint16(d[udpOff+2:]) != Port || binary.BigEndian.Uint16(d[udpOff+6:]) == 0 {
+		return src, p, false
+	}
+	cmd := d[bodyOff]
+	if d[bodyOff+1] != VersionRIPng || cmd != CommandRequest && cmd != CommandResponse {
+		return src, p, false
+	}
+	// The sum covers the pseudo-header (both addresses, the UDP length
+	// and protocol), the UDP header with its checksum, and the RIPng
+	// packet: 0xffff when the checksum holds.
+	src = ipv6.Addr{Hi: binary.BigEndian.Uint64(d[8:]), Lo: binary.BigEndian.Uint64(d[16:])}
+	acc := uint64(udpLen) + ipv6.ProtoUDP + uint64(binary.BigEndian.Uint32(d[bodyOff:]))
+	for off := 8; off < bodyOff; off += 8 { // addresses, UDP header
+		w := binary.BigEndian.Uint64(d[off:])
+		acc += w>>32 + w&0xffffffff
+	}
+	n := bodyLen / RTEBytes
+	if cap(rtes) < n {
+		rtes = make([]RTE, 0, n)
+	}
+	p = Packet{Command: cmd, RTEs: rtes[:n]}
+	for i, off := 0, bodyOff+HeaderBytes; i < n; i, off = i+1, off+RTEBytes {
+		hi := binary.BigEndian.Uint64(d[off:])
+		lo := binary.BigEndian.Uint64(d[off+8:])
+		tail := binary.BigEndian.Uint32(d[off+16:]) // tag, prefix length, metric
+		acc += hi>>32 + hi&0xffffffff + lo>>32 + lo&0xffffffff + uint64(tail)
+		ln, metric := int(tail>>8&0xff), uint8(tail)
+		if metric != NextHopMetric && (ln > 128 || metric < 1 || metric > Infinity) {
+			return src, p, false
+		}
+		p.RTEs[i] = RTE{
+			Prefix: bits.MakePrefix(bits.Word128{Hi: hi, Lo: lo}, ln),
+			Tag:    uint16(tail >> 16),
+			Metric: metric,
+		}
+	}
+	return src, p, fold(acc) == 0xffff
+}
+
+// unwrapTwoStep is UnwrapUDP in two passes: the UDP checksum over the
+// segment, then Parse. It handles every shape, extension headers
+// included, and is the reference the one-pass decoder is fuzzed against.
+func unwrapTwoStep(rtes []RTE, datagram []byte) (src ipv6.Addr, p Packet, err error) {
 	h, err := ipv6.ParseHeader(datagram)
 	if err != nil {
 		return src, p, err

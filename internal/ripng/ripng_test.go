@@ -206,7 +206,7 @@ func TestPeriodicUpdateAndSplitHorizon(t *testing.T) {
 	}
 	e.Collect() // discard triggered output
 	e.Tick(DefaultUpdateSeconds)
-	out := e.Collect()
+	out := Expand(e.Collect(), e.Ifaces())
 	if len(out) != 2 {
 		t.Fatalf("periodic update on %d interfaces, want 2", len(out))
 	}
@@ -401,8 +401,8 @@ func TestThreeRouterConvergence(t *testing.T) {
 		}
 		deliver := func(from *Engine, fromIf int, to *Engine, toIf int) {
 			for _, op := range outs[from] {
-				if op.Iface == fromIf {
-					if err := to.Receive(toIf, from.LinkLocal(fromIf), op.Pkt); err != nil {
+				if op.SentOn(fromIf) {
+					if err := to.Receive(toIf, from.LinkLocal(fromIf), op.On(fromIf)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -450,7 +450,7 @@ func TestThreeRouterConvergence(t *testing.T) {
 func TestStartupRequest(t *testing.T) {
 	e := newTestEngine(t, 2)
 	e.Start()
-	out := e.Collect()
+	out := Expand(e.Collect(), e.Ifaces())
 	if len(out) != 2 {
 		t.Fatalf("startup queued %d packets, want 2", len(out))
 	}

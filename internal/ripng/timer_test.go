@@ -54,10 +54,10 @@ func timerEngine(t *testing.T, update, timeout, gc ripng.Clock) (*ripng.Engine, 
 func poisonedRTEs(ops []ripng.OutPacket) int {
 	n := 0
 	for _, op := range ops {
-		if op.Iface != 1 {
+		if !op.SentOn(1) {
 			continue
 		}
-		for _, rte := range op.Pkt.RTEs {
+		for _, rte := range op.On(1).RTEs {
 			if rte.Prefix == timerPrefix && rte.Metric == ripng.Infinity {
 				n++
 			}

@@ -26,8 +26,10 @@ func newTranscript() *transcript {
 	return &transcript{wire: fnv.New64a(), tables: fnv.New64a()}
 }
 
-func (tr *transcript) packets(who int, ops []ripng.OutPacket) {
-	for _, op := range ops {
+// packets hashes a batch as the wires carry it: one packet per
+// interface, each with split horizon applied.
+func (tr *transcript) packets(who int, e *ripng.Engine, ops []ripng.OutPacket) {
+	for _, op := range ripng.Expand(ops, e.Ifaces()) {
 		fmt.Fprintf(tr.wire, "%d|%d|%s|", who, op.Iface, ipv6.FormatAddr(op.Dst))
 		tr.wire.Write(op.Pkt.Marshal())
 	}
@@ -89,14 +91,14 @@ func (l *lab) step(now ripng.Clock) {
 	for i, e := range l.engs {
 		e.Tick(now)
 		outs[i] = e.Collect()
-		l.tr.packets(i, outs[i])
+		l.tr.packets(i, e, outs[i])
 	}
 	deliver := func(from, fromIf, to, toIf int) {
 		for _, op := range outs[from] {
-			if op.Iface != fromIf {
+			if !op.SentOn(fromIf) {
 				continue
 			}
-			if err := l.engs[to].Receive(toIf, labLL(from, fromIf), op.Pkt); err != nil {
+			if err := l.engs[to].Receive(toIf, labLL(from, fromIf), op.On(fromIf)); err != nil {
 				l.t.Fatal(err)
 			}
 		}
@@ -209,7 +211,7 @@ func TestTranscriptWholeTable98(t *testing.T) {
 	if len(ops) != 2 || len(ops[0].Pkt.RTEs) != 70 || len(ops[1].Pkt.RTEs) != 28 {
 		t.Fatalf("whole-table answer split %d packets", len(ops))
 	}
-	l.tr.packets(0, ops)
+	l.tr.packets(0, e, ops)
 	l.tr.table(0, e.Table())
 	for now := ripng.Clock(1); now <= 31; now += 15 {
 		l.step(now)

@@ -120,20 +120,30 @@ func (h *Host) tryEchoReply(datagram []byte) bool {
 
 // FlushUpdates moves the engine's queued packets onto the line cards'
 // output queues (the host's transmissions do not pass through the
-// forwarding fast path).
+// forwarding fast path). Each packet is encoded once and every
+// interface's frame derived from it, as the mesh does.
 func (h *Host) FlushUpdates() error {
 	for _, op := range h.Engine.Collect() {
-		if op.Iface < 0 || op.Iface >= h.Router.Ifaces() {
-			return fmt.Errorf("router: update for bad interface %d", op.Iface)
+		var base []byte
+		for f := 0; f < h.Engine.Ifaces(); f++ {
+			if !op.SentOn(f) {
+				continue
+			}
+			if f >= h.Router.Ifaces() {
+				return fmt.Errorf("router: update for bad interface %d", f)
+			}
+			if base == nil {
+				var err error
+				if base, err = ripng.WrapUDP(nil, h.Engine.LinkLocal(f), op.Dst, op.Pkt); err != nil {
+					return err
+				}
+			}
+			// Overload drops the update rather than failing the flush — a
+			// congested card loses control traffic like any other traffic,
+			// and the card's DroppedOut counter records it.
+			d := ripng.DeriveUDP(nil, base, h.Engine.LinkLocal(f), op, f)
+			h.Router.Bank.Card(f).PushOut(linecard.Datagram{Data: d, Seq: -1})
 		}
-		d, err := ripng.WrapUDP(nil, h.Engine.LinkLocal(op.Iface), op.Dst, op.Pkt)
-		if err != nil {
-			return err
-		}
-		// Overload drops the update rather than failing the flush — a
-		// congested card loses control traffic like any other traffic,
-		// and the card's DroppedOut counter records it.
-		h.Router.Bank.Card(op.Iface).PushOut(linecard.Datagram{Data: d, Seq: -1})
 	}
 	return nil
 }

@@ -94,16 +94,25 @@ func checkTriggered(t *testing.T, step int, out []ripng.OutPacket, p bits.Prefix
 		}
 		return
 	}
-	if len(out) != crudIfaces {
-		t.Fatalf("step %d: %d packets, want one per interface", step, len(out))
+	if len(out) != 1 || out[0].Iface != ripng.AllIfaces {
+		t.Fatalf("step %d: %+v sent, want one update for every interface", step, out)
 	}
-	for iface, op := range out {
+	src := ipv6.MustParseAddr("fe80::1")
+	base, err := ripng.WrapUDP(nil, src, out[0].Dst, out[0].Pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for iface := 0; iface < crudIfaces; iface++ {
 		want := ripng.RTE{Prefix: p, Metric: 2}
 		if del || iface == f {
 			want.Metric = ripng.Infinity
 		}
-		if op.Iface != iface || len(op.Pkt.RTEs) != 1 || op.Pkt.RTEs[0] != want {
-			t.Fatalf("step %d: interface %d sent %+v, want %+v out of %d", step, op.Iface, op.Pkt.RTEs, want, iface)
+		_, pkt, err := ripng.UnwrapUDP(nil, ripng.DeriveUDP(nil, base, src, out[0], iface))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pkt.RTEs; len(got) != 1 || got[0] != want {
+			t.Fatalf("step %d: interface %d sent %+v, want %+v", step, iface, got, want)
 		}
 	}
 }

@@ -427,10 +427,10 @@ func (m *Machine) MustSignal(name string) isa.SignalID {
 
 // SocketName returns the fully qualified name for id, or "" if unknown.
 func (m *Machine) SocketName(id isa.SocketID) string {
-	if id == isa.InvalidSocket || int(id) > len(m.sockets) {
-		return ""
+	if ref := m.sockRef(id); ref != nil {
+		return ref.name
 	}
-	return m.sockets[id-1].name
+	return ""
 }
 
 // SignalName returns the fully qualified name for id, or "" if unknown.
@@ -443,19 +443,19 @@ func (m *Machine) SignalName(id isa.SignalID) string {
 
 // SocketKindOf returns the kind of socket id.
 func (m *Machine) SocketKindOf(id isa.SocketID) (SocketKind, bool) {
-	if id == isa.InvalidSocket || int(id) > len(m.sockets) {
-		return 0, false
+	if ref := m.sockRef(id); ref != nil {
+		return ref.kind, true
 	}
-	return m.sockets[id-1].kind, true
+	return 0, false
 }
 
 // SocketUnit returns the index of the unit owning socket id, or -1 for
 // the network controller's own sockets.
 func (m *Machine) SocketUnit(id isa.SocketID) (int, bool) {
-	if id == isa.InvalidSocket || int(id) > len(m.sockets) {
-		return 0, false
+	if ref := m.sockRef(id); ref != nil {
+		return ref.unit, true
 	}
-	return m.sockets[id-1].unit, true
+	return 0, false
 }
 
 // SignalUnit returns the index of the unit driving signal id.
