@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm fuzz-ipv6 fuzz-ripng fuzz-sort bench bench-e2e bench-compare bench-pair overhead-guard trace-smoke largetable-identity snapshot vet loc
+.PHONY: all build test fmt-check race slow soak topo-soak topo-identity fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-spec fuzz-compiled fuzz-topo fuzz-forensics fuzz-asm fuzz-ipv6 fuzz-ripng fuzz-sort bench bench-e2e bench-compare bench-pair overhead-guard trace-smoke largetable-identity snapshot vet loc reach
 
 all: build test
 
@@ -110,7 +110,7 @@ fuzz-asm:
 	$(GO) test ./internal/asm -run xxx -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/isa -run xxx -fuzz FuzzDecodeProgram -fuzztime $(FUZZTIME)
 
-# The IPv6 parsers (header, extension chain, UDP, ICMP) on arbitrary
+# The IPv6 parsers (header, extension chain, UDP) on arbitrary
 # bytes: none may panic, and Validate must never accept a datagram
 # ParseHeader rejects. Minimizing is capped as for fuzz-lpm: uncapped,
 # the first new inputs held both workers from the third second on.
@@ -231,3 +231,9 @@ loc:
 	@for d in internal/*; do \
 		printf '%8d %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
 	done
+
+# The functions no tool and not ./bench links (reach_test.go, part of the
+# tier-1 suite): builds every binary with inlining off, prints the list
+# and checks it against testdata/reach.txt.
+reach:
+	$(GO) test -count=1 -run TestNoUnlinkedProductCode -v .

@@ -200,10 +200,8 @@ func TestBuilderBasics(t *testing.T) {
 	b.Label("loop")
 	b.Move("cnt0.r", "cnt0.tdec")
 	b.JumpIf(b.Guard("!cnt0.zero"), "loop")
-	b.Begin()
 	b.Imm(7, "gpr.r0")
 	b.Imm(8, "gpr.r1")
-	b.End()
 	b.Halt()
 	p, err := b.Build()
 	if err != nil {
@@ -262,11 +260,6 @@ func TestBuilderErrors(t *testing.T) {
 	b3.Label("a")
 	if _, err := b3.Build(); err == nil {
 		t.Error("duplicate label accepted")
-	}
-	b4 := NewBuilder(m)
-	b4.End()
-	if _, err := b4.Build(); err == nil {
-		t.Error("End without Begin accepted")
 	}
 }
 

@@ -7,23 +7,22 @@ import (
 )
 
 // Builder constructs programs programmatically; the code generators in
-// internal/program use it. Moves appended between Begin/End calls share
-// an instruction (cycle); bare appends each occupy their own cycle.
-// Jump targets may be referenced before they are defined — Build patches
-// label immediates.
+// internal/program use it. Each appended move occupies its own
+// instruction (cycle). Jump targets may be referenced before they are
+// defined — Build patches label immediates.
 type Builder struct {
 	r    Resolver
 	prog *isa.Program
-	cur  *isa.Instruction
-	open bool
 
 	patches []builderPatch
 	errs    []error
 }
 
+// builderPatch is a label immediate to resolve: the one move of
+// instruction ins.
 type builderPatch struct {
-	ins, move int
-	label     string
+	ins   int
+	label string
 }
 
 // NewBuilder returns a builder resolving names against r.
@@ -37,7 +36,6 @@ func (b *Builder) fail(format string, args ...interface{}) {
 
 // Label binds name to the next instruction address.
 func (b *Builder) Label(name string) {
-	b.flush()
 	if _, dup := b.prog.Labels[name]; dup {
 		b.fail("asm: duplicate label %q", name)
 		return
@@ -45,46 +43,11 @@ func (b *Builder) Label(name string) {
 	b.prog.Labels[name] = len(b.prog.Ins)
 }
 
-// Begin opens a multi-move instruction; subsequent moves share the cycle
-// until End.
-func (b *Builder) Begin() {
-	b.flush()
-	b.cur = &isa.Instruction{}
-	b.open = true
-}
-
-// End closes the instruction opened by Begin.
-func (b *Builder) End() {
-	if !b.open {
-		b.fail("asm: End without Begin")
-		return
-	}
-	b.prog.Ins = append(b.prog.Ins, *b.cur)
-	b.cur, b.open = nil, false
-}
-
-func (b *Builder) flush() {
-	if b.open {
-		b.prog.Ins = append(b.prog.Ins, *b.cur)
-		b.cur, b.open = nil, false
-	}
-}
-
 func (b *Builder) appendMove(m isa.Move, labelRef string) {
-	if !b.open {
-		b.cur = &isa.Instruction{}
-		b.cur.Moves = append(b.cur.Moves, m)
-		if labelRef != "" {
-			b.patches = append(b.patches, builderPatch{len(b.prog.Ins), 0, labelRef})
-		}
-		b.prog.Ins = append(b.prog.Ins, *b.cur)
-		b.cur = nil
-		return
-	}
-	b.cur.Moves = append(b.cur.Moves, m)
 	if labelRef != "" {
-		b.patches = append(b.patches, builderPatch{len(b.prog.Ins), len(b.cur.Moves) - 1, labelRef})
+		b.patches = append(b.patches, builderPatch{len(b.prog.Ins), labelRef})
 	}
+	b.prog.Ins = append(b.prog.Ins, isa.Instruction{Moves: []isa.Move{m}})
 }
 
 func (b *Builder) socket(name string) isa.SocketID {
@@ -157,13 +120,11 @@ func (b *Builder) Halt() { b.Imm(0, "nc.halt") }
 
 // Nop appends an empty cycle.
 func (b *Builder) Nop() {
-	b.flush()
 	b.prog.Ins = append(b.prog.Ins, isa.Instruction{})
 }
 
 // Build resolves label patches and returns the program.
 func (b *Builder) Build() (*isa.Program, error) {
-	b.flush()
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
@@ -172,7 +133,7 @@ func (b *Builder) Build() (*isa.Program, error) {
 		if !ok {
 			return nil, fmt.Errorf("asm: undefined label %q", pt.label)
 		}
-		b.prog.Ins[pt.ins].Moves[pt.move].Src = isa.ImmSrc(uint32(addr))
+		b.prog.Ins[pt.ins].Moves[0].Src = isa.ImmSrc(uint32(addr))
 	}
 	return b.prog, nil
 }

@@ -31,12 +31,6 @@ func (p Prefix) First() Word128 { return p.Addr }
 // Last returns the highest address in p.
 func (p Prefix) Last() Word128 { return p.Addr.Or(Mask(p.Len).Not()) }
 
-// Overlaps reports whether p and q share any address; for prefixes this
-// happens exactly when one contains the other's base address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	return p.Contains(q.Addr) || q.Contains(p.Addr)
-}
-
 // Cmp orders prefixes by address, then length: an enclosing prefix
 // sorts before the prefixes nested at its base address.
 func (p Prefix) Cmp(q Prefix) int {
@@ -58,9 +52,6 @@ type Range struct {
 func (r Range) Contains(addr Word128) bool {
 	return r.First.Cmp(addr) <= 0 && addr.Cmp(r.Last) <= 0
 }
-
-// String formats r as [first,last].
-func (r Range) String() string { return fmt.Sprintf("[%s,%s]", r.First, r.Last) }
 
 // DisjointRanges sweeps a set of n prefixes, read through prefix in
 // Cmp order (address, then outer before inner), into the sorted,

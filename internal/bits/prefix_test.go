@@ -75,18 +75,6 @@ func TestPrefixFirstLast(t *testing.T) {
 	}
 }
 
-func TestPrefixOverlaps(t *testing.T) {
-	a := MakePrefix(FromWords(0x20010000, 0, 0, 0), 16)
-	b := MakePrefix(FromWords(0x20010db8, 0, 0, 0), 32)
-	c := MakePrefix(FromWords(0x30000000, 0, 0, 0), 8)
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("nested prefixes should overlap")
-	}
-	if a.Overlaps(c) || c.Overlaps(b) {
-		t.Error("disjoint prefixes overlap")
-	}
-}
-
 func TestRangeContains(t *testing.T) {
 	r := Range{First: FromUint64(10), Last: FromUint64(20)}
 	for _, v := range []uint64{10, 15, 20} {

@@ -5,12 +5,7 @@
 // bus words, most-significant first. Word128 keeps that mapping explicit.
 package bits
 
-import (
-	"errors"
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Word128 is an unsigned 128-bit integer stored as two 64-bit halves.
 // The zero value is the number 0.
@@ -68,39 +63,6 @@ func (w Word128) Words() [4]uint32 {
 		uint32(w.Hi >> 32), uint32(w.Hi),
 		uint32(w.Lo >> 32), uint32(w.Lo),
 	}
-}
-
-// Word returns bus word i (0 = most significant). It panics if i is not
-// in [0,3]; callers index with constants or loop bounds.
-func (w Word128) Word(i int) uint32 {
-	switch i {
-	case 0:
-		return uint32(w.Hi >> 32)
-	case 1:
-		return uint32(w.Hi)
-	case 2:
-		return uint32(w.Lo >> 32)
-	case 3:
-		return uint32(w.Lo)
-	}
-	panic("bits: word index out of range")
-}
-
-// SetWord returns w with bus word i replaced by v.
-func (w Word128) SetWord(i int, v uint32) Word128 {
-	switch i {
-	case 0:
-		w.Hi = w.Hi&0x00000000ffffffff | uint64(v)<<32
-	case 1:
-		w.Hi = w.Hi&0xffffffff00000000 | uint64(v)
-	case 2:
-		w.Lo = w.Lo&0x00000000ffffffff | uint64(v)<<32
-	case 3:
-		w.Lo = w.Lo&0xffffffff00000000 | uint64(v)
-	default:
-		panic("bits: word index out of range")
-	}
-	return w
 }
 
 // And returns w & x.
@@ -242,28 +204,4 @@ func (w Word128) Bit(i int) uint {
 // String formats w as 32 hexadecimal digits.
 func (w Word128) String() string {
 	return fmt.Sprintf("%016x%016x", w.Hi, w.Lo)
-}
-
-// ParseHex parses a word formatted as up to 32 hexadecimal digits.
-func ParseHex(s string) (Word128, error) {
-	s = strings.TrimPrefix(s, "0x")
-	if s == "" || len(s) > 32 {
-		return Word128{}, errors.New("bits: bad hex word length")
-	}
-	if len(s) <= 16 {
-		lo, err := strconv.ParseUint(s, 16, 64)
-		if err != nil {
-			return Word128{}, fmt.Errorf("bits: %v", err)
-		}
-		return Word128{Lo: lo}, nil
-	}
-	hi, err := strconv.ParseUint(s[:len(s)-16], 16, 64)
-	if err != nil {
-		return Word128{}, fmt.Errorf("bits: %v", err)
-	}
-	lo, err := strconv.ParseUint(s[len(s)-16:], 16, 64)
-	if err != nil {
-		return Word128{}, fmt.Errorf("bits: %v", err)
-	}
-	return Word128{Hi: hi, Lo: lo}, nil
 }

@@ -12,25 +12,6 @@ func TestFromWordsRoundTrip(t *testing.T) {
 	if ws != [4]uint32{0x20010db8, 0x0000cafe, 0xdeadbeef, 0x00000001} {
 		t.Fatalf("Words() = %x", ws)
 	}
-	for i := 0; i < 4; i++ {
-		if w.Word(i) != ws[i] {
-			t.Errorf("Word(%d) = %x, want %x", i, w.Word(i), ws[i])
-		}
-	}
-}
-
-func TestSetWord(t *testing.T) {
-	var w Word128
-	for i := 0; i < 4; i++ {
-		w = w.SetWord(i, uint32(i+1))
-	}
-	if w.Words() != [4]uint32{1, 2, 3, 4} {
-		t.Fatalf("SetWord sequence = %v", w.Words())
-	}
-	w = w.SetWord(2, 0xffffffff)
-	if w.Word(2) != 0xffffffff || w.Word(1) != 2 || w.Word(3) != 4 {
-		t.Fatalf("SetWord(2) disturbed neighbours: %v", w.Words())
-	}
 }
 
 func TestBytesRoundTrip(t *testing.T) {
@@ -196,28 +177,6 @@ func TestBit(t *testing.T) {
 		if w.Bit(i) != 0 {
 			t.Errorf("Bit(%d) = 1", i)
 		}
-	}
-}
-
-func TestParseHexRoundTrip(t *testing.T) {
-	f := func(hi, lo uint64) bool {
-		w := Word128{hi, lo}
-		got, err := ParseHex(w.String())
-		return err == nil && got == w
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	for _, bad := range []string{"", "xyz", "0x", "123456789012345678901234567890123"} {
-		if _, err := ParseHex(bad); err == nil {
-			t.Errorf("ParseHex(%q) succeeded", bad)
-		}
-	}
-	if w, err := ParseHex("ff"); err != nil || w != FromUint64(0xff) {
-		t.Errorf("ParseHex(ff) = %v, %v", w, err)
-	}
-	if w, err := ParseHex("10000000000000000"); err != nil || (w != Word128{Hi: 1, Lo: 0}) {
-		t.Errorf("ParseHex(2^64) = %v, %v", w, err)
 	}
 }
 

@@ -187,7 +187,6 @@ type Injector struct {
 	rules  []Rule
 	rng    *workload.RNG
 	counts []int64
-	seen   int64
 }
 
 // NewInjector returns a seeded injector over the given rules.
@@ -205,7 +204,6 @@ func (in *Injector) Apply(d []byte) []byte {
 	if in == nil {
 		return d
 	}
-	in.seen++
 	for i, r := range in.rules {
 		if in.rng.Float64() < r.Prob {
 			d = r.Mutator.Mutate(in.rng, d)
@@ -213,14 +211,6 @@ func (in *Injector) Apply(d []byte) []byte {
 		}
 	}
 	return d
-}
-
-// Seen returns how many datagrams passed through Apply.
-func (in *Injector) Seen() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.seen
 }
 
 // Counts returns per-mutator application counts keyed by mutator name.

@@ -104,7 +104,7 @@ func TestInjectorNilIsPassthrough(t *testing.T) {
 	if got := in.Apply(d); &got[0] != &d[0] || len(got) != len(d) {
 		t.Error("nil injector did not return its input unchanged")
 	}
-	if in.Seen() != 0 || in.Counts() != nil {
+	if in.Counts() != nil {
 		t.Error("nil injector reported activity")
 	}
 }
@@ -121,9 +121,6 @@ func TestInjectorCountsAndDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(da, db) {
 		t.Fatal("same-seed injectors diverged")
-	}
-	if a.Seen() != 200 {
-		t.Errorf("Seen = %d", a.Seen())
 	}
 	counts := a.Counts()
 	if counts["hoplimit"] == 0 || counts["bitflip"] == 0 {

@@ -120,10 +120,8 @@ type IPPU struct {
 	tpop            trigger
 	rptr, rifc, rln uint32
 
-	popped    int64
-	stored    int64
-	oversized int64
-	seqs      map[uint32]int64
+	popped int64
+	seqs   map[uint32]int64
 
 	// storedAt records the machine cycle in which a datagram finished its
 	// input DMA, for latency measurement.
@@ -198,7 +196,6 @@ func (u *IPPU) Clock(now int64) error {
 					if len(dg.Data) > maxDatagramBytes {
 						// Oversized frames exceed the line card MTU
 						// contract; drop rather than overrun the slot.
-						u.oversized++
 						return nil
 					}
 					if _, err := u.mmu.StoreBytes(ptr, dg.Data); err != nil {
@@ -213,7 +210,6 @@ func (u *IPPU) Clock(now int64) error {
 					u.seqs[e.ptr] = e.seq
 					u.storedAt[e.ptr] = now
 					u.alloc = ptr + words
-					u.stored++
 				}
 			}
 		}
@@ -279,7 +275,7 @@ func (u *IPPU) Reset() {
 	u.inProcess, u.inProcessOK = ippuEntry{}, false
 	u.tpop.reset()
 	u.rptr, u.rifc, u.rln = 0, 0, 0
-	u.popped, u.stored, u.oversized = 0, 0, 0
+	u.popped = 0
 	clear(u.seqs)
 	clear(u.storedAt)
 }
@@ -297,12 +293,6 @@ func (u *IPPU) StoredCycleAt(ptr uint32) (int64, bool) {
 	c, ok := u.storedAt[ptr]
 	return c, ok
 }
-
-// Oversized reports datagrams dropped for exceeding the MTU contract.
-func (u *IPPU) Oversized() int64 { return u.oversized }
-
-// Stored and Popped report DMA activity.
-func (u *IPPU) Stored() int64 { return u.stored }
 
 // Popped reports how many descriptors the program consumed.
 func (u *IPPU) Popped() int64 { return u.popped }

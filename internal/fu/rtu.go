@@ -360,6 +360,3 @@ func (u *RTUCAM) Searches() int64 { return u.searches }
 
 // Loads is Searches: a CAM search is the unit's one table access.
 func (u *RTUCAM) Loads() int64 { return u.searches }
-
-// WaitCycles returns the configured search latency.
-func (u *RTUCAM) WaitCycles() int { return u.wait }

@@ -133,9 +133,6 @@ func TestRTUCAMSearch(t *testing.T) {
 	cfg := Config3Bus1FU(rtable.CAM)
 	m, units, _ := routerMachine(t, cfg, tbl)
 	cam := units.RTU.(*RTUCAM)
-	if cam.WaitCycles() != cfg.CAMWaitCycles {
-		t.Fatalf("wait cycles = %d", cam.WaitCycles())
-	}
 
 	ready := isa.Guard{Terms: []isa.GuardTerm{{Signal: m.MustSignal("rtu.ready")}}}
 	p := isa.NewProgram()

@@ -1,6 +1,6 @@
 // Package ipv6 implements the IPv6 substrate of the router: RFC 2460
-// datagram headers and extension-header chains, addresses, UDP and
-// ICMPv6 with their pseudo-header checksums, and datagram validation —
+// datagram headers and extension-header chains, addresses, UDP with its
+// pseudo-header checksum, and datagram validation —
 // everything the paper's router must do to datagrams besides the
 // routing-table lookup itself.
 package ipv6
@@ -18,8 +18,6 @@ type Addr = bits.Word128
 
 // Well-known addresses.
 var (
-	// Unspecified is ::.
-	Unspecified = Addr{}
 	// Loopback is ::1.
 	Loopback = bits.FromUint64(1)
 	// AllNodes is ff02::1, the link-local all-nodes group.
@@ -35,9 +33,6 @@ func IsMulticast(a Addr) bool { return a.Hi>>56 == 0xff }
 
 // IsLinkLocal reports whether a is in fe80::/10.
 func IsLinkLocal(a Addr) bool { return a.Hi>>54 == 0x3fa }
-
-// IsUnspecified reports whether a is ::.
-func IsUnspecified(a Addr) bool { return a.IsZero() }
 
 // ParseAddr parses RFC 4291 textual form, including "::" compression
 // ("2001:db8::1"). Embedded IPv4 dotted suffixes are not supported.

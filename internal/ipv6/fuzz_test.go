@@ -48,10 +48,9 @@ func FuzzParsers(f *testing.F) {
 		if hErr == nil && ulErr == nil && (off < HeaderBytes || off > len(b)) {
 			t.Fatalf("offset %d outside datagram of %d", off, len(b))
 		}
-		// UDP/ICMP parsers on arbitrary tails.
+		// The UDP parser on arbitrary tails.
 		if len(b) > HeaderBytes {
 			_, _, _ = ParseUDP(Loopback, Loopback, b[HeaderBytes:])
-			_, _ = ParseICMP(Loopback, Loopback, b[HeaderBytes:])
 		}
 	})
 }

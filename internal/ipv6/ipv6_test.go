@@ -70,9 +70,6 @@ func TestClassification(t *testing.T) {
 	if IsLinkLocal(MustParseAddr("fec0::1")) {
 		t.Error("fec0::1 reported link-local")
 	}
-	if !IsUnspecified(Unspecified) || IsUnspecified(Loopback) {
-		t.Error("unspecified classification wrong")
-	}
 }
 
 func TestParsePrefix(t *testing.T) {
@@ -296,23 +293,6 @@ func TestUDPParseErrors(t *testing.T) {
 	zeroCk[6], zeroCk[7] = 0, 0
 	if _, _, err := ParseUDP(src, dst, zeroCk); err == nil {
 		t.Error("zero checksum accepted over IPv6")
-	}
-}
-
-func TestICMPRoundTrip(t *testing.T) {
-	src, dst := MustParseAddr("2001:db8::1"), MustParseAddr("2001:db8::2")
-	m := ICMPMessage{Type: ICMPEchoRequest, Code: 0, Body: []byte{0, 1, 0, 1, 'p', 'i', 'n', 'g'}}
-	wire := MarshalICMP(src, dst, m)
-	got, err := ParseICMP(src, dst, wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != m.Type || got.Code != m.Code || string(got.Body) != string(m.Body) {
-		t.Errorf("parsed %+v", got)
-	}
-	wire[5] ^= 0xff
-	if _, err := ParseICMP(src, dst, wire); err == nil {
-		t.Error("corrupted ICMP accepted")
 	}
 }
 

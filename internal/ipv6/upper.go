@@ -110,44 +110,3 @@ func ParseUDP(src, dst Addr, segment []byte) (UDPHeader, []byte, error) {
 	}
 	return h, payload, nil
 }
-
-// ICMPv6 message types used by the router.
-const (
-	ICMPDestUnreachable = 1
-	ICMPTimeExceeded    = 3
-	ICMPEchoRequest     = 128
-	ICMPEchoReply       = 129
-)
-
-// ICMPMessage is a minimal ICMPv6 message.
-type ICMPMessage struct {
-	Type, Code uint8
-	Body       []byte // everything after the 4-byte type/code/checksum
-}
-
-// MarshalICMP builds an ICMPv6 message with a valid checksum.
-func MarshalICMP(src, dst Addr, m ICMPMessage) []byte {
-	length := uint32(4 + len(m.Body))
-	sum := pseudoHeaderSum(src, dst, length, ProtoICMPv6)
-	head := []byte{m.Type, m.Code, 0, 0}
-	sum = checksumFold(sum, head)
-	sum = checksumFold(sum, m.Body)
-	c := ^uint16(sum)
-	out := make([]byte, 0, length)
-	out = append(out, m.Type, m.Code, byte(c>>8), byte(c))
-	out = append(out, m.Body...)
-	return out
-}
-
-// ParseICMP decodes and verifies an ICMPv6 message.
-func ParseICMP(src, dst Addr, b []byte) (ICMPMessage, error) {
-	if len(b) < 4 {
-		return ICMPMessage{}, fmt.Errorf("ipv6: ICMPv6 message too short")
-	}
-	sum := pseudoHeaderSum(src, dst, uint32(len(b)), ProtoICMPv6)
-	sum = checksumFold(sum, b)
-	if uint16(sum) != 0xffff {
-		return ICMPMessage{}, fmt.Errorf("ipv6: ICMPv6 checksum failed (sum %04x)", sum)
-	}
-	return ICMPMessage{Type: b[0], Code: b[1], Body: append([]byte(nil), b[4:]...)}, nil
-}

@@ -10,8 +10,6 @@
 package linecard
 
 import (
-	"fmt"
-
 	"taco/internal/ipv6"
 	"taco/internal/obs"
 )
@@ -82,9 +80,6 @@ const MaxFrameBytes = 2048
 
 // New returns a card with the given interface index.
 func New(index int) *Card { return &Card{index: index} }
-
-// Index returns the card's interface number.
-func (c *Card) Index() int { return c.index }
 
 // Deliver places a received datagram in the input queue (called by the
 // workload/network side). It reports whether the datagram was queued.
@@ -167,15 +162,6 @@ func (c *Card) PushOut(d Datagram) bool {
 	return true
 }
 
-// WriteOutput is PushOut for callers that treat output overload as an
-// error. The drop is counted either way.
-func (c *Card) WriteOutput(d Datagram) error {
-	if !c.PushOut(d) {
-		return fmt.Errorf("linecard %d: output queue full", c.index)
-	}
-	return nil
-}
-
 // CountDrop attributes a drop to this card (used by the router's drop
 // audit, which discovers machine-level drops after a run and charges
 // them to the arrival card).
@@ -196,9 +182,6 @@ func (c *Card) DrainOutput() []Datagram {
 	c.out = nil
 	return out
 }
-
-// OutputLen returns the output queue depth.
-func (c *Card) OutputLen() int { return len(c.out) }
 
 // Stats returns a copy of the card's counters.
 func (c *Card) Stats() Stats { return c.stats }
@@ -253,9 +236,6 @@ func (b *Bank) Len() int { return len(b.cards) }
 
 // Card returns card i.
 func (b *Bank) Card(i int) *Card { return b.cards[i] }
-
-// Cards returns the underlying slice.
-func (b *Bank) Cards() []*Card { return b.cards }
 
 // AnyPending returns the lowest-numbered card with input pending, or -1 —
 // the scan the preprocessing unit performs over the cards' status

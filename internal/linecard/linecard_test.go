@@ -85,13 +85,13 @@ func TestMaxDepthTracksHighWater(t *testing.T) {
 		t.Errorf("MaxInDepth = %d, want 5", st.MaxInDepth)
 	}
 	for i := 0; i < 3; i++ {
-		if err := c.WriteOutput(Datagram{}); err != nil {
-			t.Fatal(err)
+		if !c.PushOut(Datagram{}) {
+			t.Fatal("output queue full")
 		}
 	}
 	c.DrainOutput()
-	if err := c.WriteOutput(Datagram{}); err != nil {
-		t.Fatal(err)
+	if !c.PushOut(Datagram{}) {
+		t.Fatal("output queue full")
 	}
 	if st := c.Stats(); st.MaxOutDepth != 3 {
 		t.Errorf("MaxOutDepth = %d, want 3", st.MaxOutDepth)
@@ -101,18 +101,15 @@ func TestMaxDepthTracksHighWater(t *testing.T) {
 func TestOutputQueue(t *testing.T) {
 	c := New(2)
 	for i := int64(0); i < 3; i++ {
-		if err := c.WriteOutput(Datagram{Seq: i}); err != nil {
-			t.Fatal(err)
+		if !c.PushOut(Datagram{Seq: i}) {
+			t.Fatal("output queue full")
 		}
-	}
-	if c.OutputLen() != 3 {
-		t.Errorf("OutputLen = %d", c.OutputLen())
 	}
 	out := c.DrainOutput()
 	if len(out) != 3 || out[0].Seq != 0 || out[2].Seq != 2 {
 		t.Errorf("drained = %+v", out)
 	}
-	if c.OutputLen() != 0 {
+	if len(c.DrainOutput()) != 0 {
 		t.Error("drain did not clear queue")
 	}
 }
@@ -120,11 +117,11 @@ func TestOutputQueue(t *testing.T) {
 func TestOutputOverflow(t *testing.T) {
 	c := New(0)
 	for i := 0; i < MaxQueue; i++ {
-		if err := c.WriteOutput(Datagram{}); err != nil {
-			t.Fatal(err)
+		if !c.PushOut(Datagram{}) {
+			t.Fatal("output queue full")
 		}
 	}
-	if err := c.WriteOutput(Datagram{}); err == nil {
+	if c.PushOut(Datagram{}) {
 		t.Error("output overflow accepted")
 	}
 }
@@ -146,21 +143,16 @@ func TestBankScan(t *testing.T) {
 	if got := b.AnyPending(); got != 3 {
 		t.Errorf("AnyPending = %d, want 3", got)
 	}
-	for i := range b.Cards() {
-		if b.Card(i).Index() != i {
-			t.Errorf("card %d has index %d", i, b.Card(i).Index())
-		}
-	}
 }
 
 func TestReset(t *testing.T) {
 	b := NewBank(2)
 	b.Card(0).Deliver(Datagram{})
-	if err := b.Card(1).WriteOutput(Datagram{}); err != nil {
-		t.Fatal(err)
+	if !b.Card(1).PushOut(Datagram{}) {
+		t.Fatal("output queue full")
 	}
 	b.Reset()
-	if b.AnyPending() != -1 || b.Card(1).OutputLen() != 0 {
+	if b.AnyPending() != -1 || len(b.Card(1).DrainOutput()) != 0 {
 		t.Error("Reset left state")
 	}
 	if st := b.Card(0).Stats(); st.Received != 0 {

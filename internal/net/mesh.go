@@ -319,9 +319,6 @@ func (m *Mesh) startEngine(n *node) {
 // Now returns the current tick.
 func (m *Mesh) Now() int64 { return m.now }
 
-// Topo returns the mesh's topology.
-func (m *Mesh) Topo() Topology { return m.topo }
-
 // Alive reports whether a node is currently running.
 func (m *Mesh) Alive(id int) bool { return m.nodes[id].alive }
 

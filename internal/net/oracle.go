@@ -20,6 +20,11 @@ type Oracle struct {
 	// dist[p][n] is node n's hop distance to prefix p's owner; -1 means
 	// unreachable (owner dead or partitioned away).
 	dist [][]int
+	// index maps each prefix to its first index; next[p] is the next
+	// index with prefixes[p]'s prefix, -1 after the last (StubPrefix
+	// repeats only for node ids 65536 apart).
+	index map[bits.Prefix]int
+	next  []int
 }
 
 // Reachable reports whether node can carry prefix index p in its FIB:
@@ -36,20 +41,27 @@ func (o *Oracle) Metric(p, node int) int { return o.dist[p][node] + 1 }
 // Dist returns node's hop distance to prefix index p (-1 unreachable).
 func (o *Oracle) Dist(p, node int) int { return o.dist[p][node] }
 
-// Prefixes returns the advertised stub prefixes in owner order.
-func (o *Oracle) Prefixes() []bits.Prefix { return o.prefixes }
-
 // Owner returns the owning node of prefix index p.
 func (o *Oracle) Owner(p int) int { return o.owners[p] }
 
 // PrefixIndex resolves a stub prefix to its oracle index, -1 if unknown.
 func (o *Oracle) PrefixIndex(pfx bits.Prefix) int {
-	for i, p := range o.prefixes {
-		if p == pfx {
-			return i
-		}
+	if p, ok := o.index[pfx]; ok {
+		return p
 	}
 	return -1
+}
+
+// reachableIndex returns the last index carrying p's prefix that node
+// can reach, at p or after it, or -1.
+func (o *Oracle) reachableIndex(p, node int) int {
+	last := -1
+	for ; p >= 0; p = o.next[p] {
+		if o.Reachable(p, node) {
+			last = p
+		}
+	}
+	return last
 }
 
 // computeOracle BFS-walks the current up topology. up(edgeIdx) reports
@@ -87,12 +99,30 @@ func (m *Mesh) computeOracle() *Oracle {
 		}
 		return d
 	}
+	o.index = make(map[bits.Prefix]int, len(m.topo.StubOwners))
 	for _, owner := range m.topo.StubOwners {
-		o.prefixes = append(o.prefixes, StubPrefix(owner))
-		o.owners = append(o.owners, owner)
-		o.dist = append(o.dist, dist(owner))
+		o.add(owner, dist(owner))
 	}
 	return o
+}
+
+// add appends owner's stub prefix with its distance vector and links it
+// into the prefix index.
+func (o *Oracle) add(owner int, dist []int) {
+	p, pfx := len(o.prefixes), StubPrefix(owner)
+	o.prefixes = append(o.prefixes, pfx)
+	o.owners = append(o.owners, owner)
+	o.dist = append(o.dist, dist)
+	o.next = append(o.next, -1)
+	q, dup := o.index[pfx]
+	if !dup {
+		o.index[pfx] = p
+		return
+	}
+	for o.next[q] >= 0 {
+		q = o.next[q]
+	}
+	o.next[q] = p
 }
 
 // oracle returns the cached oracle, recomputing it when topology state
@@ -115,19 +145,24 @@ func (m *Mesh) fibDivergence(o *Oracle, id int) string {
 	if !n.alive {
 		return ""
 	}
-	want := make(map[bits.Prefix]int, len(o.prefixes))
+	// The oracle wants each reachable prefix once; a prefix listed more
+	// than once stands at its last index the node can reach.
+	want := 0
 	for p := range o.prefixes {
-		if o.Reachable(p, id) {
-			want[o.prefixes[p]] = p
+		if o.Reachable(p, id) && o.reachableIndex(o.next[p], id) < 0 {
+			want++
 		}
 	}
 	routes := n.table.Routes()
-	if len(routes) != len(want) {
-		return fmt.Sprintf("node %d: %d routes, oracle wants %d", id, len(routes), len(want))
+	if len(routes) != want {
+		return fmt.Sprintf("node %d: %d routes, oracle wants %d", id, len(routes), want)
 	}
 	for _, r := range routes {
-		p, ok := want[r.Prefix]
-		if !ok {
+		p := -1
+		if first, ok := o.index[r.Prefix]; ok {
+			p = o.reachableIndex(first, id)
+		}
+		if p < 0 {
 			return fmt.Sprintf("node %d: unexpected route %v", id, r)
 		}
 		if r.Metric != o.Metric(p, id) {

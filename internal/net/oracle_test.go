@@ -3,6 +3,8 @@ package net
 import (
 	"fmt"
 	"testing"
+
+	"taco/internal/bits"
 )
 
 // nextHopSoundWalkAll is NextHopSound before it stopped at nodes already
@@ -130,5 +132,76 @@ func TestNextHopSoundFindsHandMadeLoop(t *testing.T) {
 	want := fmt.Sprintf("prefix %v: forwarding loop through node 2 (from node 2)", pfx)
 	if got != want {
 		t.Fatalf("got %q, want %q", got, want)
+	}
+}
+
+// TestDivergenceAllocatesOnlyFIBCopies: a convergence check on a
+// converged mesh allocates no more than the per-node FIB listings it
+// compares; the oracle's prefix index is built once per topology state,
+// not once per node and call.
+func TestDivergenceAllocatesOnlyFIBCopies(t *testing.T) {
+	m := mustMesh(t, "fattree", 6, Options{Seed: 1}) // 18 prefixes: more than a map keeps on the stack
+	if _, ok := m.RunUntilConverged(m.convergeBudget()); !ok {
+		t.Fatalf("no convergence: %s", m.Divergence())
+	}
+	listings := testing.AllocsPerRun(10, func() {
+		for id := range m.nodes {
+			_ = m.Routes(id)
+		}
+	})
+	got := testing.AllocsPerRun(10, func() {
+		if d := m.Divergence(); d != "" {
+			t.Fatalf("converged mesh diverges: %s", d)
+		}
+	})
+	if got > listings {
+		t.Errorf("Divergence allocates %v times, the %d FIB listings %v", got, len(m.nodes), listings)
+	}
+}
+
+// TestOracleDuplicatePrefixes holds the prefix index to the map it
+// replaced: a node wants each reachable prefix once, and a route for a
+// prefix listed more than once stands at the last index the node can
+// reach. StubPrefix repeats for node ids 65536 apart, so owners 0, 65536
+// and 131072 share one prefix.
+func TestOracleDuplicatePrefixes(t *testing.T) {
+	o := &Oracle{index: map[bits.Prefix]int{}}
+	// Distances of nodes 0..3 to each owner; -1 is unreachable.
+	o.add(0, []int{0, 1, -1, -1})
+	o.add(1, []int{1, 0, 1, -1})
+	o.add(65536, []int{-1, 2, 3, -1})
+	o.add(131072, []int{-1, -1, 1, -1})
+	for node := 0; node < 4; node++ {
+		want := map[bits.Prefix]int{}
+		for p := range o.prefixes {
+			if o.Reachable(p, node) {
+				want[o.prefixes[p]] = p
+			}
+		}
+		got := 0
+		for p := range o.prefixes {
+			if o.Reachable(p, node) && o.reachableIndex(o.next[p], node) < 0 {
+				got++
+			}
+		}
+		if got != len(want) {
+			t.Errorf("node %d: wants %d prefixes, map %d", node, got, len(want))
+		}
+		for _, pfx := range []bits.Prefix{StubPrefix(0), StubPrefix(1), StubPrefix(2)} {
+			p, ok := want[pfx]
+			if !ok {
+				p = -1
+			}
+			q := -1
+			if first, ok := o.index[pfx]; ok {
+				q = o.reachableIndex(first, node)
+			}
+			if q != p {
+				t.Errorf("node %d, %v: index %d, map %d", node, pfx, q, p)
+			}
+		}
+	}
+	if o.PrefixIndex(StubPrefix(65536)) != 0 || o.PrefixIndex(StubPrefix(1)) != 1 || o.PrefixIndex(StubPrefix(2)) != -1 {
+		t.Errorf("PrefixIndex must return the first index")
 	}
 }

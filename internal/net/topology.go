@@ -172,16 +172,6 @@ func StubPrefix(node int) bits.Prefix {
 	}, 48)
 }
 
-// Degrees returns the per-node degree vector.
-func (t Topology) Degrees() []int {
-	deg := make([]int, t.N)
-	for _, e := range t.Edges {
-		deg[e.A]++
-		deg[e.B]++
-	}
-	return deg
-}
-
 // Diameter returns the longest shortest-path hop count over the full
 // (all links up) topology, via BFS from every node.
 func (t Topology) Diameter() int {

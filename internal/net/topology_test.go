@@ -59,7 +59,11 @@ func TestFatTreeStructure(t *testing.T) {
 	}
 	h := k / 2
 	core := h * h
-	deg := topo.Degrees()
+	deg := make([]int, topo.N)
+	for _, e := range topo.Edges {
+		deg[e.A]++
+		deg[e.B]++
+	}
 	for n := 0; n < core; n++ {
 		if deg[n] != k {
 			t.Fatalf("core %d: degree %d, want one link per pod (%d)", n, deg[n], k)

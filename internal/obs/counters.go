@@ -62,23 +62,6 @@ func NewCounters(buses, units, sockets int) *Counters {
 	}
 }
 
-func sum(s []int64) int64 {
-	var t int64
-	for _, v := range s {
-		t += v
-	}
-	return t
-}
-
-// EncodedTotal sums BusEncoded; it must equal Stats.SlotsEncoded.
-func (c *Counters) EncodedTotal() int64 { return sum(c.BusEncoded) }
-
-// ExecutedTotal sums BusExecuted; it must equal Stats.MovesExecuted.
-func (c *Counters) ExecutedTotal() int64 { return sum(c.BusExecuted) }
-
-// TriggerTotal sums UnitTriggers over every unit.
-func (c *Counters) TriggerTotal() int64 { return sum(c.UnitTriggers) }
-
 // BusOccupancy returns the fraction of cycles in which bus carried an
 // encoded move, in [0,1].
 func (c *Counters) BusOccupancy(bus int) float64 {

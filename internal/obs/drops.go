@@ -20,13 +20,6 @@ func (c *DropCounters) Add(r ipv6.DropReason) {
 	}
 }
 
-// AddN counts n drops for the given reason.
-func (c *DropCounters) AddN(r ipv6.DropReason, n int64) {
-	if r > ipv6.DropNone && r < ipv6.NumDropReasons {
-		c[r] += n
-	}
-}
-
 // Merge adds o's counts into c.
 func (c *DropCounters) Merge(o DropCounters) {
 	for i := range c {

@@ -12,10 +12,9 @@ import (
 // reporters (tacosim -stat-every) never buffer and a consumer can tail
 // the stream.
 type EventWriter struct {
-	w      *bufio.Writer
-	enc    *json.Encoder
-	err    error
-	events int
+	w   *bufio.Writer
+	enc *json.Encoder
+	err error
 }
 
 // NewEventWriter starts an NDJSON stream on w.
@@ -31,16 +30,8 @@ func (e *EventWriter) Emit(v any) {
 	}
 	if err := e.enc.Encode(v); err != nil {
 		e.err = err
-		return
 	}
-	e.events++
 }
-
-// Events returns the number of events emitted so far.
-func (e *EventWriter) Events() int { return e.events }
-
-// Err returns the first write or encoding error, if any.
-func (e *EventWriter) Err() error { return e.err }
 
 // Flush pushes buffered events to the underlying writer. Live
 // reporters flush after every event; batch producers flush once.

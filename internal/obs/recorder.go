@@ -110,9 +110,6 @@ func EventKindName(k uint8) string {
 // loops call it once per executed cycle, before any move records.
 func (r *FlightRecorder) SetCycle(c int64) { r.now = c }
 
-// Cycle returns the most recently stamped cycle.
-func (r *FlightRecorder) Cycle() int64 { return r.now }
-
 // Record stores one event, overwriting the oldest when full. The
 // event's Cycle is filled from the recorder's current cycle stamp.
 //
@@ -137,10 +134,7 @@ func (r *FlightRecorder) Record(e RecEvent) {
 	r.total++
 }
 
-// Cap returns the ring capacity.
-func (r *FlightRecorder) Cap() int { return len(r.buf) }
-
-// Len returns the number of retained events (≤ Cap).
+// Len returns the number of retained events (at most the capacity).
 func (r *FlightRecorder) Len() int {
 	if r.total < uint64(len(r.buf)) {
 		return int(r.total)

@@ -85,9 +85,6 @@ func (t *TraceWriter) Complete(pid, tid int, name string, ts, dur int64, args ma
 // Events returns the number of events emitted so far.
 func (t *TraceWriter) Events() int { return t.events }
 
-// Err returns the first write or encoding error, if any.
-func (t *TraceWriter) Err() error { return t.err }
-
 // Close terminates the JSON document and flushes buffered output. It
 // does not close the underlying writer.
 func (t *TraceWriter) Close() error {

@@ -93,10 +93,6 @@ type Engine struct {
 	// their RTEs; lent and lentChunks are the batch the last one returned.
 	out, lent          []OutPacket
 	chunks, lentChunks []*rteChunk
-
-	// Stats counters.
-	responsesIn, requestsIn, updatesOut int64
-	badRTEs                             int64
 }
 
 // NewEngine returns an engine over the given forwarding table and
@@ -215,10 +211,8 @@ func (e *Engine) Receive(iface int, src ipv6.Addr, p Packet) error {
 	}
 	switch p.Command {
 	case CommandRequest:
-		e.requestsIn++
 		return e.handleRequest(iface, src, p)
 	case CommandResponse:
-		e.responsesIn++
 		return e.handleResponse(iface, src, p)
 	}
 	return fmt.Errorf("ripng: command %d", p.Command)
@@ -266,7 +260,6 @@ func (e *Engine) handleResponse(iface int, src ipv6.Addr, p Packet) error {
 		// same bounds on the wire, but packets can also be injected
 		// in-memory (tests, fault campaigns), so the engine revalidates.
 		if rte.Prefix.Len > 128 || rte.Metric < 1 || rte.Metric > Infinity {
-			e.badRTEs++
 			continue
 		}
 		if ipv6.IsMulticast(rte.Prefix.Addr) || ipv6.IsLinkLocal(rte.Prefix.Addr) {
@@ -379,7 +372,6 @@ func (e *Engine) emit(changedOnly bool) {
 		r.changed = false
 	}
 	e.changed = 0
-	e.updatesOut++
 }
 
 // rteChunk holds one response packet's RTEs and, per RTE, the
@@ -458,14 +450,3 @@ func (e *Engine) LinkLocal(iface int) ipv6.Addr { return e.ifaces[iface].LinkLoc
 
 // Ifaces returns the interface count.
 func (e *Engine) Ifaces() int { return len(e.ifaces) }
-
-// Stats returns protocol counters: responses and requests received,
-// updates emitted.
-func (e *Engine) Stats() (responsesIn, requestsIn, updatesOut int64) {
-	return e.responsesIn, e.requestsIn, e.updatesOut
-}
-
-// BadRTEs returns how many routing table entries were rejected by the
-// §2.4.2 per-entry validation (metric outside 1..Infinity, prefix
-// length beyond 128).
-func (e *Engine) BadRTEs() int64 { return e.badRTEs }

@@ -82,12 +82,6 @@ func NewGolden(table rtable.Table, ifaces int) *Golden {
 // and joined multicast groups are both delivered locally).
 func (g *Golden) AddLocal(addr ipv6.Addr) { g.local[addr] = true }
 
-// Table returns the forwarding table.
-func (g *Golden) Table() rtable.Table { return g.table }
-
-// Ifaces returns the interface count.
-func (g *Golden) Ifaces() int { return g.ifaces }
-
 // Process decides a datagram's fate and returns the (possibly rewritten)
 // datagram to transmit. The returned slice aliases d when no rewrite was
 // needed, and is a fresh copy when the header was rewritten.

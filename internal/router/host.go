@@ -29,17 +29,9 @@ type Host struct {
 	// its neighbours).
 	NeighborIface map[ipv6.Addr]int
 
-	// RespondICMP enables the control plane's ICMPv6 echo responder:
-	// echo requests addressed to one of OwnAddrs are answered with echo
-	// replies routed by the shared forwarding table.
-	RespondICMP bool
-	// OwnAddrs are the router's unicast addresses for the responder.
-	OwnAddrs []ipv6.Addr
-
 	// Dropped counts local datagrams the control plane had no handler
-	// for; EchoReplies counts answered pings.
-	Dropped     int64
-	EchoReplies int64
+	// for.
+	Dropped int64
 }
 
 // NewHost attaches a RIPng engine to a TACO router.
@@ -48,8 +40,7 @@ func NewHost(r *TACO, e *ripng.Engine) *Host {
 }
 
 // PumpLocal drains the router's local queue into the control plane:
-// RIPng datagrams go to the engine; with RespondICMP set, echo requests
-// for the router's own addresses are answered.
+// RIPng datagrams go to the engine, anything else is dropped.
 func (h *Host) PumpLocal() error {
 	for _, d := range h.Router.LocalQueue() {
 		if src, pkt, err := ripng.UnwrapUDP(nil, d.Data); err == nil {
@@ -63,59 +54,9 @@ func (h *Host) PumpLocal() error {
 			}
 			continue
 		}
-		if h.RespondICMP && h.tryEchoReply(d.Data) {
-			continue
-		}
 		h.Dropped++
 	}
 	return nil
-}
-
-// tryEchoReply answers an ICMPv6 echo request addressed to the router,
-// routing the reply by the shared forwarding table (as a real host
-// stack would). It reports whether the datagram was handled.
-func (h *Host) tryEchoReply(datagram []byte) bool {
-	hdr, err := ipv6.ParseHeader(datagram)
-	if err != nil {
-		return false
-	}
-	mine := false
-	for _, a := range h.OwnAddrs {
-		if hdr.Dst == a {
-			mine = true
-			break
-		}
-	}
-	if !mine {
-		return false
-	}
-	proto, off, err := ipv6.UpperLayer(datagram)
-	if err != nil || proto != ipv6.ProtoICMPv6 {
-		return false
-	}
-	msg, err := ipv6.ParseICMP(hdr.Src, hdr.Dst, datagram[off:])
-	if err != nil || msg.Type != ipv6.ICMPEchoRequest {
-		return false
-	}
-	// Route the reply toward the original source.
-	route, ok := h.Engine.Table().Lookup(hdr.Src)
-	if !ok || route.Iface >= h.Router.Ifaces() {
-		return false
-	}
-	reply := ipv6.MarshalICMP(hdr.Dst, hdr.Src, ipv6.ICMPMessage{
-		Type: ipv6.ICMPEchoReply, Body: msg.Body,
-	})
-	out, err := ipv6.BuildDatagram(ipv6.Header{
-		HopLimit: ipv6.MaxHopLimit, Src: hdr.Dst, Dst: hdr.Src,
-	}, nil, ipv6.ProtoICMPv6, reply)
-	if err != nil {
-		return false
-	}
-	if !h.Router.Bank.Card(route.Iface).PushOut(linecard.Datagram{Data: out, Seq: -1}) {
-		return false
-	}
-	h.EchoReplies++
-	return true
 }
 
 // FlushUpdates moves the engine's queued packets onto the line cards'

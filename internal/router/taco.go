@@ -28,7 +28,6 @@ type TACO struct {
 	Bank    *linecard.Bank
 	Sched   *sched.Result
 
-	cfg        fu.Config
 	tbl        rtable.Table
 	ifaces     int
 	localAddrs []ipv6.Addr
@@ -62,7 +61,7 @@ func NewTACO(cfg fu.Config, tbl rtable.Table, ifaces int) (*TACO, error) {
 	}
 	return &TACO{
 		Machine: m, Units: units, Bank: bank, Sched: res,
-		cfg: cfg, tbl: tbl, ifaces: ifaces,
+		tbl: tbl, ifaces: ifaces,
 	}, nil
 }
 
@@ -121,9 +120,6 @@ func (t *TACO) Rebind(tbl rtable.Table) error {
 	t.Reset()
 	return nil
 }
-
-// Config returns the architecture configuration.
-func (t *TACO) Config() fu.Config { return t.cfg }
 
 // Ifaces returns the network interface count (excluding the host card).
 func (t *TACO) Ifaces() int { return t.ifaces }

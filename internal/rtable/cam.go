@@ -51,9 +51,6 @@ func NewCAM(cfg CAMConfig) *CAMTable {
 // Kind implements Table.
 func (t *CAMTable) Kind() Kind { return CAM }
 
-// Config returns the hardware parameters.
-func (t *CAMTable) Config() CAMConfig { return t.cfg }
-
 // Insert adds or replaces the route for r.Prefix. It fails when the CAM
 // is full — a real capacity limit of the hardware solution.
 func (t *CAMTable) Insert(r Route) error {
@@ -131,9 +128,6 @@ func (t *CAMTable) Routes() []Route {
 	sortRoutes(out)
 	return out
 }
-
-// SearchNs returns the modelled search latency in nanoseconds.
-func (t *CAMTable) SearchNs() float64 { return t.cfg.SearchNs }
 
 // Stats implements Table.
 func (t *CAMTable) Stats() Stats { return t.stats }

@@ -12,7 +12,6 @@ package rtable
 // lookup to large databases" headline comes from.
 type CompressedTable struct {
 	strideCore
-	cfg MultibitConfig
 }
 
 // NewCompressed returns an empty compressed trie over a multibit stride
@@ -24,16 +23,13 @@ func NewCompressed(cfg MultibitConfig) *CompressedTable {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	t := &CompressedTable{cfg: cfg}
+	t := &CompressedTable{}
 	t.setup(cfg.Strides)
 	return t
 }
 
 // Kind implements Table.
 func (t *CompressedTable) Kind() Kind { return Compressed }
-
-// Config returns the stride schedule.
-func (t *CompressedTable) Config() MultibitConfig { return t.cfg }
 
 // MemDims implements MemSizer: per node one 2^stride occupancy bitmap
 // (one bit for each slot the multibit table expands) and a fixed node

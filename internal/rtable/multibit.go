@@ -51,7 +51,6 @@ func (c MultibitConfig) Validate() error {
 // stands for, a fully expanded 2^stride slot array per node.
 type MultibitTable struct {
 	strideCore
-	cfg MultibitConfig
 }
 
 // NewMultibit returns an empty multibit trie; it panics on an invalid
@@ -60,16 +59,13 @@ func NewMultibit(cfg MultibitConfig) *MultibitTable {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	t := &MultibitTable{cfg: cfg}
+	t := &MultibitTable{}
 	t.setup(cfg.Strides)
 	return t
 }
 
 // Kind implements Table.
 func (t *MultibitTable) Kind() Kind { return Multibit }
-
-// Config returns the stride schedule.
-func (t *MultibitTable) Config() MultibitConfig { return t.cfg }
 
 // MemDims implements MemSizer: the hardware footprint is one 2^stride
 // slot array per allocated node plus the path-compressed leaf records

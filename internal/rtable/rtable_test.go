@@ -286,9 +286,6 @@ func TestCAMSingleProbe(t *testing.T) {
 	if st := tbl.Stats(); st.Probes != 2 || st.Lookups != 2 {
 		t.Errorf("CAM stats = %+v, want 2 probes for 2 lookups", st)
 	}
-	if tbl.SearchNs() != 40 {
-		t.Errorf("SearchNs = %v", tbl.SearchNs())
-	}
 }
 
 func TestCAMCapacity(t *testing.T) {
@@ -343,10 +340,9 @@ func TestSequentialStorageOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := tbl.EntriesInStorageOrder()
 	for i := range ps {
-		if got[i].Prefix != ps[i] {
-			t.Fatalf("storage order changed: %v", got)
+		if got, _ := tbl.EntryAt(i); got.Prefix != ps[i] {
+			t.Fatalf("entry %d is %v, want %v: storage order changed", i, got.Prefix, ps[i])
 		}
 	}
 }

@@ -96,12 +96,6 @@ func (t *SequentialTable) Routes() []Route {
 	return out
 }
 
-// EntriesInStorageOrder exposes the raw array layout used by the TACO
-// routing-table unit: the scan order of the hardware.
-func (t *SequentialTable) EntriesInStorageOrder() []Route {
-	return append([]Route(nil), t.entries...)
-}
-
 // EntryAt returns the i'th entry in storage order — the routing-table
 // unit's entry-register load.
 func (t *SequentialTable) EntryAt(i int) (Route, bool) {

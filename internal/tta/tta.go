@@ -401,12 +401,6 @@ func (m *Machine) MustSocket(name string) isa.SocketID {
 	return id
 }
 
-// HasSocket reports whether name exists on this machine.
-func (m *Machine) HasSocket(name string) bool {
-	_, ok := m.socketIDs[name]
-	return ok
-}
-
 // Signal resolves a fully qualified signal name ("cmp0.eq") to its ID.
 func (m *Machine) Signal(name string) (isa.SignalID, error) {
 	id, ok := m.signalIDs[name]

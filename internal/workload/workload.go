@@ -101,14 +101,6 @@ func linkLocalNeighbor(rng *RNG) bits.Word128 {
 // Uint64AsUint32 returns a random 32-bit value.
 func (r *RNG) Uint64AsUint32() uint32 { return uint32(r.Uint64()) }
 
-// Fill populates tbl from spec using the table's bulk path.
-func Fill(tbl rtable.Table, spec TableSpec) error {
-	if err := rtable.InsertAll(tbl, GenerateRoutes(spec)); err != nil {
-		return fmt.Errorf("workload: %w", err)
-	}
-	return nil
-}
-
 // AddrInPrefix returns a uniformly random address inside p.
 func AddrInPrefix(rng *RNG, p bits.Prefix) bits.Word128 {
 	host := rng.Word128().And(bits.Mask(p.Len).Not())

@@ -79,7 +79,7 @@ func TestGenerateRoutes(t *testing.T) {
 
 func TestFillAndLookup(t *testing.T) {
 	tbl := rtable.NewSequential()
-	if err := Fill(tbl, PaperTableSpec()); err != nil {
+	if err := rtable.InsertAll(tbl, GenerateRoutes(PaperTableSpec())); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Len() != 100 {

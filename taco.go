@@ -13,7 +13,7 @@
 //	internal/asm       assembler / disassembler / program builder
 //	internal/sched     TTA code optimization and bus scheduling
 //	internal/bits      128-bit address and prefix arithmetic, 32-bit bus-word slicing
-//	internal/ipv6      IPv6 headers, extension chains, UDP/ICMPv6
+//	internal/ipv6      IPv6 headers, extension chains, UDP
 //	internal/ripng     RIPng (RFC 2080) protocol engine
 //	internal/rtable    seven routing tables: sequential / balanced tree / CAM (the paper's),
 //	                   binary trie / multibit / tiled TCAM / compressed trie (baselines)
